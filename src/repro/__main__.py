@@ -55,7 +55,7 @@ sweep --axis PATH=V1,V2,... [--axis ...] [--mode grid|ofat]
     statistics, guarded by a sampled re-execution.
 bench [--workloads W1,W2] [--scale S] [--seed N] [--cus N]
       [--repeats N] [--label L] [--baseline FILE] [--wall-gate]
-      [--against TREE-ISH|DIR] [--rounds N] [--timing auto|warp|scan]
+      [--against TREE-ISH|DIR] [--rounds N]
       [--threshold F] [--output FILE] [--profile DIR]
       [--sweep-axis PATH=V1,V2,...] [--sweep-workloads W1,W2]
       [--sweep-isas I1,I2] [--sweep-jobs N] [--sweep-repeats N]
@@ -138,12 +138,8 @@ def parse_override_specs(specs) -> dict:
 
 def config_from_args(args: argparse.Namespace):
     """The GpuConfig the CLI flags describe: --cus picks the base
-    machine, --timing pins the scheduler, repeated --override edits
-    dotted paths on top."""
+    machine, repeated --override edits dotted paths on top."""
     config = paper_config() if args.cus == 8 else small_config(args.cus)
-    timing = getattr(args, "timing", None)
-    if timing:
-        config = config.with_overrides({"timing": timing})
     overrides = parse_override_specs(getattr(args, "override", None))
     if overrides:
         config = config.with_overrides(overrides)
@@ -536,6 +532,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     regressions: List[str] = []
     wall_gate = bool(args.wall_gate)
+    label = args.label or perfbench.DEFAULT_LABEL
+    output = args.output or f"BENCH_{label}.json"
     if args.against:
         # Paired same-epoch run: both trees benched now, interleaved.
         # The comparison is same-epoch by construction, so wall-clock
@@ -554,7 +552,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 scale=args.scale,
                 seed=args.seed,
                 cus=args.cus if args.cus != 8 else None,
-                label=args.label,
+                label=label,
                 threshold=args.threshold,
                 engines=engines,
                 progress=progress,
@@ -573,7 +571,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 config=config,
                 repeats=args.repeats,
-                label=args.label,
+                label=label,
                 progress=progress,
                 profile_dir=args.profile,
                 engines=engines,
@@ -607,9 +605,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             _, regressions = perfbench.compare(
                 report, baseline, args.baseline, threshold=args.threshold,
                 wall_gate=wall_gate)
-    perfbench.write_report(report, args.output)
+    perfbench.write_report(report, output)
     print(perfbench.render_text(report))
-    print(f"wrote {args.output}")
+    print(f"wrote {output}")
     cycle_drift: List[str] = []
     if report.baseline is not None:
         cycle_drift = list(report.baseline.get("cycle_drift") or [])  # type: ignore[union-attr]
@@ -697,11 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "scalar", "vector"], default=None,
                        help="cycle-engine override for this run "
                             "(default: keep the config's engine)")
-    run_p.add_argument("--timing",
-                       choices=["auto", "warp", "scan"], default=None,
-                       help="timing scheduler: warp = time-warp engine "
-                            "(auto's default), scan = per-instruction "
-                            "reference walk; REPRO_TIMING overrides auto")
 
     trace_p = sub.add_parser(
         "trace", help="simulate one workload with cycle-level tracing")
@@ -729,11 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hard cap on recorded events")
     trace_p.add_argument("--quiet", "-q", action="store_true",
                          help="skip the stall/occupancy text report")
-    trace_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler (traced runs take the "
-                              "per-cycle walk either way; the knob is "
-                              "honored for reproducibility)")
 
     met_p = sub.add_parser("metrics", help="print the metric registry")
     met_p.add_argument("--match", "-m",
@@ -819,15 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="cycle engine for every cell: auto "
                               "(default) batch-decodes replayed cells "
-                              "with the vector engine when numpy is "
-                              "importable; scalar pins the per-issue "
-                              "reference path; vector forces batching "
+                              "with the vector engine; scalar pins the "
+                              "per-issue reference path; vector forces batching "
                               "on replayed cells (execute cells always "
                               "run the reference path)")
-    sweep_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler for every cell (warp = "
-                              "time-warp engine, scan = reference walk)")
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
@@ -867,8 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CU count (8 = paper config)")
     bench_p.add_argument("--repeats", "-r", type=int, default=1,
                          help="runs per cell; best-of is reported")
-    bench_p.add_argument("--label", "-l", default="PR10",
-                         help="trajectory label stored in the report")
+    bench_p.add_argument("--label", "-l",
+                         help="trajectory label stored in the report "
+                              "(default dev)")
     bench_p.add_argument("--engines", default="scalar,vector",
                          help="comma-separated cycle engines to time "
                               "(scalar = execute-at-issue reference; "
@@ -894,11 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--threshold", "-t", type=float, default=0.25,
                          help="fractional slowdown that counts as a "
                               "regression (default 0.25 = 25%%)")
-    bench_p.add_argument("--output", "-o", default="BENCH_PR10.json",
-                         help="report path (default BENCH_PR10.json)")
-    bench_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler for every timed cell")
+    bench_p.add_argument("--output", "-o",
+                         help="report path (default BENCH_<label>.json)")
     bench_p.add_argument("--profile", metavar="DIR",
                          help="dump per-cell cProfile stats to "
                               "DIR/<workload>_<isa>.prof (skews wall "

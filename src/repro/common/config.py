@@ -112,7 +112,6 @@ class GpuConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     deadlock_cycles: int = 4_000_000   # abort if no retirement for this long
     engine: str = "auto"               # replay cycle engine: scalar|vector|auto
-    timing: str = "auto"               # timing scheduler: warp|scan|auto
 
     def __post_init__(self) -> None:
         if self.num_cus <= 0:
@@ -122,10 +121,6 @@ class GpuConfig:
         if self.engine not in ("auto", "scalar", "vector"):
             raise ConfigError(
                 f"unknown engine {self.engine!r}: pick auto, scalar, or vector"
-            )
-        if self.timing not in ("auto", "warp", "scan"):
-            raise ConfigError(
-                f"unknown timing {self.timing!r}: pick auto, warp, or scan"
             )
 
     @property

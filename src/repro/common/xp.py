@@ -3,181 +3,15 @@
 The vector engine (:mod:`repro.timing.vector`) is written against a small,
 numpy-shaped vocabulary of array operations — ``asarray``, ``compress``,
 ``cumsum``, ``repeat``, ``bincount``, a stable ``argsort`` and elementwise
-arithmetic — obtained through :func:`get_array_module` rather than by
-importing numpy directly.  This is the ``get_array_module`` pattern from
-sailfish-style solvers: the caller asks the seam for "the array module"
-and gets numpy when it is available, or a pure-Python stand-in
-(:class:`PyArrayModule`) with identical call signatures when it is not.
-
-Backend selection, in priority order:
-
-1. an explicit ``prefer=`` argument to :func:`get_array_module`;
-2. the ``REPRO_XP`` environment variable (``numpy`` | ``python`` |
-   ``auto``);
-3. ``auto``: numpy if importable, else the pure-Python fallback.
-
-The fallback trades speed for portability — it exists so the engine (and
-the differential test suite) still runs, bit-identically, on a machine
-without numpy.  Results are plain Python lists; the vector engine only
-ever consumes them through ``tolist``-style normalization, so the two
-backends are interchangeable.
+arithmetic — obtained through :func:`get_array_module` and threaded
+through its functions as a local ``xp`` parameter rather than by
+importing numpy directly.  numpy is a hard dependency
+(``pyproject.toml``) and the only backend.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Sequence
-
-from .errors import ConfigError
-
-try:  # numpy is the preferred backend but must remain optional
-    import numpy as _numpy
-except Exception:  # pragma: no cover - exercised via REPRO_XP=python in CI
-    _numpy = None
-
-HAVE_NUMPY = _numpy is not None
-
-_BACKENDS = ("auto", "numpy", "python")
-
-
-class PyArrayModule:
-    """Pure-Python stand-in for the numpy subset the vector engine uses.
-
-    Arrays are plain lists; every function mirrors the numpy call it
-    replaces (same name, argument order, and integer semantics) so
-    :mod:`repro.timing.vector` can be written once against either
-    backend.  ``dtype`` arguments are accepted and ignored — Python ints
-    are exact, so the uint64 EXEC-mask bitsets and cumulative offsets
-    that numpy handles with fixed-width types need no care here.
-    """
-
-    name = "python"
-
-    # -- construction -------------------------------------------------
-    @staticmethod
-    def asarray(seq: Sequence, dtype: object = None) -> list:
-        return list(seq)
-
-    @staticmethod
-    def arange(n: int, dtype: object = None) -> list:
-        return list(range(n))
-
-    @staticmethod
-    def zeros(n: int, dtype: object = None) -> list:
-        return [0] * n
-
-    # -- elementwise --------------------------------------------------
-    @staticmethod
-    def bitwise_and(a: Sequence, b: int) -> list:
-        return [x & b for x in a]
-
-    @staticmethod
-    def right_shift(a: Sequence, b: int) -> list:
-        return [x >> b for x in a]
-
-    @staticmethod
-    def add(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x + b for x in a]
-        return [x + y for x, y in zip(a, b)]
-
-    @staticmethod
-    def subtract(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x - b for x in a]
-        return [x - y for x, y in zip(a, b)]
-
-    @staticmethod
-    def multiply(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x * b for x in a]
-        return [x * y for x, y in zip(a, b)]
-
-    @staticmethod
-    def equal(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x == b for x in a]
-        return [x == y for x, y in zip(a, b)]
-
-    @staticmethod
-    def not_equal(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x != b for x in a]
-        return [x != y for x, y in zip(a, b)]
-
-    @staticmethod
-    def greater(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x > b for x in a]
-        return [x > y for x, y in zip(a, b)]
-
-    @staticmethod
-    def greater_equal(a: Sequence, b) -> list:
-        if isinstance(b, (int, float)):
-            return [x >= b for x in a]
-        return [x >= y for x, y in zip(a, b)]
-
-    @staticmethod
-    def logical_and(a: Sequence, b: Sequence) -> list:
-        return [bool(x) and bool(y) for x, y in zip(a, b)]
-
-    # -- gather / filter ----------------------------------------------
-    @staticmethod
-    def take(a: Sequence, idx: Sequence) -> list:
-        return [a[i] for i in idx]
-
-    @staticmethod
-    def compress(cond: Sequence, a: Sequence) -> list:
-        return [x for keep, x in zip(cond, a) if keep]
-
-    @staticmethod
-    def flatnonzero(a: Sequence) -> list:
-        return [i for i, x in enumerate(a) if x]
-
-    @staticmethod
-    def repeat(a: Sequence, repeats) -> list:
-        if isinstance(repeats, int):
-            out = []
-            for x in a:
-                out.extend([x] * repeats)
-            return out
-        out = []
-        for x, r in zip(a, repeats):
-            out.extend([x] * r)
-        return out
-
-    # -- reductions / scans -------------------------------------------
-    @staticmethod
-    def sum(a: Sequence):
-        return sum(a)
-
-    @staticmethod
-    def count_nonzero(a: Sequence) -> int:
-        return sum(1 for x in a if x)
-
-    @staticmethod
-    def cumsum(a: Sequence) -> list:
-        out, total = [], 0
-        for x in a:
-            total += x
-            out.append(total)
-        return out
-
-    @staticmethod
-    def bincount(a: Sequence, minlength: int = 0) -> list:
-        size = max(max(a) + 1 if a else 0, minlength)
-        out = [0] * size
-        for x in a:
-            out[x] += 1
-        return out
-
-    @staticmethod
-    def argsort(a: Sequence, kind: str = "stable") -> list:
-        # Python's sort is always stable; ``kind`` mirrors numpy's API.
-        return sorted(range(len(a)), key=a.__getitem__)
-
-
-_PY_MODULE = PyArrayModule()
+import numpy as _numpy
 
 _QUIET_NUMERIC = False
 
@@ -191,44 +25,29 @@ def ensure_quiet_numeric() -> None:
     ``np.errstate(all="ignore")`` costs two ``seterr`` round trips per
     dynamic instruction — more than the guarded arithmetic itself — so
     the executors flip the process-wide state here instead, at
-    construction.  Idempotent; a no-op without numpy.
+    construction.  Idempotent.
     """
     global _QUIET_NUMERIC
-    if _QUIET_NUMERIC or not HAVE_NUMPY:
+    if _QUIET_NUMERIC:
         return
     _numpy.seterr(all="ignore")
     _QUIET_NUMERIC = True
 
 
-def backend_name(prefer: Optional[str] = None) -> str:
-    """The backend :func:`get_array_module` would resolve: numpy|python."""
-    choice = prefer if prefer is not None else os.environ.get("REPRO_XP", "auto")
-    if choice not in _BACKENDS:
-        raise ConfigError(
-            f"unknown REPRO_XP backend {choice!r}: pick auto, numpy, or python"
-        )
-    if choice == "numpy":
-        if not HAVE_NUMPY:
-            raise ConfigError("REPRO_XP=numpy requested but numpy is not importable")
-        return "numpy"
-    if choice == "python":
-        return "python"
-    return "numpy" if HAVE_NUMPY else "python"
+def backend_name(*_ignored: object) -> str:
+    """Provenance constant for ``benchmarks/e2e/run.py``'s full-mode
+    header; nothing in ``src/`` may call it, and the next ``benchmark``
+    PR drops the import and this function with it."""
+    return "numpy"
 
 
-def get_array_module(prefer: Optional[str] = None):
-    """Resolve the active array backend (numpy, or the Python fallback).
-
-    ``prefer`` overrides the ``REPRO_XP`` environment variable; both
-    accept ``"auto"`` (default), ``"numpy"``, or ``"python"``.
-    """
-    if backend_name(prefer) == "numpy":
-        return _numpy
-    return _PY_MODULE
+def get_array_module():
+    """The array module the vector engine computes with (numpy)."""
+    return _numpy
 
 
 def tolist(a) -> list:
-    """Normalize either backend's array to a plain Python list."""
+    """Normalize an array (or an already-plain list) to a Python list."""
     if isinstance(a, list):
         return a
     if hasattr(a, "tolist"):
@@ -238,35 +57,21 @@ def tolist(a) -> list:
 
 # -- whole-wavefront mask/line kernels --------------------------------
 #
-# The functional models call these on every memory instruction; each has
-# a batched numpy body and a pure-Python twin with identical results, so
-# the semantics engines keep working when numpy is unavailable.
+# The functional models call these on every memory instruction.
 
-if HAVE_NUMPY:
 
-    def pack_mask(mask) -> int:
-        """bool[64] lane vector -> 64-bit execution mask."""
-        return int.from_bytes(
-            _numpy.packbits(mask, bitorder="little").tobytes(), "little"
-        )
+def pack_mask(mask) -> int:
+    """bool[64] lane vector -> 64-bit execution mask."""
+    return int.from_bytes(
+        _numpy.packbits(mask, bitorder="little").tobytes(), "little"
+    )
 
-    def unique_lines(lines) -> list:
-        """Sorted unique line addresses, as plain Python ints.
 
-        A ``set`` over the ``tolist`` view beats ``np.unique`` at
-        wavefront width (64 elements): the hash dedup is O(n) against
-        the sort's O(n log n), and both stay in C.
-        """
-        return sorted(set(lines.tolist()))
+def unique_lines(lines) -> list:
+    """Sorted unique line addresses, as plain Python ints.
 
-else:  # pragma: no cover - exercised via REPRO_XP=python in CI
-
-    def pack_mask(mask) -> int:
-        bits = 0
-        for lane, on in enumerate(mask):
-            if on:
-                bits |= 1 << lane
-        return bits
-
-    def unique_lines(lines) -> list:
-        return sorted(set(tolist(lines)))
+    A ``set`` over the ``tolist`` view beats ``np.unique`` at
+    wavefront width (64 elements): the hash dedup is O(n) against
+    the sort's O(n log n), and both stay in C.
+    """
+    return sorted(set(lines.tolist()))

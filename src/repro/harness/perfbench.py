@@ -96,8 +96,8 @@ from ..common.errors import ReproError
 
 SCHEMA = "repro-bench/1"
 
-#: Default output name for this PR's trajectory point.
-DEFAULT_OUTPUT = "BENCH_PR10.json"
+#: Default trajectory label; ``repro bench`` writes ``BENCH_<label>.json``.
+DEFAULT_LABEL = "dev"
 
 
 class BenchError(ReproError):
@@ -265,7 +265,7 @@ def run_bench(
     seed: int = 7,
     config: Optional[GpuConfig] = None,
     repeats: int = 1,
-    label: str = "PR10",
+    label: str = DEFAULT_LABEL,
     progress=None,
     profile_dir: Optional[str] = None,
     engines: Sequence[str] = ("scalar",),
@@ -489,7 +489,7 @@ def run_bench_against(
     scale: float = 0.5,
     seed: int = 7,
     cus: Optional[int] = None,
-    label: str = "PR10",
+    label: str = DEFAULT_LABEL,
     threshold: float = 0.25,
     engines: Sequence[str] = ("scalar",),
     progress=None,

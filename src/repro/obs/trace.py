@@ -103,18 +103,6 @@ class TraceConfig:
         )
 
 
-#: Stall reasons the per-cycle walk re-emits every cycle while the CU's
-#: state is unchanged (a busy unit or a scoreboard hold keeps the blocked
-#: wavefront in the ready set).  The one-shot reasons — fetch_wait,
-#: waitcnt_vm/lgkm, scoreboard_mem, vmem_capacity — park their wavefront
-#: at first emission and ib_resync mutates state, so none of those can
-#: recur across a frozen interval.
-_REPEATING_STALLS = frozenset((
-    "simd_busy", "scoreboard", "unit_busy", "scalar_busy", "branch_busy",
-    "vmem_busy", "lds_busy",
-))
-
-
 class TraceEvent:
     """One structured event.  ``cu``/``wf`` are -1 for device-scope events."""
 
@@ -159,7 +147,6 @@ class TraceBus:
     """The live event sink one traced run publishes onto."""
 
     __slots__ = ("config", "events", "dropped", "stall_cycles", "_seen",
-                 "_stall_capture",
                  "wants_issue", "wants_mem", "wants_cache", "wants_vrf",
                  "wants_flush", "wants_stall", "wants_wait",
                  "wants_dispatch", "wants_fetch")
@@ -171,10 +158,6 @@ class TraceBus:
         #: exact stall accounting: reason -> blocked wavefront-scans.
         self.stall_cycles: Dict[str, int] = {}
         self._seen: Dict[str, int] = {}
-        #: interval stall accounting (warp engine): while set, stall()
-        #: also records (reason, wf) so the dispatcher can snapshot the
-        #: stalls a sleeping CU would re-emit every skipped iteration.
-        self._stall_capture: Optional[List[Tuple[str, int]]] = None
         enabled = set(self.config.categories)
         # Precomputed per-category booleans keep the hot-path guard to a
         # single attribute read at each instrumentation point.
@@ -206,39 +189,11 @@ class TraceBus:
             return
         self.events.append(TraceEvent(ts, dur, cat, name, cu, wf, args))
 
-    def stall(self, reason: str, ts: int, cu: int = -1, wf: int = -1,
-              count: int = 1) -> None:
-        """Account ``count`` blocked wavefront-scans; the counter is exact
-        even when the corresponding event stream is sampled away.
-
-        ``count > 1`` is the warp engine's interval accounting: one call
-        covers a closed interval of skipped iterations whose per-cycle
-        stall set is provably frozen, so the totals match the scan
-        engine's per-cycle calls exactly (the event stream carries the
-        interval width in ``args`` instead of one event per cycle).
-        """
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + count
-        if self._stall_capture is not None:
-            self._stall_capture.append((reason, wf))
-        if count == 1:
-            self.emit("stall", reason, ts, cu=cu, wf=wf)
-        else:
-            self.emit("stall", reason, ts, cu=cu, wf=wf,
-                      args={"count": count})
-
-    def begin_stall_capture(self) -> None:
-        """Start recording (reason, wf) pairs of subsequent stall calls."""
-        self._stall_capture = []
-
-    def take_stall_capture(self) -> "List[Tuple[str, int]]":
-        """Stop recording and return the stalls that *repeat* while the
-        CU's state is frozen (one-shot reasons park their wavefront and
-        are never re-emitted by the per-cycle walk, so they must not be
-        multiplied over a sleep interval)."""
-        captured = self._stall_capture or []
-        self._stall_capture = None
-        return [(reason, wf) for reason, wf in captured
-                if reason in _REPEATING_STALLS]
+    def stall(self, reason: str, ts: int, cu: int = -1, wf: int = -1) -> None:
+        """Account one blocked wavefront-scan; the counter is exact even
+        when the corresponding event stream is sampled away."""
+        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + 1
+        self.emit("stall", reason, ts, cu=cu, wf=wf)
 
     def data(self) -> "TraceData":
         return TraceData(

@@ -30,7 +30,6 @@ statistic — are bit-identical to the exhaustive scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Dict, List, Optional, Tuple
 
 from ..common.exec_types import ExecResult, MemKind
@@ -44,7 +43,6 @@ from .predecode import (
     UNIT_VMEM,
     IssueDesc,
 )
-from .timewarp import FETCH, LDS, LGKM, VMEM, CompletionQueue
 from .wavefront import TimingWavefront
 
 #: ``next_wake`` sentinel: nothing to do until an event handler resets it.
@@ -93,29 +91,8 @@ class ComputeUnit:
         # per SIMD, fetch candidates, and the CU-level wake cycle the
         # dispatcher uses to skip provably idle CUs.
         self.simd_ready = [0] * config.num_simds
-        #: sum(simd_ready), maintained at the same transitions — the chain
-        #: burst gate tests "sole schedulable wavefront" on every issue,
-        #: so the sum must not be recomputed there.
-        self.ready_total = 0
         self.fetch_ready = 0
         self.next_wake = 0
-        # Time-warp engine state (timing/timewarp.py).  Under "warp" this
-        # CU's fetch/memory completions queue here instead of on the
-        # global event heap and drain at the CU's next visit — which the
-        # dispatcher guarantees is exactly the completion cycle.
-        self.warp = gpu.timing == "warp"
-        self.comp = CompletionQueue()
-        #: closed-form chain bursts need the untraced warp path (traced
-        #: runs must visit per cycle so stall capture stays exhaustive).
-        self._burst_ok = self.warp and gpu.trace is None
-        #: set by _burst_fused: the CU's next decision point after a
-        #: burst; the warp dispatcher uses it instead of now + 1.
-        self._burst_wake = 0
-        # Interval stall accounting (warp + traced): iterations skipped
-        # since the last visit, and the frozen stall set each of them
-        # would have re-emitted.
-        self._gap_iters = 0
-        self._stall_snapshot: Optional[List[Tuple[str, int]]] = None
         #: Per-dispatch VrfModel, installed by ``Gpu.run_dispatch`` so the
         #: per-cycle and per-issue paths skip the gpu.vrf_models[...] hop.
         self.vrf: "object" = None
@@ -159,16 +136,11 @@ class ComputeUnit:
             wf.simd_id = self._next_simd
             self.simd_wfs[self._next_simd].append(wf)
             self.simd_ready[self._next_simd] += 1  # fresh WFs are schedulable
-            self.ready_total += 1
             if wf.fetch_want:
                 self.fetch_ready += 1
             self._next_simd = (self._next_simd + 1) % self.num_simds
         self._all_wfs = [wf for group in self.simd_wfs for wf in group]
         self.next_wake = 0
-        # Placement is the one cross-CU write the warp dispatcher's
-        # slot-driven loop cannot see coming; refresh the slot so the
-        # placed CU is visited this very cycle (harmless under scan).
-        self.gpu.wake_table.slots[self.cu_id] = 0
         self._trace_wg("wg_place", record)
 
     def _retire_workgroup(self, record: WorkgroupRecord) -> None:
@@ -211,13 +183,11 @@ class ComputeUnit:
         schedulable); it leaves the ready set until an event unparks it."""
         wf.parked = True
         self.simd_ready[wf.simd_id] -= 1
-        self.ready_total -= 1
 
     def _unpark(self, wf: TimingWavefront) -> None:
         if wf.parked:
             wf.parked = False
             self.simd_ready[wf.simd_id] += 1
-            self.ready_total += 1
 
     def _sync_fetch(self, wf: TimingWavefront) -> None:
         """Recompute the wavefront's fetch-candidate flag after any
@@ -271,21 +241,6 @@ class ComputeUnit:
                 issued, wf_hint = self._try_issue(wf, simd, now, trace)
                 if issued:
                     did = True
-                    # Closed-form chain timing (warp engine): if the rest
-                    # of this superop chain is provably the CU's only
-                    # possible activity — sole schedulable wavefront, no
-                    # fetch can start (ours is in flight or past the
-                    # kernel end and nobody else wants one), no workgroup
-                    # placement pending — its issue timeline is computed
-                    # analytically instead of revisiting per cycle.
-                    if (wf.fused_count
-                            and self._burst_ok
-                            and not self.fetch_ready
-                            and self.gpu._pending_empty
-                            and (wf.fetch_inflight
-                                 or wf.fetch_index >= wf.num_instrs)
-                            and self.ready_total == 1):
-                        self._burst_fused(wf, simd, now)
                     break
                 if wf_hint is not None and (hint is None or wf_hint < hint):
                     hint = wf_hint
@@ -310,12 +265,9 @@ class ComputeUnit:
             line = addr >> 6
             done_cycle = self.memsys.ifetch(self.cu_id, line, now)
             fire = max(done_cycle, now + 1)
-            if self.warp:
-                self.comp.push(fire, FETCH, wf, epoch)
-            else:
-                self.events.schedule_at(
-                    fire, lambda w=wf, e=epoch: self._finish_fetch(w, e)
-                )
+            self.events.schedule_at(
+                fire, lambda w=wf, e=epoch: self._finish_fetch(w, e)
+            )
             trace: Optional[TraceBus] = self.trace
             if trace is not None and trace.wants_fetch:
                 trace.emit("fetch", "ifetch", now,
@@ -602,7 +554,6 @@ class ComputeUnit:
             self._arrive_barrier(wf, record)
         if result.ends_wavefront:
             self.simd_ready[wf.simd_id] -= 1  # done WFs leave the ready set
-            self.ready_total -= 1
             self._sync_fetch(wf)
             if record is None:
                 record = self.workgroups[wf.wg_key]
@@ -714,155 +665,6 @@ class ComputeUnit:
             wf.fused_result = ExecResult()
         return True
 
-    def _burst_fused(self, wf: TimingWavefront, simd: int, now: int) -> None:
-        """Issue the rest of ``wf``'s fused chain on a closed-form
-        timeline (warp engine; preconditions checked by ``cycle``).
-
-        With the CU quiescent — this wavefront is the only schedulable
-        one, no fetch can start, no workgroup can be placed here, and the
-        next completion bounds the window — each remaining fused op's
-        issue cycle is a pure function of state this loop owns: the
-        one-issue-per-cycle rule, SIMD/scalar/branch unit frees, and the
-        HSAIL scoreboard releases.  Every timestamp written (unit frees,
-        VRF gather windows, scoreboard releases, the flush of a terminal
-        taken branch) is exactly what the per-cycle walk would write, so
-        statistics and captured traces stay bit-identical; the walk's
-        intermediate visits are all no-ops and are skipped.
-
-        Two kinds of events can land inside the window without ending it:
-
-        * **This wavefront's own fetch fill** — the dominant completion
-          during a chain.  The fill only appends to this wavefront's IB
-          (the L1I access already happened at fetch *start*), so it is
-          applied inline at its cycle, exactly where the walk drains it.
-        * **A satisfied s_waitcnt** — the pending counters are frozen
-          inside the window (memory completions are window bounds and
-          chains issue no memory), so satisfaction is time-invariant
-          and the op issues like any scalar op.
-
-        Everything else ends the burst *strictly before* its cycle: a
-        foreign completion can unpark another wavefront (the walk runs
-        handlers before issue), and a fill that leaves this wavefront
-        wanting another fetch hands back to the walk at the fill cycle —
-        the fetch *start* it triggers is a cluster-shared L1I access
-        whose global order this loop must not disturb.
-        """
-        heap = self.comp.heap
-        state = wf.state
-        descs = wf.descs
-        ib = wf.ib
-        cfg = self.config
-        valu = cfg.valu_issue_cycles
-        salu = cfg.salu_latency
-        simd_free = self.simd_free
-        is_gcn3 = wf.is_gcn3
-        vrf = self.vrf
-        epoch = wf.fetch_epoch
-        t = now
-        wake = 0
-        while wf.fused_count:
-            pc = state.pc
-            if ib and ib[0][0] != pc:
-                break  # IB desync; the per-cycle path resynchronizes
-            desc = descs[pc]
-            if desc.is_waitcnt:
-                vm = desc.wait_vm
-                lgkm = desc.wait_lgkm
-                if ((vm is not None and wf.pending_vmem > vm)
-                        or (lgkm is not None and wf.pending_lgkm > lgkm)):
-                    break  # would park; leave it to the per-cycle path
-            unit = desc.unit
-            nt = t + 1
-            free = simd_free[simd]
-            if free > nt:
-                nt = free
-            if unit == UNIT_SIMD:
-                pass
-            elif unit == UNIT_SCALAR:
-                if self.scalar_free > nt:
-                    nt = self.scalar_free
-            elif unit == UNIT_BRANCH:
-                if self.branch_free > nt:
-                    nt = self.branch_free
-            else:
-                break  # memory/LDS never fuse; bail out defensively
-            if not is_gcn3:
-                slots = desc.rw_slots
-                if slots:
-                    mem_busy = wf.mem_busy_slots
-                    busy = wf.busy_slots
-                    blocked = False
-                    for slot in slots:
-                        if mem_busy and slot in mem_busy:
-                            blocked = True  # would park on in-flight memory
-                            break
-                        release = busy.get(slot, 0)
-                        if release > nt:
-                            nt = release
-                    if blocked:
-                        break
-            # Apply completions due at or before the slot.  Only this
-            # wavefront's own live fetch fill may be consumed here; any
-            # other head at or before nt bounds the window.
-            boundary = False
-            while heap:
-                head = heap[0]
-                hc = head[0]
-                if (head[2] != FETCH or head[3] is not wf
-                        or head[4] != epoch):
-                    if hc <= nt:
-                        wake = hc
-                        boundary = True
-                    break
-                if hc > nt:
-                    if ib:
-                        break  # fill lands after this issue; apply later
-                    nt = hc  # empty IB: the instruction arrives with it
-                heappop(heap)
-                self._finish_fetch(wf, epoch)
-                if self.fetch_ready:
-                    # The walk starts the next fetch at this very cycle.
-                    wake = hc
-                    boundary = True
-                    break
-            if boundary:
-                break
-            if not ib or ib[0][0] != pc:
-                break  # nothing fetchable in flight; per-cycle path parks
-            read_slots = desc.read_slots
-            if read_slots:
-                duration = valu * desc.valu_mult if unit == UNIT_SIMD else 2
-                vrf.note_access(read_slots, nt, duration)
-            result = self._consume_fused(wf, pc)
-            if unit == UNIT_SIMD:
-                cycles = valu * desc.valu_mult
-                simd_free[simd] = nt + cycles
-                if not is_gcn3:
-                    wf.mark_busy(desc.write_slots, nt + cycles + 2 * valu)
-            elif unit == UNIT_SCALAR:
-                self.scalar_free = nt + salu
-            else:
-                self.branch_free = nt + salu
-            wf.next_issue_cycle = nt + 1
-            if ib:
-                ib.pop(0)
-            if result.branch_taken and result.next_pc is not None:
-                self._flush(wf, result.next_pc)
-                t = nt
-                break  # terminal branch: refetch starts on the walk
-            self._sync_fetch(wf)
-            t = nt
-            if self.fetch_ready:
-                # Popping the IB entry opened fetch room: the walk
-                # starts that fetch at its next visit, t + 1.
-                break
-        if wake:
-            # Nothing can happen before the boundary event: the next
-            # issue lands at or past it and fetch/placement are excluded.
-            self._burst_wake = wake
-        elif t > now:
-            self._burst_wake = t + 1
-
     def _consume_fused(self, wf: TimingWavefront, pc: int) -> ExecResult:
         """One queued fused outcome; advances the architectural pc the
         way ``execute`` would have at this issue slot."""
@@ -926,13 +728,10 @@ class ComputeUnit:
             written = desc.write_slots if not wf.is_gcn3 else ()
             if written:
                 wf.mark_mem_busy(written)
-            if self.warp:
-                self.comp.push(max(done, now + 1), VMEM, wf, written)
-            else:
-                gpu.events.schedule_at(
-                    max(done, now + 1),
-                    lambda w=wf, s=written: self._finish_vmem(w, s),
-                )
+            gpu.events.schedule_at(
+                max(done, now + 1),
+                lambda w=wf, s=written: self._finish_vmem(w, s),
+            )
             if trace is not None and trace.wants_mem:
                 trace.emit("mem", desc.opcode, now, dur=max(done - now, 1),
                            cu=self.cu_id, wf=wf.wf_id,
@@ -941,12 +740,9 @@ class ComputeUnit:
             lines = result.mem_lines or [0]
             done = gpu.memsys.scalar_access(self.cu_id, lines, now + issue_cost)
             wf.pending_lgkm += 1
-            if self.warp:
-                self.comp.push(max(done, now + 1), LGKM, wf, None)
-            else:
-                gpu.events.schedule_at(
-                    max(done, now + 1), lambda w=wf: self._finish_lgkm(w)
-                )
+            gpu.events.schedule_at(
+                max(done, now + 1), lambda w=wf: self._finish_lgkm(w)
+            )
             if trace is not None and trace.wants_mem:
                 trace.emit("mem", desc.opcode, now, dur=max(done - now, 1),
                            cu=self.cu_id, wf=wf.wf_id,
@@ -957,13 +753,10 @@ class ComputeUnit:
             written = desc.write_slots if not wf.is_gcn3 else ()
             if written:
                 wf.mark_mem_busy(written)
-            if self.warp:
-                self.comp.push(max(done, now + 1), LDS, wf, written)
-            else:
-                gpu.events.schedule_at(
-                    max(done, now + 1),
-                    lambda w=wf, s=written: self._finish_lds(w, s),
-                )
+            gpu.events.schedule_at(
+                max(done, now + 1),
+                lambda w=wf, s=written: self._finish_lds(w, s),
+            )
             gpu.stats.bump(LDS_ACCESSES)
             if trace is not None and trace.wants_mem:
                 trace.emit("mem", desc.opcode, now, dur=max(done - now, 1),
@@ -995,26 +788,6 @@ class ComputeUnit:
         self.gpu._wake_floor = 0
         self.gpu._last_progress_cycle = self.events.now  # inline notify
 
-    def _drain_comps(self, now: int) -> None:
-        """Fire every queued completion due by ``now``, in (cycle, seq)
-        order — the global event heap's firing order restricted to this
-        CU, which is the only order that can matter: every handler
-        mutates only this CU's wavefront state plus commutative global
-        counters.  The warp dispatcher arbitrates wakes over
-        ``min(next_wake, comp head)``, so the first visit at or past a
-        completion's cycle is exactly its cycle."""
-        heap = self.comp.heap
-        while heap and heap[0][0] <= now:
-            _cycle, _seq, kind, wf, arg = heappop(heap)
-            if kind == FETCH:
-                self._finish_fetch(wf, arg)
-            elif kind == VMEM:
-                self._finish_vmem(wf, arg)
-            elif kind == LGKM:
-                self._finish_lgkm(wf)
-            else:
-                self._finish_lds(wf, arg)
-
     def _flush(self, wf: TimingWavefront, new_pc: int) -> None:
         wf.flush_ib(new_pc)
         self._sync_fetch(wf)
@@ -1027,7 +800,6 @@ class ComputeUnit:
     def _arrive_barrier(self, wf: TimingWavefront, record: WorkgroupRecord) -> None:
         wf.at_barrier = True
         self.simd_ready[wf.simd_id] -= 1
-        self.ready_total -= 1
         record.barrier_arrivals += 1
         if record.barrier_arrivals >= record.alive():
             record.barrier_arrivals = 0
@@ -1036,7 +808,6 @@ class ComputeUnit:
                 if other.at_barrier:
                     other.at_barrier = False
                     simd_ready[other.simd_id] += 1
-                    self.ready_total += 1
             self.gpu.stats.bump(BARRIERS)
             self.gpu.notify_progress()
 

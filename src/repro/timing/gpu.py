@@ -35,7 +35,6 @@ from .cu import NEVER_WAKE, ComputeUnit, WorkgroupRecord
 from .predecode import UNIT_SIMD, predecode_kernel
 from .registerfile import VrfModel
 from .replay import ExecTrace, TraceRecorder
-from .timewarp import WakeTable, resolve_timing
 from .vector import resolve_engine, vector_cursor
 from .wavefront import TimingWavefront
 
@@ -77,12 +76,6 @@ class Gpu:
         #: REPRO_SEMANTICS=raw is the process-wide escape hatch.
         self._superops_enabled = (replay is None and trace is None
                                   and resolve_semantics() == "block")
-        #: the resolved timing scheduler for this run: "warp" drains
-        #: per-CU completion queues and arbitrates CU wakes over a
-        #: contiguous array; "scan" keeps the global event heap and
-        #: per-instruction stepping as the reference walk.  Both produce
-        #: bit-identical cycles and statistics (timing/timewarp.py).
-        self.timing = resolve_timing(config.timing)
         self.events = EventQueue()
         self.memsys = MemorySystem(config)
         self.memsys.trace = trace
@@ -92,9 +85,6 @@ class Gpu:
         #: scan visits exactly the busy CUs (same order as scanning
         #: ``cus`` and skipping idle ones, so decisions are unchanged).
         self.busy_cus: List[ComputeUnit] = []
-        #: warp-engine wake arbitration: one slot per cu_id holding
-        #: min(next_wake, completion head); idle CUs hold NEVER_WAKE.
-        self.wake_table = WakeTable(config.num_cus)
         self.vrf_models: List[VrfModel] = []
         self.stats = StatSet()
         self._wf_counter = 0
@@ -102,20 +92,10 @@ class Gpu:
         self._outstanding_wgs = 0
         self._last_progress_cycle = 0
         self._place_rr = 0
-        #: scan engine: a lower bound on every busy CU's next_wake, reset
-        #: to 0 by completion handlers and placement, so the dispatcher
-        #: can jump idle stretches without rescanning the busy list.
+        #: a lower bound on every busy CU's next_wake, reset to 0 by
+        #: completion handlers and placement, so the dispatcher can jump
+        #: idle stretches without rescanning the busy list.
         self._wake_floor = 0
-        #: warp engine: no workgroup awaits placement (chain bursts must
-        #: not span a cycle where the command processor could act).
-        self._pending_empty = True
-        #: warp engine: CUs that retired their last workgroup with
-        #: completions still queued.  Those completions belong to ended
-        #: wavefronts (every handler is a no-op on them), but the scan
-        #: engine still *visits* their cycles — the global heap stops the
-        #: idle fast-forward there — so the warp walk must land on the
-        #: same cycles for traced stall accounting to match exactly.
-        self._zombie_cus: List[ComputeUnit] = []
 
     # ------------------------------------------------------------------
 
@@ -160,10 +140,7 @@ class Gpu:
         dispatch_id = self._dispatch_counter
         self._dispatch_counter += 1
 
-        if self.timing == "warp":
-            self._loop_warp(dispatch, dispatch_id, pending)
-        else:
-            self._loop_scan(dispatch, dispatch_id, pending)
+        self._loop_scan(dispatch, dispatch_id, pending)
 
         stats.bump(CYCLES, self.events.now - start_cycle)
         if self.trace is not None and self.trace.wants_dispatch:
@@ -184,7 +161,7 @@ class Gpu:
 
     def _loop_scan(self, dispatch: Dispatch, dispatch_id: int,
                    pending: "deque[int]") -> None:
-        """Reference walk: per-instruction stepping on the global event
+        """The dispatcher: per-instruction stepping on the global event
         heap, one ``cycle()`` scan over busy CUs per visited cycle.
 
         With tracing on, every busy CU is cycled every cycle so the
@@ -204,11 +181,10 @@ class Gpu:
             if pending and self._try_place(dispatch, dispatch_id, pending[0]):
                 pending.popleft()
                 did_work = True
-            # PR10 targeted fix: the previous iteration already proved no
-            # CU can act before _wake_floor.  A completion handler firing
-            # in between resets the floor to 0, so when it still holds we
-            # can jump straight to the floor/next event without the
-            # O(CUs) next_wake rescan that used to run here every time.
+            # The previous iteration already proved no CU can act before
+            # _wake_floor.  A completion handler firing in between resets
+            # the floor to 0, so when it still holds we can jump straight
+            # to the floor/next event without an O(CUs) next_wake rescan.
             if (not traced and not did_work and not pending
                     and self._wake_floor > now):
                 floor = self._wake_floor
@@ -246,225 +222,6 @@ class Gpu:
                 self._wake_floor = wake if wake is not None else NEVER_WAKE
                 self._idle_advance(wake, bool(pending))
             if events.now - self._last_progress_cycle > deadlock_cycles:
-                raise DeadlockError(
-                    f"no progress for {deadlock_cycles} cycles "
-                    f"running {dispatch.kernel.name}"
-                )
-
-    def _loop_warp(self, dispatch: Dispatch, dispatch_id: int,
-                   pending: "deque[int]") -> None:
-        """Time-warp walk: same visited cycles, same decisions, less work.
-
-        Each CU's effective wake is ``min(next_wake, completion head)``;
-        the clock advances by argmin over the wake table.  A CU is
-        therefore visited at exactly each of its completion cycles, where
-        it drains its typed completion queue in heap order before
-        cycling — the global event heap's firing order restricted to the
-        only CU those handlers can touch.  Sleeping CUs provably no-op
-        (their state is frozen between visits), so skipping them changes
-        no decision; with tracing on, the stalls each skipped iteration
-        would have re-emitted are a frozen multiset captured at the last
-        visit and accounted as one interval at the next (same totals,
-        aggregated events).
-
-        The untraced fast loop leans on a second invariant: under warp
-        every completion handler mutates only its own CU, so a sleeping
-        CU's wake slot cannot change between its visits (placement is
-        the one cross-CU write, and it refreshes the slot itself).  The
-        dispatcher therefore trusts the slot array outright — per
-        iteration it touches only the CUs whose slot is due, instead of
-        recomputing every busy CU's effective wake.  Traced runs keep
-        the full busy scan: interval stall accounting needs the
-        per-iteration gap counts.
-        """
-        if self.trace is None:
-            self._loop_warp_fast(dispatch, dispatch_id, pending)
-            return
-        trace = self.trace
-        wants_stall = trace.wants_stall
-        busy_cus = self.busy_cus
-        events = self.events
-        wake_table = self.wake_table
-        deadlock_cycles = self.config.deadlock_cycles
-        self._pending_empty = not pending
-        zombies = self._zombie_cus
-        while self._outstanding_wgs > 0:
-            now = events.now
-            did_work = False
-            if zombies:
-                # Stale completions of retired CUs fire at their exact
-                # cycle (the wake table held the head, so the clock just
-                # landed here); once drained the CU leaves the table.
-                for cu in tuple(zombies):
-                    if cu.workgroups:
-                        zombies.remove(cu)  # re-placed; busy scan owns it
-                        continue
-                    heap = cu.comp.heap
-                    if heap and heap[0][0] <= now:
-                        cu._drain_comps(now)
-                        heap = cu.comp.heap
-                    if heap:
-                        wake_table.set(cu.cu_id, heap[0][0])
-                    else:
-                        zombies.remove(cu)
-                        wake_table.clear(cu.cu_id)
-            if pending:
-                if self._try_place(dispatch, dispatch_id, pending[0]):
-                    pending.popleft()
-                    did_work = True
-                self._pending_empty = not pending
-            for cu in tuple(busy_cus):
-                heap = cu.comp.heap
-                head = heap[0][0] if heap else NEVER_WAKE
-                nw = cu.next_wake
-                eff = head if head < nw else nw
-                if eff > now:
-                    if wants_stall:
-                        cu._gap_iters += 1
-                    wake_table.set(cu.cu_id, eff)
-                    continue
-                if head <= now:
-                    cu._drain_comps(now)
-                if wants_stall:
-                    gap = cu._gap_iters
-                    if gap:
-                        cu._gap_iters = 0
-                        snapshot = cu._stall_snapshot
-                        if snapshot:
-                            cu_id = cu.cu_id
-                            for reason, wf_id in snapshot:
-                                trace.stall(reason, now, cu_id, wf_id,
-                                            count=gap)
-                    trace.begin_stall_capture()
-                    cu_did, cu_hint = cu.cycle(now)
-                    cu._stall_snapshot = (None if cu_did
-                                          else trace.take_stall_capture())
-                    if cu_did:
-                        trace._stall_capture = None
-                else:
-                    cu_did, cu_hint = cu.cycle(now)
-                if cu_did:
-                    did_work = True
-                    burst_wake = cu._burst_wake
-                    if burst_wake:
-                        cu._burst_wake = 0
-                        cu.next_wake = burst_wake
-                    else:
-                        cu.next_wake = now + 1
-                else:
-                    cu.next_wake = (cu_hint if cu_hint is not None
-                                    else NEVER_WAKE)
-                if cu.workgroups:
-                    heap = cu.comp.heap
-                    head = heap[0][0] if heap else NEVER_WAKE
-                    nw = cu.next_wake
-                    wake_table.set(cu.cu_id, head if head < nw else nw)
-                else:
-                    # Retired mid-visit.  Completions still queued keep
-                    # the CU in the wake table as a zombie so the walk
-                    # visits their cycles (see the drain at loop top).
-                    heap = cu.comp.heap
-                    if heap:
-                        wake_table.set(cu.cu_id, heap[0][0])
-                        zombies.append(cu)
-                    else:
-                        wake_table.clear(cu.cu_id)
-            if self._outstanding_wgs == 0:
-                break
-            if did_work:
-                events.now = now + 1
-                self._last_progress_cycle = now + 1
-            else:
-                target = wake_table.min_wake()
-                if target >= NEVER_WAKE:
-                    if pending:
-                        raise DeadlockError(
-                            "workgroups pending but no events outstanding")
-                    raise DeadlockError(
-                        "GPU idle with outstanding workgroups and no events")
-                events.now = target
-            if events.now - self._last_progress_cycle > deadlock_cycles:
-                raise DeadlockError(
-                    f"no progress for {deadlock_cycles} cycles "
-                    f"running {dispatch.kernel.name}"
-                )
-
-    def _loop_warp_fast(self, dispatch: Dispatch, dispatch_id: int,
-                        pending: "deque[int]") -> None:
-        """Untraced warp walk driven entirely by the wake-slot array.
-
-        Visits the same cycles with the same per-CU decisions as the
-        traced walk above (and the scan reference); the difference is
-        purely which *no-op* bookkeeping runs.  Sleeping CUs are never
-        touched: their slots were computed at their last visit and
-        nothing can invalidate them in between (completion handlers are
-        CU-local; ``add_workgroup`` refreshes the slot on placement).
-        A CU that retired its last workgroup but still has completions
-        queued keeps its head cycle as the slot, so the walk lands on
-        exactly the cycles the scan engine's global heap would stop at.
-        """
-        events = self.events
-        cus = self.cus
-        slots = self.wake_table.slots
-        deadlock_cycles = self.config.deadlock_cycles
-        self._pending_empty = not pending
-        never = NEVER_WAKE
-        n = len(cus)
-        while self._outstanding_wgs > 0:
-            now = events.now
-            placed = False
-            if pending:
-                if self._try_place(dispatch, dispatch_id, pending[0]):
-                    pending.popleft()
-                    placed = True
-                    self._last_progress_cycle = now + 1
-                self._pending_empty = not pending
-            for cu_id in range(n):
-                if slots[cu_id] > now:
-                    continue
-                cu = cus[cu_id]
-                heap = cu.comp.heap
-                if heap and heap[0][0] <= now:
-                    cu._drain_comps(now)
-                    heap = cu.comp.heap
-                if not cu.workgroups:
-                    # Stale completions of retired wavefronts: handlers
-                    # are observational no-ops, but the scan walk still
-                    # visits their cycles, so the slot keeps the head.
-                    slots[cu_id] = heap[0][0] if heap else never
-                    continue
-                cu_did, cu_hint = cu.cycle(now)
-                if cu_did:
-                    nw = cu._burst_wake
-                    if nw:
-                        cu._burst_wake = 0
-                    else:
-                        nw = now + 1
-                    self._last_progress_cycle = now + 1
-                else:
-                    nw = cu_hint if cu_hint is not None else never
-                cu.next_wake = nw
-                heap = cu.comp.heap
-                if cu.workgroups:
-                    head = heap[0][0] if heap else never
-                    slots[cu_id] = head if head < nw else nw
-                else:
-                    slots[cu_id] = heap[0][0] if heap else never
-            if self._outstanding_wgs == 0:
-                break
-            target = self.wake_table.min_wake()
-            if placed and target > now + 1:
-                # One workgroup placement per cycle: the command
-                # processor must get its next try at now + 1.
-                target = now + 1
-            if target >= never:
-                if pending:
-                    raise DeadlockError(
-                        "workgroups pending but no events outstanding")
-                raise DeadlockError(
-                    "GPU idle with outstanding workgroups and no events")
-            events.now = target
-            if target - self._last_progress_cycle > deadlock_cycles:
                 raise DeadlockError(
                     f"no progress for {deadlock_cycles} cycles "
                     f"running {dispatch.kernel.name}"

@@ -1,182 +1,10 @@
-"""Time-warp scheduler support: engine selection, per-CU completion
-queues, and the array-backed wake table.
+"""Provenance constant for ``benchmarks/e2e/run.py``'s full-mode header.
 
-PR 9 left the per-cycle *timing* machinery as the dominant cost of every
-mode: each dynamic instruction pays for a global event-queue round trip
-(a closure allocation, two heap operations, and a dispatcher rescan of
-every busy CU) even when the schedule is locally obvious.  The time-warp
-engine (``timing="warp"``, the default) restructures that control flow
-without changing a single scheduling *decision*:
-
-* **Typed per-CU completion queues** (:class:`CompletionQueue`) replace
-  the global :class:`~repro.common.events.EventQueue` closures.  Every
-  event the timing model ever schedules is a fetch or memory completion
-  whose handler mutates only its own CU's wavefront state plus
-  commutative global counters, so completions can be drained by the
-  owning CU at its next visit — which the wake arbitration below
-  guarantees is *exactly* the completion cycle — in the same
-  (cycle, seq) order the global heap would have fired them.  Cross-CU
-  handler order within one cycle changes (grouped by CU instead of
-  globally interleaved), which is observationally identical because no
-  handler touches another CU's state.
-
-* **Wake arbitration over arrays** (:class:`WakeTable`): the dispatcher
-  advances the clock by an argmin over a contiguous per-CU wake array
-  (``min(next_wake, completion head)`` per CU) instead of a Python scan
-  over CU objects.  Ties resolve in ``cu_id`` order, matching the scan
-  engine's list order exactly.  The array lives behind the
-  :mod:`repro.common.xp` seam; below :data:`WAKE_ARGMIN_THRESHOLD` CUs a
-  straight scan of the array beats numpy's call overhead, so the argmin
-  kernel engages only for machines wide enough to amortize it — the
-  crossover measured on the paper config's host, not assumed.
-
-* **Closed-form chain timing** lives in
-  :meth:`repro.timing.cu.ComputeUnit._burst_fused`: once a superop
-  chain's first op has issued and the CU is provably quiescent (sole
-  schedulable wavefront, no fetch eligibility, no completion due), the
-  remaining chain issue times are computed analytically from the
-  predecoded issue latencies and unit routing — no re-entry into
-  ``ComputeUnit.cycle`` per instruction.
-
-``timing="scan"`` keeps the original per-instruction event stepping as
-the reference walk; ``REPRO_TIMING=warp|scan`` overrides a config-level
-``auto`` the same way ``REPRO_ENGINE`` does for the replay engine.
-``tests/timing/test_timewarp.py`` proves warp/scan bit-identity across
-every workload x ISA cell in execute, capture, and replay modes.
+The time-warp engine is gone (PR 12); the scan dispatcher in
+``timing/gpu.py`` is the only one.  Nothing in ``src/`` may call this;
+the next ``benchmark`` PR drops the import and this file with it.
 """
 
-from __future__ import annotations
 
-import os
-from heapq import heappush as _heappush
-from typing import List, Optional, Tuple
-
-from ..common.errors import ConfigError
-
-TIMINGS = ("auto", "warp", "scan")
-
-#: ``next_wake``/completion sentinel: nothing pending.  Matches
-#: :data:`repro.timing.cu.NEVER_WAKE` (redeclared here to avoid a cycle).
-NEVER = 1 << 62
-
-#: Completion kinds carried by :class:`CompletionQueue` entries.  Integer
-#: tags instead of callbacks: no closure allocation per memory op, and
-#: the drain loop dispatches with two comparisons.
-FETCH = 0
-VMEM = 1
-LGKM = 2
-LDS = 3
-
-#: Below this many CUs a Python scan of the wake array is faster than a
-#: numpy argmin call (measured ~16 on the reference host; the paper
-#: config has 8 CUs and takes the scan path).
-WAKE_ARGMIN_THRESHOLD = 16
-
-
-def resolve_timing(requested: str) -> str:
-    """The timing scheduler a run actually uses, given the config knob.
-
-    ``REPRO_TIMING`` overrides a config-level ``auto`` (so a CI leg can
-    force the scan reference walk without touching every config
-    literal), but an explicit ``warp``/``scan`` in the config always
-    wins.  ``auto`` resolves to ``warp``: the time-warp engine is
-    bit-identical to the scan walk by construction and strictly faster.
-    """
-    if requested not in TIMINGS:
-        raise ConfigError(
-            f"unknown timing {requested!r}: pick auto, warp, or scan"
-        )
-    env = os.environ.get("REPRO_TIMING", "")
-    if env and env not in ("warp", "scan"):
-        raise ConfigError(
-            f"unknown REPRO_TIMING {env!r}: pick warp or scan"
-        )
-    if requested != "auto":
-        return requested
-    return env or "warp"
-
-
-class CompletionQueue:
-    """A per-CU min-heap of typed completions: ``(cycle, seq, kind, wf,
-    arg)``.
-
-    ``seq`` is per-CU monotone, so same-CU completions drain in exactly
-    the order the global event queue would have fired them (the global
-    sequence restricted to one CU *is* its schedule order).  ``arg``
-    carries the handler payload: the fetch epoch for :data:`FETCH`, the
-    HSAIL mem-busy slot tuple for :data:`VMEM`/:data:`LDS`, unused for
-    :data:`LGKM`.
-    """
-
-    __slots__ = ("heap", "_seq")
-
-    def __init__(self) -> None:
-        self.heap: List[Tuple[int, int, int, object, object]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def push(self, cycle: int, kind: int, wf: object, arg: object) -> None:
-        _heappush(self.heap, (cycle, self._seq, kind, wf, arg))
-        self._seq += 1
-
-    def head_cycle(self) -> int:
-        """Cycle of the earliest pending completion (:data:`NEVER` when
-        empty) — the completion half of the CU's effective wake time."""
-        heap = self.heap
-        return heap[0][0] if heap else NEVER
-
-
-class WakeTable:
-    """Contiguous per-CU effective wake times with argmin arbitration.
-
-    One slot per ``cu_id`` holding ``min(next_wake, completion head)``;
-    idle CUs hold :data:`NEVER`.  The warp dispatcher refreshes the busy
-    slots each arbitration round and jumps the clock to :meth:`min_wake`.
-    The backing store is a flat array through the xp seam; for machines
-    below :data:`WAKE_ARGMIN_THRESHOLD` CUs the reduction is a direct
-    scan of the same array (numpy call overhead dominates at that size).
-    """
-
-    __slots__ = ("n", "slots", "_use_argmin", "_xp")
-
-    def __init__(self, num_cus: int) -> None:
-        self.n = num_cus
-        self._use_argmin = num_cus >= WAKE_ARGMIN_THRESHOLD
-        if self._use_argmin:
-            from ..common.xp import get_array_module
-
-            self._xp = get_array_module()
-            self.slots = self._xp.full(num_cus, NEVER, dtype="int64")
-        else:
-            self._xp = None
-            self.slots = [NEVER] * num_cus
-
-    def set(self, cu_id: int, wake: int) -> None:
-        self.slots[cu_id] = wake
-
-    def clear(self, cu_id: int) -> None:
-        self.slots[cu_id] = NEVER
-
-    def min_wake(self) -> int:
-        """Earliest effective wake over all CUs (:data:`NEVER` if none).
-        Ties need no explicit break: the dispatcher visits every CU whose
-        slot equals the minimum, in ``cu_id`` order."""
-        if self._use_argmin:
-            return int(self.slots[int(self._xp.argmin(self.slots))])
-        return min(self.slots)
-
-
-__all__ = [
-    "FETCH",
-    "LDS",
-    "LGKM",
-    "NEVER",
-    "TIMINGS",
-    "VMEM",
-    "WAKE_ARGMIN_THRESHOLD",
-    "CompletionQueue",
-    "WakeTable",
-    "resolve_timing",
-]
+def resolve_timing(*_ignored: object) -> str:
+    return "scan"

@@ -8,9 +8,8 @@ pass per wavefront:
 
 * the ``code``/``flags``/``targets``/``mem_*`` streams are decoded in
   whole-wavefront chunks through the :mod:`repro.common.xp` array seam
-  (numpy when available, the pure-Python fallback otherwise) into flat
-  per-record outcome tuples, so :meth:`VectorReplayCursor.advance` is one
-  list index and an unpack;
+  into flat per-record outcome tuples, so
+  :meth:`VectorReplayCursor.advance` is one list index and an unpack;
 * every order-independent statistic the scalar path accumulates per
   issue — instruction-category counts, SIMD lane utilization, VRF
   reuse-distance samples, and the sampled value-uniqueness probes — is
@@ -37,8 +36,7 @@ test_engine_fuzz.py``) proves that equivalence cell by cell.
 Engine selection (:func:`resolve_engine`): ``scalar`` always takes the
 reference path; ``vector`` batches every untraced replay run (execute
 cells and event-traced runs keep the scalar reference so per-issue
-emission stays exhaustive); ``auto`` picks vector only on untraced
-replay cells where real numpy backs the seam.
+emission stays exhaustive); ``auto`` means ``vector``.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from typing import List, Optional, Tuple
 from ..common.errors import ConfigError
 from ..common.exec_types import ExecResult, MemKind
 from ..common.stats import StatSet
-from ..common.xp import backend_name, get_array_module, tolist
+from ..common.xp import get_array_module, tolist
 from .predecode import UNIT_SIMD, predecode_kernel
 from .replay import (
     _F_BARRIER,
@@ -89,14 +87,9 @@ def resolve_engine(requested: str, *, replay: bool, traced: bool) -> str:
                     f"unknown REPRO_ENGINE {env!r}: pick scalar or vector"
                 )
             requested = env
-    if not replay or traced:
+    if not replay or traced or requested == "scalar":
         return "scalar"
-    if requested == "vector":
-        return "vector"
-    if requested == "scalar":
-        return "scalar"
-    # auto: vector pays off only with a real numpy behind the seam.
-    return "vector" if backend_name() == "numpy" else "scalar"
+    return "vector"
 
 
 # ---------------------------------------------------------------------------

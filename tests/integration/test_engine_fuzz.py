@@ -3,7 +3,7 @@
 Random kernels built through the same DSL generator style as
 ``test_cross_isa_fuzz`` are captured under execute-at-issue, then the
 recorded trace is replayed under both cycle engines; the per-dispatch
-StatSet payloads must be bit-identical all three ways.  Three targeted
+StatSet payloads must be bit-identical all three ways.  Four targeted
 strategies stress exactly what the batch decode of timing/vector.py
 must get right:
 
@@ -15,7 +15,9 @@ must get right:
   when some lanes (or whole records) contribute nothing;
 * **bank-conflict-heavy VRF patterns** — long operand chains over a
   small register window, hammering reuse distances, gather windows, and
-  the sampled uniqueness probes.
+  the sampled uniqueness probes;
+* **waitcnt-heavy chains** — loads consumed immediately, so the stream
+  is dense with ``s_waitcnt`` / scoreboard park-unpark boundaries.
 
 ``derandomize=True`` keeps each run's example sequence fixed (seeded
 fuzz): CI failures reproduce locally from the printed example alone.
@@ -219,3 +221,49 @@ def _build_vrf_heavy(picks):
 @_FUZZ_SETTINGS
 def test_vrf_bank_conflict_patterns(program, data_seed):
     _both_isas(_build_vrf_heavy, program, data_seed)
+
+
+# ---------------------------------------------------------------------------
+# Strategy 4: waitcnt-heavy load/consume chains
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def waitcnt_heavy_programs(draw):
+    """Load-then-immediately-consume chains: on GCN3 the finalizer has
+    to drop an ``s_waitcnt`` in front of nearly every consumer (and the
+    HSAIL scoreboard blocks the same way), so nearly every issue sits
+    next to a park/unpark boundary."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=3, max_value=8))):
+        ops.append((
+            draw(st.integers(min_value=0, max_value=3)),   # address shear
+            draw(st.sampled_from(_INT_BINOPS)),            # consumer op
+            draw(st.integers(min_value=0, max_value=2)),   # ALU padding
+        ))
+    return ops
+
+
+def _build_waitcnt_heavy(ops):
+    kb = KernelBuilder("fuzz_waitcnt", [("inp", DType.U64),
+                                        ("out", DType.U64)])
+    tid = kb.wi_abs_id()
+    off = kb.cvt(tid, DType.U64) * 4
+    inp = kb.kernarg("inp")
+    acc = kb.var(DType.U32, kb.load(Segment.GLOBAL, inp + off, DType.U32))
+    for shift, op, pad in ops:
+        addr = inp + kb.cvt(kb.bit_and(kb.shl(tid, shift), N - 1),
+                            DType.U64) * 4
+        loaded = kb.load(Segment.GLOBAL, addr, DType.U32)
+        # consume the load right away: forces a waitcnt/scoreboard stall
+        kb.assign(acc, getattr(kb, op)(acc, loaded))
+        for _ in range(pad):  # a little independent ALU between loads
+            kb.assign(acc, kb.add(acc, 1))
+    kb.store(Segment.GLOBAL, kb.kernarg("out") + off, acc)
+    return kb.finish()
+
+
+@given(waitcnt_heavy_programs(), st.integers(min_value=0, max_value=2**31))
+@_FUZZ_SETTINGS
+def test_waitcnt_heavy_chains(program, data_seed):
+    _both_isas(_build_waitcnt_heavy, program, data_seed)

@@ -72,8 +72,8 @@ def _stats_sha(run) -> str:
 
 
 def _run(workload, isa, **kw):
-    run = run_workload(workload, isa, scale=SCALE, config=small_config(NUM_CUS),
-                       seed=SEED, **kw)
+    run = run_workload(workload, isa, scale=SCALE, seed=SEED,
+                       config=small_config(NUM_CUS), **kw)
     assert run.verified, f"{workload}/{isa} unverified"
     return run
 
@@ -198,187 +198,3 @@ def test_traced_report_identity(golden, workload, isa):
     key = f"{workload}/{isa}"
     assert _stats_sha(run) == golden["cells"][key]["stats_sha256"]
     assert _report_sha(run) == golden["reports"][key]
-
-
-# ---------------------------------------------------------------------------
-# Warp-vs-scan checks kept until the time-warp engine is deleted
-# ---------------------------------------------------------------------------
-
-import numpy as np  # noqa: E402
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.common.errors import ConfigError  # noqa: E402
-from repro.core import Session  # noqa: E402
-from repro.kernels.dsl import KernelBuilder  # noqa: E402
-from repro.kernels.types import DType  # noqa: E402
-from repro.runtime.memory import Segment  # noqa: E402
-from repro.runtime.process import GpuProcess  # noqa: E402
-from repro.timing.gpu import Gpu  # noqa: E402
-from repro.timing.timewarp import resolve_timing  # noqa: E402
-
-TIMINGS = ("warp", "scan")
-
-
-def _cfg(timing):
-    return small_config(NUM_CUS).with_overrides({"timing": timing})
-
-
-def _stats_payload(run):
-    payload = run.to_payload()
-    payload.pop("wall_seconds")
-    return payload
-
-
-def _run_timing(workload, isa, timing):
-    return run_workload(workload, isa, scale=SCALE, config=_cfg(timing),
-                        seed=SEED)
-
-
-# ---------------------------------------------------------------------------
-# Engine selection
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_timing(monkeypatch):
-    monkeypatch.delenv("REPRO_TIMING", raising=False)
-    assert resolve_timing("auto") == "warp"
-    assert resolve_timing("scan") == "scan"
-    monkeypatch.setenv("REPRO_TIMING", "scan")
-    assert resolve_timing("auto") == "scan"
-    # an explicit config choice always beats the environment
-    assert resolve_timing("warp") == "warp"
-    monkeypatch.setenv("REPRO_TIMING", "bogus")
-    with pytest.raises(ConfigError):
-        resolve_timing("auto")
-    with pytest.raises(ConfigError):
-        resolve_timing("bogus")
-
-
-# ---------------------------------------------------------------------------
-# Determinism per engine
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("timing", TIMINGS)
-@pytest.mark.parametrize("workload,isa",
-                         [("fft", "gcn3"), ("lulesh", "hsail")])
-def test_run_twice_is_bit_identical(workload, isa, timing):
-    first = _run_timing(workload, isa, timing)
-    second = _run_timing(workload, isa, timing)
-    assert first.verified and second.verified
-    assert _stats_payload(first) == _stats_payload(second)
-
-
-# ---------------------------------------------------------------------------
-# Seeded fuzz: warp vs scan on generated kernels
-# ---------------------------------------------------------------------------
-
-N = 128  # two wavefronts, so inter-wavefront arbitration is exercised
-
-_INT_BINOPS = ["add", "sub", "mul", "bit_and", "bit_or", "bit_xor",
-               "min", "max"]
-
-_FUZZ_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
-                          suppress_health_check=[HealthCheck.too_slow])
-
-
-def _dispatch(dual, isa, data):
-    proc = GpuProcess(isa)
-    inp = proc.upload(data)
-    out = proc.alloc_buffer(4 * N)
-    proc.dispatch(dual.for_isa(isa), grid=N, wg=64, kernargs=[inp, out])
-    return proc
-
-
-def _assert_timings_identical(build, program, data_seed):
-    data = (np.random.default_rng(data_seed)
-            .integers(1, 2**16, N).astype(np.uint32))
-    dual = Session().compile(build(program))
-    for isa in ("hsail", "gcn3"):
-        results = {}
-        for timing in TIMINGS:
-            gpu = Gpu(_cfg(timing), _dispatch(dual, isa, data))
-            stats = [s.to_payload() for s in gpu.run_all()]
-            results[timing] = (gpu.events.now, stats)
-        assert results["warp"] == results["scan"], (
-            f"warp diverged from scan on {isa}")
-
-
-@st.composite
-def waitcnt_heavy_programs(draw):
-    """Load-then-immediately-consume chains: on GCN3 the finalizer has
-    to drop an ``s_waitcnt`` in front of nearly every consumer (and the
-    HSAIL scoreboard blocks the same way), so the generated stream is
-    dense with exactly the park/unpark boundaries the warp engine's
-    closed-form burst must refuse to cross."""
-    ops = []
-    for _ in range(draw(st.integers(min_value=3, max_value=8))):
-        ops.append((
-            draw(st.integers(min_value=0, max_value=3)),   # address shear
-            draw(st.sampled_from(_INT_BINOPS)),            # consumer op
-            draw(st.integers(min_value=0, max_value=2)),   # ALU padding
-        ))
-    return ops
-
-
-def _build_waitcnt_heavy(ops):
-    kb = KernelBuilder("fuzz_waitcnt", [("inp", DType.U64),
-                                        ("out", DType.U64)])
-    tid = kb.wi_abs_id()
-    off = kb.cvt(tid, DType.U64) * 4
-    inp = kb.kernarg("inp")
-    acc = kb.var(DType.U32, kb.load(Segment.GLOBAL, inp + off, DType.U32))
-    for shift, op, pad in ops:
-        addr = inp + kb.cvt(kb.bit_and(kb.shl(tid, shift), N - 1),
-                            DType.U64) * 4
-        loaded = kb.load(Segment.GLOBAL, addr, DType.U32)
-        # consume the load right away: forces a waitcnt/scoreboard stall
-        kb.assign(acc, getattr(kb, op)(acc, loaded))
-        for _ in range(pad):  # a little independent ALU between loads
-            kb.assign(acc, kb.add(acc, 1))
-    kb.store(Segment.GLOBAL, kb.kernarg("out") + off, acc)
-    return kb.finish()
-
-
-@given(waitcnt_heavy_programs(), st.integers(min_value=0, max_value=2**31))
-@_FUZZ_SETTINGS
-def test_fuzz_waitcnt_heavy(program, data_seed):
-    _assert_timings_identical(_build_waitcnt_heavy, program, data_seed)
-
-
-@st.composite
-def bank_conflict_programs(draw):
-    """Long operand chains over a rolling register window: VRF bank
-    conflicts stretch issue latencies unevenly, which is exactly what
-    the burst's per-issue ``nt`` arithmetic has to reproduce."""
-    picks = []
-    for _ in range(draw(st.integers(min_value=12, max_value=28))):
-        picks.append((
-            draw(st.sampled_from(_INT_BINOPS)),
-            draw(st.integers(min_value=0, max_value=5)),
-            draw(st.integers(min_value=0, max_value=5)),
-        ))
-    return picks
-
-
-def _build_bank_conflict(picks):
-    kb = KernelBuilder("fuzz_banks", [("inp", DType.U64), ("out", DType.U64)])
-    tid = kb.wi_abs_id()
-    off = kb.cvt(tid, DType.U64) * 4
-    loaded = kb.load(Segment.GLOBAL, kb.kernarg("inp") + off, DType.U32)
-    window = [tid, loaded, kb.add(tid, loaded), kb.bit_xor(tid, loaded),
-              kb.mul(loaded, 3), kb.shl(tid, 2)]
-    for op, a, b in picks:
-        window = window[1:] + [getattr(kb, op)(window[a], window[b])]
-    result = window[0]
-    for v in window[1:]:
-        result = kb.bit_xor(result, v)
-    kb.store(Segment.GLOBAL, kb.kernarg("out") + off, result)
-    return kb.finish()
-
-
-@given(bank_conflict_programs(), st.integers(min_value=0, max_value=2**31))
-@_FUZZ_SETTINGS
-def test_fuzz_bank_conflict_heavy(program, data_seed):
-    _assert_timings_identical(_build_bank_conflict, program, data_seed)

@@ -11,10 +11,9 @@ matrix, and pin down the engine-selection semantics
 
 import pytest
 
-from repro.common.config import small_config
+from repro.common.config import GpuConfig, small_config
 from repro.common.errors import ConfigError
 from repro.common.stats import StatSet
-from repro.common.xp import backend_name
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import ISAS, clear_suite_cache, run_workload
 from repro.timing.replay import TraceError
@@ -125,10 +124,9 @@ class TestResolveEngine:
         assert resolve_engine("scalar", replay=True, traced=False) == "scalar"
         assert resolve_engine("vector", replay=True, traced=False) == "vector"
 
-    def test_auto_follows_the_backend(self):
-        resolved = resolve_engine("auto", replay=True, traced=False)
-        expected = "vector" if backend_name() == "numpy" else "scalar"
-        assert resolved == expected
+    def test_auto_follows_the_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine("auto", replay=True, traced=False) == "vector"
 
     def test_env_override_applies_to_auto_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vector")
@@ -150,6 +148,10 @@ class TestResolveEngine:
     def test_config_validates_engine(self):
         with pytest.raises(ConfigError):
             _config("warp")
+        # the removed timing knob fails closed on the wire, not silently
+        payload = {**small_config(2).to_dict(), "timing": "auto"}
+        with pytest.raises(ConfigError):
+            GpuConfig.from_dict(payload)
 
     def test_engine_in_timing_fingerprint_only(self):
         scalar, vector = _config("scalar"), _config("vector")
