@@ -939,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "daemon at URL instead of simulating "
                                "in-process")
     worker_p.add_argument("--trace-dir",
-                          help="trace store for the embedded scheduler "
+                          help="trace store of the in-process backend "
                                "(default <cache-dir>/traces)")
     worker_p.add_argument("--job-timeout", type=float,
                           help="per-cell wall-clock limit in seconds")

@@ -26,7 +26,8 @@ version fails the version gate up front.
 
 Execution lives behind :func:`execute_request`, which dispatches to the
 harness (:func:`repro.harness.runner.execute_run_request` /
-``execute_suite_request`` / :func:`repro.explore.sweep.run_sweep`); the
+``execute_suite_request`` /
+:func:`repro.explore.sweep.execute_sweep_request`); the
 request objects themselves never import the harness at module level, so
 they stay importable from anywhere (workers, the daemon, the CLI)
 without cycles.

@@ -1,19 +1,22 @@
 """repro.dist — distributed sweep sharding over pull-based workers.
 
-A :class:`~repro.core.requests.SweepRequest` decomposes into
-content-addressed shards of (point x workload x ISA) cells grouped by
-functional trace fingerprint (:mod:`repro.dist.shard`); a coordinator
-(:mod:`repro.dist.coordinator`) leases shards to workers under
-heartbeat leases (:mod:`repro.dist.lease`), merges streamed per-cell
-results as the *single writer* of the ordinary sweep journal, requeues
-expired leases with completed cells subtracted (zero resimulation), and
-lets idle workers steal from the largest outstanding lease.  Workers
-(:mod:`repro.dist.worker`) are either embedded serve schedulers or
-remote ``repro serve`` daemons.
+The distributed *dispatch policy* over the sweep ledger
+(:class:`~repro.explore.sweep.SweepLedger`).  The ledger resolves a
+:class:`~repro.core.requests.SweepRequest`, replays what the journal and
+caches already know, and hands back the live (point x workload x ISA)
+cells; :mod:`repro.dist.shard` cuts the ledger's trace groups into
+content-addressed shards; a coordinator (:mod:`repro.dist.coordinator`)
+leases shards to workers under heartbeat leases
+(:mod:`repro.dist.lease`), hands every streamed cell to the ledger —
+the journal's single writer — requeues expired leases with completed
+cells subtracted (zero resimulation), and lets idle workers steal from
+the largest outstanding lease.  Workers (:mod:`repro.dist.worker`) run
+cells in-process or on remote ``repro serve`` daemons.
 
-The distributed journal is bit-identical (modulo wall-clock fields) to
-the one ``run_sweep`` writes for the same spec — checkable with
-:func:`journal_digest`::
+Because the serial executor writes through the same ledger, the
+distributed journal is bit-identical (modulo wall-clock fields) to the
+serial one for the same spec, and either resumes the other's —
+checkable with :func:`journal_digest`::
 
     from repro.dist import run_dist_sweep
 
@@ -35,7 +38,6 @@ from .worker import (
     DaemonBackend,
     EmbeddedBackend,
     HttpTransport,
-    LocalTransport,
     Worker,
 )
 
@@ -48,7 +50,6 @@ __all__ = [
     "HttpTransport",
     "LeaseState",
     "LeaseTable",
-    "LocalTransport",
     "ShardPlan",
     "ShardState",
     "Worker",

@@ -1,15 +1,17 @@
-"""The distributed sweep coordinator: single journal writer, lease
-server, and merge point.
+"""The distributed sweep coordinator: lease server and merge point.
 
-The coordinator owns everything a :func:`~repro.explore.sweep.run_sweep`
-would own for the same spec — the deterministic sweep id, the journal
-(same header, same per-point lines, same directory), the per-cell disk
-cache, and the trace store — and replaces only the execution engine:
-instead of a local process pool, pull-based workers lease
-content-addressed shards, stream per-cell results back, and renew
-heartbeat leases.  Because the request resolution, point enumeration,
-and journal format are shared code, a distributed journal is
-*bit-identical* (modulo wall-clock fields) to the single-host one:
+The coordinator is the *distributed dispatch policy* over a
+:class:`~repro.explore.sweep.SweepLedger`.  The ledger resolves the
+request, owns the journal, the per-cell disk cache and the trace store,
+replays what is already known, files every cell that lands, journals
+each point as its last cell resolves and runs the replay fidelity guard
+— exactly as it does under the serial/pool policy
+(:func:`~repro.explore.sweep.execute_sweep_request`).  What is left here
+is what is genuinely distributed: pull-based workers lease
+content-addressed shards of the ledger's live cells, stream per-cell
+results back, and renew heartbeat leases.  Because there is one ledger,
+a distributed journal is *bit-identical* (modulo wall-clock fields) to
+the single-host one, and either executor resumes the other's journal:
 :func:`journal_digest` makes that property checkable.
 
 Fault tolerance: a worker that stops renewing (SIGKILL, hang,
@@ -32,27 +34,15 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, ShardCell, SweepRequest
-from ..explore.space import SweepPoint
-from ..explore.sweep import (
-    PointResult,
-    SweepJournal,
-    SweepResults,
-    _job_fp,
-    _replay_differs,
-    default_sweeps_dir,
-    journal_header,
-    resolve_sweep_execution,
-    sweep_fingerprint,
-)
-from ..harness.cache import ResultCache, TraceStore, resolve_cache
-from ..harness.parallel import Job, JobEvent, ProgressFn, run_job_inline
+from ..explore.sweep import SweepLedger, SweepResults
+from ..harness.parallel import Job, ProgressFn, _failed_run
 from ..harness.runner import WorkloadRun
 from .lease import LeaseTable
-from .shard import ShardState, group_shards, resolve_sweep_space
+from .shard import ShardState, group_shards, shard_id_for
 
 #: A lease that dies this many times marks its remaining cells failed
 #: instead of requeueing forever (poison-shard guard).
@@ -142,7 +132,9 @@ def journal_digest(path) -> str:
 
 
 class Coordinator:
-    """Lease server + single journal writer for one distributed sweep.
+    """Lease server for one distributed sweep: the distributed dispatch
+    policy over a :class:`~repro.explore.sweep.SweepLedger`, which stays
+    the journal's single writer.
 
     Thread-safe: every public method may be called from the HTTP
     daemon's event loop, in-process worker threads, and the driver
@@ -157,142 +149,41 @@ class Coordinator:
                  clock: Callable[[], float] = time.monotonic,
                  progress: Optional[ProgressFn] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        self.request = request
         self.steal_enabled = steal
-        self._clock = clock
         self._max_attempts = max_attempts
-        self._progress = progress
         self._log = log or (lambda message: None)
         self._lock = threading.RLock()
 
-        base, names, isas, space, points = resolve_sweep_space(request)
-        self.cell_mode, self.store = resolve_sweep_execution(
-            request.execution, request.use_disk_cache, request.trace_dir)
-        self.sweep_id = (request.resume
-                         if isinstance(request.resume, str) else
-                         sweep_fingerprint(base, space.axes, request.mode,
-                                           names, isas, request.scale,
-                                           request.seed))
-        self._points: List[SweepPoint] = list(points)
-        self._names = names
-        self._isas = isas
-        self._disk: Optional[ResultCache] = resolve_cache(
-            request.use_disk_cache, request.cache_dir)
+        self.ledger = SweepLedger(request, progress)
+        # The ledger fills in the sweep half of the results; the
+        # distribution counters below are the coordinator's to keep.
+        self.results = self.ledger.results = DistSweepResults(
+            **vars(self.ledger.results))
+        self.store = self.ledger.store
 
-        self.journal = SweepJournal(
-            request.sweeps_dir or default_sweeps_dir(), self.sweep_id)
-        replayed = self.journal.load() if request.resume else {}
-        self.journal.open(
-            journal_header(self.sweep_id, base, space.axes, request.mode,
-                           names, isas, request.scale, request.seed),
-            resume=bool(request.resume) and bool(replayed),
-        )
-
-        self.results = DistSweepResults(
-            sweep_id=self.sweep_id, base=base, axes=space.axes,
-            mode=request.mode, workloads=names, isas=isas,
-            scale=request.scale, seed=request.seed,
-            journal_path=str(self.journal.path), execution=self.cell_mode,
-        )
-
-        # -- pass 1, exactly like run_sweep: journal replays and invalid
-        # points complete immediately, cache hits pre-complete cells, and
-        # only the misses get sharded.
-        self._total = len(points) * len(names) * len(isas)
-        self._index = 0
-        self._point_results: Dict[str, PointResult] = {}
-        self._runs: Dict[str, Dict[Tuple[str, str], WorkloadRun]] = {}
-        self._remaining_cells: Dict[str, int] = {}
-        self._points_by_id = {p.point_id: p for p in points}
-        self._replay_sample: Optional[Tuple[float, WorkloadRun, Job]] = None
-
-        live_cells: List[Tuple[SweepPoint, str, str]] = []
-        for point in points:
-            pid = point.point_id
-            parsed = replayed.get(pid)
-            if parsed is not None:
-                prior, journal_fp = parsed
-                if (journal_fp == point.fingerprint()
-                        and (point.error is not None
-                             or set(prior.runs) == {(w, i) for w in names
-                                                    for i in isas})):
-                    prior.point = point
-                    for (w, isa), run in sorted(prior.runs.items()):
-                        self._emit(pid, w, isa, "journal", run.wall_seconds)
-                    if point.error is not None and not prior.runs:
-                        for w in names:
-                            for isa in isas:
-                                self._emit(pid, w, isa, "journal", 0.0)
-                    self._point_results[pid] = prior
-                    continue
-            if point.error is not None:
-                for w in names:
-                    for isa in isas:
-                        self._emit(pid, w, isa, "failed", 0.0)
-                self._finish_point(point, {})
-                continue
-            runs: Dict[Tuple[str, str], WorkloadRun] = {}
-            misses: List[Tuple[str, str]] = []
-            for w in names:
-                for isa in isas:
-                    job = Job.build(w, isa, request.scale, request.seed,
-                                    point.config, point=pid,
-                                    execution=self.cell_mode,
-                                    trace_dir=request.trace_dir,
-                                    engine=point.config.engine)
-                    cached = (self._disk.get(_job_fp(job))
-                              if self._disk is not None else None)
-                    if cached is not None:
-                        runs[(w, isa)] = cached
-                        self._emit(pid, w, isa, "hit", cached.wall_seconds)
-                    else:
-                        misses.append((w, isa))
-            if not misses:
-                self._finish_point(point, runs)
-                continue
-            self._runs[pid] = runs
-            self._remaining_cells[pid] = len(misses)
-            live_cells.extend((point, w, isa) for w, isa in misses)
-
-        shards = group_shards(self.sweep_id, base, live_cells,
-                              request.scale, request.seed, self.cell_mode,
-                              max_shard_cells)
+        live = self.ledger.open()
+        jobs = {job.key: job for job in live}
+        shards = group_shards(self.ledger, live, max_shard_cells)
         self._pending: List[ShardState] = [ShardState.from_request(s)
                                            for s in shards]
         self._cell_home: Dict[str, ShardState] = {}
-        self._cell_point: Dict[str, Tuple[str, str, str]] = {}
+        #: every distributable cell, by wire key; never shrinks.
+        self._cells: Dict[str, Job] = {}
         self._accepted: Dict[str, int] = {}
         for state in self._pending:
             for key, cell in state.remaining.items():
                 self._cell_home[key] = state
-                self._cell_point[key] = (cell.point, cell.workload,
-                                         cell.isa)
+                self._cells[key] = jobs[(cell.point, cell.workload,
+                                         cell.isa)]
         self._leases = LeaseTable(lease_ttl, clock)
         self.results.shards = len(shards)
-        self._log(f"sweep {self.sweep_id}: {len(shards)} shard(s), "
-                  f"{len(live_cells)} live cell(s) of {self._total}")
-
-    # -- progress / completion -------------------------------------------------
-
-    def _emit(self, point_id: str, workload: str, isa: str, status: str,
-              wall: float) -> None:
-        self._index += 1
-        if self._progress is not None:
-            self._progress(JobEvent(workload=workload, isa=isa,
-                                    status=status, wall_seconds=wall,
-                                    index=self._index, total=self._total,
-                                    point=point_id))
-
-    def _finish_point(self, point: SweepPoint,
-                      runs: Dict[Tuple[str, str], WorkloadRun]) -> None:
-        pr = PointResult(point=point, runs=runs)
-        self._point_results[point.point_id] = pr
-        self.journal.append_point(pr)
+        self._log(f"sweep {self.results.sweep_id}: {len(shards)} shard(s), "
+                  f"{len(live)} live cell(s) of {self.ledger.total}")
 
     @property
     def done(self) -> bool:
         with self._lock:
-            return len(self._point_results) == len(self._points)
+            return self.ledger.done
 
     # -- worker protocol -------------------------------------------------------
 
@@ -326,12 +217,8 @@ class Coordinator:
                       f"{len(shard.remaining)} cell(s) left")
 
     def _fail_shard(self, shard: ShardState, message: str) -> None:
-        for key, cell in list(shard.remaining.items()):
-            job = Job(request=shard.request.run_request(cell),
-                      point=cell.point)
-            from ..harness.parallel import _failed_run
-
-            self._accept(key, _failed_run(job, message, 0.0),
+        for key in list(shard.remaining):
+            self._accept(key, _failed_run(self._cells[key], message, 0.0),
                          worker_id="(coordinator)")
 
     def lease(self, worker_id: str) -> LeaseGrant:
@@ -381,8 +268,6 @@ class Coordinator:
         """Move the tail half of the victim's outstanding cells into a
         fresh content-addressed shard (the victim keeps working its head
         and learns about the theft on its next renewal)."""
-        from .shard import shard_id_for
-
         keys = list(victim.shard.remaining)
         take = len(keys) // 2
         if take < 1:
@@ -426,61 +311,41 @@ class Coordinator:
         discarding it would only buy a resimulation."""
         try:
             run = WorkloadRun.from_payload(run_payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ReproError(
                 f"malformed run payload for cell {cell_key!r}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         with self._lock:
             self._expire_stale()
-            if cell_key not in self._cell_point:
+            job = self._cells.get(cell_key)
+            if job is None:
                 raise ReproError(f"unknown cell {cell_key!r}")
+            if (run.workload, run.isa) != (job.workload, job.isa):
+                # A stale or buggy worker must not journal one cell's
+                # statistics as another's; the cell stays outstanding.
+                raise ReproError(
+                    f"mislabelled report: cell {cell_key!r} got a run of "
+                    f"{run.workload}/{run.isa}")
             if cell_key in self._accepted:
                 self.results.duplicate_reports += 1
                 return {"accepted": False, "duplicate": True,
                         "done": self.done}
             lease = self._leases.get(lease_id)
-            accepted = self._accept(cell_key, run, worker_id=worker_id)
+            self._accept(cell_key, run, worker_id=worker_id)
             if lease is not None and not lease.shard.remaining:
                 self._leases.release(lease_id)
-            return {"accepted": accepted, "duplicate": False,
+            return {"accepted": True, "duplicate": False,
                     "done": self.done}
 
     def _accept(self, cell_key: str, run: WorkloadRun, *,
-                worker_id: str) -> bool:
-        pid, workload, isa = self._cell_point[cell_key]
+                worker_id: str) -> None:
         self._accepted[cell_key] = self._accepted.get(cell_key, 0) + 1
         home = self._cell_home.pop(cell_key, None)
         if home is not None:
             home.remaining.pop(cell_key, None)
         self._worker(worker_id).cells += 1
-        self._runs[pid][(workload, isa)] = run
-        if run.error is None:
-            if run.execution == "capture":
-                self.results.captures += 1
-            elif run.execution == "replay":
-                self.results.replays += 1
-                sample = self._replay_sample
-                if sample is None or run.wall_seconds < sample[0]:
-                    point = self._points_by_id[pid]
-                    job = Job.build(workload, isa, self.request.scale,
-                                    self.request.seed, point.config,
-                                    point=pid, execution="execute",
-                                    engine=point.config.engine)
-                    self._replay_sample = (run.wall_seconds, run, job)
-            if self._disk is not None:
-                job = Job.build(workload, isa, self.request.scale,
-                                self.request.seed,
-                                self._points_by_id[pid].config, point=pid)
-                self._disk.put(_job_fp(job), run,
-                               config_fingerprint=job.config.fingerprint())
-        self._emit(pid, workload, isa,
-                   "failed" if run.error else "ok", run.wall_seconds)
-        self._remaining_cells[pid] -= 1
-        if self._remaining_cells[pid] == 0:
-            self._finish_point(self._points_by_id[pid],
-                               self._runs.pop(pid))
-        return True
+        self.ledger.accept(self._cells[cell_key], run)
 
     def status(self) -> Dict[str, object]:
         with self._lock:
@@ -488,10 +353,10 @@ class Coordinator:
             outstanding += sum(lease.outstanding()
                                for lease in self._leases.active())
             return {
-                "sweep_id": self.sweep_id,
-                "total_points": len(self._points),
-                "points_done": len(self._point_results),
-                "total_cells": self._total,
+                "sweep_id": self.results.sweep_id,
+                "total_points": len(self.ledger.points),
+                "points_done": self.ledger.points_done,
+                "total_cells": self.ledger.total,
                 "cells_accepted": len(self._accepted),
                 "outstanding_cells": outstanding,
                 "pending_shards": len(self._pending),
@@ -520,35 +385,22 @@ class Coordinator:
                     self._fail_shard(shard, message)
 
     def finish(self, verify_replay: Optional[bool] = None) -> DistSweepResults:
-        """Close the journal and assemble the final results (call once,
-        after :attr:`done`).  Runs the same replay-drift fidelity guard
-        as ``run_sweep``: the cheapest replayed cell is re-executed with
-        full functional semantics and compared."""
-        import warnings
-
-        if verify_replay is None:
-            verify_replay = self.request.verify_replay
+        """Run the ledger's replay fidelity guard, close the journal and
+        assemble the final results (call once, after :attr:`done`)."""
+        self.ledger.verify(verify_replay)  # a simulation: outside the lock
         with self._lock:
-            self.results.points = [
-                self._point_results[p.point_id] for p in self._points
-                if p.point_id in self._point_results
-            ]
-            sample = self._replay_sample
-        if verify_replay and sample is not None:
-            _wall, run, job = sample
-            self.results.verified_cell = (
-                f"{job.point}:{job.workload}/{job.isa}")
-            check = run_job_inline(job)
-            if _replay_differs(run, check):
-                self.results.replay_drift = 1
-                warnings.warn(
-                    f"trace replay drift at {self.results.verified_cell}: "
-                    "replayed statistics disagree with functional "
-                    "re-execution; clear the trace store",
-                    stacklevel=2,
-                )
-        self.journal.close()
+            self.ledger.close()
         return self.results
+
+    # -- trace sync (the store side of a worker's transport) -------------------
+
+    def get_trace(self, fingerprint: str) -> Optional[bytes]:
+        return (self.store.read_blob(fingerprint)
+                if self.store is not None else None)
+
+    def put_trace(self, fingerprint: str, blob: bytes) -> bool:
+        return (self.store.write_blob(fingerprint, blob)
+                if self.store is not None else False)
 
 
 class _CoordinatorServer:
@@ -664,16 +516,16 @@ class DistSweep:
 
     def _url_worker(self, worker_id: str, url: str) -> None:
         """A remote ``repro serve`` daemon as a worker: the loop runs
-        here (in-process transport), each cell executes over there."""
+        here (the coordinator is its transport), each cell executes over
+        there."""
         from ..serve.client import DaemonClient
-        from .worker import (DaemonBackend, LocalTransport, Worker,
-                             _parse_url)
+        from .worker import DaemonBackend, Worker, _parse_url
 
         d_host, d_port = _parse_url(url)
         backend = DaemonBackend(DaemonClient(d_host, d_port,
                                              client_id=worker_id))
-        Worker(worker_id, LocalTransport(self.coordinator), backend,
-               poll=0.1, log=self._log).run()
+        Worker(worker_id, self.coordinator, backend, poll=0.1,
+               log=self._log).run()
 
     def alive_workers(self) -> int:
         return (sum(1 for p in self.processes if p.poll() is None)
@@ -682,14 +534,14 @@ class DistSweep:
     def _run_inline(self) -> None:
         """Safety net (and the workers=0 path): an embedded worker in
         this process finishes whatever is left."""
-        from .worker import EmbeddedBackend, LocalTransport, Worker
+        from .worker import EmbeddedBackend, Worker
 
         trace_dir = (str(self.coordinator.store.directory)
                      if self.coordinator.store is not None else None)
         backend = EmbeddedBackend(trace_dir=trace_dir,
                                   job_timeout=self.request.job_timeout)
-        Worker("inline", LocalTransport(self.coordinator), backend,
-               poll=0.05, log=self._log).run()
+        Worker("inline", self.coordinator, backend, poll=0.05,
+               log=self._log).run()
 
     def wait(self, timeout: Optional[float] = None) -> DistSweepResults:
         deadline = (time.monotonic() + timeout

@@ -1,10 +1,10 @@
 """Shard planning: a :class:`SweepRequest` decomposed into
 content-addressed units of distributable work.
 
-A shard is a group of (point x workload x ISA) cells that share one
-:func:`~repro.harness.cache.trace_fingerprint` — the same grouping the
-single-host sweep and the daemon's batch scheduler exploit — so each
-shard keeps the capture-once-replay-everywhere economics of PR 5
+A shard is one trace group of the sweep ledger's live cells
+(:meth:`~repro.explore.sweep.SweepLedger.trace_groups` — the grouping
+the single-host sweep phases on and the daemon's scheduler batches on),
+so each shard keeps the capture-once-replay-everywhere economics of PR 5
 *within itself*: whichever worker leases it captures the functional
 trace once and replays every other cell, and a stolen or re-leased
 shard replays a synced trace instead of recapturing.
@@ -19,14 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..common.config import GpuConfig
 from ..core.requests import ShardCell, ShardRequest, SweepRequest
-from ..explore.space import SweepPoint, build_space
-from ..explore.sweep import sweep_fingerprint
-from ..harness.cache import trace_fingerprint
-from ..workloads import all_workloads
+from ..explore.sweep import SweepLedger
+from ..harness.parallel import Job
 
 
 def shard_id_for(sweep_id: str, trace_fp: str,
@@ -82,13 +79,10 @@ class ShardState:
 
 @dataclass
 class ShardPlan:
-    """Everything the coordinator needs from one planning pass."""
+    """One planning pass: the ledger that resolved the request and the
+    shards its live cells group into."""
 
-    sweep_id: str
-    base: GpuConfig
-    points: List[SweepPoint]
-    workloads: Tuple[str, ...]
-    isas: Tuple[str, ...]
+    ledger: SweepLedger
     shards: List[ShardRequest]
 
     @property
@@ -96,34 +90,11 @@ class ShardPlan:
         return sum(len(shard.cells) for shard in self.shards)
 
 
-def resolve_sweep_space(request: SweepRequest):
-    """(base config, workload names, space, points) for one sweep request
-    — exactly the resolution :func:`~repro.explore.sweep.run_sweep`
-    performs, factored so the coordinator's sweep id, journal header, and
-    point enumeration are bit-identical to the single-host path."""
-    base = request.resolved_config()
-    names: Tuple[str, ...] = tuple(
-        request.workloads if request.workloads is not None
-        else [w.name for w in all_workloads()]
-    )
-    isas = tuple(request.isas)
-    space = build_space(list(request.axes), request.mode)
-    points = space.points(base)
-    return base, names, isas, space, points
+def group_shards(ledger: SweepLedger, cells: Sequence[Job],
+                 max_shard_cells: Optional[int] = None) -> List[ShardRequest]:
+    """The ledger's live ``cells``, one :class:`ShardRequest` per trace
+    group (:meth:`SweepLedger.trace_groups`).
 
-
-def group_shards(
-    sweep_id: str,
-    base: GpuConfig,
-    cells: Sequence[Tuple[SweepPoint, str, str]],
-    scale: float,
-    seed: int,
-    execution: str,
-    max_shard_cells: Optional[int] = None,
-) -> List[ShardRequest]:
-    """Cells grouped by trace fingerprint into :class:`ShardRequest`\\ s.
-
-    ``cells`` is (point, workload, isa) triples of *valid* points only.
     ``max_shard_cells`` caps shard size (a capped group splits into
     consecutive chunks that still share the fingerprint, so every chunk
     after the first replays the first chunk's capture via the store).
@@ -137,61 +108,40 @@ def group_shards(
     the reordering changes lease order only — identities, journal
     entries, and merge results are untouched.
     """
-    groups: "Dict[str, List[ShardCell]]" = {}
-    order: List[str] = []
-    fp_memo: "Dict[Tuple[str, str, str], str]" = {}
-    for point, workload, isa in cells:
-        assert point.config is not None
-        memo_key = (point.point_id, workload, isa)
-        fp = fp_memo.get(memo_key)
-        if fp is None:
-            fp = trace_fingerprint(point.config, workload, isa, scale, seed)
-            fp_memo[memo_key] = fp
-        if fp not in groups:
-            groups[fp] = []
-            order.append(fp)
-        groups[fp].append(ShardCell(point=point.point_id, workload=workload,
-                                    isa=isa, overrides=point.overrides))
+    sweep = ledger.results
     capture_shards: List[ShardRequest] = []
     replay_shards: List[ShardRequest] = []
-    for fp in order:
-        members = groups[fp]
+    for fp, jobs in ledger.trace_groups(cells).items():
+        members = [ShardCell(point=job.point, workload=job.workload,
+                             isa=job.isa,
+                             overrides=ledger.point(job.point).overrides)
+                   for job in jobs]
         chunk = (max_shard_cells if max_shard_cells and max_shard_cells > 0
                  else len(members))
         for start in range(0, len(members), chunk):
             part = tuple(members[start:start + chunk])
             request = ShardRequest(
-                shard_id=shard_id_for(sweep_id, fp, part),
-                sweep_id=sweep_id,
+                shard_id=shard_id_for(sweep.sweep_id, fp, part),
+                sweep_id=sweep.sweep_id,
                 trace_fp=fp,
                 cells=part,
-                scale=scale,
-                seed=seed,
-                config=base,
-                execution=execution,
+                scale=sweep.scale,
+                seed=sweep.seed,
+                config=sweep.base,
+                execution=ledger.cell_mode,
             )
             (capture_shards if start == 0 else replay_shards).append(request)
     return capture_shards + replay_shards
 
 
 def plan_shards(request: SweepRequest,
-                max_shard_cells: Optional[int] = None,
-                execution: Optional[str] = None) -> ShardPlan:
-    """The full decomposition of one sweep request (valid points only;
-    invalid points are the coordinator's to journal as failed)."""
-    base, names, isas, space, points = resolve_sweep_space(request)
-    sweep_id = sweep_fingerprint(base, space.axes, request.mode, names,
-                                 isas, request.scale, request.seed)
-    cells = [(point, workload, isa)
-             for point in points if point.valid
-             for workload in names for isa in isas]
-    shards = group_shards(sweep_id, base, cells, request.scale,
-                          request.seed,
-                          execution if execution is not None
-                          else request.execution,
-                          max_shard_cells)
-    return ShardPlan(sweep_id=sweep_id, base=base, points=list(points),
-                     workloads=names, isas=isas, shards=shards)
+                max_shard_cells: Optional[int] = None) -> ShardPlan:
+    """How a fresh sweep of ``request`` would shard, without touching its
+    journal (invalid points never shard: they are the ledger's to
+    journal as failed)."""
+    ledger = SweepLedger(request)
+    return ShardPlan(ledger, group_shards(ledger, ledger.live_cells({}),
+                                          max_shard_cells))
 
 
 __all__ = [
@@ -199,6 +149,5 @@ __all__ = [
     "ShardState",
     "group_shards",
     "plan_shards",
-    "resolve_sweep_space",
     "shard_id_for",
 ]

@@ -3,19 +3,20 @@
 A worker is a loop around three verbs against a coordinator — lease,
 report, renew — with the actual simulation delegated to a *backend*:
 
-* :class:`EmbeddedBackend` runs cells through an in-process
-  ``repro serve`` :class:`~repro.serve.scheduler.Scheduler` (no HTTP,
-  no thread — the worker pumps it synchronously), so a standalone
-  ``repro dist worker`` gets the daemon's trace store, job-timeout, and
-  execution plumbing for free.
+* :class:`EmbeddedBackend` runs cells in this process through
+  :func:`~repro.harness.parallel.run_cell` — the call the serve
+  scheduler makes for a run cell — against one resident trace store, so
+  a standalone ``repro dist worker`` gets the daemon's store sharing and
+  job-timeout plumbing without a daemon's queue.
 * :class:`DaemonBackend` forwards each cell to a remote ``repro serve``
   daemon through :class:`~repro.serve.DaemonClient` — an already-warm
   daemon farm becomes a sweep fleet without restarting anything.
 
-Transports mirror the split on the coordinator side:
-:class:`HttpTransport` speaks the ``/v1/dist/*`` routes;
-:class:`LocalTransport` calls a :class:`~repro.dist.Coordinator` in the
-same process (the auto-spawned-worker fallback and the unit tests).
+The transport is whatever answers ``lease``/``renew``/``report``/
+``get_trace``/``put_trace``: :class:`HttpTransport` speaks a coordinator
+daemon's ``/v1/dist/*`` routes, and a :class:`~repro.dist.Coordinator`
+in the same process is its own transport (the auto-spawned-worker
+fallback and the unit tests).
 
 Trace sync: a granted shard names its functional trace fingerprint.
 When the coordinator already holds that trace
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, Dict, Optional, Set
 from urllib.parse import urlsplit
 
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, RunRequest
-from ..harness.parallel import Job, _failed_run
+from ..harness.cache import resolve_trace_store
+from ..harness.parallel import Job, _failed_run, run_cell
 from ..serve.client import DaemonClient, DaemonError
 
 #: transient transport failures tolerated back to back before a worker
@@ -52,33 +55,7 @@ def _parse_url(url: str):
     return parts.hostname, parts.port or 8642
 
 
-# -- transports ----------------------------------------------------------------
-
-
-class LocalTransport:
-    """Direct in-process calls against a coordinator (no sockets)."""
-
-    def __init__(self, coordinator) -> None:
-        self.coordinator = coordinator
-
-    def lease(self, worker_id: str) -> LeaseGrant:
-        return self.coordinator.lease(worker_id)
-
-    def renew(self, worker_id: str, lease_id: str) -> Dict[str, object]:
-        return self.coordinator.renew(worker_id, lease_id)
-
-    def report(self, worker_id: str, lease_id: str, cell: str,
-               run: Dict[str, object]) -> Dict[str, object]:
-        return self.coordinator.report(worker_id, lease_id, cell, run)
-
-    def get_trace(self, fingerprint: str) -> Optional[bytes]:
-        store = self.coordinator.store
-        return store.read_blob(fingerprint) if store is not None else None
-
-    def put_trace(self, fingerprint: str, blob: bytes) -> bool:
-        store = self.coordinator.store
-        return (store.write_blob(fingerprint, blob)
-                if store is not None else False)
+# -- transport ----------------------------------------------------------------
 
 
 class HttpTransport:
@@ -112,39 +89,33 @@ class HttpTransport:
 
 
 class EmbeddedBackend:
-    """Cells execute through an in-process serve scheduler, pumped
-    synchronously (``submit`` + ``run_until_idle`` — no worker thread,
-    no rate limit, no queue pressure)."""
+    """Cells execute in this process, one at a time, against one
+    resident trace store (shared hit/miss counters, parsed-trace memo)."""
 
     def __init__(self, *, trace_dir: Optional[str] = None,
                  job_timeout: Optional[float] = None) -> None:
-        from ..serve.scheduler import Scheduler
-
-        self.scheduler = Scheduler(trace_dir=trace_dir,
-                                   job_timeout=job_timeout)
+        self.trace_dir = trace_dir
+        self.job_timeout = job_timeout
+        self.store = resolve_trace_store(trace_dir)
 
     def run(self, request: RunRequest) -> Dict[str, object]:
-        job = self.scheduler.submit(request, client="dist-worker")
-        self.scheduler.run_until_idle()
-        job = self.scheduler.get(job.job_id)
-        if job.result is not None:
-            return job.result
-        return _failed_run(Job(request=request),
-                           job.error or "scheduler produced no result",
-                           job.wall_seconds or 0.0).to_payload()
+        if self.trace_dir is not None and request.trace_dir is None:
+            # A timed cell runs in a pool process, which resolves its
+            # store from the request: pin ours onto it.
+            request = replace(request, trace_dir=self.trace_dir)
+        return run_cell(request, trace_store=self.store,
+                        timeout=self.job_timeout).to_payload()
 
     def has_blob(self, fingerprint: str) -> bool:
-        store = self.scheduler.store
-        return store is not None and store.has(fingerprint)
+        return self.store is not None and self.store.has(fingerprint)
 
     def get_blob(self, fingerprint: str) -> Optional[bytes]:
-        store = self.scheduler.store
-        return store.read_blob(fingerprint) if store is not None else None
+        return (self.store.read_blob(fingerprint)
+                if self.store is not None else None)
 
     def put_blob(self, fingerprint: str, blob: bytes) -> bool:
-        store = self.scheduler.store
-        return (store.write_blob(fingerprint, blob)
-                if store is not None else False)
+        return (self.store.write_blob(fingerprint, blob)
+                if self.store is not None else False)
 
 
 class DaemonBackend:
@@ -381,7 +352,6 @@ __all__ = [
     "DaemonBackend",
     "EmbeddedBackend",
     "HttpTransport",
-    "LocalTransport",
     "Worker",
     "worker_main",
 ]

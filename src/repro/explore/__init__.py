@@ -7,9 +7,10 @@ design-space machine:
 * :mod:`~repro.explore.space` — :class:`Axis` / :class:`Grid` /
   :class:`OneFactorAtATime` enumerate frozen, eagerly-validated config
   variants (deduplicated by fingerprint);
-* :mod:`~repro.explore.sweep` — :func:`run_sweep` fans points x
-  workloads x ISAs through the process pool and disk cache behind a
-  resumable JSONL journal with per-point failure isolation;
+* :mod:`~repro.explore.sweep` — :class:`SweepLedger` owns a sweep's
+  resumable JSONL journal, caches and per-point failure isolation;
+  :func:`execute_sweep_request` fans its live points x workloads x ISAs
+  through the process pool;
 * :mod:`~repro.explore.analyze` — tornado tables, response curves,
   threshold detection, and CSV/JSON/markdown export.
 
@@ -34,9 +35,10 @@ from .space import Axis, Grid, OneFactorAtATime, SweepPoint, build_space, parse_
 from .sweep import (
     PointResult,
     SweepJournal,
+    SweepLedger,
     SweepResults,
     default_sweeps_dir,
-    run_sweep,
+    execute_sweep_request,
     sweep_fingerprint,
 )
 
@@ -47,17 +49,18 @@ __all__ = [
     "OneFactorAtATime",
     "PointResult",
     "SweepJournal",
+    "SweepLedger",
     "SweepPoint",
     "SweepResults",
     "build_space",
     "curve",
     "curve_report",
     "default_sweeps_dir",
+    "execute_sweep_request",
     "monotonicity",
     "parse_value",
     "points_report",
     "response_value",
-    "run_sweep",
     "sweep_fingerprint",
     "threshold",
     "tornado",

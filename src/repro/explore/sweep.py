@@ -1,5 +1,14 @@
-"""Sweep scheduler: fan sweep points out through the harness pool, with a
-resumable on-disk journal.
+"""Sweep ledger and its serial/pool executor, with a resumable on-disk
+journal.
+
+:class:`SweepLedger` is the one place that decides what a sweep already
+knows (journal replay, invalid points, cache hits), what is still live,
+what happens when a cell lands, when a point is journaled, and how
+replay is checked.  Executors are dispatch *policies* over it:
+:func:`execute_sweep_request` runs the live cells inline or through the
+harness pool (captures, barrier, the rest); the distributed
+:class:`~repro.dist.Coordinator` leases them to workers.  Both write the
+journal through the same ledger, so either resumes the other's.
 
 One sweep = (base config, space, workloads, ISAs, scale, seed).  Its
 identity is a content hash of exactly those inputs, so the journal
@@ -50,7 +59,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.requests import SweepRequest
 
-from ..common.config import GpuConfig, paper_config
+from ..common.config import GpuConfig
 from ..common.errors import ReproError
 from ..harness.cache import (
     ResultCache,
@@ -60,7 +69,6 @@ from ..harness.cache import (
     resolve_cache,
     resolve_trace_store,
     source_tree_stamp,
-    trace_fingerprint,
 )
 from ..harness.parallel import (
     Job,
@@ -69,8 +77,9 @@ from ..harness.parallel import (
     resolve_jobs,
     run_job_inline,
     run_jobs,
+    trace_key,
 )
-from ..harness.runner import ISAS, SuiteResults, WorkloadRun
+from ..harness.runner import SuiteResults, WorkloadRun
 from ..workloads import all_workloads
 from .space import Axis, SweepPoint, build_space
 
@@ -283,20 +292,21 @@ class SweepJournal:
                 continue
             parsed = self._parse_point(entry)
             if parsed is not None:
-                out[parsed[0].point.point_id] = parsed
+                out[parsed[0]] = parsed[1:]
         return out
 
     @staticmethod
     def _parse_point(
         entry: "Dict[str, object]",
-    ) -> "Optional[Tuple[PointResult, Optional[str]]]":
+    ) -> "Optional[Tuple[str, PointResult, Optional[str]]]":
+        """(journaled point id, result, config fingerprint) of one point
+        line.  The id is read, not recomputed from the overrides: ids are
+        order-sensitive and the sorted-key write reorders a multi-axis
+        point's overrides."""
         try:
             raw = entry["point"]
-            # Insertion order survives the JSON round-trip, and point ids
-            # are order-sensitive — do not sort.
-            overrides = tuple(raw["overrides"].items())  # type: ignore[union-attr,index]
             point = SweepPoint(
-                overrides=overrides,
+                overrides=tuple(raw["overrides"].items()),  # type: ignore[union-attr,index]
                 config=None,
                 error=raw.get("error"),  # type: ignore[union-attr]
             )
@@ -304,9 +314,9 @@ class SweepJournal:
             for payload in entry.get("runs", ()):  # type: ignore[union-attr]
                 run = WorkloadRun.from_payload(payload)  # type: ignore[arg-type]
                 runs[(run.workload, run.isa)] = run
-            journal_fp = raw.get("config_fingerprint")  # type: ignore[union-attr]
-            return (PointResult(point=point, runs=runs, from_journal=True),
-                    journal_fp)
+            return (str(raw["point_id"]),  # type: ignore[index]
+                    PointResult(point=point, runs=runs, from_journal=True),
+                    raw.get("config_fingerprint"))  # type: ignore[union-attr]
         except (KeyError, TypeError, ValueError, AttributeError):
             return None
 
@@ -407,8 +417,8 @@ def journal_header(sweep_id: str, base: GpuConfig, axes: Sequence[Axis],
                    mode: str, workloads: Sequence[str],
                    isas: Sequence[str], scale: float,
                    seed: int) -> "Dict[str, object]":
-    """The journal's header line — shared by :func:`run_sweep` and the
-    distributed coordinator so their journals are interchangeable."""
+    """The journal's header line.  Only :class:`SweepLedger` writes it,
+    so a journal started by one executor resumes under the other."""
     return {
         "type": "header",
         "format": JOURNAL_FORMAT_VERSION,
@@ -430,9 +440,7 @@ def resolve_sweep_execution(
     use_disk_cache: Optional[bool],
     trace_dir: Optional[str],
 ) -> "Tuple[str, Optional[TraceStore]]":
-    """The (per-cell execution mode, trace store) a sweep runs under —
-    shared by :func:`run_sweep` and the distributed coordinator so the
-    two paths can never resolve the same request differently.
+    """The (per-cell execution mode, trace store) a sweep runs under.
 
     "auto" degrades to plain execution when the store is unavailable:
     caching disabled by ``REPRO_NO_CACHE`` or ``use_disk_cache=False``
@@ -458,255 +466,260 @@ def resolve_sweep_execution(
     return cell_mode, store
 
 
-def run_sweep(
-    axes: Sequence[Axis],
-    base: Optional[GpuConfig] = None,
-    mode: str = "grid",
-    workloads: Optional[Sequence[str]] = None,
-    isas: Sequence[str] = ISAS,
-    scale: float = 0.5,
-    seed: int = 7,
-    jobs: int = 1,
-    use_disk_cache: Optional[bool] = None,
-    cache_dir: Optional[str] = None,
-    job_timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    resume: Union[bool, str] = False,
-    sweeps_dir: Optional[str] = None,
-    execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
-    execution: str = "auto",
-    trace_dir: Optional[str] = None,
-    verify_replay: bool = True,
-    engine: Optional[str] = None,
-) -> SweepResults:
-    """Run (or resume) one design-space sweep; see the module docstring.
+class SweepLedger:
+    """The single owner of one sweep's bookkeeping.
 
-    :param axes: swept parameters (:class:`repro.explore.Axis`).
-    :param mode: ``"grid"`` (cartesian product) or ``"ofat"``
-        (base + one factor at a time).
-    :param resume: ``True`` resumes the deterministic sweep id for this
-        spec; a string resumes that explicit id.  ``False`` starts fresh
-        (truncating any previous journal for the same spec).
-    :param progress: per-cell :class:`JobEvent` callback; replayed points
-        emit one event per cell with status ``"journal"``.
-    :param execute: test hook — replaces the per-cell worker entry point
-        (same contract as :func:`repro.harness.parallel.run_jobs`); forces
-        ``execution="execute"`` since the hook bypasses the trace store.
-    :param execution: ``"auto"`` (default) captures one trace per
-        workload x ISA x functional fingerprint and replays every other
-        point; ``"execute"`` reproduces the pre-replay behaviour exactly;
-        ``"replay"`` requires every trace to already exist (a missing one
-        fails that cell instead of silently executing).
-    :param trace_dir: trace-store directory (default ``<cache-dir>/traces``;
-        an explicit directory keeps replay active even with
-        ``use_disk_cache=False``, which otherwise disables the store).
-    :param verify_replay: re-execute the cheapest replayed cell after the
-        sweep and flag ``replay_drift`` if its statistics differ — the
-        cycle-drift-style fidelity guard for trace replay.
-    :param engine: cycle-engine override for every cell (``"auto"`` |
-        ``"scalar"`` | ``"vector"``); ``None`` keeps ``base.engine``.
-        Folded into the base config before the sweep id and cache
-        fingerprints are computed, so cells run under different engines
-        never share cache entries or journals.
+    Built from a :class:`~repro.core.requests.SweepRequest`, the ledger
+    resolves the spec (engine-folded base config, workload names, points,
+    sweep id, per-cell execution mode, trace store, result cache), owns
+    the journal, and answers the five questions every executor has:
+    what is already known (:meth:`open` — journal replay, invalid points,
+    cache hits), what is still live (the cells :meth:`open` returns, and
+    their :meth:`trace_groups`), what happens when a cell lands
+    (:meth:`accept`), when a point is journaled (the moment its last
+    cell resolves) and how replay is checked (:meth:`verify`).
+
+    Executors are dispatch policies over it: the serial/pool path
+    (:func:`execute_sweep_request`) and the distributed
+    :class:`~repro.dist.Coordinator`.  Not thread-safe; the coordinator
+    calls it under its own lock.
     """
-    if execution not in ("auto", "execute", "replay"):
-        raise ReproError(
-            f"unknown sweep execution mode {execution!r}; "
-            "expected 'auto', 'execute', or 'replay'"
+
+    def __init__(self, request: "SweepRequest",
+                 progress: Optional[ProgressFn] = None) -> None:
+        self.request = request
+        self.progress = progress
+        base = request.resolved_config()
+        names: Tuple[str, ...] = tuple(
+            request.workloads if request.workloads is not None
+            else [w.name for w in all_workloads()]
         )
-    if execute is not None:
-        execution = "execute"
-    base = base or paper_config()
-    if engine is not None and engine != base.engine:
-        base = base.with_overrides({"engine": engine})
-    names: Tuple[str, ...] = tuple(
-        workloads if workloads is not None
-        else [w.name for w in all_workloads()]
-    )
-    isas = tuple(isas)
-    space = build_space(list(axes), mode)
-    points = space.points(base)
+        space = build_space(list(request.axes), request.mode)
+        self.points: List[SweepPoint] = space.points(base)
+        self.cell_mode, self.store = resolve_sweep_execution(
+            request.execution, request.use_disk_cache, request.trace_dir)
+        sweep_id = (request.resume if isinstance(request.resume, str) else
+                    sweep_fingerprint(base, space.axes, request.mode, names,
+                                      request.isas, request.scale,
+                                      request.seed))
+        self.journal = SweepJournal(
+            request.sweeps_dir or default_sweeps_dir(), sweep_id)
+        self.results = SweepResults(
+            sweep_id=sweep_id, base=base, axes=space.axes,
+            mode=request.mode, workloads=names, isas=request.isas,
+            scale=request.scale, seed=request.seed,
+            journal_path=str(self.journal.path), execution=self.cell_mode,
+        )
+        self.disk: Optional[ResultCache] = resolve_cache(
+            request.use_disk_cache, request.cache_dir)
+        self.total = len(self.points) * len(names) * len(request.isas)
+        self._index = 0
+        self._points_by_id = {p.point_id: p for p in self.points}
+        self._done: Dict[str, PointResult] = {}
+        self._pending: "Dict[str, Dict[Tuple[str, str], WorkloadRun]]" = {}
+        self._remaining: Dict[str, int] = {}
+        #: the cheapest replayed cell so far: what :meth:`verify` re-runs.
+        self._replay_sample: Optional[Tuple[Job, WorkloadRun]] = None
 
-    sweep_id = (resume if isinstance(resume, str) else
-                sweep_fingerprint(base, space.axes, mode, names, isas,
-                                  scale, seed))
-    journal = SweepJournal(sweeps_dir or default_sweeps_dir(), sweep_id)
-    replayed = journal.load() if resume else {}
+    @property
+    def points_done(self) -> int:
+        return len(self._done)
 
-    cell_mode, store = resolve_sweep_execution(execution, use_disk_cache,
-                                               trace_dir)
+    @property
+    def done(self) -> bool:
+        return len(self._done) == len(self.points)
 
-    results = SweepResults(
-        sweep_id=sweep_id, base=base, axes=space.axes, mode=mode,
-        workloads=names, isas=isas, scale=scale, seed=seed,
-        journal_path=str(journal.path), execution=cell_mode,
-    )
+    def point(self, point_id: str) -> SweepPoint:
+        return self._points_by_id[point_id]
 
-    journal.open(
-        journal_header(sweep_id, base, space.axes, mode, names, isas,
-                       scale, seed),
-        # A resume against an empty, stale, or unreadable journal starts
-        # over with a fresh header rather than appending after one that
-        # load() will reject next time.
-        resume=bool(resume) and bool(replayed),
-    )
+    # -- pass 1: what the sweep already knows ----------------------------------
 
-    disk: Optional[ResultCache] = resolve_cache(use_disk_cache, cache_dir)
-    total = len(points) * len(names) * len(isas)
-    index = 0
+    def open(self) -> List[Job]:
+        """Load and (re)open the journal, then resolve every point;
+        returns the live cells (see :meth:`live_cells`)."""
+        res = self.results
+        replayed = self.journal.load() if self.request.resume else {}
+        self.journal.open(
+            journal_header(res.sweep_id, res.base, res.axes, res.mode,
+                           res.workloads, res.isas, res.scale, res.seed),
+            # A resume against an empty, stale, or unreadable journal
+            # starts over with a fresh header rather than appending after
+            # one that load() will reject next time.
+            resume=bool(self.request.resume) and bool(replayed),
+        )
+        return self.live_cells(replayed)
 
-    try:
-        # Pass 1: resolve what every point needs.  Replayed/invalid points
-        # complete immediately; live points collect their cache misses.
-        point_results: Dict[str, PointResult] = {}
-        pending: "Dict[str, Dict[Tuple[str, str], WorkloadRun]]" = {}
-        cells: List[Job] = []
-        remaining: Dict[str, int] = {}
-
-        def emit(point_id: str, workload: str, isa: str, status: str,
-                 wall: float) -> None:
-            nonlocal index
-            index += 1
-            if progress is not None:
-                progress(JobEvent(workload=workload, isa=isa, status=status,
-                                  wall_seconds=wall, index=index, total=total,
-                                  point=point_id))
-
-        def finish_point(point: SweepPoint,
-                         runs: "Dict[Tuple[str, str], WorkloadRun]",
-                         from_journal: bool = False) -> None:
-            pr = PointResult(point=point, runs=runs,
-                             from_journal=from_journal)
-            point_results[point.point_id] = pr
-            if not from_journal:
-                journal.append_point(pr)
-
-        for point in points:
+    def live_cells(
+        self,
+        replayed: "Dict[str, Tuple[PointResult, Optional[str]]]",
+    ) -> List[Job]:
+        """Resolve what every point needs.  Replayed and invalid points
+        complete immediately, cache hits pre-complete cells, and the
+        misses come back in enumeration order for an executor to run."""
+        request = self.request
+        cell_keys = [(w, isa) for w in self.results.workloads
+                     for isa in self.results.isas]
+        live: List[Job] = []
+        for point in self.points:
             pid = point.point_id
-            parsed = replayed.get(pid)
-            if parsed is not None:
-                prior, journal_fp = parsed
-                # Replay only if the journaled entry covers this exact
-                # config and cell set; anything else re-simulates.
-                if (journal_fp == point.fingerprint()
-                        and (point.error is not None
-                             or set(prior.runs) == {(w, i) for w in names
-                                                    for i in isas})):
-                    prior.point = point
-                    for (w, isa), run in sorted(prior.runs.items()):
-                        emit(pid, w, isa, "journal", run.wall_seconds)
-                    if point.error is not None and not prior.runs:
-                        for w in names:
-                            for isa in isas:
-                                emit(pid, w, isa, "journal", 0.0)
-                    point_results[pid] = prior
-                    continue
+            prior, journal_fp = replayed.get(pid, (None, None))
+            # Replay only if the journaled entry covers this exact config
+            # and cell set; anything else re-simulates.
+            if (prior is not None and journal_fp == point.fingerprint()
+                    and (point.error is not None
+                         or set(prior.runs) == set(cell_keys))):
+                prior.point = point
+                for (w, isa), run in sorted(prior.runs.items()):
+                    self._emit(pid, w, isa, "journal", run.wall_seconds)
+                if point.error is not None and not prior.runs:
+                    for w, isa in cell_keys:
+                        self._emit(pid, w, isa, "journal", 0.0)
+                self._done[pid] = prior
+                continue
             if point.error is not None:
                 # Invalid geometry: journal as failed, never simulate.
-                for w in names:
-                    for isa in isas:
-                        emit(pid, w, isa, "failed", 0.0)
-                finish_point(point, {})
+                for w, isa in cell_keys:
+                    self._emit(pid, w, isa, "failed", 0.0)
+                self._finish_point(point, {})
                 continue
             runs: Dict[Tuple[str, str], WorkloadRun] = {}
             misses: List[Job] = []
-            for w in names:
-                for isa in isas:
-                    job = Job.build(w, isa, scale, seed, point.config,
-                                    point=pid, execution=cell_mode,
-                                    trace_dir=trace_dir,
-                                    engine=point.config.engine)
-                    cached = (disk.get(_job_fp(job)) if disk is not None
-                              else None)
-                    if cached is not None:
-                        runs[(w, isa)] = cached
-                        emit(pid, w, isa, "hit", cached.wall_seconds)
-                    else:
-                        misses.append(job)
-            if not misses:
-                finish_point(point, runs)
-                continue
-            pending[pid] = runs
-            remaining[pid] = len(misses)
-            cells.extend(misses)
-
-        # Pass 2: simulate the misses.  ``on_result`` lands in submission
-        # order, so each point is journaled the moment its last cell
-        # resolves — a kill between points loses only the in-flight tail.
-        points_by_id = {p.point_id: p for p in points}
-        replay_runs: List[Tuple[Job, WorkloadRun]] = []
-
-        def on_result(job: Job, run: WorkloadRun) -> None:
-            pid = job.point
-            pending[pid][(job.workload, job.isa)] = run
-            if run.error is None:
-                if run.execution == "capture":
-                    results.captures += 1
-                elif run.execution == "replay":
-                    results.replays += 1
-                    replay_runs.append((job, run))
-            if disk is not None and run.error is None:
-                disk.put(_job_fp(job), run,
-                         config_fingerprint=job.config.fingerprint())
-            remaining[pid] -= 1
-            if remaining[pid] == 0:
-                finish_point(points_by_id[pid], pending.pop(pid))
-
-        if cells:
-            # "auto" runs in two phases: first one capture per
-            # workload x ISA x functional fingerprint whose trace is
-            # missing, then (barrier) everything else — which now replays.
-            # The barrier is what turns an N-point sweep into 1 functional
-            # execution + N replays instead of a pool-race of captures;
-            # phase 2 cells still run as "auto", so if a capture failed
-            # they self-heal by capturing rather than erroring out.
-            if cell_mode == "auto":
-                batches = _plan_trace_phases(cells, store)
-            else:
-                batches = [cells]
-            for batch in batches:
-                if not batch:
-                    continue
-                pool_size = min(resolve_jobs(jobs), len(batch))
-                if pool_size > 1:
-                    run_jobs(batch, max_workers=pool_size,
-                             timeout=job_timeout,
-                             execute=execute, progress=progress,
-                             progress_offset=index, progress_total=total,
-                             on_result=on_result)
-                    index += len(batch)
+            for w, isa in cell_keys:
+                job = Job.build(w, isa, request.scale, request.seed,
+                                point.config, point=pid,
+                                execution=self.cell_mode,
+                                trace_dir=request.trace_dir,
+                                engine=point.config.engine)
+                cached = (self.disk.get(_job_fp(job))
+                          if self.disk is not None else None)
+                if cached is not None:
+                    runs[(w, isa)] = cached
+                    self._emit(pid, w, isa, "hit", cached.wall_seconds)
                 else:
-                    for job in batch:
-                        run = run_job_inline(job, execute)
-                        on_result(job, run)
-                        emit(job.point, job.workload, job.isa,
-                             "failed" if run.error else "ok",
-                             run.wall_seconds)
+                    misses.append(job)
+            if not misses:
+                self._finish_point(point, runs)
+                continue
+            self._pending[pid] = runs
+            self._remaining[pid] = len(misses)
+            live.extend(misses)
+        return live
 
-        # Fidelity guard: re-execute the cheapest replayed cell with full
-        # functional semantics and compare statistics.  Replay is
-        # bit-identical by construction; this catches the construction
-        # being wrong (stale store contents, a semantics change that
-        # escaped the source stamp, trace corruption past the magic).
-        if verify_replay and replay_runs:
-            job, run = min(replay_runs, key=lambda jr: jr[1].wall_seconds)
-            results.verified_cell = f"{job.point}:{job.workload}/{job.isa}"
-            check = run_job_inline(replace(
-                job, request=replace(job.request, execution="execute")))
-            if _replay_differs(run, check):
-                results.replay_drift = 1
-                warnings.warn(
-                    f"trace replay drift at {results.verified_cell}: "
-                    "replayed statistics disagree with functional "
-                    "re-execution; clear the trace store",
-                    stacklevel=2,
-                )
+    # -- planning: the one trace-fingerprint grouping ---------------------------
 
-        results.points = [point_results[p.point_id] for p in points
-                          if p.point_id in point_results]
-    finally:
-        journal.close()
-    return results
+    @staticmethod
+    def trace_groups(cells: Sequence[Job]) -> "Dict[str, List[Job]]":
+        """Cells keyed by :func:`~repro.harness.parallel.trace_key`, groups
+        and members in first-seen order.  A group shares one dynamic
+        instruction stream: sweep phases, dist shards and the daemon's
+        batches are all cuts of this one grouping."""
+        groups: "Dict[str, List[Job]]" = {}
+        for job in cells:
+            groups.setdefault(trace_key(job.request), []).append(job)
+        return groups
+
+    def phases(self, cells: List[Job]) -> "List[List[Job]]":
+        """The batches a local executor runs, with a barrier between.
+
+        "auto" runs in two phases: first one capture per trace group whose
+        trace is missing, then everything else — which now replays.  The
+        barrier is what turns an N-point sweep into 1 functional execution
+        + N replays instead of a pool-race of captures; phase 2 cells
+        still run as "auto", so if a capture failed they self-heal by
+        capturing rather than erroring out.
+        """
+        if self.cell_mode != "auto":
+            return [cells]
+        captures: List[Job] = []
+        rest: List[Job] = []
+        for fp, members in self.trace_groups(cells).items():
+            stored = self.store.has(fp)  # type: ignore[union-attr]
+            if not stored:
+                captures.append(members[0])
+            rest.extend(members if stored else members[1:])
+        return [captures, rest]
+
+    # -- pass 2: a cell lands ----------------------------------------------------
+
+    def record(self, job: Job, run: WorkloadRun) -> None:
+        """File one finished cell: count it, cache it, and journal its
+        point the moment the point's last cell resolves — a kill between
+        points loses only the in-flight tail."""
+        pid = job.point
+        self._pending[pid][(job.workload, job.isa)] = run
+        if run.error is None:
+            if run.execution == "capture":
+                self.results.captures += 1
+            elif run.execution == "replay":
+                self.results.replays += 1
+                sample = self._replay_sample
+                if sample is None or run.wall_seconds < sample[1].wall_seconds:
+                    self._replay_sample = (job, run)
+            if self.disk is not None:
+                self.disk.put(_job_fp(job), run,
+                              config_fingerprint=job.config.fingerprint())
+        self._remaining[pid] -= 1
+        if self._remaining[pid] == 0:
+            self._finish_point(self.point(pid), self._pending.pop(pid))
+
+    def announce(self, event: JobEvent) -> None:
+        """Re-number an executor's per-cell event into the sweep's own
+        1..total sequence and pass it on."""
+        self._emit(event.point, event.workload, event.isa, event.status,
+                   event.wall_seconds)
+
+    def accept(self, job: Job, run: WorkloadRun) -> None:
+        """:meth:`record` one cell, then emit its progress event."""
+        self.record(job, run)
+        self._emit(job.point, job.workload, job.isa,
+                   "failed" if run.error else "ok", run.wall_seconds)
+
+    def _emit(self, point_id: str, workload: str, isa: str, status: str,
+              wall: float) -> None:
+        self._index += 1
+        if self.progress is not None:
+            self.progress(JobEvent(workload=workload, isa=isa, status=status,
+                                   wall_seconds=wall, index=self._index,
+                                   total=self.total, point=point_id))
+
+    def _finish_point(self, point: SweepPoint,
+                      runs: "Dict[Tuple[str, str], WorkloadRun]") -> None:
+        pr = PointResult(point=point, runs=runs)
+        self._done[point.point_id] = pr
+        self.journal.append_point(pr)
+
+    # -- the end ---------------------------------------------------------------
+
+    def verify(self, verify_replay: Optional[bool] = None) -> None:
+        """Fidelity guard: re-execute the cheapest replayed cell with full
+        functional semantics and compare statistics.  Replay is
+        bit-identical by construction; this catches the construction
+        being wrong (stale store contents, a semantics change that
+        escaped the source stamp, trace corruption past the magic)."""
+        if verify_replay is None:
+            verify_replay = self.request.verify_replay
+        if not verify_replay or self._replay_sample is None:
+            return
+        job, run = self._replay_sample
+        self.results.verified_cell = f"{job.point}:{job.workload}/{job.isa}"
+        check = run_job_inline(replace(
+            job, request=replace(job.request, execution="execute")))
+        if _replay_differs(run, check):
+            self.results.replay_drift = 1
+            warnings.warn(
+                f"trace replay drift at {self.results.verified_cell}: "
+                "replayed statistics disagree with functional "
+                "re-execution; clear the trace store",
+                stacklevel=2,
+            )
+
+    def close(self) -> SweepResults:
+        """Close the journal; the results list every completed point in
+        enumeration order."""
+        self.results.points = [self._done[p.point_id] for p in self.points
+                               if p.point_id in self._done]
+        self.journal.close()
+        return self.results
 
 
 def execute_sweep_request(
@@ -714,68 +727,58 @@ def execute_sweep_request(
     progress: Optional[ProgressFn] = None,
     execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
 ) -> SweepResults:
-    """Execute one :class:`~repro.core.requests.SweepRequest` — THE
-    sweep entry point shared by ``Session.sweep``, the ``repro sweep``
-    CLI, and the daemon's ``POST /v1/sweep``.  ``progress`` and
-    ``execute`` (the test hook) are execution-side arguments: callables
-    cannot ride the wire."""
-    return run_sweep(
-        list(request.axes),
-        base=request.config,
-        mode=request.mode,
-        workloads=(list(request.workloads)
-                   if request.workloads is not None else None),
-        isas=request.isas,
-        scale=request.scale,
-        seed=request.seed,
-        jobs=request.jobs,
-        use_disk_cache=request.use_disk_cache,
-        cache_dir=request.cache_dir,
-        job_timeout=request.job_timeout,
-        progress=progress,
-        resume=request.resume,
-        sweeps_dir=request.sweeps_dir,
-        execute=execute,
-        execution=request.execution,
-        trace_dir=request.trace_dir,
-        verify_replay=request.verify_replay,
-        engine=request.engine or None,
-    )
+    """Run (or resume) one :class:`~repro.core.requests.SweepRequest` —
+    THE sweep entry point shared by ``Session.sweep``, the ``repro sweep``
+    CLI, and the daemon's ``POST /v1/sweep``: the serial/pool dispatch
+    policy over a :class:`SweepLedger`.
+
+    :param progress: per-cell :class:`JobEvent` callback; replayed points
+        emit one event per cell with status ``"journal"``.
+    :param execute: test hook — replaces the per-cell worker entry point
+        (same contract as :func:`repro.harness.parallel.run_jobs`); forces
+        ``execution="execute"`` since the hook bypasses the trace store.
+
+    Both are execution-side arguments: callables cannot ride the wire.
+    Request fields whose meaning is not obvious from their name:
+
+    * ``resume`` — ``True`` resumes the deterministic sweep id for this
+      spec, a string resumes that explicit id, ``False`` starts fresh
+      (truncating any previous journal for the same spec);
+    * ``execution`` — ``"auto"`` (default) captures one trace per
+      workload x ISA x functional fingerprint and replays every other
+      point; ``"execute"`` never touches the trace store; ``"replay"``
+      requires every trace to already exist (a missing one fails that
+      cell instead of silently executing);
+    * ``trace_dir`` — trace-store directory (default
+      ``<cache-dir>/traces``); an explicit directory keeps replay active
+      even with ``use_disk_cache=False``, which otherwise disables it;
+    * ``engine`` — cycle-engine override for every cell, folded into the
+      base config before the sweep id and cache fingerprints are
+      computed, so cells run under different engines never share cache
+      entries or journals.
+    """
+    if execute is not None:
+        request = replace(request, execution="execute")
+    ledger = SweepLedger(request, progress)
+    try:
+        for batch in ledger.phases(ledger.open()):
+            pool_size = min(resolve_jobs(request.jobs), len(batch))
+            if pool_size > 1:
+                run_jobs(batch, max_workers=pool_size,
+                         timeout=request.job_timeout, execute=execute,
+                         progress=ledger.announce, on_result=ledger.record)
+            else:
+                for job in batch:
+                    ledger.accept(job, run_job_inline(job, execute))
+        ledger.verify()
+    finally:
+        ledger.close()
+    return ledger.results
 
 
 def _job_fp(job: Job) -> str:
     return job_fingerprint(job.config, job.workload, job.isa, job.scale,
                            job.seed)
-
-
-def _plan_trace_phases(cells: Sequence[Job],
-                       store: TraceStore) -> "List[List[Job]]":
-    """Split sweep cells into (captures, remainder) around the trace store.
-
-    Cells sharing a (workload, isa, functional fingerprint) share one
-    dynamic instruction stream; for each such group without a stored
-    trace, exactly one cell goes into the capture batch and the rest wait
-    behind the barrier so they replay it.
-    """
-    groups: "Dict[str, List[Job]]" = {}
-    order: List[str] = []
-    for job in cells:
-        fp = trace_fingerprint(job.config, job.workload, job.isa,
-                               job.scale, job.seed)
-        if fp not in groups:
-            groups[fp] = []
-            order.append(fp)
-        groups[fp].append(job)
-    captures: List[Job] = []
-    rest: List[Job] = []
-    for fp in order:
-        members = groups[fp]
-        if store.has(fp):
-            rest.extend(members)
-        else:
-            captures.append(members[0])
-            rest.extend(members[1:])
-    return [captures, rest]
 
 
 def _replay_differs(replayed: WorkloadRun, executed: "object") -> bool:

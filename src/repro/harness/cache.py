@@ -25,10 +25,11 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..common.config import GpuConfig
 
@@ -130,22 +131,99 @@ def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
-class ResultCache:
-    """One directory of ``<fingerprint>.json`` result files.
+class _FileStore:
+    """One directory of ``<fingerprint><suffix>`` files: the paths,
+    atomic writes and housekeeping :class:`ResultCache` and
+    :class:`TraceStore` share (each keeps its own ``get``/``put``).
 
-    The cache is strictly best-effort: unreadable directories, corrupt
-    entries, and write failures all degrade to cache misses rather than
-    errors, so a broken cache can never make a suite run fail — at worst
-    it makes it slow.
+    Strictly best-effort: unreadable directories, corrupt entries, and
+    write failures all degrade to misses rather than errors, so a broken
+    store can never make a run fail — at worst it makes it slow.
     """
 
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = Path(directory or default_cache_dir())
+    suffix = ""
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = directory
         self.hits = 0
         self.misses = 0
 
     def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
+        return self.directory / f"{fingerprint}{self.suffix}"
+
+    def _entries(self) -> "List[Path]":
+        try:
+            return list(self.directory.glob(f"*{self.suffix}"))
+        except OSError:
+            return []
+
+    def _write(self, fingerprint: str, data: bytes) -> bool:
+        """Land ``data`` under the entry's final name; False (and silent)
+        on failure.  Write-then-rename, so a crash mid-write leaves no
+        truncated entry (readers see old-or-new, never half-written)."""
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=".tmp-", suffix=self.suffix, dir=self.directory
+            )
+            try:
+                with os.fdopen(fd, "wb") as f:
+                    f.write(data)
+                os.replace(tmp_name, self._path(fingerprint))
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            return False
+        return True
+
+    def _discard(self, path: Path, reason: str = "") -> bool:
+        try:
+            path.unlink()
+        except OSError:
+            return False
+        return True
+
+    def clear(self) -> int:
+        """Delete every entry; returns how many files were removed."""
+        return sum(1 for path in self._entries() if self._discard(path))
+
+    def prune_older_than(self, days: float) -> "Tuple[int, int]":
+        """Delete entries whose mtime is older than ``days`` days.
+
+        Returns ``(entries_removed, bytes_freed)``.  Sweeps multiply
+        growth across config fingerprints; age-based pruning is always
+        safe because every entry is a pure content-addressed memoization
+        — at worst a pruned cell is re-simulated (or re-captured).
+        """
+        cutoff = time.time() - days * 86400.0
+        removed = 0
+        freed = 0
+        for path in self._entries():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            if stat.st_mtime >= cutoff or not self._discard(path):
+                continue
+            removed += 1
+            freed += stat.st_size
+        return (removed, freed)
+
+    def stats(self) -> Dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses}
+
+
+class ResultCache(_FileStore):
+    """One directory of ``<fingerprint>.json`` result files."""
+
+    suffix = ".json"
+
+    def __init__(self, directory: Optional[str] = None) -> None:
+        super().__init__(Path(directory or default_cache_dir()))
 
     def get(self, fingerprint: str) -> "Optional[WorkloadRun]":
         """The cached run for ``fingerprint``, or ``None`` on any miss."""
@@ -187,77 +265,8 @@ class ResultCache:
             "config": config_fingerprint,
             "run": run.to_payload(),
         }
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            # Write-then-rename so a crash mid-write leaves no truncated
-            # entry under the final name (readers see old-or-new, never
-            # half-written).
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(entry, f, sort_keys=True)
-                os.replace(tmp_name, self._path(fingerprint))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
-
-    def _discard(self, path: Path, reason: str) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many files were removed."""
-        removed = 0
-        try:
-            entries = list(self.directory.glob("*.json"))
-        except OSError:
-            return 0
-        for path in entries:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def prune_older_than(self, days: float) -> "Tuple[int, int]":
-        """Delete entries whose mtime is older than ``days`` days.
-
-        Returns ``(entries_removed, bytes_freed)``.  Sweeps multiply
-        cache growth across config fingerprints; age-based pruning is
-        always safe because every entry is a pure content-addressed
-        memoization — at worst a pruned cell is re-simulated.
-        """
-        import time
-
-        cutoff = time.time() - days * 86400.0
-        removed = 0
-        freed = 0
-        try:
-            entries = list(self.directory.glob("*.json"))
-        except OSError:
-            return (0, 0)
-        for path in entries:
-            try:
-                stat = path.stat()
-                if stat.st_mtime >= cutoff:
-                    continue
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += stat.st_size
-        return (removed, freed)
+        return self._write(
+            fingerprint, json.dumps(entry, sort_keys=True).encode("utf-8"))
 
     def breakdown(self) -> "Dict[str, Dict[str, int]]":
         """Per-config-fingerprint usage: ``{config: {entries, bytes}}``.
@@ -266,11 +275,7 @@ class ResultCache:
         unreadable ones) are grouped under ``"(unknown)"``.
         """
         out: Dict[str, Dict[str, int]] = {}
-        try:
-            entries = list(self.directory.glob("*.json"))
-        except OSError:
-            return out
-        for path in entries:
+        for path in self._entries():
             config = "(unknown)"
             size = 0
             try:
@@ -283,9 +288,6 @@ class ResultCache:
             bucket["entries"] += 1
             bucket["bytes"] += size
         return out
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
 
 
 #: In-process memo of parsed traces keyed by file path, validated by
@@ -322,27 +324,24 @@ def clear_trace_memo() -> None:
     _LOADED_TRACES.clear()
 
 
-class TraceStore:
+class TraceStore(_FileStore):
     """One directory of ``<fingerprint>.trace`` execution-trace blobs.
 
     The store holds :class:`~repro.timing.replay.ExecTrace` captures keyed
-    by :func:`trace_fingerprint` and shares :class:`ResultCache`'s
-    best-effort contract: corrupt or truncated entries read as misses and
+    by :func:`trace_fingerprint` under :class:`ResultCache`'s best-effort
+    contract: corrupt or truncated entries read as misses and
     are discarded so the next capture rewrites them, and write failures
     degrade to "re-capture next time", never to an error.  Pool workers
     of a sweep all point at the same directory, so whichever worker
     captures first publishes the trace for every other point.
     """
 
+    suffix = ".trace"
+
     def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = (
+        super().__init__(
             Path(directory) if directory else Path(default_cache_dir()) / "traces"
         )
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.trace"
 
     def has(self, fingerprint: str) -> bool:
         """Cheap existence probe (no parse) for sweep capture planning."""
@@ -390,25 +389,7 @@ class TraceStore:
 
     def put(self, fingerprint: str, trace: "object") -> bool:
         """Persist ``trace``; returns False (and stays silent) on failure."""
-        try:
-            blob = trace.to_bytes()  # type: ignore[attr-defined]
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".trace", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp_name, self._path(fingerprint))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+        return self._write(fingerprint, trace.to_bytes())  # type: ignore[attr-defined]
 
     def read_blob(self, fingerprint: str) -> Optional[bytes]:
         """The raw serialized trace bytes (no parse) — the unit workers
@@ -431,84 +412,18 @@ class TraceStore:
             ExecTrace.from_bytes(blob)
         except (TraceError, ValueError):
             return False
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".trace", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp_name, self._path(fingerprint))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+        return self._write(fingerprint, blob)
 
-    def _discard(self, path: Path, reason: str) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def clear(self) -> int:
-        """Delete every trace; returns how many files were removed."""
-        removed = 0
-        try:
-            entries = list(self.directory.glob("*.trace"))
-        except OSError:
-            return 0
-        for path in entries:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def prune_older_than(self, days: float) -> "Tuple[int, int]":
-        """Delete traces whose mtime is older than ``days`` days.
-
-        Returns ``(traces_removed, bytes_freed)``.  Safe for the same
-        reason result-cache pruning is: a pruned trace is re-captured by
-        the next sweep that needs it.
-        """
-        import time
-
-        cutoff = time.time() - days * 86400.0
-        removed = 0
-        freed = 0
-        try:
-            entries = list(self.directory.glob("*.trace"))
-        except OSError:
-            return (0, 0)
-        for path in entries:
-            try:
-                stat = path.stat()
-                if stat.st_mtime >= cutoff:
-                    continue
-                path.unlink()
-            except OSError:
-                continue
-            _LOADED_TRACES.pop(str(path), None)
-            removed += 1
-            freed += stat.st_size
-        return (removed, freed)
+    def _discard(self, path: Path, reason: str = "") -> bool:
+        # A file that is gone must not be served from the parsed memo.
+        _LOADED_TRACES.pop(str(path), None)
+        return super()._discard(path, reason)
 
     def breakdown(self) -> "Dict[str, Dict[str, int]]":
         """Per-functional-fingerprint usage: ``{fingerprint: {entries,
         bytes}}`` (the file stem *is* the trace fingerprint)."""
         out: Dict[str, Dict[str, int]] = {}
-        try:
-            entries = list(self.directory.glob("*.trace"))
-        except OSError:
-            return out
-        for path in entries:
+        for path in self._entries():
             try:
                 size = path.stat().st_size
             except OSError:
@@ -517,9 +432,6 @@ class TraceStore:
             bucket["entries"] += 1
             bucket["bytes"] += size
         return out
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
 
 
 def resolve_trace_store(trace_dir: Optional[str]) -> Optional[TraceStore]:

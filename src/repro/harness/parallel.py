@@ -200,6 +200,30 @@ def run_job_inline(
         )
 
 
+def trace_key(request: RunRequest) -> str:
+    """The functional-trace fingerprint of one cell: cells with equal
+    keys share a dynamic instruction stream, so one capture serves them
+    all.  Sweep phases, dist shards and the daemon's batches group on it."""
+    from .cache import trace_fingerprint
+
+    return trace_fingerprint(request.resolved_config(), request.workload,
+                             request.isa, request.scale, request.seed)
+
+
+def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
+             timeout: Optional[float] = None) -> "object":
+    """Run one cell for a resident caller (the serve scheduler, a dist
+    worker) against its shared ``trace_store``.  With ``timeout`` set the
+    cell rides a one-worker pool instead, whose terminate-on-overrun
+    machinery turns a wedged simulation into a marked-failed run."""
+    if timeout is not None:
+        job = Job(request=request)
+        return run_jobs([job], max_workers=1, timeout=timeout)[job.key]
+    from .runner import execute_run_request
+
+    return execute_run_request(request, trace_store=trace_store)
+
+
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a job-count request: None/0/negative mean 'all cores'.
 
@@ -245,11 +269,22 @@ def run_jobs(
     timed_out = False
     pool_broken = False
     try:
-        futures = [(job, pool.submit(execute, job)) for job in jobs]
+        futures = []
+        submitting = True
+        for job in jobs:
+            future = None
+            if submitting:
+                try:
+                    future = pool.submit(execute, job)
+                except BrokenProcessPool:
+                    # A worker died while we were still submitting; the
+                    # unsubmitted tail finishes in-process below.
+                    submitting = False
+            futures.append((job, future))
         for index, (job, future) in enumerate(futures):
             start = time.monotonic()
             status = "ok"
-            if pool_broken:
+            if future is None or pool_broken:
                 # The pool died under us; finish the tail in-process.
                 run = run_job_inline(job, execute)
                 status = "failed" if getattr(run, "error", None) else "ok"

@@ -624,8 +624,9 @@ def bench_sweep(
     import shutil
     import tempfile
 
+    from ..core.requests import SweepRequest
     from ..explore.space import Axis
-    from ..explore.sweep import run_sweep
+    from ..explore.sweep import execute_sweep_request
     from .runner import ISAS, clear_suite_cache
 
     if repeats < 1:
@@ -641,21 +642,22 @@ def bench_sweep(
     with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as tmp:
         for rep in range(repeats):
             common = dict(
-                base=config, workloads=names, isas=isa_list, scale=scale,
-                seed=seed, jobs=jobs, use_disk_cache=False,
+                axes=(axis,), config=config, workloads=names, isas=isa_list,
+                scale=scale, seed=seed, jobs=jobs, use_disk_cache=False,
                 sweeps_dir=os.path.join(tmp, f"sweeps{rep}"),
-                progress=progress,
             )
             trace_dir = os.path.join(tmp, f"traces{rep}")
             clear_suite_cache()
             start = time.monotonic()
-            executed = run_sweep([axis], execution="execute", **common)
+            executed = execute_sweep_request(
+                SweepRequest(execution="execute", **common), progress)
             execute_wall = min(execute_wall, time.monotonic() - start)
             clear_suite_cache()
             start = time.monotonic()
-            rep_res = run_sweep([axis], execution="auto",
-                                trace_dir=trace_dir, engine=engine,
-                                verify_replay=True, **common)
+            rep_res = execute_sweep_request(
+                SweepRequest(execution="auto", trace_dir=trace_dir,
+                             engine=engine or "", verify_replay=True,
+                             **common), progress)
             wall = time.monotonic() - start
             for label, res in (("execute", executed), ("replay", rep_res)):
                 if res.failed_points:

@@ -14,18 +14,18 @@ Batched scheduling
 
 When the worker picks the next job, it drains *every other queued run
 cell with the same trace fingerprint* into one batch
-(:func:`~repro.harness.cache.trace_fingerprint` folds in only the
-functional config half, so timing-only variants collide — that is the
-point).  Cells in a batch execute back to back against the shared
+(:func:`~repro.harness.parallel.trace_key`, the key sweeps phase on and
+dist shards group on, folds in only the functional config half, so
+timing-only variants collide — that is the point).  Cells in a batch execute back to back against the shared
 store: the first one captures the functional trace, all the others
 replay it through the timing model.  M queued cells over K functional
 groups therefore cost exactly K functional executions, which is where
 the warm-daemon latency win comes from.
 
-Job timeouts ride the existing process pool: with ``job_timeout`` set,
-run cells go through :func:`repro.harness.parallel.run_jobs` with
-``max_workers=1`` and the pool's timeout/terminate machinery, and come
-back as marked-failed runs instead of wedging the daemon.
+Run cells execute through :func:`repro.harness.parallel.run_cell`, the
+same call a dist worker makes; with ``job_timeout`` set it rides a
+one-worker pool whose timeout/terminate machinery brings a wedged cell
+back as a marked-failed run instead of wedging the daemon.
 """
 
 from __future__ import annotations
@@ -287,12 +287,6 @@ class Scheduler:
 
     # -- batching --------------------------------------------------------------
 
-    def _trace_key(self, request: RunRequest) -> str:
-        from ..harness.cache import trace_fingerprint
-
-        return trace_fingerprint(request.resolved_config(), request.workload,
-                                 request.isa, request.scale, request.seed)
-
     def _batchable(self, request: AnyRequest) -> bool:
         """Only store-mediated run cells batch: an ``execute`` cell never
         touches the store, and suite/sweep requests batch internally."""
@@ -303,18 +297,20 @@ class Scheduler:
         """Pop the highest-priority job plus every queued run cell that
         shares its trace fingerprint (regardless of priority — a shared
         capture is worth more than strict ordering within the group)."""
+        from ..harness.parallel import trace_key
+
         with self._lock:
             if not self._heap:
                 return []
             _, _, head = heapq.heappop(self._heap)
             batch = [head]
             if self._batchable(head.request):
-                key = self._trace_key(head.request)
+                key = trace_key(head.request)
                 kept = []
                 for entry in self._heap:
                     job = entry[2]
                     if (self._batchable(job.request)
-                            and self._trace_key(job.request) == key):
+                            and trace_key(job.request) == key):
                         batch.append(job)
                     else:
                         kept.append(entry)
@@ -333,24 +329,10 @@ class Scheduler:
     # -- execution -------------------------------------------------------------
 
     def _execute_run(self, job: ServerJob) -> None:
-        request: RunRequest = job.request  # type: ignore[assignment]
-        if self.job_timeout is not None:
-            # Timeout enforcement through the existing pool machinery:
-            # one worker, one job, pool terminates it on overrun.
-            from ..harness.parallel import Job, run_jobs
+        from ..harness.parallel import run_cell
 
-            pool_job = Job(request=request)
-            runs = run_jobs([pool_job], max_workers=1,
-                            timeout=self.job_timeout)
-            run = runs[pool_job.key]
-        else:
-            from ..harness.runner import execute_run_request
-
-            run = execute_run_request(
-                request,
-                trace_store=(self.store if request.execution != "execute"
-                             else None),
-            )
+        run = run_cell(job.request, trace_store=self.store,  # type: ignore[arg-type]
+                       timeout=self.job_timeout)
         job.result = run.to_payload()
         job.execution = getattr(run, "execution", "execute")
         error = getattr(run, "error", None)

@@ -5,12 +5,13 @@ cells, and a journal bit-identical to the serial path."""
 import os
 import signal
 import time
+from dataclasses import replace
 
 from repro.common.config import small_config
 from repro.core.requests import SweepRequest
 from repro.dist import DistSweep, journal_digest
 from repro.explore.space import Axis
-from repro.explore.sweep import run_sweep
+from repro.explore.sweep import execute_sweep_request
 
 AXES = (Axis("cu.vrf_banks", (2, 4, 8)), Axis("l1d.hit_latency", (4, 8)))
 WORKLOADS = ("spmv", "bitonic")
@@ -76,11 +77,8 @@ def test_sigkill_worker_mid_sweep(tmp_path):
     assert sum(stats.cells for stats in results.workers.values()) == 12
 
     # And the survivors' merge is bit-identical to the serial engine.
-    serial = run_sweep(list(AXES), base=small_config(2),
-                       workloads=list(WORKLOADS), isas=("gcn3",),
-                       scale=SCALE, seed=7, use_disk_cache=False,
-                       sweeps_dir=str(tmp_path / "serial" / "sweeps"),
-                       trace_dir=str(tmp_path / "serial" / "traces"),
-                       verify_replay=False)
+    serial = execute_sweep_request(replace(
+        request, sweeps_dir=str(tmp_path / "serial" / "sweeps"),
+        trace_dir=str(tmp_path / "serial" / "traces")))
     assert (journal_digest(results.journal_path)
             == journal_digest(serial.journal_path))

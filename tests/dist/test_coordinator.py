@@ -93,7 +93,7 @@ class TestLeaseReportCycle:
         grant = co.lease("w2")
         assert grant.state == "wait"
         assert 0 < grant.retry_after <= 2.5
-        co.journal.close()
+        co.ledger.close()
 
 
 class TestExpiry:
@@ -192,7 +192,7 @@ class TestSteal:
         assert second["duplicate"] and not second["accepted"]
         assert co.status()["duplicate_reports"] == 1
         assert co._accepted[contested] == 1
-        co.journal.close()
+        co.ledger.close()
 
 
 class TestReportValidation:
@@ -202,7 +202,7 @@ class TestReportValidation:
         with pytest.raises(ReproError, match="unknown cell"):
             co.report("w1", grant.lease_id, "nope:spmv/gcn3",
                       _run_payload("nope:spmv/gcn3"))
-        co.journal.close()
+        co.ledger.close()
 
     def test_malformed_payload_raises(self, tmp_path, clock):
         co = _coordinator(tmp_path, clock)
@@ -210,7 +210,40 @@ class TestReportValidation:
         key = _keys(grant)[0]
         with pytest.raises(ReproError, match="malformed run payload"):
             co.report("w1", grant.lease_id, key, {"workload": "spmv"})
-        co.journal.close()
+        co.ledger.close()
+
+
+    def test_non_dict_field_is_malformed_not_a_crash(self, tmp_path, clock):
+        # from_payload calls .items() on it: an AttributeError, which
+        # must surface as the protocol error, not kill a worker thread.
+        co = _coordinator(tmp_path, clock)
+        grant = co.lease("w1")
+        key = _keys(grant)[0]
+        payload = _run_payload(key)
+        payload["kernel_code_bytes"] = ["not", "a", "dict"]
+        with pytest.raises(ReproError, match="malformed run payload"):
+            co.report("w1", grant.lease_id, key, payload)
+        assert key not in co._accepted
+        co.ledger.close()
+
+    @pytest.mark.parametrize("label", ["bitonic/gcn3", "spmv/hsail"])
+    def test_mislabelled_report_is_rejected(self, tmp_path, clock, label):
+        """A run of another (workload, ISA) filed under this cell's key
+        must not be journaled as this cell's statistics."""
+        co = _coordinator(tmp_path, clock)
+        grant = co.lease("w1")
+        keys = _keys(grant)
+        point = keys[0].split(":", 1)[0]
+        with pytest.raises(ReproError, match="mislabelled report"):
+            co.report("w1", grant.lease_id, keys[0],
+                      _run_payload(f"{point}:{label}"))
+        # the cell stays outstanding and is still reportable.
+        assert keys[0] not in co._accepted
+        assert co.status()["outstanding_cells"] == 2
+        good = co.report("w1", grant.lease_id, keys[0],
+                         _run_payload(keys[0]))
+        assert good["accepted"]
+        co.ledger.close()
 
 
 class TestEdges:

@@ -1,5 +1,5 @@
 """End-to-end distributed sweeps, in-process: the embedded inline
-worker path is bit-identical to ``run_sweep``, chunked shards keep the
+worker path is bit-identical to the serial executor, chunked shards keep the
 capture-once economics, resume replays the journal without work, and
 the results JSON carries the distribution ledger."""
 
@@ -9,7 +9,7 @@ from repro.common.config import small_config
 from repro.core.requests import SweepRequest
 from repro.dist import journal_digest, run_dist_sweep
 from repro.explore.space import Axis
-from repro.explore.sweep import run_sweep
+from repro.explore.sweep import execute_sweep_request
 
 AXES = (Axis("cu.vrf_banks", (2, 4)),)
 SCALE = 0.1
@@ -26,13 +26,8 @@ def _request(tmp_path, name, **kw):
     return SweepRequest(**spec)
 
 
-def _serial(tmp_path, name):
-    return run_sweep(list(AXES), base=small_config(2), workloads=["spmv"],
-                     isas=("gcn3",), scale=SCALE, seed=7,
-                     use_disk_cache=False,
-                     sweeps_dir=str(tmp_path / name / "sweeps"),
-                     trace_dir=str(tmp_path / name / "traces"),
-                     verify_replay=False)
+def _serial(tmp_path, name, **kw):
+    return execute_sweep_request(_request(tmp_path, name, **kw))
 
 
 class TestInlineDistSweep:
@@ -76,3 +71,81 @@ class TestInlineDistSweep:
         assert resumed.workers == {}
         assert (journal_digest(resumed.journal_path)
                 == journal_digest(first.journal_path))
+
+
+class CountingExecute:
+    def __init__(self):
+        self.cells = []
+
+    def __call__(self, job):
+        from repro.harness.parallel import execute_job
+
+        self.cells.append(job.key)
+        return execute_job(job)
+
+
+class TestCrossPathResume:
+    """One ledger writes the journal under both executors, so a sweep
+    interrupted under one resumes under the other: nothing journaled is
+    re-simulated and the merged journal equals an uninterrupted run's."""
+
+    def _reference(self, tmp_path):
+        return journal_digest(
+            _serial(tmp_path, "reference", execution="execute").journal_path)
+
+    def test_dist_start_serial_resume(self, tmp_path):
+        from repro.dist import Coordinator, EmbeddedBackend, Worker
+
+        class StopAfterFirstPoint(Exception):
+            pass
+
+        def stop(event):
+            if co.ledger.points_done:
+                raise StopAfterFirstPoint
+
+        co = Coordinator(_request(tmp_path, "cross", execution="execute"),
+                         progress=stop)
+        try:
+            Worker("w", co, EmbeddedBackend(), poll=0.01).run()
+        except StopAfterFirstPoint:
+            pass
+        assert co.ledger.points_done == 1 and not co.done
+        co.ledger.close()                  # the coordinator "dies" here
+
+        counting = CountingExecute()
+        events = []
+        resumed = execute_sweep_request(
+            _request(tmp_path, "cross", execution="execute", resume=True),
+            progress=events.append, execute=counting)
+        assert [e.status for e in events] == ["journal", "ok"]
+        # zero re-simulation: the one cell executed is not the journaled one.
+        assert [key[0] for key in counting.cells] == [events[1].point]
+        assert events[0].point != events[1].point
+        assert resumed.replayed() == 1 and not resumed.failed_points
+        assert journal_digest(resumed.journal_path) == self._reference(
+            tmp_path)
+
+    def test_serial_start_dist_resume(self, tmp_path):
+        class StopAfterFirstPoint(Exception):
+            pass
+
+        def stop(event):
+            raise StopAfterFirstPoint      # first cell == first point here
+
+        try:
+            execute_sweep_request(
+                _request(tmp_path, "cross", execution="execute"),
+                progress=stop)
+        except StopAfterFirstPoint:
+            pass
+
+        events = []
+        resumed = run_dist_sweep(
+            _request(tmp_path, "cross", execution="execute", resume=True),
+            progress=events.append)
+        assert [e.status for e in events] == ["journal", "ok"]
+        assert events[0].point != events[1].point
+        assert resumed.replayed() == 1 and not resumed.failed_points
+        assert resumed.workers["inline"].cells == 1   # zero re-simulation
+        assert journal_digest(resumed.journal_path) == self._reference(
+            tmp_path)

@@ -102,14 +102,15 @@ class TestPlanShards:
         b = plan_shards(_request())
         assert [s.shard_id for s in a.shards] == [s.shard_id
                                                  for s in b.shards]
-        assert a.sweep_id == b.sweep_id
+        assert a.shards[0].sweep_id == b.shards[0].sweep_id
 
     def test_invalid_points_are_excluded(self):
         plan = plan_shards(_request(
             axes=(Axis("l1i.size_bytes", (8192, 100)),)))
         # the 100-byte point is invalid; only the valid point shards.
         assert plan.cell_count == 1
-        assert sum(1 for p in plan.points if p.error is not None) == 1
+        assert sum(1 for p in plan.ledger.points
+                   if p.error is not None) == 1
 
 
 class TestShardState:
@@ -129,7 +130,7 @@ class TestShardState:
     def test_cell_config_rebuilds_point_config(self):
         plan = plan_shards(_request())
         shard = plan.shards[0]
-        for cell, point in zip(shard.cells, (p for p in plan.points
+        for cell, point in zip(shard.cells, (p for p in plan.ledger.points
                                              if p.valid)):
             assert shard.cell_config(cell).fingerprint() == \
                 point.config.fingerprint()

@@ -7,9 +7,10 @@ import pytest
 from repro.common.config import small_config
 from repro.core import Session
 from repro.explore.space import Axis
+from repro.core.requests import SweepRequest
 from repro.explore.sweep import (
     JOURNAL_FORMAT_VERSION,
-    run_sweep,
+    execute_sweep_request,
     sweep_fingerprint,
 )
 from repro.harness.parallel import execute_job
@@ -20,13 +21,15 @@ WORKLOADS = ["arraybw"]
 SCALE = 0.1
 
 
-def _sweep(tmp, **kw):
-    kw.setdefault("base", small_config(2))
+def _sweep(tmp, progress=None, execute=None, **kw):
+    kw.setdefault("axes", AXES)
+    kw.setdefault("config", small_config(2))
     kw.setdefault("workloads", WORKLOADS)
     kw.setdefault("scale", SCALE)
     kw.setdefault("use_disk_cache", False)
     kw.setdefault("sweeps_dir", str(tmp))
-    return run_sweep(kw.pop("axes", AXES), **kw)
+    return execute_sweep_request(SweepRequest(**kw), progress=progress,
+                                 execute=execute)
 
 
 class CountingExecute:
@@ -169,6 +172,17 @@ class TestResume:
         resumed = _sweep(tmp_path, resume=first.sweep_id, execute=counter)
         assert resumed.sweep_id == first.sweep_id
         assert resumed.replayed() == 2
+        assert counter.calls == []
+
+    def test_multi_axis_resume_ignores_journal_key_order(self, tmp_path):
+        # The journal is written with sorted keys, which reorders the
+        # overrides of a point whose axes are not alphabetical.
+        axes = [Axis("l1d.hit_latency", (4, 8)), Axis("cu.vrf_banks", (2, 4))]
+        _sweep(tmp_path, axes=axes, isas=("gcn3",))
+        counter = CountingExecute()
+        resumed = _sweep(tmp_path, axes=axes, isas=("gcn3",), resume=True,
+                         execute=counter)
+        assert resumed.replayed() == 4
         assert counter.calls == []
 
     def test_fresh_run_truncates_prior_journal(self, tmp_path):

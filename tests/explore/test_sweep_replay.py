@@ -5,7 +5,8 @@ import pytest
 from repro.common.config import small_config
 from repro.common.errors import ReproError
 from repro.explore.space import Axis
-from repro.explore.sweep import _replay_differs, run_sweep
+from repro.core.requests import SweepRequest
+from repro.explore.sweep import _replay_differs, execute_sweep_request
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import clear_suite_cache
 
@@ -21,13 +22,14 @@ def _fresh_staging():
 
 def _sweep(tmp_path, execution="auto", workloads=("arraybw",), jobs=1,
            resume=False, trace_dir=None, axis=AXIS, **kw):
-    return run_sweep(
-        [Axis.parse(axis)], base=small_config(2), workloads=list(workloads),
+    return execute_sweep_request(SweepRequest(
+        axes=[Axis.parse(axis)], config=small_config(2),
+        workloads=list(workloads),
         scale=0.1, jobs=jobs, use_disk_cache=False,
         sweeps_dir=str(tmp_path / "sweeps"), resume=resume,
         execution=execution,
         trace_dir=str(trace_dir or tmp_path / "traces"), **kw,
-    )
+    ))
 
 
 def _cell_payloads(results):
@@ -101,18 +103,19 @@ class TestStrictAndDegraded:
     def test_strict_replay_without_store_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         with pytest.raises(ReproError, match="trace store"):
-            run_sweep([Axis.parse(AXIS)], base=small_config(2),
-                      workloads=["arraybw"], scale=0.1, use_disk_cache=False,
-                      sweeps_dir=str(tmp_path / "sweeps"), execution="replay",
-                      trace_dir=None)
+            execute_sweep_request(SweepRequest(
+                axes=[Axis.parse(AXIS)], config=small_config(2),
+                workloads=["arraybw"], scale=0.1, use_disk_cache=False,
+                sweeps_dir=str(tmp_path / "sweeps"), execution="replay",
+                trace_dir=None))
 
     def test_auto_degrades_without_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        results = run_sweep([Axis.parse(AXIS)], base=small_config(2),
-                            workloads=["arraybw"], scale=0.1,
-                            use_disk_cache=False,
-                            sweeps_dir=str(tmp_path / "sweeps"),
-                            execution="auto", trace_dir=None)
+        results = execute_sweep_request(SweepRequest(
+            axes=[Axis.parse(AXIS)], config=small_config(2),
+            workloads=["arraybw"], scale=0.1, use_disk_cache=False,
+            sweeps_dir=str(tmp_path / "sweeps"), execution="auto",
+            trace_dir=None))
         assert results.execution == "execute"
         assert results.captures == 0 and results.replays == 0
         assert not results.failed_points

@@ -151,6 +151,41 @@ class TestFailureIsolation:
             assert run.error is None, run.error
             assert run.verified
 
+    def test_worker_death_during_submission_retried_inline(self, monkeypatch):
+        """A worker that dies before the last ``submit`` makes ``submit``
+        itself raise; the unsubmitted tail must still finish inline."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.harness import parallel
+        from repro.harness.parallel import execute_job
+
+        class DiesAfterFirstSubmit:
+            def __init__(self, max_workers):
+                self.submitted = 0
+
+            def submit(self, fn, job):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a child process terminated")
+                future = Future()
+                future.set_exception(BrokenProcessPool("pool died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            DiesAfterFirstSubmit)
+        events = []
+        results = run_jobs(_jobs(["arraybw"]), max_workers=1,
+                           execute=execute_job, progress=events.append)
+        assert len(results) == 2
+        for run in results.values():
+            assert run.error is None, run.error
+            assert run.verified
+        assert [e.status for e in events] == ["ok", "ok"]
+
     def test_inline_capture_never_raises(self):
         run = run_job_inline(Job.build("no-such-workload", "gcn3", SCALE,
                                        SEED, small_config(2)))

@@ -97,15 +97,16 @@ def test_sweep_journal_digest_identical(tmp_path, monkeypatch):
     """
     from repro.dist import journal_digest
     from repro.explore.space import Axis
-    from repro.explore.sweep import run_sweep
+    from repro.core.requests import SweepRequest
+    from repro.explore.sweep import execute_sweep_request
 
     digests = {}
     for semantics in SEMANTICS:
         monkeypatch.setenv("REPRO_SEMANTICS", semantics)
         clear_suite_cache()
-        results = run_sweep(
-            [Axis.parse("l1d.size_bytes=16384,65536")],
-            base=small_config(2),
+        results = execute_sweep_request(SweepRequest(
+            axes=[Axis.parse("l1d.size_bytes=16384,65536")],
+            config=small_config(2),
             workloads=["fft"],
             isas=("gcn3", "hsail"),
             scale=SCALE,
@@ -113,7 +114,7 @@ def test_sweep_journal_digest_identical(tmp_path, monkeypatch):
             use_disk_cache=False,
             sweeps_dir=str(tmp_path / semantics),
             execution="execute",
-        )
+        ))
         assert not results.failed_points
         assert results.journal_path is not None
         digests[semantics] = journal_digest(results.journal_path)
