@@ -33,7 +33,7 @@ from .coordinator import (
     run_dist_sweep,
 )
 from .lease import LeaseState, LeaseTable
-from .shard import ShardPlan, ShardState, group_shards, plan_shards, shard_id_for
+from .shard import ShardState, group_shards, shard_id_for
 from .worker import (
     DaemonBackend,
     EmbeddedBackend,
@@ -50,13 +50,11 @@ __all__ = [
     "HttpTransport",
     "LeaseState",
     "LeaseTable",
-    "ShardPlan",
     "ShardState",
     "Worker",
     "WorkerStats",
     "group_shards",
     "journal_digest",
-    "plan_shards",
     "run_dist_sweep",
     "shard_id_for",
 ]

@@ -155,11 +155,12 @@ class Coordinator:
         self._lock = threading.RLock()
 
         self.ledger = SweepLedger(request, progress)
-        # The ledger fills in the sweep half of the results; the
-        # distribution counters below are the coordinator's to keep.
-        self.results = self.ledger.results = DistSweepResults(
-            **vars(self.ledger.results))
         self.store = self.ledger.store
+        # The distribution half of :class:`DistSweepResults`; the sweep
+        # half is the ledger's.
+        self.workers: Dict[str, WorkerStats] = {}
+        self.steals = self.expiries = self.retries = 0
+        self.duplicate_reports = 0
 
         live = self.ledger.open()
         jobs = {job.key: job for job in live}
@@ -176,9 +177,10 @@ class Coordinator:
                 self._cells[key] = jobs[(cell.point, cell.workload,
                                          cell.isa)]
         self._leases = LeaseTable(lease_ttl, clock)
-        self.results.shards = len(shards)
-        self._log(f"sweep {self.results.sweep_id}: {len(shards)} shard(s), "
-                  f"{len(live)} live cell(s) of {self.ledger.total}")
+        self.shards = len(shards)
+        self._log(f"sweep {self.ledger.results.sweep_id}: {len(shards)} "
+                  f"shard(s), {len(live)} live cell(s) of "
+                  f"{self.ledger.total}")
 
     @property
     def done(self) -> bool:
@@ -188,15 +190,12 @@ class Coordinator:
     # -- worker protocol -------------------------------------------------------
 
     def _worker(self, worker_id: str) -> WorkerStats:
-        stats = self.results.workers.get(worker_id)
-        if stats is None:
-            stats = WorkerStats(worker_id=worker_id)
-            self.results.workers[worker_id] = stats
-        return stats
+        return self.workers.setdefault(worker_id,
+                                       WorkerStats(worker_id=worker_id))
 
     def _expire_stale(self) -> None:
         for lease in self._leases.expire():
-            self.results.expiries += 1
+            self.expiries += 1
             self._worker(lease.worker_id).expiries += 1
             shard = lease.shard
             if not shard.remaining:
@@ -210,7 +209,7 @@ class Coordinator:
                                  f"shard {shard.shard_id} failed after "
                                  f"{shard.attempts} lease expiries")
                 continue
-            self.results.retries += 1
+            self.retries += 1
             self._pending.append(shard)
             self._log(f"lease {lease.lease_id} ({lease.worker_id}) "
                       f"expired; requeued shard {shard.shard_id} with "
@@ -235,7 +234,7 @@ class Coordinator:
                 if victim is not None:
                     shard = self._split(victim)
                     if shard is not None:
-                        self.results.steals += 1
+                        self.steals += 1
                         self._worker(worker_id).steals += 1
                         self._log(
                             f"{worker_id} stole {len(shard.remaining)} "
@@ -328,7 +327,7 @@ class Coordinator:
                     f"mislabelled report: cell {cell_key!r} got a run of "
                     f"{run.workload}/{run.isa}")
             if cell_key in self._accepted:
-                self.results.duplicate_reports += 1
+                self.duplicate_reports += 1
                 return {"accepted": False, "duplicate": True,
                         "done": self.done}
             lease = self._leases.get(lease_id)
@@ -353,7 +352,7 @@ class Coordinator:
             outstanding += sum(lease.outstanding()
                                for lease in self._leases.active())
             return {
-                "sweep_id": self.results.sweep_id,
+                "sweep_id": self.ledger.results.sweep_id,
                 "total_points": len(self.ledger.points),
                 "points_done": self.ledger.points_done,
                 "total_cells": self.ledger.total,
@@ -361,10 +360,10 @@ class Coordinator:
                 "outstanding_cells": outstanding,
                 "pending_shards": len(self._pending),
                 "active_leases": len(self._leases),
-                "steals": self.results.steals,
-                "expiries": self.results.expiries,
-                "retries": self.results.retries,
-                "duplicate_reports": self.results.duplicate_reports,
+                "steals": self.steals,
+                "expiries": self.expiries,
+                "retries": self.retries,
+                "duplicate_reports": self.duplicate_reports,
                 "done": self.done,
             }
 
@@ -384,13 +383,16 @@ class Coordinator:
                 if shard.remaining:
                     self._fail_shard(shard, message)
 
-    def finish(self, verify_replay: Optional[bool] = None) -> DistSweepResults:
+    def finish(self) -> DistSweepResults:
         """Run the ledger's replay fidelity guard, close the journal and
         assemble the final results (call once, after :attr:`done`)."""
-        self.ledger.verify(verify_replay)  # a simulation: outside the lock
+        self.ledger.verify()  # a simulation: outside the lock
         with self._lock:
-            self.ledger.close()
-        return self.results
+            return DistSweepResults(
+                **vars(self.ledger.close()), workers=self.workers,
+                shards=self.shards, steals=self.steals,
+                expiries=self.expiries, retries=self.retries,
+                duplicate_reports=self.duplicate_reports)
 
     # -- trace sync (the store side of a worker's transport) -------------------
 

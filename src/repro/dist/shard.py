@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.requests import ShardCell, ShardRequest, SweepRequest
+from ..core.requests import ShardCell, ShardRequest
 from ..explore.sweep import SweepLedger
 from ..harness.parallel import Job
 
@@ -77,19 +77,6 @@ class ShardState:
         return replace(self.request, cells=cells)
 
 
-@dataclass
-class ShardPlan:
-    """One planning pass: the ledger that resolved the request and the
-    shards its live cells group into."""
-
-    ledger: SweepLedger
-    shards: List[ShardRequest]
-
-    @property
-    def cell_count(self) -> int:
-        return sum(len(shard.cells) for shard in self.shards)
-
-
 def group_shards(ledger: SweepLedger, cells: Sequence[Job],
                  max_shard_cells: Optional[int] = None) -> List[ShardRequest]:
     """The ledger's live ``cells``, one :class:`ShardRequest` per trace
@@ -134,20 +121,8 @@ def group_shards(ledger: SweepLedger, cells: Sequence[Job],
     return capture_shards + replay_shards
 
 
-def plan_shards(request: SweepRequest,
-                max_shard_cells: Optional[int] = None) -> ShardPlan:
-    """How a fresh sweep of ``request`` would shard, without touching its
-    journal (invalid points never shard: they are the ledger's to
-    journal as failed)."""
-    ledger = SweepLedger(request)
-    return ShardPlan(ledger, group_shards(ledger, ledger.live_cells({}),
-                                          max_shard_cells))
-
-
 __all__ = [
-    "ShardPlan",
     "ShardState",
     "group_shards",
-    "plan_shards",
     "shard_id_for",
 ]

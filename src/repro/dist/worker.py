@@ -101,7 +101,8 @@ class EmbeddedBackend:
     def run(self, request: RunRequest) -> Dict[str, object]:
         if self.trace_dir is not None and request.trace_dir is None:
             # A timed cell runs in a pool process, which resolves its
-            # store from the request: pin ours onto it.
+            # store from the request: pin ours onto it (as the serve
+            # scheduler does at submission).
             request = replace(request, trace_dir=self.trace_dir)
         return run_cell(request, trace_store=self.store,
                         timeout=self.job_timeout).to_payload()

@@ -535,30 +535,22 @@ class SweepLedger:
     # -- pass 1: what the sweep already knows ----------------------------------
 
     def open(self) -> List[Job]:
-        """Load and (re)open the journal, then resolve every point;
-        returns the live cells (see :meth:`live_cells`)."""
+        """Load and (re)open the journal, then resolve what every point
+        needs.  Replayed and invalid points complete immediately, cache
+        hits pre-complete cells, and the misses — the live cells — come
+        back in enumeration order for an executor to run."""
+        request = self.request
         res = self.results
-        replayed = self.journal.load() if self.request.resume else {}
+        replayed = self.journal.load() if request.resume else {}
         self.journal.open(
             journal_header(res.sweep_id, res.base, res.axes, res.mode,
                            res.workloads, res.isas, res.scale, res.seed),
             # A resume against an empty, stale, or unreadable journal
             # starts over with a fresh header rather than appending after
             # one that load() will reject next time.
-            resume=bool(self.request.resume) and bool(replayed),
+            resume=bool(request.resume) and bool(replayed),
         )
-        return self.live_cells(replayed)
-
-    def live_cells(
-        self,
-        replayed: "Dict[str, Tuple[PointResult, Optional[str]]]",
-    ) -> List[Job]:
-        """Resolve what every point needs.  Replayed and invalid points
-        complete immediately, cache hits pre-complete cells, and the
-        misses come back in enumeration order for an executor to run."""
-        request = self.request
-        cell_keys = [(w, isa) for w in self.results.workloads
-                     for isa in self.results.isas]
+        cell_keys = [(w, isa) for w in res.workloads for isa in res.isas]
         live: List[Job] = []
         for point in self.points:
             pid = point.point_id
@@ -690,15 +682,13 @@ class SweepLedger:
 
     # -- the end ---------------------------------------------------------------
 
-    def verify(self, verify_replay: Optional[bool] = None) -> None:
+    def verify(self) -> None:
         """Fidelity guard: re-execute the cheapest replayed cell with full
         functional semantics and compare statistics.  Replay is
         bit-identical by construction; this catches the construction
         being wrong (stale store contents, a semantics change that
         escaped the source stamp, trace corruption past the magic)."""
-        if verify_replay is None:
-            verify_replay = self.request.verify_replay
-        if not verify_replay or self._replay_sample is None:
+        if not self.request.verify_replay or self._replay_sample is None:
             return
         job, run = self._replay_sample
         self.results.verified_cell = f"{job.point}:{job.workload}/{job.isa}"

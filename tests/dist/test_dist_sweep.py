@@ -6,10 +6,11 @@ the results JSON carries the distribution ledger."""
 import json
 
 from repro.common.config import small_config
-from repro.core.requests import SweepRequest
-from repro.dist import journal_digest, run_dist_sweep
+from repro.core.requests import RunRequest, SweepRequest
+from repro.dist import EmbeddedBackend, journal_digest, run_dist_sweep
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
+from repro.harness.parallel import trace_key
 
 AXES = (Axis("cu.vrf_banks", (2, 4)),)
 SCALE = 0.1
@@ -71,6 +72,22 @@ class TestInlineDistSweep:
         assert resumed.workers == {}
         assert (journal_digest(resumed.journal_path)
                 == journal_digest(first.journal_path))
+
+
+class TestEmbeddedBackend:
+    def test_timed_cell_captures_into_the_backends_trace_dir(self, tmp_path):
+        # With a job timeout the cell runs in a pool child, which resolves
+        # its store from the request: the backend's directory must reach
+        # it, or a `repro dist worker --trace-dir D --job-timeout T`
+        # captures into the default store and never syncs the trace.
+        backend = EmbeddedBackend(trace_dir=str(tmp_path / "traces"),
+                                  job_timeout=300.0)
+        request = RunRequest(workload="spmv", isa="gcn3", scale=SCALE,
+                             seed=7, config=small_config(2),
+                             execution="auto")
+        run = backend.run(request)
+        assert run["error"] is None and run["execution"] == "capture"
+        assert backend.has_blob(trace_key(request))
 
 
 class CountingExecute:

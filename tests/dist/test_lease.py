@@ -3,9 +3,8 @@
 import pytest
 
 from repro.common.config import small_config
-from repro.core.requests import SweepRequest
-from repro.dist import LeaseTable, ShardState, plan_shards
-from repro.explore.space import Axis
+from repro.core.requests import ShardCell, ShardRequest
+from repro.dist import LeaseTable, ShardState, shard_id_for
 
 
 class FakeClock:
@@ -20,14 +19,12 @@ class FakeClock:
 
 
 def _shard(cells=2):
-    request = SweepRequest(axes=(Axis("cu.vrf_banks",
-                                      tuple(2 ** i for i in range(1, cells + 1))),),
-                           workloads=("spmv",), isas=("gcn3",), scale=0.1,
-                           seed=7, config=small_config(2),
-                           use_disk_cache=False, verify_replay=False)
-    plan = plan_shards(request)
-    assert len(plan.shards) == 1
-    state = ShardState.from_request(plan.shards[0])
+    members = tuple(ShardCell(point=f"p{i:02d}", workload="spmv", isa="gcn3")
+                    for i in range(cells))
+    state = ShardState.from_request(ShardRequest(
+        shard_id=shard_id_for("sweep", "fp", members), sweep_id="sweep",
+        trace_fp="fp", cells=members, scale=0.1, seed=7,
+        config=small_config(2)))
     assert len(state.remaining) == cells
     return state
 

@@ -11,7 +11,7 @@ from repro.core.requests import (
     ShardRequest,
     SweepRequest,
 )
-from repro.dist import ShardState, plan_shards, shard_id_for
+from repro.dist import ShardState, shard_id_for
 from repro.explore.space import Axis
 
 SCALE = 0.1
@@ -50,7 +50,7 @@ class TestShardId:
 
 
 class TestPlanShards:
-    def test_timing_axis_groups_into_one_shard(self):
+    def test_timing_axis_groups_into_one_shard(self, plan_shards):
         # cu.vrf_banks never changes the dynamic instruction stream, so
         # both points share one trace fingerprint -> one shard.
         plan = plan_shards(_request())
@@ -60,20 +60,20 @@ class TestPlanShards:
         assert shard.trace_fp
         assert len({cell.point for cell in shard.cells}) == 2
 
-    def test_workloads_get_their_own_shards(self):
+    def test_workloads_get_their_own_shards(self, plan_shards):
         plan = plan_shards(_request(workloads=("spmv", "bitonic")))
         assert len(plan.shards) == 2
         assert len({shard.trace_fp for shard in plan.shards}) == 2
         for shard in plan.shards:
             assert len({cell.workload for cell in shard.cells}) == 1
 
-    def test_functional_axis_splits_shards(self):
+    def test_functional_axis_splits_shards(self, plan_shards):
         # simd_width changes the dynamic stream -> one shard per point.
         plan = plan_shards(_request(axes=(Axis("cu.simd_width", (8, 16)),)))
         assert len(plan.shards) == 2
         assert len({shard.trace_fp for shard in plan.shards}) == 2
 
-    def test_max_shard_cells_chunks_within_a_fingerprint(self):
+    def test_max_shard_cells_chunks_within_a_fingerprint(self, plan_shards):
         plan = plan_shards(_request(), max_shard_cells=1)
         assert len(plan.shards) == 2
         assert len({shard.shard_id for shard in plan.shards}) == 2
@@ -81,7 +81,7 @@ class TestPlanShards:
         # first chunk's capture via the store.
         assert len({shard.trace_fp for shard in plan.shards}) == 1
 
-    def test_capture_chunks_lease_before_replay_chunks(self):
+    def test_capture_chunks_lease_before_replay_chunks(self, plan_shards):
         # Two fingerprints, three cells each, chunked to one cell per
         # shard: the queue must open with both capture-bearing chunks
         # (each group's first) before any replay-only chunk, preserving
@@ -97,14 +97,14 @@ class TestPlanShards:
         # the replay tail keeps each group's chunks in planning order
         assert fps[2:] == [fps[0], fps[0], fps[1], fps[1]]
 
-    def test_same_spec_plans_identically(self):
+    def test_same_spec_plans_identically(self, plan_shards):
         a = plan_shards(_request())
         b = plan_shards(_request())
         assert [s.shard_id for s in a.shards] == [s.shard_id
                                                  for s in b.shards]
         assert a.shards[0].sweep_id == b.shards[0].sweep_id
 
-    def test_invalid_points_are_excluded(self):
+    def test_invalid_points_are_excluded(self, plan_shards):
         plan = plan_shards(_request(
             axes=(Axis("l1i.size_bytes", (8192, 100)),)))
         # the 100-byte point is invalid; only the valid point shards.
@@ -114,7 +114,7 @@ class TestPlanShards:
 
 
 class TestShardState:
-    def test_granted_request_subtracts_completed_cells(self):
+    def test_granted_request_subtracts_completed_cells(self, plan_shards):
         plan = plan_shards(_request())
         state = ShardState.from_request(plan.shards[0])
         full = state.granted_request()
@@ -127,7 +127,7 @@ class TestShardState:
         # identity is preserved: it is the same shard, minus done work.
         assert granted.shard_id == state.request.shard_id
 
-    def test_cell_config_rebuilds_point_config(self):
+    def test_cell_config_rebuilds_point_config(self, plan_shards):
         plan = plan_shards(_request())
         shard = plan.shards[0]
         for cell, point in zip(shard.cells, (p for p in plan.ledger.points
@@ -145,14 +145,14 @@ class TestWireRoundTrips:
         assert again == cell
         assert again.overrides == cell.overrides   # order preserved
 
-    def test_shard_request_round_trip(self):
+    def test_shard_request_round_trip(self, plan_shards):
         shard = plan_shards(_request()).shards[0]
         again = ShardRequest.from_payload(shard.to_payload())
         assert again.shard_id == shard.shard_id
         assert again.cells == shard.cells
         assert again.config.fingerprint() == shard.config.fingerprint()
 
-    def test_lease_grant_round_trip(self):
+    def test_lease_grant_round_trip(self, plan_shards):
         shard = plan_shards(_request()).shards[0]
         grant = LeaseGrant(state="granted", lease_id="L00001", ttl=30.0,
                            shard=shard, trace_available=True, stolen=True)
