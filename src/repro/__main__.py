@@ -479,6 +479,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"trace replay: {results.captures} capture(s), "
               f"{results.replays} replay(s), "
               f"drift={results.replay_drift}{verified}", file=sys.stderr)
+        if results.derived:
+            print(f"eviction-free equivalence: {results.replays} replays, "
+                  f"{results.derived} derived from "
+                  f"{results.replays - results.derived} witnesses",
+                  file=sys.stderr)
         if results.replay_drift:
             print("REPLAY DRIFT: replayed statistics disagree with "
                   "functional re-execution; clear the trace store",

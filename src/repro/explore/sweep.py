@@ -70,6 +70,7 @@ from ..harness.cache import (
     resolve_trace_store,
     source_tree_stamp,
 )
+from ..harness.equivalence import equivalence_counters
 from ..harness.parallel import (
     Job,
     JobEvent,
@@ -153,6 +154,10 @@ class SweepResults:
     captures: int = 0
     #: cells driven from a stored trace instead of executing, this run.
     replays: int = 0
+    #: of ``replays``, the cells derived from a witnessed replay instead
+    #: of simulated (harness/equivalence.py).  Counts cells that ran in
+    #: this process only: a pool or dist worker's derivations are its own.
+    derived: int = 0
     #: the replayed cell re-executed by the fidelity guard ("" = none).
     verified_cell: str = ""
     #: 1 if the guard's re-execution disagreed with the replay, else 0.
@@ -518,8 +523,14 @@ class SweepLedger:
         self._done: Dict[str, PointResult] = {}
         self._pending: "Dict[str, Dict[Tuple[str, str], WorkloadRun]]" = {}
         self._remaining: Dict[str, int] = {}
-        #: the cheapest replayed cell so far: what :meth:`verify` re-runs.
-        self._replay_sample: Optional[Tuple[Job, WorkloadRun]] = None
+        #: the replayed cell :meth:`verify` re-runs, under its rank (the
+        #: lowest so far): a derived cell before a simulated one, so the
+        #: guard covers the derivation whenever there was one.  A derived
+        #: cell's wall says nothing about what re-executing it costs, so
+        #: those rank by instruction count; simulated ones by their wall.
+        self._replay_sample: Optional[
+            Tuple[Tuple[bool, float, int], Job, WorkloadRun]] = None
+        self._derived_seen = equivalence_counters()["derived"]
 
     @property
     def points_done(self) -> int:
@@ -639,14 +650,23 @@ class SweepLedger:
         points loses only the in-flight tail."""
         pid = job.point
         self._pending[pid][(job.workload, job.isa)] = run
+        # A run crosses back as its payload, which (like every wire
+        # format) does not say whether it was derived; the process tally
+        # moving since the last cell landed does.
+        seen = equivalence_counters()["derived"]
+        derived = seen > self._derived_seen
+        self._derived_seen = seen
         if run.error is None:
             if run.execution == "capture":
                 self.results.captures += 1
             elif run.execution == "replay":
                 self.results.replays += 1
+                self.results.derived += derived
+                rank = (not derived, 0.0 if derived else run.wall_seconds,
+                        run.dynamic_instructions)
                 sample = self._replay_sample
-                if sample is None or run.wall_seconds < sample[1].wall_seconds:
-                    self._replay_sample = (job, run)
+                if sample is None or rank < sample[0]:
+                    self._replay_sample = (rank, job, run)
             if self.disk is not None:
                 self.disk.put(_job_fp(job), run,
                               config_fingerprint=job.config.fingerprint())
@@ -683,14 +703,15 @@ class SweepLedger:
     # -- the end ---------------------------------------------------------------
 
     def verify(self) -> None:
-        """Fidelity guard: re-execute the cheapest replayed cell with full
-        functional semantics and compare statistics.  Replay is
-        bit-identical by construction; this catches the construction
-        being wrong (stale store contents, a semantics change that
-        escaped the source stamp, trace corruption past the magic)."""
+        """Fidelity guard: re-execute the cheapest replayed cell (a
+        derived one when there is one) with full functional semantics
+        and compare statistics.  Replay is bit-identical by construction;
+        this catches the construction being wrong (stale store contents,
+        a semantics change that escaped the source stamp, trace
+        corruption past the magic, a derivation across an eviction)."""
         if not self.request.verify_replay or self._replay_sample is None:
             return
-        job, run = self._replay_sample
+        _rank, job, run = self._replay_sample
         self.results.verified_cell = f"{job.point}:{job.workload}/{job.isa}"
         check = run_job_inline(replace(
             job, request=replace(job.request, execution="execute")))

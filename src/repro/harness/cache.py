@@ -380,6 +380,7 @@ class TraceStore(_FileStore):
             return None
         cap = _trace_memo_cap()
         if cap > 0:
+            trace.witnesses = []  # memoized: replays may file witnesses
             _LOADED_TRACES[key] = (st.st_mtime_ns, st.st_size, trace)
             _LOADED_TRACES.move_to_end(key)
             while len(_LOADED_TRACES) > cap:

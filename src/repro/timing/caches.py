@@ -13,7 +13,9 @@ next-free cycles (one request per ``occupancy`` cycles).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..common.config import CacheConfig, DramConfig
 from ..common.stats import StatSet
@@ -33,7 +35,7 @@ class Cache:
 
     __slots__ = (
         "name", "config", "num_sets", "assoc", "hit_latency", "_sets",
-        "hits", "misses", "next_free", "occupancy",
+        "hits", "misses", "evictions", "next_free", "occupancy",
         "hits_counter", "misses_counter",
     )
 
@@ -47,6 +49,11 @@ class Cache:
         self._sets: List["OrderedDict[int, bool]"] = [OrderedDict() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
+        #: lines displaced since construction.  Unlike hits/misses this
+        #: is never exported or reset per dispatch: a cache whose count
+        #: is still 0 after a run behaved exactly as an infinite one
+        #: (see MemorySystem.witness).
+        self.evictions = 0
         self.next_free = 0  # cycle when the cache port is free
         self.occupancy = 1  # cycles a request holds the port
         # Instance counter names, validated by the registry's cache
@@ -74,6 +81,7 @@ class Cache:
             return
         if len(s) >= self.assoc:
             s.popitem(last=False)
+            self.evictions += 1
         s[line] = True
 
     def contains(self, line: int) -> bool:
@@ -92,6 +100,19 @@ class Cache:
     def reset_counters(self) -> None:
         self.hits = 0
         self.misses = 0
+
+
+def admits(resident: "Sequence[int]", geometry: CacheConfig) -> bool:
+    """True when a cache of ``geometry`` holds every line of ``resident``
+    at once: no set receives more lines than it has ways.
+
+    Capacity alone does not decide this under modulo indexing — lines
+    0, 18, 36, 54, 72 fit 14 sets x 4 ways but all land in set 0 of
+    18 sets x 4 ways — so the count is per set.
+    """
+    lines = np.asarray(resident, dtype=np.int64)
+    fullest = np.bincount(lines % geometry.num_sets, minlength=1).max()
+    return int(fullest) <= (geometry.associativity or geometry.num_lines)
 
 
 class Dram:
@@ -179,6 +200,7 @@ class MemorySystem:
             else:
                 if len(lru) >= l2.assoc:
                     lru.popitem(last=False)
+                    l2.evictions += 1
                 lru[line] = True
             self.dram.access(line, start)
             if tracing:
@@ -194,6 +216,7 @@ class MemorySystem:
         done = self.dram.access(line, start + l2.hit_latency)
         if len(lru) >= l2.assoc:
             lru.popitem(last=False)
+            l2.evictions += 1
         lru[line] = True
         if tracing:
             self._note(l2, "miss", line, start, cu)
@@ -249,6 +272,7 @@ class MemorySystem:
                     else:
                         if len(lru2) >= l2_assoc:
                             lru2.popitem(last=False)
+                            l2.evictions += 1
                         lru2[line] = True
                     channel = line % channels
                     cnf = channel_nf[channel]
@@ -275,6 +299,7 @@ class MemorySystem:
                             cluster, line, start + hit_latency, False, cu_id)
                         if len(lru) >= assoc:
                             lru.popitem(last=False)
+                            l1.evictions += 1
                         lru[line] = True
                     if done > worst:
                         worst = done
@@ -310,6 +335,7 @@ class MemorySystem:
                 else:
                     if len(lru2) >= l2.assoc:
                         lru2.popitem(last=False)
+                        l2.evictions += 1
                     lru2[line] = True
                 channel = line % dram.channels
                 cnf = dram.channel_next_free[channel]
@@ -333,6 +359,7 @@ class MemorySystem:
                 if line not in lru:
                     if len(lru) >= l1.assoc:
                         lru.popitem(last=False)
+                        l1.evictions += 1
                     lru[line] = True
                 if tracing:
                     self._note(l1, "fill", line, done, cu_id)
@@ -367,6 +394,7 @@ class MemorySystem:
                 done = self._through_l2(cluster, line, start + hit_latency, False, cu_id)
                 if len(lru) >= cache.assoc:
                     lru.popitem(last=False)
+                    cache.evictions += 1
                 lru[line] = True
                 if tracing:
                     self._note(cache, "fill", line, done, cu_id)
@@ -398,6 +426,7 @@ class MemorySystem:
         done = self._through_l2(cluster, line, start + cache.hit_latency, False, cu_id)
         if len(lru) >= cache.assoc:
             lru.popitem(last=False)
+            cache.evictions += 1
         lru[line] = True
         if tracing:
             self._note(cache, "fill", line, done, cu_id)
@@ -408,3 +437,23 @@ class MemorySystem:
             for cache in group:
                 cache.export_stats(stats)
         stats.bump(DRAM_ACCESSES, self.dram.accesses)
+
+    def witness(self) -> "Dict[str, List[np.ndarray]]":
+        """The resident lines of every instance of each cache family
+        that has evicted nothing so far, keyed by the family's
+        :class:`GpuConfig` field.
+
+        In such a cache an access hits iff its line was filled earlier,
+        whatever the geometry; so the run that produced this state
+        repeats bit for bit under any geometry of that family that
+        :func:`admits` each of these sets (EXPERIMENTS.md, "Eviction-free
+        equivalence").  A family with one evicting instance is left out.
+        """
+        families = {"l1d": self.l1d, "l1i": self.l1i,
+                    "scalar_cache": self.scalar, "l2": self.l2}
+        return {
+            field: [np.fromiter((line for lru in cache._sets for line in lru),
+                                dtype=np.int64) for cache in caches]
+            for field, caches in families.items()
+            if not any(cache.evictions for cache in caches)
+        }

@@ -222,7 +222,7 @@ class TraceRecorder:
 class ExecTrace:
     """A captured functional trace: per-wavefront streams + metadata."""
 
-    __slots__ = ("meta", "streams", "_decode_cache")
+    __slots__ = ("meta", "streams", "_decode_cache", "witnesses")
 
     def __init__(self, meta: "Dict[str, object]",
                  streams: List[WfStream]) -> None:
@@ -232,6 +232,12 @@ class ExecTrace:
         #: because the decode depends only on the stream contents — every
         #: sweep cell replaying this trace shares one decode pass.
         self._decode_cache: "Dict[int, object]" = {}
+        #: eviction-free replays of this trace that later replays may be
+        #: derived from (harness/equivalence.py).  Only the trace store's
+        #: parsed-trace memo turns this into a list, so it lives and dies
+        #: with the memo entry exactly as the decode cache does; a trace
+        #: nobody memoizes can neither file nor serve a witness.
+        self.witnesses: "Optional[List[object]]" = None
 
     @property
     def verified(self) -> bool:

@@ -7,6 +7,7 @@ from repro.common.errors import ReproError
 from repro.explore.space import Axis
 from repro.core.requests import SweepRequest
 from repro.explore.sweep import _replay_differs, execute_sweep_request
+from repro.harness import equivalence
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import clear_suite_cache
 
@@ -146,6 +147,67 @@ class TestDriftGuard:
         results = _sweep(tmp_path, verify_replay=False)
         assert results.verified_cell == ""
         assert results.replay_drift == 0
+
+
+class TestDerivedCells:
+    """Cells past the last evicting size are derived, not simulated, and
+    the drift guard re-executes one of those (EXPERIMENTS.md,
+    "Eviction-free equivalence")."""
+
+    PLATEAU = "l1d.size_bytes=1k,64k,128k,256k"
+
+    def test_plateau_cells_are_derived(self, tmp_path):
+        results = _sweep(tmp_path, axis=self.PLATEAU, workloads=("spmv",))
+        # 1k captures, 64k simulates and witnesses, 128k and 256k derive.
+        assert (results.captures, results.replays) == (2, 6)
+        assert results.derived == 4
+        assert results.replay_drift == 0
+        clear_suite_cache()
+        execute = _sweep(tmp_path, axis=self.PLATEAU, workloads=("spmv",),
+                         execution="execute")
+        assert execute.derived == 0
+        assert _cell_payloads(results) == _cell_payloads(execute)
+
+    def test_guard_takes_the_smallest_derived_cell(self, tmp_path):
+        results = _sweep(tmp_path, axis=self.PLATEAU,
+                         workloads=("lulesh", "spmv"))
+        assert results.derived == 8
+        first_derived = results.points[2]
+        smallest = min(first_derived.runs.values(),
+                       key=lambda run: run.dynamic_instructions)
+        assert results.verified_cell == (
+            f"{first_derived.point.point_id}:"
+            f"{smallest.workload}/{smallest.isa}")
+
+    def test_pool_cells_derive_in_their_own_process(self, tmp_path):
+        results = _sweep(tmp_path, axis=self.PLATEAU, workloads=("spmv",),
+                         jobs=2)
+        assert results.replays == 6 and results.derived == 0
+        assert results.replay_drift == 0
+
+    def test_guard_catches_a_wrong_derivation(self, tmp_path, monkeypatch):
+        """Admission forced open across an evicting geometry: the 1k
+        cells take the plateau's statistics, and the guard, which goes
+        for a derived cell first, re-executes one and disagrees."""
+        monkeypatch.setattr(equivalence, "admits", lambda *_: True)
+        with pytest.warns(UserWarning, match="trace replay drift"):
+            results = _sweep(tmp_path, axis="l1d.size_bytes=128k,64k,1k",
+                             workloads=("spmv",))
+        assert results.derived == 2
+        assert results.verified_cell.startswith("l1d.size_bytes=1024:")
+        assert results.replay_drift == 1
+
+    def test_cli_summary_names_the_derived_share(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_SWEEPS_DIR", str(tmp_path / "sweeps"))
+        assert main(["sweep", "-a", self.PLATEAU, "--cus", "2", "-w", "spmv",
+                     "-s", "0.1", "--no-cache", "--quiet",
+                     "--trace-dir", str(tmp_path / "traces")]) == 0
+        err = capsys.readouterr().err
+        assert "trace replay: 2 capture(s), 6 replay(s), drift=0" in err
+        assert "6 replays, 4 derived from 2 witnesses" in err
 
 
 class TestResumeInteraction:
