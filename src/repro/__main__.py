@@ -409,19 +409,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core.requests import RequestError
     from .explore import analyze
     from .explore.space import build_space
-    from .explore.sweep import sweep_fingerprint
+    from .explore.sweep import SweepLedger
 
     try:
         request = sweep_request_from_args(args)
-        space = build_space(request.axes, request.mode)
+        build_space(request.axes, request.mode)
     except (ConfigError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     workloads = list(request.workloads)
 
-    points = space.points(request.config)
-    invalid = [p for p in points if not p.valid]
     if args.dry_run:
+        # A ledger that is never opened: the spec resolves exactly as a
+        # real run resolves it (engine knob, resume id) and no journal
+        # is touched.
+        ledger = SweepLedger(request)
+        points = ledger.points
+        invalid = [p for p in points if not p.valid]
         rows = [[p.point_id, p.fingerprint() or "-",
                  "ok" if p.valid else f"INVALID: {p.error}"]
                 for p in points]
@@ -432,11 +436,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"ISAs = "
                   f"{len(points) * len(workloads) * len(request.isas)} "
                   f"cell(s)"))
-        sweep_id = sweep_fingerprint(request.config, request.axes,
-                                     request.mode, request.workloads,
-                                     request.isas, request.scale,
-                                     request.seed)
-        print(f"\nsweep id: {sweep_id} (no cells simulated)")
+        print(f"\nsweep id: {ledger.results.sweep_id} (no cells simulated)")
         if invalid:
             print(f"{len(invalid)} invalid point(s)", file=sys.stderr)
         return 1 if invalid else 0

@@ -13,6 +13,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .xp import pack_mask
+
 
 @dataclass
 class DispatchContext:
@@ -92,10 +94,7 @@ class DispatchContext:
 
     def active_mask_bits(self) -> int:
         """The initial EXEC mask for this wavefront."""
-        bits = 0
-        for lane in np.flatnonzero(self.active_mask_array()):
-            bits |= 1 << int(lane)
-        return bits
+        return pack_mask(self.active_mask_array())
 
     def active_lanes(self) -> int:
         """Number of lanes of this wavefront that map to real work-items."""

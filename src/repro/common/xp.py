@@ -55,9 +55,7 @@ def tolist(a) -> list:
     return list(a)
 
 
-# -- whole-wavefront mask/line kernels --------------------------------
-#
-# The functional models call these on every memory instruction.
+# -- whole-wavefront mask kernel ---------------------------------------
 
 
 def pack_mask(mask) -> int:
@@ -65,13 +63,3 @@ def pack_mask(mask) -> int:
     return int.from_bytes(
         _numpy.packbits(mask, bitorder="little").tobytes(), "little"
     )
-
-
-def unique_lines(lines) -> list:
-    """Sorted unique line addresses, as plain Python ints.
-
-    A ``set`` over the ``tolist`` view beats ``np.unique`` at
-    wavefront width (64 elements): the hash dedup is O(n) against
-    the sort's O(n log n), and both stay in C.
-    """
-    return sorted(set(lines.tolist()))

@@ -65,7 +65,6 @@ from ..harness.cache import (
     ResultCache,
     TraceStore,
     default_cache_dir,
-    job_fingerprint,
     resolve_cache,
     resolve_trace_store,
     source_tree_stamp,
@@ -593,7 +592,7 @@ class SweepLedger:
                                 execution=self.cell_mode,
                                 trace_dir=request.trace_dir,
                                 engine=point.config.engine)
-                cached = (self.disk.get(_job_fp(job))
+                cached = (self.disk.get(job.fingerprint)
                           if self.disk is not None else None)
                 if cached is not None:
                     runs[(w, isa)] = cached
@@ -668,7 +667,7 @@ class SweepLedger:
                 if sample is None or rank < sample[0]:
                     self._replay_sample = (rank, job, run)
             if self.disk is not None:
-                self.disk.put(_job_fp(job), run,
+                self.disk.put(job.fingerprint, run,
                               config_fingerprint=job.config.fingerprint())
         self._remaining[pid] -= 1
         if self._remaining[pid] == 0:
@@ -785,11 +784,6 @@ def execute_sweep_request(
     finally:
         ledger.close()
     return ledger.results
-
-
-def _job_fp(job: Job) -> str:
-    return job_fingerprint(job.config, job.workload, job.isa, job.scale,
-                           job.seed)
 
 
 def _replay_differs(replayed: WorkloadRun, executed: "object") -> bool:

@@ -16,7 +16,7 @@ fixup tables bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,28 +25,39 @@ from ..common.errors import ExecutionError
 from ..common.exec_types import DispatchContext, ExecResult, MemKind
 from ..common.xp import ensure_quiet_numeric
 from ..common.lanes import (
-    FULL_MASK,
-    WF_SIZE,
+    COMPARISONS, F32, F64, FULL_MASK, I32, I64, U32, U64, VIEW_DTYPES, WF_SIZE,
+    ExecLanes,
+    LdsImage,
+    atomic_add_op,
     bool_to_mask,
-    lds_gather_u32,
-    lds_scatter_u32,
+    convert,
+    copy_lanes,
+    fma,
+    frame_addresses,
+    lane_op,
+    load_op,
     mask_to_bool,
-    serialized_atomic_add,
-    touched_lines,
+    mul_hi,
+    reg_dest,
+    reg_view,
+    register_file,
+    select,
+    shift,
+    splat,
+    store_op,
+    write_lanes,
 )
 from ..runtime.memory import SimulatedMemory
 from . import abi
-from .isa import EXEC, Gcn3Instr, Gcn3Kernel, SImm, SReg, SpecialReg, VCC, VReg
+from .isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, SpecialReg, VCC, VReg
 
-_LANES32 = np.arange(WF_SIZE, dtype=np.uint32)
-
-#: v_cvt destination dtypes, resolved once at import time.
-_CVT_DST = {"u32": np.uint32, "i32": np.int32,
-            "f32": np.float32, "f64": np.float64}
+#: Register-file view (common/lanes.py) behind each opcode type suffix.
+_KIND = {"b32": U32, "u32": U32, "u24": U32, "i32": I32, "f32": F32,
+         "b64": U64, "u64": U64, "i64": I64, "f64": F64}
 
 
 @dataclass
-class Gcn3WfState:
+class Gcn3WfState(ExecLanes):
     """Architectural state of one GCN3 wavefront."""
 
     #: ISA discriminator shared with HsailWfState and ReplayCursor (see
@@ -57,8 +68,12 @@ class Gcn3WfState:
 
     kernel: Gcn3Kernel
     ctx: DispatchContext
-    vgpr: np.ndarray = field(default=None)  # type: ignore[assignment]
-    sgpr: np.ndarray = field(default=None)  # type: ignore[assignment]
+    #: typed ``[vgpr (pair), lane]`` views of the vector register file
+    #: (:func:`repro.common.lanes.register_file`)
+    views: Tuple[np.ndarray, ...] = field(init=False, default=(), repr=False)
+    #: its ``uint32[vgpr, lane]`` view, indexable by VRF slot
+    vgpr: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    sgpr: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
     exec_mask: int = FULL_MASK
     vcc: int = 0
     scc: int = 0
@@ -69,14 +84,13 @@ class Gcn3WfState:
 
     def __post_init__(self) -> None:
         dims = getattr(self.kernel, "abi_dims", 1)
-        if self.vgpr is None:
-            rows = max(abi.first_free_vgpr(dims) + 1, self.kernel.vgprs_used)
-            self.vgpr = np.zeros((rows, WF_SIZE), dtype=np.uint32)
-        if self.sgpr is None:
-            self.sgpr = np.zeros(
-                max(abi.first_free_sgpr(dims), self.kernel.sgprs_used) + 2,
-                dtype=np.uint32,
-            )
+        rows = max(abi.first_free_vgpr(dims) + 1, self.kernel.vgprs_used)
+        self.views = register_file(rows)
+        self.vgpr = self.views[U32][:rows]
+        self.sgpr = np.zeros(
+            max(abi.first_free_sgpr(dims), self.kernel.sgprs_used) + 2,
+            dtype=np.uint32,
+        )
         self.exec_mask = self.ctx.active_mask_bits()
         abi.initialize_wavefront_registers(self.sgpr, self.vgpr, self.ctx, dims)
 
@@ -135,76 +149,214 @@ class Gcn3WfState:
 
     # -- vector operand access ------------------------------------------------
 
-    def read_v32(self, op: object) -> np.ndarray:
-        if isinstance(op, VReg):
-            return self.vgpr[op.index]
-        if isinstance(op, SImm):
-            # Immediates are static: splat once, reuse the (read-only by
-            # convention, like the vgpr rows above) broadcast array.
-            vec = getattr(op, "_vec32", None)
-            if vec is None:
-                vec = np.full(WF_SIZE, np.uint32(op.pattern & 0xFFFFFFFF),
-                              dtype=np.uint32)
-                object.__setattr__(op, "_vec32", vec)
-            return vec
-        return np.full(WF_SIZE, np.uint32(self.read_s32(op)), dtype=np.uint32)
-
     def read_v64(self, op: object) -> np.ndarray:
-        if isinstance(op, VReg):
-            lo = self.vgpr[op.index].astype(np.uint64)
-            hi = self.vgpr[op.index + 1].astype(np.uint64)
-            return lo | (hi << np.uint64(32))
-        if isinstance(op, SImm):
-            vec = getattr(op, "_vec64", None)
-            if vec is None:
-                vec = np.full(WF_SIZE,
-                              np.uint64(op.pattern & 0xFFFFFFFFFFFFFFFF),
-                              dtype=np.uint64)
-                object.__setattr__(op, "_vec64", vec)
-            return vec
-        return np.full(WF_SIZE, np.uint64(self.read_s64(op)), dtype=np.uint64)
-
-    def _mask_is_full(self, mask: np.ndarray) -> bool:
-        """True when every lane of ``mask`` is set.
-
-        When ``mask`` is the memoized EXEC array this is one integer
-        compare; only foreign masks pay the numpy reduction.
-        """
-        cached = self._exec_cache
-        if cached is not None and mask is cached[1]:
-            return (cached[0] & FULL_MASK) == FULL_MASK
-        return bool(mask.all())
-
-    def write_v32(self, op: VReg, values: np.ndarray, mask: np.ndarray) -> None:
-        raw = np.ascontiguousarray(values).view(np.uint32).reshape(-1)
-        if self._mask_is_full(mask):
-            self.vgpr[op.index][:] = raw
-        else:
-            self.vgpr[op.index][mask] = raw[mask]
+        return _vsrc(op, U64)(self)
 
     def write_v64(self, op: VReg, values: np.ndarray, mask: np.ndarray) -> None:
         raw = np.ascontiguousarray(values).view(np.uint64).reshape(-1)
-        lo = (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        hi = (raw >> np.uint64(32)).astype(np.uint32)
-        if self._mask_is_full(mask):
-            self.vgpr[op.index][:] = lo
-            self.vgpr[op.index + 1][:] = hi
+        write_lanes(self, U64, op.index, raw, mask)
+
+
+# ---------------------------------------------------------------------------
+# Per-static-instruction compilation of the vector side
+# ---------------------------------------------------------------------------
+
+
+def _vsrc(op: object, kind: int) -> Callable:
+    """Accessor ``f(wf)`` of one vector-instruction source read as
+    ``kind``: a VGPR view, a static splat, or a wavefront-uniform scalar
+    broadcast at read time."""
+    if isinstance(op, VReg):
+        return reg_view(kind, op.index)
+    if isinstance(op, SImm):
+        return splat(op.pattern, kind)
+    dtype = VIEW_DTYPES[kind]
+    if kind >= U64:
+        return lambda wf: np.full(WF_SIZE, np.uint64(wf.read_s64(op))).view(dtype)
+    if isinstance(op, SReg):
+        index = op.index
+        return lambda wf: wf.sgpr[index:index + 1].repeat(WF_SIZE).view(dtype)
+    return lambda wf: np.full(WF_SIZE, np.uint32(wf.read_s32(op))).view(dtype)
+
+
+def _mad24(a, b, c, out, where=True) -> None:
+    low = np.uint32(0xFFFFFF)
+    np.add((a & low) * (b & low), c, out=out, where=where)
+
+
+def _bfe(a, offset, width, out, where=True) -> None:
+    field_mask = (np.uint32(1) << (width & np.uint32(31))) - np.uint32(1)
+    np.bitwise_and(a >> (offset & np.uint32(31)), field_mask, out=out, where=where)
+
+
+def _div_fixup(quotient, den, num, out, where=True) -> None:
+    # Functional simplification (module docstring): the exact quotient.
+    np.divide(num, den, out=out, where=where)
+
+
+#: ``v_<name>_<type>`` -> ufunc or composite with the ufunc signature
+#: (``lane_op``); the type suffix picks the register-file view.
+_VALU = {
+    "mov": copy_lanes, "not": np.invert, "and": np.bitwise_and,
+    "or": np.bitwise_or, "xor": np.bitwise_xor,
+    "add": np.add, "sub": np.subtract, "mul": np.multiply,
+    "min": np.minimum, "max": np.maximum,
+    "mul_lo": np.multiply, "mul_hi": mul_hi, "mad_u32": _mad24, "bfe": _bfe,
+    "fma": fma, "div_fmas": fma, "div_fixup": _div_fixup,
+    "rcp": np.reciprocal, "sqrt": np.sqrt,
+}
+_REV_SHIFTS = {"lshlrev": np.left_shift, "lshrrev": np.right_shift,
+               "ashrrev": np.right_shift}
+_V_CARRY_OPS = frozenset(("v_add_u32", "v_sub_u32", "v_subrev_u32",
+                          "v_addc_u32", "v_subb_u32"))
+
+
+def compiled(instr: Gcn3Instr) -> Callable:
+    """The semantics of one static vector or vector-memory instruction
+    as a closure: ``run(wf)`` for ``v_*``, ``run(wf, executor, result)``
+    for ``flat_*``/``scratch_*``/``ds_*``.
+
+    Opcode parsing, the register-file view of every operand and the
+    ufunc are decided here, once, and memoized on the instruction; the
+    raw interpreter (:meth:`Gcn3Executor.execute`) and the superop
+    chains (:mod:`repro.gcn3.superops`) run the same object.
+    """
+    run = getattr(instr, "_run", None)
+    if run is None:
+        run = _compile_valu(instr) if instr.opcode[0] == "v" \
+            else _compile_memory(instr)
+        instr._run = run
+    return run
+
+
+def _compile_valu(instr: Gcn3Instr) -> Callable:
+    op = instr.opcode
+    srcs = instr.srcs
+    if op in _V_CARRY_OPS:
+        return _compile_carry(instr)
+    name, _, ty = op[2:].rpartition("_")
+    kind = _KIND.get(ty)
+    if kind is None:
+        raise ExecutionError(f"unhandled VALU op {op!r}")
+    if name.startswith("cmp_"):
+        return _compile_cmp(instr, COMPARISONS[name[4:]], kind)
+    if name == "readfirstlane":
+        src = _vsrc(srcs[0], U32)
+
+        def readfirstlane(wf):
+            low = wf.exec_mask & -wf.exec_mask  # lowest active lane, else 0
+            wf.write_s32(instr.dest, int(src(wf)[max(low.bit_length() - 1, 0)]))
+        return readfirstlane
+    dest = reg_dest(kind, instr.dest.index)  # type: ignore[union-attr]
+    if name == "cndmask":  # (false value, true value[, selector pair]); VCC if none
+        chooser = srcs[2] if len(srcs) > 2 else VCC
+        return lane_op(select, dest,
+                       lambda wf: mask_to_bool(wf.read_s64(chooser)),
+                       _vsrc(srcs[1], U32), _vsrc(srcs[0], U32))
+    if name.startswith("cvt_"):  # v_cvt_<dst>_<src>
+        return lane_op(convert, reg_dest(_KIND[name[4:]], instr.dest.index),  # type: ignore[union-attr]
+                       _vsrc(srcs[0], kind))
+    if name in _REV_SHIFTS:  # (amount, value)
+        return lane_op(shift(_REV_SHIFTS[name], 64 if kind >= U64 else 32),
+                       dest, _vsrc(srcs[1], kind), _vsrc(srcs[0], U32))
+    reads = [_vsrc(o, kind) for o in srcs]
+    if ty in ("f32", "f64"):
+        for i, flag in enumerate(instr.attrs.get("neg") or ()):  # type: ignore[arg-type]
+            if flag and i < len(reads):
+                reads[i] = (lambda wf, _r=reads[i]: np.negative(_r(wf)))
+    if name == "div_scale":
+        # Functional simplification: no scaling; VCC cleared.
+        copy = lane_op(copy_lanes, dest, reads[0])
+
+        def div_scale(wf):
+            copy(wf)
+            wf.vcc = 0
+        return div_scale
+    fn = _VALU.get(name)
+    if fn is None:
+        raise ExecutionError(f"unhandled VALU op {op!r}")
+    return lane_op(fn, dest, *reads)
+
+
+def _compile_carry(instr: Gcn3Instr) -> Callable:
+    """v_add/sub/subrev/addc/subb_u32: VCC receives the carry (borrow)
+    of the active lanes.
+
+    Carry detection stays in uint32: for wrapped x = a + b, overflow iff
+    x < a; for x = a - b, borrow iff a < b; the carry-in step composes
+    the same way.  Both are taken from the sources and fresh partial
+    sums *before* the destination -- possibly a source -- is written.
+    """
+    op = instr.opcode
+    a = _vsrc(instr.srcs[0], U32)
+    b = _vsrc(instr.srcs[1], U32)
+    if op == "v_subrev_u32":
+        a, b = b, a
+    adds = op in ("v_add_u32", "v_addc_u32")
+    carry_in = op in ("v_addc_u32", "v_subb_u32")
+    out = reg_view(U32, instr.dest.index)  # type: ignore[union-attr]
+
+    def run(wf):
+        x = a(wf)
+        y = b(wf)
+        if adds:
+            total = x + y
+            carry = total < x
         else:
-            self.vgpr[op.index][mask] = lo[mask]
-            self.vgpr[op.index + 1][mask] = hi[mask]
+            total = x - y
+            carry = x < y  # borrow
+        if carry_in:
+            partial = total
+            cin = mask_to_bool(wf.vcc).astype(np.uint32)
+            if adds:
+                total = partial + cin
+                carry |= total < partial
+            else:
+                total = partial - cin
+                carry |= partial < cin
+        np.copyto(out(wf), total, where=wf.lane_where())
+        wf.vcc = (wf.vcc & ~wf.exec_mask) | (bool_to_mask(carry) & wf.exec_mask)
+    return run
 
-    def mask_operand(self, op: object) -> np.ndarray:
-        """A 64-bit mask operand (VCC or an SGPR pair) as bool lanes."""
-        return mask_to_bool(self.read_s64(op))
 
-    def exec_bool(self) -> np.ndarray:
-        """EXEC as bool lanes, cached per mask value (the hot path)."""
-        cached = self._exec_cache
-        if cached is not None and cached[0] == self.exec_mask:
-            return cached[1]
-        arr = mask_to_bool(self.exec_mask)
-        self._exec_cache = (self.exec_mask, arr)
-        return arr
+def _compile_cmp(instr: Gcn3Instr, fn: Callable, kind: int) -> Callable:
+    a = _vsrc(instr.srcs[0], kind)
+    b = _vsrc(instr.srcs[1], kind)
+    dest = instr.dest if instr.dest is not None else VCC
+
+    def run(wf):
+        wf.write_s64(dest, bool_to_mask(fn(a(wf), b(wf))) & wf.exec_mask)
+    return run
+
+
+def _compile_memory(instr: Gcn3Instr) -> Callable:
+    op = instr.opcode
+    srcs = instr.srcs
+    offset = int(instr.attrs.get("offset", 0))
+    if op == "flat_atomic_add":
+        # Lanes serialize in ascending order (matching the HSAIL model
+        # so cross-ISA results are bit-identical).
+        dest = reg_dest(U32, instr.dest.index) if instr.dest is not None else None
+        return atomic_add_op(_vsrc(srcs[0], I64), _vsrc(srcs[1], U32), dest)
+    lds = op[0] == "d"
+    scratch = op.startswith("scratch_")
+    wide = op.endswith(("x2", "b64"))
+    if lds:
+        offs = _vsrc(srcs[0], U32)
+
+        def address(wf):
+            return offs(wf).astype(np.int64) + (wf.ctx.lds_base_offset + offset)
+    elif scratch:
+        def address(wf):
+            return frame_addresses(wf.ctx, offset)
+    else:
+        address = _vsrc(srcs[0], I64)
+    bits = U64 if wide else U32
+    size = 8 if wide else 4
+    if "store" in op or "write" in op:
+        data = srcs[0] if scratch else srcs[1]
+        return store_op(address, _vsrc(data, bits), size, lds)
+    return load_op(address, reg_dest(bits, instr.dest.index), size, lds)  # type: ignore[union-attr]
 
 
 class Gcn3Executor:
@@ -212,7 +364,8 @@ class Gcn3Executor:
 
     def __init__(self, memory: SimulatedMemory, lds: Optional[np.ndarray] = None) -> None:
         self.memory = memory
-        self.lds = lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8)
+        self.lds = LdsImage(
+            lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8))
         # The VALU helpers run one numpy expression per dynamic
         # instruction; a per-call errstate costs more than the math.
         ensure_quiet_numeric()
@@ -227,19 +380,15 @@ class Gcn3Executor:
             active_lanes=(wf.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count())
 
         # Dispatch on the opcode's first character: the vector families
-        # are by far the most frequent, and the scalar path never needs
-        # the lane mask materialized at all.
+        # are by far the most frequent, and they run their memoized
+        # per-instruction closure (see ``compiled``).
         lead = opcode[0]
         if lead == "v":  # v_*
-            self._valu(wf, instr, wf.exec_bool())
+            compiled(instr)(wf)
             wf.pc += 1
             return result
-        if lead == "f":  # flat_*
-            self._vmem(wf, instr, wf.exec_bool(), result)
-            wf.pc += 1
-            return result
-        if lead == "d":  # ds_*
-            self._ds(wf, instr, wf.exec_bool(), result)
+        if lead == "f" or lead == "d" or opcode.startswith("scratch_"):
+            compiled(instr)(wf, self, result)  # flat_* / ds_* / scratch_*
             wf.pc += 1
             return result
 
@@ -269,8 +418,6 @@ class Gcn3Executor:
             self._smem(wf, instr, result)
         elif opcode.startswith("s_"):
             self._salu(wf, instr)
-        elif opcode.startswith("scratch_"):
-            self._vmem(wf, instr, wf.exec_bool(), result)
         else:
             raise ExecutionError(f"cannot execute {opcode!r}")
         wf.pc += 1
@@ -410,246 +557,7 @@ class Gcn3Executor:
         }
         wf.scc = int(table[cond])
 
-    # -- vector ALU -----------------------------------------------------------
-
-    def _valu(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray) -> None:
-        op = instr.opcode
-        if op.startswith("v_cmp_"):
-            self._v_cmp(wf, instr, mask)
-            return
-        if op == "v_cndmask_b32":
-            f_v = wf.read_v32(instr.srcs[0])
-            t_v = wf.read_v32(instr.srcs[1])
-            sel = wf.mask_operand(instr.srcs[2]) if len(instr.srcs) > 2 \
-                else mask_to_bool(wf.vcc)
-            wf.write_v32(instr.dest, np.where(sel, t_v, f_v), mask)  # type: ignore[arg-type]
-            return
-        if op == "v_readfirstlane_b32":
-            src = wf.read_v32(instr.srcs[0])
-            lanes = np.flatnonzero(mask)
-            lane = int(lanes[0]) if lanes.size else 0
-            wf.write_s32(instr.dest, int(src[lane]))
-            return
-        if op in ("v_add_u32", "v_sub_u32", "v_subrev_u32", "v_addc_u32", "v_subb_u32"):
-            self._v_add(wf, instr, mask)
-            return
-        if op == "v_mov_b32":
-            wf.write_v32(instr.dest, wf.read_v32(instr.srcs[0]), mask)  # type: ignore[arg-type]
-            return
-        if op == "v_not_b32":
-            wf.write_v32(instr.dest, ~wf.read_v32(instr.srcs[0]), mask)  # type: ignore[arg-type]
-            return
-        if op in ("v_and_b32", "v_or_b32", "v_xor_b32"):
-            a = wf.read_v32(instr.srcs[0])
-            b = wf.read_v32(instr.srcs[1])
-            if op == "v_and_b32":
-                value = a & b
-            elif op == "v_or_b32":
-                value = a | b
-            else:
-                value = a ^ b
-            wf.write_v32(instr.dest, value, mask)  # type: ignore[arg-type]
-            return
-        if op in ("v_lshlrev_b32", "v_lshrrev_b32", "v_ashrrev_i32"):
-            amt = wf.read_v32(instr.srcs[0]) & np.uint32(31)
-            a = wf.read_v32(instr.srcs[1])
-            if op == "v_lshlrev_b32":
-                value = a << amt
-            elif op == "v_lshrrev_b32":
-                value = a >> amt
-            else:
-                value = (a.view(np.int32) >> amt.astype(np.int32)).view(np.uint32)
-            wf.write_v32(instr.dest, value.astype(np.uint32), mask)  # type: ignore[arg-type]
-            return
-        if op in ("v_lshlrev_b64", "v_lshrrev_b64", "v_ashrrev_i64"):
-            amt = (wf.read_v32(instr.srcs[0]) & np.uint32(63)).astype(np.uint64)
-            a = wf.read_v64(instr.srcs[1])
-            if op == "v_lshlrev_b64":
-                value = a << amt
-            elif op == "v_lshrrev_b64":
-                value = a >> amt
-            else:
-                value = (a.view(np.int64) >> amt.astype(np.int64)).view(np.uint64)
-            wf.write_v64(instr.dest, value.astype(np.uint64), mask)  # type: ignore[arg-type]
-            return
-        if op in ("v_mul_lo_u32", "v_mul_hi_u32", "v_mul_hi_i32"):
-            a = wf.read_v32(instr.srcs[0])
-            b = wf.read_v32(instr.srcs[1])
-            if op == "v_mul_hi_i32":
-                wide = a.view(np.int32).astype(np.int64) * b.view(np.int32).astype(np.int64)
-                value = (wide >> 32).astype(np.int32).view(np.uint32)
-            else:
-                wide = a.astype(np.uint64) * b.astype(np.uint64)
-                value = (wide & np.uint64(0xFFFFFFFF)).astype(np.uint32) \
-                    if op == "v_mul_lo_u32" else (wide >> np.uint64(32)).astype(np.uint32)
-            wf.write_v32(instr.dest, value, mask)  # type: ignore[arg-type]
-            return
-        if op == "v_mad_u32_u24":
-            a = wf.read_v32(instr.srcs[0]) & np.uint32(0xFFFFFF)
-            b = wf.read_v32(instr.srcs[1]) & np.uint32(0xFFFFFF)
-            c = wf.read_v32(instr.srcs[2])
-            wf.write_v32(instr.dest, a * b + c, mask)  # type: ignore[arg-type]
-            return
-        if op == "v_bfe_u32":
-            a = wf.read_v32(instr.srcs[0])
-            offset = wf.read_v32(instr.srcs[1]) & np.uint32(31)
-            width = wf.read_v32(instr.srcs[2]) & np.uint32(31)
-            value = (a >> offset) & ((np.uint32(1) << width) - np.uint32(1))
-            wf.write_v32(instr.dest, value, mask)  # type: ignore[arg-type]
-            return
-        if op in ("v_min_u32", "v_max_u32", "v_min_i32", "v_max_i32"):
-            a = wf.read_v32(instr.srcs[0])
-            b = wf.read_v32(instr.srcs[1])
-            if op.endswith("i32"):
-                a = a.view(np.int32)
-                b = b.view(np.int32)
-            value = np.minimum(a, b) if "min" in op else np.maximum(a, b)
-            wf.write_v32(instr.dest, value.view(np.uint32) if op.endswith("i32") else value, mask)  # type: ignore[arg-type]
-            return
-        if op.startswith("v_cvt_"):
-            self._v_cvt(wf, instr, mask)
-            return
-        if op.endswith("_f32") or op.endswith("_f64"):
-            self._v_float(wf, instr, mask)
-            return
-        raise ExecutionError(f"unhandled VALU op {op!r}")
-
-    def _v_add(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray) -> None:
-        # Carry/borrow detection stays in uint32: for wrapped x = a + b,
-        # overflow iff x < a; for x = a - b, borrow iff a < b; the
-        # carry-in step composes the same way.  This avoids widening
-        # both operands to uint64 (two allocations per instruction) for
-        # the same bits.
-        op = instr.opcode
-        a = wf.read_v32(instr.srcs[0])
-        b = wf.read_v32(instr.srcs[1])
-        if op == "v_subrev_u32":
-            a, b = b, a
-        if op in ("v_addc_u32", "v_subb_u32"):
-            carry_in = mask_to_bool(wf.vcc).astype(np.uint32)
-        else:
-            carry_in = None
-        if op in ("v_add_u32", "v_addc_u32"):
-            partial = a + b
-            carry = partial < a
-            if carry_in is not None:
-                total = partial + carry_in
-                carry = carry | (total < partial)
-            else:
-                total = partial
-        else:
-            partial = a - b
-            carry = a < b  # borrow
-            if carry_in is not None:
-                total = partial - carry_in
-                carry = carry | (partial < carry_in)
-            else:
-                total = partial
-        wf.write_v32(instr.dest, total, mask)  # type: ignore[arg-type]
-        carry_bits = bool_to_mask(carry & mask)
-        wf.vcc = (wf.vcc & ~wf.exec_mask) | carry_bits
-
-    def _v_cmp(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray) -> None:
-        _, _, cond, ty = instr.opcode.split("_")
-        if ty in ("u64",):
-            a = wf.read_v64(instr.srcs[0])
-            b = wf.read_v64(instr.srcs[1])
-        elif ty == "f64":
-            a = wf.read_v64(instr.srcs[0]).view(np.float64)
-            b = wf.read_v64(instr.srcs[1]).view(np.float64)
-        elif ty == "f32":
-            a = wf.read_v32(instr.srcs[0]).view(np.float32)
-            b = wf.read_v32(instr.srcs[1]).view(np.float32)
-        elif ty == "i32":
-            a = wf.read_v32(instr.srcs[0]).view(np.int32)
-            b = wf.read_v32(instr.srcs[1]).view(np.int32)
-        else:
-            a = wf.read_v32(instr.srcs[0])
-            b = wf.read_v32(instr.srcs[1])
-        if cond == "eq":
-            pred = a == b
-        elif cond == "ne":
-            pred = a != b
-        elif cond == "lt":
-            pred = a < b
-        elif cond == "le":
-            pred = a <= b
-        elif cond == "gt":
-            pred = a > b
-        else:  # ge
-            pred = a >= b
-        bits = bool_to_mask(pred & mask)
-        dest = instr.dest if instr.dest is not None else VCC
-        wf.write_s64(dest, bits)
-
-    def _v_cvt(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray) -> None:
-        op = instr.opcode  # v_cvt_<dst>_<src>
-        _, _, dst, src = op.split("_")
-        operand = instr.srcs[0]
-        if src == "u32":
-            a = wf.read_v32(operand)
-        elif src == "i32":
-            a = wf.read_v32(operand).view(np.int32)
-        elif src == "f32":
-            a = wf.read_v32(operand).view(np.float32)
-        else:  # f64
-            a = wf.read_v64(operand).view(np.float64)
-        np_dst = _CVT_DST[dst]
-        values = a.astype(np_dst)
-        if dst in ("u32", "i32", "f32"):
-            wf.write_v32(instr.dest, values.view(np.uint32), mask)  # type: ignore[arg-type]
-        else:
-            wf.write_v64(instr.dest, values.view(np.uint64), mask)  # type: ignore[arg-type]
-
-    def _v_float(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray) -> None:
-        op = instr.opcode
-        wide = op.endswith("_f64")
-        # Operands are read eagerly (reads are pure: register views and
-        # memoized literal splats), which keeps this per-instruction
-        # path free of closure allocation.
-        if wide:
-            srcs = [wf.read_v64(o).view(np.float64) for o in instr.srcs]
-        else:
-            srcs = [wf.read_v32(o).view(np.float32) for o in instr.srcs]
-        neg = instr.attrs.get("neg")
-        if neg:
-            for i, flag in enumerate(neg):  # type: ignore[arg-type]
-                if flag and i < len(srcs):
-                    srcs[i] = -srcs[i]
-        if "add" in op:
-            values = srcs[0] + srcs[1]
-        elif "sub" in op:
-            values = srcs[0] - srcs[1]
-        elif "mul" in op and "div" not in op:
-            values = srcs[0] * srcs[1]
-        elif "min" in op:
-            values = np.minimum(srcs[0], srcs[1])
-        elif "max" in op:
-            values = np.maximum(srcs[0], srcs[1])
-        elif "fma" in op and "div" not in op:
-            values = srcs[0] * srcs[1] + srcs[2]
-        elif "rcp" in op:
-            one = np.float64(1.0) if wide else np.float32(1.0)
-            values = one / srcs[0]
-        elif "sqrt" in op:
-            values = np.sqrt(srcs[0])
-        elif "div_scale" in op:
-            # Functional simplification: no scaling; VCC cleared.
-            values = srcs[0]
-            wf.vcc = 0
-        elif "div_fmas" in op:
-            values = srcs[0] * srcs[1] + srcs[2]
-        elif "div_fixup" in op:
-            # quotient fixup: exact num/den (srcs are q, den, num).
-            values = srcs[2] / srcs[1]
-        else:
-            raise ExecutionError(f"unhandled float op {op!r}")
-        if wide:
-            wf.write_v64(instr.dest, values.view(np.uint64), mask)  # type: ignore[arg-type]
-        else:
-            wf.write_v32(instr.dest, values.astype(np.float32).view(np.uint32), mask)  # type: ignore[arg-type]
-
-    # -- memory -----------------------------------------------------------------
+    # -- scalar memory ----------------------------------------------------------
 
     def _smem(self, wf: Gcn3WfState, instr: Gcn3Instr, result: ExecResult) -> None:
         base = wf.read_s64(instr.srcs[0])
@@ -662,81 +570,6 @@ class Gcn3Executor:
             wf.sgpr[dest.index + i] = self.memory.load_scalar(addr + 4 * i, 4) & 0xFFFFFFFF
         result.mem_kind = MemKind.SCALAR_LOAD
         result.mem_lines = sorted({(addr + 4 * i) >> 6 for i in range(count)})
-
-    def _vmem(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray, result: ExecResult) -> None:
-        op = instr.opcode
-        if op == "flat_atomic_add":
-            self._flat_atomic_add(wf, instr, mask, result)
-            return
-        wide = op.endswith("x2")
-        is_store = "store" in op
-        if op.startswith("scratch_"):
-            lanes = np.arange(WF_SIZE, dtype=np.uint64)
-            flat_ids = np.uint64(wf.ctx.workitem_base()) + lanes
-            addrs = (
-                np.uint64(wf.ctx.private_base)
-                + flat_ids * np.uint64(wf.ctx.private_stride)
-                + np.uint64(int(instr.attrs.get("offset", 0)))
-            )
-        else:
-            addr_op = instr.srcs[0]
-            addrs = wf.read_v64(addr_op)
-        if is_store:
-            data_op = instr.srcs[0] if op.startswith("scratch_") else instr.srcs[1]
-            if wide:
-                raw = wf.read_v64(data_op)
-                self.memory.scatter_u32(addrs, (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32), mask)
-                self.memory.scatter_u32(addrs + np.uint64(4), (raw >> np.uint64(32)).astype(np.uint32), mask)
-            else:
-                self.memory.scatter_u32(addrs, wf.read_v32(data_op), mask)
-            result.mem_kind = MemKind.GLOBAL_STORE
-        else:
-            lo = self.memory.gather_u32(addrs, mask)
-            if wide:
-                hi = self.memory.gather_u32(addrs + np.uint64(4), mask)
-                values = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-                wf.write_v64(instr.dest, values, mask)  # type: ignore[arg-type]
-            else:
-                wf.write_v32(instr.dest, lo, mask)  # type: ignore[arg-type]
-            result.mem_kind = MemKind.GLOBAL_LOAD
-        result.mem_lines = touched_lines(addrs, mask, 8 if wide else 4)
-
-    def _flat_atomic_add(self, wf: Gcn3WfState, instr: Gcn3Instr,
-                         mask: np.ndarray, result: ExecResult) -> None:
-        """Atomic add; lanes serialize in ascending order (matching the
-        HSAIL model so cross-ISA results are bit-identical)."""
-        addrs = wf.read_v64(instr.srcs[0])
-        values = wf.read_v32(instr.srcs[1])
-        old = serialized_atomic_add(self.memory, addrs, values, mask)
-        if instr.dest is not None:
-            wf.write_v32(instr.dest, old, mask)  # type: ignore[arg-type]
-        result.mem_kind = MemKind.GLOBAL_STORE
-        result.mem_lines = touched_lines(addrs, mask, 4)
-
-    def _ds(self, wf: Gcn3WfState, instr: Gcn3Instr, mask: np.ndarray, result: ExecResult) -> None:
-        op = instr.opcode
-        wide = op.endswith("b64")
-        offs = wf.read_v32(instr.srcs[0]).astype(np.uint64) \
-            + np.uint64(wf.ctx.lds_base_offset) \
-            + np.uint64(int(instr.attrs.get("offset", 0)))
-        if "write" in op:
-            data_op = instr.srcs[1]
-            if wide:
-                raw = wf.read_v64(data_op)
-                lds_scatter_u32(self.lds, offs, (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32), mask)
-                lds_scatter_u32(self.lds, offs + np.uint64(4), (raw >> np.uint64(32)).astype(np.uint32), mask)
-            else:
-                lds_scatter_u32(self.lds, offs, wf.read_v32(data_op), mask)
-        else:
-            lo = lds_gather_u32(self.lds, offs, mask)
-            if wide:
-                hi = lds_gather_u32(self.lds, offs + np.uint64(4), mask)
-                values = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-                wf.write_v64(instr.dest, values, mask)  # type: ignore[arg-type]
-            else:
-                wf.write_v32(instr.dest, lo, mask)  # type: ignore[arg-type]
-        result.mem_kind = MemKind.LDS_ACCESS
-        result.mem_lines = touched_lines(offs, mask, 8 if wide else 4)
 
     # -- control flow --------------------------------------------------------------
 

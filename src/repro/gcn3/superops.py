@@ -1,11 +1,11 @@
 """GCN3 superop handlers: fusable-instruction closures for the
 block-compiled capture path (:mod:`repro.common.superops`).
 
-The closures bind the reference interpreter's leaf methods, resolved at
-compile time in exactly the order :meth:`Gcn3Executor._valu` tests its
-cases (``v_cmp_*`` before anything else; ``v_cvt_*`` before the float
-family — ``v_cvt_f64_f32`` ends in ``_f32`` too), so a fused run takes
-the identical code path minus the per-instruction dispatch.
+A ``v_*`` instruction contributes the very closure the reference
+interpreter runs for it (:func:`repro.gcn3.semantics.compiled`,
+memoized on the instruction); scalar ops bind the interpreter's leaf
+methods.  Either way a fused run takes the identical code path minus
+the per-instruction dispatch.
 """
 
 from __future__ import annotations
@@ -13,33 +13,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from ..common.exec_types import ExecResult
-from .semantics import Gcn3Executor
+from .semantics import Gcn3Executor, compiled
 
 #: Memory-less executor (see hsail/superops.py): the fusable leaves
 #: never touch ``self.memory``/``self.lds``.
 _EXE = Gcn3Executor.__new__(Gcn3Executor)
-
-_V_ADD_OPS = frozenset(("v_add_u32", "v_sub_u32", "v_subrev_u32",
-                        "v_addc_u32", "v_subb_u32"))
-
-
-def _valu_handler(instr) -> Callable:
-    op = instr.opcode
-    if op.startswith("v_cmp_"):
-        leaf = _EXE._v_cmp
-    elif op in _V_ADD_OPS:
-        leaf = _EXE._v_add
-    elif op.startswith("v_cvt_"):
-        leaf = _EXE._v_cvt
-    elif op.endswith("_f32") or op.endswith("_f64"):
-        leaf = _EXE._v_float
-    else:
-        leaf = _EXE._valu  # cndmask, mov, shifts, muls, bfe, ...
-
-    def run(wf, _instr=instr, _leaf=leaf):
-        _leaf(wf, _instr, wf.exec_bool())
-    return run
-
 
 def _writes_exec(instr) -> bool:
     """True when this op can change EXEC: the saveexec family, or any
@@ -78,7 +56,7 @@ def handler_for(kernel, pc: int,
     if op in ("s_nop", "s_waitcnt"):
         return (lambda wf: None), False, False
     if lead == "v":
-        return _valu_handler(instr), False, _writes_exec(instr)
+        return compiled(instr), False, _writes_exec(instr)
     if op.startswith("s_cmp_"):
         def scmp(wf, _instr=instr):
             _EXE._s_cmp(wf, _instr)

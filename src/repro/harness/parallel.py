@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..common.config import GpuConfig
 from ..core.requests import RunRequest
 from ..obs.trace import TraceConfig
+from .cache import job_fingerprint
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,12 @@ class Job:
         if self.point:
             return (self.point, self.workload, self.isa)
         return (self.workload, self.isa)
+
+    @property
+    def fingerprint(self) -> str:
+        """This cell's key in the persistent result cache."""
+        return job_fingerprint(self.config, self.workload, self.isa,
+                               self.scale, self.seed)
 
     def describe(self) -> str:
         prefix = f"[{self.point}] " if self.point else ""

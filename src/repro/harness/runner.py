@@ -34,7 +34,6 @@ from ..workloads import all_workloads, create
 from .cache import (
     ResultCache,
     TraceStore,
-    job_fingerprint,
     resolve_cache,
     resolve_trace_store,
     trace_fingerprint,
@@ -497,7 +496,7 @@ def execute_suite_request(
     runs: Dict[Tuple[str, str], WorkloadRun] = {}
     misses: List[Job] = []
     for cell in cells:
-        cached = disk.get(_cell_fingerprint(cell)) if disk is not None else None
+        cached = disk.get(cell.fingerprint) if disk is not None else None
         if cached is not None:
             runs[cell.key] = cached
         else:
@@ -542,7 +541,7 @@ def execute_suite_request(
             for cell in misses:
                 run = runs[cell.key]
                 if run.error is None:
-                    disk.put(_cell_fingerprint(cell), run,
+                    disk.put(cell.fingerprint, run,
                              config_fingerprint=cell.config.fingerprint())
 
     # Deterministic reduce: insertion order matches the serial loop
@@ -554,7 +553,3 @@ def execute_suite_request(
     if use_cache:
         _SUITE_CACHE[mem_key] = results
     return results
-
-
-def _cell_fingerprint(cell: Job) -> str:
-    return job_fingerprint(cell.config, cell.workload, cell.isa, cell.scale, cell.seed)

@@ -2,9 +2,9 @@
 
 HSAIL instructions define per-work-item behaviour; the simulator (like
 gem5's HSAIL model) executes them 64 lanes at a time under an active mask
-maintained by a reconvergence stack (paper §III.C.1).  Lane storage is a
-numpy ``uint32`` array of shape ``[reg_slots, 64]``; 64-bit values live in
-even-aligned slot pairs.
+maintained by a reconvergence stack (paper §III.C.1).  Lane storage is the
+typed register file of :mod:`repro.common.lanes`: 32-bit slots, 64-bit
+values in even-aligned slot pairs that read as one 64-bit element.
 
 Key IL modeling artifacts reproduced here:
 
@@ -17,29 +17,45 @@ Key IL modeling artifacts reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.errors import ExecutionError
-from ..common.exec_types import DispatchContext, ExecResult, MemKind
+from ..common.exec_types import DispatchContext, ExecResult
 from ..common.xp import ensure_quiet_numeric
 from ..common.lanes import (
+    COMPARISONS, F32, F64, FULL_MASK, I32, I64, U32, U64, VIEW_DTYPES, WF_SIZE,
+    ExecLanes,
+    LdsImage,
+    atomic_add_op,
     bool_to_mask,
-    lds_gather_u32,
-    lds_scatter_u32,
-    serialized_atomic_add,
-    touched_lines,
+    compare,
+    convert,
+    copy_lanes,
+    fma,
+    frame_addresses,
+    lane_op,
+    load_op,
+    mul_hi,
+    reg_dest,
+    reg_view,
+    register_file,
+    select,
+    shift,
+    splat,
+    store_op,
+    write_lanes,
 )
 from ..kernels.types import DType
 from ..runtime.memory import Segment, SimulatedMemory
 from .isa import HReg, HsailInstr, HsailKernel, Imm
 
-WF_SIZE = 64
-
-#: Lane indices 0..63, splatted once (read-only).
 _LANES = np.arange(WF_SIZE, dtype=np.uint32)
-_FULL_MASK = (1 << WF_SIZE) - 1
+
+#: Register-file view (common/lanes.py) each HSAIL type reads and writes.
+_KIND = {DType.U32: U32, DType.B1: U32, DType.S32: I32, DType.F32: F32,
+         DType.U64: U64, DType.F64: F64}
 
 
 @dataclass
@@ -53,7 +69,7 @@ class RsEntry:
 
 
 @dataclass
-class HsailWfState:
+class HsailWfState(ExecLanes):
     """Architectural state of one HSAIL wavefront."""
 
     #: ISA discriminator shared with Gcn3WfState and ReplayCursor, so the
@@ -65,142 +81,187 @@ class HsailWfState:
 
     kernel: HsailKernel
     ctx: DispatchContext
-    regs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    #: typed ``[slot (pair), lane]`` views of the register file
+    #: (:func:`repro.common.lanes.register_file`)
+    views: Tuple[np.ndarray, ...] = field(init=False, default=(), repr=False)
+    #: its ``uint32[slot, lane]`` view, indexable by VRF slot
+    regs: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
     pc: int = 0
-    exec_mask: int = _FULL_MASK
+    exec_mask: int = FULL_MASK
     rs: List[RsEntry] = field(default_factory=list)
     done: bool = False
-    #: (mask value, bool lanes) memo behind :meth:`mask_array`
-    _mask_cache: Optional[tuple] = field(default=None, repr=False)
+    #: (mask value, bool lanes) memo behind :meth:`exec_bool`
+    _exec_cache: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.regs is None:
-            slots = max(2, self.kernel.reg_slots_used)
-            self.regs = np.zeros((slots, WF_SIZE), dtype=np.uint32)
+        slots = max(2, self.kernel.reg_slots_used)
+        self.views = register_file(slots)
+        self.regs = self.views[U32][:slots]
         self.exec_mask = self.ctx.active_mask_bits()
 
-    # -- lane helpers -----------------------------------------------------
-
-    def mask_array(self) -> np.ndarray:
-        cached = self._mask_cache
-        if cached is not None and cached[0] == self.exec_mask:
-            return cached[1]
-        bits = np.uint64(self.exec_mask & _FULL_MASK)
-        lanes = np.arange(WF_SIZE, dtype=np.uint64)
-        arr = ((bits >> lanes) & np.uint64(1)).astype(bool)
-        self._mask_cache = (self.exec_mask, arr)
-        return arr
-
-    def _mask_is_full(self, mask: np.ndarray) -> bool:
-        """True when every lane of ``mask`` is set.
-
-        One integer compare when ``mask`` is the memoized EXEC array;
-        only foreign masks pay the numpy reduction.
-        """
-        cached = self._mask_cache
-        if cached is not None and mask is cached[1]:
-            return (cached[0] & _FULL_MASK) == _FULL_MASK
-        return bool(mask.all())
-
-    def read_u32(self, op: "HReg | Imm") -> np.ndarray:
-        if isinstance(op, Imm):
-            # Immediates are static: splat once and reuse the broadcast
-            # array (read-only by convention, like the register rows).
-            vec = getattr(op, "_vec32", None)
-            if vec is None:
-                vec = np.full(WF_SIZE, np.uint32(op.pattern & 0xFFFFFFFF),
-                              dtype=np.uint32)
-                object.__setattr__(op, "_vec32", vec)
-            return vec
-        return self.regs[op.index]
-
-    def read_u64(self, op: "HReg | Imm") -> np.ndarray:
-        if isinstance(op, Imm):
-            vec = getattr(op, "_vec64", None)
-            if vec is None:
-                vec = np.full(WF_SIZE, np.uint64(op.pattern), dtype=np.uint64)
-                object.__setattr__(op, "_vec64", vec)
-            return vec
-        lo = self.regs[op.index].astype(np.uint64)
-        hi = self.regs[op.index + 1].astype(np.uint64)
-        return lo | (hi << np.uint64(32))
+    # -- operand access ---------------------------------------------------
 
     def read_typed(self, op: "HReg | Imm", dtype: DType) -> np.ndarray:
-        if dtype in (DType.U32, DType.B1):
-            return self.read_u32(op)
-        if dtype == DType.S32:
-            return self.read_u32(op).view(np.int32)
-        if dtype == DType.F32:
-            return self.read_u32(op).view(np.float32)
-        if dtype == DType.U64:
-            return self.read_u64(op)
-        if dtype == DType.F64:
-            return self.read_u64(op).view(np.float64)
-        raise ExecutionError(f"cannot read type {dtype}")
+        return _operand(op, _KIND[dtype])(self)
 
     def write_typed(self, reg: HReg, dtype: DType, values: np.ndarray, mask: np.ndarray) -> None:
-        full = self._mask_is_full(mask)
-        if dtype in (DType.U32, DType.B1, DType.S32, DType.F32):
-            raw = np.ascontiguousarray(values).view(np.uint32).reshape(-1)
-            if full:
-                self.regs[reg.index][:] = raw
-            else:
-                self.regs[reg.index][mask] = raw[mask]
-            return
-        raw64 = np.ascontiguousarray(values).view(np.uint64).reshape(-1)
-        lo = (raw64 & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        hi = (raw64 >> np.uint64(32)).astype(np.uint32)
-        if full:
-            self.regs[reg.index][:] = lo
-            self.regs[reg.index + 1][:] = hi
+        kind = _KIND[dtype]
+        raw = np.ascontiguousarray(values).view(VIEW_DTYPES[kind]).reshape(-1)
+        write_lanes(self, kind, reg.index, raw, mask)
+
+
+# ---------------------------------------------------------------------------
+# Per-static-instruction compilation
+# ---------------------------------------------------------------------------
+
+
+def _operand(op: "HReg | Imm", kind: int) -> Callable:
+    """Accessor ``f(wf)`` of one source operand read as ``kind``."""
+    if isinstance(op, Imm):
+        return splat(op.pattern, kind)
+    return reg_view(kind, op.index)
+
+
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide, "min": np.minimum, "max": np.maximum,
+           "and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor,
+           "mulhi": mul_hi}
+_UNARY = {"neg": np.negative, "not": np.invert, "abs": np.absolute,
+          "rcp": np.reciprocal, "sqrt": np.sqrt}
+_QUERY_FIELD = {"workgroupid": "wg_id", "workgroupsize": "wg_size",
+                "gridsize": "grid_size"}
+_MEMORY_OPS = frozenset(("ld", "st", "atomic_add"))
+
+
+def compiled(instr: HsailInstr) -> Callable:
+    """The semantics of one static instruction as a closure.
+
+    Everything that depends only on the instruction -- opcode and type
+    dispatch, operand kinds, which register-file view each operand is,
+    the ufunc -- is decided here, once, and memoized on the instruction;
+    the raw interpreter (:meth:`HsailExecutor.execute`) and the superop
+    chains (:mod:`repro.hsail.superops`) run the same object.  ALU and
+    dispatch-query closures are ``run(wf)``, memory ones
+    ``run(wf, executor, result)``; for ``cbr`` it is the accessor of the
+    condition register.
+    """
+    run = getattr(instr, "_run", None)
+    if run is None:
+        opcode = instr.opcode
+        if opcode == "cbr":
+            run = _operand(instr.srcs[0], U32)
+        elif opcode in _MEMORY_OPS:
+            run = _compile_memory(instr)
         else:
-            self.regs[reg.index][mask] = lo[mask]
-            self.regs[reg.index + 1][mask] = hi[mask]
+            run = _compile_alu(instr)
+        instr._run = run
+    return run
 
 
-# ---------------------------------------------------------------------------
-# ALU op tables
-# ---------------------------------------------------------------------------
+def _compile_alu(instr: HsailInstr) -> Callable:
+    opcode = instr.opcode
+    dtype = instr.dtype
+    if instr.dest is None:
+        raise ExecutionError(f"ALU op {opcode} lacks a destination")
+    kind = _KIND[dtype]
+    bits = U64 if dtype.is_wide else U32  # the type's raw bit pattern
+    index = instr.dest.index
+    srcs = instr.srcs
+    if opcode in _QUERY_FIELD or opcode.startswith("workitem"):
+        return lane_op(copy_lanes, reg_dest(U32, index), _query(instr))
+    if opcode == "mov":
+        return lane_op(copy_lanes, reg_dest(bits, index), _operand(srcs[0], bits))
+    if opcode == "cmp":
+        return lane_op(compare(COMPARISONS[str(instr.attrs["cmp"])]),
+                       reg_dest(U32, index),
+                       _operand(srcs[0], kind), _operand(srcs[1], kind))
+    if opcode == "cmov":
+        return lane_op(select, reg_dest(bits, index), _operand(srcs[0], U32),
+                       _operand(srcs[1], bits), _operand(srcs[2], bits))
+    if opcode == "cvt":
+        src_dtype: DType = instr.attrs["src_dtype"]  # type: ignore[assignment]
+        return lane_op(convert, reg_dest(kind, index),
+                       _operand(srcs[0], _KIND[src_dtype]))
+    if opcode in ("shl", "shr"):
+        # Left shifts move the same bits whatever the sign; only shr of
+        # a signed type is arithmetic.
+        if opcode == "shl" or not dtype.is_signed:
+            kind = bits
+        fn = shift(np.left_shift if opcode == "shl" else np.right_shift,
+                   64 if dtype.is_wide else 32)
+        return lane_op(fn, reg_dest(kind, index), _operand(srcs[0], kind),
+                       _operand(srcs[1], U32))
+    fn = fma if opcode in ("mad", "fma") \
+        else _UNARY.get(opcode) or _BINARY.get(opcode)
+    if fn is None:
+        raise ExecutionError(f"unknown ALU op {opcode}")
+    return lane_op(fn, reg_dest(kind, index),
+                   *(_operand(op, kind) for op in srcs))
 
 
-def _shift_mask(dtype: DType) -> int:
-    return 63 if dtype.is_wide else 31
+def _query(instr: HsailInstr) -> Callable:
+    """Accessor of a dispatch query's per-lane (or uniform) value."""
+    opcode = instr.opcode
+    dim = int(instr.attrs.get("dim", 0))
+    if opcode == "workitemabsid":
+        return lambda wf: wf.ctx.absolute_ids()[dim]
+    if opcode == "workitemflatabsid":
+        return lambda wf: np.uint32(wf.ctx.workitem_base()) + _LANES
+    if opcode == "workitemid":
+        return lambda wf: wf.ctx.local_ids()[dim]
+    name = _QUERY_FIELD[opcode]
+    return lambda wf: np.uint32(getattr(wf.ctx, name)[dim])
 
 
-def _alu_binary(opcode: str, dtype: DType, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if opcode == "add":
-        return a + b
-    if opcode == "sub":
-        return a - b
-    if opcode == "mul":
-        return a * b
-    if opcode == "div":
-        return a / b
-    if opcode == "min":
-        return np.minimum(a, b)
-    if opcode == "max":
-        return np.maximum(a, b)
-    if opcode == "and":
-        return a & b
-    if opcode == "or":
-        return a | b
-    if opcode == "xor":
-        return a ^ b
-    if opcode == "mulhi":
-        wide = a.astype(np.int64) * b.astype(np.int64) if dtype == DType.S32 \
-            else a.astype(np.uint64) * b.astype(np.uint64)
-        return (wide >> 32).astype(a.dtype)
-    raise ExecutionError(f"unknown binary ALU op {opcode}")
+def _address(instr: HsailInstr) -> Callable:
+    """Accessor of a memory instruction's per-lane byte addresses
+    (``int64``): flat for global/readonly, an LDS offset for group, a
+    slot in the work-item's frame for private/spill."""
+    segment = instr.segment
+    base = instr.srcs[0]
+    if segment in (Segment.GLOBAL, Segment.READONLY):
+        return _operand(base, I64)
+    offs = _operand(base, U32)
+    if segment == Segment.GROUP:
+        return lambda wf: offs(wf).astype(np.int64) + wf.ctx.lds_base_offset
+    if segment in (Segment.PRIVATE, Segment.SPILL):
+        spill = segment == Segment.SPILL
+
+        def frame(wf):
+            area = wf.kernel.private_bytes if spill else 0
+            return frame_addresses(wf.ctx, area) + offs(wf)
+        return frame
+    raise ExecutionError(f"unsupported segment {segment}")
 
 
-_CMP_FN: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
+def _compile_memory(instr: HsailInstr) -> Callable:
+    if instr.opcode == "atomic_add":
+        # Atomic 32-bit add; lanes serialize in ascending order.
+        return atomic_add_op(_operand(instr.srcs[0], I64),
+                             _operand(instr.srcs[1], U32),
+                             reg_dest(U32, instr.dest.index))  # type: ignore[union-attr]
+    size = instr.dtype.size_bytes
+    bits = U64 if instr.dtype.is_wide else U32
+    lds = instr.segment == Segment.GROUP
+    if instr.opcode == "st":
+        return store_op(_address(instr), _operand(instr.srcs[1], bits), size, lds)
+    dest = reg_dest(bits, instr.dest.index)  # type: ignore[union-attr]
+    if instr.segment != Segment.KERNARG:
+        return load_op(_address(instr), dest, size, lds)
+    # Serviced from simulator state: no memory traffic (paper §III.A).
+    offset = instr.srcs[0]
+    if not isinstance(offset, Imm):
+        raise ExecutionError("kernarg offset must be immediate")
+    out, commit = dest
+    word = VIEW_DTYPES[bits]
+
+    def kernarg(wf, exe, result):
+        raw = exe.memory.load_scalar(
+            wf.ctx.kernarg_base + offset.pattern, size, track=False)
+        np.copyto(out(wf), word(raw), where=wf.lane_where())
+        if commit is not None:
+            commit(wf)
+    return kernarg
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +274,8 @@ class HsailExecutor:
 
     def __init__(self, memory: SimulatedMemory, lds: Optional[np.ndarray] = None) -> None:
         self.memory = memory
-        self.lds = lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8)
+        self.lds = LdsImage(
+            lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8))
         # The ALU helpers run one numpy expression per dynamic
         # instruction; a per-call errstate costs more than the math.
         ensure_quiet_numeric()
@@ -243,235 +305,28 @@ class HsailExecutor:
     def execute(self, wf: HsailWfState) -> ExecResult:
         """Execute the instruction at ``wf.pc`` and advance it."""
         instr = wf.kernel.instrs[wf.pc]
-        mask = wf.mask_array()
         # popcount of the mask integer == mask.sum(), without numpy.
-        result = ExecResult(active_lanes=(wf.exec_mask & _FULL_MASK).bit_count())
+        result = ExecResult(active_lanes=(wf.exec_mask & FULL_MASK).bit_count())
         opcode = instr.opcode
 
         if opcode in ("br", "cbr"):
-            self._branch(wf, instr, mask, result)
+            self._branch(wf, instr, result)
             return result
         if opcode == "ret":
             wf.done = True
             result.ends_wavefront = True
-            wf.pc += 1
-            return result
-        if opcode == "barrier":
+        elif opcode == "barrier":
             result.is_barrier = True
-            wf.pc += 1
-            return result
-        if opcode == "nop":
-            wf.pc += 1
-            return result
-        if opcode == "ld":
-            self._load(wf, instr, mask, result)
-        elif opcode == "st":
-            self._store(wf, instr, mask, result)
-        elif opcode == "atomic_add":
-            self._atomic_add(wf, instr, mask, result)
-        elif opcode in ("workitemabsid", "workitemid", "workitemflatabsid",
-                        "workgroupid", "workgroupsize", "gridsize"):
-            self._dispatch_query(wf, instr, mask)
-        else:
-            self._alu(wf, instr, mask)
+        elif opcode in _MEMORY_OPS:
+            compiled(instr)(wf, self, result)
+        elif opcode != "nop":
+            compiled(instr)(wf)
         wf.pc += 1
         return result
 
-    # -- dispatch queries ---------------------------------------------------
-
-    def _dispatch_query(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray) -> None:
-        ctx = wf.ctx
-        dim = int(instr.attrs.get("dim", 0))
-        if instr.opcode == "workitemabsid":
-            values = ctx.absolute_ids()[dim]
-        elif instr.opcode == "workitemflatabsid":
-            values = np.uint32(ctx.workitem_base()) + _LANES
-        elif instr.opcode == "workitemid":
-            values = ctx.local_ids()[dim]
-        elif instr.opcode == "workgroupid":
-            values = np.full(WF_SIZE, np.uint32(ctx.wg_id[dim]), dtype=np.uint32)
-        elif instr.opcode == "workgroupsize":
-            values = np.full(WF_SIZE, np.uint32(ctx.wg_size[dim]), dtype=np.uint32)
-        elif instr.opcode == "gridsize":
-            values = np.full(WF_SIZE, np.uint32(ctx.grid_size[dim]), dtype=np.uint32)
-        else:
-            raise ExecutionError(f"unknown dispatch query {instr.opcode}")
-        wf.write_typed(instr.dest, DType.U32, values, mask)  # type: ignore[arg-type]
-
-    # -- ALU ------------------------------------------------------------------
-
-    def _alu(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray) -> None:
-        opcode = instr.opcode
-        dtype = instr.dtype
-        dest = instr.dest
-        if dest is None:
-            raise ExecutionError(f"ALU op {opcode} lacks a destination")
-        if opcode == "mov":
-            values = wf.read_typed(instr.srcs[0], dtype)
-            wf.write_typed(dest, dtype, values, mask)
-            return
-        if opcode == "cmp":
-            a = wf.read_typed(instr.srcs[0], dtype)
-            b = wf.read_typed(instr.srcs[1], dtype)
-            pred = _CMP_FN[str(instr.attrs["cmp"])](a, b).astype(np.uint32)
-            wf.write_typed(dest, DType.B1, pred, mask)
-            return
-        if opcode == "cmov":
-            pred = wf.read_u32(instr.srcs[0]) != 0
-            t = wf.read_typed(instr.srcs[1], dtype)
-            f = wf.read_typed(instr.srcs[2], dtype)
-            wf.write_typed(dest, dtype, np.where(pred, t, f), mask)
-            return
-        if opcode == "cvt":
-            self._cvt(wf, instr, mask)
-            return
-        if opcode in ("mad", "fma"):
-            a = wf.read_typed(instr.srcs[0], dtype)
-            b = wf.read_typed(instr.srcs[1], dtype)
-            c = wf.read_typed(instr.srcs[2], dtype)
-            wf.write_typed(dest, dtype, a * b + c, mask)
-            return
-        if opcode in ("neg", "not", "abs", "rcp", "sqrt"):
-            a = wf.read_typed(instr.srcs[0], dtype)
-            if opcode == "neg":
-                values = -a
-            elif opcode == "not":
-                values = ~a
-            elif opcode == "abs":
-                values = np.abs(a)
-            elif opcode == "rcp":
-                values = (np.float32(1.0) if dtype == DType.F32 else 1.0) / a
-            else:
-                values = np.sqrt(a)
-            wf.write_typed(dest, dtype, values.astype(a.dtype), mask)
-            return
-        if opcode in ("shl", "shr"):
-            a = wf.read_typed(instr.srcs[0], dtype)
-            amount = wf.read_u32(instr.srcs[1]) & np.uint32(_shift_mask(dtype))
-            if dtype.is_wide:
-                amount = amount.astype(np.uint64)
-            if opcode == "shl":
-                values = a << amount
-            else:
-                values = a >> amount  # arithmetic for int32 views
-            wf.write_typed(dest, dtype, values.astype(a.dtype), mask)
-            return
-        a = wf.read_typed(instr.srcs[0], dtype)
-        b = wf.read_typed(instr.srcs[1], dtype)
-        values = _alu_binary(opcode, dtype, a, b)
-        wf.write_typed(dest, dtype, values.astype(a.dtype), mask)
-
-    def _cvt(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray) -> None:
-        src_dtype: DType = instr.attrs["src_dtype"]  # type: ignore[assignment]
-        dst_dtype = instr.dtype
-        a = wf.read_typed(instr.srcs[0], src_dtype)
-        values = a.astype(dst_dtype.np_dtype)
-        wf.write_typed(instr.dest, dst_dtype, values, mask)  # type: ignore[arg-type]
-
-    # -- memory ----------------------------------------------------------------
-
-    def _lane_addresses(
-        self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray
-    ) -> Tuple[np.ndarray, str]:
-        """Per-lane byte addresses plus the traffic class."""
-        ctx = wf.ctx
-        segment = instr.segment
-        if segment in (Segment.GLOBAL, Segment.READONLY):
-            return wf.read_u64(instr.srcs[0]), MemKind.GLOBAL_LOAD
-        if segment == Segment.GROUP:
-            offs = wf.read_u32(instr.srcs[0]).astype(np.uint64)
-            return offs + np.uint64(ctx.lds_base_offset), MemKind.LDS_ACCESS
-        if segment in (Segment.PRIVATE, Segment.SPILL):
-            area = 0 if segment == Segment.PRIVATE else wf.kernel.private_bytes
-            lanes = np.arange(WF_SIZE, dtype=np.uint64)
-            flat_ids = np.uint64(ctx.workitem_base()) + lanes
-            offs = wf.read_u32(instr.srcs[0]).astype(np.uint64)
-            addrs = (
-                np.uint64(ctx.private_base)
-                + flat_ids * np.uint64(ctx.private_stride)
-                + np.uint64(area)
-                + offs
-            )
-            return addrs, MemKind.GLOBAL_LOAD
-        raise ExecutionError(f"unsupported segment {segment}")
-
-    def _load(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray, result: ExecResult) -> None:
-        dtype = instr.dtype
-        dest = instr.dest
-        assert dest is not None
-        if instr.segment == Segment.KERNARG:
-            # Serviced from simulator state: no memory traffic (paper §III.A).
-            offset = instr.srcs[0]
-            if not isinstance(offset, Imm):
-                raise ExecutionError("kernarg offset must be immediate")
-            raw = self.memory.load_scalar(
-                wf.ctx.kernarg_base + offset.pattern, dtype.size_bytes, track=False
-            )
-            if dtype.is_wide:
-                values = np.full(WF_SIZE, np.uint64(raw), dtype=np.uint64)
-                wf.write_typed(dest, DType.U64, values, mask)
-            else:
-                values = np.full(WF_SIZE, np.uint32(raw & 0xFFFFFFFF), dtype=np.uint32)
-                wf.write_typed(dest, DType.U32, values, mask)
-            return
-        addrs, kind = self._lane_addresses(wf, instr, mask)
-        if kind == MemKind.LDS_ACCESS:
-            values32 = _lds_gather(self.lds, addrs, mask)
-            if dtype.is_wide:
-                hi = _lds_gather(self.lds, addrs + np.uint64(4), mask)
-                values = values32.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-                wf.write_typed(dest, DType.U64, values, mask)
-            else:
-                wf.write_typed(dest, DType.U32, values32, mask)
-            result.mem_kind = MemKind.LDS_ACCESS
-            result.mem_lines = _lines(addrs, mask, dtype.size_bytes)
-            return
-        lo = self.memory.gather_u32(addrs, mask)
-        if dtype.is_wide:
-            hi = self.memory.gather_u32(addrs + np.uint64(4), mask)
-            values = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
-            wf.write_typed(dest, DType.U64, values, mask)
-        else:
-            wf.write_typed(dest, DType.U32, lo, mask)
-        result.mem_kind = MemKind.GLOBAL_LOAD
-        result.mem_lines = _lines(addrs, mask, dtype.size_bytes)
-
-    def _store(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray, result: ExecResult) -> None:
-        dtype = instr.dtype
-        addrs, kind = self._lane_addresses(wf, instr, mask)
-        data_op = instr.srcs[1]
-        if kind == MemKind.LDS_ACCESS:
-            if dtype.is_wide:
-                raw = wf.read_u64(data_op)
-                _lds_scatter(self.lds, addrs, (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32), mask)
-                _lds_scatter(self.lds, addrs + np.uint64(4), (raw >> np.uint64(32)).astype(np.uint32), mask)
-            else:
-                _lds_scatter(self.lds, addrs, wf.read_u32(data_op), mask)
-            result.mem_kind = MemKind.LDS_ACCESS
-        else:
-            if dtype.is_wide:
-                raw = wf.read_u64(data_op)
-                self.memory.scatter_u32(addrs, (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32), mask)
-                self.memory.scatter_u32(addrs + np.uint64(4), (raw >> np.uint64(32)).astype(np.uint32), mask)
-            else:
-                self.memory.scatter_u32(addrs, wf.read_u32(data_op), mask)
-            result.mem_kind = MemKind.GLOBAL_STORE
-        result.mem_lines = _lines(addrs, mask, dtype.size_bytes)
-
-    def _atomic_add(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray,
-                    result: ExecResult) -> None:
-        """Atomic 32-bit add; lanes serialize in ascending order."""
-        addrs = wf.read_u64(instr.srcs[0])
-        values = wf.read_u32(instr.srcs[1])
-        old = serialized_atomic_add(self.memory, addrs, values, mask)
-        assert instr.dest is not None
-        wf.write_typed(instr.dest, DType.U32, old, mask)
-        result.mem_kind = MemKind.GLOBAL_STORE
-        result.mem_lines = _lines(addrs, mask, 4)
-
     # -- control flow ------------------------------------------------------------
 
-    def _branch(self, wf: HsailWfState, instr: HsailInstr, mask: np.ndarray, result: ExecResult) -> None:
+    def _branch(self, wf: HsailWfState, instr: HsailInstr, result: ExecResult) -> None:
         target = instr.target
         if target is None:
             raise ExecutionError("branch without target")
@@ -480,12 +335,9 @@ class HsailExecutor:
             result.branch_taken = True
             result.next_pc = target
             return
-        cond = wf.read_u32(instr.srcs[0]) != 0
-        if instr.invert:
-            cond = ~cond
-        taken = cond & mask
-        taken_bits = _mask_bits(taken)
+        cond = compiled(instr)(wf)
         active_bits = wf.exec_mask
+        taken_bits = bool_to_mask(cond == 0 if instr.invert else cond != 0) & active_bits
         fallthrough = wf.pc + 1
         if taken_bits == 0:
             wf.pc = fallthrough
@@ -512,16 +364,3 @@ class HsailExecutor:
         wf.pc = target
         result.branch_taken = True
         result.next_pc = target
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-# Shared whole-wavefront kernels (common/lanes.py), bound under the
-# historical local names so call sites and the capture contract stay put.
-_mask_bits = bool_to_mask
-_lines = touched_lines
-_lds_gather = lds_gather_u32
-_lds_scatter = lds_scatter_u32

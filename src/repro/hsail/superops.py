@@ -1,11 +1,12 @@
 """HSAIL superop handlers: fusable-instruction closures for the
 block-compiled capture path (:mod:`repro.common.superops`).
 
-Each closure binds the reference interpreter's own leaf method to one
-static instruction, so there is no duplicated semantics to drift — the
-fused path and :meth:`HsailExecutor.execute` run the very same code,
-minus the per-instruction dispatch, ``ExecResult`` allocation, and pc
-bookkeeping.
+A fusable ALU or dispatch-query instruction contributes the very
+closure the reference interpreter runs for it
+(:func:`repro.hsail.semantics.compiled`, memoized on the instruction),
+so there is no duplicated semantics to drift — the fused path is
+:meth:`HsailExecutor.execute` minus the per-instruction dispatch,
+``ExecResult`` allocation, and pc bookkeeping.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from ..common.exec_types import ExecResult
-from .semantics import HsailExecutor
+from .semantics import HsailExecutor, compiled
 
-#: Memory-less executor: every fusable leaf (``_alu``,
-#: ``_dispatch_query``, ``_branch``) reads only wavefront state, so one
+#: Memory-less executor: ``_branch`` reads only wavefront state, so one
 #: bare instance serves every kernel in the process.  ``__new__`` skips
 #: ``__init__`` to avoid allocating the 64 KiB LDS scratch this
 #: instance must never touch.
@@ -26,9 +26,6 @@ _EXE = HsailExecutor.__new__(HsailExecutor)
 #: frames); barrier/ret toggle wavefront lifecycle state the timing
 #: layer must observe at its own issue slot.
 _UNFUSABLE = frozenset(("ld", "st", "atomic_add", "barrier", "ret"))
-
-_QUERIES = frozenset(("workitemabsid", "workitemid", "workitemflatabsid",
-                      "workgroupid", "workgroupsize", "gridsize"))
 
 
 def handler_for(kernel, pc: int,
@@ -53,19 +50,12 @@ def handler_for(kernel, pc: int,
             # run — point it at the branch itself first.
             wf.pc = _pc
             result = ExecResult()
-            _EXE._branch(wf, _instr, wf.mask_array(), result)
+            _EXE._branch(wf, _instr, result)
             return result.branch_taken, result.next_pc
         return branch, True, True
     if opcode == "nop":
         return (lambda wf: None), False, False
-    if opcode in _QUERIES:
-        def query(wf, _instr=instr):
-            _EXE._dispatch_query(wf, _instr, wf.mask_array())
-        return query, False, False
-
-    def alu(wf, _instr=instr):
-        _EXE._alu(wf, _instr, wf.mask_array())
-    return alu, False, False
+    return compiled(instr), False, False
 
 
 __all__ = ["handler_for"]

@@ -20,19 +20,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..common.bits import align_up
 from ..common.errors import MemoryError_
+from ..common.lanes import LaneBuffer, in_bounds
 
 #: First mapped address. Everything below faults.
 HEAP_BASE = 0x1_0000
-#: The aligned gather/scatter fast path views the byte buffer as native
-#: uint32, which matches the little-endian byte-plane composition only
-#: on little-endian hosts; big-endian hosts keep the portable path.
-_LITTLE_ENDIAN = struct.pack("<I", 1) == struct.pack("=I", 1)
 #: Footprint granularity (cache line).
 LINE_BYTES = 64
 _LINE_SHIFT = 6
@@ -50,14 +47,13 @@ class Segment(str, Enum):
     ARG = "arg"
 
 
-class SimulatedMemory:
-    """Byte-addressable simulated memory with device-access footprint tracking."""
+class SimulatedMemory(LaneBuffer):
+    """Byte-addressable simulated memory with device-access footprint
+    tracking.  The per-lane vector accesses (``gather``/``scatter``) are
+    :class:`LaneBuffer`'s, gated by :meth:`admit`."""
 
     def __init__(self, capacity: int = 1 << 22) -> None:
-        self._buf = np.zeros(capacity, dtype=np.uint8)
-        #: word-aligned uint32 view of ``_buf`` for the aligned
-        #: gather/scatter fast path; rebuilt whenever the buffer grows.
-        self._u32 = self._buf[: capacity // 4 * 4].view(np.uint32)
+        super().__init__(np.zeros(capacity, dtype=np.uint8))
         self._limit = HEAP_BASE  # highest mapped address (exclusive)
         self._touched_lines: Set[int] = set()
         self.track_footprint = True
@@ -73,12 +69,8 @@ class SimulatedMemory:
         if addr < HEAP_BASE:
             raise MemoryError_(f"cannot map below heap base: {addr:#x}")
         end = addr + size
-        grew = False
         while end > len(self._buf):
-            self._buf = np.concatenate([self._buf, np.zeros(len(self._buf), dtype=np.uint8)])
-            grew = True
-        if grew:
-            self._u32 = self._buf[: len(self._buf) // 4 * 4].view(np.uint32)
+            self._bind(np.concatenate([self._buf, np.zeros(len(self._buf), dtype=np.uint8)]))
         if end > self._limit:
             self._limit = end
 
@@ -98,16 +90,6 @@ class SimulatedMemory:
         last = (addr + size - 1) >> _LINE_SHIFT
         for line in range(first, last + 1):
             self._touched_lines.add(line)
-
-    def touch_lanes(self, addrs: np.ndarray, size: int) -> None:
-        """Record footprint for a vector of lane addresses."""
-        if not self.track_footprint or addrs.size == 0:
-            return
-        lines = (addrs.astype(np.uint64) >> np.uint64(_LINE_SHIFT)).tolist()
-        self._touched_lines.update(lines)
-        if size > 4:
-            tail = ((addrs.astype(np.uint64) + np.uint64(size - 1)) >> np.uint64(_LINE_SHIFT)).tolist()
-            self._touched_lines.update(tail)
 
     @property
     def data_footprint_bytes(self) -> int:
@@ -177,54 +159,33 @@ class SimulatedMemory:
 
     # -- vector device access (tracked) -----------------------------------
 
-    def gather_u32(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per-lane 32-bit load. ``addrs`` uint64[64], ``mask`` bool[64].
+    def admit(self, idx: np.ndarray, align: int, lines: List[int],
+              size: int) -> None:
+        """The bounds check and the footprint of one wavefront access,
+        from the one pass that also yields its ``mem_lines``."""
+        if not in_bounds(idx, lines, size, HEAP_BASE, self._limit):
+            lo = int(idx.min())
+            self._check(lo, int(idx.max()) + size - lo)
+        if not self.track_footprint:
+            return
+        if size > 4 and align & 3:
+            # The footprint counts a pair as its two dwords, each by the
+            # line of its first byte; off dword alignment that is not
+            # the line of the pair's last byte.
+            for half in (idx, idx + 4):
+                self._touched_lines.update((half >> _LINE_SHIFT).tolist())
+        else:
+            self._touched_lines.update(lines)
 
-        Inactive lanes return 0.  Lanes need not be aligned or contiguous.
-        """
+    def gather_u32(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """:meth:`gather` of dwords spread back over 64 lanes (inactive
+        lanes read 0)."""
         out = np.zeros(addrs.shape[0], dtype=np.uint32)
-        if not mask.any():
-            return out
-        active = addrs[mask].astype(np.uint64)
-        lo, hi = int(active.min()), int(active.max()) + 4
-        self._check(lo, hi - lo)
-        self.touch_lanes(active, 4)
-        idx = active.astype(np.int64)
-        if _LITTLE_ENDIAN and not (idx & 3).any():
-            # Word-aligned lanes: one fancy-index gather on the uint32
-            # view replaces four byte-plane gathers.
-            out[mask] = self._u32[idx >> 2]
-            return out
-        b = self._buf
-        vals = (
-            b[idx].astype(np.uint32)
-            | (b[idx + 1].astype(np.uint32) << 8)
-            | (b[idx + 2].astype(np.uint32) << 16)
-            | (b[idx + 3].astype(np.uint32) << 24)
-        )
-        out[mask] = vals
+        out[mask] = self.gather(addrs, mask)[0]
         return out
 
     def scatter_u32(self, addrs: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
-        """Per-lane 32-bit store; later lanes win on address collisions."""
-        if not mask.any():
-            return
-        active = addrs[mask].astype(np.uint64)
-        vals = values[mask].astype(np.uint32)
-        lo, hi = int(active.min()), int(active.max()) + 4
-        self._check(lo, hi - lo)
-        self.touch_lanes(active, 4)
-        idx = active.astype(np.int64)
-        if _LITTLE_ENDIAN and not (idx & 3).any():
-            # Word-aligned lanes: one fancy-index scatter keeps numpy's
-            # later-lanes-win collision order, same as the byte planes.
-            self._u32[idx >> 2] = vals
-            return
-        b = self._buf
-        b[idx] = (vals & 0xFF).astype(np.uint8)
-        b[idx + 1] = ((vals >> 8) & 0xFF).astype(np.uint8)
-        b[idx + 2] = ((vals >> 16) & 0xFF).astype(np.uint8)
-        b[idx + 3] = ((vals >> 24) & 0xFF).astype(np.uint8)
+        self.scatter(addrs, values, mask)
 
 
 @dataclass

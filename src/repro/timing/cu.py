@@ -394,6 +394,11 @@ class ComputeUnit:
             hint = wf.slots_ready_hint(slots, now)
             if hint is None:
                 self._park(wf)  # blocked on in-flight memory
+            elif trace is None:
+                # The release cycle is exact and only this wavefront's
+                # own issues move it, so re-polling before it is futile;
+                # traced runs keep polling for their per-poll stall events.
+                wf.next_issue_cycle = hint
             if trace is not None and trace.wants_stall:
                 trace.stall(
                     "scoreboard_mem" if hint is None else "scoreboard",
@@ -499,7 +504,7 @@ class ComputeUnit:
             else:
                 record = self.workgroups[wf.wg_key]
                 if sample and (read_slots or write_slots):
-                    mask = state.exec_bool() if wf.is_gcn3 else state.mask_array()
+                    mask = state.exec_bool()
                     active = (state.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count()
                 else:
                     mask = None
@@ -579,7 +584,6 @@ class ComputeUnit:
         regs = wf.regs
         reuse = wf.reuse_tracker
         stream = wf.capture
-        is_gcn3 = wf.is_gcn3
         counter = wf.instr_counter
         simd_active = 0
         branch_out = None
@@ -599,7 +603,7 @@ class ComputeUnit:
                 if op.rw_slots:
                     vrf.record_reuse(reuse, counter, op.rw_slots)
                 if (counter & 3) == 0 and op.has_probe_slots:
-                    mask = state.exec_bool() if is_gcn3 else state.mask_array()
+                    mask = state.exec_bool()
                     if op.read_slots:
                         vrf.probe_uniqueness(
                             regs, op.read_slots, mask, is_write=False,
@@ -628,7 +632,7 @@ class ComputeUnit:
                 probed = (counter & 3) == 0 and op.has_probe_slots
                 read_uniques = write_uniques = None
                 if probed:
-                    mask = state.exec_bool() if is_gcn3 else state.mask_array()
+                    mask = state.exec_bool()
                     if op.read_slots:
                         read_uniques = vrf.probe_uniqueness(
                             regs, op.read_slots, mask, is_write=False,

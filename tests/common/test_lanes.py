@@ -8,12 +8,22 @@ from hypothesis import strategies as st
 from repro.common.errors import ExecutionError
 from repro.common.lanes import (
     FULL_MASK,
+    LdsImage,
     bool_to_mask,
-    lds_gather_u32,
-    lds_scatter_u32,
     mask_to_bool,
     touched_lines,
 )
+
+
+def lds_scatter_u32(lds, addrs, values, mask):
+    LdsImage(lds).scatter(addrs, values, mask)
+
+
+def lds_gather_u32(lds, addrs, mask):
+    """Active lanes' dwords spread over 64 lanes; inactive lanes read 0."""
+    out = np.zeros(64, dtype=np.uint32)
+    out[mask] = LdsImage(lds).gather(addrs, mask)[0]
+    return out
 
 
 class TestMaskConversion:

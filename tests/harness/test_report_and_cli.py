@@ -1,6 +1,7 @@
 """Report rendering and CLI tests."""
 
 import io
+import re
 
 import pytest
 
@@ -174,6 +175,22 @@ class TestSweepCli:
         assert main(argv + ["--resume"]) == 0
         captured = capsys.readouterr()
         assert "2 from journal" in captured.err
+
+    @pytest.mark.parametrize("engine", [[], ["--engine", "vector"]])
+    def test_dry_run_prints_the_real_runs_id(self, engine, tmp_path, capsys,
+                                             monkeypatch):
+        """The engine knob folds into the swept base config, so it is
+        part of the sweep id; the dry run must resolve it the same way."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SWEEPS_DIR", raising=False)
+        argv = ["sweep", "-a", "cu.vrf_banks=2,4", "--cus", "2",
+                "-w", "arraybw", "-s", "0.1", "--quiet"] + engine
+        assert main(argv + ["--dry-run"]) == 0
+        dry = re.search(r"sweep id: (\w+)", capsys.readouterr().out).group(1)
+        assert main(argv) == 0
+        real = re.search(r"^sweep (\w+):", capsys.readouterr().err,
+                         re.M).group(1)
+        assert dry == real
 
     def test_sweep_csv_output_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

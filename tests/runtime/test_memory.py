@@ -148,6 +148,171 @@ class TestFootprint:
         assert mem.data_footprint_bytes == 0
 
 
+class TwoPassMemory:
+    """The per-lane access code the one-pass ``gather``/``scatter``
+    replaced, kept here as their oracle: every access recomputes the
+    active addresses, a pair is two independent dword passes (lo at
+    ``addr``, then hi at ``addr + 4``), the footprint is recorded per
+    pass, and ``mem_lines`` comes from a third pass over the addresses."""
+
+    def __init__(self, size):
+        self.buf = np.zeros(size, dtype=np.uint8)
+        self.footprint = set()
+
+    def _touch(self, active):
+        self.footprint.update((active >> np.uint64(6)).tolist())
+
+    def gather_u32(self, addrs, mask):
+        out = np.zeros(64, dtype=np.uint32)
+        if not mask.any():
+            return out
+        active = addrs[mask].astype(np.uint64)
+        self._touch(active)
+        idx = active.astype(np.int64)
+        b = self.buf
+        out[mask] = (b[idx].astype(np.uint32)
+                     | (b[idx + 1].astype(np.uint32) << 8)
+                     | (b[idx + 2].astype(np.uint32) << 16)
+                     | (b[idx + 3].astype(np.uint32) << 24))
+        return out
+
+    def scatter_u32(self, addrs, values, mask):
+        if not mask.any():
+            return
+        active = addrs[mask].astype(np.uint64)
+        vals = values[mask].astype(np.uint32)
+        self._touch(active)
+        idx = active.astype(np.int64)
+        if not (idx & 3).any():
+            self.buf.view(np.uint32)[idx >> 2] = vals  # later lanes win
+            return
+        for k in range(4):
+            self.buf[idx + k] = ((vals >> (8 * k)) & 0xFF).astype(np.uint8)
+
+    def load(self, addrs, mask, size):
+        lo = self.gather_u32(addrs, mask)
+        if size == 4:
+            return lo
+        hi = self.gather_u32(addrs + np.uint64(4), mask)
+        return lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
+
+    def store(self, addrs, values, mask, size):
+        if size == 4:
+            self.scatter_u32(addrs, values, mask)
+            return
+        self.scatter_u32(addrs, (values & np.uint64(0xFFFFFFFF)).astype(np.uint32), mask)
+        self.scatter_u32(addrs + np.uint64(4), (values >> np.uint64(32)).astype(np.uint32), mask)
+
+    @staticmethod
+    def lines(addrs, mask, size):
+        active = addrs[mask]
+        lines = set((active >> np.uint64(6)).tolist())
+        if size > 4:
+            lines.update(((active + np.uint64(size - 1)) >> np.uint64(6)).tolist())
+        return sorted(lines)
+
+
+def _lanes(bits):
+    return np.array([(bits >> i) & 1 for i in range(64)], dtype=bool)
+
+
+_ACCESS = settings(max_examples=200, deadline=None, derandomize=True)
+_masks = st.one_of(st.just((1 << 64) - 1), st.just(0),
+                   st.integers(0, (1 << 64) - 1))
+
+
+class TestOnePassAccess:
+    """``gather``/``scatter`` against the two-pass oracle: values, memory
+    image (later lanes win, byte plane by byte plane), ``mem_lines`` and
+    footprint, for aligned, unaligned, line-straddling and colliding
+    lanes."""
+
+    WINDOW = 512
+
+    def _addresses(self, seed, align, span):
+        # A narrow window makes lanes collide and overlap partially.
+        rng = np.random.default_rng(seed)
+        offs = rng.integers(0, span // align, 64) * align
+        return (np.uint64(HEAP_BASE) + offs.astype(np.uint64))
+
+    @given(st.integers(0, 2**31), st.sampled_from([1, 2, 4, 8]),
+           st.sampled_from([16, 96, 480]), st.sampled_from([4, 8]), _masks)
+    @_ACCESS
+    def test_scatter_then_gather_match_two_pass(self, seed, align, span,
+                                                size, mask_bits):
+        mem = SimulatedMemory()
+        mem.map_range(HEAP_BASE, self.WINDOW)
+        ref = TwoPassMemory(HEAP_BASE + self.WINDOW)
+        addrs = self._addresses(seed, align, span)
+        mask = _lanes(mask_bits)
+        rng = np.random.default_rng(seed + 1)
+        values = rng.integers(0, 2**64, 64, dtype=np.uint64)
+        if size == 4:
+            values = (values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        where = True if mask.all() else mask
+
+        assert mem.scatter(addrs, values, where, size) \
+            == ref.lines(addrs, mask, size)
+        ref.store(addrs, values, mask, size)
+        assert np.array_equal(mem.read_block(HEAP_BASE, self.WINDOW),
+                              ref.buf[HEAP_BASE:])
+        assert mem.touched_line_addresses() == ref.footprint
+
+        # Loads from a second, differently shuffled set of addresses.
+        addrs2 = self._addresses(seed + 2, align, span)
+        got, lines = mem.gather(addrs2, where, size)
+        assert np.array_equal(got, ref.load(addrs2, mask, size)[mask])
+        assert lines == ref.lines(addrs2, mask, size)
+        assert mem.touched_line_addresses() == ref.footprint
+
+    def test_later_lane_wins_on_collision(self):
+        mem = SimulatedMemory()
+        mem.map_range(HEAP_BASE, 64)
+        addrs = np.full(64, HEAP_BASE + 8, dtype=np.uint64)
+        mem.scatter(addrs, np.arange(64, dtype=np.uint64) + np.uint64(1 << 40),
+                    True, 8)
+        assert mem.load_u64(HEAP_BASE + 8) == 63 + (1 << 40)
+
+    def test_pair_straddling_a_line_counts_both_lines(self):
+        mem = SimulatedMemory()
+        mem.map_range(HEAP_BASE, 256)
+        addrs = np.full(64, HEAP_BASE + 60, dtype=np.uint64)  # dword aligned
+        _, lines = mem.gather(addrs, True, 8)
+        assert lines == [HEAP_BASE >> 6, (HEAP_BASE >> 6) + 1]
+        assert mem.data_footprint_bytes == 128
+
+    def test_accesses_up_to_the_mapped_limit(self):
+        mem = SimulatedMemory()
+        mem.map_range(HEAP_BASE, 100)  # limit mid-line: the exact check decides
+        last = np.full(64, HEAP_BASE + 96, dtype=np.uint64)
+        assert mem.gather(last, True, 4)[0].shape == (64,)
+        with pytest.raises(MemoryError_):
+            mem.gather(last, True, 8)
+        with pytest.raises(MemoryError_):
+            mem.scatter(last + np.uint64(1), np.zeros(64, np.uint32), True, 4)
+        below = np.full(64, HEAP_BASE - 4, dtype=np.uint64)
+        with pytest.raises(MemoryError_):
+            mem.gather(below, True, 4)
+        # one lane out of bounds among in-bounds lanes, and masked off
+        mixed = last.copy()
+        mixed[5] = HEAP_BASE + 4096
+        with pytest.raises(MemoryError_):
+            mem.gather(mixed, True, 4)
+        mask = np.ones(64, dtype=bool)
+        mask[5] = False
+        assert mem.gather(mixed, mask, 4)[0].shape == (63,)
+
+    def test_growth_rebinds_the_word_views(self):
+        mem = SimulatedMemory(capacity=HEAP_BASE + 64)
+        mem.map_range(HEAP_BASE, 1 << 20)  # forces the buffer to grow
+        addrs = np.uint64(HEAP_BASE + (1 << 19)) + np.arange(64, dtype=np.uint64) * 8
+        values = np.arange(64, dtype=np.uint64) * np.uint64(3)
+        mem.scatter(addrs, values, True, 8)
+        assert np.array_equal(mem.gather(addrs, True, 8)[0], values)
+        assert np.array_equal(
+            mem.read_array(HEAP_BASE + (1 << 19), np.uint64, 64), values)
+
+
 class TestAllocator:
     def test_alignment(self):
         alloc = SegmentAllocator(SimulatedMemory())
