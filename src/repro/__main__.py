@@ -72,7 +72,7 @@ bench [--workloads W1,W2] [--scale S] [--seed N] [--cus N]
     (per-cell minima, same epoch for both sides), gating walls and
     cycles.  ``--profile DIR`` dumps per-cell cProfile stats;
     ``--sweep-axis`` additionally times one timing-only sweep twice
-    (execute-at-issue vs trace replay) and embeds the speedup as the
+    (execution=execute vs trace replay) and embeds the speedup as the
     report's ``sweep`` section.
 cache [--cache-dir DIR] [--trace-dir DIR] [--clear]
       [--prune-older-than DAYS]
@@ -811,11 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["auto", "scalar", "vector"],
                          default="auto",
                          help="cycle engine for every cell: auto "
-                              "(default) batch-decodes replayed cells "
-                              "with the vector engine; scalar pins the "
-                              "per-issue reference path; vector forces batching "
-                              "on replayed cells (execute cells always "
-                              "run the reference path)")
+                              "(default) and vector batch-decode each "
+                              "wavefront's trace; scalar pins the "
+                              "per-issue reference walk (event-traced "
+                              "cells always take it)")
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
@@ -860,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default dev)")
     bench_p.add_argument("--engines", default="scalar,vector",
                          help="comma-separated cycle engines to time "
-                              "(scalar = execute-at-issue reference; "
+                              "(scalar = execute cells, scalar engine; "
                               "vector = warm-store trace replay; "
                               "default scalar,vector)")
     bench_p.add_argument("--baseline", "-b",

@@ -111,7 +111,7 @@ class GpuConfig:
     )
     dram: DramConfig = field(default_factory=DramConfig)
     deadlock_cycles: int = 4_000_000   # abort if no retirement for this long
-    engine: str = "auto"               # replay cycle engine: scalar|vector|auto
+    engine: str = "auto"               # trace-walk engine: scalar|vector|auto
 
     def __post_init__(self) -> None:
         if self.num_cus <= 0:

@@ -1,4 +1,4 @@
-"""Block-compiled *superop* chains: the capture/execute fast path.
+"""Block-compiled *superop* chains: straight-line code without dispatch.
 
 PR 4 predecoded the timing-side attributes of every static instruction
 into frozen ``IssueDesc`` tables; this module applies the same trick to
@@ -6,23 +6,20 @@ the *functional* side.  Each static kernel is compiled once per process
 into per-basic-block chains of handler closures ("superops") bound to
 their instruction operands, so a straight-line run executes without
 per-instruction opcode lookup, operand re-parsing, or attribute
-chasing.  The timing layer (:mod:`repro.timing.cu`) executes a whole
-chain functionally at the chain's first issue and then consumes the
-precomputed outcomes one issue at a time — every cycle-level decision
-(dependences, unit occupancy, IB refill, flushes) still happens per
-instruction, so statistics and captured traces are bit-identical to the
-raw interpreter.
+chasing.  The functional pass (:mod:`repro.timing.funcsim`) is the only
+consumer: it runs a whole chain per step and records one outcome per
+op, so a trace is bit-identical to the raw interpreter's.
 
 Chain boundaries are the basic-block leaders of
-:func:`repro.kernels.cfg.basic_block_leaders` plus every pc the timing
-model can redirect control to mid-kernel: successors of unfusable
-instructions (memory ops, barriers, kernel end) and HSAIL reconvergence
-points.  A branch may appear only as a chain's *terminal* op, so a
-fused chain always runs to completion — there is no partial-chain
-replay state to reconcile.
+:func:`repro.kernels.cfg.basic_block_leaders` plus the successors of
+unfusable instructions (memory ops, barriers, kernel end — the
+functional pass must see those one at a time) and HSAIL reconvergence
+points (a pending-path jump is checked between steps).  A branch may
+appear only as a chain's *terminal* op, so a chain always runs to
+completion.
 
-``REPRO_SEMANTICS=raw`` is the escape hatch: it disables block
-compilation process-wide and runs the reference interpreter unchanged.
+``REPRO_SEMANTICS=raw`` compiles no chains: every instruction then
+takes the reference interpreter, the chain-length-1 case.
 """
 
 from __future__ import annotations
@@ -51,23 +48,19 @@ def resolve_semantics() -> str:
 
 
 class SuperOp:
-    """One fused instruction: a pre-bound handler plus the per-issue
-    attributes the timing layer folds (category, VRF probe slots)."""
+    """One fused instruction: a pre-bound handler plus the VRF slots
+    the functional pass probes around it."""
 
-    __slots__ = ("pc", "run", "is_branch", "is_simd", "category",
-                 "read_slots", "write_slots", "rw_slots", "has_probe_slots",
-                 "writes_exec", "fresh_lanes")
+    __slots__ = ("pc", "run", "is_branch", "read_slots", "write_slots",
+                 "has_probe_slots", "writes_exec", "fresh_lanes")
 
     def __init__(self, pc: int, run: Callable, is_branch: bool,
-                 writes_exec: bool, desc, simd_unit: int) -> None:
+                 writes_exec: bool, desc) -> None:
         self.pc = pc
         self.run = run
         self.is_branch = is_branch
-        self.is_simd = desc.unit == simd_unit
-        self.category = desc.category
         self.read_slots = desc.read_slots
         self.write_slots = desc.write_slots
-        self.rw_slots = desc.rw_slots
         self.has_probe_slots = bool(desc.read_slots or desc.write_slots)
         #: this op can change the execution mask (GCN3 saveexec or an
         #: EXEC-destination scalar op); the op *after* it must re-read
@@ -79,33 +72,14 @@ class SuperOp:
         self.fresh_lanes = False
 
 
-class SuperChain:
-    """A maximal fusable run starting at one basic-block leader.
-
-    ``cat_counts``/``simd_count`` are the statistics contributions that
-    do not depend on dynamic state, folded once at compile time.
-    """
-
-    __slots__ = ("ops", "cat_counts", "simd_count")
-
-    def __init__(self, ops: List[SuperOp]) -> None:
-        self.ops = ops
-        counts: Dict[str, int] = {}
-        for op in ops:
-            counts[op.category] = counts.get(op.category, 0) + 1
-        self.cat_counts = list(counts.items())
-        self.simd_count = sum(1 for op in ops if op.is_simd)
-
-
-def build_table(kernel, descs: Sequence, handler_for: Callable,
-                simd_unit: int) -> "Dict[int, SuperChain]":
+def build_table(kernel, descs: Sequence,
+                handler_for: Callable) -> "Dict[int, Tuple[SuperOp, ...]]":
     """Compile one kernel into chains keyed by their start pc.
 
     ``handler_for(kernel, pc, instr)`` returns ``(closure, is_branch,
     writes_exec)`` for a fusable instruction and ``None`` otherwise;
-    unfusable pcs (and any pc without a chain) fall back to the raw
-    interpreter at issue time, so a partially-fusable kernel still runs
-    correctly.
+    unfusable pcs (and any pc without a chain) take the raw interpreter,
+    so a partially-fusable kernel still runs correctly.
     """
     instrs = kernel.instrs
     n = len(instrs)
@@ -122,7 +96,7 @@ def build_table(kernel, descs: Sequence, handler_for: Callable,
     if rpc_table:
         extra.extend(rpc_table.values())
     leaders = basic_block_leaders(n, branches, extra)
-    chains: Dict[int, SuperChain] = {}
+    chains: Dict[int, Tuple[SuperOp, ...]] = {}
     for start in sorted(leaders):
         ops: List[SuperOp] = []
         pc = start
@@ -131,8 +105,7 @@ def build_table(kernel, descs: Sequence, handler_for: Callable,
             if handler is None or (pc != start and pc in leaders):
                 break
             run, is_branch, writes_exec = handler
-            op = SuperOp(pc, run, is_branch, writes_exec, descs[pc],
-                         simd_unit)
+            op = SuperOp(pc, run, is_branch, writes_exec, descs[pc])
             if ops and ops[-1].writes_exec:
                 op.fresh_lanes = True
             ops.append(op)
@@ -140,12 +113,12 @@ def build_table(kernel, descs: Sequence, handler_for: Callable,
             if is_branch:
                 break
         if ops:
-            chains[start] = SuperChain(ops)
+            chains[start] = tuple(ops)
     return chains
 
 
-def compile_kernel(kernel, is_gcn3: bool, descs: Sequence,
-                   simd_unit: int) -> "Dict[int, SuperChain]":
+def compile_kernel(kernel, is_gcn3: bool,
+                   descs: Sequence) -> "Dict[int, Tuple[SuperOp, ...]]":
     """The kernel's superop table, compiled once and cached beside the
     ``IssueDesc`` table on the kernel object itself."""
     table = getattr(kernel, "_superops", None)
@@ -154,14 +127,13 @@ def compile_kernel(kernel, is_gcn3: bool, descs: Sequence,
             from ..gcn3.superops import handler_for
         else:
             from ..hsail.superops import handler_for
-        table = build_table(kernel, descs, handler_for, simd_unit)
+        table = build_table(kernel, descs, handler_for)
         kernel._superops = table
     return table
 
 
 __all__ = [
     "SEMANTICS_MODES",
-    "SuperChain",
     "SuperOp",
     "build_table",
     "compile_kernel",

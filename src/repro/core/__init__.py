@@ -5,15 +5,15 @@ source through both instruction-set abstractions on the same machine
 model.  :class:`Session` is the front door: ``Session().compile(ir)``
 produces the HSAIL and GCN3 forms of a kernel, ``.run()``/``.suite()``
 simulate them cycle by cycle (optionally recording a
-:class:`repro.obs.TraceData`); :mod:`repro.core.funcsim` executes either
-ISA functionally.  Every execution surface — the Session methods, the
-CLI, the parallel pool, and the ``repro serve`` daemon — goes through
-the frozen, JSON-round-trippable request objects in
+:class:`repro.obs.TraceData`); :mod:`repro.timing.funcsim` executes
+either ISA functionally.  Every execution surface — the Session
+methods, the CLI, the parallel pool, and the ``repro serve`` daemon —
+goes through the frozen, JSON-round-trippable request objects in
 :mod:`repro.core.requests`.
 """
 
+from ..timing.funcsim import run_dispatch_functional
 from .api import DualKernel, Session
-from .funcsim import run_dispatch_functional
 from .requests import (
     API_VERSION,
     RequestError,

@@ -69,7 +69,6 @@ from ..harness.cache import (
     resolve_trace_store,
     source_tree_stamp,
 )
-from ..harness.equivalence import equivalence_counters
 from ..harness.parallel import (
     Job,
     JobEvent,
@@ -154,8 +153,7 @@ class SweepResults:
     #: cells driven from a stored trace instead of executing, this run.
     replays: int = 0
     #: of ``replays``, the cells derived from a witnessed replay instead
-    #: of simulated (harness/equivalence.py).  Counts cells that ran in
-    #: this process only: a pool or dist worker's derivations are its own.
+    #: of simulated (harness/equivalence.py), wherever they ran.
     derived: int = 0
     #: the replayed cell re-executed by the fidelity guard ("" = none).
     verified_cell: str = ""
@@ -529,7 +527,6 @@ class SweepLedger:
         #: those rank by instruction count; simulated ones by their wall.
         self._replay_sample: Optional[
             Tuple[Tuple[bool, float, int], Job, WorkloadRun]] = None
-        self._derived_seen = equivalence_counters()["derived"]
 
     @property
     def points_done(self) -> int:
@@ -649,16 +646,11 @@ class SweepLedger:
         points loses only the in-flight tail."""
         pid = job.point
         self._pending[pid][(job.workload, job.isa)] = run
-        # A run crosses back as its payload, which (like every wire
-        # format) does not say whether it was derived; the process tally
-        # moving since the last cell landed does.
-        seen = equivalence_counters()["derived"]
-        derived = seen > self._derived_seen
-        self._derived_seen = seen
         if run.error is None:
+            derived = run.execution == "derived"
             if run.execution == "capture":
                 self.results.captures += 1
-            elif run.execution == "replay":
+            elif derived or run.execution == "replay":
                 self.results.replays += 1
                 self.results.derived += derived
                 rank = (not derived, 0.0 if derived else run.wall_seconds,

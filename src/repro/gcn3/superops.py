@@ -1,5 +1,5 @@
 """GCN3 superop handlers: fusable-instruction closures for the
-block-compiled capture path (:mod:`repro.common.superops`).
+functional pass's superop chains (:mod:`repro.common.superops`).
 
 A ``v_*`` instruction contributes the very closure the reference
 interpreter runs for it (:func:`repro.gcn3.semantics.compiled`,
@@ -33,11 +33,11 @@ def handler_for(kernel, pc: int,
     else None.
 
     Unfusable: flat_*/ds_*/scratch_*/s_load* (they need the real
-    memory-backed executor) and s_endpgm/s_barrier (wavefront lifecycle
-    belongs to the timing layer's issue slot).  ``s_waitcnt`` *is*
-    fusable — it has no functional effect, and the timing layer gates
-    on the predecoded ``IssueDesc`` wait fields, never on the
-    interpreter's ``result.waitcnt``.
+    memory-backed executor) and s_endpgm/s_barrier (the functional pass
+    schedules wavefronts on them).  ``s_waitcnt`` *is* fusable — it has
+    no functional effect, and the timing layer gates on the predecoded
+    ``IssueDesc`` wait fields, never on the interpreter's
+    ``result.waitcnt``.
     """
     op = instr.opcode
     lead = op[0]
@@ -51,7 +51,7 @@ def handler_for(kernel, pc: int,
             wf.pc = _pc
             result = ExecResult()
             _EXE._branch(wf, _instr, result)
-            return result.branch_taken, result.next_pc
+            return result.branch_taken
         return branch, True, False
     if op in ("s_nop", "s_waitcnt"):
         return (lambda wf: None), False, False
@@ -66,7 +66,7 @@ def handler_for(kernel, pc: int,
             _EXE._salu(wf, _instr)
         return salu, False, _writes_exec(instr)
     # Anything else is unknown to the interpreter too; leave it to the
-    # raw path, which raises at issue time.
+    # raw path, which raises when it gets there.
     return None
 
 

@@ -193,14 +193,17 @@ def run_job_inline(
     job: Job, execute: Optional[Callable[[Job], "Dict[str, object]"]] = None
 ) -> "object":
     """Run one job in this process with the same failure capture as a
-    worker: an exception becomes a marked-failed run, never a raise."""
-    from .runner import WorkloadRun
+    worker: an exception becomes a marked-failed run, never a raise.
+    Without a custom ``execute`` the run never leaves the process, so it
+    is handed over as it is rather than through the (lossless) payload
+    encoding a worker's result crosses back in."""
+    from .runner import WorkloadRun, execute_run_request
 
-    execute = execute or execute_job
     start = time.monotonic()
     try:
-        payload = execute(job)
-        return WorkloadRun.from_payload(payload)
+        if execute is None:
+            return execute_run_request(job.request)
+        return WorkloadRun.from_payload(execute(job))
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
         return _failed_run(
             job, f"{type(exc).__name__}: {exc}", time.monotonic() - start

@@ -74,7 +74,7 @@ Schema (``repro-bench/1``)::
 Geomeans are taken over per-cell wall seconds (resp. speedups), the
 standard summary for a suite whose cells span two orders of magnitude.
 The ``sweep`` section (:func:`bench_sweep`) times the *same* timing-only
-sweep twice — execute-at-issue vs trace replay — so the headline
+sweep twice — ``execution="execute"`` vs trace replay — so the headline
 perf-opt number of the replay subsystem is reproducible from one
 command.
 """
@@ -109,7 +109,8 @@ class BenchCell:
     """Timing of one (workload, isa, engine) simulation.
 
     ``engine`` records which cycle engine produced the number:
-    ``"scalar"`` rows time the execute-at-issue reference path;
+    ``"scalar"`` rows time ``execution="execute"`` cells under the scalar
+    engine;
     ``"vector"`` rows time a warm-store trace replay under the batch
     engine (its operating regime — the one-off capture does not count
     toward ``wall_seconds``).  Reports written before the engine knob
@@ -276,8 +277,8 @@ def run_bench(
     simulator, and a warm disk cache would short-circuit it.
 
     ``engines`` selects which cycle engines get rows.  ``"scalar"``
-    times the execute-at-issue reference path (the pre-engine-knob
-    behaviour, and the default).  ``"vector"`` times the batch replay
+    times ``execution="execute"`` under the scalar engine (the
+    pre-engine-knob behaviour, and the default).  ``"vector"`` times the batch replay
     engine in its operating regime: each cell first captures a trace
     into a throwaway store (untimed — a sweep pays that cost once, not
     per cell), then times ``repeats`` warm-store replays with
@@ -596,8 +597,8 @@ def bench_sweep(
     progress=None,
     engine: str = "auto",
 ) -> Dict[str, object]:
-    """Time one timing-only sweep twice — execute-at-issue versus trace
-    replay — and return the comparison as a report ``"sweep"`` section.
+    """Time one timing-only sweep twice — ``execution="execute"`` versus
+    trace replay — and return the comparison as a report ``"sweep"`` section.
 
     ``engine`` is the cycle-engine request for the *replay* pass
     (``"auto"`` — the default — picks the vector engine on replayed

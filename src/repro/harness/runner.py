@@ -65,7 +65,9 @@ class WorkloadRun:
     #: with a :class:`repro.obs.TraceConfig`.
     trace: Optional[TraceData] = None
     #: how this run's instruction stream was obtained — "execute",
-    #: "capture" (executed while recording a trace), or "replay".
+    #: "capture" (executed, and the trace stored), "replay" (a stored
+    #: trace simulated), or "derived" (a stored trace's replay answered
+    #: from an eviction-free witness instead of simulated).
     execution: str = "execute"
 
     @property
@@ -240,14 +242,17 @@ def run_workload(
     the GPU and the returned run carries the recorded
     :class:`~repro.obs.TraceData`.
 
-    ``execution`` selects one of :data:`EXECUTION_MODES`.  ``capture``
-    executes normally while recording the dynamic instruction stream into
-    ``trace_store``; ``replay`` drives the timing model from the stored
-    stream instead of executing semantics — statistically bit-identical
+    ``execution`` selects one of :data:`EXECUTION_MODES`.  Every mode
+    drives the timing model from a recorded instruction stream:
+    ``execute`` records one in memory (the GPU's functional pass) and
+    drops it, ``capture`` also files it in ``trace_store``, and
+    ``replay`` reads the stored one instead — statistically bit-identical
     and considerably faster, because functional execution, register
     uniqueness probes, and result verification are all skipped (the
     verification verdict and footprint metadata travel inside the trace).
-    ``auto`` replays when a trace exists and captures otherwise.
+    ``auto`` replays when a trace exists and captures otherwise.  A
+    replay that :func:`~repro.harness.equivalence.derive` answers from a
+    filed witness returns ``execution="derived"``.
     """
     if execution not in EXECUTION_MODES:
         raise ReproError(
@@ -276,91 +281,77 @@ def run_workload(
 
     bus = TraceBus(trace) if trace is not None else None
 
-    if mode == "replay":
+    # Every mode is "obtain a trace, replay it": a stored trace comes
+    # with its metadata; otherwise the GPU's functional pass records one
+    # while it runs, and the metadata is computed from the live workload.
+    start = time.time()
+    if exec_trace is not None:
         if bus is None:
             # Eviction-free equivalence: an untraced replay that provably
             # cannot differ from one already simulated is that one's
             # result, decoded afresh (event-traced runs need the events).
-            start = time.time()
-            witnessed = derive(exec_trace, config)  # type: ignore[arg-type]
+            witnessed = derive(exec_trace, config)
             if witnessed is not None:
                 run = WorkloadRun.from_payload(witnessed)
                 run.wall_seconds = time.time() - start
+                run.execution = "derived"
                 return run
         process = _replay_process(name, isa, scale, seed)
         start = time.time()
         gpu = Gpu(config, process, trace=bus, replay=exec_trace)
         per_dispatch = gpu.run_all()
         wall = time.time() - start
-        meta = exec_trace.meta  # type: ignore[union-attr]
-        kernel_bytes = {str(k): int(v)
-                        for k, v in meta["kernel_code_bytes"].items()}
-        run = WorkloadRun(
-            workload=name,
-            isa=isa,
-            verified=bool(meta["verified"]),
-            total=merge_all(per_dispatch),
-            per_dispatch=per_dispatch,
-            dispatch_kernel_names=[d.kernel.name for d in process.dispatches],
-            data_footprint_bytes=int(meta["data_footprint_bytes"]),
-            instr_footprint_bytes=sum(kernel_bytes.values()),
-            static_instructions=int(meta["static_instructions"]),
-            kernel_code_bytes=kernel_bytes,
-            wall_seconds=wall,
-            trace=bus.data() if bus is not None else None,
-            execution="replay",
-        )
-        if bus is None:
-            file_witness(exec_trace, config, gpu.memsys, run)  # type: ignore[arg-type]
-        return run
-
-    recorder = TraceRecorder() if mode == "capture" else None
-    workload = create(name, scale=scale, seed=seed)
-    process = GpuProcess(isa, memory_capacity=1 << 25)
-    start = time.time()
-    workload.stage(process, isa)
-    gpu = Gpu(config, process, trace=bus, recorder=recorder)
-    per_dispatch = gpu.run_all()
-    verified = workload.verify(process)
-    wall = time.time() - start
-
-    total = merge_all(per_dispatch)
-    kernel_bytes = {}
-    static_instrs = 0
-    for kname, dual in workload.kernels().items():
-        kernel = dual.for_isa(isa)
-        kernel_bytes[kname] = kernel.code_bytes
-        static_instrs += kernel.static_instructions
-    data_footprint = process.data_footprint_bytes
-    if recorder is not None:
-        captured = recorder.finish({
+        meta = exec_trace.meta
+    else:
+        recorder = TraceRecorder() if mode == "capture" else None
+        workload = create(name, scale=scale, seed=seed)
+        process = GpuProcess(isa, memory_capacity=1 << 25)
+        start = time.time()
+        workload.stage(process, isa)
+        gpu = Gpu(config, process, trace=bus, recorder=recorder)
+        per_dispatch = gpu.run_all()
+        verified = workload.verify(process)
+        wall = time.time() - start
+        kernels = {kname: dual.for_isa(isa)
+                   for kname, dual in workload.kernels().items()}
+        meta = {
             "workload": name,
             "isa": isa,
             "scale": scale,
             "seed": seed,
             "functional_fingerprint": config.functional_fingerprint(),
             "verified": verified,
-            "data_footprint_bytes": data_footprint,
-            "static_instructions": static_instrs,
-            "kernel_code_bytes": dict(kernel_bytes),
-        })
-        if trace_store is not None and fingerprint is not None:
-            trace_store.put(fingerprint, captured)
-    return WorkloadRun(
+            "data_footprint_bytes": process.data_footprint_bytes,
+            "static_instructions": sum(k.static_instructions
+                                       for k in kernels.values()),
+            "kernel_code_bytes": {kname: k.code_bytes
+                                  for kname, k in kernels.items()},
+        }
+        if recorder is not None:
+            captured = recorder.finish(meta)
+            if trace_store is not None and fingerprint is not None:
+                trace_store.put(fingerprint, captured)
+
+    kernel_bytes = {str(k): int(v)
+                    for k, v in meta["kernel_code_bytes"].items()}
+    run = WorkloadRun(
         workload=name,
         isa=isa,
-        verified=verified,
-        total=total,
+        verified=bool(meta["verified"]),
+        total=merge_all(per_dispatch),
         per_dispatch=per_dispatch,
         dispatch_kernel_names=[d.kernel.name for d in process.dispatches],
-        data_footprint_bytes=data_footprint,
+        data_footprint_bytes=int(meta["data_footprint_bytes"]),
         instr_footprint_bytes=sum(kernel_bytes.values()),
-        static_instructions=static_instrs,
+        static_instructions=int(meta["static_instructions"]),
         kernel_code_bytes=kernel_bytes,
         wall_seconds=wall,
         trace=bus.data() if bus is not None else None,
         execution=mode,
     )
+    if exec_trace is not None and bus is None:
+        file_witness(exec_trace, config, gpu.memsys, run)
+    return run
 
 
 #: Staged processes reused across replay runs, keyed by

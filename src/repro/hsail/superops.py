@@ -1,5 +1,5 @@
 """HSAIL superop handlers: fusable-instruction closures for the
-block-compiled capture path (:mod:`repro.common.superops`).
+functional pass's superop chains (:mod:`repro.common.superops`).
 
 A fusable ALU or dispatch-query instruction contributes the very
 closure the reference interpreter runs for it
@@ -23,8 +23,8 @@ from .semantics import HsailExecutor, compiled
 _EXE = HsailExecutor.__new__(HsailExecutor)
 
 #: Memory ops need the real executor (device memory, LDS, kernarg
-#: frames); barrier/ret toggle wavefront lifecycle state the timing
-#: layer must observe at its own issue slot.
+#: frames); barrier/ret toggle wavefront lifecycle state the functional
+#: pass must see one instruction at a time.
 _UNFUSABLE = frozenset(("ld", "st", "atomic_add", "barrier", "ret"))
 
 
@@ -38,7 +38,7 @@ def handler_for(kernel, pc: int,
     branches and reconvergence, both chain boundaries), and never
     simulated memory.  Branch closures run the full reference
     ``_branch`` (divergence pushes included, which also moves ``wf.pc``
-    to the functional continuation) and return ``(taken, next_pc)``.
+    to the functional continuation) and return ``branch_taken``.
     """
     opcode = instr.opcode
     if opcode in _UNFUSABLE:
@@ -51,7 +51,7 @@ def handler_for(kernel, pc: int,
             wf.pc = _pc
             result = ExecResult()
             _EXE._branch(wf, _instr, result)
-            return result.branch_taken, result.next_pc
+            return result.branch_taken
         return branch, True, True
     if opcode == "nop":
         return (lambda wf: None), False, False

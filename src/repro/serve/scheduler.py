@@ -341,7 +341,7 @@ class Scheduler:
         with self._lock:
             if job.execution == "capture":
                 self._captures += 1
-            elif job.execution == "replay":
+            elif job.execution in ("replay", "derived"):
                 self._replays += 1
             else:
                 self._executes += 1

@@ -5,8 +5,10 @@ cycles), a scalar unit shared by all SIMDs, a branch unit, global and
 local memory pipelines, banked VRF/SRF, an LDS, and per-wavefront
 instruction buffers fed by a shared fetch port into the cluster's L1I.
 
-Both ISAs run on this same model.  The per-ISA behaviours are exactly the
-paper's:
+The CU is a pure trace consumer: instruction semantics ran earlier, in
+the functional pass (:mod:`repro.timing.funcsim`), and every wavefront
+here walks its recorded stream through a replay cursor.  Both ISAs run
+on this same model.  The per-ISA behaviours are exactly the paper's:
 
 * **HSAIL** — no scalar pipeline use; a simulator-side scoreboard stalls
   dependent instructions (the hardware has none); control divergence via
@@ -55,7 +57,6 @@ class WorkgroupRecord:
 
     wg_key: Tuple[int, int]
     wavefronts: List[TimingWavefront]
-    executor: object              # HsailExecutor or Gcn3Executor
     lds_bytes: int
     reg_slots: int                # VRF slots reserved (all WFs)
     sgpr_slots: int
@@ -309,30 +310,15 @@ class ComputeUnit:
 
         # HSAIL reconvergence-stack handling: a pending-path switch is a
         # simulator-initiated jump that flushes the instruction buffer.
-        # The stack-top test is inlined so the workgroup/executor lookup
-        # only happens when the PC actually sits on an RPC.  Replay mode
-        # consumes the recorded jump instead (same firing point: first
-        # issue attempt after the previous instruction); capture mode
-        # records it before flushing.
+        # The functional pass recorded it ahead of the instruction it
+        # precedes, so it fires on the wavefront's first issue attempt
+        # after the previous instruction.
         if not wf.is_gcn3:
-            cursor = wf.cursor
-            if cursor is not None:
-                new_pc = cursor.take_jump()
-                if new_pc is not None:
-                    self._flush(wf, new_pc)
-                    return False, self.events.now + 1
-            else:
-                rs = state.rs
-                if rs and state.pc == rs[-1].rpc:
-                    executor = self.workgroups[wf.wg_key].executor
-                    new_pc = executor.check_reconvergence(state)  # type: ignore[attr-defined]
-                    if new_pc is not None:
-                        if wf.capture is not None:
-                            wf.capture.jump(new_pc)
-                        self._flush(wf, new_pc)
-                        # The refetch starts next cycle; keep the clock
-                        # moving.
-                        return False, self.events.now + 1
+            new_pc = state.take_jump()
+            if new_pc is not None:
+                self._flush(wf, new_pc)
+                # The refetch starts next cycle; keep the clock moving.
+                return False, self.events.now + 1
 
         ib = wf.ib
         if not ib:
@@ -429,10 +415,8 @@ class ComputeUnit:
                              "pending_lgkm": wf.pending_lgkm})
 
     def _unit_busy(self, wf: TimingWavefront, desc: IssueDesc, now: int) -> Optional[int]:
-        """None if the needed unit is free, else a wake hint."""
+        """None if the needed off-SIMD unit is free, else a wake hint."""
         unit = desc.unit
-        if unit == UNIT_SIMD:
-            return None  # the SIMD itself was checked by the caller
         if unit == UNIT_SCALAR:
             return self.scalar_free if self.scalar_free > now else None
         if unit == UNIT_VMEM:
@@ -447,9 +431,8 @@ class ComputeUnit:
 
     def _issue(self, wf: TimingWavefront, desc: IssueDesc,
                simd: int, now: int, trace: Optional[TraceBus] = None) -> None:
-        state = wf.state
-        record: Optional[WorkgroupRecord] = None
-        pc = state.pc
+        cursor = wf.state
+        pc = cursor.pc
 
         # --- VRF gather window (bank-conflict timing) ---
         read_slots = desc.read_slots
@@ -465,69 +448,25 @@ class ComputeUnit:
                 duration = 2
             vrf.note_access(read_slots, now, duration)
 
-        cursor = wf.cursor
-        if cursor is not None and cursor.vectorized:
-            # --- vector replay: the batch-decoded outcome stands in for
-            # the functional execution; every per-issue statistic below
+        if cursor.vectorized:
+            # --- vector engine: every per-issue statistic below
             # (instruction mix, reuse distance, probes, utilization) was
             # folded into the StatSet at placement, so only the timing
             # state advances here.  Vector runs are never event-traced.
             result: ExecResult = cursor.advance(pc)
-        elif wf.fused_count or (wf.superops is not None
-                                and self._fuse_run(wf, pc)):
-            # --- block-compiled fast path: the superop chain covering
-            # this pc ran functionally at its first issue (_fuse_run
-            # folded statistics, probes, and capture records there); each
-            # subsequent issue consumes one precomputed outcome while the
-            # cycle model below stays per-instruction.
-            result = self._consume_fused(wf, pc)
         else:
             stats = self.gpu.stats
             wf.instr_counter += 1
             stats.record_instruction(desc.category)
-            write_slots = desc.write_slots
             if trace is not None and trace.wants_vrf and read_slots:
                 trace.emit("vrf", "gather", now, dur=duration, cu=self.cu_id,
                            wf=wf.wf_id, args={"slots": list(read_slots)})
             vrf.record_reuse(wf.reuse_tracker, wf.instr_counter, desc.rw_slots)
-            # The uniqueness probe samples one instruction in four: the
-            # unique count per slot is the probe's cost, and the ratio
-            # converges quickly.  The mask is captured before execution
-            # for both probes.
-            sample = (wf.instr_counter & 3) == 0
-            if cursor is not None:
-                # --- trace replay: the recorded outcome stands in for the
-                # functional execution (and for the register-reading probes,
-                # whose sampled counts were stored at capture time).
-                result = cursor.advance(pc, sample, read_slots,
-                                        write_slots, stats)
-            else:
-                record = self.workgroups[wf.wg_key]
-                if sample and (read_slots or write_slots):
-                    mask = state.exec_bool()
-                    active = (state.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count()
-                else:
-                    mask = None
-                    active = 0
-                stream = wf.capture
-                read_uniques = write_uniques = None
-                if sample and read_slots:
-                    read_uniques = vrf.probe_uniqueness(
-                        wf.regs, read_slots, mask, is_write=False, active=active,
-                        collect=stream is not None)
-
-                # --- functional execution (execute-at-issue) ---
-                result = record.executor.execute(state)  # type: ignore[attr-defined]
-
-                if sample and write_slots:
-                    write_uniques = vrf.probe_uniqueness(
-                        wf.regs, write_slots, mask, is_write=True, active=active,
-                        collect=stream is not None)
-                if stream is not None:
-                    stream.record(pc, result,
-                                  sample and bool(read_slots or write_slots),
-                                  active, read_uniques, write_uniques)
-
+            # The recorded outcome stands in for the functional execution,
+            # and for the uniqueness probes the functional pass sampled
+            # on one instruction in four.
+            result = cursor.advance(pc, (wf.instr_counter & 3) == 0,
+                                    read_slots, desc.write_slots, stats)
             if desc.unit == UNIT_SIMD:
                 stats.simd_utilization.add(result.active_lanes, 64)
 
@@ -554,138 +493,11 @@ class ComputeUnit:
         else:
             self._sync_fetch(wf)
         if result.is_barrier:
-            if record is None:  # replay defers the workgroup lookup
-                record = self.workgroups[wf.wg_key]
-            self._arrive_barrier(wf, record)
+            self._arrive_barrier(wf, self.workgroups[wf.wg_key])
         if result.ends_wavefront:
             self.simd_ready[wf.simd_id] -= 1  # done WFs leave the ready set
             self._sync_fetch(wf)
-            if record is None:
-                record = self.workgroups[wf.wg_key]
-            self._maybe_retire(record)
-
-    def _fuse_run(self, wf: TimingWavefront, pc: int) -> bool:
-        """Execute the superop chain starting at ``pc`` functionally and
-        queue its outcomes for per-issue consumption.
-
-        Execute-at-issue makes this safe: every functional input of a
-        straight-line run is final before the run's first instruction
-        issues (memory ops, barriers, and kernel ends are unfusable, and
-        a branch only terminates a chain, so a queued chain always runs
-        to completion).  Statistics, VRF probes, and capture records are
-        folded here in exactly the order the raw path emits them.
-        """
-        chain = wf.superops.get(pc)
-        if chain is None:
-            return False
-        state = wf.state
-        stats = self.gpu.stats
-        vrf = self.vrf
-        regs = wf.regs
-        reuse = wf.reuse_tracker
-        stream = wf.capture
-        counter = wf.instr_counter
-        simd_active = 0
-        branch_out = None
-        # The chain-entry popcount covers every op until one that can
-        # write EXEC (op.fresh_lanes marks the successor of each such
-        # op, resolved at compile time); HSAIL chains never re-read it.
-        lanes = (state.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count()
-        if stream is None:
-            # Pure execute (the bench's execute-mode cells): no capture
-            # records, so the loop carries no probe-output plumbing.
-            for op in chain.ops:
-                if op.fresh_lanes:
-                    lanes = (state.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count()
-                if op.is_simd:
-                    simd_active += lanes
-                counter += 1
-                if op.rw_slots:
-                    vrf.record_reuse(reuse, counter, op.rw_slots)
-                if (counter & 3) == 0 and op.has_probe_slots:
-                    mask = state.exec_bool()
-                    if op.read_slots:
-                        vrf.probe_uniqueness(
-                            regs, op.read_slots, mask, is_write=False,
-                            active=lanes)
-                    if op.is_branch:
-                        branch_out = op.run(state)
-                    else:
-                        op.run(state)
-                    if op.write_slots:
-                        vrf.probe_uniqueness(
-                            regs, op.write_slots, mask, is_write=True,
-                            active=lanes)
-                elif op.is_branch:
-                    branch_out = op.run(state)
-                else:
-                    op.run(state)
-        else:
-            for op in chain.ops:
-                if op.fresh_lanes:
-                    lanes = (state.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count()
-                if op.is_simd:
-                    simd_active += lanes
-                counter += 1
-                if op.rw_slots:
-                    vrf.record_reuse(reuse, counter, op.rw_slots)
-                probed = (counter & 3) == 0 and op.has_probe_slots
-                read_uniques = write_uniques = None
-                if probed:
-                    mask = state.exec_bool()
-                    if op.read_slots:
-                        read_uniques = vrf.probe_uniqueness(
-                            regs, op.read_slots, mask, is_write=False,
-                            active=lanes, collect=True)
-                if op.is_branch:
-                    branch_out = op.run(state)
-                else:
-                    op.run(state)
-                if probed and op.write_slots:
-                    write_uniques = vrf.probe_uniqueness(
-                        regs, op.write_slots, mask, is_write=True,
-                        active=lanes, collect=True)
-                if op.is_branch:
-                    stream.record_branch(
-                        op.pc, lanes, probed, branch_out[0],
-                        state.pc if branch_out[0] else None,
-                        read_uniques, write_uniques)
-                else:
-                    stream.record_fused(op.pc, lanes, probed,
-                                        read_uniques, write_uniques)
-        wf.instr_counter = counter
-        for category, count in chain.cat_counts:
-            stats.record_instruction(category, count)
-        if chain.simd_count:
-            stats.simd_utilization.add(simd_active, 64 * chain.simd_count)
-        if branch_out is not None:
-            # _branch moved the architectural pc to the continuation;
-            # park it on the wavefront and restore, so the consume path
-            # walks the chain's pcs one issue at a time.
-            wf.fused_branch = (branch_out[0], state.pc)
-            state.pc = pc
-        wf.fused_count = len(chain.ops)
-        if wf.fused_result is None:
-            wf.fused_result = ExecResult()
-        return True
-
-    def _consume_fused(self, wf: TimingWavefront, pc: int) -> ExecResult:
-        """One queued fused outcome; advances the architectural pc the
-        way ``execute`` would have at this issue slot."""
-        wf.fused_count -= 1
-        result: ExecResult = wf.fused_result  # type: ignore[assignment]
-        state = wf.state
-        if wf.fused_count == 0 and wf.fused_branch is not None:
-            taken, cont_pc = wf.fused_branch
-            wf.fused_branch = None
-            result.branch_taken = taken
-            result.next_pc = cont_pc if taken else None
-            state.pc = cont_pc
-        else:
-            result.branch_taken = False
-            result.next_pc = None
-            state.pc = pc + 1
-        return result
+            self._maybe_retire(self.workgroups[wf.wg_key])
 
     def _charge_units(self, wf: TimingWavefront, desc: IssueDesc,
                       simd: int, now: int) -> int:
@@ -721,8 +533,6 @@ class ComputeUnit:
                        trace: Optional[TraceBus] = None) -> None:
         gpu = self.gpu
         mem_kind = result.mem_kind
-        if mem_kind == MemKind.NONE:
-            return
         if mem_kind in (MemKind.GLOBAL_LOAD, MemKind.GLOBAL_STORE):
             lines = result.mem_lines or [0]
             done = gpu.memsys.vector_access(

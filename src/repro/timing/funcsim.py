@@ -1,0 +1,186 @@
+"""The functional pass: the one place instruction semantics execute.
+
+Every simulation is trace-first.  A dispatch runs here to completion,
+timing-free, and (given a :class:`~repro.timing.replay.TraceRecorder`)
+leaves one :class:`~repro.timing.replay.WfStream` per wavefront behind;
+the CU model then only ever replays streams (:mod:`repro.timing.gpu`).
+Without a recorder this is the plain functional simulator the workload
+verification tests use: both ISAs of one kernel must produce identical
+memory results.
+
+The inter-wavefront order is canonical, not a model of any schedule:
+workgroups run one after another in dispatch order, and the wavefronts
+of a workgroup take turns in index order, each running until it reaches
+a barrier or ends.  A kernel whose wavefronts communicate only through
+barriers cannot tell; one that races (atomics feeding control flow,
+unsynchronised scatters) gets this order's outcome under every timing
+configuration, which is what makes a trace a function of program and
+input alone.
+
+Straight-line code runs as superop chains (:mod:`repro.common.superops`),
+a whole chain per step; ``REPRO_SEMANTICS=raw`` compiles no chains, so
+every instruction takes the reference interpreter — the chain-length-1
+case of the same loop.
+
+The sampled VRF value-uniqueness probes are taken here, not in the CU:
+they read live register values under the live EXEC mask, which exist
+only while semantics execute.  One instruction in four is sampled (the
+unique count per slot is the probe's cost, and the ratio converges
+quickly); the mask is taken before execution for both probes.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..common.errors import DeadlockError
+from ..common.superops import SuperOp, compile_kernel, resolve_semantics
+from ..gcn3.semantics import Gcn3Executor, Gcn3WfState
+from ..hsail.semantics import HsailExecutor, HsailWfState
+from ..runtime.process import Dispatch, GpuProcess
+from .predecode import IssueDesc, predecode_kernel
+from .registerfile import unique_counts
+from .replay import TraceRecorder, WfStream
+
+_DEFAULT_STEP_LIMIT = 5_000_000
+
+_LANES = 0xFFFFFFFFFFFFFFFF
+
+
+def run_dispatch_functional(
+    process: GpuProcess,
+    dispatch: Dispatch,
+    step_limit: int = _DEFAULT_STEP_LIMIT,
+    recorder: Optional[TraceRecorder] = None,
+) -> int:
+    """Run one dispatch to completion; returns dynamic instruction count.
+
+    With ``recorder``, each wavefront's outcomes are appended as the next
+    stream — wavefront ids follow workgroup order then wavefront index,
+    the numbering the dispatcher's placement uses.
+    """
+    is_gcn3 = dispatch.is_gcn3
+    kernel = dispatch.kernel
+    descs = predecode_kernel(kernel)
+    chains = (compile_kernel(kernel, is_gcn3, descs)
+              if resolve_semantics() == "block" else {})
+    executor_cls, state_cls = ((Gcn3Executor, Gcn3WfState) if is_gcn3
+                               else (HsailExecutor, HsailWfState))
+    executed = 0
+
+    for wg in range(dispatch.num_workgroups):
+        lds = np.zeros(max(kernel.group_bytes, 4), dtype=np.uint8)
+        executor = executor_cls(process.memory, lds)
+        wg_id = dispatch.workgroup_id(wg)
+        wavefronts = []
+        streams: List[Optional[WfStream]] = []
+        for wf_index in range(dispatch.wavefronts_in_wg(wg)):
+            ctx = dispatch.make_context(wg_id, wf_index, lds_base_offset=0)
+            wavefronts.append(state_cls(kernel, ctx))
+            streams.append(None if recorder is None
+                           else recorder.stream(len(recorder.streams)))
+        executed += _run_workgroup(executor, wavefronts, streams, chains,
+                                   descs, step_limit)
+    dispatch.signal.decrement()
+    return executed
+
+
+def _run_workgroup(executor, wavefronts: List[object],
+                   streams: "List[Optional[WfStream]]",
+                   chains: "Dict[int, Tuple[SuperOp, ...]]",
+                   descs: Sequence[IssueDesc], step_limit: int) -> int:
+    """Round-robin at barrier granularity: each round runs every live
+    wavefront to its next barrier or its end, after which all of them
+    have arrived (ended wavefronts do not count) and the barrier opens."""
+    executed = 0
+    live = list(zip(wavefronts, streams))
+    while live:
+        for wf, stream in live:
+            executed += _run_wavefront(executor, wf, stream, chains, descs,
+                                       step_limit - executed)
+        live = [(wf, stream) for wf, stream in live if not wf.done]
+    return executed
+
+
+def _run_wavefront(executor, wf, stream: Optional[WfStream],
+                   chains: "Dict[int, Tuple[SuperOp, ...]]",
+                   descs: Sequence[IssueDesc], budget: int) -> int:
+    """Run ``wf`` until its next barrier or its end, recording into
+    ``stream`` when there is one; returns the instructions executed.
+
+    A stream holds one flag byte per instruction record, so its length
+    is the wavefront's dynamic instruction count so far — the counter
+    the one-in-four probe sampling keys on.
+    """
+    is_gcn3 = wf.is_gcn3
+    regs = wf.vgpr if is_gcn3 else wf.regs
+    recording = stream is not None
+    counter = len(stream.flags) if recording else 0
+    executed = 0
+    while executed <= budget:
+        if not is_gcn3:
+            # A pending-path switch at a reconvergence point is a
+            # simulator-initiated jump (it flushes the IB at replay).
+            rs = wf.rs
+            if rs and wf.pc == rs[-1].rpc:
+                new_pc = executor.check_reconvergence(wf)
+                if new_pc is not None and recording:
+                    stream.jump(new_pc)
+        pc = wf.pc
+        chain = chains.get(pc)
+        if chain is None:
+            counter += 1
+            desc = descs[pc]
+            probed = (recording and (counter & 3) == 0
+                      and bool(desc.read_slots or desc.write_slots))
+            lanes = 0
+            read_uniques = write_uniques = None
+            if probed:
+                mask = wf.exec_bool()
+                lanes = (wf.exec_mask & _LANES).bit_count()
+                read_uniques = unique_counts(regs, desc.read_slots, mask,
+                                             lanes)
+            result = executor.execute(wf)
+            if probed:
+                write_uniques = unique_counts(regs, desc.write_slots, mask,
+                                              lanes)
+            if recording:
+                stream.record(pc, result, probed, lanes, read_uniques,
+                              write_uniques)
+            executed += 1
+            if result.is_barrier or result.ends_wavefront:
+                return executed
+            continue
+        # The chain-entry popcount covers every op until one that can
+        # write EXEC (op.fresh_lanes marks the successor of each such
+        # op, resolved at compile time); HSAIL chains never re-read it.
+        lanes = (wf.exec_mask & _LANES).bit_count()
+        for op in chain:
+            if op.fresh_lanes:
+                lanes = (wf.exec_mask & _LANES).bit_count()
+            counter += 1
+            probed = recording and (counter & 3) == 0 and op.has_probe_slots
+            read_uniques = write_uniques = None
+            if probed:
+                mask = wf.exec_bool()
+                read_uniques = unique_counts(regs, op.read_slots, mask, lanes)
+            taken = op.run(wf)
+            if probed:
+                write_uniques = unique_counts(regs, op.write_slots, mask,
+                                              lanes)
+            if not recording:
+                continue
+            if op.is_branch:
+                stream.record_branch(op.pc, lanes, probed, taken,
+                                     wf.pc if taken else None,
+                                     read_uniques, write_uniques)
+            else:
+                stream.record_fused(op.pc, lanes, probed, read_uniques,
+                                    write_uniques)
+        if not op.is_branch:
+            # Only a branch closure moves the architectural pc.
+            wf.pc = pc + len(chain)
+        executed += len(chain)
+    raise DeadlockError("functional execution exceeded step limit")

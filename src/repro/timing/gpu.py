@@ -7,6 +7,14 @@ clock.  When no CU can make progress in a cycle the clock fast-forwards
 to the next scheduled event — the trick that makes a Python cycle model
 usable.
 
+Execution is trace-first.  A run that was not handed a recorded trace
+first executes each dispatch in the functional pass
+(:mod:`repro.timing.funcsim`), which leaves one stream per wavefront in
+memory; the CU model then replays those streams exactly as it replays a
+stored trace.  ``execute``, ``capture`` and ``replay`` therefore share
+one timing path and differ only in where the streams come from and
+whether they are kept.
+
 Per-dispatch statistics (cycles, dynamic instructions, IB flushes, VRF
 probes, cache counters) land in one :class:`StatSet` per kernel launch.
 """
@@ -16,23 +24,18 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..common.config import GpuConfig
 from ..common.errors import DeadlockError, TimingError
-from ..common.superops import compile_kernel, resolve_semantics
 from ..common.xp import get_array_module
 from ..common.events import EventQueue
 from ..common.stats import StatSet
 from ..gcn3.isa import Gcn3Kernel
-from ..gcn3.semantics import Gcn3Executor, Gcn3WfState
-from ..hsail.semantics import HsailExecutor, HsailWfState
 from ..obs.metrics import CYCLES, WORKGROUPS_DISPATCHED
 from ..obs.trace import TraceBus
 from ..runtime.process import Dispatch, GpuProcess
 from .caches import MemorySystem
 from .cu import NEVER_WAKE, ComputeUnit, WorkgroupRecord
-from .predecode import UNIT_SIMD, predecode_kernel
+from .funcsim import run_dispatch_functional
 from .registerfile import VrfModel
 from .replay import ExecTrace, TraceRecorder
 from .vector import resolve_engine, vector_cursor
@@ -56,26 +59,24 @@ class Gpu:
         #: observability bus; ``None`` (the default) keeps every
         #: instrumentation point on the zero-overhead no-trace path.
         self.trace = trace
-        #: trace capture sink — execute-at-issue runs record each
-        #: wavefront's functional outcomes into it (see timing/replay.py).
+        #: trace capture sink: the functional pass's streams land here,
+        #: for the caller to ``finish`` into an :class:`ExecTrace`.
         self.recorder = recorder
-        #: recorded trace to replay — wavefronts get a ReplayCursor
-        #: instead of a functional state, and no executor is built.
+        #: stored trace to replay; ``None`` means the functional pass
+        #: runs first and the streams replayed are its own.
         self.replay = replay
+        #: where the functional pass records (``None``: nothing to run,
+        #: the streams are stored) and the trace every wavefront's cursor
+        #: is cut from — the stored one, or a view of the sink's streams.
+        self._sink = None if replay is not None else recorder or TraceRecorder()
+        self._source = replay or ExecTrace({}, self._sink.streams)
         #: the resolved cycle engine for this run: "vector" batch-decodes
-        #: each wavefront's stream at placement (untraced replay only);
+        #: each wavefront's stream at placement (untraced runs only);
         #: "scalar" is the per-issue reference path.  See timing/vector.py.
         self.engine = resolve_engine(config.engine,
                                      replay=replay is not None,
                                      traced=trace is not None)
         self._xp = get_array_module() if self.engine == "vector" else None
-        #: block-compiled semantics (common/superops.py): execute and
-        #: capture runs fuse straight-line code into superop chains.
-        #: Replay never executes semantics, and event-traced runs need
-        #: per-issue ExecResults on the bus, so both stay raw;
-        #: REPRO_SEMANTICS=raw is the process-wide escape hatch.
-        self._superops_enabled = (replay is None and trace is None
-                                  and resolve_semantics() == "block")
         self.events = EventQueue()
         self.memsys = MemorySystem(config)
         self.memsys.trace = trace
@@ -120,6 +121,13 @@ class Gpu:
 
     def run_dispatch(self, dispatch: Dispatch) -> StatSet:
         """Run one dispatch to completion and return its statistics."""
+        if self._sink is not None:
+            # Semantics run once, here (completing the dispatch's signal);
+            # everything below only replays.
+            run_dispatch_functional(self.process, dispatch,
+                                    recorder=self._sink)
+        else:
+            dispatch.signal.decrement()
         stats = StatSet()
         self.stats = stats
         self.memsys.stats = stats
@@ -156,7 +164,6 @@ class Gpu:
             for cache in group:
                 cache.reset_counters()
         self.memsys.dram.accesses = 0
-        dispatch.signal.decrement()
         return stats
 
     def _loop_scan(self, dispatch: Dispatch, dispatch_id: int,
@@ -276,61 +283,38 @@ class Gpu:
         sgprs: int,
         lds_bytes: int,
     ) -> None:
-        replay = self.replay
-        recorder = self.recorder
-        if replay is not None:
-            # Replay never executes semantics: no LDS image, no executor,
-            # no functional register state — each wavefront walks its
-            # recorded stream through the same issue machinery.
-            executor: object = None
-        else:
-            lds = np.zeros(max(lds_bytes, 4), dtype=np.uint8)
-            if dispatch.is_gcn3:
-                executor = Gcn3Executor(self.process.memory, lds)
-            else:
-                executor = HsailExecutor(self.process.memory, lds)
-        superops = (compile_kernel(dispatch.kernel, dispatch.is_gcn3,
-                                   predecode_kernel(dispatch.kernel),
-                                   UNIT_SIMD)
-                    if replay is None and self._superops_enabled else None)
+        source = self._source
+        kernel = dispatch.kernel
         wg_key = (dispatch_id, wg_index)
         wavefronts = []
-        wg_id = dispatch.workgroup_id(wg_index)
-        for wf_index in range(num_wfs):
-            if replay is not None:
-                if self._xp is not None:
-                    # Vector engine: decode the whole stream now and fold
-                    # its order-independent statistics into the dispatch
-                    # StatSet; the issue path then reads plain lists.
-                    state: object = vector_cursor(
-                        replay, self._wf_counter, dispatch.kernel,
-                        dispatch.is_gcn3, self.stats, self._xp)
-                else:
-                    state = replay.cursor(
-                        self._wf_counter, dispatch.kernel, dispatch.is_gcn3)
+        for _ in range(num_wfs):
+            if self._xp is not None:
+                # Vector engine: decode the whole stream now and fold
+                # its order-independent statistics into the dispatch
+                # StatSet; the issue path then reads plain lists.
+                cursor = vector_cursor(source, self._wf_counter, kernel,
+                                       dispatch.is_gcn3, self.stats, self._xp)
             else:
-                ctx = dispatch.make_context(wg_id, wf_index, lds_base_offset=0)
-                if dispatch.is_gcn3:
-                    state = Gcn3WfState(dispatch.kernel, ctx)
-                else:
-                    state = HsailWfState(dispatch.kernel, ctx)
+                cursor = source.cursor(self._wf_counter, kernel,
+                                       dispatch.is_gcn3)
             wf = TimingWavefront(
                 wf_id=self._wf_counter,
                 simd_id=0,
                 wg_key=wg_key,
-                state=state,  # type: ignore[arg-type]
+                state=cursor,
                 code_base=dispatch.loaded.code_base,
                 ib_capacity=self.config.cu.ib_entries,
-                capture=(recorder.stream(self._wf_counter)
-                         if recorder is not None else None),
-                superops=superops,
             )
             self._wf_counter += 1
             wavefronts.append(wf)
+        if self._sink is not None:
+            # Streams recorded for this run are replayed exactly once: a
+            # decode memo would only pin every wavefront's decode until
+            # the GPU itself is collected.
+            source._decode_cache.clear()
         record = WorkgroupRecord(
             wg_key=wg_key,
             wavefronts=wavefronts,
-            executor=executor,
             lds_bytes=lds_bytes,
             reg_slots=reg_slots * num_wfs,
             sgpr_slots=sgprs * num_wfs,

@@ -1,9 +1,10 @@
 """Vector register file model: bank conflicts, reuse distance, value
 uniqueness.
 
-These are the paper's Figures 6, 7 and 10.  The probes run at issue time
-against the wavefront's *actual* register values (execute-at-issue keeps
-them real):
+These are the paper's Figures 6, 7 and 10.  Bank conflicts and reuse
+distance are accounted as the CU issues; value uniqueness needs the
+wavefront's *actual* register values, so the functional pass samples it
+(:func:`unique_counts`) and it reaches the statistics through the trace:
 
 * **Bank conflicts** — operand slots map to ``slot % num_banks``; two
   operands of one instruction hitting the same bank serialize and count
@@ -18,7 +19,7 @@ them real):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -176,40 +177,22 @@ class VrfModel:
                 dist._sorted_keys = None
             tracker[slot] = instr_counter
 
-    # -- value uniqueness -------------------------------------------------------
 
-    def probe_uniqueness(
-        self,
-        regs: np.ndarray,
-        slots: List[int],
-        mask: np.ndarray,
-        is_write: bool,
-        active: Optional[int] = None,
-        collect: bool = False,
-    ) -> "Optional[List[int]]":
-        """Record |unique|/|active| for each accessed VRF slot.
+def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
+                  active: int) -> List[int]:
+    """|unique lane values| of each VRF slot in ``slots`` under ``mask``
+    (whose popcount is ``active``); empty when no lane is active.
 
-        ``active`` may be supplied by callers that already know the
-        popcount of ``mask`` (the CU passes the EXEC popcount).  With
-        ``collect`` set, the per-slot unique counts are also returned so
-        a trace capture can store them — the probe reads live register
-        values, which a replay cannot reconstruct.
-        """
-        if active is None:
-            active = int(mask.sum())
-        if active == 0 or not slots:
-            return [] if collect else None
-        probe = self.stats.write_uniqueness if is_write else self.stats.read_uniqueness
-        out: Optional[List[int]] = [] if collect else None
-        full = active == mask.shape[0]
-        for slot in slots:
-            # With every lane active the boolean gather is the identity;
-            # skip the fancy-index copy and read the row directly.
-            values = regs[slot] if full else regs[slot][mask]
-            # len(set(...)) over the Python values matches np.unique's
-            # count (same ==-based dedup) without the O(n log n) sort.
-            unique = len(set(values.tolist()))
-            probe.add(unique, active)
-            if out is not None:
-                out.append(unique)
-        return out
+    The functional pass samples this into the trace — it reads live
+    register values, which a replay cannot reconstruct — and the replay
+    cursors fold the recorded counts into the uniqueness statistics.
+    """
+    if not active:
+        return []
+    # With every lane active the boolean gather is the identity; skip
+    # the fancy-index copy and read the row directly.  len(set(...))
+    # over the Python values matches np.unique's count (same ==-based
+    # dedup) without the O(n log n) sort.
+    full = active == mask.shape[0]
+    return [len(set((regs[slot] if full else regs[slot][mask]).tolist()))
+            for slot in slots]

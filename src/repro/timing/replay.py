@@ -1,23 +1,23 @@
-"""Functional fast-forward: capture the dynamic instruction stream once,
-replay it under any timing-only configuration.
+"""Execution traces: what the functional pass records and the cycle
+model replays.
 
-The cycle model executes-at-issue: every dynamic instruction runs its
-full HSAIL/GCN3 semantics the moment the CU issues it.  But the *stream*
-— which instruction issues, which lanes are active, which memory lines it
-touches, where branches go — is a property of the program and its input,
-not of the timing axes (cache geometry, VRF banks, latencies, CU count)
-that :mod:`repro.explore` sweeps over.  This module separates the two:
+The *stream* — which instruction issues, which lanes are active, which
+memory lines it touches, where branches go — is a property of the
+program and its input, not of the timing axes (cache geometry, VRF
+banks, latencies, CU count) that :mod:`repro.explore` sweeps over.  So
+semantics run once, timing-free (:mod:`repro.timing.funcsim`), and the
+CU model only ever walks the result:
 
-* :class:`TraceRecorder` rides along with an execute-at-issue run and
-  records, per wavefront, the minimal timing-relevant outcome of every
-  functional execution into compact :mod:`array`-backed streams.
+* :class:`TraceRecorder` collects, per wavefront, the minimal
+  timing-relevant outcome of every functional execution into compact
+  :mod:`array`-backed streams.
 * :class:`ExecTrace` is the recorded artifact: per-wavefront streams plus
   metadata, with a binary serialization for the on-disk trace store
-  (:class:`repro.harness.cache.TraceStore`).
-* :class:`ReplayCursor` stands in for a functional wavefront state: the
-  CU's issue machinery reads the next record instead of calling
-  ``executor.execute``, reproducing bit-identical statistics without
-  touching registers or memory.
+  (:class:`repro.harness.cache.TraceStore`).  An ``execute`` run keeps
+  its trace in memory only; ``capture`` stores it; ``replay`` loads one.
+* :class:`ReplayCursor` is a wavefront's functional state as the CU sees
+  it: the issue machinery reads the next record, reproducing the
+  statistics without touching registers or memory.
 
 What must be recorded (everything else the timing model derives from the
 static predecoded :class:`~repro.timing.predecode.IssueDesc` tables):
@@ -28,14 +28,15 @@ static predecoded :class:`~repro.timing.predecode.IssueDesc` tables):
 * HSAIL reconvergence-stack *jumps* (simulator-initiated PC changes that
   flush the instruction buffer **before** an issue);
 * the sampled VRF value-uniqueness probe outcomes, which read live
-  register values under the live EXEC mask and therefore cannot be
-  recomputed at replay time.
+  register values under the live EXEC mask and therefore exist only
+  while semantics execute.
 
-Why wavefront identity is a safe stream key: the dispatcher places
-workgroups strictly in order (one per cycle from a FIFO) and numbers
-wavefronts with a global counter, so wavefront ``wf_id`` maps to the
-same (dispatch, workgroup, wavefront) triple under every timing
-configuration — only *where* and *when* it runs changes.
+Why wavefront identity is a safe stream key: the functional pass runs
+workgroups in dispatch order and the dispatcher places them strictly in
+that order (one per cycle from a FIFO), both numbering wavefronts with
+a running counter, so wavefront ``wf_id`` maps to the same (dispatch,
+workgroup, wavefront) triple under every timing configuration — only
+*where* and *when* it is timed changes.
 
 Serialized traces are host-local cache artifacts (keyed by a source-tree
 stamp and the functional config fingerprint, see ``harness/cache.py``);
@@ -146,9 +147,9 @@ class WfStream:
     def record_fused(self, pc: int, active: int, probed: bool,
                      read_uniques: Optional[List[int]],
                      write_uniques: Optional[List[int]]) -> None:
-        """One fused instruction's outcome — the block-compiled path's
-        :meth:`record`, specialized for ops whose result fields are
-        statically empty (no memory access, branch, barrier, or end)."""
+        """One superop-chain instruction's outcome — :meth:`record`
+        specialized for ops whose result fields are statically empty (no
+        memory access, branch, barrier, or end)."""
         self.code.append(pc)
         self.flags.append(0)
         self.active.append(active)
@@ -191,7 +192,8 @@ class WfStream:
 
 
 class TraceRecorder:
-    """Collects one :class:`WfStream` per wavefront during a capture run."""
+    """Collects one :class:`WfStream` per wavefront from the functional
+    pass."""
 
     def __init__(self) -> None:
         self.streams: List[WfStream] = []
@@ -199,9 +201,8 @@ class TraceRecorder:
     def stream(self, wf_id: int) -> WfStream:
         """The stream for wavefront ``wf_id``.
 
-        Wavefront ids are assigned sequentially by the dispatcher, so
-        streams are created in id order; a gap means the recorder was
-        attached to the wrong GPU instance.
+        Wavefront ids are assigned sequentially, so streams are created
+        in id order; a gap means the recorder missed a dispatch.
         """
         if wf_id != len(self.streams):
             raise TraceError(
@@ -332,13 +333,9 @@ class ExecTrace:
 class ReplayCursor:
     """Drives one wavefront's issue path from a recorded stream.
 
-    A cursor stands where the functional :class:`HsailWfState` /
-    :class:`Gcn3WfState` normally sits on a :class:`TimingWavefront`: it
-    exposes the attributes the timing model reads (``pc``, ``done``,
-    ``kernel``) and advances them from the trace instead of executing.
-    The functional-only attributes are class-level ``None``/empty stand-
-    ins so the shared ``__post_init__``/scheduling code needs no special
-    cases beyond the capture/replay branch points in the CU.
+    A cursor is the ``state`` of a :class:`TimingWavefront`: it exposes
+    the attributes the timing model reads (``pc``, ``done``, ``kernel``,
+    ``is_gcn3``) and advances them from the trace.
     """
 
     __slots__ = (
@@ -349,12 +346,6 @@ class ReplayCursor:
         "_i_probe", "_i_pread", "_i_pwrite",
     )
 
-    # Functional state the timing model never touches on the replay
-    # branches; present so shared code paths stay attribute-safe.
-    rs = ()
-    regs = None
-    vgpr = None
-    exec_mask = 0
     #: the issue path branches on this instead of the cursor type: the
     #: vectorized subclass (timing/vector.py) pre-folds all per-issue
     #: statistics and takes a narrower ``advance(pc)`` call.
@@ -389,9 +380,10 @@ class ReplayCursor:
     def take_jump(self) -> Optional[int]:
         """Consume a pending reconvergence jump, if the next record is one.
 
-        Mirrors the execute-path ``check_reconvergence`` call site: the
-        jump fires on the wavefront's first issue attempt after the
-        preceding instruction, before any instruction-buffer checks.
+        The functional pass checks reconvergence before every
+        instruction, so the jump fires on the wavefront's first issue
+        attempt after the preceding instruction, before any
+        instruction-buffer checks.
         """
         i = self._i_code
         code = self._code
@@ -408,8 +400,8 @@ class ReplayCursor:
         """Consume the next instruction record; returns its ExecResult.
 
         Replays the sampled uniqueness-probe outcomes straight into the
-        StatSet (the probes read live register values at capture time and
-        cannot be recomputed here), then reconstitutes the result fields
+        StatSet (the probes read live register values in the functional
+        pass and cannot be recomputed here), then reconstitutes the result fields
         the CU consumes.  ``pc`` is the issue path's program counter —
         a mismatch with the recorded stream means the trace belongs to a
         different functional execution and the replay must abort rather

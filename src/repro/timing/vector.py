@@ -19,9 +19,10 @@ pass per wavefront:
 
 Both products depend only on the stream contents, never on the swept
 configuration, so they are memoized on the :class:`ExecTrace` itself
-(``_decode_cache``): a 36-point sweep replaying one trace pays for one
-decode, and every subsequent cell's placement cost is a dict lookup plus
-a handful of integer adds.
+(``_decode_cache``): a 36-point sweep replaying one stored trace pays
+for one decode, and every subsequent cell's placement cost is a dict
+lookup plus a handful of integer adds.  (A run replaying the trace it
+just recorded decodes each stream once and keeps no memo.)
 
 What stays in the event loop is exactly the state that depends on *when*
 the timing model issues: VRF bank-conflict windows (``note_access``),
@@ -34,9 +35,10 @@ ever change accumulation order, never totals.  The differential harness
 test_engine_fuzz.py``) proves that equivalence cell by cell.
 
 Engine selection (:func:`resolve_engine`): ``scalar`` always takes the
-reference path; ``vector`` batches every untraced replay run (execute
-cells and event-traced runs keep the scalar reference so per-issue
-emission stays exhaustive); ``auto`` means ``vector``.
+reference path; ``vector`` batches every untraced run — a stored trace
+or the one the functional pass just recorded — while event-traced runs
+keep the scalar reference so per-issue emission stays exhaustive;
+``auto`` means ``vector``.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ def resolve_engine(requested: str, *, replay: bool, traced: bool) -> str:
     ``REPRO_ENGINE`` overrides a config-level ``auto`` (so a CI leg can
     force the vector path without touching every config literal), but an
     explicit ``scalar``/``vector`` in the config always wins.  Only
-    untraced replay runs ever vectorize: execute cells are the reference
-    semantics, and event-traced runs need the scalar engine's exhaustive
-    per-issue bookkeeping to emit from.
+    untraced runs vectorize: event-traced runs need the scalar engine's
+    exhaustive per-issue bookkeeping to emit from.  ``replay`` no longer
+    matters — every run replays a trace, stored or just recorded.
     """
     if requested not in ENGINES:
         raise ConfigError(
@@ -87,7 +89,7 @@ def resolve_engine(requested: str, *, replay: bool, traced: bool) -> str:
                     f"unknown REPRO_ENGINE {env!r}: pick scalar or vector"
                 )
             requested = env
-    if not replay or traced or requested == "scalar":
+    if traced or requested == "scalar":
         return "scalar"
     return "vector"
 
@@ -360,7 +362,7 @@ def _fold_probes(fold: FoldArtifact, stream: WfStream, tables: KernelTables,
                  xp, pcs, n: int) -> None:
     """Sampled value-uniqueness probes, batched.
 
-    The capture stored one ``probe_active`` entry per sampled record
+    The functional pass stored one ``probe_active`` entry per sampled record
     that touches VRF slots (every 4th issue: record j samples iff
     (j+1) & 3 == 0), and one unique-count per read/write slot of the
     sampled records with active lanes.  The numerators are therefore
@@ -406,10 +408,10 @@ class VectorReplayCursor(ReplayCursor):
     accumulates were pre-reduced into the decode's
     :class:`FoldArtifact`, applied by :func:`vector_cursor`.
 
-    Subclasses :class:`ReplayCursor` only for its class-level functional
-    stand-ins (``rs``/``regs``/``vgpr``/``exec_mask``) and so the shared
-    ``isinstance`` checks keep working; none of the scalar slots are
-    initialized or used.
+    Subclasses :class:`ReplayCursor` for its slots (``kernel``, ``pc``,
+    ``done``, ``is_gcn3``, ``result``) and so that a wavefront's state
+    is one type; none of the scalar stream slots are initialized or
+    used.
     """
 
     vectorized = True

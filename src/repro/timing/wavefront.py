@@ -1,5 +1,7 @@
 """Timing-side wavefront state: instruction buffer, dependency state,
-and fetch bookkeeping around the functional register state.
+and fetch bookkeeping around the replay cursor that stands in for the
+functional register state (semantics ran earlier, in the functional
+pass; see :mod:`repro.timing.funcsim`).
 
 This object is touched on every simulated cycle, so it is deliberately
 lean: ``slots=True`` (no per-instance ``__dict__``), the static
@@ -15,13 +17,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..gcn3.isa import Gcn3Instr, Gcn3Kernel
-from ..gcn3.semantics import Gcn3WfState
 from ..hsail.isa import HSAIL_INSTR_BYTES, HsailInstr, HsailKernel
-from ..hsail.semantics import HsailWfState
 from .predecode import IssueDesc, predecode_kernel
-from .replay import ReplayCursor, WfStream
+from .replay import ReplayCursor
 
-AnyState = Union[HsailWfState, Gcn3WfState, ReplayCursor]
 AnyInstr = Union[HsailInstr, Gcn3Instr]
 
 
@@ -32,7 +31,9 @@ class TimingWavefront:
     wf_id: int                      # global age (oldest-job-first key)
     simd_id: int
     wg_key: Tuple[int, int]         # (dispatch ordinal, workgroup index)
-    state: AnyState
+    #: the wavefront's recorded stream: ``pc``, ``done`` and every
+    #: functional outcome the issue path consumes come from it.
+    state: ReplayCursor
     code_base: int
 
     # Instruction buffer: (instruction index, encoded size) entries.
@@ -56,33 +57,11 @@ class TimingWavefront:
     instr_counter: int = 0          # dynamic instructions, for reuse distance
     reuse_tracker: Dict[int, int] = field(default_factory=dict)
 
-    #: trace-capture stream (``None`` outside capture runs); the CU
-    #: appends one record per issued instruction / reconvergence jump.
-    capture: Optional[WfStream] = None
-
-    #: block-compiled superop chains (``None`` when REPRO_SEMANTICS=raw,
-    #: under replay, or while event-tracing); assigned at placement by
-    #: :meth:`repro.timing.gpu.Gpu._place_workgroup`.
-    superops: Optional[Dict[int, object]] = None
-    #: queued fused issues left from the chain executed at its first
-    #: issue; while > 0 the CU consumes precomputed outcomes.
-    fused_count: int = 0
-    #: (taken, continuation pc) of the chain's terminal branch, consumed
-    #: with the chain's final queued issue.
-    fused_branch: Optional[Tuple[bool, int]] = None
-    #: reusable ExecResult for the fused consume path (lazily created);
-    #: every field but the branch pair stays at its empty default.
-    fused_result: Optional[object] = None
-
     # Derived, filled in by __post_init__ (static for the WF's lifetime
     # except fetch_want, which the owning CU keeps in sync).
     is_gcn3: bool = field(init=False, default=False)
     descs: Tuple[IssueDesc, ...] = field(init=False, default=())
     num_instrs: int = field(init=False, default=0)
-    regs: object = field(init=False, default=None)  # VRF array view
-    #: the state as a :class:`ReplayCursor` when this wavefront replays a
-    #: recorded trace instead of executing; ``None`` in execute mode.
-    cursor: Optional[ReplayCursor] = field(init=False, default=None)
     #: True iff :meth:`wants_fetch` — maintained by the CU via
     #: ``_sync_fetch`` at every fetch/IB/done transition so the fetch
     #: arbiter can early-out on a per-CU candidate count.
@@ -91,10 +70,6 @@ class TimingWavefront:
     def __post_init__(self) -> None:
         state = self.state
         self.is_gcn3 = state.is_gcn3
-        if isinstance(state, ReplayCursor):
-            self.cursor = state
-        else:
-            self.regs = state.vgpr if self.is_gcn3 else state.regs
         kernel = state.kernel
         self.descs = predecode_kernel(kernel)
         self.num_instrs = len(kernel.instrs)

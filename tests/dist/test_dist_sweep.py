@@ -52,6 +52,18 @@ class TestInlineDistSweep:
         assert dist.shards == 2
         assert dist.captures == 1 and dist.replays == 1
 
+    def test_derived_cells_are_counted_like_the_serial_sweep(self, tmp_path):
+        # 1k captures, 64k simulates and files a witness, 128k and 256k
+        # derive; the label rides the reported payload.
+        plateau = dict(axes=(Axis("l1d.size_bytes",
+                                  (1024, 65536, 131072, 262144)),))
+        dist = run_dist_sweep(_request(tmp_path, "dist", **plateau))
+        serial = _serial(tmp_path, "serial", **plateau)
+        assert (dist.replays, dist.derived) == (3, 2)
+        assert (serial.replays, serial.derived) == (3, 2)
+        assert (journal_digest(dist.journal_path)
+                == journal_digest(serial.journal_path))
+
     def test_json_carries_dist_ledger(self, tmp_path):
         dist = run_dist_sweep(_request(tmp_path, "ledger"))
         payload = json.loads(dist.to_json())

@@ -180,9 +180,14 @@ class TestDerivedCells:
             f"{smallest.workload}/{smallest.isa}")
 
     def test_pool_cells_derive_in_their_own_process(self, tmp_path):
+        """A derivation happens against the witnesses of the worker's own
+        trace memo, and comes back labelled ``execution="derived"``, so
+        the tally crosses the process boundary.  Three plateau-or-witness
+        cells per trace over two workers: one worker runs two of them,
+        and the second of those derives."""
         results = _sweep(tmp_path, axis=self.PLATEAU, workloads=("spmv",),
                          jobs=2)
-        assert results.replays == 6 and results.derived == 0
+        assert results.replays == 6 and 1 <= results.derived <= 4
         assert results.replay_drift == 0
 
     def test_guard_catches_a_wrong_derivation(self, tmp_path, monkeypatch):

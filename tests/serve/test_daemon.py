@@ -96,7 +96,8 @@ class TestDaemonExecution:
         executions = [status.execution for status in statuses]
         after = daemon.metrics()
         assert executions.count("capture") == 1
-        assert executions.count("replay") == 3
+        # a replay answered from an eviction-free witness says so
+        assert sum(e in ("replay", "derived") for e in executions) == 3
         assert after.captures - before.captures == 1
         assert after.replays - before.replays == 3
         assert after.batches > before.batches

@@ -84,12 +84,14 @@ class TestBatching:
         for job in jobs:
             assert job.state == "done"
             assert job.batch_size == 3
-        # First cell of each group captured, the rest replayed.
+        # First cell of each group captured, the rest replayed (or were
+        # derived from the first replay's eviction-free witness).
         by_group = {}
         for job in jobs:
             by_group.setdefault(job.request.isa, []).append(job.execution)
         for executions in by_group.values():
-            assert executions == ["capture", "replay", "replay"]
+            assert executions[0] == "capture"
+            assert set(executions[1:]) <= {"replay", "derived"}
 
     def test_batch_stats_bit_identical_to_direct_execution(self, tmp_path):
         sched = Scheduler(trace_dir=str(tmp_path / "traces"))

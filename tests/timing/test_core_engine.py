@@ -1,8 +1,11 @@
 """Core engine odds and ends: funcsim limits, DualKernel API."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.common.config import small_config
 from repro.common.errors import DeadlockError
 from repro.core import Session, run_dispatch_functional
 from repro.core.api import DualKernel
@@ -10,6 +13,9 @@ from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
 from repro.runtime.memory import Segment
 from repro.runtime.process import GpuProcess
+from repro.timing import gpu as gpu_module
+from repro.timing.gpu import Gpu
+from repro.workloads import base as workload_base
 
 
 class TestDualKernel:
@@ -37,20 +43,74 @@ class TestDualKernel:
         assert [repr(i) for i in a.hsail.instrs] == [repr(i) for i in b.hsail.instrs]
 
 
+def _spin_ir():
+    kb = KernelBuilder("spin", [("p", DType.U64)])
+    i = kb.var(DType.U32, 0)
+    with kb.Loop() as loop:
+        kb.assign(i, i + 1)
+        loop.continue_if(kb.ge(i, 0))  # never exits (u32 always >= 0)
+    kb.store(Segment.GLOBAL, kb.kernarg("p"), i)
+    return kb.finish()
+
+
+def _bad_barrier_ir():
+    kb = KernelBuilder("bad_barrier", [("p", DType.U64)])
+    tid = kb.wi_abs_id()
+    with kb.If(kb.lt(tid, 64)):  # only the first wavefront arrives
+        kb.barrier()
+    kb.store(Segment.GLOBAL, kb.kernarg("p") + kb.cvt(tid, DType.U64) * 4, tid)
+    return kb.finish()
+
+
+class _Hang(workload_base.Workload):
+    """A one-kernel workload that never finishes (test-registered)."""
+
+    name = "hang"
+    build_ir = staticmethod(_spin_ir)
+
+    def build_kernels(self):
+        return {"k": self.build_ir()}
+
+    def stage(self, process, isa):
+        out = process.alloc_buffer(4 * 128)
+        process.dispatch(self.kernel("k", isa), grid=128, wg=128,
+                         kernargs=[out])
+
+    def verify(self, process):
+        return False
+
+
+class _BarrierHang(_Hang):
+    build_ir = staticmethod(_bad_barrier_ir)
+
+
 class TestFuncsimLimits:
     def test_step_limit_catches_runaway_loops(self):
-        kb = KernelBuilder("spin", [("p", DType.U64)])
-        i = kb.var(DType.U32, 0)
-        with kb.Loop() as loop:
-            kb.assign(i, i + 1)
-            loop.continue_if(kb.ge(i, 0))  # never exits (u32 always >= 0)
-        kb.store(Segment.GLOBAL, kb.kernarg("p"), i)
-        dual = Session().compile(kb.finish())
+        dual = Session().compile(_spin_ir())
         proc = GpuProcess("gcn3")
         out = proc.alloc_buffer(64)
         proc.dispatch(dual.gcn3, grid=64, wg=64, kernargs=[out])
         with pytest.raises(DeadlockError):
             run_dispatch_functional(proc, proc.dispatches[0], step_limit=5000)
+
+    # (GCN3 only for the barrier: there the first wavefront reaches it
+    # before the second ends, and the CU counts arrivals on arrival.)
+    @pytest.mark.parametrize("hang,isa", [
+        (_Hang, "hsail"), (_Hang, "gcn3"), (_BarrierHang, "gcn3")])
+    def test_hangs_surface_from_the_gpu_and_the_session(self, monkeypatch,
+                                                        hang, isa):
+        """A runaway loop now hangs in the functional pass, a mismatched
+        barrier still in the CU's replay; both keep the error class."""
+        monkeypatch.setattr(
+            gpu_module, "run_dispatch_functional",
+            functools.partial(run_dispatch_functional, step_limit=5000))
+        monkeypatch.setitem(workload_base._REGISTRY, "hang", hang)
+        proc = GpuProcess(isa)
+        hang().stage(proc, isa)
+        with pytest.raises(DeadlockError):
+            Gpu(small_config(1), proc).run_all()
+        with pytest.raises(DeadlockError):
+            Session(small_config(1)).run("hang", isa)
 
     def test_signal_decremented_on_completion(self, vec_add_dual):
         proc = GpuProcess("gcn3")

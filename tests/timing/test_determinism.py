@@ -68,7 +68,10 @@ def test_replay_twice_is_bit_identical(store, workload, isa, engine):
                          seed=SEED, execution="replay", trace_store=store)
     second = run_workload(workload, isa, scale=SCALE, config=config,
                           seed=SEED, execution="replay", trace_store=store)
-    assert first.execution == second.execution == "replay"
+    # (The second may be answered from the first's eviction-free
+    # witness; test_equivalence covers derived == simulated.)
+    assert first.execution in ("replay", "derived")
+    assert second.execution in ("replay", "derived")
     assert _stats_payload(first) == _stats_payload(second)
 
 

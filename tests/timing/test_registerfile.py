@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.common.stats import StatSet
-from repro.timing.registerfile import VrfModel
+from repro.timing.registerfile import VrfModel, unique_counts
 
 
 def make_vrf():
@@ -105,31 +105,23 @@ class TestReuseDistance:
 
 class TestUniqueness:
     def test_all_same_value(self):
-        vrf, stats = make_vrf()
         regs = np.zeros((4, 64), dtype=np.uint32)
         regs[1][:] = 7
-        vrf.probe_uniqueness(regs, [1], np.ones(64, dtype=bool), is_write=False)
-        assert stats.read_uniqueness.value == 1 / 64
+        assert unique_counts(regs, [1], np.ones(64, dtype=bool), 64) == [1]
 
     def test_all_unique_values(self):
-        vrf, stats = make_vrf()
         regs = np.zeros((4, 64), dtype=np.uint32)
         regs[1] = np.arange(64)
-        vrf.probe_uniqueness(regs, [1], np.ones(64, dtype=bool), is_write=True)
-        assert stats.write_uniqueness.value == 1.0
+        assert unique_counts(regs, [1, 2], np.ones(64, dtype=bool),
+                             64) == [64, 1]
 
     def test_only_active_lanes_counted(self):
-        vrf, stats = make_vrf()
         regs = np.zeros((4, 64), dtype=np.uint32)
         regs[1] = np.arange(64)
         mask = np.zeros(64, dtype=bool)
         mask[:8] = True
-        vrf.probe_uniqueness(regs, [1], mask, is_write=False)
-        assert stats.read_uniqueness.numerator == 8
-        assert stats.read_uniqueness.denominator == 8
+        assert unique_counts(regs, [1], mask, 8) == [8]
 
     def test_no_active_lanes_noop(self):
-        vrf, stats = make_vrf()
         regs = np.zeros((4, 64), dtype=np.uint32)
-        vrf.probe_uniqueness(regs, [1], np.zeros(64, dtype=bool), is_write=False)
-        assert stats.read_uniqueness.denominator == 0
+        assert unique_counts(regs, [1], np.zeros(64, dtype=bool), 0) == []

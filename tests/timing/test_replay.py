@@ -7,7 +7,6 @@ from repro.common.stats import StatSet
 from repro.timing.replay import (
     TRACE_FORMAT_VERSION,
     ExecTrace,
-    ReplayCursor,
     TraceError,
     TraceRecorder,
     WfStream,
@@ -145,8 +144,3 @@ class TestReplayCursor:
     def test_unknown_wavefront_aborts(self):
         with pytest.raises(TraceError, match="wavefronts"):
             _sample_trace().cursor(7, kernel=None, is_gcn3=True)
-
-    def test_functional_standins_are_inert(self):
-        cur = _sample_trace().cursor(0, kernel=None, is_gcn3=True)
-        assert cur.rs == () and cur.regs is None and cur.vgpr is None
-        assert ReplayCursor.exec_mask == 0

@@ -8,14 +8,15 @@ of the tier-1 suite at ``small_config(2)``, scale 0.1, seed 7:
 * for two traced cells, the sha256 of the rendered stall / occupancy /
   cache report (``obs.text_report``).
 
-Every execution mode (execute-at-issue, trace capture, trace replay)
-must reproduce those digests bit for bit, so a change to the dispatcher,
-the CU issue loop, or the recorder is checked against a committed oracle
-instead of against a sibling implementation that would have to ship
-forever.  The file was generated before the time-warp engine was
-removed and took over from that engine's warp-vs-scan matrix, which is
-why the module keeps its path: the test ids are pinned by the tier-1
-floor.
+Every execution mode (execute, trace capture, trace replay) must
+reproduce those digests bit for bit, so a change to the functional
+pass, the dispatcher, the CU issue loop, or the recorder is checked
+against a committed oracle instead of against a sibling implementation
+that would have to ship forever.  The file was generated while the CU
+still executed semantics at issue (and before the time-warp engine was
+removed, whose warp-vs-scan matrix it took over, which is why the
+module keeps its path: the test ids are pinned by the tier-1 floor); the
+trace-first model reproduces it unregenerated.
 
 Regenerating after an *intentional* model change::
 
@@ -38,7 +39,10 @@ from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import ISAS, run_workload
 from repro.obs import text_report
 from repro.obs.trace import TraceConfig
-from repro.workloads import all_workloads
+from repro.runtime.process import GpuProcess
+from repro.timing.funcsim import run_dispatch_functional
+from repro.timing.replay import TraceRecorder
+from repro.workloads import all_workloads, create
 
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "cell_digests.json")
@@ -146,21 +150,23 @@ def test_execute_identity(golden, workload, isa):
 
 @pytest.fixture(scope="module")
 def captured(tmp_path_factory):
-    """Capture every cell once; returns (store, {cell: stats digest}) so
-    the capture- and replay-identity tests share the simulation work."""
+    """Capture every cell once; returns (store, {cell: run}) so the
+    capture-, replay- and functional-identity tests share the simulation
+    work."""
     store = TraceStore(tmp_path_factory.mktemp("digest-capture"))
-    digests = {}
-    for workload, isa in CELLS:
-        run = _run(workload, isa, execution="capture", trace_store=store)
-        digests[(workload, isa)] = _stats_sha(run)
-    return store, digests
+    runs = {
+        (workload, isa): _run(workload, isa, execution="capture",
+                              trace_store=store)
+        for workload, isa in CELLS
+    }
+    return store, runs
 
 
 @pytest.mark.parametrize("workload,isa", CELLS)
 def test_capture_identity(golden, captured, workload, isa):
     """Recording must not perturb the statistics it rides along with."""
-    _, digests = captured
-    assert (digests[(workload, isa)]
+    _, runs = captured
+    assert (_stats_sha(runs[(workload, isa)])
             == golden["cells"][f"{workload}/{isa}"]["stats_sha256"])
 
 
@@ -182,6 +188,37 @@ def test_replay_identity(golden, captured, workload, isa):
     assert run.execution == "replay"
     assert run.cycles == cell["cycles"]
     assert _stats_sha(run) == cell["stats_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# The functional pass alone: a trace needs no GPU
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("semantics", ["block", "raw"])
+@pytest.mark.parametrize("workload,isa", CELLS)
+def test_functional_capture_identity(golden, captured, monkeypatch,
+                                     workload, isa, semantics):
+    """``run_dispatch_functional`` + ``TraceRecorder`` — no CU, no
+    caches, no clock — writes the pinned trace bytes under both
+    semantics engines, and executes each dynamic instruction the timing
+    model then counts exactly once."""
+    monkeypatch.setenv("REPRO_SEMANTICS", semantics)
+    store, runs = captured
+    stored = store.get(trace_fingerprint(small_config(NUM_CUS), workload,
+                                         isa, SCALE, SEED))
+    process = GpuProcess(isa, memory_capacity=1 << 25)
+    create(workload, scale=SCALE, seed=SEED).stage(process, isa)
+    recorder = TraceRecorder()
+    executed = sum(run_dispatch_functional(process, dispatch,
+                                           recorder=recorder)
+                   for dispatch in process.dispatches)
+    # The header is metadata about the cell, not about how it ran.
+    trace = recorder.finish(stored.meta)
+    assert (hashlib.sha256(trace.to_bytes()).hexdigest()
+            == golden["cells"][f"{workload}/{isa}"]["trace_sha256"])
+    assert (executed == trace.dynamic_instructions
+            == runs[(workload, isa)].dynamic_instructions)
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,18 @@ class TestResolveEngine:
     def test_engines_registry(self):
         assert ENGINES == ("auto", "scalar", "vector")
 
-    def test_execute_cells_always_scalar(self):
+    def test_execute_cells_always_scalar(self, monkeypatch):
+        # Trace-first: an execute cell replays its own in-memory trace,
+        # so it resolves exactly as a replay cell does.  (The id dates
+        # from execute-at-issue, when such cells were pinned to scalar.)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         for requested in ENGINES:
-            assert resolve_engine(requested, replay=False,
-                                  traced=False) == "scalar"
+            for traced in (False, True):
+                assert (resolve_engine(requested, replay=False, traced=traced)
+                        == resolve_engine(requested, replay=True,
+                                          traced=traced))
+        assert resolve_engine("scalar", replay=False, traced=False) == "scalar"
+        assert resolve_engine("auto", replay=False, traced=False) == "vector"
 
     def test_traced_replay_stays_scalar(self):
         # event-traced runs need the scalar engine's exhaustive

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.common.exec_types import DispatchContext
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, VReg
-from repro.gcn3.semantics import Gcn3WfState
+from repro.timing.replay import ReplayCursor, WfStream
 from repro.timing.wavefront import TimingWavefront
 
 
@@ -18,9 +17,7 @@ def make_wf(num_instrs=8):
         scratch_bytes=0,
     )
     kernel.compute_layout()
-    ctx = DispatchContext(grid_size=(64, 1, 1), wg_size=(64, 1, 1),
-                          wg_id=(0, 0, 0), wf_index_in_wg=0)
-    state = Gcn3WfState(kernel=kernel, ctx=ctx)
+    state = ReplayCursor(WfStream(), kernel, is_gcn3=True)
     return TimingWavefront(wf_id=0, simd_id=0, wg_key=(0, 0), state=state,
                            code_base=0x1000, ib_capacity=4)
 
