@@ -810,11 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--engine",
                          choices=["auto", "scalar", "vector"],
                          default="auto",
-                         help="cycle engine for every cell: auto "
+                         help="replay cursor for every cell: auto "
                               "(default) and vector batch-decode each "
                               "wavefront's trace; scalar pins the "
-                              "per-issue reference walk (event-traced "
-                              "cells always take it)")
+                              "raw-array record walk (same statistics "
+                              "and cycles)")
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")

@@ -1,13 +1,4 @@
-"""Array-module seam for the vectorized replay engine.
-
-The vector engine (:mod:`repro.timing.vector`) is written against a small,
-numpy-shaped vocabulary of array operations — ``asarray``, ``compress``,
-``cumsum``, ``repeat``, ``bincount``, a stable ``argsort`` and elementwise
-arithmetic — obtained through :func:`get_array_module` and threaded
-through its functions as a local ``xp`` parameter rather than by
-importing numpy directly.  numpy is a hard dependency
-(``pyproject.toml``) and the only backend.
-"""
+"""Process-wide numpy helpers shared by both ISAs' semantics."""
 
 from __future__ import annotations
 
@@ -39,20 +30,6 @@ def backend_name(*_ignored: object) -> str:
     header; nothing in ``src/`` may call it, and the next ``benchmark``
     PR drops the import and this function with it."""
     return "numpy"
-
-
-def get_array_module():
-    """The array module the vector engine computes with (numpy)."""
-    return _numpy
-
-
-def tolist(a) -> list:
-    """Normalize an array (or an already-plain list) to a Python list."""
-    if isinstance(a, list):
-        return a
-    if hasattr(a, "tolist"):
-        return a.tolist()
-    return list(a)
 
 
 # -- whole-wavefront mask kernel ---------------------------------------

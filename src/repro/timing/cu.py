@@ -195,7 +195,7 @@ class ComputeUnit:
         fetch/IB/done transition and keep the CU count exact.
         (``wants_fetch`` is inlined: this runs at every transition.)"""
         want = (
-            not wf.state.done
+            not wf.cursor.done
             and not wf.fetch_inflight
             and wf.fetch_index < wf.num_instrs
             and len(wf.ib) < wf.ib_capacity
@@ -237,7 +237,7 @@ class ComputeUnit:
             if not simd_ready[simd]:
                 continue
             for wf in simd_wfs[simd]:
-                if wf.parked or wf.at_barrier or wf.state.done:
+                if wf.parked or wf.at_barrier or wf.cursor.done:
                     continue
                 issued, wf_hint = self._try_issue(wf, simd, now, trace)
                 if issued:
@@ -306,7 +306,7 @@ class ComputeUnit:
         if wf.next_issue_cycle > now:
             return False, wf.next_issue_cycle
 
-        state = wf.state
+        cursor = wf.cursor
 
         # HSAIL reconvergence-stack handling: a pending-path switch is a
         # simulator-initiated jump that flushes the instruction buffer.
@@ -314,7 +314,7 @@ class ComputeUnit:
         # precedes, so it fires on the wavefront's first issue attempt
         # after the previous instruction.
         if not wf.is_gcn3:
-            new_pc = state.take_jump()
+            new_pc = cursor.take_jump()
             if new_pc is not None:
                 self._flush(wf, new_pc)
                 # The refetch starts next cycle; keep the clock moving.
@@ -326,7 +326,7 @@ class ComputeUnit:
             if trace is not None and trace.wants_stall:
                 trace.stall("fetch_wait", now, self.cu_id, wf.wf_id)
             return False, None
-        pc = state.pc
+        pc = cursor.pc
         if ib[0][0] != pc:
             # Stale buffer (a flush raced with an already-checked fetch
             # stage); resynchronize and wake next cycle for the refetch.
@@ -431,12 +431,11 @@ class ComputeUnit:
 
     def _issue(self, wf: TimingWavefront, desc: IssueDesc,
                simd: int, now: int, trace: Optional[TraceBus] = None) -> None:
-        cursor = wf.state
+        cursor = wf.cursor
         pc = cursor.pc
 
         # --- VRF gather window (bank-conflict timing) ---
         read_slots = desc.read_slots
-        vrf = self.vrf
         # Only source reads contend for the operand-gather ports; writes
         # drain through the separate writeback port.  Each operand's bank
         # stays busy for the instruction's full gather window.
@@ -446,29 +445,16 @@ class ComputeUnit:
                 duration = self.config.valu_issue_cycles * desc.valu_mult
             else:
                 duration = 2
-            vrf.note_access(read_slots, now, duration)
-
-        if cursor.vectorized:
-            # --- vector engine: every per-issue statistic below
-            # (instruction mix, reuse distance, probes, utilization) was
-            # folded into the StatSet at placement, so only the timing
-            # state advances here.  Vector runs are never event-traced.
-            result: ExecResult = cursor.advance(pc)
-        else:
-            stats = self.gpu.stats
-            wf.instr_counter += 1
-            stats.record_instruction(desc.category)
-            if trace is not None and trace.wants_vrf and read_slots:
+            self.vrf.note_access(read_slots, now, duration)
+            if trace is not None and trace.wants_vrf:
                 trace.emit("vrf", "gather", now, dur=duration, cu=self.cu_id,
                            wf=wf.wf_id, args={"slots": list(read_slots)})
-            vrf.record_reuse(wf.reuse_tracker, wf.instr_counter, desc.rw_slots)
-            # The recorded outcome stands in for the functional execution,
-            # and for the uniqueness probes the functional pass sampled
-            # on one instruction in four.
-            result = cursor.advance(pc, (wf.instr_counter & 3) == 0,
-                                    read_slots, desc.write_slots, stats)
-            if desc.unit == UNIT_SIMD:
-                stats.simd_utilization.add(result.active_lanes, 64)
+
+        # The recorded outcome stands in for the functional execution.
+        # Every statistic the trace determines (instruction mix, reuse
+        # distance, probes, utilization) was folded into the StatSet at
+        # placement, so only timing state advances from here on.
+        result: ExecResult = cursor.advance(pc)
 
         # --- timing costs ---
         issue_cost = self._charge_units(wf, desc, simd, now)
@@ -497,7 +483,10 @@ class ComputeUnit:
         if result.ends_wavefront:
             self.simd_ready[wf.simd_id] -= 1  # done WFs leave the ready set
             self._sync_fetch(wf)
-            self._maybe_retire(self.workgroups[wf.wg_key])
+            record = self.workgroups[wf.wg_key]
+            # Siblings already at a barrier wait only for live wavefronts.
+            self._release_barrier(record)
+            self._maybe_retire(record)
 
     def _charge_units(self, wf: TimingWavefront, desc: IssueDesc,
                       simd: int, now: int) -> int:
@@ -615,7 +604,12 @@ class ComputeUnit:
         wf.at_barrier = True
         self.simd_ready[wf.simd_id] -= 1
         record.barrier_arrivals += 1
-        if record.barrier_arrivals >= record.alive():
+        self._release_barrier(record)
+
+    def _release_barrier(self, record: WorkgroupRecord) -> None:
+        """Open the barrier once every live wavefront has arrived — checked
+        when one arrives and when one ends, as the functional pass does."""
+        if record.barrier_arrivals and record.barrier_arrivals >= record.alive():
             record.barrier_arrivals = 0
             simd_ready = self.simd_ready
             for other in record.wavefronts:

@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 
 from ..common.config import GpuConfig
 from ..common.errors import DeadlockError, TimingError
-from ..common.xp import get_array_module
 from ..common.events import EventQueue
 from ..common.stats import StatSet
 from ..gcn3.isa import Gcn3Kernel
@@ -38,7 +37,7 @@ from .cu import NEVER_WAKE, ComputeUnit, WorkgroupRecord
 from .funcsim import run_dispatch_functional
 from .registerfile import VrfModel
 from .replay import ExecTrace, TraceRecorder
-from .vector import resolve_engine, vector_cursor
+from .vector import VectorReplayCursor, resolve_engine, wf_decode
 from .wavefront import TimingWavefront
 
 #: Command-processor overhead before the first workgroup of a dispatch.
@@ -70,13 +69,10 @@ class Gpu:
         #: is cut from — the stored one, or a view of the sink's streams.
         self._sink = None if replay is not None else recorder or TraceRecorder()
         self._source = replay or ExecTrace({}, self._sink.streams)
-        #: the resolved cycle engine for this run: "vector" batch-decodes
-        #: each wavefront's stream at placement (untraced runs only);
-        #: "scalar" is the per-issue reference path.  See timing/vector.py.
-        self.engine = resolve_engine(config.engine,
-                                     replay=replay is not None,
-                                     traced=trace is not None)
-        self._xp = get_array_module() if self.engine == "vector" else None
+        #: which cursor feeds the one issue path: "vector" batch-decodes
+        #: each wavefront's stream at placement, "scalar" (only when the
+        #: config names it) walks the raw arrays.  See timing/vector.py.
+        self.engine = resolve_engine(config.engine)
         self.events = EventQueue()
         self.memsys = MemorySystem(config)
         self.memsys.trace = trace
@@ -287,13 +283,15 @@ class Gpu:
         kernel = dispatch.kernel
         wg_key = (dispatch_id, wg_index)
         wavefronts = []
+        vector = self.engine == "vector"
         for _ in range(num_wfs):
-            if self._xp is not None:
-                # Vector engine: decode the whole stream now and fold
-                # its order-independent statistics into the dispatch
-                # StatSet; the issue path then reads plain lists.
-                cursor = vector_cursor(source, self._wf_counter, kernel,
-                                       dispatch.is_gcn3, self.stats, self._xp)
+            # Everything the trace determines about this wavefront's
+            # statistics is folded into the dispatch StatSet here, for
+            # every run; the issue path only advances timing state.
+            dec = wf_decode(source, self._wf_counter, kernel, records=vector)
+            dec.fold.apply(self.stats)
+            if vector:
+                cursor = VectorReplayCursor(dec, kernel, dispatch.is_gcn3)
             else:
                 cursor = source.cursor(self._wf_counter, kernel,
                                        dispatch.is_gcn3)
@@ -301,7 +299,7 @@ class Gpu:
                 wf_id=self._wf_counter,
                 simd_id=0,
                 wg_key=wg_key,
-                state=cursor,
+                cursor=cursor,
                 code_base=dispatch.loaded.code_base,
                 ib_capacity=self.config.cu.ib_entries,
             )

@@ -1,25 +1,25 @@
-"""Vector register file model: bank conflicts, reuse distance, value
-uniqueness.
-
-These are the paper's Figures 6, 7 and 10.  Bank conflicts and reuse
-distance are accounted as the CU issues; value uniqueness needs the
-wavefront's *actual* register values, so the functional pass samples it
-(:func:`unique_counts`) and it reaches the statistics through the trace:
+"""Vector register file model: bank conflicts and value uniqueness
+(paper Figures 6 and 10).
 
 * **Bank conflicts** — operand slots map to ``slot % num_banks``; two
   operands of one instruction hitting the same bank serialize and count
   as conflicts.  HSAIL places every operand in the VRF (no SRF), so it
-  suffers roughly 3x the conflicts of GCN3 (paper §V.B).
-* **Reuse distance** — dynamic instructions executed by a wavefront
-  between accesses to the same vector register (paper defines it this
-  way; Figure 7 reports the median).
+  suffers roughly 3x the conflicts of GCN3 (paper §V.B).  The one VRF
+  statistic that depends on *when* instructions issue, so the one the
+  CU accounts as it issues (:class:`VrfModel`).
 * **Value uniqueness** — |unique lane values| / |active lanes| over all
-  VRF reads and writes (paper §V.D).
+  VRF reads and writes (paper §V.D).  It needs the wavefront's *actual*
+  register values, so the functional pass samples it
+  (:func:`unique_counts`) into the trace.
+
+Uniqueness and reuse distance (Figure 7) are trace-determined: they
+reach the statistics through the trace's fold
+(:class:`repro.timing.vector.FoldArtifact`), not through this model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..obs.trace import TraceBus
 
 
 class VrfModel:
-    """Per-CU VRF probe state; wavefront-local trackers live on the WF."""
+    """Per-CU VRF bank-conflict state."""
 
     __slots__ = ("num_banks", "stats", "trace", "cu_id", "_pending",
                  "_min_cycle", "emits_vrf", "_banks_cache", "_bank_end")
@@ -152,31 +152,6 @@ class VrfModel:
             self._bank_end = [0] * self.num_banks
             self._min_cycle = 1 << 62
 
-    # -- reuse distance -------------------------------------------------------
-
-    def record_reuse(
-        self,
-        tracker: Dict[int, int],
-        instr_counter: int,
-        slots: Iterable[int],
-    ) -> None:
-        """Update a wavefront's slot->last-access map and the distribution.
-
-        The ``Distribution.add`` accumulation is inlined: this runs for
-        every operand slot of every dynamic instruction.
-        """
-        dist = self.stats.reuse_distance
-        buckets = dist._buckets
-        for slot in slots:
-            last = tracker.get(slot)
-            if last is not None:
-                distance = instr_counter - last
-                buckets[distance] += 1
-                dist._count += 1
-                dist._total += distance
-                dist._sorted_keys = None
-            tracker[slot] = instr_counter
-
 
 def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
                   active: int) -> List[int]:
@@ -184,8 +159,8 @@ def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
     (whose popcount is ``active``); empty when no lane is active.
 
     The functional pass samples this into the trace — it reads live
-    register values, which a replay cannot reconstruct — and the replay
-    cursors fold the recorded counts into the uniqueness statistics.
+    register values, which a replay cannot reconstruct — and the trace's
+    fold sums the recorded counts into the uniqueness statistics.
     """
     if not active:
         return []

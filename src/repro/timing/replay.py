@@ -16,8 +16,13 @@ CU model only ever walks the result:
   (:class:`repro.harness.cache.TraceStore`).  An ``execute`` run keeps
   its trace in memory only; ``capture`` stores it; ``replay`` loads one.
 * :class:`ReplayCursor` is a wavefront's functional state as the CU sees
-  it: the issue machinery reads the next record, reproducing the
-  statistics without touching registers or memory.
+  it: the issue path reads the next record's outcome without touching
+  registers, memory or a statistic (what a trace determines is folded
+  once per wavefront, :class:`repro.timing.vector.FoldArtifact`).  This
+  class walks the raw arrays record by record and is what
+  ``engine="scalar"`` selects — kept only until the benchmark PR
+  releases that name; every other run uses its batch-decoded subclass
+  in :mod:`repro.timing.vector`.
 
 What must be recorded (everything else the timing model derives from the
 static predecoded :class:`~repro.timing.predecode.IssueDesc` tables):
@@ -29,7 +34,7 @@ static predecoded :class:`~repro.timing.predecode.IssueDesc` tables):
   flush the instruction buffer **before** an issue);
 * the sampled VRF value-uniqueness probe outcomes, which read live
   register values under the live EXEC mask and therefore exist only
-  while semantics execute.
+  while semantics execute (consumed by the fold, never by a cursor).
 
 Why wavefront identity is a safe stream key: the functional pass runs
 workgroups in dispatch order and the dispatcher places them strictly in
@@ -229,9 +234,9 @@ class ExecTrace:
                  streams: List[WfStream]) -> None:
         self.meta = meta
         self.streams = streams
-        #: per-wavefront batch decodes (timing/vector.py), memoized here
-        #: because the decode depends only on the stream contents — every
-        #: sweep cell replaying this trace shares one decode pass.
+        #: per-wavefront folds and batch decodes (timing/vector.py),
+        #: memoized here because both depend only on the stream contents —
+        #: every sweep cell replaying this trace shares one pass.
         self._decode_cache: "Dict[int, object]" = {}
         #: eviction-free replays of this trace that later replays may be
         #: derived from (harness/equivalence.py).  Only the trace store's
@@ -251,17 +256,19 @@ class ExecTrace:
     def approx_bytes(self) -> int:
         return sum(s.approx_bytes() for s in self.streams)
 
-    def cursor(self, wf_id: int, kernel: object,
-               is_gcn3: bool) -> "ReplayCursor":
+    def stream(self, wf_id: int) -> WfStream:
         try:
-            stream = self.streams[wf_id]
+            return self.streams[wf_id]
         except IndexError:
             raise TraceError(
                 f"trace has {len(self.streams)} wavefronts, replay asked "
                 f"for wf {wf_id}: the capture ran a different dispatch "
                 f"sequence"
             ) from None
-        return ReplayCursor(stream, kernel, is_gcn3)
+
+    def cursor(self, wf_id: int, kernel: object,
+               is_gcn3: bool) -> "ReplayCursor":
+        return ReplayCursor(self.stream(wf_id), kernel, is_gcn3)
 
     # -- serialization -----------------------------------------------------
     #
@@ -333,7 +340,7 @@ class ExecTrace:
 class ReplayCursor:
     """Drives one wavefront's issue path from a recorded stream.
 
-    A cursor is the ``state`` of a :class:`TimingWavefront`: it exposes
+    A cursor is the ``cursor`` of a :class:`TimingWavefront`: it exposes
     the attributes the timing model reads (``pc``, ``done``, ``kernel``,
     ``is_gcn3``) and advances them from the trace.
     """
@@ -341,15 +348,9 @@ class ReplayCursor:
     __slots__ = (
         "kernel", "pc", "done", "is_gcn3", "result",
         "_code", "_flags", "_active", "_targets", "_mem_counts",
-        "_mem_lines", "_probe_active", "_probe_read", "_probe_write",
-        "_i_code", "_i_instr", "_i_target", "_i_mem", "_i_line",
-        "_i_probe", "_i_pread", "_i_pwrite",
+        "_mem_lines", "_i_code", "_i_instr", "_i_target", "_i_mem",
+        "_i_line",
     )
-
-    #: the issue path branches on this instead of the cursor type: the
-    #: vectorized subclass (timing/vector.py) pre-folds all per-issue
-    #: statistics and takes a narrower ``advance(pc)`` call.
-    vectorized = False
 
     def __init__(self, stream: WfStream, kernel: object,
                  is_gcn3: bool) -> None:
@@ -365,17 +366,11 @@ class ReplayCursor:
         self._targets = stream.targets
         self._mem_counts = stream.mem_counts
         self._mem_lines = stream.mem_lines
-        self._probe_active = stream.probe_active
-        self._probe_read = stream.probe_read
-        self._probe_write = stream.probe_write
         self._i_code = 0
         self._i_instr = 0
         self._i_target = 0
         self._i_mem = 0
         self._i_line = 0
-        self._i_probe = 0
-        self._i_pread = 0
-        self._i_pwrite = 0
 
     def take_jump(self) -> Optional[int]:
         """Consume a pending reconvergence jump, if the next record is one.
@@ -394,18 +389,14 @@ class ReplayCursor:
             return new_pc
         return None
 
-    def advance(self, pc: int, sample: bool,
-                read_slots: Tuple[int, ...], write_slots: Tuple[int, ...],
-                stats: object) -> ExecResult:
+    def advance(self, pc: int) -> ExecResult:
         """Consume the next instruction record; returns its ExecResult.
 
-        Replays the sampled uniqueness-probe outcomes straight into the
-        StatSet (the probes read live register values in the functional
-        pass and cannot be recomputed here), then reconstitutes the result fields
-        the CU consumes.  ``pc`` is the issue path's program counter —
-        a mismatch with the recorded stream means the trace belongs to a
-        different functional execution and the replay must abort rather
-        than produce silently wrong statistics.
+        Reconstitutes the result fields the CU consumes.  ``pc`` is the
+        issue path's program counter — a mismatch with the recorded
+        stream means the trace belongs to a different functional
+        execution and the replay must abort rather than produce silently
+        wrong statistics.
         """
         i = self._i_code
         try:
@@ -423,27 +414,6 @@ class ReplayCursor:
         j = self._i_instr
         self._i_instr = j + 1
         flags = self._flags[j]
-
-        if sample and (read_slots or write_slots):
-            active = self._probe_active[self._i_probe]
-            self._i_probe += 1
-            if active:
-                if read_slots:
-                    probe = stats.read_uniqueness
-                    uniques = self._probe_read
-                    k = self._i_pread
-                    for _slot in read_slots:
-                        probe.add(uniques[k], active)
-                        k += 1
-                    self._i_pread = k
-                if write_slots:
-                    probe = stats.write_uniqueness
-                    uniques = self._probe_write
-                    k = self._i_pwrite
-                    for _slot in write_slots:
-                        probe.add(uniques[k], active)
-                        k += 1
-                    self._i_pwrite = k
 
         result = self.result
         result.active_lanes = self._active[j]

@@ -33,7 +33,7 @@ class TimingWavefront:
     wg_key: Tuple[int, int]         # (dispatch ordinal, workgroup index)
     #: the wavefront's recorded stream: ``pc``, ``done`` and every
     #: functional outcome the issue path consumes come from it.
-    state: ReplayCursor
+    cursor: ReplayCursor
     code_base: int
 
     # Instruction buffer: (instruction index, encoded size) entries.
@@ -54,8 +54,6 @@ class TimingWavefront:
     #: and are skipped by the issue scan until the event unparks them.
     parked: bool = False
     next_issue_cycle: int = 0
-    instr_counter: int = 0          # dynamic instructions, for reuse distance
-    reuse_tracker: Dict[int, int] = field(default_factory=dict)
 
     # Derived, filled in by __post_init__ (static for the WF's lifetime
     # except fetch_want, which the owning CU keeps in sync).
@@ -68,30 +66,30 @@ class TimingWavefront:
     fetch_want: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        state = self.state
-        self.is_gcn3 = state.is_gcn3
-        kernel = state.kernel
+        cursor = self.cursor
+        self.is_gcn3 = cursor.is_gcn3
+        kernel = cursor.kernel
         self.descs = predecode_kernel(kernel)
         self.num_instrs = len(kernel.instrs)
         self.fetch_want = self.wants_fetch()
 
     @property
     def kernel(self) -> Union[HsailKernel, Gcn3Kernel]:
-        return self.state.kernel
+        return self.cursor.kernel
 
     @property
     def done(self) -> bool:
-        return self.state.done
+        return self.cursor.done
 
     def instr_at(self, index: int) -> AnyInstr:
-        return self.state.kernel.instrs[index]
+        return self.cursor.kernel.instrs[index]
 
     def instr_size(self, index: int) -> int:
         return self.descs[index].size_bytes
 
     def instr_address(self, index: int) -> int:
         if self.is_gcn3:
-            kernel = self.state.kernel
+            kernel = self.cursor.kernel
             return self.code_base + kernel.pc_of_index[index]  # type: ignore[union-attr]
         return self.code_base + HSAIL_INSTR_BYTES * index
 
@@ -113,7 +111,7 @@ class TimingWavefront:
 
     def wants_fetch(self) -> bool:
         return (
-            not self.state.done
+            not self.cursor.done
             and not self.fetch_inflight
             and self.fetch_index < self.num_instrs
             and len(self.ib) < self.ib_capacity

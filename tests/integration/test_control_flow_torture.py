@@ -11,6 +11,7 @@ from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
 from repro.runtime.memory import Segment
 from repro.runtime.process import GpuProcess
+from repro.timing.cu import ComputeUnit
 from repro.timing.gpu import Gpu
 
 N = 128
@@ -160,9 +161,12 @@ class TestTimingDeterminism:
 
 
 class TestDeadlockDetection:
-    def test_divergent_barrier_deadlocks_loudly(self):
-        """A barrier inside wavefront-divergent control hangs the
-        workgroup; the model must diagnose it rather than spin."""
+    def test_divergent_barrier_deadlocks_loudly(self, monkeypatch):
+        """A barrier only one wavefront reaches used to hang the
+        workgroup on the CU.  Hardware and the functional pass open it
+        when the sibling ends, and so does the CU now; with that release
+        knocked out again the workgroup wedges, and the dispatcher must
+        diagnose it rather than spin."""
         kb = KernelBuilder("bad_barrier", [("out", DType.U64)])
         tid = kb.wi_abs_id()
         with kb.If(kb.lt(tid, 64)):  # only the first wavefront arrives
@@ -170,9 +174,19 @@ class TestDeadlockDetection:
         kb.store(Segment.GLOBAL, kb.kernarg("out") + kb.cvt(tid, DType.U64) * 4,
                  tid)
         dual = Session().compile(kb.finish())
-        proc = GpuProcess("gcn3")
-        out = proc.alloc_buffer(4 * 128)
-        proc.dispatch(dual.gcn3, grid=128, wg=128, kernargs=[out])
         config = small_config(1).scaled(deadlock_cycles=20_000)
+
+        def staged():
+            proc = GpuProcess("gcn3")
+            out = proc.alloc_buffer(4 * 128)
+            proc.dispatch(dual.gcn3, grid=128, wg=128, kernargs=[out])
+            return proc, out
+
+        proc, out = staged()
+        Gpu(config, proc).run_all()
+        assert np.array_equal(proc.memory.read_array(out, np.uint32, 128),
+                              np.arange(128, dtype=np.uint32))
+        monkeypatch.setattr(ComputeUnit, "_release_barrier",
+                            lambda self, record: None)
         with pytest.raises(DeadlockError):
-            Gpu(config, proc).run_all()
+            Gpu(config, staged()[0]).run_all()

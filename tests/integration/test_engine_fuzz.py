@@ -1,11 +1,12 @@
 """Seeded property-based fuzzing: scalar vs vector replay equivalence.
 
 Random kernels built through the same DSL generator style as
-``test_cross_isa_fuzz`` are captured under execute-at-issue, then the
-recorded trace is replayed under both cycle engines; the per-dispatch
-StatSet payloads must be bit-identical all three ways.  Four targeted
-strategies stress exactly what the batch decode of timing/vector.py
-must get right:
+``test_cross_isa_fuzz`` are captured, then the recorded trace is
+replayed under both cursors; the per-dispatch StatSet payloads must be
+bit-identical all three ways, and the statistics the trace's fold feeds
+must equal the independent per-issue walk of ``tests/trace_oracle.py``.
+Four targeted strategies stress exactly what the batch decode and fold
+of timing/vector.py must get right:
 
 * **divergent control flow** — nested data-dependent ifs, else-arms,
   and short variable-trip loops, so the recorded streams are full of
@@ -37,6 +38,7 @@ from repro.runtime.memory import Segment
 from repro.runtime.process import GpuProcess
 from repro.timing.gpu import Gpu
 from repro.timing.replay import TraceRecorder
+from tests.trace_oracle import trace_determined, walk_trace
 
 N = 128  # two wavefronts, so inter-wavefront interleaving replays too
 
@@ -57,11 +59,15 @@ def _dispatch(dual, isa, data):
 
 
 def _assert_engines_identical(dual, isa, data):
-    """Capture, then replay scalar and vector; all payloads must match."""
+    """Capture, then replay scalar and vector; all payloads must match,
+    and the fold-fed statistics must match the per-issue oracle."""
     cfg = small_config(2)
     rec = TraceRecorder()
     capture = Gpu(cfg, _dispatch(dual, isa, data), recorder=rec).run_all()
     trace = rec.finish({"verified": True, "workload": "fuzz", "isa": isa})
+    (stats,) = capture
+    assert trace_determined(stats) == trace_determined(
+        walk_trace(trace, dual.for_isa(isa))), f"fold diverged on {isa}"
     reference = [s.to_payload() for s in capture]
     for engine in ("scalar", "vector"):
         gpu = Gpu(cfg.with_overrides({"engine": engine}),

@@ -72,16 +72,25 @@ class _Hang(workload_base.Workload):
         return {"k": self.build_ir()}
 
     def stage(self, process, isa):
-        out = process.alloc_buffer(4 * 128)
+        self.out = process.alloc_buffer(4 * 128)
         process.dispatch(self.kernel("k", isa), grid=128, wg=128,
-                         kernargs=[out])
+                         kernargs=[self.out])
 
     def verify(self, process):
         return False
 
 
-class _BarrierHang(_Hang):
+class _BarrierMismatch(_Hang):
+    """One wavefront of two waits at a barrier its sibling never
+    reaches: hardware and the functional pass release it when the
+    sibling ends, so the dispatch completes and writes every element."""
+
     build_ir = staticmethod(_bad_barrier_ir)
+
+    def verify(self, process):
+        return np.array_equal(
+            process.memory.read_array(self.out, np.uint32, 128),
+            np.arange(128, dtype=np.uint32))
 
 
 class TestFuncsimLimits:
@@ -93,14 +102,11 @@ class TestFuncsimLimits:
         with pytest.raises(DeadlockError):
             run_dispatch_functional(proc, proc.dispatches[0], step_limit=5000)
 
-    # (GCN3 only for the barrier: there the first wavefront reaches it
-    # before the second ends, and the CU counts arrivals on arrival.)
-    @pytest.mark.parametrize("hang,isa", [
-        (_Hang, "hsail"), (_Hang, "gcn3"), (_BarrierHang, "gcn3")])
+    @pytest.mark.parametrize("hang,isa", [(_Hang, "hsail"), (_Hang, "gcn3")])
     def test_hangs_surface_from_the_gpu_and_the_session(self, monkeypatch,
                                                         hang, isa):
-        """A runaway loop now hangs in the functional pass, a mismatched
-        barrier still in the CU's replay; both keep the error class."""
+        """A runaway loop hangs in the functional pass and surfaces as a
+        ``DeadlockError`` from both doors."""
         monkeypatch.setattr(
             gpu_module, "run_dispatch_functional",
             functools.partial(run_dispatch_functional, step_limit=5000))
@@ -111,6 +117,30 @@ class TestFuncsimLimits:
             Gpu(small_config(1), proc).run_all()
         with pytest.raises(DeadlockError):
             Session(small_config(1)).run("hang", isa)
+
+    @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
+    def test_barrier_mismatch_completes(self, monkeypatch, isa):
+        """The CU releases a barrier when the last wavefront that could
+        still arrive ends instead (it used to deadlock on GCN3, where the
+        first wavefront arrives before the second ends), and agrees with
+        the functional pass on the memory image."""
+        monkeypatch.setitem(workload_base._REGISTRY, "mismatch",
+                            _BarrierMismatch)
+        timed, functional = GpuProcess(isa), GpuProcess(isa)
+        workload = _BarrierMismatch()
+        workload.stage(timed, isa)
+        workload.stage(functional, isa)
+        (stats,) = Gpu(small_config(1), timed).run_all()
+        run_dispatch_functional(functional, functional.dispatches[0])
+        assert stats.cycles > 0 and stats["barriers"] == 1
+        assert workload.verify(timed)
+        limit = timed.memory.mapped_limit
+        assert limit == functional.memory.mapped_limit
+        assert np.array_equal(
+            timed.memory.read_block(0x1_0000, limit - 0x1_0000),
+            functional.memory.read_block(0x1_0000, limit - 0x1_0000))
+        run = Session(small_config(1)).run("mismatch", isa)
+        assert run.verified and run.cycles > 0
 
     def test_signal_decremented_on_completion(self, vec_add_dual):
         proc = GpuProcess("gcn3")

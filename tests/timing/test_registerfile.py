@@ -3,7 +3,12 @@
 import numpy as np
 
 from repro.common.stats import StatSet
+from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, VReg
+from repro.timing.predecode import predecode_kernel
 from repro.timing.registerfile import VrfModel, unique_counts
+from repro.timing.replay import ExecTrace, WfStream
+from repro.timing.vector import wf_decode
+from tests.trace_oracle import walk_stream
 
 
 def make_vrf():
@@ -78,29 +83,50 @@ class TestBankConflicts:
         assert stats["vrf_bank_conflicts"] == 0
 
 
+def _reuse(moves):
+    """Reuse distance of one wavefront executing ``v_mov_b32 v<dest>,
+    v<src>`` per ``(dest, src)`` (``src`` None: an inline constant), as
+    the trace fold computes it — checked against the per-issue oracle."""
+    instrs = [Gcn3Instr(opcode="v_mov_b32", dest=VReg(dest),
+                        srcs=(SImm(0) if src is None else VReg(src),))
+              for dest, src in moves]
+    instrs.append(Gcn3Instr(opcode="s_endpgm"))
+    kernel = Gcn3Kernel(
+        name="reuse", instrs=instrs, sgprs_used=10, vgprs_used=32, params=[],
+        kernarg_bytes=0, group_bytes=0, private_bytes=0, spill_bytes=0,
+        scratch_bytes=0,
+    )
+    kernel.compute_layout()
+    stream = WfStream()
+    for pc, desc in enumerate(predecode_kernel(kernel)):
+        # one instruction in four carries a uniqueness probe, as recorded
+        probed = (pc + 1) & 3 == 0 and bool(desc.rw_slots)
+        stream.record_fused(pc, 64, probed, [1] * len(desc.read_slots),
+                            [1] * len(desc.write_slots))
+    folded = StatSet()
+    wf_decode(ExecTrace({}, [stream]), 0, kernel,
+              records=False).fold.apply(folded)
+    assert folded.to_payload() == walk_stream(stream, kernel).to_payload()
+    return folded.reuse_distance
+
+
 class TestReuseDistance:
     def test_distance_counted_between_accesses(self):
-        vrf, stats = make_vrf()
-        tracker = {}
-        vrf.record_reuse(tracker, 1, [5])
-        vrf.record_reuse(tracker, 4, [5])
-        assert stats.reuse_distance.count == 1
-        assert stats.reuse_distance.median == 3
+        # v5 is read by dynamic instructions 1 and 4
+        dist = _reuse([(1, 5), (2, None), (3, None), (4, 5)])
+        assert dist.count == 1
+        assert dist.median == 3
 
     def test_first_access_records_nothing(self):
-        vrf, stats = make_vrf()
-        vrf.record_reuse({}, 1, [5, 6, 7])
-        assert stats.reuse_distance.count == 0
+        assert _reuse([(1, 5), (2, 6), (3, 7)]).count == 0
 
     def test_per_slot_tracking(self):
-        vrf, stats = make_vrf()
-        tracker = {}
-        vrf.record_reuse(tracker, 1, [1])
-        vrf.record_reuse(tracker, 2, [2])
-        vrf.record_reuse(tracker, 10, [1, 2])
-        dist = stats.reuse_distance
-        assert dist.count == 2
-        assert dist.total == (10 - 1) + (10 - 2)
+        fillers = [(10 + i, None) for i in range(7)]
+        # v1 written at 1, v2 at 2, both touched at 10; then v_mov v1, v1
+        # at 11 reuses v1 across instructions (1) and within one (0)
+        dist = _reuse([(1, None), (2, None)] + fillers + [(1, 2), (1, 1)])
+        assert dist.count == 4
+        assert dist.total == (10 - 1) + (10 - 2) + 1 + 0
 
 
 class TestUniqueness:

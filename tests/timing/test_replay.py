@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.exec_types import ExecResult, MemKind
-from repro.common.stats import StatSet
 from repro.timing.replay import (
     TRACE_FORMAT_VERSION,
     ExecTrace,
@@ -96,50 +95,43 @@ class TestReplayCursor:
     def test_replays_the_recorded_outcomes(self):
         trace = _sample_trace()
         cur = trace.cursor(0, kernel=None, is_gcn3=True)
-        stats = StatSet()
 
         assert cur.take_jump() is None
-        r = cur.advance(0, False, (), (), stats)
+        r = cur.advance(0)
         assert (r.active_lanes, r.mem_kind) == (4, MemKind.NONE)
         assert cur.pc == 1 and not cur.done
 
-        r = cur.advance(1, True, (3,), (5,), stats)
+        r = cur.advance(1)
         assert r.mem_kind == MemKind.GLOBAL_LOAD
         assert list(r.mem_lines) == [64, 128]
-        # the probe outcome lands in the StatSet, not in the result
-        assert (stats.read_uniqueness.numerator,
-                stats.read_uniqueness.denominator) == (2, 4)
-        assert (stats.write_uniqueness.numerator,
-                stats.write_uniqueness.denominator) == (1, 4)
 
-        r = cur.advance(2, False, (), (), stats)
+        r = cur.advance(2)
         assert r.branch_taken and r.next_pc == 7
         assert cur.pc == 7
 
         assert cur.take_jump() == 9          # reconvergence overrides pc
         assert cur.pc == 9
-        r = cur.advance(9, False, (), (), stats)
+        r = cur.advance(9)
         assert r.ends_wavefront and cur.done
 
     def test_second_wavefront_is_independent(self):
         trace = _sample_trace()
         cur = trace.cursor(1, kernel=None, is_gcn3=False)
-        r = cur.advance(0, False, (), (), StatSet())
+        r = cur.advance(0)
         assert r.is_barrier and r.active_lanes == 1
 
     def test_pc_desync_aborts(self):
         cur = _sample_trace().cursor(0, kernel=None, is_gcn3=True)
         with pytest.raises(TraceError, match="desynchronized"):
-            cur.advance(5, False, (), (), StatSet())
+            cur.advance(5)
 
     def test_overrun_aborts(self):
         trace = _sample_trace()
         cur = trace.cursor(1, kernel=None, is_gcn3=False)
-        stats = StatSet()
-        cur.advance(0, False, (), (), stats)
-        cur.advance(1, False, (), (), stats)
+        cur.advance(0)
+        cur.advance(1)
         with pytest.raises(TraceError, match="past the end"):
-            cur.advance(2, False, (), (), stats)
+            cur.advance(2)
 
     def test_unknown_wavefront_aborts(self):
         with pytest.raises(TraceError, match="wavefronts"):

@@ -1,11 +1,14 @@
-"""Differential harness for the vectorized replay engine.
+"""Differential harness for the two replay cursors and the trace fold.
 
-The vector engine (timing/vector.py) batch-decodes recorded wavefront
-streams and folds order-independent statistics as array reductions; the
-scalar ReplayCursor is the per-issue reference.  These tests prove the
-two are *bit-identical* — every counter, ratio, and distribution of the
-returned StatSet payloads — across the full 20-cell workload x ISA
-matrix, and pin down the engine-selection semantics
+There is one issue path in the CU.  What feeds it is either the
+batch-decoded cursor of timing/vector.py (``auto``/``vector``) or the
+raw-array record walk of timing/replay.py (explicit ``scalar``, kept
+until the benchmark PR releases the name); the statistics a trace
+determines come from the trace's fold under both.  These tests prove
+the two are *bit-identical* — every counter, ratio, and distribution of
+the returned StatSet payloads — across the full 20-cell workload x ISA
+matrix, check the fold against the independent per-issue walker in
+``tests/trace_oracle.py``, and pin down the engine-selection semantics
 (:func:`repro.timing.vector.resolve_engine`).
 """
 
@@ -16,9 +19,12 @@ from repro.common.errors import ConfigError
 from repro.common.stats import StatSet
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import ISAS, clear_suite_cache, run_workload
+from repro.obs import TraceConfig
 from repro.timing.replay import TraceError
-from repro.timing.vector import ENGINES, resolve_engine, vector_cursor
+from repro.timing.vector import (ENGINES, VectorReplayCursor, resolve_engine,
+                                 wf_decode)
 from repro.workloads import all_workloads
+from tests.trace_oracle import trace_determined, walk_stream
 
 SCALE = 0.1
 
@@ -46,8 +52,9 @@ def store(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def captured(store):
-    """Execute-at-issue (capture) runs for every cell — the reference
-    statistics each replay engine must reproduce exactly."""
+    """Capture runs (functional pass, trace stored, CU replay of it) for
+    every cell — the reference statistics each replay must reproduce
+    exactly."""
     clear_suite_cache()
     cfg = _config()
     return {
@@ -63,7 +70,7 @@ def captured(store):
 class TestDifferentialMatrix:
     def test_replay_bit_identical_to_execute(self, store, captured,
                                              workload, isa, engine):
-        """scalar-execute vs {scalar,vector}-replay on every cell."""
+        """capture vs {scalar,vector}-cursor replay on every cell."""
         rep = run_workload(workload, isa, scale=SCALE,
                            config=_config(engine),
                            execution="replay", trace_store=store)
@@ -105,15 +112,45 @@ class TestEnginesAgreeAcrossTimingConfigs:
             assert trace._decode_cache[wf_id] is dec
 
 
+#: Timing-divergent points one captured trace is replayed under: two
+#: memory-system axes, a register-file axis, and the CU count.  (At this
+#: scale only DRAM latency moves the cycles of every cell.)
+TIMING_POINTS = [{"l1d.size_bytes": 1 << 10}, {"cu.vrf_banks": 8},
+                 {"num_cus": 1}, {"dram.base_latency_cycles": 50}]
+
+
+@pytest.mark.parametrize("workload,isa", CELLS,
+                         ids=[f"{w}-{i}" for w, i in CELLS])
+def test_trace_determined_statistics_are_config_invariant(
+        store, captured, workload, isa):
+    """Instruction mix, dynamic instructions, SIMD utilisation, reuse
+    distance and value uniqueness are functions of the trace: equal at
+    every timing point and in an event-traced run, while cycles move."""
+    reference = captured[(workload, isa)]
+    runs = [run_workload(workload, isa, scale=SCALE,
+                         config=_config().with_overrides(point),
+                         execution="replay", trace_store=store)
+            for point in TIMING_POINTS]
+    runs.append(run_workload(workload, isa, scale=SCALE, config=_config(),
+                             execution="replay", trace_store=store,
+                             trace=TraceConfig()))
+    assert runs[-1].trace is not None and runs[-1].trace.events
+    for run in runs:
+        assert run.execution == "replay"
+        assert [trace_determined(s) for s in run.per_dispatch] == [
+            trace_determined(s) for s in reference.per_dispatch]
+    assert runs[-1].cycles == reference.cycles  # tracing only observes
+    assert len({run.cycles for run in runs}) > 1
+
+
 class TestResolveEngine:
     def test_engines_registry(self):
         assert ENGINES == ("auto", "scalar", "vector")
 
-    def test_execute_cells_always_scalar(self, monkeypatch):
+    def test_execute_cells_always_scalar(self):
         # Trace-first: an execute cell replays its own in-memory trace,
         # so it resolves exactly as a replay cell does.  (The id dates
         # from execute-at-issue, when such cells were pinned to scalar.)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         for requested in ENGINES:
             for traced in (False, True):
                 assert (resolve_engine(requested, replay=False, traced=traced)
@@ -123,35 +160,26 @@ class TestResolveEngine:
         assert resolve_engine("auto", replay=False, traced=False) == "vector"
 
     def test_traced_replay_stays_scalar(self):
-        # event-traced runs need the scalar engine's exhaustive
-        # per-issue emission
-        assert resolve_engine("vector", replay=True, traced=True) == "scalar"
-        assert resolve_engine("auto", replay=True, traced=True) == "scalar"
+        # Events are emitted from the one issue path, so tracing no
+        # longer picks the cursor: only the name does.  (The id dates
+        # from when event-traced runs were re-routed onto scalar.)
+        assert resolve_engine("vector", replay=True, traced=True) == "vector"
+        assert resolve_engine("auto", replay=True, traced=True) == "vector"
+        assert resolve_engine("scalar", replay=True, traced=True) == "scalar"
 
     def test_explicit_engines_win_on_replay(self):
         assert resolve_engine("scalar", replay=True, traced=False) == "scalar"
         assert resolve_engine("vector", replay=True, traced=False) == "vector"
 
     def test_auto_follows_the_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine("auto", replay=True, traced=False) == "vector"
-
-    def test_env_override_applies_to_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine("auto", replay=True, traced=False) == "vector"
+        # no environment variable takes part in the resolution
         monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert resolve_engine("auto", replay=True, traced=False) == "scalar"
-        # explicit config knob beats the environment
-        assert resolve_engine("vector", replay=True, traced=False) == "vector"
+        assert resolve_engine("auto", replay=True, traced=False) == "vector"
+        assert resolve_engine("auto") == "vector"
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError, match="unknown engine"):
             resolve_engine("simd", replay=True, traced=False)
-
-    def test_bad_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigError, match="REPRO_ENGINE"):
-            resolve_engine("auto", replay=True, traced=False)
 
     def test_config_validates_engine(self):
         with pytest.raises(ConfigError):
@@ -184,24 +212,23 @@ class TestVectorCursorErrors:
         create("arraybw", scale=SCALE, seed=7).stage(process, "gcn3")
         return process.dispatches[0].kernel
 
+    def _cursor(self, trace, kernel, wf_id=0):
+        return VectorReplayCursor(wf_decode(trace, wf_id, kernel), kernel,
+                                  True)
+
     def test_unknown_wavefront_aborts(self, store, captured):
         trace = self._trace(store)
         kernel = self._kernel(captured)
         with pytest.raises(TraceError, match="wavefront"):
-            vector_cursor(trace, 10_000, kernel, True, StatSet())
+            self._cursor(trace, kernel, 10_000)
 
     def test_pc_desync_aborts(self, store, captured):
-        trace = self._trace(store)
-        kernel = self._kernel(captured)
-        cur = vector_cursor(trace, 0, kernel, True, StatSet())
+        cur = self._cursor(self._trace(store), self._kernel(captured))
         with pytest.raises(TraceError, match="desynchronized"):
             cur.advance(999_999)
 
     def test_overrun_aborts(self, store, captured):
-        trace = self._trace(store)
-        kernel = self._kernel(captured)
-        stats = StatSet()
-        cur = vector_cursor(trace, 0, kernel, True, stats)
+        cur = self._cursor(self._trace(store), self._kernel(captured))
         while not cur.done:
             jump = cur.take_jump()
             cur.advance(jump if jump is not None else cur.pc)
@@ -209,34 +236,27 @@ class TestVectorCursorErrors:
             cur.advance(cur.pc)
 
     def test_fold_matches_scalar_walk(self, store, captured):
-        """The batched fold and a full scalar walk of the same stream
-        must produce identical order-independent statistics."""
+        """The batched fold and a per-issue walk of the same stream must
+        produce identical statistics, the fold alone must account for
+        them (neither cursor touches a StatSet), and both cursors must
+        hand the issue path the same outcomes."""
         trace = self._trace(store)
         kernel = self._kernel(captured)
-        vec_stats = StatSet()
-        cur = vector_cursor(trace, 0, kernel, True, vec_stats)
-        while not cur.done:
-            jump = cur.take_jump()
-            cur.advance(jump if jump is not None else cur.pc)
+        dec = wf_decode(trace, 0, kernel)
+        folded = StatSet()
+        dec.fold.apply(folded)
+        assert folded.to_payload() == walk_stream(trace.streams[0],
+                                                  kernel).to_payload()
+        assert folded.dynamic_instructions == len(trace.streams[0].flags)
 
-        from repro.timing.predecode import UNIT_SIMD, predecode_kernel
-        from repro.timing.registerfile import VrfModel
-
-        descs = predecode_kernel(kernel)
-        sca_stats = StatSet()
-        vrf = VrfModel(4, sca_stats)
-        tracker = {}
+        vec = VectorReplayCursor(dec, kernel, True)
         sca = trace.cursor(0, kernel, True)
-        counter = 0
         while not sca.done:
-            jump = sca.take_jump()
-            pc = jump if jump is not None else sca.pc
-            desc = descs[pc]
-            counter += 1
-            sca_stats.record_instruction(desc.category)
-            vrf.record_reuse(tracker, counter, desc.rw_slots)
-            result = sca.advance(pc, (counter & 3) == 0, desc.read_slots,
-                                 desc.write_slots, sca_stats)
-            if desc.unit == UNIT_SIMD:
-                sca_stats.simd_utilization.add(result.active_lanes, 64)
-        assert vec_stats.to_payload() == sca_stats.to_payload()
+            assert vec.take_jump() == sca.take_jump()
+            assert vec.pc == sca.pc
+            a, b = vec.advance(vec.pc), sca.advance(sca.pc)
+            for name in ("active_lanes", "branch_taken", "is_barrier",
+                         "mem_kind", "next_pc", "ends_wavefront"):
+                assert getattr(a, name) == getattr(b, name), name
+            assert list(a.mem_lines) == list(b.mem_lines)
+        assert vec.done

@@ -17,8 +17,8 @@ def make_wf(num_instrs=8):
         scratch_bytes=0,
     )
     kernel.compute_layout()
-    state = ReplayCursor(WfStream(), kernel, is_gcn3=True)
-    return TimingWavefront(wf_id=0, simd_id=0, wg_key=(0, 0), state=state,
+    cursor = ReplayCursor(WfStream(), kernel, is_gcn3=True)
+    return TimingWavefront(wf_id=0, simd_id=0, wg_key=(0, 0), cursor=cursor,
                            code_base=0x1000, ib_capacity=4)
 
 
