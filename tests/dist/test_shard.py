@@ -1,6 +1,9 @@
 """Shard planning: content-addressed ids, trace-fingerprint grouping,
 size caps, and wire round-trips."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.config import small_config
@@ -15,6 +18,7 @@ from repro.dist import ShardState, shard_id_for
 from repro.explore.space import Axis
 
 SCALE = 0.1
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden" / "requests"
 
 
 def _request(**kw):
@@ -170,3 +174,44 @@ class TestWireRoundTrips:
     def test_unknown_lease_state_rejected(self):
         with pytest.raises(RequestError, match="lease state"):
             LeaseGrant(state="maybe")
+
+
+def _sample_shard() -> ShardRequest:
+    return ShardRequest(
+        shard_id="5f0c1a2b3c4d", sweep_id="0a1b2c3d4e5f", trace_fp="f" * 16,
+        cells=(
+            ShardCell(point="p00", workload="spmv", isa="gcn3",
+                      overrides=(("cu.vrf_banks", 2),
+                                 ("l1d.hit_latency", 8))),
+            ShardCell(point="p01", workload="spmv", isa="hsail",
+                      overrides=(("cu.vrf_banks", 4),)),
+        ),
+        scale=0.1, seed=11, config=small_config(2), execution="auto",
+        engine="vector")
+
+
+def _sample_lease() -> LeaseGrant:
+    return LeaseGrant(state="granted", lease_id="L00001", ttl=30.0,
+                      retry_after=0.5, shard=_sample_shard(),
+                      trace_available=True, stolen=True)
+
+
+class TestGoldenPayloads:
+    """The lease protocol's envelopes are a wire contract like the
+    request kinds: a failure here means the protocol changed."""
+
+    def test_shard_matches_golden(self):
+        golden = json.loads((GOLDEN_DIR / "shard.json").read_text())
+        assert _sample_shard().to_payload() == golden
+
+    def test_lease_matches_golden(self):
+        golden = json.loads((GOLDEN_DIR / "lease.json").read_text())
+        assert _sample_lease().to_payload() == golden
+
+    @pytest.mark.parametrize("name,build", [
+        ("shard.json", _sample_shard),
+        ("lease.json", _sample_lease),
+    ])
+    def test_golden_parses_back(self, name, build):
+        golden = json.loads((GOLDEN_DIR / name).read_text())
+        assert type(build()).from_payload(golden) == build()

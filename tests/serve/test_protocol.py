@@ -39,6 +39,10 @@ def _sample_metrics() -> MetricsSnapshot:
         wall_suite_seconds=0.0, wall_sweep_seconds=0.0, draining=False)
 
 
+def _sample_error() -> ErrorInfo:
+    return ErrorInfo(status=429, message="rate limit exceeded for 'tester'")
+
+
 class TestRoundTrips:
     def test_error_round_trip(self):
         info = ErrorInfo(status=429, message="slow down")
@@ -82,6 +86,14 @@ class TestGoldenPayloads:
     def test_metrics_matches_golden(self):
         golden = json.loads((GOLDEN_DIR / "metrics.json").read_text())
         assert _sample_metrics().to_payload() == golden
+
+    def test_error_matches_golden(self):
+        golden = json.loads((GOLDEN_DIR / "error.json").read_text())
+        assert _sample_error().to_payload() == golden
+
+    def test_golden_parses_back(self):
+        golden = json.loads((GOLDEN_DIR / "error.json").read_text())
+        assert parse_response(golden) == _sample_error()
 
 
 class TestEnvelope:
