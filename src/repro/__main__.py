@@ -1,98 +1,17 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-
-list
-    Show the workload registry (the paper's Table 5).
-run --workload W [--isa hsail|gcn3|both] [--scale S] [--cus N]
-    [--seed N] [--override PATH=VALUE ...] [--execution MODE]
-    [--trace-dir DIR] [--engine auto|scalar|vector]
-    Simulate one workload and print its statistics.  Each cell is one
-    :class:`repro.core.requests.RunRequest` — the CLI builds the exact
-    request object ``Session.run`` would and executes it through the
-    same entry point.
-serve [--host H] [--port P] [--trace-dir DIR] [--rate-limit R/S]
-      [--job-timeout SEC] [--max-queue N]
-    Long-lived simulation daemon: POST run/suite/sweep request JSON to
-    ``/v1/run|suite|sweep``, poll ``/v1/jobs/<id>``, read daemon
-    counters at ``/v1/metrics``.  Queued run cells that share a trace
-    fingerprint are batched — one capture, N replays — over a shared
-    in-process trace store, so a burst of timing-only variants pays for
-    functional semantics once.
-trace W [--isa hsail|gcn3] [--out FILE] [--format chrome|jsonl]
-        [--categories issue,cache,...] [--sample N] [--max-events N]
-    Simulate one workload with the cycle-level trace bus enabled and
-    export the events — Chrome trace_event JSON (load in Perfetto /
-    chrome://tracing) or JSONL — plus a stall/occupancy text report.
-metrics [--match REGEX]
-    Print the metric registry: every declared counter/distribution with
-    its unit, scope, and documentation.
-figures [--scale S] [--only figNN,...] [--output FILE] [--jobs N]
-        [--no-cache] [--cache-dir DIR] [--job-timeout SEC]
-    Regenerate the paper's evaluation figures/tables.  ``--jobs N`` fans
-    the simulation matrix out over N worker processes (0 = all cores);
-    results persist in the on-disk cache unless ``--no-cache`` is given.
-sweep --axis PATH=V1,V2,... [--axis ...] [--mode grid|ofat]
-      [--workloads W1,W2] [--scale S] [--seed N] [--cus N] [--jobs N]
-      [--resume [ID]] [--dry-run] [--report points|curve|tornado|all]
-      [--response ratio:METRIC] [--threshold-factor F]
-      [--format text|csv|json|markdown] [--output FILE]
-      [--execution auto|execute|replay] [--trace-dir DIR]
-      [--no-verify-replay]
-    Design-space exploration: enumerate config variants along the given
-    axes, simulate every (point x workload x ISA) cell through the pool
-    and disk cache, journal completed points under
-    ``.repro_cache/sweeps/<id>/`` (resumable with ``--resume``), and
-    print sensitivity reports (tornado tables, per-axis response curves,
-    capacity-threshold detection).  ``--workers N`` distributes the
-    sweep over N auto-spawned local workers (``--worker-url`` adds
-    remote ``repro serve`` daemons) behind a fault-tolerant coordinator
-    that journals exactly what the single-host path would.  With the
-    default ``--execution auto``, each workload x ISA x functional-fingerprint
-    group executes semantics once (capturing a trace) and every other
-    point replays it through the timing model — bit-identical
-    statistics, guarded by a sampled re-execution.
-bench [--workloads W1,W2] [--scale S] [--seed N] [--cus N]
-      [--repeats N] [--label L] [--baseline FILE] [--wall-gate]
-      [--against TREE-ISH|DIR] [--rounds N]
-      [--threshold F] [--output FILE] [--profile DIR]
-      [--sweep-axis PATH=V1,V2,...] [--sweep-workloads W1,W2]
-      [--sweep-isas I1,I2] [--sweep-jobs N] [--sweep-repeats N]
-    Time the tier-1 suite cell by cell (wall seconds, simulated
-    cycles/sec, peak RSS) with every cache layer bypassed, and write a
-    machine-readable BENCH_*.json perf-trajectory point.  With
-    ``--baseline`` the report embeds per-cell and geomean speedups vs a
-    prior BENCH_*.json; since a committed baseline was measured in a
-    different epoch, wall-clock regressions only *warn* unless
-    ``--wall-gate`` is given — cycle drift always exits non-zero.
-    ``--against`` is the honest wall-clock comparison: it checks the
-    named tree out into a scratch worktree and alternates current /
-    baseline bench subprocesses over ``--rounds`` interleaved rounds
-    (per-cell minima, same epoch for both sides), gating walls and
-    cycles.  ``--profile DIR`` dumps per-cell cProfile stats;
-    ``--sweep-axis`` additionally times one timing-only sweep twice
-    (execution=execute vs trace replay) and embeds the speedup as the
-    report's ``sweep`` section.
-cache [--cache-dir DIR] [--trace-dir DIR] [--clear]
-      [--prune-older-than DAYS]
-    Inspect, prune, or clear the persistent result cache
-    (.repro_cache/) and the trace store; the listing breaks disk usage
-    down per config fingerprint and per stored functional trace.
-dist worker --coordinator URL [--worker-id ID] [--daemon-url URL]
-            [--trace-dir DIR] [--job-timeout SEC] [--poll SEC]
-    Pull-based distributed-sweep worker: lease content-addressed shards
-    from a ``repro sweep --workers`` coordinator, simulate their cells
-    (in-process, or forwarded to a ``repro serve`` daemon with
-    ``--daemon-url``), stream per-cell results back under a heartbeat
-    lease.
-disasm --workload W [--kernel K] [--isa hsail|gcn3|both]
-    Print kernel listings (both abstraction levels by default).
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` their flags; the argparse declarations in
+:func:`build_parser` are the only synopsis.  Every command that
+simulates builds one of the :mod:`repro.core.requests` objects from its
+flags and hands it to ``execute_request`` — the same objects
+``Session``, the pool and the ``repro serve`` daemon execute.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -139,55 +58,56 @@ def parse_override_specs(specs) -> dict:
 def config_from_args(args: argparse.Namespace):
     """The GpuConfig the CLI flags describe: --cus picks the base
     machine, repeated --override edits dotted paths on top."""
-    config = paper_config() if args.cus == 8 else small_config(args.cus)
+    cus = getattr(args, "cus", 8)
+    config = paper_config() if cus == 8 else small_config(cus)
     overrides = parse_override_specs(getattr(args, "override", None))
     if overrides:
         config = config.with_overrides(overrides)
     return config
 
 
-def run_request_from_args(args: argparse.Namespace, isa: Optional[str] = None):
-    """The RunRequest ``repro run`` executes (one per requested ISA) —
-    field-identical to ``Session(config).build_run_request(...)``."""
+def _request_from_args(cls, args: argparse.Namespace, **fields):
+    """``cls`` built from every flag whose dest is one of its field
+    names, so a new request field needs one argparse flag and no edit
+    here.  --cus/--override become ``config``; ``fields`` carries the
+    few flags whose spelling differs from the field they set."""
+    picked = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+              if hasattr(args, f.name)}
+    if hasattr(args, "no_cache"):
+        picked["use_disk_cache"] = False if args.no_cache else None
+    picked.update(fields, config=config_from_args(args))
+    return cls(**picked)
+
+
+def run_request_from_args(args: argparse.Namespace,
+                          isa: Optional[str] = None, **fields):
+    """The RunRequest ``repro run|trace|per-kernel`` executes (one per
+    requested ISA) — field-identical to
+    ``Session(config).build_run_request(...)``."""
     from .core.requests import RunRequest
 
-    return RunRequest(
-        workload=args.workload, isa=isa if isa is not None else args.isa,
-        scale=args.scale, seed=args.seed, config=config_from_args(args),
-        execution=args.execution, trace_dir=args.trace_dir,
-        engine=args.engine or "")
+    if isa is not None:
+        fields["isa"] = isa
+    return _request_from_args(RunRequest, args, **fields)
 
 
 def suite_request_from_args(args: argparse.Namespace):
     """The SuiteRequest ``repro figures`` executes."""
     from .core.requests import SuiteRequest
 
-    return SuiteRequest(
-        scale=args.scale, config=paper_config(), jobs=args.jobs,
-        use_disk_cache=False if args.no_cache else None,
-        cache_dir=args.cache_dir, job_timeout=args.job_timeout)
+    return _request_from_args(SuiteRequest, args)
 
 
 def sweep_request_from_args(args: argparse.Namespace):
     """The SweepRequest ``repro sweep`` executes (raises ConfigError /
     RequestError on malformed axes)."""
     from .core.requests import SweepRequest
-    from .explore.space import Axis
-    from .workloads import all_workloads
 
-    axes = tuple(Axis.parse(spec) for spec in args.axis)
-    workloads = tuple(args.workloads.split(",") if args.workloads
-                      else (w.name for w in all_workloads()))
-    config = config_from_args(args)
-    return SweepRequest(
-        axes=axes, mode=args.mode, workloads=workloads, scale=args.scale,
-        seed=args.seed, config=config, jobs=args.jobs,
-        use_disk_cache=False if args.no_cache else None,
-        cache_dir=args.cache_dir, job_timeout=args.job_timeout,
-        resume=args.resume if args.resume is not None else False,
-        execution=args.execution, trace_dir=args.trace_dir,
-        verify_replay=not args.no_verify_replay,
-        engine=args.engine)
+    return _request_from_args(
+        SweepRequest, args, axes=args.axis,
+        workloads=args.workloads.split(",") if args.workloads else None,
+        resume=args.resume or False,
+        verify_replay=not args.no_verify_replay)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -230,16 +150,12 @@ def _progress_printer(event) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .core import Session
+    from .core.requests import execute_request
     from .obs import TraceConfig, text_report, write_chrome_trace, write_jsonl
 
-    config = config_from_args(args)
-    trace_config = TraceConfig.parse(
-        args.categories, sample_every=args.sample, max_events=args.max_events
-    )
-    run = Session(config).run(
-        args.workload, args.isa, scale=args.scale, trace=trace_config
-    )
+    run = execute_request(run_request_from_args(args, trace=TraceConfig.parse(
+        args.categories, sample_every=args.sample,
+        max_events=args.max_events)))
     trace = run.trace
     assert trace is not None  # a traced run always carries TraceData
     out = args.out or f"{args.workload}_{args.isa}.trace.json"
@@ -417,7 +333,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ConfigError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workloads = list(request.workloads)
 
     if args.dry_run:
         # A ledger that is never opened: the spec resolves exactly as a
@@ -425,6 +340,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # is touched.
         ledger = SweepLedger(request)
         points = ledger.points
+        workloads = ledger.results.workloads
         invalid = [p for p in points if not p.valid]
         rows = [[p.point_id, p.fingerprint() or "-",
                  "ok" if p.valid else f"INVALID: {p.error}"]
@@ -515,7 +431,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"wrote {args.output}")
 
         for axis in results.axes:
-            for w in workloads:
+            for w in results.workloads:
                 wall = analyze.threshold(results, axis, w, args.response,
                                          factor=args.threshold_factor)
                 if wall is not None:
@@ -638,11 +554,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_per_kernel(args: argparse.Namespace) -> int:
-    from .harness.runner import run_workload
+    from .core.requests import execute_request
 
-    config = paper_config() if args.cus == 8 else small_config(args.cus)
-    runs = {isa: run_workload(args.workload, isa, scale=args.scale,
-                              config=config)
+    runs = {isa: execute_request(run_request_from_args(args, isa))
             for isa in ("hsail", "gcn3")}
     hs = runs["hsail"].per_kernel_totals()
     g3 = runs["gcn3"].per_kernel_totals()
@@ -663,6 +577,66 @@ def _cmd_per_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags that more than one command takes, declared once.  A flag's dest
+#: is the request field it sets (that is how ``_request_from_args`` finds
+#: it), except the hand-mapped ``--no-cache`` and ``--cus``/``--override``.
+_SHARED_FLAGS = {
+    "scale": (("--scale", "-s"), dict(
+        type=float, default=0.5,
+        help="workload input scale (default %(default)s)")),
+    "seed": (("--seed",), dict(type=int, default=7)),
+    "cus": (("--cus",), dict(
+        type=int, default=8, help="base machine CU count (8 = paper config)")),
+    "override": (("--override", "-O"), dict(
+        action="append", metavar="PATH=VALUE",
+        help="edit one dotted config path on top of the base machine, e.g. "
+             "-O l1d.size_bytes=32k (repeatable; axis value shorthand "
+             "applies)")),
+    "execution": (("--execution",), dict(
+        choices=["auto", "execute", "capture", "replay"], default="execute",
+        help="where the instruction stream the CU model replays comes "
+             "from: execute = a functional pass, trace dropped afterwards "
+             "(default); capture = the same, trace kept in the store; "
+             "replay = a stored trace, no functional pass; auto = replay "
+             "when the store has one, capture otherwise")),
+    "trace_dir": (("--trace-dir",), dict(
+        help="trace store directory (default <cache-dir>/traces)")),
+    "engine": (("--engine",), dict(
+        choices=["auto", "scalar", "vector"], default=None,
+        help="replay cursor for every cell: auto and vector batch-decode "
+             "each wavefront's trace, scalar walks the raw records (same "
+             "statistics and cycles; default: keep the config's engine)")),
+    "jobs": (("--jobs", "-j"), dict(
+        type=int, default=1,
+        help="worker processes (0 = one per core; default 1)")),
+    "no_cache": (("--no-cache",), dict(
+        action="store_true", help="skip the on-disk result cache entirely")),
+    "cache_dir": (("--cache-dir",), dict(
+        help="result cache directory (default .repro_cache/ or "
+             "$REPRO_CACHE_DIR)")),
+    "job_timeout": (("--job-timeout",), dict(
+        type=float,
+        help="per-job wall-clock limit in seconds (enforced through the "
+             "process pool)")),
+    "quiet": (("--quiet", "-q"), dict(
+        action="store_true", help="suppress progress/log lines on stderr")),
+}
+_MACHINE = ("scale", "seed", "cus", "override")
+_EXECUTION = ("execution", "trace_dir", "engine")
+_POOL = ("jobs", "no_cache", "cache_dir", "job_timeout", "quiet")
+
+
+def _shared(*names: str, **tweaks: dict) -> argparse.ArgumentParser:
+    """A parent parser carrying the named shared flags; ``tweaks`` adjusts
+    one flag's keywords for one command (a default, narrower choices).
+    Built per command because argparse parents share Action objects."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        flags, keywords = _SHARED_FLAGS[name]
+        parent.add_argument(*flags, **{**keywords, **tweaks.get(name, {})})
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -672,42 +646,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="show the workload registry")
 
-    run_p = sub.add_parser("run", help="simulate one workload")
+    run_p = sub.add_parser("run", help="simulate one workload",
+                           parents=[_shared(*_MACHINE, *_EXECUTION)])
     run_p.add_argument("--workload", "-w", required=True)
     run_p.add_argument("--isa", "-i", choices=["hsail", "gcn3", "both"],
                        default="both")
-    run_p.add_argument("--scale", "-s", type=float, default=0.5)
-    run_p.add_argument("--cus", type=int, default=8)
-    run_p.add_argument("--seed", type=int, default=7)
-    run_p.add_argument("--override", "-O", action="append",
-                       metavar="PATH=VALUE",
-                       help="edit one dotted config path on top of the "
-                            "base machine, e.g. -O l1d.size_bytes=32k "
-                            "(repeatable; axis value shorthand applies)")
-    run_p.add_argument("--execution",
-                       choices=["auto", "execute", "capture", "replay"],
-                       default="execute",
-                       help="how the instruction stream is obtained: "
-                            "execute = full semantics at issue (default); "
-                            "capture = execute and store a trace; replay "
-                            "= drive the timing model from a stored "
-                            "trace; auto = replay when the store has one, "
-                            "capture otherwise")
-    run_p.add_argument("--trace-dir",
-                       help="trace store directory (default "
-                            "<cache-dir>/traces)")
-    run_p.add_argument("--engine",
-                       choices=["auto", "scalar", "vector"], default=None,
-                       help="cycle-engine override for this run "
-                            "(default: keep the config's engine)")
 
     trace_p = sub.add_parser(
-        "trace", help="simulate one workload with cycle-level tracing")
+        "trace", help="simulate one workload with cycle-level tracing",
+        parents=[_shared("scale", "cus", "quiet", scale=dict(default=0.25),
+                         quiet=dict(help="skip the stall/occupancy text "
+                                         "report"))])
     trace_p.add_argument("workload", help="workload name (see 'repro list')")
     trace_p.add_argument("--isa", "-i", choices=["hsail", "gcn3"],
                          default="gcn3")
-    trace_p.add_argument("--scale", "-s", type=float, default=0.25)
-    trace_p.add_argument("--cus", type=int, default=8)
     trace_p.add_argument("--out", "-o",
                          help="output file (default "
                               "<workload>_<isa>.trace.json)")
@@ -725,34 +677,29 @@ def build_parser() -> argparse.ArgumentParser:
                               "(stall *accounting* stays exact)")
     trace_p.add_argument("--max-events", type=int, default=1_000_000,
                          help="hard cap on recorded events")
-    trace_p.add_argument("--quiet", "-q", action="store_true",
-                         help="skip the stall/occupancy text report")
 
     met_p = sub.add_parser("metrics", help="print the metric registry")
     met_p.add_argument("--match", "-m",
                        help="only metrics whose name matches this regex")
 
-    fig_p = sub.add_parser("figures", help="regenerate the evaluation")
-    fig_p.add_argument("--scale", "-s", type=float, default=0.5)
+    fig_p = sub.add_parser("figures", help="regenerate the evaluation",
+                           parents=[_shared("scale", *_POOL)])
     fig_p.add_argument("--only", help="comma-separated keys, e.g. fig05,fig09")
     fig_p.add_argument("--output", "-o", help="write to a file")
     fig_p.add_argument("--json", action="store_true",
                        help="emit the raw result matrix as JSON")
-    fig_p.add_argument("--jobs", "-j", type=int, default=1,
-                       help="worker processes (0 = one per core; default 1)")
-    fig_p.add_argument("--no-cache", action="store_true",
-                       help="skip the on-disk result cache entirely")
-    fig_p.add_argument("--cache-dir",
-                       help="result cache directory (default .repro_cache/ "
-                            "or $REPRO_CACHE_DIR)")
-    fig_p.add_argument("--job-timeout", type=float,
-                       help="per-job wall-clock limit in seconds "
-                            "(parallel runs only)")
-    fig_p.add_argument("--quiet", "-q", action="store_true",
-                       help="suppress per-job progress lines on stderr")
 
     sweep_p = sub.add_parser(
-        "sweep", help="design-space sweep over config axes")
+        "sweep", help="design-space sweep over config axes",
+        parents=[_shared(
+            "scale", "seed", "cus", *_EXECUTION, *_POOL,
+            execution=dict(
+                choices=["auto", "execute", "replay"], default="auto",
+                help="auto = one functional pass per workload x ISA x "
+                     "functional fingerprint, its trace replayed at every "
+                     "other point (default); execute = a functional pass "
+                     "per cell; replay = require every trace to already "
+                     "exist"))])
     sweep_p.add_argument("--axis", "-a", action="append", required=True,
                          metavar="PATH=V1,V2,...",
                          help="swept config path and values, e.g. "
@@ -762,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "one factor at a time")
     sweep_p.add_argument("--workloads", "-w",
                          help="comma-separated workload names (default all)")
-    sweep_p.add_argument("--scale", "-s", type=float, default=0.5)
-    sweep_p.add_argument("--seed", type=int, default=7)
-    sweep_p.add_argument("--cus", type=int, default=8,
-                         help="base machine CU count (8 = paper config)")
-    sweep_p.add_argument("--jobs", "-j", type=int, default=1,
-                         help="worker processes (0 = one per core)")
     sweep_p.add_argument("--resume", nargs="?", const=True, default=None,
                          metavar="ID",
                          help="resume a journaled sweep: bare --resume "
@@ -788,33 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["text", "csv", "json", "markdown"],
                          default="text")
     sweep_p.add_argument("--output", "-o", help="write the report to a file")
-    sweep_p.add_argument("--no-cache", action="store_true",
-                         help="skip the per-cell on-disk result cache")
-    sweep_p.add_argument("--cache-dir",
-                         help="result cache directory (default "
-                              ".repro_cache/ or $REPRO_CACHE_DIR)")
-    sweep_p.add_argument("--job-timeout", type=float,
-                         help="per-cell wall-clock limit in seconds "
-                              "(parallel runs only)")
-    sweep_p.add_argument("--execution",
-                         choices=["auto", "execute", "replay"],
-                         default="auto",
-                         help="auto = execute semantics once per "
-                              "workload x ISA x functional fingerprint and "
-                              "replay the trace elsewhere; execute = "
-                              "pre-replay behaviour; replay = require "
-                              "every trace to already exist")
-    sweep_p.add_argument("--trace-dir",
-                         help="trace store directory (default "
-                              "<cache-dir>/traces)")
-    sweep_p.add_argument("--engine",
-                         choices=["auto", "scalar", "vector"],
-                         default="auto",
-                         help="replay cursor for every cell: auto "
-                              "(default) and vector batch-decode each "
-                              "wavefront's trace; scalar pins the "
-                              "raw-array record walk (same statistics "
-                              "and cycles)")
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
@@ -841,17 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--dist-output", metavar="FILE",
                          help="write the DistSweepResults JSON (per-"
                               "worker cells, steals, expiries, retries)")
-    sweep_p.add_argument("--quiet", "-q", action="store_true",
-                         help="suppress per-cell progress lines on stderr")
 
     bench_p = sub.add_parser(
-        "bench", help="time the suite and write a BENCH_*.json perf point")
+        "bench", help="time the suite and write a BENCH_*.json perf point",
+        parents=[_shared("scale", "seed", "cus", "quiet")])
     bench_p.add_argument("--workloads", "-w",
                          help="comma-separated workload names (default all)")
-    bench_p.add_argument("--scale", "-s", type=float, default=0.5)
-    bench_p.add_argument("--seed", type=int, default=7)
-    bench_p.add_argument("--cus", type=int, default=8,
-                         help="CU count (8 = paper config)")
     bench_p.add_argument("--repeats", "-r", type=int, default=1,
                          help="runs per cell; best-of is reported")
     bench_p.add_argument("--label", "-l",
@@ -901,24 +810,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--sweep-engine",
                          choices=["auto", "scalar", "vector"],
                          default="auto",
-                         help="cycle engine for the --sweep-axis replay "
-                              "pass (default auto = vector when numpy "
-                              "is importable)")
+                         help="replay cursor for the --sweep-axis replay "
+                              "pass (default auto)")
     bench_p.add_argument("--sweep-repeats", type=int, default=1,
                          help="run the execute/replay pass pair N times "
                               "and report best-of walls (default 1)")
     bench_p.add_argument("--sweep-jobs", type=int, default=1,
                          help="worker processes for --sweep-axis passes")
-    bench_p.add_argument("--quiet", "-q", action="store_true",
-                         help="suppress per-cell progress on stderr")
 
-    cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
-    cache_p.add_argument("--cache-dir",
-                         help="cache directory (default .repro_cache/ "
-                              "or $REPRO_CACHE_DIR)")
-    cache_p.add_argument("--trace-dir",
-                         help="trace store directory (default "
-                              "<cache-dir>/traces)")
+    cache_p = sub.add_parser("cache", help="inspect or clear the result cache",
+                             parents=[_shared("cache_dir", "trace_dir")])
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result and stored trace")
     cache_p.add_argument("--prune-older-than", type=float, metavar="DAYS",
@@ -930,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist_sub = dist_p.add_subparsers(dest="dist_command", required=True)
     worker_p = dist_sub.add_parser(
         "worker", help="pull-based sweep worker: lease shards from a "
-                       "coordinator, stream per-cell results back")
+                       "coordinator, stream per-cell results back",
+        parents=[_shared("trace_dir", "job_timeout", "quiet")])
     worker_p.add_argument("--coordinator", required=True, metavar="URL",
                           help="coordinator daemon, e.g. "
                                "http://127.0.0.1:8650 (printed by "
@@ -942,51 +844,36 @@ def build_parser() -> argparse.ArgumentParser:
                           help="forward cells to the 'repro serve' "
                                "daemon at URL instead of simulating "
                                "in-process")
-    worker_p.add_argument("--trace-dir",
-                          help="trace store of the in-process backend "
-                               "(default <cache-dir>/traces)")
-    worker_p.add_argument("--job-timeout", type=float,
-                          help="per-cell wall-clock limit in seconds")
     worker_p.add_argument("--poll", type=float, default=0.5,
                           help="idle poll interval in seconds")
     worker_p.add_argument("--connect-timeout", type=float, default=10.0,
                           help="seconds to wait for the coordinator to "
                                "answer /v1/healthz before giving up")
-    worker_p.add_argument("--quiet", "-q", action="store_true",
-                          help="suppress per-shard log lines on stderr")
 
     diff_p = sub.add_parser("diff", help="compare two --json exports")
     diff_p.add_argument("before")
     diff_p.add_argument("after")
 
-    pk_p = sub.add_parser("per-kernel", help="per-kernel dual-ISA stats")
+    pk_p = sub.add_parser("per-kernel", help="per-kernel dual-ISA stats",
+                          parents=[_shared("scale", "cus")])
     pk_p.add_argument("--workload", "-w", required=True)
-    pk_p.add_argument("--scale", "-s", type=float, default=0.5)
-    pk_p.add_argument("--cus", type=int, default=8)
 
-    dis_p = sub.add_parser("disasm", help="print kernel listings")
+    dis_p = sub.add_parser("disasm", help="print kernel listings",
+                           parents=[_shared("scale",
+                                            scale=dict(default=0.25))])
     dis_p.add_argument("--workload", "-w", required=True)
     dis_p.add_argument("--kernel", "-k")
     dis_p.add_argument("--isa", "-i", choices=["hsail", "gcn3", "both"],
                        default="both")
-    dis_p.add_argument("--scale", "-s", type=float, default=0.25)
 
     serve_p = sub.add_parser(
         "serve", help="resident simulation daemon (HTTP, batched "
-                      "scheduling over the shared trace store)")
+                      "scheduling over the shared trace store)",
+        parents=[_shared("trace_dir", "cache_dir", "job_timeout", "quiet")])
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", "-p", type=int, default=8642,
                          help="listen port (0 = pick an ephemeral port "
                               "and print it)")
-    serve_p.add_argument("--trace-dir",
-                         help="shared trace store directory (default "
-                              "<cache-dir>/traces)")
-    serve_p.add_argument("--cache-dir",
-                         help="result cache directory (default "
-                              ".repro_cache/ or $REPRO_CACHE_DIR)")
-    serve_p.add_argument("--job-timeout", type=float,
-                         help="per-job wall-clock limit in seconds "
-                              "(enforced through the process pool)")
     serve_p.add_argument("--rate-limit", type=float, default=0.0,
                          help="sustained requests/second allowed per "
                               "client before 429 (0 = unlimited)")
@@ -994,8 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="token-bucket burst size per client")
     serve_p.add_argument("--max-queue", type=int, default=256,
                          help="queued jobs before new submissions get 503")
-    serve_p.add_argument("--quiet", "-q", action="store_true",
-                         help="suppress per-job log lines on stderr")
     return parser
 
 

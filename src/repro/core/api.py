@@ -44,14 +44,11 @@ from ..kernels.ir import KernelIR
 from .requests import RunRequest, SuiteRequest, SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from typing import Union
-
     from ..common.config import GpuConfig
     from ..explore.space import Axis
     from ..explore.sweep import SweepResults
     from ..harness.parallel import ProgressFn
     from ..harness.runner import SuiteResults, WorkloadRun
-    from ..obs.trace import TraceConfig
 
 
 @dataclass
@@ -125,131 +122,54 @@ class Session:
                              else self.finalize_options)
 
     # -- request builders ------------------------------------------------------
+    # ``**fields`` are the fields of the request dataclass, by name (see
+    # :mod:`repro.core.requests` for each one's meaning and default);
+    # ``config`` is this session's.  An unknown name fails with a
+    # close-match suggestion, exactly like an unknown key on the wire.
 
-    def build_run_request(self, workload: str, isa: str, *,
-                          scale: float = 1.0, seed: int = 7,
-                          trace: "Optional[TraceConfig]" = None,
-                          execution: str = "execute",
-                          trace_dir: Optional[str] = None,
-                          engine: Optional[str] = None) -> RunRequest:
+    def build_run_request(self, workload: str, isa: str,
+                          **fields: object) -> RunRequest:
         """The :class:`RunRequest` that :meth:`run` would execute — build
         it here to serialize it (``request.to_json()``) or POST it to a
         ``repro serve`` daemon instead of executing in-process."""
-        return RunRequest(workload=workload, isa=isa, scale=scale,
-                          seed=seed, config=self.config, trace=trace,
-                          execution=execution, trace_dir=trace_dir,
-                          engine=engine or "")
+        return RunRequest.build(workload=workload, isa=isa,
+                                config=self.config, **fields)
 
-    def build_suite_request(self, *, scale: float = 1.0,
-                            workloads: Optional[Sequence[str]] = None,
-                            seed: int = 7, use_cache: bool = True,
-                            jobs: int = 1,
-                            use_disk_cache: Optional[bool] = None,
-                            cache_dir: Optional[str] = None,
-                            job_timeout: Optional[float] = None,
-                            trace: "Optional[TraceConfig]" = None,
-                            execution: str = "execute",
-                            trace_dir: Optional[str] = None,
-                            engine: Optional[str] = None) -> SuiteRequest:
+    def build_suite_request(self, **fields: object) -> SuiteRequest:
         """The :class:`SuiteRequest` that :meth:`suite` would execute."""
-        return SuiteRequest(
-            workloads=tuple(workloads) if workloads is not None else None,
-            scale=scale, seed=seed, config=self.config, use_cache=use_cache,
-            jobs=jobs, use_disk_cache=use_disk_cache, cache_dir=cache_dir,
-            job_timeout=job_timeout, trace=trace, execution=execution,
-            trace_dir=trace_dir, engine=engine or "")
+        return SuiteRequest.build(config=self.config, **fields)
 
-    def build_sweep_request(self, axes: "Sequence[Axis | str]", *,
-                            mode: str = "grid",
-                            workloads: Optional[Sequence[str]] = None,
-                            isas: Optional[Sequence[str]] = None,
-                            scale: float = 0.5, seed: int = 7, jobs: int = 1,
-                            use_disk_cache: Optional[bool] = None,
-                            cache_dir: Optional[str] = None,
-                            job_timeout: Optional[float] = None,
-                            resume: "Union[bool, str]" = False,
-                            sweeps_dir: Optional[str] = None,
-                            execution: str = "auto",
-                            trace_dir: Optional[str] = None,
-                            verify_replay: bool = True,
-                            engine: Optional[str] = None) -> SweepRequest:
+    def build_sweep_request(self, axes: "Sequence[Axis | str]",
+                            **fields: object) -> SweepRequest:
         """The :class:`SweepRequest` that :meth:`sweep` would execute."""
-        from ..explore.space import Axis as _Axis
-        from .requests import ISAS
-
-        parsed = tuple(axis if isinstance(axis, _Axis) else _Axis.parse(axis)
-                       for axis in axes)
-        return SweepRequest(
-            axes=parsed, mode=mode,
-            workloads=tuple(workloads) if workloads is not None else None,
-            isas=tuple(isas) if isas is not None else ISAS, scale=scale,
-            seed=seed, config=self.config, jobs=jobs,
-            use_disk_cache=use_disk_cache, cache_dir=cache_dir,
-            job_timeout=job_timeout, resume=resume, sweeps_dir=sweeps_dir,
-            execution=execution, trace_dir=trace_dir,
-            verify_replay=verify_replay, engine=engine or "")
+        return SweepRequest.build(axes=axes, config=self.config, **fields)
 
     # -- simulation ------------------------------------------------------------
 
-    def run(self, workload: str, isa: str, *, scale: float = 1.0,
-            seed: int = 7,
-            trace: "Optional[TraceConfig]" = None,
-            execution: str = "execute",
-            trace_dir: Optional[str] = None,
-            engine: Optional[str] = None) -> "WorkloadRun":
-        """Simulate one workload under one ISA; with ``trace`` set, the
-        returned run carries a :class:`repro.obs.TraceData` in ``.trace``.
+    def run(self, workload: str, isa: str, **fields: object) -> "WorkloadRun":
+        """Simulate one workload under one ISA; with ``trace`` set (a
+        :class:`repro.obs.TraceConfig`), the returned run carries a
+        :class:`repro.obs.TraceData` in ``.trace``.
 
-        ``execution`` selects how the instruction stream is obtained
+        ``execution`` selects what happens to the instruction stream
         (``"execute"`` | ``"capture"`` | ``"replay"`` | ``"auto"``; see
         :data:`repro.core.requests.EXECUTION_MODES`); non-default modes
-        use the trace store under ``trace_dir`` (default
-        ``<cache-dir>/traces``).  ``engine`` overrides the session
-        config's cycle-engine knob for this run only (``"auto"`` |
-        ``"scalar"`` | ``"vector"``; see
-        :func:`repro.timing.vector.resolve_engine`)."""
-        return self.build_run_request(
-            workload, isa, scale=scale, seed=seed, trace=trace,
-            execution=execution, trace_dir=trace_dir, engine=engine,
-        ).execute()
+        use the trace store (default ``<cache-dir>/traces``).
+        ``engine`` overrides the session config's replay-cursor knob for
+        this run only; ``None`` keeps it."""
+        return self.build_run_request(workload, isa, **fields).execute()
 
-    def suite(self, *, scale: float = 1.0,
-              workloads: Optional[Sequence[str]] = None, seed: int = 7,
-              use_cache: bool = True, jobs: int = 1,
-              use_disk_cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
-              job_timeout: Optional[float] = None,
-              progress: "Optional[ProgressFn]" = None,
-              trace: "Optional[TraceConfig]" = None,
-              execution: str = "execute",
-              trace_dir: Optional[str] = None,
-              engine: Optional[str] = None) -> "SuiteResults":
+    def suite(self, *, progress: "Optional[ProgressFn]" = None,
+              **fields: object) -> "SuiteResults":
         """Run every workload under both ISAs (the paper's evaluation
-        matrix), with caching, process-pool fan-out, the trace-replay
-        ``execution`` mode, and the per-call cycle-``engine`` override.
-        Traced suites bypass both cache layers — a cached result has no
-        events to replay."""
-        return self.build_suite_request(
-            scale=scale, workloads=workloads, seed=seed, use_cache=use_cache,
-            jobs=jobs, use_disk_cache=use_disk_cache, cache_dir=cache_dir,
-            job_timeout=job_timeout, trace=trace, execution=execution,
-            trace_dir=trace_dir, engine=engine,
-        ).execute(progress=progress)
+        matrix), with caching and process-pool fan-out.  Traced suites
+        bypass both cache layers — a cached result has no events to
+        replay."""
+        return self.build_suite_request(**fields).execute(progress=progress)
 
-    def sweep(self, axes: "Sequence[Axis | str]", *, mode: str = "grid",
-              workloads: Optional[Sequence[str]] = None,
-              isas: Optional[Sequence[str]] = None,
-              scale: float = 0.5, seed: int = 7, jobs: int = 1,
-              use_disk_cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
-              job_timeout: Optional[float] = None,
+    def sweep(self, axes: "Sequence[Axis | str]", *,
               progress: "Optional[ProgressFn]" = None,
-              resume: "Union[bool, str]" = False,
-              sweeps_dir: Optional[str] = None,
-              execution: str = "auto",
-              trace_dir: Optional[str] = None,
-              verify_replay: bool = True,
-              engine: Optional[str] = None) -> "SweepResults":
+              **fields: object) -> "SweepResults":
         """Design-space sweep around this session's config.
 
         ``axes`` are :class:`repro.explore.Axis` objects or their CLI
@@ -269,10 +189,5 @@ class Session:
                                       workloads=["lulesh"], jobs=4)
             table = tornado(results, "ratio:ifetch_misses")
         """
-        return self.build_sweep_request(
-            axes, mode=mode, workloads=workloads, isas=isas, scale=scale,
-            seed=seed, jobs=jobs, use_disk_cache=use_disk_cache,
-            cache_dir=cache_dir, job_timeout=job_timeout, resume=resume,
-            sweeps_dir=sweeps_dir, execution=execution, trace_dir=trace_dir,
-            verify_replay=verify_replay, engine=engine,
-        ).execute(progress=progress)
+        return self.build_sweep_request(axes, **fields).execute(
+            progress=progress)

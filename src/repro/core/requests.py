@@ -21,8 +21,15 @@ the paper machine via :meth:`GpuConfig.with_overrides`
 (``"config_overrides"``) — or both, overrides on top of the explicit
 base.  Unknown fields are rejected with close-match suggestions (the
 :class:`~repro.obs.metrics.MetricRegistry` difflib pattern) instead of
-being silently dropped, and a payload speaking a different protocol
-version fails the version gate up front.
+being silently dropped, a wrongly typed value fails as a
+:class:`RequestError` naming the field, and a payload speaking a
+different protocol version fails the version gate up front.
+
+Each field is declared once, on its dataclass, with :func:`wire`;
+:class:`Envelope` derives the accepted keys and both directions of the
+JSON mapping from that declaration, so adding or removing a request
+field is one dataclass line (plus one argparse flag if the CLI should
+set it).
 
 Execution lives behind :func:`execute_request`, which dispatches to the
 harness (:func:`repro.harness.runner.execute_run_request` /
@@ -37,7 +44,8 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -69,11 +77,12 @@ API_VERSION = "repro-api/1"
 #: :mod:`repro.harness.runner` re-exports it.
 ISAS = ("hsail", "gcn3")
 
-#: How a cell obtains its dynamic instruction stream (canonical home;
-#: re-exported by :mod:`repro.harness.runner`):
-#: ``execute`` runs full functional semantics at issue (the default),
-#: ``capture`` executes *and* records an ExecTrace,
-#: ``replay`` drives the timing model from a stored trace,
+#: What a cell does with its dynamic instruction stream (canonical home;
+#: re-exported by :mod:`repro.harness.runner`).  Every mode drives the
+#: timing model from a recorded trace:
+#: ``execute`` records one in memory and drops it (the default),
+#: ``capture`` records one and files it in the trace store,
+#: ``replay`` reads a stored one instead of running semantics,
 #: ``auto`` replays when the trace store has a capture and captures
 #: otherwise.
 EXECUTION_MODES = ("auto", "execute", "capture", "replay")
@@ -86,7 +95,7 @@ class RequestError(ReproError):
 
 
 def _reject_unknown(payload: Mapping[str, object], known: Sequence[str],
-                    kind: str) -> None:
+                    what: str) -> None:
     """Unknown-field gate with close-match suggestions (difflib, the
     MetricRegistry pattern): typos must not silently become defaults."""
     for key in payload:
@@ -96,7 +105,7 @@ def _reject_unknown(payload: Mapping[str, object], known: Sequence[str],
                                                 cutoff=0.6)
         hint = f"; did you mean {', '.join(suggestions)}?" if suggestions else ""
         raise RequestError(
-            f"unknown field {key!r} in {kind} request{hint} "
+            f"unknown field {key!r} in {what}{hint} "
             f"(known: {', '.join(sorted(known))})"
         )
 
@@ -112,94 +121,231 @@ def check_api_version(payload: Mapping[str, object],
         )
 
 
-def _config_from_payload(payload: Mapping[str, object],
-                         kind: str) -> GpuConfig:
-    """Resolve the request's config: explicit full dict, dotted-path
-    overrides on the paper machine, or both (overrides win)."""
-    from ..common.errors import ConfigError
+# ---- the wire codec ---------------------------------------------------------
+# Each envelope declares its fields once, as dataclass fields built by
+# wire(); Envelope derives the accepted-key set and both directions of
+# the JSON mapping from that declaration (the way timing/replay.py
+# derives the trace format from its one stream-field table).
 
-    raw = payload.get("config")
-    overrides = payload.get("config_overrides")
+_REQUIRED = object()
+
+
+def wire(cast: Callable[[object], object], default: object = _REQUIRED, *,
+         dump: Optional[Callable[[object], object]] = None,
+         sparse: bool = False):
+    """Declare one wire field of an :class:`Envelope` dataclass.
+
+    ``cast``    JSON value -> field value; whatever it raises is reported
+                as a :class:`RequestError` naming the field.
+    ``default`` the field's default (a callable is a default *factory*);
+                a field declared without one is required on the wire.  A
+                JSON ``null`` is accepted only where the default is None.
+    ``dump``    field value -> JSON value, for fields that are not JSON
+                as they stand (tuples, configs, nested envelopes).
+    ``sparse``  leave the key out of the payload while the value is None.
+    """
+    metadata = {"cast": cast, "dump": dump, "sparse": sparse}
+    if default is _REQUIRED:
+        return field(metadata=metadata)
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _is(*types: type) -> Callable[[object], object]:
+    """A strict cast: the JSON value must already be one of ``types``."""
+    def cast(value: object) -> object:
+        if not isinstance(value, types):
+            raise TypeError(
+                f"expected {' or '.join(t.__name__ for t in types)}, got "
+                f"{type(value).__name__}")
+        return value
+    return cast
+
+
+def _each(item: Callable, into: type = tuple) -> Callable[[object], object]:
+    """``item`` over every element of a JSON list."""
+    return lambda seq: into(item(x) for x in _is(list, tuple)(seq))
+
+
+_str = _is(str)
+_bool = _is(bool)
+_names = _each(_str)
+
+
+def _axis(raw: object) -> "Axis":
+    from ..explore.space import Axis
+
+    return raw if isinstance(raw, Axis) else Axis.parse(_str(raw))
+
+
+@lru_cache(maxsize=None)
+def _schema(cls: type) -> tuple:
+    """``(name, cast, dump, sparse, required, nullable)`` per wire field."""
+    return tuple(
+        (f.name, f.metadata["cast"], f.metadata["dump"],
+         f.metadata["sparse"],
+         f.default is MISSING and f.default_factory is MISSING,
+         f.default is None)
+        for f in fields(cls))
+
+
+def _loads(text: Union[str, bytes]) -> Mapping[str, object]:
     try:
-        config = (GpuConfig.from_dict(raw)  # type: ignore[arg-type]
-                  if raw is not None else paper_config())
-        if overrides:
-            if not isinstance(overrides, Mapping):
-                raise RequestError(
-                    f"config_overrides of a {kind} request must be an "
-                    f"object of dotted-path: value pairs"
-                )
-            config = config.with_overrides(overrides)
-    except ConfigError as exc:
-        raise RequestError(f"bad config in {kind} request: {exc}") from exc
-    return config
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise RequestError(f"request is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise RequestError("request payload must be a JSON object")
+    return payload
 
 
-def _trace_from_payload(payload: Mapping[str, object]) -> Optional[TraceConfig]:
-    raw = payload.get("trace")
-    if raw is None:
-        return None
-    try:
-        return TraceConfig.from_payload(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"bad trace config: {exc}") from exc
+class Envelope:
+    """Base of every ``repro-api/1`` wire type: a frozen dataclass whose
+    fields are all declared with :func:`wire`."""
 
-
-def _require_str(payload: Mapping[str, object], name: str,
-                 kind: str) -> str:
-    value = payload.get(name)
-    if not isinstance(value, str) or not value:
-        raise RequestError(
-            f"{kind} request needs a non-empty string {name!r} field"
-        )
-    return value
-
-
-class _RequestBase:
-    """Shared validation + serialization machinery (not itself a request)."""
-
+    #: the payload's ``kind``; "" marks a bare record that only travels
+    #: nested inside another envelope (no ``api``/``kind`` header).
     kind = ""
+    noun = "request"
 
-    def _validate_common(self) -> None:
-        if self.execution not in EXECUTION_MODES:  # type: ignore[attr-defined]
-            raise RequestError(
-                f"unknown execution mode "
-                f"{self.execution!r}; "  # type: ignore[attr-defined]
-                f"expected one of {EXECUTION_MODES}"
-            )
-        if self.engine not in _ENGINES:  # type: ignore[attr-defined]
-            raise RequestError(
-                f"unknown engine {self.engine!r}; "  # type: ignore[attr-defined]
-                f"expected one of {_ENGINES[1:]} (or '' to keep the "
-                f"config's engine)"
-            )
-        if self.scale <= 0:  # type: ignore[attr-defined]
-            raise RequestError("scale must be positive")
+    @classmethod
+    def _what(cls) -> str:
+        return f"{cls.kind} {cls.noun}".strip()
 
-    def resolved_config(self) -> GpuConfig:
-        """The request config with its per-request engine override folded
-        in — the one config every execution path must simulate under."""
-        config = self.config  # type: ignore[attr-defined]
-        engine = self.engine  # type: ignore[attr-defined]
-        if engine and engine != config.engine:
-            config = config.with_overrides({"engine": engine})
-        return config
+    @classmethod
+    @lru_cache(maxsize=None)
+    def wire_fields(cls) -> Tuple[str, ...]:
+        """Every key :meth:`from_payload` accepts."""
+        names = [f.name for f in fields(cls)]
+        if "config" in names:
+            names.append("config_overrides")
+        return ("api", "kind", *names) if cls.kind else tuple(names)
 
-    def _envelope(self) -> Dict[str, object]:
-        return {"api": API_VERSION, "kind": self.kind}
+    @classmethod
+    def build(cls, **values: object):
+        """Construct from keyword fields; an unknown name fails the way an
+        unknown wire key does, with close-match suggestions."""
+        _reject_unknown(values, [f.name for f in fields(cls)], cls._what())
+        return cls(**values)
+
+    def to_payload(self) -> Dict[str, object]:
+        payload: Dict[str, object] = (
+            {"api": API_VERSION, "kind": self.kind} if self.kind else {})
+        for name, _cast, dump, sparse, _required, _nullable in _schema(
+                type(self)):
+            value = getattr(self, name)
+            if value is None:
+                if sparse:
+                    continue
+            elif dump is not None:
+                value = dump(value)
+            payload[name] = value
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, object]):
+        what = cls._what()
+        if not isinstance(payload, Mapping):
+            raise RequestError(f"{what} must be a JSON object")
+        if cls.kind:
+            check_api_version(payload, what)
+        _reject_unknown(payload, cls.wire_fields(), what)
+
+        def convert(name: str, cast: Callable, raw: object) -> object:
+            try:
+                return cast(raw)
+            except (ValueError, TypeError, AttributeError, ReproError) as exc:
+                raise RequestError(f"bad {name} in {what}: {exc}") from exc
+
+        values: Dict[str, object] = {}
+        for name, cast, _dump, _sparse, required, nullable in _schema(cls):
+            raw = payload.get(name)
+            if required and raw in (None, ""):
+                raise RequestError(f"{what} needs a non-empty {name!r} field")
+            if name in payload:
+                values[name] = (None if raw is None and nullable
+                                else convert(name, cast, raw))
+        # Dotted-path overrides edit the explicit config, or the paper
+        # machine when the payload carries none.
+        overrides = payload.get("config_overrides")
+        if overrides is not None:
+            base = values.get("config") or paper_config()
+            values["config"] = convert(
+                "config_overrides",
+                lambda edits: base.with_overrides(_is(dict)(edits)),
+                overrides)
+        return cls(**values)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str):
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise RequestError(f"request is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RequestError("request payload must be a JSON object")
-        return cls.from_payload(payload)  # type: ignore[attr-defined]
+    def from_json(cls, text: Union[str, bytes]):
+        return cls.from_payload(_loads(text))
+
+
+class _RequestBase(Envelope):
+    """What the executable requests and the dist shard share: the
+    execution/engine/scale checks, the engine fold, the cell rule."""
+
+    #: the ``execution`` values this request kind accepts.
+    executions = EXECUTION_MODES
+    # Declared by every subclass as wire() fields.
+    config: GpuConfig
+    scale: float
+    execution: str
+    engine: str
+
+    def _validate_common(self) -> None:
+        if self.engine is None:
+            # The Session/CLI spelling of "keep the config's engine".
+            object.__setattr__(self, "engine", "")
+        if self.execution not in self.executions:
+            raise RequestError(
+                f"unknown {self.kind} execution mode {self.execution!r}; "
+                f"expected one of {self.executions}"
+            )
+        if self.engine not in _ENGINES:
+            raise RequestError(
+                f"unknown engine {self.engine!r}; expected one of "
+                f"{_ENGINES[1:]} (or '' to keep the config's engine)"
+            )
+        if self.scale <= 0:
+            raise RequestError("scale must be positive")
+
+    def resolved_config(self) -> GpuConfig:
+        """The request config with its per-request engine override folded
+        in — the one config every execution path must simulate under."""
+        config = self.config
+        if self.engine and self.engine != config.engine:
+            config = config.with_overrides({"engine": self.engine})
+        return config
+
+    def cell(self, workload: str, isa: str, **changes: object) -> "RunRequest":
+        """One (workload, ISA) cell of this request: every field a
+        :class:`RunRequest` shares with it, copied by name, then
+        ``changes``.  The only place a cell is derived from a larger
+        request, so a new shared field reaches every cell by itself."""
+        mine = {f.name for f in fields(self)}
+        values = {f.name: getattr(self, f.name)
+                  for f in fields(RunRequest) if f.name in mine}
+        values.update(changes, workload=workload, isa=isa)
+        return RunRequest(**values)
+
+
+def _check_isa(isa: str) -> None:
+    if isa not in ISAS:
+        raise RequestError(f"unknown ISA {isa!r}; expected one of {ISAS}")
+
+
+def _config_field():
+    return wire(GpuConfig.from_dict, paper_config, dump=GpuConfig.to_dict)
+
+
+def _trace_field():
+    return wire(TraceConfig.from_payload, None, dump=TraceConfig.to_payload,
+                sparse=True)
 
 
 @dataclass(frozen=True)
@@ -208,63 +354,23 @@ class RunRequest(_RequestBase):
     decomposes into and the unit the parallel pool and the daemon's
     batch scheduler move around."""
 
-    workload: str
-    isa: str
-    scale: float = 1.0
-    seed: int = 7
-    config: GpuConfig = field(default_factory=paper_config)
-    trace: Optional[TraceConfig] = None
-    execution: str = "execute"
-    trace_dir: Optional[str] = None
+    workload: str = wire(_str)
+    isa: str = wire(_str)
+    scale: float = wire(float, 1.0)
+    seed: int = wire(int, 7)
+    config: GpuConfig = _config_field()
+    trace: Optional[TraceConfig] = _trace_field()
+    execution: str = wire(_str, "execute")
+    trace_dir: Optional[str] = wire(_str, None, sparse=True)
     #: cycle-engine override ("auto" | "scalar" | "vector"); "" keeps
     #: whatever ``config.engine`` already says.
-    engine: str = ""
+    engine: str = wire(_str, "")
 
     kind = "run"
-    _FIELDS = ("api", "kind", "workload", "isa", "scale", "seed", "config",
-               "config_overrides", "trace", "execution", "trace_dir",
-               "engine")
 
     def __post_init__(self) -> None:
-        if self.isa not in ISAS:
-            raise RequestError(
-                f"unknown ISA {self.isa!r}; expected one of {ISAS}"
-            )
+        _check_isa(self.isa)
         self._validate_common()
-
-    def to_payload(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({
-            "workload": self.workload,
-            "isa": self.isa,
-            "scale": self.scale,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "execution": self.execution,
-            "engine": self.engine,
-        })
-        if self.trace is not None:
-            payload["trace"] = self.trace.to_payload()
-        if self.trace_dir is not None:
-            payload["trace_dir"] = self.trace_dir
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "RunRequest":
-        check_api_version(payload)
-        _reject_unknown(payload, cls._FIELDS, "run")
-        return cls(
-            workload=_require_str(payload, "workload", "run"),
-            isa=_require_str(payload, "isa", "run"),
-            scale=float(payload.get("scale", 1.0)),  # type: ignore[arg-type]
-            seed=int(payload.get("seed", 7)),  # type: ignore[arg-type]
-            config=_config_from_payload(payload, "run"),
-            trace=_trace_from_payload(payload),
-            execution=str(payload.get("execution", "execute")),
-            trace_dir=(str(payload["trace_dir"])
-                       if payload.get("trace_dir") is not None else None),
-            engine=str(payload.get("engine", "")),
-        )
 
     def describe(self) -> str:
         return (f"{self.workload}/{self.isa} scale={self.scale:g} "
@@ -277,116 +383,45 @@ class RunRequest(_RequestBase):
         return execute_run_request(self, trace_store=trace_store)
 
 
-def _names_from_payload(payload: Mapping[str, object], name: str,
-                        kind: str) -> Optional[Tuple[str, ...]]:
-    raw = payload.get(name)
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(v, str) for v in raw):
-        raise RequestError(
-            f"{name!r} of a {kind} request must be a list of strings"
-        )
-    return tuple(raw)
-
-
 @dataclass(frozen=True)
 class SuiteRequest(_RequestBase):
     """The paper's full (workload x ISA) evaluation matrix."""
 
-    workloads: Optional[Tuple[str, ...]] = None   # None = every workload
-    scale: float = 1.0
-    seed: int = 7
-    config: GpuConfig = field(default_factory=paper_config)
-    use_cache: bool = True
-    use_disk_cache: Optional[bool] = None
-    cache_dir: Optional[str] = None
-    jobs: int = 1
-    job_timeout: Optional[float] = None
-    trace: Optional[TraceConfig] = None
-    execution: str = "execute"
-    trace_dir: Optional[str] = None
-    engine: str = ""
+    #: None = every registered workload.
+    workloads: Optional[Tuple[str, ...]] = wire(_names, None, dump=list)
+    scale: float = wire(float, 1.0)
+    seed: int = wire(int, 7)
+    config: GpuConfig = _config_field()
+    use_cache: bool = wire(_bool, True)
+    use_disk_cache: Optional[bool] = wire(_bool, None, sparse=True)
+    cache_dir: Optional[str] = wire(_str, None, sparse=True)
+    jobs: int = wire(int, 1)
+    job_timeout: Optional[float] = wire(float, None, sparse=True)
+    trace: Optional[TraceConfig] = _trace_field()
+    execution: str = wire(_str, "execute")
+    trace_dir: Optional[str] = wire(_str, None, sparse=True)
+    engine: str = wire(_str, "")
 
     kind = "suite"
-    _FIELDS = ("api", "kind", "workloads", "scale", "seed", "config",
-               "config_overrides", "use_cache", "use_disk_cache",
-               "cache_dir", "jobs", "job_timeout", "trace", "execution",
-               "trace_dir", "engine")
 
     def __post_init__(self) -> None:
         if self.workloads is not None:
             object.__setattr__(self, "workloads", tuple(self.workloads))
         self._validate_common()
 
-    def to_payload(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({
-            "workloads": (list(self.workloads)
-                          if self.workloads is not None else None),
-            "scale": self.scale,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "use_cache": self.use_cache,
-            "jobs": self.jobs,
-            "execution": self.execution,
-            "engine": self.engine,
-        })
-        if self.use_disk_cache is not None:
-            payload["use_disk_cache"] = self.use_disk_cache
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.job_timeout is not None:
-            payload["job_timeout"] = self.job_timeout
-        if self.trace is not None:
-            payload["trace"] = self.trace.to_payload()
-        if self.trace_dir is not None:
-            payload["trace_dir"] = self.trace_dir
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "SuiteRequest":
-        check_api_version(payload)
-        _reject_unknown(payload, cls._FIELDS, "suite")
-        timeout = payload.get("job_timeout")
-        disk = payload.get("use_disk_cache")
-        return cls(
-            workloads=_names_from_payload(payload, "workloads", "suite"),
-            scale=float(payload.get("scale", 1.0)),  # type: ignore[arg-type]
-            seed=int(payload.get("seed", 7)),  # type: ignore[arg-type]
-            config=_config_from_payload(payload, "suite"),
-            use_cache=bool(payload.get("use_cache", True)),
-            use_disk_cache=(bool(disk) if disk is not None else None),
-            cache_dir=(str(payload["cache_dir"])
-                       if payload.get("cache_dir") is not None else None),
-            jobs=int(payload.get("jobs", 1)),  # type: ignore[arg-type]
-            job_timeout=(float(timeout)  # type: ignore[arg-type]
-                         if timeout is not None else None),
-            trace=_trace_from_payload(payload),
-            execution=str(payload.get("execution", "execute")),
-            trace_dir=(str(payload["trace_dir"])
-                       if payload.get("trace_dir") is not None else None),
-            engine=str(payload.get("engine", "")),
-        )
-
     def describe(self) -> str:
         names = ",".join(self.workloads) if self.workloads else "all"
         return f"suite[{names}] scale={self.scale:g} seed={self.seed}"
 
-    def cells(self) -> Tuple[RunRequest, ...]:
+    def cells(self, **changes: object) -> Tuple[RunRequest, ...]:
         """The matrix decomposed into its per-cell :class:`RunRequest`\\ s
         (the daemon's batch scheduler feeds on these)."""
         from ..workloads import all_workloads
 
         names = (self.workloads if self.workloads is not None
                  else tuple(w.name for w in all_workloads()))
-        return tuple(
-            RunRequest(workload=name, isa=isa, scale=self.scale,
-                       seed=self.seed, config=self.config, trace=self.trace,
-                       execution=self.execution, trace_dir=self.trace_dir,
-                       engine=self.engine)
-            for name in names for isa in ISAS
-        )
+        return tuple(self.cell(name, isa, **changes)
+                     for name in names for isa in ISAS)
 
     def execute(self, progress: "Optional[ProgressFn]" = None) -> "SuiteResults":
         """Run the matrix (the single suite entry point)."""
@@ -399,36 +434,37 @@ class SuiteRequest(_RequestBase):
 class SweepRequest(_RequestBase):
     """A design-space sweep over dotted ``GpuConfig`` axes."""
 
-    axes: Tuple[Axis, ...] = ()
-    mode: str = "grid"
-    workloads: Optional[Tuple[str, ...]] = None
-    isas: Tuple[str, ...] = ISAS
-    scale: float = 0.5
-    seed: int = 7
-    config: GpuConfig = field(default_factory=paper_config)
-    jobs: int = 1
-    use_disk_cache: Optional[bool] = None
-    cache_dir: Optional[str] = None
-    job_timeout: Optional[float] = None
-    resume: Union[bool, str] = False
-    sweeps_dir: Optional[str] = None
-    execution: str = "auto"
-    trace_dir: Optional[str] = None
-    verify_replay: bool = True
-    engine: str = ""
+    #: :class:`~repro.explore.space.Axis` objects or their
+    #: ``path=v1,v2,...`` spellings (parsed on construction).
+    axes: Tuple[Axis, ...] = wire(
+        _each(_axis), dump=lambda axes: [axis.describe() for axis in axes])
+    mode: str = wire(_str, "grid")
+    workloads: Optional[Tuple[str, ...]] = wire(_names, None, dump=list)
+    isas: Tuple[str, ...] = wire(_names, ISAS, dump=list)
+    scale: float = wire(float, 0.5)
+    seed: int = wire(int, 7)
+    config: GpuConfig = _config_field()
+    jobs: int = wire(int, 1)
+    use_disk_cache: Optional[bool] = wire(_bool, None, sparse=True)
+    cache_dir: Optional[str] = wire(_str, None, sparse=True)
+    job_timeout: Optional[float] = wire(float, None, sparse=True)
+    #: False, True (re-derive the id from the spec) or a sweep id.
+    resume: Union[bool, str] = wire(_is(bool, str), False)
+    sweeps_dir: Optional[str] = wire(_str, None, sparse=True)
+    execution: str = wire(_str, "auto")
+    trace_dir: Optional[str] = wire(_str, None, sparse=True)
+    verify_replay: bool = wire(_bool, True)
+    engine: str = wire(_str, "")
 
     kind = "sweep"
-    _FIELDS = ("api", "kind", "axes", "mode", "workloads", "isas", "scale",
-               "seed", "config", "config_overrides", "jobs",
-               "use_disk_cache", "cache_dir", "job_timeout", "resume",
-               "sweeps_dir", "execution", "trace_dir", "verify_replay",
-               "engine")
+    executions = ("auto", "execute", "replay")
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "axes", _each(_axis)(self.axes))
         if not self.axes:
             raise RequestError("a sweep request needs at least one axis")
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "isas", tuple(self.isas))
+        object.__setattr__(
+            self, "isas", tuple(self.isas) if self.isas is not None else ISAS)
         if self.workloads is not None:
             object.__setattr__(self, "workloads", tuple(self.workloads))
         if self.mode not in ("grid", "ofat"):
@@ -436,101 +472,8 @@ class SweepRequest(_RequestBase):
                 f"unknown sweep mode {self.mode!r} (grid or ofat)"
             )
         for isa in self.isas:
-            if isa not in ISAS:
-                raise RequestError(
-                    f"unknown ISA {isa!r}; expected one of {ISAS}"
-                )
-        if self.execution not in ("auto", "execute", "replay"):
-            raise RequestError(
-                f"unknown sweep execution mode {self.execution!r}; "
-                "expected 'auto', 'execute', or 'replay'"
-            )
-        if self.engine not in _ENGINES:
-            raise RequestError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{_ENGINES[1:]} (or '' to keep the config's engine)"
-            )
-        if self.scale <= 0:
-            raise RequestError("scale must be positive")
-
-    def to_payload(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({
-            "axes": [axis.describe() for axis in self.axes],
-            "mode": self.mode,
-            "workloads": (list(self.workloads)
-                          if self.workloads is not None else None),
-            "isas": list(self.isas),
-            "scale": self.scale,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "jobs": self.jobs,
-            "resume": self.resume,
-            "execution": self.execution,
-            "verify_replay": self.verify_replay,
-            "engine": self.engine,
-        })
-        if self.use_disk_cache is not None:
-            payload["use_disk_cache"] = self.use_disk_cache
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.job_timeout is not None:
-            payload["job_timeout"] = self.job_timeout
-        if self.sweeps_dir is not None:
-            payload["sweeps_dir"] = self.sweeps_dir
-        if self.trace_dir is not None:
-            payload["trace_dir"] = self.trace_dir
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "SweepRequest":
-        from ..common.errors import ConfigError
-        from ..explore.space import Axis
-
-        check_api_version(payload)
-        _reject_unknown(payload, cls._FIELDS, "sweep")
-        raw_axes = payload.get("axes")
-        if not isinstance(raw_axes, (list, tuple)) or not raw_axes:
-            raise RequestError(
-                "sweep request needs a non-empty 'axes' list of "
-                "path=v1,v2,... specs"
-            )
-        try:
-            axes = tuple(
-                axis if isinstance(axis, Axis) else Axis.parse(str(axis))
-                for axis in raw_axes
-            )
-        except ConfigError as exc:
-            raise RequestError(f"bad sweep axis: {exc}") from exc
-        resume = payload.get("resume", False)
-        if not isinstance(resume, (bool, str)):
-            raise RequestError("'resume' must be a boolean or a sweep id")
-        timeout = payload.get("job_timeout")
-        disk = payload.get("use_disk_cache")
-        isas = _names_from_payload(payload, "isas", "sweep")
-        return cls(
-            axes=axes,
-            mode=str(payload.get("mode", "grid")),
-            workloads=_names_from_payload(payload, "workloads", "sweep"),
-            isas=isas if isas is not None else ISAS,
-            scale=float(payload.get("scale", 0.5)),  # type: ignore[arg-type]
-            seed=int(payload.get("seed", 7)),  # type: ignore[arg-type]
-            config=_config_from_payload(payload, "sweep"),
-            jobs=int(payload.get("jobs", 1)),  # type: ignore[arg-type]
-            use_disk_cache=(bool(disk) if disk is not None else None),
-            cache_dir=(str(payload["cache_dir"])
-                       if payload.get("cache_dir") is not None else None),
-            job_timeout=(float(timeout)  # type: ignore[arg-type]
-                         if timeout is not None else None),
-            resume=resume,
-            sweeps_dir=(str(payload["sweeps_dir"])
-                        if payload.get("sweeps_dir") is not None else None),
-            execution=str(payload.get("execution", "auto")),
-            trace_dir=(str(payload["trace_dir"])
-                       if payload.get("trace_dir") is not None else None),
-            verify_replay=bool(payload.get("verify_replay", True)),
-            engine=str(payload.get("engine", "")),
-        )
+            _check_isa(isa)
+        self._validate_common()
 
     def describe(self) -> str:
         axes = " x ".join(axis.describe() for axis in self.axes)
@@ -546,7 +489,7 @@ class SweepRequest(_RequestBase):
 
 
 @dataclass(frozen=True)
-class ShardCell:
+class ShardCell(Envelope):
     """One (point x workload x ISA) cell inside a shard.
 
     The overrides are the sweep point's dotted-path edits on the shard's
@@ -555,20 +498,19 @@ class ShardCell:
     enumerated without shipping a full config per cell.
     """
 
-    point: str
-    workload: str
-    isa: str
-    overrides: Tuple[Tuple[str, object], ...] = ()
+    point: str = wire(_str)
+    workload: str = wire(_str)
+    isa: str = wire(_str)
+    # JSON objects preserve insertion order across the round trip.
+    overrides: Tuple[Tuple[str, object], ...] = wire(
+        lambda edits: tuple(_is(dict)(edits).items()), (), dump=dict)
 
-    _FIELDS = ("point", "workload", "isa", "overrides")
+    noun = "shard cell"
 
     def __post_init__(self) -> None:
         if not self.point or not self.workload:
             raise RequestError("shard cell needs point and workload names")
-        if self.isa not in ISAS:
-            raise RequestError(
-                f"unknown ISA {self.isa!r}; expected one of {ISAS}"
-            )
+        _check_isa(self.isa)
         object.__setattr__(self, "overrides", tuple(
             (str(path), value) for path, value in self.overrides))
 
@@ -576,30 +518,6 @@ class ShardCell:
     def key(self) -> str:
         """The coordinator-wide cell identity (``point:workload/isa``)."""
         return f"{self.point}:{self.workload}/{self.isa}"
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "point": self.point,
-            "workload": self.workload,
-            "isa": self.isa,
-            # JSON objects preserve insertion order across the round trip.
-            "overrides": {path: value for path, value in self.overrides},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ShardCell":
-        if not isinstance(payload, Mapping):
-            raise RequestError("shard cell must be a JSON object")
-        _reject_unknown(payload, cls._FIELDS, "shard cell")
-        overrides = payload.get("overrides") or {}
-        if not isinstance(overrides, Mapping):
-            raise RequestError("shard cell overrides must be an object")
-        return cls(
-            point=_require_str(payload, "point", "shard cell"),
-            workload=_require_str(payload, "workload", "shard cell"),
-            isa=_require_str(payload, "isa", "shard cell"),
-            overrides=tuple(overrides.items()),
-        )
 
 
 @dataclass(frozen=True)
@@ -614,20 +532,19 @@ class ShardRequest(_RequestBase):
     ``repro-api/1`` envelope discipline.
     """
 
-    shard_id: str = ""
-    sweep_id: str = ""
-    trace_fp: str = ""
-    cells: Tuple[ShardCell, ...] = ()
-    scale: float = 0.5
-    seed: int = 7
-    config: GpuConfig = field(default_factory=paper_config)
-    execution: str = "auto"
-    engine: str = ""
+    shard_id: str = wire(_str)
+    sweep_id: str = wire(_str)
+    trace_fp: str = wire(_str, "")
+    cells: Tuple[ShardCell, ...] = wire(
+        _each(ShardCell.from_payload), (),
+        dump=_each(ShardCell.to_payload, list))
+    scale: float = wire(float, 0.5)
+    seed: int = wire(int, 7)
+    config: GpuConfig = _config_field()
+    execution: str = wire(_str, "auto")
+    engine: str = wire(_str, "")
 
     kind = "shard"
-    _FIELDS = ("api", "kind", "shard_id", "sweep_id", "trace_fp", "cells",
-               "scale", "seed", "config", "config_overrides", "execution",
-               "engine")
 
     def __post_init__(self) -> None:
         if not self.shard_id or not self.sweep_id:
@@ -636,40 +553,6 @@ class ShardRequest(_RequestBase):
         if not self.cells:
             raise RequestError("shard request needs at least one cell")
         self._validate_common()
-
-    def to_payload(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({
-            "shard_id": self.shard_id,
-            "sweep_id": self.sweep_id,
-            "trace_fp": self.trace_fp,
-            "cells": [cell.to_payload() for cell in self.cells],
-            "scale": self.scale,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "execution": self.execution,
-            "engine": self.engine,
-        })
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ShardRequest":
-        check_api_version(payload)
-        _reject_unknown(payload, cls._FIELDS, "shard")
-        raw_cells = payload.get("cells")
-        if not isinstance(raw_cells, (list, tuple)):
-            raise RequestError("shard request needs a 'cells' list")
-        return cls(
-            shard_id=_require_str(payload, "shard_id", "shard"),
-            sweep_id=_require_str(payload, "sweep_id", "shard"),
-            trace_fp=str(payload.get("trace_fp", "")),
-            cells=tuple(ShardCell.from_payload(c) for c in raw_cells),
-            scale=float(payload.get("scale", 0.5)),  # type: ignore[arg-type]
-            seed=int(payload.get("seed", 7)),  # type: ignore[arg-type]
-            config=_config_from_payload(payload, "shard"),
-            execution=str(payload.get("execution", "auto")),
-            engine=str(payload.get("engine", "")),
-        )
 
     def describe(self) -> str:
         return (f"shard {self.shard_id} of sweep {self.sweep_id}: "
@@ -688,11 +571,8 @@ class ShardRequest(_RequestBase):
         """The :class:`RunRequest` a worker executes for one cell —
         field-identical to what a single-host sweep would build, so
         statistics cannot drift between distributed and serial runs."""
-        return RunRequest(
-            workload=cell.workload, isa=cell.isa, scale=self.scale,
-            seed=self.seed, config=self.cell_config(cell),
-            execution=self.execution, trace_dir=trace_dir,
-            engine=self.engine)
+        return self.cell(cell.workload, cell.isa,
+                         config=self.cell_config(cell), trace_dir=trace_dir)
 
 
 #: Lease grant states: a shard to work on, back off and re-poll, or the
@@ -701,23 +581,24 @@ LEASE_STATES = ("granted", "wait", "done")
 
 
 @dataclass(frozen=True)
-class LeaseGrant:
+class LeaseGrant(Envelope):
     """The coordinator's reply to a worker's lease poll."""
 
-    state: str
-    lease_id: str = ""
-    ttl: float = 0.0
-    retry_after: float = 0.0
-    shard: Optional[ShardRequest] = None
+    state: str = wire(_str)
+    lease_id: str = wire(_str, "")
+    ttl: float = wire(float, 0.0)
+    retry_after: float = wire(float, 0.0)
+    shard: Optional[ShardRequest] = wire(
+        ShardRequest.from_payload, None, dump=ShardRequest.to_payload,
+        sparse=True)
     #: the coordinator's trace store already holds this shard's trace, so
     #: the worker should sync it in and replay instead of recapturing.
-    trace_available: bool = False
+    trace_available: bool = wire(_bool, False)
     #: the shard was split off another worker's outstanding lease.
-    stolen: bool = False
+    stolen: bool = wire(_bool, False)
 
     kind = "lease"
-    _FIELDS = ("api", "kind", "state", "lease_id", "ttl", "retry_after",
-               "shard", "trace_available", "stolen")
+    noun = "grant"
 
     def __post_init__(self) -> None:
         if self.state not in LEASE_STATES:
@@ -728,40 +609,9 @@ class LeaseGrant:
         if self.state == "granted" and self.shard is None:
             raise RequestError("a granted lease needs a shard")
 
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "api": API_VERSION,
-            "kind": self.kind,
-            "state": self.state,
-            "lease_id": self.lease_id,
-            "ttl": self.ttl,
-            "retry_after": self.retry_after,
-            "trace_available": self.trace_available,
-            "stolen": self.stolen,
-        }
-        if self.shard is not None:
-            payload["shard"] = self.shard.to_payload()
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "LeaseGrant":
-        check_api_version(payload, where="lease")
-        _reject_unknown(payload, cls._FIELDS, "lease")
-        raw_shard = payload.get("shard")
-        return cls(
-            state=_require_str(payload, "state", "lease"),
-            lease_id=str(payload.get("lease_id", "")),
-            ttl=float(payload.get("ttl", 0.0)),  # type: ignore[arg-type]
-            retry_after=float(payload.get("retry_after", 0.0)),  # type: ignore[arg-type]
-            shard=(ShardRequest.from_payload(raw_shard)  # type: ignore[arg-type]
-                   if raw_shard is not None else None),
-            trace_available=bool(payload.get("trace_available", False)),
-            stolen=bool(payload.get("stolen", False)),
-        )
-
 
 #: Request kinds the wire accepts, mapped to their classes.
-REQUEST_KINDS: Dict[str, type] = {
+REQUEST_KINDS: Dict[str, "type[Envelope]"] = {
     "run": RunRequest,
     "suite": SuiteRequest,
     "sweep": SweepRequest,
@@ -785,18 +635,12 @@ def parse_request(payload: Mapping[str, object],
         raise RequestError(
             f"endpoint expects a {expect_kind!r} request, got {kind!r}"
         )
-    return REQUEST_KINDS[kind].from_payload(payload)  # type: ignore[attr-defined]
+    return REQUEST_KINDS[kind].from_payload(payload)
 
 
 def parse_request_json(text: Union[str, bytes],
                        expect_kind: Optional[str] = None) -> AnyRequest:
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise RequestError(f"request is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise RequestError("request payload must be a JSON object")
-    return parse_request(payload, expect_kind=expect_kind)
+    return parse_request(_loads(text), expect_kind=expect_kind)
 
 
 def execute_request(request: AnyRequest,
@@ -817,8 +661,7 @@ def execute_request(request: AnyRequest,
 
 def request_fields(kind: str) -> Tuple[str, ...]:
     """The wire fields a request kind accepts (for docs and tooling)."""
-    cls = REQUEST_KINDS[kind]
-    return tuple(cls._FIELDS)  # type: ignore[attr-defined]
+    return REQUEST_KINDS[kind].wire_fields()
 
 
 __all__ = [
@@ -826,6 +669,7 @@ __all__ = [
     "EXECUTION_MODES",
     "ISAS",
     "AnyRequest",
+    "Envelope",
     "LEASE_STATES",
     "LeaseGrant",
     "REQUEST_KINDS",
@@ -840,4 +684,5 @@ __all__ = [
     "parse_request",
     "parse_request_json",
     "request_fields",
+    "wire",
 ]

@@ -584,11 +584,9 @@ class SweepLedger:
             runs: Dict[Tuple[str, str], WorkloadRun] = {}
             misses: List[Job] = []
             for w, isa in cell_keys:
-                job = Job.build(w, isa, request.scale, request.seed,
-                                point.config, point=pid,
-                                execution=self.cell_mode,
-                                trace_dir=request.trace_dir,
-                                engine=point.config.engine)
+                job = Job(point=pid, request=request.cell(
+                    w, isa, config=point.config, execution=self.cell_mode,
+                    engine=point.config.engine))
                 cached = (self.disk.get(job.fingerprint)
                           if self.disk is not None else None)
                 if cached is not None:

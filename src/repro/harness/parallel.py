@@ -56,21 +56,6 @@ class Job:
     #: stop colliding in the result mapping.
     point: str = ""
 
-    @classmethod
-    def build(cls, workload: str, isa: str, scale: float, seed: int,
-              config: GpuConfig, *, trace: Optional[TraceConfig] = None,
-              point: str = "", execution: str = "execute",
-              trace_dir: Optional[str] = None, engine: str = "") -> "Job":
-        """Convenience constructor matching the pre-request field list."""
-        return cls(
-            request=RunRequest(
-                workload=workload, isa=isa, scale=scale, seed=seed,
-                config=config, trace=trace, execution=execution,
-                trace_dir=trace_dir, engine=engine,
-            ),
-            point=point,
-        )
-
     # -- request field views (the request is the source of truth) -------------
 
     @property

@@ -478,11 +478,7 @@ def execute_suite_request(
         request.cache_dir,
     )
 
-    cells = [
-        Job.build(name, isa, scale, seed, config, trace=request.trace,
-                  execution=request.execution, trace_dir=request.trace_dir)
-        for name in names for isa in ISAS
-    ]
+    cells = [Job(request=cell) for cell in request.cells(config=config)]
     total = len(cells)
     runs: Dict[Tuple[str, str], WorkloadRun] = {}
     misses: List[Job] = []

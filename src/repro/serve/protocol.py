@@ -4,9 +4,10 @@ Requests on the wire *are* the :mod:`repro.core.requests` objects — the
 daemon adds nothing to them.  This module is the other direction: the
 three response shapes a client can receive, as frozen dataclasses with
 the same versioned-envelope discipline (``{"api": "repro-api/1",
-"kind": ...}``), the same unknown-field rejection, and lossless
-``to_payload``/``from_payload`` round-trips so both daemon and client
-deserialize through one schema.
+"kind": ...}``) and the same :class:`~repro.core.requests.Envelope`
+codec — fields declared once with ``wire()``, unknown keys and wrongly
+typed values rejected — so both daemon and client deserialize through
+one schema.
 """
 
 from __future__ import annotations
@@ -15,45 +16,33 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.requests import (
-    API_VERSION,
+    Envelope,
     RequestError,
-    _reject_unknown,
+    _bool,
+    _is,
+    _names,
+    _str,
     check_api_version,
+    wire,
 )
 
 #: Lifecycle of a daemon job; terminal states are ``done`` and ``failed``.
 JOB_STATES = ("queued", "running", "done", "failed")
 
 
-def _optional_float(payload: Mapping[str, object], name: str) -> Optional[float]:
-    value = payload.get(name)
-    return float(value) if value is not None else None  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(Envelope):
     """A structured error response (the body of every non-2xx reply)."""
 
-    status: int
-    message: str
+    status: int = wire(int)
+    message: str = wire(_str, "")
 
     kind = "error"
-    _FIELDS = ("api", "kind", "status", "message")
-
-    def to_payload(self) -> Dict[str, object]:
-        return {"api": API_VERSION, "kind": self.kind,
-                "status": self.status, "message": self.message}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ErrorInfo":
-        check_api_version(payload, "response")
-        _reject_unknown(payload, cls._FIELDS, "error response")
-        return cls(status=int(payload.get("status", 500)),  # type: ignore[arg-type]
-                   message=str(payload.get("message", "")))
+    noun = "response"
 
 
 @dataclass(frozen=True)
-class JobStatus:
+class JobStatus(Envelope):
     """One job as the daemon reports it (``GET /v1/jobs/<id>``).
 
     ``progress`` is the streamed per-cell progress feed (the same lines
@@ -63,29 +52,26 @@ class JobStatus:
     identify the capture-sharing group the job was drained with.
     """
 
-    job_id: str
-    request_kind: str
-    state: str
-    detail: str = ""
-    client: str = ""
-    priority: int = 0
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    queue_seconds: Optional[float] = None
-    wall_seconds: Optional[float] = None
-    progress: Tuple[str, ...] = ()
-    execution: str = ""
-    batch_id: str = ""
-    batch_size: int = 0
-    error: Optional[str] = None
-    result: Optional[Dict[str, object]] = None
+    job_id: str = wire(_str)
+    request_kind: str = wire(_str)
+    state: str = wire(_str)
+    detail: str = wire(_str, "")
+    client: str = wire(_str, "")
+    priority: int = wire(int, 0)
+    submitted_at: float = wire(float, 0.0)
+    started_at: Optional[float] = wire(float, None, sparse=True)
+    finished_at: Optional[float] = wire(float, None, sparse=True)
+    queue_seconds: Optional[float] = wire(float, None, sparse=True)
+    wall_seconds: Optional[float] = wire(float, None, sparse=True)
+    progress: Tuple[str, ...] = wire(_names, (), dump=list)
+    execution: str = wire(_str, "")
+    batch_id: str = wire(_str, "")
+    batch_size: int = wire(int, 0)
+    error: Optional[str] = wire(_str, None, sparse=True)
+    result: Optional[Dict[str, object]] = wire(_is(dict), None, sparse=True)
 
     kind = "job"
-    _FIELDS = ("api", "kind", "job_id", "request_kind", "state", "detail",
-               "client", "priority", "submitted_at", "started_at",
-               "finished_at", "queue_seconds", "wall_seconds", "progress",
-               "execution", "batch_id", "batch_size", "error", "result")
+    noun = "response"
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
@@ -99,62 +85,9 @@ class JobStatus:
     def finished(self) -> bool:
         return self.state in ("done", "failed")
 
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "api": API_VERSION, "kind": self.kind,
-            "job_id": self.job_id,
-            "request_kind": self.request_kind,
-            "state": self.state,
-            "detail": self.detail,
-            "client": self.client,
-            "priority": self.priority,
-            "submitted_at": self.submitted_at,
-            "progress": list(self.progress),
-            "execution": self.execution,
-            "batch_id": self.batch_id,
-            "batch_size": self.batch_size,
-        }
-        for name in ("started_at", "finished_at", "queue_seconds",
-                     "wall_seconds", "error", "result"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "JobStatus":
-        check_api_version(payload, "response")
-        _reject_unknown(payload, cls._FIELDS, "job response")
-        progress = payload.get("progress", ())
-        if not isinstance(progress, (list, tuple)):
-            raise RequestError("'progress' of a job response must be a list")
-        result = payload.get("result")
-        if result is not None and not isinstance(result, dict):
-            raise RequestError("'result' of a job response must be an object")
-        error = payload.get("error")
-        return cls(
-            job_id=str(payload.get("job_id", "")),
-            request_kind=str(payload.get("request_kind", "")),
-            state=str(payload.get("state", "queued")),
-            detail=str(payload.get("detail", "")),
-            client=str(payload.get("client", "")),
-            priority=int(payload.get("priority", 0)),  # type: ignore[arg-type]
-            submitted_at=float(payload.get("submitted_at", 0.0)),  # type: ignore[arg-type]
-            started_at=_optional_float(payload, "started_at"),
-            finished_at=_optional_float(payload, "finished_at"),
-            queue_seconds=_optional_float(payload, "queue_seconds"),
-            wall_seconds=_optional_float(payload, "wall_seconds"),
-            progress=tuple(str(line) for line in progress),
-            execution=str(payload.get("execution", "")),
-            batch_id=str(payload.get("batch_id", "")),
-            batch_size=int(payload.get("batch_size", 0)),  # type: ignore[arg-type]
-            error=str(error) if error is not None else None,
-            result=result,
-        )
-
 
 @dataclass(frozen=True)
-class MetricsSnapshot:
+class MetricsSnapshot(Envelope):
     """Daemon counters (``GET /v1/metrics``).
 
     ``captures``/``replays``/``executes`` count finished run cells by
@@ -165,67 +98,36 @@ class MetricsSnapshot:
     and ``wall_queued_seconds`` accumulates time jobs spent waiting.
     """
 
-    uptime_seconds: float = 0.0
-    queue_depth: int = 0
-    running: int = 0
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rate_limited: int = 0
-    rejected: int = 0
-    timeouts: int = 0
-    captures: int = 0
-    replays: int = 0
-    executes: int = 0
-    batches: int = 0
-    max_batch: int = 0
-    replay_share: float = 0.0
-    trace_hits: int = 0
-    trace_misses: int = 0
-    wall_queued_seconds: float = 0.0
-    wall_run_seconds: float = 0.0
-    wall_suite_seconds: float = 0.0
-    wall_sweep_seconds: float = 0.0
-    draining: bool = False
+    uptime_seconds: float = wire(float, 0.0)
+    queue_depth: int = wire(int, 0)
+    running: int = wire(int, 0)
+    submitted: int = wire(int, 0)
+    completed: int = wire(int, 0)
+    failed: int = wire(int, 0)
+    rate_limited: int = wire(int, 0)
+    rejected: int = wire(int, 0)
+    timeouts: int = wire(int, 0)
+    captures: int = wire(int, 0)
+    replays: int = wire(int, 0)
+    executes: int = wire(int, 0)
+    batches: int = wire(int, 0)
+    max_batch: int = wire(int, 0)
+    replay_share: float = wire(float, 0.0)
+    trace_hits: int = wire(int, 0)
+    trace_misses: int = wire(int, 0)
+    wall_queued_seconds: float = wire(float, 0.0)
+    wall_run_seconds: float = wire(float, 0.0)
+    wall_suite_seconds: float = wire(float, 0.0)
+    wall_sweep_seconds: float = wire(float, 0.0)
+    draining: bool = wire(_bool, False)
 
     kind = "metrics"
-    _FIELDS = ("api", "kind", "uptime_seconds", "queue_depth", "running",
-               "submitted", "completed", "failed", "rate_limited",
-               "rejected", "timeouts", "captures", "replays", "executes",
-               "batches", "max_batch", "replay_share", "trace_hits",
-               "trace_misses", "wall_queued_seconds", "wall_run_seconds",
-               "wall_suite_seconds", "wall_sweep_seconds", "draining")
-
-    _INTS = ("queue_depth", "running", "submitted", "completed", "failed",
-             "rate_limited", "rejected", "timeouts", "captures", "replays",
-             "executes", "batches", "max_batch", "trace_hits",
-             "trace_misses")
-    _FLOATS = ("uptime_seconds", "replay_share", "wall_queued_seconds",
-               "wall_run_seconds", "wall_suite_seconds",
-               "wall_sweep_seconds")
-
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"api": API_VERSION, "kind": self.kind}
-        for name in self._INTS + self._FLOATS + ("draining",):
-            payload[name] = getattr(self, name)
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "MetricsSnapshot":
-        check_api_version(payload, "response")
-        _reject_unknown(payload, cls._FIELDS, "metrics response")
-        values: Dict[str, object] = {}
-        for name in cls._INTS:
-            values[name] = int(payload.get(name, 0))  # type: ignore[arg-type]
-        for name in cls._FLOATS:
-            values[name] = float(payload.get(name, 0.0))  # type: ignore[arg-type]
-        values["draining"] = bool(payload.get("draining", False))
-        return cls(**values)  # type: ignore[arg-type]
+    noun = "response"
 
 
 #: Response kinds on the wire, mapped to their classes (the response
 #: analogue of :data:`repro.core.requests.REQUEST_KINDS`).
-RESPONSE_KINDS: Dict[str, type] = {
+RESPONSE_KINDS: Dict[str, "type[Envelope]"] = {
     "error": ErrorInfo,
     "job": JobStatus,
     "metrics": MetricsSnapshot,

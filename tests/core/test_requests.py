@@ -204,6 +204,50 @@ class TestCliSessionEquivalence:
         # And both serialize to the same wire bytes.
         assert cli.to_json() == ses.to_json()
 
+    def test_suite_flags_match(self):
+        from repro.__main__ import build_parser, suite_request_from_args
+
+        args = build_parser().parse_args(["figures"])
+        assert suite_request_from_args(args) == \
+            Session(paper_config()).build_suite_request(scale=0.5)
+        args = build_parser().parse_args(
+            ["figures", "-s", "0.25", "-j", "4", "--no-cache",
+             "--cache-dir", "/tmp/c", "--job-timeout", "30", "-q"])
+        cli = suite_request_from_args(args)
+        ses = Session(paper_config()).build_suite_request(
+            scale=0.25, jobs=4, use_disk_cache=False, cache_dir="/tmp/c",
+            job_timeout=30.0)
+        assert cli == ses
+        assert cli.to_json() == ses.to_json()
+
+    def test_sweep_flags_match(self):
+        from repro.__main__ import build_parser, sweep_request_from_args
+
+        axis = "l1i.size_bytes=8k,16k"
+        cli = sweep_request_from_args(
+            build_parser().parse_args(["sweep", "-a", axis]))
+        ses = Session(paper_config()).build_sweep_request([axis])
+        assert cli == ses
+        assert cli.to_json() == ses.to_json()
+        args = build_parser().parse_args(
+            ["sweep", "-a", axis, "-a", "cu.vrf_banks=2,4", "--mode", "ofat",
+             "-w", "lulesh,comd", "-s", "0.25", "--seed", "13", "--cus", "2",
+             "-j", "3", "--no-cache", "--cache-dir", "/tmp/c",
+             "--job-timeout", "30", "--resume", "0a1b2c3d4e5f",
+             "--execution", "replay", "--trace-dir", "/tmp/t",
+             "--no-verify-replay", "--engine", "scalar"])
+        cli = sweep_request_from_args(args)
+        ses = Session(small_config(2)).build_sweep_request(
+            [axis, "cu.vrf_banks=2,4"], mode="ofat",
+            workloads=["lulesh", "comd"], scale=0.25, seed=13, jobs=3,
+            use_disk_cache=False, cache_dir="/tmp/c", job_timeout=30.0,
+            resume="0a1b2c3d4e5f", execution="replay", trace_dir="/tmp/t",
+            verify_replay=False, engine="scalar")
+        assert cli == ses
+        assert cli.to_json() == ses.to_json()
+        bare = build_parser().parse_args(["sweep", "-a", axis, "--resume"])
+        assert sweep_request_from_args(bare).resume is True
+
     def test_suite_cells_match_run_requests(self):
         """SuiteRequest.cells() decomposes into exactly the RunRequests
         Session.build_run_request would produce."""

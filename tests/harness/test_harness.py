@@ -117,7 +117,8 @@ class TestFailedPairFigures:
                                               workloads=["arraybw", "comd"])
         suite = SuiteResults(scale=0.1)
         suite.runs.update(good.runs)
-        job = Job.build("comd", "gcn3", 0.1, 7, small_config(2))
+        job = Job(Session(small_config(2)).build_run_request(
+            "comd", "gcn3", scale=0.1))
         suite.runs[("comd", "gcn3")] = _failed_run(job, "injected crash",
                                                    0.0)
         return suite

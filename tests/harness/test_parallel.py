@@ -18,7 +18,8 @@ SEED = 7
 
 def _jobs(workloads=WORKLOADS, isas=("hsail", "gcn3"), config=None):
     config = config or small_config(2)
-    return [Job.build(w, isa, SCALE, SEED, config)
+    session = Session(config)
+    return [Job(session.build_run_request(w, isa, scale=SCALE, seed=SEED))
             for w in workloads for isa in isas]
 
 
@@ -187,8 +188,7 @@ class TestFailureIsolation:
         assert [e.status for e in events] == ["ok", "ok"]
 
     def test_inline_capture_never_raises(self):
-        run = run_job_inline(Job.build("no-such-workload", "gcn3", SCALE,
-                                       SEED, small_config(2)))
+        run = run_job_inline(_jobs(["no-such-workload"], ["gcn3"])[0])
         assert run.error is not None
         assert not run.verified
         assert run.per_dispatch == []

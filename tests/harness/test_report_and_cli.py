@@ -81,6 +81,33 @@ class TestCli:
         assert code == 0
         assert "HSAIL" in out and "GCN3" in out
 
+    def test_per_kernel_command_goes_through_the_request_path(self, capsys):
+        from repro.__main__ import build_parser, run_request_from_args
+        from repro.core.requests import execute_request
+
+        argv = ["per-kernel", "-w", "arraybw", "-s", "0.1", "--cus", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "arraybw: per-kernel statistics" in out
+        args = build_parser().parse_args(argv)
+        runs = {isa: execute_request(run_request_from_args(args, isa))
+                for isa in ("hsail", "gcn3")}
+        for name, stats in runs["gcn3"].per_kernel_totals().items():
+            row = next(line for line in out.splitlines() if name in line)
+            hsail = runs["hsail"].per_kernel_totals()[name]
+            assert f"{stats.cycles:,}" in row
+            assert f"{hsail.dynamic_instructions:,}" in row
+
+    def test_trace_command(self, tmp_path, capsys):
+        out_file = tmp_path / "t.json"
+        code = main(["trace", "arraybw", "-s", "0.1", "--cus", "2",
+                     "--categories", "issue,stall", "-o", str(out_file)])
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "arraybw/gcn3 @ scale 0.1" in captured
+        assert f"events to {out_file}" in captured
+        assert out_file.stat().st_size > 0
+
     def test_disasm_command(self, capsys):
         code = main(["disasm", "-w", "spmv", "-i", "gcn3", "-s", "0.1"])
         out = capsys.readouterr().out

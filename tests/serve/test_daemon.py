@@ -133,6 +133,26 @@ class TestDaemonErrors:
         assert excinfo.value.status == 400
         assert "did you mean scale" in str(excinfo.value)
 
+    @pytest.mark.parametrize("field,value", [("scale", "abc"),
+                                             ("trace", 5)])
+    def test_wrongly_typed_field_is_400_and_daemon_keeps_serving(
+            self, daemon, field, value):
+        """A cast failure must come back as a 400 ErrorInfo, not as a
+        dropped connection (the codec reports it as RequestError)."""
+        before = daemon.metrics()
+        body = json.dumps({"api": "repro-api/1", "kind": "run",
+                           "workload": "arraybw", "isa": "gcn3",
+                           field: value})
+        with pytest.raises(DaemonError) as excinfo:
+            daemon._call("POST", "/v1/run", body=body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.info is not None
+        assert excinfo.value.info.status == 400
+        assert field in excinfo.value.info.message
+        after = daemon.metrics()      # a fresh connection is answered
+        assert after.failed == before.failed
+        assert after.submitted == before.submitted
+
     def test_version_gate_is_400(self, daemon):
         body = json.dumps({"api": "repro-api/2", "kind": "run",
                            "workload": "arraybw", "isa": "gcn3"})
