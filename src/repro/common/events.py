@@ -3,11 +3,17 @@
 The CU pipelines are cycle-driven, but long-latency structures (caches,
 DRAM, barriers) schedule completion events here.  When every wavefront on
 the machine is provably blocked, the top-level clock fast-forwards to the
-next event time instead of burning empty cycles — this is what makes a
+next scheduled event instead of burning empty cycles — this is what makes a
 cycle-level model tractable in Python.
 
-Determinism: ties are broken by insertion order, never by callback
-identity, so two runs of the same workload produce identical cycle counts.
+An event is a heap entry ``(cycle, seq, fn, a, b)`` that fires as
+``fn(a, b)``: the timing model's completions are bound methods plus their
+two operands (a wavefront and its fetch epoch or released slots), so
+scheduling one allocates no closure.
+
+Determinism: ties are broken by insertion order (``seq``), never by
+callback identity, so two runs of the same workload produce identical
+cycle counts.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .errors import TimingError
 
-EventCallback = Callable[[], None]
+EventCallback = Callable[[object, object], None]
 
 
 class EventQueue:
@@ -30,7 +36,7 @@ class EventQueue:
     __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, EventCallback]] = []
+        self._heap: List[Tuple[int, int, EventCallback, object, object]] = []
         self._seq = 0
         #: current simulated cycle
         self.now = 0
@@ -38,18 +44,19 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, delay: int, callback: EventCallback) -> None:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
+    def schedule(self, delay: int, fn: EventCallback, a: object = None,
+                 b: object = None) -> None:
+        """Schedule ``fn(a, b)`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise TimingError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback))
-        self._seq += 1
+        self.schedule_at(self.now + delay, fn, a, b)
 
-    def schedule_at(self, cycle: int, callback: EventCallback) -> None:
-        """Schedule ``callback`` at an absolute cycle."""
+    def schedule_at(self, cycle: int, fn: EventCallback, a: object = None,
+                    b: object = None) -> None:
+        """Schedule ``fn(a, b)`` at an absolute cycle."""
         if cycle < self.now:
             raise TimingError(f"cannot schedule at {cycle}, now is {self.now}")
-        heapq.heappush(self._heap, (cycle, self._seq, callback))
+        heapq.heappush(self._heap, (cycle, self._seq, fn, a, b))
         self._seq += 1
 
     def next_event_cycle(self) -> Optional[int]:
@@ -65,10 +72,11 @@ class EventQueue:
         if cycle < self.now:
             raise TimingError(f"clock cannot run backwards ({cycle} < {self.now})")
         heap = self._heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= cycle:
-            when, _seq, callback = heapq.heappop(heap)
+            when, _seq, fn, a, b = pop(heap)
             self.now = when
-            callback()
+            fn(a, b)
         self.now = cycle
 
     def tick(self) -> None:

@@ -493,15 +493,17 @@ class ShardCell(Envelope):
     """One (point x workload x ISA) cell inside a shard.
 
     The overrides are the sweep point's dotted-path edits on the shard's
-    base config — order-preserving, because point ids are order-sensitive
-    — so a worker rebuilds the exact :class:`GpuConfig` the coordinator
-    enumerated without shipping a full config per cell.
+    base config, so a worker rebuilds the exact :class:`GpuConfig` the
+    coordinator enumerated without shipping a full config per cell.
+    ``point`` carries the point's identity and the config does not
+    depend on the order of the edits, so they are kept sorted by path:
+    the order a ``sort_keys`` JSON encoder writes them in, which makes
+    a cell round-trip equal through every encoder.
     """
 
     point: str = wire(_str)
     workload: str = wire(_str)
     isa: str = wire(_str)
-    # JSON objects preserve insertion order across the round trip.
     overrides: Tuple[Tuple[str, object], ...] = wire(
         lambda edits: tuple(_is(dict)(edits).items()), (), dump=dict)
 
@@ -511,8 +513,9 @@ class ShardCell(Envelope):
         if not self.point or not self.workload:
             raise RequestError("shard cell needs point and workload names")
         _check_isa(self.isa)
-        object.__setattr__(self, "overrides", tuple(
-            (str(path), value) for path, value in self.overrides))
+        object.__setattr__(self, "overrides", tuple(sorted(
+            ((str(path), value) for path, value in self.overrides),
+            key=lambda edit: edit[0])))
 
     @property
     def key(self) -> str:

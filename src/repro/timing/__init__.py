@@ -1,5 +1,5 @@
 """The shared cycle-level GPU microarchitecture model."""
 
-from .gpu import Gpu, run_workload_on_gpu
+from .gpu import Gpu
 
-__all__ = ["Gpu", "run_workload_on_gpu"]
+__all__ = ["Gpu"]

@@ -166,9 +166,6 @@ class MemorySystem:
             for cu in range(gpu_config.num_cus)
         ]
 
-    def _cluster(self, cu_id: int) -> int:
-        return self._cluster_of[cu_id]
-
     def _note(self, cache: Cache, op: str, line: int, now: int, cu: int,
               is_write: bool = False) -> None:
         """Publish one cache outcome; callers pre-check ``wants_cache``."""

@@ -26,11 +26,15 @@ The sampled VRF value-uniqueness probes are taken here, not in the CU:
 they read live register values under the live EXEC mask, which exist
 only while semantics execute.  One instruction in four is sampled (the
 unique count per slot is the probe's cost, and the ratio converges
-quickly); the mask is taken before execution for both probes.
+quickly); the mask is taken before execution for both probes.  A probe
+copies its rows when taken; the counts are computed a batch of probes at
+a time, in one row-wise sort (:func:`~repro.timing.registerfile.unique_rows`).
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +45,7 @@ from ..gcn3.semantics import Gcn3Executor, Gcn3WfState
 from ..hsail.semantics import HsailExecutor, HsailWfState
 from ..runtime.process import Dispatch, GpuProcess
 from .predecode import IssueDesc, predecode_kernel
-from .registerfile import unique_counts
+from .registerfile import unique_rows
 from .replay import TraceRecorder, WfStream
 
 _DEFAULT_STEP_LIMIT = 5_000_000
@@ -112,12 +116,17 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
 
     A stream holds one flag byte per instruction record, so its length
     is the wavefront's dynamic instruction count so far — the counter
-    the one-in-four probe sampling keys on.
+    the one-in-four probe sampling keys on.  Probe counts are reserved
+    in the stream when a probe is taken and filled in by :class:`_Probes`
+    in batches, the last one before returning.
     """
     is_gcn3 = wf.is_gcn3
     regs = wf.vgpr if is_gcn3 else wf.regs
     recording = stream is not None
     counter = len(stream.flags) if recording else 0
+    if recording:
+        reads = _Probes(stream.probe_read)
+        writes = _Probes(stream.probe_write)
     executed = 0
     while executed <= budget:
         if not is_gcn3:
@@ -140,18 +149,17 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
             if probed:
                 mask = wf.exec_bool()
                 lanes = (wf.exec_mask & _LANES).bit_count()
-                read_uniques = unique_counts(regs, desc.read_slots, mask,
-                                             lanes)
+                read_uniques = reads.take(regs, desc.read_slots, mask, lanes)
             result = executor.execute(wf)
             if probed:
-                write_uniques = unique_counts(regs, desc.write_slots, mask,
-                                              lanes)
+                write_uniques = writes.take(regs, desc.write_slots, mask,
+                                            lanes)
             if recording:
                 stream.record(pc, result, probed, lanes, read_uniques,
                               write_uniques)
             executed += 1
             if result.is_barrier or result.ends_wavefront:
-                return executed
+                break
             continue
         # The chain-entry popcount covers every op until one that can
         # write EXEC (op.fresh_lanes marks the successor of each such
@@ -165,11 +173,11 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
             read_uniques = write_uniques = None
             if probed:
                 mask = wf.exec_bool()
-                read_uniques = unique_counts(regs, op.read_slots, mask, lanes)
+                read_uniques = reads.take(regs, op.read_slots, mask, lanes)
             taken = op.run(wf)
             if probed:
-                write_uniques = unique_counts(regs, op.write_slots, mask,
-                                              lanes)
+                write_uniques = writes.take(regs, op.write_slots, mask,
+                                            lanes)
             if not recording:
                 continue
             if op.is_branch:
@@ -183,4 +191,56 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
             # Only a branch closure moves the architectural pc.
             wf.pc = pc + len(chain)
         executed += len(chain)
-    raise DeadlockError("functional execution exceeded step limit")
+    else:
+        raise DeadlockError("functional execution exceeded step limit")
+    if recording:
+        reads.count()
+        writes.count()
+    return executed
+
+
+class _Probes:
+    """One stream side's (reads or writes) pending uniqueness probes.
+
+    A probe copies its rows when taken (``regs[slot]`` is a live view
+    later instructions overwrite) and the stream records placeholder
+    counts, the last entries of ``out``, which :meth:`count` overwrites
+    in one row-wise sort; at most ``_PROBE_BATCH`` probes are pending.
+    """
+
+    __slots__ = ("out", "rows", "masks")
+
+    def __init__(self, out: array) -> None:
+        self.out = out
+        self.rows: List[np.ndarray] = []
+        self.masks: List[np.ndarray] = []
+
+    def take(self, regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
+             lanes: int) -> Optional[List[int]]:
+        """The placeholder counts to record (``None``: nothing to count)."""
+        if not lanes or not slots:
+            return None
+        if len(self.rows) == _PROBE_BATCH:
+            self.count()
+        self.rows.append(regs[_row_index(slots)])
+        self.masks.append(mask)
+        return [0] * len(slots)
+
+    def count(self) -> None:
+        if not self.rows:
+            return
+        rows = np.concatenate(self.rows)
+        masks = np.repeat(self.masks, [len(r) for r in self.rows], axis=0)
+        self.out[len(self.out) - len(rows):] = array(
+            "B", unique_rows(rows, masks).tolist())
+        self.rows = []
+        self.masks = []
+
+
+#: Probes counted per row-wise sort, bounding the rows held at once.
+_PROBE_BATCH = 64
+
+
+@lru_cache(maxsize=None)  # one entry per static operand list
+def _row_index(slots: Tuple[int, ...]) -> np.ndarray:
+    return np.array(slots, dtype=np.intp)

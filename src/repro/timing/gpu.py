@@ -35,6 +35,7 @@ from ..runtime.process import Dispatch, GpuProcess
 from .caches import MemorySystem
 from .cu import NEVER_WAKE, ComputeUnit, WorkgroupRecord
 from .funcsim import run_dispatch_functional
+from .predecode import read_banks
 from .registerfile import VrfModel
 from .replay import ExecTrace, TraceRecorder
 from .vector import VectorReplayCursor, resolve_engine, wf_decode
@@ -78,10 +79,11 @@ class Gpu:
         self.memsys.trace = trace
         self.cus = [ComputeUnit(i, self) for i in range(config.num_cus)]
         #: CUs with at least one resident workgroup, in cu_id order —
-        #: maintained by add_workgroup/_retire_workgroup so the per-cycle
-        #: scan visits exactly the busy CUs (same order as scanning
-        #: ``cus`` and skipping idle ones, so decisions are unchanged).
-        self.busy_cus: List[ComputeUnit] = []
+        #: replaced (never mutated) by add_workgroup/_retire_workgroup, so
+        #: the per-cycle scan visits exactly the busy CUs (same order as
+        #: scanning ``cus`` and skipping idle ones, so decisions are
+        #: unchanged) and a CU retiring mid-scan cannot disturb it.
+        self.busy_cus: Tuple[ComputeUnit, ...] = ()
         self.vrf_models: List[VrfModel] = []
         self.stats = StatSet()
         self._wf_counter = 0
@@ -131,8 +133,10 @@ class Gpu:
             VrfModel(self.config.cu.vrf_banks, stats, trace=self.trace, cu_id=cu)
             for cu in range(self.config.num_cus)
         ]
+        banks = read_banks(dispatch.kernel, self.config.cu.vrf_banks)
         for cu, vrf in zip(self.cus, self.vrf_models):
             cu.vrf = vrf
+            cu.read_banks = banks
 
         start_cycle = self.events.now
         self.events.advance_to(start_cycle + DISPATCH_LATENCY)
@@ -174,7 +178,6 @@ class Gpu:
         statistics are bit-identical — see tests/timing/test_determinism).
         """
         traced = self.trace is not None
-        busy_cus = self.busy_cus
         events = self.events
         deadlock_cycles = self.config.deadlock_cycles
         while self._outstanding_wgs > 0:
@@ -184,66 +187,49 @@ class Gpu:
             if pending and self._try_place(dispatch, dispatch_id, pending[0]):
                 pending.popleft()
                 did_work = True
-            # The previous iteration already proved no CU can act before
-            # _wake_floor.  A completion handler firing in between resets
-            # the floor to 0, so when it still holds we can jump straight
-            # to the floor/next event without an O(CUs) next_wake rescan.
             if (not traced and not did_work and not pending
                     and self._wake_floor > now):
-                floor = self._wake_floor
-                self._idle_advance(
-                    floor if floor < NEVER_WAKE else None, False)
-                if events.now - self._last_progress_cycle > deadlock_cycles:
-                    raise DeadlockError(
-                        f"no progress for {deadlock_cycles} cycles "
-                        f"running {dispatch.kernel.name}"
-                    )
-                continue
-            wake: Optional[int] = None
-            # Snapshot: a retiring workgroup removes its CU mid-scan.
-            for cu in tuple(busy_cus):
-                nw = cu.next_wake
-                if nw > now and not traced:
-                    if nw != NEVER_WAKE and (wake is None or nw < wake):
-                        wake = nw
-                    continue
-                cu_did, cu_hint = cu.cycle(now)
-                if cu_did:
-                    did_work = True
-                    cu.next_wake = now + 1
-                else:
-                    cu.next_wake = cu_hint if cu_hint is not None else NEVER_WAKE
-                if cu_hint is not None and (wake is None or cu_hint < wake):
-                    wake = cu_hint
-            if self._outstanding_wgs == 0:
-                break
-            if did_work:
-                self._wake_floor = now + 1
-                events.tick()
-                self._last_progress_cycle = events.now  # inline notify_progress
+                # The previous iteration already proved no CU can act
+                # before _wake_floor, and no completion handler has reset
+                # it since: jump without rescanning the busy CUs.
+                wake = self._wake_floor
             else:
-                self._wake_floor = wake if wake is not None else NEVER_WAKE
-                self._idle_advance(wake, bool(pending))
+                wake = NEVER_WAKE
+                for cu in self.busy_cus:
+                    if cu.next_wake > now and not traced:
+                        if cu.next_wake < wake:
+                            wake = cu.next_wake
+                    elif cu.cycle(now):
+                        did_work = True
+                    elif cu.next_wake < wake:
+                        wake = cu.next_wake
+                if self._outstanding_wgs == 0:
+                    break
+                if did_work:
+                    self._wake_floor = now + 1
+                    events.tick()
+                    self._last_progress_cycle = events.now  # inline notify_progress
+                    continue
+                self._wake_floor = wake
+            # Nothing issued this cycle: jump to the next interesting time.
+            target = wake if now < wake < NEVER_WAKE else NEVER_WAKE
+            next_event = events.next_event_cycle()
+            if next_event is not None and now < next_event < target:
+                target = next_event
+            if target == NEVER_WAKE:
+                if pending:
+                    # Waiting for CU resources that only free on
+                    # retirement, which arrives via events; none exist.
+                    raise DeadlockError(
+                        "workgroups pending but no events outstanding")
+                raise DeadlockError(
+                    "GPU idle with outstanding workgroups and no events")
+            events.advance_to(target)
             if events.now - self._last_progress_cycle > deadlock_cycles:
                 raise DeadlockError(
                     f"no progress for {deadlock_cycles} cycles "
                     f"running {dispatch.kernel.name}"
                 )
-
-    def _idle_advance(self, wake: Optional[int], has_pending_wgs: bool) -> None:
-        """Nothing issued this cycle: jump to the next interesting time."""
-        next_event = self.events.next_event_cycle()
-        target = None
-        for candidate in (next_event, wake):
-            if candidate is not None and candidate > self.events.now:
-                target = candidate if target is None else min(target, candidate)
-        if target is None:
-            if has_pending_wgs:
-                # Waiting for CU resources that only free on retirement,
-                # which arrives via events; if none exist we are stuck.
-                raise DeadlockError("workgroups pending but no events outstanding")
-            raise DeadlockError("GPU idle with outstanding workgroups and no events")
-        self.events.advance_to(target)
 
     # ------------------------------------------------------------------
 
@@ -302,6 +288,7 @@ class Gpu:
                 cursor=cursor,
                 code_base=dispatch.loaded.code_base,
                 ib_capacity=self.config.cu.ib_entries,
+                fetch_width_bytes=self.config.cu.fetch_width_bytes,
             )
             self._wf_counter += 1
             wavefronts.append(wf)
@@ -316,22 +303,11 @@ class Gpu:
             lds_bytes=lds_bytes,
             reg_slots=reg_slots * num_wfs,
             sgpr_slots=sgprs * num_wfs,
-            on_complete=self._wg_done,
         )
         cu.add_workgroup(record)
         self.stats.bump(WORKGROUPS_DISPATCHED)
 
     def _wg_done(self) -> None:
+        """A CU retired one of this dispatch's workgroups."""
         self._outstanding_wgs -= 1
         self.notify_progress()
-
-
-def run_workload_on_gpu(
-    config: GpuConfig, process: GpuProcess
-) -> Tuple[List[StatSet], StatSet]:
-    """Convenience: run every staged dispatch; returns (per-dispatch, total)."""
-    gpu = Gpu(config, process)
-    per_dispatch = gpu.run_all()
-    from ..common.stats import merge_all
-
-    return per_dispatch, merge_all(per_dispatch)

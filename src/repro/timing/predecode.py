@@ -28,6 +28,7 @@ instruction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -47,7 +48,6 @@ UNIT_SCALAR = 1   # scalar ALU / scalar memory (and GCN3 branches)
 UNIT_BRANCH = 2   # HSAIL's dedicated branch unit
 UNIT_VMEM = 3     # global-memory pipeline
 UNIT_LDS = 4      # LDS pipeline
-UNIT_NONE = 5     # no structural unit (never produced today; safety net)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,18 +68,19 @@ class IssueDesc:
     size_bytes: int                 # encoded size (IB fill budget)
 
 
+_UNITS = {
+    InstrCategory.VALU: UNIT_SIMD,
+    InstrCategory.SALU: UNIT_SCALAR,
+    InstrCategory.SMEM: UNIT_SCALAR,
+    InstrCategory.VMEM: UNIT_VMEM,
+    InstrCategory.LDS: UNIT_LDS,
+}
+
+
 def _unit_for(category: InstrCategory, is_gcn3: bool) -> int:
-    if category == InstrCategory.VALU:
-        return UNIT_SIMD
-    if category in (InstrCategory.SALU, InstrCategory.SMEM):
-        return UNIT_SCALAR
     if category in (InstrCategory.BRANCH, InstrCategory.MISC):
         return UNIT_SCALAR if is_gcn3 else UNIT_BRANCH
-    if category == InstrCategory.VMEM:
-        return UNIT_VMEM
-    if category == InstrCategory.LDS:
-        return UNIT_LDS
-    return UNIT_NONE
+    return _UNITS[category]
 
 
 def build_desc(instr: AnyInstr, is_gcn3: bool) -> IssueDesc:
@@ -134,3 +135,46 @@ def predecode_kernel(kernel: AnyKernel) -> Tuple[IssueDesc, ...]:
     descs = tuple(build_desc(instr, is_gcn3) for instr in kernel.instrs)
     kernel._issue_descs = descs  # type: ignore[union-attr]
     return descs
+
+
+def _memo(kernel: AnyKernel, key: tuple, build):
+    """A per-kernel table that also depends on ``key`` (load address or
+    a config field), built once and cached on the kernel."""
+    memo = kernel.__dict__.setdefault("_timing_tables", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def fetch_tables(kernel: AnyKernel, code_base: int, fetch_width: int
+                 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(lines, fill)`` for the kernel loaded at ``code_base``.
+
+    ``lines[i]`` is the 64-byte L1I line holding instruction ``i``;
+    ``fill[i]`` is how many instructions one ``fetch_width``-byte fetch
+    starting at ``i`` delivers: each next one while the bytes taken so
+    far are under the width, up to the end of the kernel.  The
+    instruction buffer's free room caps it at fill time.
+    """
+    def build():
+        n = len(kernel.instrs)
+        offsets = (kernel.pc_of_index if isinstance(kernel, Gcn3Kernel)
+                   else [HSAIL_INSTR_BYTES * i for i in range(n)])
+        return (tuple((code_base + offset) >> 6 for offset in offsets),
+                tuple(bisect_left(offsets, offsets[i] + fetch_width, i) - i
+                      for i in range(n)))
+
+    return _memo(kernel, ("fetch", code_base, fetch_width), build)
+
+
+def read_banks(kernel: AnyKernel, num_banks: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per instruction, the distinct VRF banks its source operands read
+    (slot ``s`` lives in bank ``s % num_banks``); equal bank sets share
+    one tuple."""
+    def build():
+        shared: dict = {}
+        return tuple(shared.setdefault(banks, banks) for banks in (
+            tuple(sorted({slot % num_banks for slot in desc.read_slots}))
+            for desc in predecode_kernel(kernel)))
+
+    return _memo(kernel, ("banks", num_banks), build)

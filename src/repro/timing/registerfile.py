@@ -32,7 +32,7 @@ class VrfModel:
     """Per-CU VRF bank-conflict state."""
 
     __slots__ = ("num_banks", "stats", "trace", "cu_id", "_pending",
-                 "_min_cycle", "emits_vrf", "_banks_cache", "_bank_end")
+                 "_min_cycle", "emits_vrf", "_bank_end")
 
     def __init__(self, num_banks: int, stats: StatSet,
                  trace: Optional[TraceBus] = None, cu_id: int = -1) -> None:
@@ -52,9 +52,6 @@ class VrfModel:
         #: cycles, so accumulation order cannot change it) and the CU
         #: skips the per-cycle :meth:`collect` sweep entirely.
         self.emits_vrf = trace is not None and trace.wants_vrf
-        #: slot-tuple -> bank set; the slot tuples come from the frozen
-        #: predecoded descriptors, so the mapping is static per kernel.
-        self._banks_cache: Dict[tuple, frozenset] = {}
         #: Untraced fast path: per-bank end of the covered gather window.
         #: Issue times are monotonic per CU, so the union of all gather
         #: windows at or beyond ``now`` is one contiguous interval per
@@ -71,27 +68,21 @@ class VrfModel:
     # more because every operand (including the base addresses and
     # predicates GCN3 keeps in the SRF) reads the VRF.
 
-    def note_access(self, slots: "List[int]", now: int, duration: int) -> None:
+    def note_access(self, banks: Sequence[int], now: int,
+                    duration: int) -> None:
         """Record one instruction's operand gathers.
 
-        A 64-lane operand is read 16 lanes per cycle, so each source slot
-        occupies its bank for the instruction's full gather window.
+        ``banks`` are the distinct banks its source slots live in (slot
+        ``s`` is in bank ``s % num_banks``; the CU reads them from the
+        kernel's predecoded :func:`~repro.timing.predecode.read_banks`
+        table).  A 64-lane operand is read 16 lanes per cycle, so each
+        bank stays occupied for the instruction's full gather window.
         """
-        if not slots:
+        if not banks:
             return
         counts = self._pending
         if duration < 1:
             duration = 1
-        # Predecoded descriptors hand in frozen slot tuples, so the
-        # slot -> bank-set reduction is memoized per static operand list.
-        if slots.__class__ is tuple:
-            banks = self._banks_cache.get(slots)
-            if banks is None:
-                nb = self.num_banks
-                banks = frozenset(slot % nb for slot in slots)
-                self._banks_cache[slots] = banks
-        else:
-            banks = {slot % self.num_banks for slot in slots}
         if self.emits_vrf:
             # Exact per-cycle bookkeeping; collect() emits trace events.
             if now < self._min_cycle:
@@ -158,9 +149,9 @@ def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
     """|unique lane values| of each VRF slot in ``slots`` under ``mask``
     (whose popcount is ``active``); empty when no lane is active.
 
-    The functional pass samples this into the trace — it reads live
-    register values, which a replay cannot reconstruct — and the trace's
-    fold sums the recorded counts into the uniqueness statistics.
+    The definition of one sampled probe, one slot at a time; the
+    functional pass counts its probes in batches with
+    :func:`unique_rows`, which must agree with this exactly.
     """
     if not active:
         return []
@@ -171,3 +162,17 @@ def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,
     full = active == mask.shape[0]
     return [len(set((regs[slot] if full else regs[slot][mask]).tolist()))
             for slot in slots]
+
+
+def unique_rows(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """|unique values| of each row of ``rows`` over the lanes the same
+    row of ``masks`` selects (every mask row selects at least one lane).
+
+    Unselected lanes take the row's first selected value, so they add
+    nothing; one row-wise sort then puts equal values side by side and
+    the count is one plus the number of value changes.
+    """
+    first = masks.argmax(axis=1)
+    filled = np.where(masks, rows, rows[np.arange(len(rows)), first][:, None])
+    filled.sort(axis=1)
+    return 1 + np.count_nonzero(filled[:, 1:] != filled[:, :-1], axis=1)

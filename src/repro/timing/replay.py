@@ -22,7 +22,8 @@ CU model only ever walks the result:
   class walks the raw arrays record by record and is what
   ``engine="scalar"`` selects — kept only until the benchmark PR
   releases that name; every other run uses its batch-decoded subclass
-  in :mod:`repro.timing.vector`.
+  in :mod:`repro.timing.vector`.  Both hand the CU one plain tuple per
+  issued instruction (see :meth:`ReplayCursor.advance`).
 
 What must be recorded (everything else the timing model derives from the
 static predecoded :class:`~repro.timing.predecode.IssueDesc` tables):
@@ -78,6 +79,10 @@ _MEM_KINDS: Tuple[str, ...] = (
     MemKind.LDS_ACCESS,
 )
 _MEM_INDEX: Dict[str, int] = {kind: i for i, kind in enumerate(_MEM_KINDS)}
+
+#: One issued instruction's outcome as a cursor hands it to the CU (see
+#: :meth:`ReplayCursor.advance` for the fields).
+Record = Tuple[int, int, int, object, Optional[int], int, bool, bool]
 
 #: (attribute name, array typecode) of every stream, in serialization order.
 _STREAM_FIELDS: Tuple[Tuple[str, str], ...] = (
@@ -142,12 +147,7 @@ class WfStream:
             self.mem_counts.append(len(lines))
             self.mem_lines.extend(lines)
         if probed:
-            self.probe_active.append(active)
-            if active:
-                if read_uniques:
-                    self.probe_read.extend(read_uniques)
-                if write_uniques:
-                    self.probe_write.extend(write_uniques)
+            self._probe(active, read_uniques, write_uniques)
 
     def record_fused(self, pc: int, active: int, probed: bool,
                      read_uniques: Optional[List[int]],
@@ -159,12 +159,7 @@ class WfStream:
         self.flags.append(0)
         self.active.append(active)
         if probed:
-            self.probe_active.append(active)
-            if active:
-                if read_uniques:
-                    self.probe_read.extend(read_uniques)
-                if write_uniques:
-                    self.probe_write.extend(write_uniques)
+            self._probe(active, read_uniques, write_uniques)
 
     def record_branch(self, pc: int, active: int, probed: bool,
                       taken: bool, target: Optional[int],
@@ -182,12 +177,18 @@ class WfStream:
         self.flags.append(flags)
         self.active.append(active)
         if probed:
-            self.probe_active.append(active)
-            if active:
-                if read_uniques:
-                    self.probe_read.extend(read_uniques)
-                if write_uniques:
-                    self.probe_write.extend(write_uniques)
+            self._probe(active, read_uniques, write_uniques)
+
+    def _probe(self, active: int, read_uniques: Optional[List[int]],
+               write_uniques: Optional[List[int]]) -> None:
+        """One sampled probe: its EXEC popcount, then (with lanes active)
+        one unique count per read and per write slot."""
+        self.probe_active.append(active)
+        if active:
+            if read_uniques:
+                self.probe_read.extend(read_uniques)
+            if write_uniques:
+                self.probe_write.extend(write_uniques)
 
     def approx_bytes(self) -> int:
         return sum(
@@ -346,7 +347,7 @@ class ReplayCursor:
     """
 
     __slots__ = (
-        "kernel", "pc", "done", "is_gcn3", "result",
+        "kernel", "pc", "done", "is_gcn3",
         "_code", "_flags", "_active", "_targets", "_mem_counts",
         "_mem_lines", "_i_code", "_i_instr", "_i_target", "_i_mem",
         "_i_line",
@@ -358,8 +359,6 @@ class ReplayCursor:
         self.pc = 0
         self.done = False
         self.is_gcn3 = is_gcn3
-        #: one reusable result object; ``_issue`` consumes it synchronously.
-        self.result = ExecResult()
         self._code = stream.code
         self._flags = stream.flags
         self._active = stream.active
@@ -389,14 +388,18 @@ class ReplayCursor:
             return new_pc
         return None
 
-    def advance(self, pc: int) -> ExecResult:
-        """Consume the next instruction record; returns its ExecResult.
+    def advance(self, pc: int) -> Record:
+        """Consume the next instruction record and return it.
 
-        Reconstitutes the result fields the CU consumes.  ``pc`` is the
-        issue path's program counter — a mismatch with the recorded
-        stream means the trace belongs to a different functional
-        execution and the replay must abort rather than produce silently
-        wrong statistics.
+        A record is the tuple ``(pc, active_lanes, mem, mem_lines,
+        target, next_pc, is_barrier, ends)``: ``mem`` indexes
+        ``_MEM_KINDS`` (0 = no access), ``target`` is the taken branch's
+        destination (``None`` unless control transferred, i.e. unless
+        the instruction buffer must flush) and ``next_pc`` the cursor's
+        pc after it.  ``pc`` is the issue path's program counter — a
+        mismatch with the recorded stream means the trace belongs to a
+        different functional execution and the replay must abort rather
+        than produce silently wrong statistics.
         """
         i = self._i_code
         try:
@@ -415,35 +418,25 @@ class ReplayCursor:
         self._i_instr = j + 1
         flags = self._flags[j]
 
-        result = self.result
-        result.active_lanes = self._active[j]
-        result.branch_taken = bool(flags & _F_TAKEN)
-        result.is_barrier = bool(flags & _F_BARRIER)
-
-        mem_index = flags >> _F_MEM_SHIFT
-        if mem_index:
-            result.mem_kind = _MEM_KINDS[mem_index]
+        mem = flags >> _F_MEM_SHIFT
+        lines: object = ()
+        if mem:
             count = self._mem_counts[self._i_mem]
             self._i_mem += 1
             start = self._i_line
             self._i_line = start + count
-            result.mem_lines = self._mem_lines[start:self._i_line].tolist()
-        else:
-            result.mem_kind = MemKind.NONE
-            result.mem_lines = ()
+            lines = self._mem_lines[start:self._i_line].tolist()
 
+        target = None
         if flags & _F_TARGET:
             target = self._targets[self._i_target]
             self._i_target += 1
-            result.next_pc = target
             self.pc = target
         else:
-            result.next_pc = None
             self.pc = pc + 1
 
-        if flags & _F_ENDS:
-            result.ends_wavefront = True
+        ends = bool(flags & _F_ENDS)
+        if ends:
             self.done = True
-        else:
-            result.ends_wavefront = False
-        return result
+        return (pc, self._active[j], mem, lines, target, self.pc,
+                bool(flags & _F_BARRIER), ends)

@@ -13,7 +13,7 @@ computed once per wavefront here and memoized on the :class:`ExecTrace`
   run — stored trace or just recorded, event-traced or not, either
   cursor — so they cannot vary with timing.
 * the per-record outcome tuples :meth:`VectorReplayCursor.advance`
-  unpacks with one list index, in place of the record-by-record array
+  hands out with one list index, in place of the record-by-record array
   walk of :class:`~repro.timing.replay.ReplayCursor`.
 
 A 36-point sweep replaying one stored trace pays for one decode; a run
@@ -37,17 +37,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..common.errors import ConfigError
-from ..common.exec_types import ExecResult, MemKind
 from ..common.stats import StatSet
 from .predecode import UNIT_SIMD, predecode_kernel
 from .replay import (
     _F_BARRIER,
     _F_ENDS,
     _F_MEM_SHIFT,
-    _F_TAKEN,
     _F_TARGET,
-    _MEM_KINDS,
     ExecTrace,
+    Record,
     ReplayCursor,
     TraceError,
     WfStream,
@@ -267,14 +265,13 @@ def _fold_probes(fold: FoldArtifact, stream: WfStream, tables: KernelTables,
 # ---------------------------------------------------------------------------
 
 
-def _decode_records(stream: WfStream) -> Tuple[List[tuple], List[int], List[int]]:
+def _decode_records(stream: WfStream) -> Tuple[List[Record], List[int], List[int]]:
     """Batch-decode one stream into ``(recs, jump_at, jump_target)``.
 
-    ``recs[j]`` is the complete outcome of instruction record ``j``:
-    ``(pc, active_lanes, branch_taken, is_barrier, mem_kind, mem_lines,
-    result_next_pc, cursor_next_pc, ends_wavefront)``.  ``jump_at[k]``
-    is the number of instruction records issued before reconvergence
-    jump ``k`` fires (HSAIL only).
+    ``recs[j]`` is the complete outcome of instruction record ``j``, the
+    tuple :meth:`ReplayCursor.advance` returns.  ``jump_at[k]`` is the
+    number of instruction records issued before reconvergence jump ``k``
+    fires (HSAIL only).
     """
     code = np.asarray(stream.code)
     instr_mask = code >= 0
@@ -288,34 +285,31 @@ def _decode_records(stream: WfStream) -> Tuple[List[tuple], List[int], List[int]
     jump_target = (-code[jump_pos] - 1).tolist()
 
     flags = np.asarray(stream.flags)
-    taken = ((flags & _F_TAKEN) > 0).tolist()
     barrier = ((flags & _F_BARRIER) > 0).tolist()
     ends = ((flags & _F_ENDS) > 0).tolist()
 
     # Branch targets: records with the TARGET flag consume one entry of
     # the ``targets`` side stream, in order.
-    res_next_pc: List[Optional[int]] = [None] * n
+    target: List[Optional[int]] = [None] * n
     next_pc = [pc + 1 for pc in pcs]
-    for rec, target in zip(np.flatnonzero(flags & _F_TARGET).tolist(),
-                           stream.targets):
-        res_next_pc[rec] = target
-        next_pc[rec] = target
+    for rec, dest in zip(np.flatnonzero(flags & _F_TARGET).tolist(),
+                         stream.targets):
+        target[rec] = dest
+        next_pc[rec] = dest
 
-    # Memory accesses: MemKind per record, plus the flat line slices.
-    mem_idx = (flags >> _F_MEM_SHIFT).tolist()
-    mem_kind: List[str] = [MemKind.NONE] * n
+    # Memory accesses: the flat line list sliced per accessing record.
+    mem = (flags >> _F_MEM_SHIFT).tolist()
     mem_lines: List[object] = [()] * n
-    mem_pos = [i for i, m in enumerate(mem_idx) if m]
+    mem_pos = [i for i, m in enumerate(mem) if m]
     if mem_pos:
         lines_flat = stream.mem_lines.tolist()
         start = 0
         for rec, count in zip(mem_pos, stream.mem_counts):
-            mem_kind[rec] = _MEM_KINDS[mem_idx[rec]]
             mem_lines[rec] = lines_flat[start:start + count]
             start += count
 
-    recs = list(zip(pcs, stream.active.tolist(), taken, barrier, mem_kind,
-                    mem_lines, res_next_pc, next_pc, ends))
+    recs = list(zip(pcs, stream.active.tolist(), mem, mem_lines, target,
+                    next_pc, barrier, ends))
     return recs, jump_at, jump_target
 
 
@@ -331,7 +325,7 @@ class WfDecode:
 
     def __init__(self, fold: FoldArtifact) -> None:
         self.fold = fold
-        self.records: "Optional[Tuple[List[tuple], List[int], List[int]]]" = None
+        self.records: "Optional[Tuple[List[Record], List[int], List[int]]]" = None
 
 
 def wf_decode(trace: ExecTrace, wf_id: int, kernel: object,
@@ -359,12 +353,12 @@ class VectorReplayCursor(ReplayCursor):
 
     A thin pair of running indices over a shared (cached)
     :class:`WfDecode`; :meth:`advance` checks the PC against the
-    recorded stream (the desync guard) and unpacks the precomputed
+    recorded stream (the desync guard) and returns the precomputed
     outcome tuple.
 
     Subclasses :class:`ReplayCursor` for its slots (``kernel``, ``pc``,
-    ``done``, ``is_gcn3``, ``result``) and so that a wavefront's cursor
-    is one type; none of the raw stream slots are initialized or used.
+    ``done``, ``is_gcn3``) and so that a wavefront's cursor is one type;
+    none of the raw stream slots are initialized or used.
     """
 
     __slots__ = ("_j", "_jp", "_recs", "_jump_at", "_jump_target")
@@ -374,7 +368,6 @@ class VectorReplayCursor(ReplayCursor):
         self.pc = 0
         self.done = False
         self.is_gcn3 = is_gcn3
-        self.result = ExecResult()
         self._j = 0
         self._jp = 0
         self._recs, self._jump_at, self._jump_target = dec.records
@@ -388,7 +381,7 @@ class VectorReplayCursor(ReplayCursor):
             return new_pc
         return None
 
-    def advance(self, pc: int) -> ExecResult:
+    def advance(self, pc: int) -> Record:
         j = self._j
         try:
             rec = self._recs[j]
@@ -402,13 +395,7 @@ class VectorReplayCursor(ReplayCursor):
                 f"timing model issued pc {pc}"
             )
         self._j = j + 1
-        result = self.result
-        (_, result.active_lanes, result.branch_taken, result.is_barrier,
-         result.mem_kind, result.mem_lines, result.next_pc, self.pc,
-         ends) = rec
-        if ends:
-            result.ends_wavefront = True
+        self.pc = rec[5]
+        if rec[7]:
             self.done = True
-        else:
-            result.ends_wavefront = False
-        return result
+        return rec

@@ -5,23 +5,32 @@ pass; see :mod:`repro.timing.funcsim`).
 
 This object is touched on every simulated cycle, so it is deliberately
 lean: ``slots=True`` (no per-instance ``__dict__``), the static
-facts of its kernel predecoded once into ``descs``
-(:mod:`repro.timing.predecode`), and a maintained ``fetch_want`` flag so
-the CU's fetch arbiter counts candidates instead of re-deriving
+facts of its kernel predecoded once into ``descs`` and the fetch tables
+(:mod:`repro.timing.predecode`), one ``state`` the issue scan tests
+instead of three conditions, and a maintained ``fetch_want`` flag so the
+CU's fetch arbiter counts candidates instead of re-deriving
 ``wants_fetch`` per wavefront per cycle.
+
+The instruction buffer is a length, not a list: fetch fills it in
+program order from ``fetch_index`` and issue drains it from the front,
+and a flush empties it and moves ``fetch_index``, so it always holds
+exactly the instruction indices ``[fetch_index - ib_len, fetch_index)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
-from ..gcn3.isa import Gcn3Instr, Gcn3Kernel
-from ..hsail.isa import HSAIL_INSTR_BYTES, HsailInstr, HsailKernel
-from .predecode import IssueDesc, predecode_kernel
+from .predecode import IssueDesc, fetch_tables, predecode_kernel
 from .replay import ReplayCursor
 
-AnyInstr = Union[HsailInstr, Gcn3Instr]
+#: ``TimingWavefront.state`` values; every one but READY keeps the
+#: wavefront out of the issue scan.
+READY = 0
+PARKED = 1       # waits on an event (fetch fill, memory completion)
+AT_BARRIER = 2   # waits for its workgroup's barrier to open
+DONE = 3
 
 
 @dataclass(slots=True)
@@ -36,9 +45,9 @@ class TimingWavefront:
     cursor: ReplayCursor
     code_base: int
 
-    # Instruction buffer: (instruction index, encoded size) entries.
-    ib: List[Tuple[int, int]] = field(default_factory=list)
     ib_capacity: int = 12
+    fetch_width_bytes: int = 32
+    ib_len: int = 0                 # buffered instructions (see module doc)
     fetch_index: int = 0            # next instruction index to fetch
     fetch_inflight: bool = False
     fetch_epoch: int = 0            # bumped on flush to drop stale fills
@@ -49,10 +58,7 @@ class TimingWavefront:
     busy_slots: Dict[int, int] = field(default_factory=dict)   # HSAIL scoreboard
     mem_busy_slots: Dict[int, int] = field(default_factory=dict)  # slot -> refcount
 
-    at_barrier: bool = False
-    #: Parked wavefronts wait on an event (fetch fill, memory completion)
-    #: and are skipped by the issue scan until the event unparks them.
-    parked: bool = False
+    state: int = READY
     next_issue_cycle: int = 0
 
     # Derived, filled in by __post_init__ (static for the WF's lifetime
@@ -60,9 +66,11 @@ class TimingWavefront:
     is_gcn3: bool = field(init=False, default=False)
     descs: Tuple[IssueDesc, ...] = field(init=False, default=())
     num_instrs: int = field(init=False, default=0)
-    #: True iff :meth:`wants_fetch` — maintained by the CU via
-    #: ``_sync_fetch`` at every fetch/IB/done transition so the fetch
-    #: arbiter can early-out on a per-CU candidate count.
+    fetch_lines: Tuple[int, ...] = field(init=False, default=())
+    fetch_fill: Tuple[int, ...] = field(init=False, default=())
+    #: True iff :meth:`wants_fetch` — maintained by the CU at every
+    #: fetch/IB/done transition that can change it, so the fetch arbiter
+    #: can early-out on a per-CU candidate count.
     fetch_want: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
@@ -71,40 +79,30 @@ class TimingWavefront:
         kernel = cursor.kernel
         self.descs = predecode_kernel(kernel)
         self.num_instrs = len(kernel.instrs)
+        self.fetch_lines, self.fetch_fill = fetch_tables(
+            kernel, self.code_base, self.fetch_width_bytes)
         self.fetch_want = self.wants_fetch()
-
-    @property
-    def kernel(self) -> Union[HsailKernel, Gcn3Kernel]:
-        return self.cursor.kernel
 
     @property
     def done(self) -> bool:
         return self.cursor.done
 
-    def instr_at(self, index: int) -> AnyInstr:
-        return self.cursor.kernel.instrs[index]
-
-    def instr_size(self, index: int) -> int:
-        return self.descs[index].size_bytes
-
-    def instr_address(self, index: int) -> int:
-        if self.is_gcn3:
-            kernel = self.cursor.kernel
-            return self.code_base + kernel.pc_of_index[index]  # type: ignore[union-attr]
-        return self.code_base + HSAIL_INSTR_BYTES * index
-
     # -- instruction buffer ------------------------------------------------
 
-    def ib_head(self) -> Optional[int]:
-        return self.ib[0][0] if self.ib else None
-
-    def ib_pop(self) -> None:
-        if self.ib:
-            self.ib.pop(0)
+    def fill_ib(self) -> None:
+        """Deliver one fetch: the instructions a fetch-width read from
+        ``fetch_index`` holds, as far as the buffer has room."""
+        index = self.fetch_index
+        count = self.fetch_fill[index]
+        room = self.ib_capacity - self.ib_len
+        if count > room:
+            count = room
+        self.ib_len += count
+        self.fetch_index = index + count
 
     def flush_ib(self, new_pc: int) -> None:
         """Discard buffered instructions and refetch from ``new_pc``."""
-        self.ib.clear()
+        self.ib_len = 0
         self.fetch_index = new_pc
         self.fetch_epoch += 1
         self.fetch_inflight = False
@@ -114,32 +112,31 @@ class TimingWavefront:
             not self.cursor.done
             and not self.fetch_inflight
             and self.fetch_index < self.num_instrs
-            and len(self.ib) < self.ib_capacity
+            and self.ib_len < self.ib_capacity
         )
 
     # -- HSAIL scoreboard -----------------------------------------------------
 
-    def slots_ready(self, slots: Sequence[int], now: int) -> bool:
+    def slot_release(self, slots: Sequence[int], now: int) -> int:
+        """One pass over the scoreboard for ``slots`` at ``now``: 0 when
+        every slot is free, else the cycle the latest time-based
+        reservation clears, or -1 when only in-flight memory (released
+        by its completion event, not by time) holds one."""
         busy = self.busy_slots
         mem_busy = self.mem_busy_slots
         if not busy and not mem_busy:
-            return True
-        for slot in slots:
-            if busy.get(slot, 0) > now:
-                return False
-            if slot in mem_busy:
-                return False
-        return True
-
-    def slots_ready_hint(self, slots: Sequence[int], now: int) -> Optional[int]:
-        """Earliest cycle the time-based part of the scoreboard clears."""
-        worst = None
-        busy = self.busy_slots
+            return 0
+        worst = 0
+        on_mem = False
         for slot in slots:
             release = busy.get(slot, 0)
-            if release > now:
-                worst = release if worst is None else max(worst, release)
-        return worst
+            if release > worst:
+                worst = release
+            if slot in mem_busy:
+                on_mem = True
+        if worst > now:
+            return worst
+        return -1 if on_mem else 0
 
     def mark_busy(self, slots: Sequence[int], until: int) -> None:
         busy = self.busy_slots

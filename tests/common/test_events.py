@@ -1,4 +1,8 @@
-"""Event-queue determinism and clock tests."""
+"""Event-queue determinism and clock tests.
+
+Events are ``(cycle, seq, fn, a, b)`` heap entries that fire as
+``fn(a, b)``, so every callback here takes exactly two operands.
+"""
 
 import pytest
 
@@ -6,13 +10,21 @@ from repro.common.errors import TimingError
 from repro.common.events import EventQueue
 
 
+def _note(log, item):
+    log.append(item)
+
+
+def _nothing(_a, _b):
+    pass
+
+
 class TestScheduling:
     def test_fires_in_time_order(self):
         q = EventQueue()
         log = []
-        q.schedule(5, lambda: log.append("b"))
-        q.schedule(2, lambda: log.append("a"))
-        q.schedule(9, lambda: log.append("c"))
+        q.schedule(5, _note, log, "b")
+        q.schedule(2, _note, log, "a")
+        q.schedule(9, _note, log, "c")
         q.advance_to(10)
         assert log == ["a", "b", "c"]
 
@@ -20,14 +32,15 @@ class TestScheduling:
         q = EventQueue()
         log = []
         for name in "abcd":
-            q.schedule(3, lambda n=name: log.append(n))
+            # dict operands: the heap must never compare past ``seq``
+            q.schedule(3, _note, log, {"name": name})
         q.advance_to(3)
-        assert log == ["a", "b", "c", "d"]
+        assert [item["name"] for item in log] == ["a", "b", "c", "d"]
 
     def test_now_tracks_fired_event(self):
         q = EventQueue()
         seen = []
-        q.schedule(4, lambda: seen.append(q.now))
+        q.schedule(4, lambda log, queue: log.append(queue.now), seen, q)
         q.advance_to(10)
         assert seen == [4]
         assert q.now == 10
@@ -35,20 +48,21 @@ class TestScheduling:
     def test_events_scheduled_during_processing_fire(self):
         q = EventQueue()
         log = []
-        q.schedule(1, lambda: q.schedule(1, lambda: log.append("nested")))
+        q.schedule(1, lambda queue, _b: queue.schedule(1, _note, log, "nested"),
+                   q)
         q.advance_to(5)
         assert log == ["nested"]
 
     def test_negative_delay_rejected(self):
         q = EventQueue()
         with pytest.raises(TimingError):
-            q.schedule(-1, lambda: None)
+            q.schedule(-1, _nothing)
 
     def test_schedule_at_past_rejected(self):
         q = EventQueue()
         q.advance_to(10)
         with pytest.raises(TimingError):
-            q.schedule_at(5, lambda: None)
+            q.schedule_at(5, _nothing)
 
     def test_clock_cannot_go_backwards(self):
         q = EventQueue()
@@ -61,7 +75,7 @@ class TestFastForward:
     def test_jumps_to_next_event(self):
         q = EventQueue()
         fired = []
-        q.schedule(100, lambda: fired.append(True))
+        q.schedule(100, _note, fired, True)
         assert q.fast_forward()
         assert q.now == 100
         assert fired == [True]
@@ -73,7 +87,7 @@ class TestFastForward:
     def test_next_event_cycle(self):
         q = EventQueue()
         assert q.next_event_cycle() is None
-        q.schedule(7, lambda: None)
+        q.schedule(7, _nothing)
         assert q.next_event_cycle() == 7
 
     def test_tick_advances_one(self):
@@ -84,8 +98,8 @@ class TestFastForward:
 
     def test_len_counts_pending(self):
         q = EventQueue()
-        q.schedule(1, lambda: None)
-        q.schedule(2, lambda: None)
+        q.schedule(1, _nothing)
+        q.schedule(2, _nothing)
         assert len(q) == 2
         q.advance_to(1)
         assert len(q) == 1

@@ -147,7 +147,43 @@ class TestWireRoundTrips:
                                     ("l1d.hit_latency", 8)))
         again = ShardCell.from_payload(cell.to_payload())
         assert again == cell
-        assert again.overrides == cell.overrides   # order preserved
+        assert again.overrides == cell.overrides   # canonical (sorted) order
+
+    def test_shard_cell_override_order_is_canonical(self):
+        # paths given out of alphabetical order (l... before c...): the
+        # sort_keys JSON encoder reorders them, and the cell must still
+        # come back equal.
+        cell = ShardCell(point="p00", workload="spmv", isa="gcn3",
+                         overrides=(("l1d.hit_latency", 8),
+                                    ("cu.vrf_banks", 2)))
+        assert [path for path, _ in cell.overrides] == ["cu.vrf_banks",
+                                                        "l1d.hit_latency"]
+        assert ShardCell.from_json(cell.to_json()) == cell
+        assert cell == ShardCell(point="p00", workload="spmv", isa="gcn3",
+                                 overrides=(("cu.vrf_banks", 2),
+                                            ("l1d.hit_latency", 8)))
+
+    def test_two_axis_cell_survives_a_live_lease(self, tmp_path):
+        """The same out-of-order two-axis cell, leased over HTTP from a
+        running coordinator, equals the coordinator's own."""
+        from repro.dist import Coordinator
+        from repro.dist.coordinator import _CoordinatorServer
+        from repro.serve import DaemonClient
+
+        co = Coordinator(_request(
+            axes=(Axis("l1d.hit_latency", (8,)), Axis("cu.vrf_banks", (2,))),
+            sweeps_dir=str(tmp_path / "sweeps"), execution="execute"))
+        expected = co._pending[0].request
+        server = _CoordinatorServer(co)
+        host, port = server.start().rsplit("//", 1)[1].split(":")
+        try:
+            grant = DaemonClient(host, int(port)).dist_lease("w0")
+        finally:
+            server.stop()
+        assert grant.state == "granted"
+        assert grant.shard.cells == expected.cells
+        assert [path for path, _ in grant.shard.cells[0].overrides] == [
+            "cu.vrf_banks", "l1d.hit_latency"]
 
     def test_shard_request_round_trip(self, plan_shards):
         shard = plan_shards(_request()).shards[0]

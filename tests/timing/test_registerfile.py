@@ -1,11 +1,13 @@
 """VRF probe tests: bank conflicts, reuse distance, uniqueness."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.stats import StatSet
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, VReg
-from repro.timing.predecode import predecode_kernel
-from repro.timing.registerfile import VrfModel, unique_counts
+from repro.timing.predecode import predecode_kernel, read_banks
+from repro.timing.registerfile import VrfModel, unique_counts, unique_rows
 from repro.timing.replay import ExecTrace, WfStream
 from repro.timing.vector import wf_decode
 from tests.trace_oracle import walk_stream
@@ -16,39 +18,57 @@ def make_vrf():
     return VrfModel(num_banks=4, stats=stats), stats
 
 
+def _kernel(instrs, vgprs=12):
+    instrs = list(instrs) + [Gcn3Instr(opcode="s_endpgm")]
+    kernel = Gcn3Kernel(
+        name="t", instrs=instrs, sgprs_used=10, vgprs_used=vgprs, params=[],
+        kernarg_bytes=0, group_bytes=0, private_bytes=0, spill_bytes=0,
+        scratch_bytes=0,
+    )
+    kernel.compute_layout()
+    return kernel
+
+
 class TestBankConflicts:
+    # note_access takes an instruction's distinct read banks, which the CU
+    # reads from the kernel's predecoded read_banks table.
+
     def test_one_instruction_does_not_self_conflict(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0, 4, 8], now=0, duration=4)  # all bank 0
+        kernel = _kernel([Gcn3Instr(opcode="v_fma_f32", dest=VReg(1),
+                                    srcs=(VReg(0), VReg(4), VReg(8)))])
+        banks = read_banks(kernel, 4)[0]
+        assert banks == (0,)  # v0, v4, v8 all live in bank 0
+        vrf.note_access(banks, now=0, duration=4)
         vrf.flush()
         # the three operands occupy bank 0 but belong to one gather
         assert stats["vrf_bank_conflicts"] == 0
 
     def test_two_instructions_same_bank_conflict(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=4)
-        vrf.note_access([4], now=0, duration=4)  # also bank 0
+        vrf.note_access((0,), now=0, duration=4)
+        vrf.note_access((0,), now=0, duration=4)  # slot 4: also bank 0
         vrf.flush()
         assert stats["vrf_bank_conflicts"] == 4  # overlap on all 4 cycles
 
     def test_different_banks_no_conflict(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=4)
-        vrf.note_access([1], now=0, duration=4)
+        vrf.note_access((0,), now=0, duration=4)
+        vrf.note_access((1,), now=0, duration=4)
         vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
 
     def test_disjoint_windows_no_conflict(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=4)
-        vrf.note_access([4], now=4, duration=4)
+        vrf.note_access((0,), now=0, duration=4)
+        vrf.note_access((0,), now=4, duration=4)
         vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
 
     def test_partial_overlap(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=4)
-        vrf.note_access([4], now=2, duration=4)
+        vrf.note_access((0,), now=0, duration=4)
+        vrf.note_access((0,), now=2, duration=4)
         vrf.flush()
         assert stats["vrf_bank_conflicts"] == 2  # cycles 2 and 3
 
@@ -58,8 +78,8 @@ class TestBankConflicts:
         # totals are order-independent), so both overlap cycles are
         # visible immediately and collect()/flush() add nothing.
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=2)
-        vrf.note_access([4], now=0, duration=2)
+        vrf.note_access((0,), now=0, duration=2)
+        vrf.note_access((0,), now=0, duration=2)
         assert stats["vrf_bank_conflicts"] == 2
         vrf.collect(1)
         vrf.collect(10)
@@ -68,19 +88,23 @@ class TestBankConflicts:
 
     def test_expired_windows_never_conflict_with_later_issues(self):
         vrf, stats = make_vrf()
-        vrf.note_access([0], now=0, duration=2)   # bank 0, window [0, 2)
-        vrf.note_access([4], now=5, duration=2)   # bank 0, but [0,2) ended
+        vrf.note_access((0,), now=0, duration=2)   # bank 0, window [0, 2)
+        vrf.note_access((0,), now=5, duration=2)   # bank 0, but [0,2) ended
         assert stats["vrf_bank_conflicts"] == 0
-        vrf.note_access([8], now=5, duration=2)   # overlaps the live window
+        vrf.note_access((0,), now=5, duration=2)   # overlaps the live window
         assert stats["vrf_bank_conflicts"] == 2
         # the untraced fast path keeps no per-cycle state at all
         assert vrf._pending == {}
 
     def test_empty_slots_noop(self):
         vrf, stats = make_vrf()
-        vrf.note_access([], now=0, duration=4)
+        vrf.note_access((), now=0, duration=4)
         vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
+        # an instruction without vector sources has no banks to note
+        kernel = _kernel([Gcn3Instr(opcode="v_mov_b32", dest=VReg(1),
+                                    srcs=(SImm(0),))])
+        assert read_banks(kernel, 4) == ((), ())
 
 
 def _reuse(moves):
@@ -151,3 +175,36 @@ class TestUniqueness:
     def test_no_active_lanes_noop(self):
         regs = np.zeros((4, 64), dtype=np.uint32)
         assert unique_counts(regs, [1], np.zeros(64, dtype=bool), 0) == []
+
+
+#: One sampled probe: the slots it reads (duplicates allowed) and its
+#: EXEC mask, drawn as random, all-active or one-active lanes.
+_PROBES = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1,
+                 max_size=4),
+        st.one_of(st.integers(min_value=1, max_value=(1 << 64) - 1),
+                  st.just((1 << 64) - 1),
+                  st.integers(min_value=0, max_value=63).map(
+                      lambda lane: 1 << lane)),
+    ),
+    min_size=1, max_size=6)
+
+
+class TestBatchedUniqueness:
+    @given(probes=_PROBES, seed=st.integers(min_value=0, max_value=2**16),
+           spread=st.sampled_from([1, 3, 64, 1 << 32]))
+    def test_unique_rows_matches_unique_counts(self, probes, seed, spread):
+        """The functional pass's batched count equals the per-slot
+        definition probe by probe, for any register contents."""
+        regs = (np.random.default_rng(seed)
+                .integers(0, spread, size=(8, 64)).astype(np.uint32))
+        expected, rows, masks = [], [], []
+        for slots, bits in probes:
+            mask = np.array([(bits >> lane) & 1 for lane in range(64)],
+                            dtype=bool)
+            expected += unique_counts(regs, slots, mask, bin(bits).count("1"))
+            rows.append(regs[list(slots)])
+            masks.append(np.broadcast_to(mask, (len(slots), 64)))
+        got = unique_rows(np.concatenate(rows), np.concatenate(masks))
+        assert got.tolist() == expected

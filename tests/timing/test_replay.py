@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.exec_types import ExecResult, MemKind
 from repro.timing.replay import (
+    _MEM_KINDS,
     TRACE_FORMAT_VERSION,
     ExecTrace,
     TraceError,
@@ -92,33 +93,34 @@ class TestSerialization:
 
 
 class TestReplayCursor:
+    # advance() returns the record tuple (pc, active_lanes, mem, mem_lines,
+    # target, next_pc, is_barrier, ends); mem indexes _MEM_KINDS.
+
     def test_replays_the_recorded_outcomes(self):
         trace = _sample_trace()
         cur = trace.cursor(0, kernel=None, is_gcn3=True)
 
         assert cur.take_jump() is None
-        r = cur.advance(0)
-        assert (r.active_lanes, r.mem_kind) == (4, MemKind.NONE)
+        assert cur.advance(0) == (0, 4, 0, (), None, 1, False, False)
         assert cur.pc == 1 and not cur.done
 
-        r = cur.advance(1)
-        assert r.mem_kind == MemKind.GLOBAL_LOAD
-        assert list(r.mem_lines) == [64, 128]
+        pc, active, mem, lines, target, *_ = cur.advance(1)
+        assert _MEM_KINDS[mem] == MemKind.GLOBAL_LOAD
+        assert list(lines) == [64, 128] and target is None
 
-        r = cur.advance(2)
-        assert r.branch_taken and r.next_pc == 7
+        rec = cur.advance(2)
+        assert rec[4] == 7 and rec[5] == 7   # taken branch flushes to 7
         assert cur.pc == 7
 
         assert cur.take_jump() == 9          # reconvergence overrides pc
         assert cur.pc == 9
-        r = cur.advance(9)
-        assert r.ends_wavefront and cur.done
+        *_, barrier, ends = cur.advance(9)
+        assert ends and not barrier and cur.done
 
     def test_second_wavefront_is_independent(self):
         trace = _sample_trace()
         cur = trace.cursor(1, kernel=None, is_gcn3=False)
-        r = cur.advance(0)
-        assert r.is_barrier and r.active_lanes == 1
+        assert cur.advance(0) == (0, 1, 0, (), None, 1, True, False)
 
     def test_pc_desync_aborts(self):
         cur = _sample_trace().cursor(0, kernel=None, is_gcn3=True)
