@@ -1,6 +1,7 @@
 """Lane-level state and helpers shared by both functional models: the
 execution-mask conversions, the typed register file with its operand
-accessors, and the one-pass per-wavefront memory access."""
+accessors, the one-pass per-wavefront memory access, and the step
+protocol both ISAs' instructions compile to (:class:`Executor`)."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ExecutionError
-from .exec_types import MemKind
-from .xp import pack_mask
+from .exec_types import ExecResult, MemKind
+from .xp import ensure_quiet_numeric, pack_mask
 
 WF_SIZE = 64
 FULL_MASK = (1 << WF_SIZE) - 1
@@ -154,7 +155,7 @@ def splat(pattern: int, kind: int) -> Accessor:
 
 def lane_op(fn: Callable, dest: Tuple[Accessor, Optional[Callable]],
             *srcs: Accessor) -> Callable:
-    """``run(wf)`` computing ``dest[EXEC] = fn(*srcs)`` in place.
+    """The step computing ``dest[EXEC] = fn(*srcs)`` in place.
 
     ``fn(*arrays, out=, where=)`` is a ufunc or a composite with the
     same signature.  The aliasing rule every ``fn`` keeps: all sources
@@ -174,21 +175,21 @@ def lane_op(fn: Callable, dest: Tuple[Accessor, Optional[Callable]],
     if len(srcs) == 1:
         a, = srcs
 
-        def run(wf):
+        def run(wf, exe):
             fn(a(wf), out=out(wf), where=wf.lane_where())
     elif len(srcs) == 2:
         a, b = srcs
 
-        def run(wf):
+        def run(wf, exe):
             fn(a(wf), b(wf), out=out(wf), where=wf.lane_where())
     else:
-        def run(wf):
+        def run(wf, exe):
             fn(*[s(wf) for s in srcs], out=out(wf), where=wf.lane_where())
     if commit is None:
         return run
 
-    def run_staged(wf):
-        run(wf)
+    def run_staged(wf, exe):
+        run(wf, exe)
         commit(wf)
     return run_staged
 
@@ -363,10 +364,10 @@ class LdsImage(LaneBuffer):
 
 # -- memory instructions, shared by both ISAs --------------------------
 #
-# ``run(wf, executor, result)`` closures over per-static-instruction
-# operand accessors; ``lds`` picks the executor's LDS image over device
-# memory.  A load reads its addresses before it writes its destination,
-# so the destination may be its own address pair.
+# Steps over per-static-instruction operand accessors; ``lds`` picks the
+# executor's LDS image over device memory.  A load reads its addresses
+# before it writes its destination, so the destination may be its own
+# address pair.
 
 
 def frame_addresses(ctx, offset: int) -> np.ndarray:
@@ -380,7 +381,7 @@ def load_op(address: Accessor, dest, size: int, lds: bool = False) -> Callable:
     out, commit = dest
     kind = MemKind.LDS_ACCESS if lds else MemKind.GLOBAL_LOAD
 
-    def run(wf, exe, result):
+    def run(wf, exe):
         where = wf.lane_where()
         values, lines = (exe.lds if lds else exe.memory).gather(
             address(wf), where, size)
@@ -390,8 +391,7 @@ def load_op(address: Accessor, dest, size: int, lds: bool = False) -> Callable:
             out(wf)[where] = values
         if commit is not None:
             commit(wf)
-        result.mem_kind = kind
-        result.mem_lines = lines
+        return ExecResult(mem_kind=kind, mem_lines=lines)
     return run
 
 
@@ -399,16 +399,16 @@ def store_op(address: Accessor, data: Accessor, size: int,
              lds: bool = False) -> Callable:
     kind = MemKind.LDS_ACCESS if lds else MemKind.GLOBAL_STORE
 
-    def run(wf, exe, result):
-        result.mem_lines = (exe.lds if lds else exe.memory).scatter(
+    def run(wf, exe):
+        lines = (exe.lds if lds else exe.memory).scatter(
             address(wf), data(wf), wf.lane_where(), size)
-        result.mem_kind = kind
+        return ExecResult(mem_kind=kind, mem_lines=lines)
     return run
 
 
 def atomic_add_op(address: Accessor, data: Accessor, dest) -> Callable:
     """32-bit atomic add returning the old value (``dest`` may be None)."""
-    def run(wf, exe, result):
+    def run(wf, exe):
         mask = wf.exec_bool()
         addrs = address(wf)
         old = serialized_atomic_add(exe.memory, addrs, data(wf), mask)
@@ -416,8 +416,8 @@ def atomic_add_op(address: Accessor, data: Accessor, dest) -> Callable:
             np.copyto(dest[0](wf), old, where=mask)
             if dest[1] is not None:
                 dest[1](wf)
-        result.mem_kind = MemKind.GLOBAL_STORE
-        result.mem_lines = touched_lines(addrs, mask, 4)
+        return ExecResult(mem_kind=MemKind.GLOBAL_STORE,
+                          mem_lines=touched_lines(addrs, mask, 4))
     return run
 
 
@@ -470,3 +470,66 @@ def serialized_atomic_add(memory, addrs: np.ndarray, values: np.ndarray,
     new_full[act] = new_act.astype(np.uint32)
     memory.scatter_u32(addrs, new_full, mask)
     return old
+
+
+# ---------------------------------------------------------------------------
+# Steps and the executor
+# ---------------------------------------------------------------------------
+#
+# Each ISA compiles every static instruction into one step,
+# ``step(wf, exe)``: it applies the instruction to wavefront ``wf``
+# (``exe`` holds the device memory and LDS a memory step touches) and
+# returns None when the only outcome the timing model sees is the
+# active-lane count, else an :class:`ExecResult`.  No step moves
+# ``wf.pc``: the caller advances it to ``next_pc`` when control
+# transferred, else by one, so a branch step reads its own pc there.
+
+Step = Callable[[object, "Executor"], Optional[ExecResult]]
+
+
+def nop(wf, exe) -> None:
+    """The step of an instruction without functional effect."""
+
+
+def barrier(wf, exe) -> ExecResult:
+    return ExecResult(is_barrier=True)
+
+
+def end(wf, exe) -> ExecResult:
+    wf.done = True
+    return ExecResult(ends_wavefront=True)
+
+
+class Executor:
+    """Executes one ISA's instructions for the wavefronts of one
+    workgroup, a step at a time; ``compiled`` is the ISA's
+    ``instr -> step`` compiler."""
+
+    compiled: Callable[[object], Step]
+
+    def __init__(self, memory, lds: Optional[np.ndarray] = None) -> None:
+        self.memory = memory
+        self.lds = LdsImage(
+            lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8))
+        # The ALU steps run one numpy expression per dynamic
+        # instruction; a per-call errstate costs more than the math.
+        ensure_quiet_numeric()
+
+    @classmethod
+    def steps(cls, kernel) -> Tuple[Step, ...]:
+        """``kernel``'s per-pc step table, built once and cached on the
+        kernel beside its issue descriptors."""
+        table = getattr(kernel, "_steps", None)
+        if table is None:
+            table = kernel._steps = tuple(map(cls.compiled, kernel.instrs))
+        return table
+
+    def execute(self, wf) -> ExecResult:
+        """Execute the instruction at ``wf.pc`` and advance it."""
+        pc = wf.pc
+        # popcount of the mask integer == mask.sum(), without numpy.
+        active = (wf.exec_mask & FULL_MASK).bit_count()
+        result = self.steps(wf.kernel)[pc](wf, self) or ExecResult()
+        result.active_lanes = active
+        wf.pc = pc + 1 if result.next_pc is None else result.next_pc
+        return result

@@ -16,6 +16,7 @@ fixup tables bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -23,21 +24,24 @@ import numpy as np
 from ..common.bits import unpack_bfe_operand
 from ..common.errors import ExecutionError
 from ..common.exec_types import DispatchContext, ExecResult, MemKind
-from ..common.xp import ensure_quiet_numeric
 from ..common.lanes import (
     COMPARISONS, F32, F64, FULL_MASK, I32, I64, U32, U64, VIEW_DTYPES, WF_SIZE,
     ExecLanes,
-    LdsImage,
+    Executor,
+    Step,
     atomic_add_op,
+    barrier,
     bool_to_mask,
     convert,
     copy_lanes,
+    end,
     fma,
     frame_addresses,
     lane_op,
     load_op,
     mask_to_bool,
     mul_hi,
+    nop,
     reg_dest,
     reg_view,
     register_file,
@@ -47,7 +51,6 @@ from ..common.lanes import (
     store_op,
     write_lanes,
 )
-from ..runtime.memory import SimulatedMemory
 from . import abi
 from .isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, SpecialReg, VCC, VReg
 
@@ -158,7 +161,7 @@ class Gcn3WfState(ExecLanes):
 
 
 # ---------------------------------------------------------------------------
-# Per-static-instruction compilation of the vector side
+# Per-static-instruction compilation
 # ---------------------------------------------------------------------------
 
 
@@ -211,22 +214,44 @@ _V_CARRY_OPS = frozenset(("v_add_u32", "v_sub_u32", "v_subrev_u32",
                           "v_addc_u32", "v_subb_u32"))
 
 
-def compiled(instr: Gcn3Instr) -> Callable:
-    """The semantics of one static vector or vector-memory instruction
-    as a closure: ``run(wf)`` for ``v_*``, ``run(wf, executor, result)``
-    for ``flat_*``/``scratch_*``/``ds_*``.
+def compiled(instr: Gcn3Instr) -> Step:
+    """The semantics of one static instruction as a step
+    (:mod:`repro.common.lanes`).
 
-    Opcode parsing, the register-file view of every operand and the
-    ufunc are decided here, once, and memoized on the instruction; the
-    raw interpreter (:meth:`Gcn3Executor.execute`) and the superop
-    chains (:mod:`repro.gcn3.superops`) run the same object.
+    Opcode parsing, the register-file view of every operand, the ufunc
+    and a branch's target are decided here, once, and memoized on the
+    instruction; :meth:`Gcn3Executor.execute` and the functional pass's
+    per-kernel step table run the same object.  ``s_waitcnt`` has no
+    functional effect: the timing layer gates on the predecoded
+    ``IssueDesc`` wait fields, and the thresholds ride in ``waitcnt``.
     """
     run = getattr(instr, "_run", None)
     if run is None:
-        run = _compile_valu(instr) if instr.opcode[0] == "v" \
-            else _compile_memory(instr)
+        op = instr.opcode
+        lead = op[0]
+        if lead == "v":
+            run = _compile_valu(instr)
+        elif lead == "f" or lead == "d" or op.startswith("scratch_"):
+            run = _compile_memory(instr)
+        elif op in _FIXED:
+            run = _FIXED[op]
+        elif op == "s_waitcnt":
+            run = _compile_waitcnt(instr)
+        elif op.startswith("s_load"):
+            run = _compile_smem(instr)
+        elif op in _TAKEN:
+            run = _compile_branch(instr)
+        elif op.startswith("s_cmp_"):
+            run = partial(_s_cmp, instr)
+        elif op.startswith("s_"):
+            run = partial(_salu, instr)
+        else:
+            raise ExecutionError(f"cannot execute {op!r}")
         instr._run = run
     return run
+
+
+_FIXED = {"s_endpgm": end, "s_barrier": barrier, "s_nop": nop}
 
 
 def _compile_valu(instr: Gcn3Instr) -> Callable:
@@ -243,7 +268,7 @@ def _compile_valu(instr: Gcn3Instr) -> Callable:
     if name == "readfirstlane":
         src = _vsrc(srcs[0], U32)
 
-        def readfirstlane(wf):
+        def readfirstlane(wf, exe):
             low = wf.exec_mask & -wf.exec_mask  # lowest active lane, else 0
             wf.write_s32(instr.dest, int(src(wf)[max(low.bit_length() - 1, 0)]))
         return readfirstlane
@@ -268,8 +293,8 @@ def _compile_valu(instr: Gcn3Instr) -> Callable:
         # Functional simplification: no scaling; VCC cleared.
         copy = lane_op(copy_lanes, dest, reads[0])
 
-        def div_scale(wf):
-            copy(wf)
+        def div_scale(wf, exe):
+            copy(wf, exe)
             wf.vcc = 0
         return div_scale
     fn = _VALU.get(name)
@@ -296,7 +321,7 @@ def _compile_carry(instr: Gcn3Instr) -> Callable:
     carry_in = op in ("v_addc_u32", "v_subb_u32")
     out = reg_view(U32, instr.dest.index)  # type: ignore[union-attr]
 
-    def run(wf):
+    def run(wf, exe):
         x = a(wf)
         y = b(wf)
         if adds:
@@ -306,14 +331,14 @@ def _compile_carry(instr: Gcn3Instr) -> Callable:
             total = x - y
             carry = x < y  # borrow
         if carry_in:
-            partial = total
+            subtotal = total
             cin = mask_to_bool(wf.vcc).astype(np.uint32)
             if adds:
-                total = partial + cin
-                carry |= total < partial
+                total = subtotal + cin
+                carry |= total < subtotal
             else:
-                total = partial - cin
-                carry |= partial < cin
+                total = subtotal - cin
+                carry |= subtotal < cin
         np.copyto(out(wf), total, where=wf.lane_where())
         wf.vcc = (wf.vcc & ~wf.exec_mask) | (bool_to_mask(carry) & wf.exec_mask)
     return run
@@ -324,7 +349,7 @@ def _compile_cmp(instr: Gcn3Instr, fn: Callable, kind: int) -> Callable:
     b = _vsrc(instr.srcs[1], kind)
     dest = instr.dest if instr.dest is not None else VCC
 
-    def run(wf):
+    def run(wf, exe):
         wf.write_s64(dest, bool_to_mask(fn(a(wf), b(wf))) & wf.exec_mask)
     return run
 
@@ -359,245 +384,187 @@ def _compile_memory(instr: Gcn3Instr) -> Callable:
     return load_op(address, reg_dest(bits, instr.dest.index), size, lds)  # type: ignore[union-attr]
 
 
-class Gcn3Executor:
-    """Executes GCN3 instructions for wavefronts of one dispatch."""
-
-    def __init__(self, memory: SimulatedMemory, lds: Optional[np.ndarray] = None) -> None:
-        self.memory = memory
-        self.lds = LdsImage(
-            lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8))
-        # The VALU helpers run one numpy expression per dynamic
-        # instruction; a per-call errstate costs more than the math.
-        ensure_quiet_numeric()
-
-    # -- entry -------------------------------------------------------------
-
-    def execute(self, wf: Gcn3WfState) -> ExecResult:
-        instr = wf.kernel.instrs[wf.pc]
-        opcode = instr.opcode
-        # popcount of EXEC == mask.sum(), without a numpy reduction.
-        result = ExecResult(
-            active_lanes=(wf.exec_mask & 0xFFFFFFFFFFFFFFFF).bit_count())
-
-        # Dispatch on the opcode's first character: the vector families
-        # are by far the most frequent, and they run their memoized
-        # per-instruction closure (see ``compiled``).
-        lead = opcode[0]
-        if lead == "v":  # v_*
-            compiled(instr)(wf)
-            wf.pc += 1
-            return result
-        if lead == "f" or lead == "d" or opcode.startswith("scratch_"):
-            compiled(instr)(wf, self, result)  # flat_* / ds_* / scratch_*
-            wf.pc += 1
-            return result
-
-        if opcode.startswith("s_cbranch") or opcode == "s_branch":
-            self._branch(wf, instr, result)
-            return result
-        if opcode == "s_endpgm":
-            wf.done = True
-            result.ends_wavefront = True
-            wf.pc += 1
-            return result
-        if opcode == "s_barrier":
-            result.is_barrier = True
-            wf.pc += 1
-            return result
-        if opcode == "s_waitcnt":
-            result.waitcnt = (
-                instr.attrs.get("vmcnt"),
-                instr.attrs.get("lgkmcnt"),
-            )  # type: ignore[assignment]
-            wf.pc += 1
-            return result
-        if opcode == "s_nop":
-            wf.pc += 1
-            return result
-        if opcode.startswith("s_load"):
-            self._smem(wf, instr, result)
-        elif opcode.startswith("s_"):
-            self._salu(wf, instr)
-        else:
-            raise ExecutionError(f"cannot execute {opcode!r}")
-        wf.pc += 1
-        return result
-
-    # -- scalar ALU ----------------------------------------------------------
-
-    def _salu(self, wf: Gcn3WfState, instr: Gcn3Instr) -> None:
-        op = instr.opcode
-        d = instr.dest
-        if op == "s_mov_b32":
-            wf.write_s32(d, wf.read_s32(instr.srcs[0]))
-            return
-        if op == "s_mov_b64":
-            wf.write_s64(d, wf.read_s64(instr.srcs[0]))
-            return
-        if op == "s_not_b32":
-            a = wf.read_s32(instr.srcs[0])
-            wf.write_s32(d, ~a & 0xFFFFFFFF)
-            wf.scc = int((~a & 0xFFFFFFFF) != 0)
-            return
-        if op == "s_not_b64":
-            a = wf.read_s64(instr.srcs[0])
-            wf.write_s64(d, ~a & 0xFFFFFFFFFFFFFFFF)
-            wf.scc = int((~a & 0xFFFFFFFFFFFFFFFF) != 0)
-            return
-        if op == "s_brev_b32":
-            a = wf.read_s32(instr.srcs[0])
-            wf.write_s32(d, int(f"{a:032b}"[::-1], 2))
-            return
-        if op in ("s_and_saveexec_b64", "s_or_saveexec_b64"):
-            old = wf.exec_mask
-            src = wf.read_s64(instr.srcs[0])
-            wf.write_s64(d, old)
-            wf.exec_mask = (old & src) if op.startswith("s_and") else (old | src)
-            wf.scc = int(wf.exec_mask != 0)
-            return
-        if op in ("s_add_u32", "s_sub_u32", "s_addc_u32", "s_subb_u32"):
-            a = wf.read_s32(instr.srcs[0])
-            b = wf.read_s32(instr.srcs[1])
-            carry_in = wf.scc if op in ("s_addc_u32", "s_subb_u32") else 0
-            if op in ("s_add_u32", "s_addc_u32"):
-                total = a + b + carry_in
-                wf.scc = int(total > 0xFFFFFFFF)
-            else:
-                total = a - b - carry_in
-                wf.scc = int(total < 0)
-            wf.write_s32(d, total & 0xFFFFFFFF)
-            return
-        if op == "s_mul_i32":
-            a = _s32(wf.read_s32(instr.srcs[0]))
-            b = _s32(wf.read_s32(instr.srcs[1]))
-            wf.write_s32(d, (a * b) & 0xFFFFFFFF)
-            return
-        if op in ("s_and_b32", "s_or_b32", "s_xor_b32"):
-            a = wf.read_s32(instr.srcs[0])
-            b = wf.read_s32(instr.srcs[1])
-            if op == "s_and_b32":
-                value = a & b
-            elif op == "s_or_b32":
-                value = a | b
-            else:
-                value = a ^ b
-            wf.write_s32(d, value)
-            wf.scc = int(value != 0)
-            return
-        if op in ("s_and_b64", "s_or_b64", "s_xor_b64", "s_andn2_b64"):
-            a = wf.read_s64(instr.srcs[0])
-            b = wf.read_s64(instr.srcs[1])
-            if op == "s_and_b64":
-                value = a & b
-            elif op == "s_or_b64":
-                value = a | b
-            elif op == "s_xor_b64":
-                value = a ^ b
-            else:
-                value = a & ~b & 0xFFFFFFFFFFFFFFFF
-            wf.write_s64(d, value)
-            wf.scc = int(value != 0)
-            return
-        if op in ("s_lshl_b32", "s_lshr_b32", "s_ashr_i32"):
-            a = wf.read_s32(instr.srcs[0])
-            amt = wf.read_s32(instr.srcs[1]) & 31
-            if op == "s_lshl_b32":
-                value = (a << amt) & 0xFFFFFFFF
-            elif op == "s_lshr_b32":
-                value = a >> amt
-            else:
-                value = (_s32(a) >> amt) & 0xFFFFFFFF
-            wf.write_s32(d, value)
-            wf.scc = int(value != 0)
-            return
-        if op in ("s_lshl_b64", "s_lshr_b64"):
-            a = wf.read_s64(instr.srcs[0])
-            amt = wf.read_s32(instr.srcs[1]) & 63
-            value = (a << amt) & 0xFFFFFFFFFFFFFFFF if op == "s_lshl_b64" else a >> amt
-            wf.write_s64(d, value)
-            wf.scc = int(value != 0)
-            return
-        if op in ("s_min_u32", "s_max_u32", "s_min_i32", "s_max_i32"):
-            a = wf.read_s32(instr.srcs[0])
-            b = wf.read_s32(instr.srcs[1])
-            if op.endswith("i32"):
-                a, b = _s32(a), _s32(b)
-            value = min(a, b) if "min" in op else max(a, b)
-            wf.scc = int(value == a)  # SCC = "first operand selected"
-            wf.write_s32(d, value & 0xFFFFFFFF)
-            return
-        if op == "s_bfe_u32":
-            a = wf.read_s32(instr.srcs[0])
-            offset, width = unpack_bfe_operand(wf.read_s32(instr.srcs[1]))
-            value = (a >> offset) & ((1 << width) - 1) if width else 0
-            wf.write_s32(d, value)
-            wf.scc = int(value != 0)
-            return
-        if op in ("s_cselect_b32", "s_cselect_b64"):
-            pick = instr.srcs[0] if wf.scc else instr.srcs[1]
-            if op.endswith("b64"):
-                wf.write_s64(d, wf.read_s64(pick))
-            else:
-                wf.write_s32(d, wf.read_s32(pick))
-            return
-        if op.startswith("s_cmp_"):
-            self._s_cmp(wf, instr)
-            return
-        raise ExecutionError(f"unhandled SALU op {op!r}")
-
-    def _s_cmp(self, wf: Gcn3WfState, instr: Gcn3Instr) -> None:
-        _, _, cond, ty = instr.opcode.split("_")
+def _salu(instr: Gcn3Instr, wf: Gcn3WfState, exe) -> None:
+    op = instr.opcode
+    d = instr.dest
+    if op == "s_mov_b32":
+        wf.write_s32(d, wf.read_s32(instr.srcs[0]))
+        return
+    if op == "s_mov_b64":
+        wf.write_s64(d, wf.read_s64(instr.srcs[0]))
+        return
+    if op == "s_not_b32":
+        a = wf.read_s32(instr.srcs[0])
+        wf.write_s32(d, ~a & 0xFFFFFFFF)
+        wf.scc = int((~a & 0xFFFFFFFF) != 0)
+        return
+    if op == "s_not_b64":
+        a = wf.read_s64(instr.srcs[0])
+        wf.write_s64(d, ~a & 0xFFFFFFFFFFFFFFFF)
+        wf.scc = int((~a & 0xFFFFFFFFFFFFFFFF) != 0)
+        return
+    if op == "s_brev_b32":
+        a = wf.read_s32(instr.srcs[0])
+        wf.write_s32(d, int(f"{a:032b}"[::-1], 2))
+        return
+    if op in ("s_and_saveexec_b64", "s_or_saveexec_b64"):
+        old = wf.exec_mask
+        src = wf.read_s64(instr.srcs[0])
+        wf.write_s64(d, old)
+        wf.exec_mask = (old & src) if op.startswith("s_and") else (old | src)
+        wf.scc = int(wf.exec_mask != 0)
+        return
+    if op in ("s_add_u32", "s_sub_u32", "s_addc_u32", "s_subb_u32"):
         a = wf.read_s32(instr.srcs[0])
         b = wf.read_s32(instr.srcs[1])
-        if ty == "i32":
-            a, b = _s32(a), _s32(b)
-        table = {
-            "eq": a == b, "lg": a != b, "lt": a < b,
-            "le": a <= b, "gt": a > b, "ge": a >= b,
-        }
-        wf.scc = int(table[cond])
-
-    # -- scalar memory ----------------------------------------------------------
-
-    def _smem(self, wf: Gcn3WfState, instr: Gcn3Instr, result: ExecResult) -> None:
-        base = wf.read_s64(instr.srcs[0])
-        offset = int(instr.attrs.get("offset", 0))
-        addr = base + offset
-        count = {"s_load_dword": 1, "s_load_dwordx2": 2, "s_load_dwordx4": 4}[instr.opcode]
-        dest = instr.dest
-        assert isinstance(dest, SReg)
-        for i in range(count):
-            wf.sgpr[dest.index + i] = self.memory.load_scalar(addr + 4 * i, 4) & 0xFFFFFFFF
-        result.mem_kind = MemKind.SCALAR_LOAD
-        result.mem_lines = sorted({(addr + 4 * i) >> 6 for i in range(count)})
-
-    # -- control flow --------------------------------------------------------------
-
-    def _branch(self, wf: Gcn3WfState, instr: Gcn3Instr, result: ExecResult) -> None:
-        op = instr.opcode
-        target = instr.target
-        if target is None:
-            raise ExecutionError(f"{op} without target")
-        taken = True
-        if op == "s_cbranch_scc0":
-            taken = wf.scc == 0
-        elif op == "s_cbranch_scc1":
-            taken = wf.scc == 1
-        elif op == "s_cbranch_vccz":
-            taken = wf.vcc == 0
-        elif op == "s_cbranch_vccnz":
-            taken = wf.vcc != 0
-        elif op == "s_cbranch_execz":
-            taken = wf.exec_mask == 0
-        elif op == "s_cbranch_execnz":
-            taken = wf.exec_mask != 0
-        if taken:
-            wf.pc = target
-            result.branch_taken = True
-            result.next_pc = target
+        carry_in = wf.scc if op in ("s_addc_u32", "s_subb_u32") else 0
+        if op in ("s_add_u32", "s_addc_u32"):
+            total = a + b + carry_in
+            wf.scc = int(total > 0xFFFFFFFF)
         else:
-            wf.pc += 1
-            result.branch_taken = False
+            total = a - b - carry_in
+            wf.scc = int(total < 0)
+        wf.write_s32(d, total & 0xFFFFFFFF)
+        return
+    if op == "s_mul_i32":
+        a = _s32(wf.read_s32(instr.srcs[0]))
+        b = _s32(wf.read_s32(instr.srcs[1]))
+        wf.write_s32(d, (a * b) & 0xFFFFFFFF)
+        return
+    if op in ("s_and_b32", "s_or_b32", "s_xor_b32"):
+        a = wf.read_s32(instr.srcs[0])
+        b = wf.read_s32(instr.srcs[1])
+        if op == "s_and_b32":
+            value = a & b
+        elif op == "s_or_b32":
+            value = a | b
+        else:
+            value = a ^ b
+        wf.write_s32(d, value)
+        wf.scc = int(value != 0)
+        return
+    if op in ("s_and_b64", "s_or_b64", "s_xor_b64", "s_andn2_b64"):
+        a = wf.read_s64(instr.srcs[0])
+        b = wf.read_s64(instr.srcs[1])
+        if op == "s_and_b64":
+            value = a & b
+        elif op == "s_or_b64":
+            value = a | b
+        elif op == "s_xor_b64":
+            value = a ^ b
+        else:
+            value = a & ~b & 0xFFFFFFFFFFFFFFFF
+        wf.write_s64(d, value)
+        wf.scc = int(value != 0)
+        return
+    if op in ("s_lshl_b32", "s_lshr_b32", "s_ashr_i32"):
+        a = wf.read_s32(instr.srcs[0])
+        amt = wf.read_s32(instr.srcs[1]) & 31
+        if op == "s_lshl_b32":
+            value = (a << amt) & 0xFFFFFFFF
+        elif op == "s_lshr_b32":
+            value = a >> amt
+        else:
+            value = (_s32(a) >> amt) & 0xFFFFFFFF
+        wf.write_s32(d, value)
+        wf.scc = int(value != 0)
+        return
+    if op in ("s_lshl_b64", "s_lshr_b64"):
+        a = wf.read_s64(instr.srcs[0])
+        amt = wf.read_s32(instr.srcs[1]) & 63
+        value = (a << amt) & 0xFFFFFFFFFFFFFFFF if op == "s_lshl_b64" else a >> amt
+        wf.write_s64(d, value)
+        wf.scc = int(value != 0)
+        return
+    if op in ("s_min_u32", "s_max_u32", "s_min_i32", "s_max_i32"):
+        a = wf.read_s32(instr.srcs[0])
+        b = wf.read_s32(instr.srcs[1])
+        if op.endswith("i32"):
+            a, b = _s32(a), _s32(b)
+        value = min(a, b) if "min" in op else max(a, b)
+        wf.scc = int(value == a)  # SCC = "first operand selected"
+        wf.write_s32(d, value & 0xFFFFFFFF)
+        return
+    if op == "s_bfe_u32":
+        a = wf.read_s32(instr.srcs[0])
+        offset, width = unpack_bfe_operand(wf.read_s32(instr.srcs[1]))
+        value = (a >> offset) & ((1 << width) - 1) if width else 0
+        wf.write_s32(d, value)
+        wf.scc = int(value != 0)
+        return
+    if op in ("s_cselect_b32", "s_cselect_b64"):
+        pick = instr.srcs[0] if wf.scc else instr.srcs[1]
+        if op.endswith("b64"):
+            wf.write_s64(d, wf.read_s64(pick))
+        else:
+            wf.write_s32(d, wf.read_s32(pick))
+        return
+    raise ExecutionError(f"unhandled SALU op {op!r}")
+
+
+def _s_cmp(instr: Gcn3Instr, wf: Gcn3WfState, exe) -> None:
+    _, _, cond, ty = instr.opcode.split("_")
+    a = wf.read_s32(instr.srcs[0])
+    b = wf.read_s32(instr.srcs[1])
+    if ty == "i32":
+        a, b = _s32(a), _s32(b)
+    table = {
+        "eq": a == b, "lg": a != b, "lt": a < b,
+        "le": a <= b, "gt": a > b, "ge": a >= b,
+    }
+    wf.scc = int(table[cond])
+
+
+def _compile_waitcnt(instr: Gcn3Instr) -> Step:
+    waits = (instr.attrs.get("vmcnt"), instr.attrs.get("lgkmcnt"))
+    return lambda wf, exe: ExecResult(waitcnt=waits)
+
+
+def _compile_smem(instr: Gcn3Instr) -> Step:
+    base = instr.srcs[0]
+    offset = int(instr.attrs.get("offset", 0))
+    count = {"s_load_dword": 1, "s_load_dwordx2": 2, "s_load_dwordx4": 4}[instr.opcode]
+    dest = instr.dest
+    assert isinstance(dest, SReg)
+
+    def smem(wf, exe):
+        addr = wf.read_s64(base) + offset
+        for i in range(count):
+            wf.sgpr[dest.index + i] = exe.memory.load_scalar(addr + 4 * i, 4) & 0xFFFFFFFF
+        return ExecResult(mem_kind=MemKind.SCALAR_LOAD,
+                          mem_lines=sorted({(addr + 4 * i) >> 6 for i in range(count)}))
+    return smem
+
+
+#: When each branch is taken.
+_TAKEN = {
+    "s_branch": lambda wf: True,
+    "s_cbranch_scc0": lambda wf: wf.scc == 0,
+    "s_cbranch_scc1": lambda wf: wf.scc == 1,
+    "s_cbranch_vccz": lambda wf: wf.vcc == 0,
+    "s_cbranch_vccnz": lambda wf: wf.vcc != 0,
+    "s_cbranch_execz": lambda wf: wf.exec_mask == 0,
+    "s_cbranch_execnz": lambda wf: wf.exec_mask != 0,
+}
+
+
+def _compile_branch(instr: Gcn3Instr) -> Step:
+    target = instr.target
+    if target is None:
+        raise ExecutionError(f"{instr.opcode} without target")
+    taken = _TAKEN[instr.opcode]
+
+    def branch(wf, exe):
+        if taken(wf):
+            return ExecResult(branch_taken=True, next_pc=target)
+        return ExecResult(branch_taken=False)
+    return branch
+
+
+class Gcn3Executor(Executor):
+    """Executes GCN3 instructions for the wavefronts of one workgroup."""
+
+    compiled = staticmethod(compiled)
 
 
 def _s32(value: int) -> int:

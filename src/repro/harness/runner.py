@@ -250,7 +250,8 @@ def run_workload(
     and considerably faster, because functional execution, register
     uniqueness probes, and result verification are all skipped (the
     verification verdict and footprint metadata travel inside the trace).
-    ``auto`` replays when a trace exists and captures otherwise.  A
+    ``auto`` replays when a trace exists and captures otherwise; without
+    a ``trace_store`` a capture runs, and is labelled, as ``execute``.  A
     replay that :func:`~repro.harness.equivalence.derive` answers from a
     filed witness returns ``execution="derived"``.
     """
@@ -277,7 +278,10 @@ def run_workload(
                 "run with execution='capture' or 'auto' first"
             )
         else:
-            mode = "capture" if trace_store is not None else "execute"
+            mode = "capture"
+    if mode == "capture" and trace_store is None:
+        # Nowhere to file a trace: record none, and say what ran.
+        mode = "execute"
 
     bus = TraceBus(trace) if trace is not None else None
 
@@ -328,9 +332,7 @@ def run_workload(
                                   for kname, k in kernels.items()},
         }
         if recorder is not None:
-            captured = recorder.finish(meta)
-            if trace_store is not None and fingerprint is not None:
-                trace_store.put(fingerprint, captured)
+            trace_store.put(fingerprint, recorder.finish(meta))  # type: ignore[union-attr]
 
     kernel_bytes = {str(k): int(v)
                     for k, v in meta["kernel_code_bytes"].items()}

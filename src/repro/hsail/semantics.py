@@ -23,21 +23,24 @@ import numpy as np
 
 from ..common.errors import ExecutionError
 from ..common.exec_types import DispatchContext, ExecResult
-from ..common.xp import ensure_quiet_numeric
 from ..common.lanes import (
     COMPARISONS, F32, F64, FULL_MASK, I32, I64, U32, U64, VIEW_DTYPES, WF_SIZE,
     ExecLanes,
-    LdsImage,
+    Executor,
+    Step,
     atomic_add_op,
+    barrier,
     bool_to_mask,
     compare,
     convert,
     copy_lanes,
+    end,
     fma,
     frame_addresses,
     lane_op,
     load_op,
     mul_hi,
+    nop,
     reg_dest,
     reg_view,
     register_file,
@@ -48,7 +51,7 @@ from ..common.lanes import (
     write_lanes,
 )
 from ..kernels.types import DType
-from ..runtime.memory import Segment, SimulatedMemory
+from ..runtime.memory import Segment
 from .isa import HReg, HsailInstr, HsailKernel, Imm
 
 _LANES = np.arange(WF_SIZE, dtype=np.uint32)
@@ -133,29 +136,30 @@ _QUERY_FIELD = {"workgroupid": "wg_id", "workgroupsize": "wg_size",
 _MEMORY_OPS = frozenset(("ld", "st", "atomic_add"))
 
 
-def compiled(instr: HsailInstr) -> Callable:
-    """The semantics of one static instruction as a closure.
+def compiled(instr: HsailInstr) -> Step:
+    """The semantics of one static instruction as a step
+    (:mod:`repro.common.lanes`).
 
     Everything that depends only on the instruction -- opcode and type
     dispatch, operand kinds, which register-file view each operand is,
-    the ufunc -- is decided here, once, and memoized on the instruction;
-    the raw interpreter (:meth:`HsailExecutor.execute`) and the superop
-    chains (:mod:`repro.hsail.superops`) run the same object.  ALU and
-    dispatch-query closures are ``run(wf)``, memory ones
-    ``run(wf, executor, result)``; for ``cbr`` it is the accessor of the
-    condition register.
+    the ufunc, a branch's target -- is decided here, once, and memoized
+    on the instruction; :meth:`HsailExecutor.execute` and the functional
+    pass's per-kernel step table run the same object.
     """
     run = getattr(instr, "_run", None)
     if run is None:
         opcode = instr.opcode
-        if opcode == "cbr":
-            run = _operand(instr.srcs[0], U32)
+        if opcode in ("br", "cbr"):
+            run = _compile_branch(instr)
         elif opcode in _MEMORY_OPS:
             run = _compile_memory(instr)
         else:
-            run = _compile_alu(instr)
+            run = _FIXED.get(opcode) or _compile_alu(instr)
         instr._run = run
     return run
+
+
+_FIXED = {"ret": end, "barrier": barrier, "nop": nop}
 
 
 def _compile_alu(instr: HsailInstr) -> Callable:
@@ -255,7 +259,7 @@ def _compile_memory(instr: HsailInstr) -> Callable:
     out, commit = dest
     word = VIEW_DTYPES[bits]
 
-    def kernarg(wf, exe, result):
+    def kernarg(wf, exe):
         raw = exe.memory.load_scalar(
             wf.ctx.kernarg_base + offset.pattern, size, track=False)
         np.copyto(out(wf), word(raw), where=wf.lane_where())
@@ -264,23 +268,46 @@ def _compile_memory(instr: HsailInstr) -> Callable:
     return kernarg
 
 
+def _compile_branch(instr: HsailInstr) -> Step:
+    target = instr.target
+    if target is None:
+        raise ExecutionError("branch without target")
+    if instr.opcode == "br":
+        return lambda wf, exe: ExecResult(branch_taken=True, next_pc=target)
+    cond = _operand(instr.srcs[0], U32)
+    invert = instr.invert
+
+    def cbr(wf, exe):
+        values = cond(wf)
+        active_bits = wf.exec_mask
+        taken_bits = bool_to_mask(values == 0 if invert else values != 0) & active_bits
+        if taken_bits == 0:
+            return ExecResult(branch_taken=False)
+        if taken_bits != active_bits:
+            # Divergence: run the taken path first, queue the fallthrough
+            # path (none when it is the reconvergence point itself).
+            pc = wf.pc
+            rpc = wf.kernel.rpc_table.get(pc)
+            if rpc is None:
+                raise ExecutionError(f"divergent branch at {pc} lacks an RPC")
+            pending = None if pc + 1 == rpc else pc + 1
+            wf.rs.append(RsEntry(rpc=rpc, pending_pc=pending,
+                                 pending_mask=active_bits & ~taken_bits,
+                                 merged_mask=active_bits))
+            wf.exec_mask = taken_bits
+        return ExecResult(branch_taken=True, next_pc=target)
+    return cbr
+
+
 # ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
 
 
-class HsailExecutor:
-    """Executes HSAIL instructions for wavefronts of one dispatch."""
+class HsailExecutor(Executor):
+    """Executes HSAIL instructions for the wavefronts of one workgroup."""
 
-    def __init__(self, memory: SimulatedMemory, lds: Optional[np.ndarray] = None) -> None:
-        self.memory = memory
-        self.lds = LdsImage(
-            lds if lds is not None else np.zeros(64 * 1024, dtype=np.uint8))
-        # The ALU helpers run one numpy expression per dynamic
-        # instruction; a per-call errstate costs more than the math.
-        ensure_quiet_numeric()
-
-    # -- reconvergence ----------------------------------------------------
+    compiled = staticmethod(compiled)
 
     def check_reconvergence(self, wf: HsailWfState) -> Optional[int]:
         """Handle RPC hits before issuing the instruction at ``wf.pc``.
@@ -299,68 +326,3 @@ class HsailExecutor:
             wf.exec_mask = top.merged_mask
             wf.rs.pop()
         return None
-
-    # -- main entry -------------------------------------------------------
-
-    def execute(self, wf: HsailWfState) -> ExecResult:
-        """Execute the instruction at ``wf.pc`` and advance it."""
-        instr = wf.kernel.instrs[wf.pc]
-        # popcount of the mask integer == mask.sum(), without numpy.
-        result = ExecResult(active_lanes=(wf.exec_mask & FULL_MASK).bit_count())
-        opcode = instr.opcode
-
-        if opcode in ("br", "cbr"):
-            self._branch(wf, instr, result)
-            return result
-        if opcode == "ret":
-            wf.done = True
-            result.ends_wavefront = True
-        elif opcode == "barrier":
-            result.is_barrier = True
-        elif opcode in _MEMORY_OPS:
-            compiled(instr)(wf, self, result)
-        elif opcode != "nop":
-            compiled(instr)(wf)
-        wf.pc += 1
-        return result
-
-    # -- control flow ------------------------------------------------------------
-
-    def _branch(self, wf: HsailWfState, instr: HsailInstr, result: ExecResult) -> None:
-        target = instr.target
-        if target is None:
-            raise ExecutionError("branch without target")
-        if instr.opcode == "br":
-            wf.pc = target
-            result.branch_taken = True
-            result.next_pc = target
-            return
-        cond = compiled(instr)(wf)
-        active_bits = wf.exec_mask
-        taken_bits = bool_to_mask(cond == 0 if instr.invert else cond != 0) & active_bits
-        fallthrough = wf.pc + 1
-        if taken_bits == 0:
-            wf.pc = fallthrough
-            result.branch_taken = False
-            return
-        if taken_bits == active_bits:
-            wf.pc = target
-            result.branch_taken = True
-            result.next_pc = target
-            return
-        # Divergence: run the taken path first, queue the fallthrough path.
-        rpc = wf.kernel.rpc_table.get(wf.pc)
-        if rpc is None:
-            raise ExecutionError(f"divergent branch at {wf.pc} lacks an RPC")
-        pending_mask = active_bits & ~taken_bits
-        if fallthrough == rpc:
-            wf.rs.append(RsEntry(rpc=rpc, pending_pc=None, pending_mask=0, merged_mask=active_bits))
-        else:
-            wf.rs.append(
-                RsEntry(rpc=rpc, pending_pc=fallthrough, pending_mask=pending_mask,
-                        merged_mask=active_bits)
-            )
-        wf.exec_mask = taken_bits
-        wf.pc = target
-        result.branch_taken = True
-        result.next_pc = target

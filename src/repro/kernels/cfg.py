@@ -14,7 +14,7 @@ analysis is ISA-agnostic (the tests also run it on synthetic graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..common.errors import KernelBuildError
 
@@ -134,32 +134,6 @@ def immediate_post_dominators(graph: FlowGraph) -> List[Optional[int]]:
             raise KernelBuildError(f"no immediate post-dominator for node {i} (irreducible flow?)")
         out[i] = found
     return out
-
-
-def basic_block_leaders(
-    num_instrs: int,
-    branches: Sequence[Tuple[int, Optional[int]]],
-    extra: Sequence[int] = (),
-) -> "set[int]":
-    """Leader pcs of the basic blocks of one static kernel.
-
-    ``branches`` is (branch_pc, target) pairs; a block starts at entry,
-    at every branch target, and at every branch's fallthrough.
-    ``extra`` adds run-breaking pcs the caller wants treated as leaders
-    too — the superop compiler passes reconvergence points and the
-    successors of unfusable instructions, so fused chains break exactly
-    where the timing model can redirect control.
-    """
-    leaders = {0} if num_instrs > 0 else set()
-    for pc, target in branches:
-        if target is not None and 0 <= target < num_instrs:
-            leaders.add(target)
-        if pc + 1 < num_instrs:
-            leaders.add(pc + 1)
-    for pc in extra:
-        if 0 <= pc < num_instrs:
-            leaders.add(pc)
-    return leaders
 
 
 def reconvergence_table(

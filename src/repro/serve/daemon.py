@@ -364,7 +364,9 @@ async def _serve(scheduler: Scheduler, host: str, port: int,
     # Parsable by scripts scraping an ephemeral port; keep the format.
     print(f"repro-serve listening on http://{host}:{daemon.port}",
           flush=True)
-    log(f"trace store: {scheduler.store.directory}")
+    store = scheduler.store
+    log(f"trace store: {store.directory}" if store is not None
+        else "no trace store: run cells execute")
     await daemon.wait_shutdown()
     log("draining: rejecting new jobs, finishing accepted work")
     await daemon.close()

@@ -184,7 +184,9 @@ class Scheduler:
         self._wall_clock = wall_clock
         self._log = log or (lambda message: None)
         #: The one shared trace store every run cell executes against —
-        #: the process-wide hot state batching exists to exploit.
+        #: the process-wide hot state batching exists to exploit.  None
+        #: when caching is disabled and no ``trace_dir`` was given: cells
+        #: then execute, as ``resolve_trace_store`` degrades them.
         self.store = resolve_trace_store(trace_dir)
 
         self._lock = threading.RLock()
@@ -496,6 +498,7 @@ class Scheduler:
     # -- metrics ---------------------------------------------------------------
 
     def metrics(self) -> MetricsSnapshot:
+        store = self.store
         with self._lock:
             mediated = self._captures + self._replays
             return MetricsSnapshot(
@@ -514,8 +517,8 @@ class Scheduler:
                 batches=self._batches,
                 max_batch=self._max_batch,
                 replay_share=(self._replays / mediated) if mediated else 0.0,
-                trace_hits=self.store.hits,
-                trace_misses=self.store.misses,
+                trace_hits=store.hits if store is not None else 0,
+                trace_misses=store.misses if store is not None else 0,
                 wall_queued_seconds=self._wall_queued,
                 wall_run_seconds=self._wall_by_kind.get("run", 0.0),
                 wall_suite_seconds=self._wall_by_kind.get("suite", 0.0),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..common.exec_types import MemKind
-from ..obs.metrics import BARRIERS, IB_FLUSHES, LDS_ACCESSES
+from ..obs.metrics import BARRIERS, LDS_ACCESSES
 from ..obs.trace import TraceBus
 from .predecode import (
     UNIT_BRANCH,
@@ -528,9 +528,10 @@ class ComputeUnit:
         self._wake(wf)
 
     def _flush(self, wf: TimingWavefront, new_pc: int) -> None:
+        # The trace's fold counts IB_FLUSHES (timing/vector.py): a
+        # flush is decided by the recorded stream, never by timing.
         wf.flush_ib(new_pc)
         self._sync_fetch(wf)
-        self.gpu.stats.bump(IB_FLUSHES)
         trace: Optional[TraceBus] = self.gpu.trace
         if trace is not None and trace.wants_flush:
             trace.emit("flush", "ib_flush", self.gpu.events.now,

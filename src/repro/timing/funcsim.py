@@ -17,10 +17,11 @@ unsynchronised scatters) gets this order's outcome under every timing
 configuration, which is what makes a trace a function of program and
 input alone.
 
-Straight-line code runs as superop chains (:mod:`repro.common.superops`),
-a whole chain per step; ``REPRO_SEMANTICS=raw`` compiles no chains, so
-every instruction takes the reference interpreter — the chain-length-1
-case of the same loop.
+Each ISA's ``compiled`` turns every static instruction into one step
+(the protocol is in :mod:`repro.common.lanes`); a kernel is a per-pc
+table of them, the one its executor's ``execute`` looks up too, and the
+loop takes one step per dynamic instruction: the HSAIL reconvergence
+check, the probes, the step, then the record.
 
 The sampled VRF value-uniqueness probes are taken here, not in the CU:
 they read live register values under the live EXEC mask, which exist
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import DeadlockError
-from ..common.superops import SuperOp, compile_kernel, resolve_semantics
+from ..common.lanes import Step
 from ..gcn3.semantics import Gcn3Executor, Gcn3WfState
 from ..hsail.semantics import HsailExecutor, HsailWfState
 from ..runtime.process import Dispatch, GpuProcess
@@ -65,13 +66,11 @@ def run_dispatch_functional(
     stream — wavefront ids follow workgroup order then wavefront index,
     the numbering the dispatcher's placement uses.
     """
-    is_gcn3 = dispatch.is_gcn3
     kernel = dispatch.kernel
     descs = predecode_kernel(kernel)
-    chains = (compile_kernel(kernel, is_gcn3, descs)
-              if resolve_semantics() == "block" else {})
-    executor_cls, state_cls = ((Gcn3Executor, Gcn3WfState) if is_gcn3
+    executor_cls, state_cls = ((Gcn3Executor, Gcn3WfState) if dispatch.is_gcn3
                                else (HsailExecutor, HsailWfState))
+    steps = executor_cls.steps(kernel)
     executed = 0
 
     for wg in range(dispatch.num_workgroups):
@@ -85,7 +84,7 @@ def run_dispatch_functional(
             wavefronts.append(state_cls(kernel, ctx))
             streams.append(None if recorder is None
                            else recorder.stream(len(recorder.streams)))
-        executed += _run_workgroup(executor, wavefronts, streams, chains,
+        executed += _run_workgroup(executor, wavefronts, streams, steps,
                                    descs, step_limit)
     dispatch.signal.decrement()
     return executed
@@ -93,8 +92,8 @@ def run_dispatch_functional(
 
 def _run_workgroup(executor, wavefronts: List[object],
                    streams: "List[Optional[WfStream]]",
-                   chains: "Dict[int, Tuple[SuperOp, ...]]",
-                   descs: Sequence[IssueDesc], step_limit: int) -> int:
+                   steps: Sequence[Step], descs: Sequence[IssueDesc],
+                   step_limit: int) -> int:
     """Round-robin at barrier granularity: each round runs every live
     wavefront to its next barrier or its end, after which all of them
     have arrived (ended wavefronts do not count) and the barrier opens."""
@@ -102,15 +101,15 @@ def _run_workgroup(executor, wavefronts: List[object],
     live = list(zip(wavefronts, streams))
     while live:
         for wf, stream in live:
-            executed += _run_wavefront(executor, wf, stream, chains, descs,
+            executed += _run_wavefront(executor, wf, stream, steps, descs,
                                        step_limit - executed)
         live = [(wf, stream) for wf, stream in live if not wf.done]
     return executed
 
 
 def _run_wavefront(executor, wf, stream: Optional[WfStream],
-                   chains: "Dict[int, Tuple[SuperOp, ...]]",
-                   descs: Sequence[IssueDesc], budget: int) -> int:
+                   steps: Sequence[Step], descs: Sequence[IssueDesc],
+                   budget: int) -> int:
     """Run ``wf`` until its next barrier or its end, recording into
     ``stream`` when there is one; returns the instructions executed.
 
@@ -123,12 +122,13 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
     is_gcn3 = wf.is_gcn3
     regs = wf.vgpr if is_gcn3 else wf.regs
     recording = stream is not None
-    counter = len(stream.flags) if recording else 0
+    counter = start = len(stream.flags) if recording else 0
     if recording:
         reads = _Probes(stream.probe_read)
         writes = _Probes(stream.probe_write)
-    executed = 0
-    while executed <= budget:
+        record = stream.record
+        record_plain = stream.record_plain
+    while counter - start <= budget:
         if not is_gcn3:
             # A pending-path switch at a reconvergence point is a
             # simulator-initiated jump (it flushes the IB at replay).
@@ -138,65 +138,34 @@ def _run_wavefront(executor, wf, stream: Optional[WfStream],
                 if new_pc is not None and recording:
                     stream.jump(new_pc)
         pc = wf.pc
-        chain = chains.get(pc)
-        if chain is None:
-            counter += 1
-            desc = descs[pc]
-            probed = (recording and (counter & 3) == 0
-                      and bool(desc.read_slots or desc.write_slots))
-            lanes = 0
-            read_uniques = write_uniques = None
-            if probed:
-                mask = wf.exec_bool()
-                lanes = (wf.exec_mask & _LANES).bit_count()
-                read_uniques = reads.take(regs, desc.read_slots, mask, lanes)
-            result = executor.execute(wf)
-            if probed:
-                write_uniques = writes.take(regs, desc.write_slots, mask,
-                                            lanes)
-            if recording:
-                stream.record(pc, result, probed, lanes, read_uniques,
-                              write_uniques)
-            executed += 1
-            if result.is_barrier or result.ends_wavefront:
-                break
-            continue
-        # The chain-entry popcount covers every op until one that can
-        # write EXEC (op.fresh_lanes marks the successor of each such
-        # op, resolved at compile time); HSAIL chains never re-read it.
         lanes = (wf.exec_mask & _LANES).bit_count()
-        for op in chain:
-            if op.fresh_lanes:
-                lanes = (wf.exec_mask & _LANES).bit_count()
-            counter += 1
-            probed = recording and (counter & 3) == 0 and op.has_probe_slots
-            read_uniques = write_uniques = None
-            if probed:
-                mask = wf.exec_bool()
-                read_uniques = reads.take(regs, op.read_slots, mask, lanes)
-            taken = op.run(wf)
-            if probed:
-                write_uniques = writes.take(regs, op.write_slots, mask,
-                                            lanes)
-            if not recording:
-                continue
-            if op.is_branch:
-                stream.record_branch(op.pc, lanes, probed, taken,
-                                     wf.pc if taken else None,
-                                     read_uniques, write_uniques)
-            else:
-                stream.record_fused(op.pc, lanes, probed, read_uniques,
-                                    write_uniques)
-        if not op.is_branch:
-            # Only a branch closure moves the architectural pc.
-            wf.pc = pc + len(chain)
-        executed += len(chain)
+        counter += 1
+        probed = recording and not counter & 3 and bool(descs[pc].rw_slots)
+        read_uniques = write_uniques = None
+        if probed:
+            desc = descs[pc]
+            mask = wf.exec_bool()
+            read_uniques = reads.take(regs, desc.read_slots, mask, lanes)
+        result = steps[pc](wf, executor)
+        if probed:
+            write_uniques = writes.take(regs, desc.write_slots, mask, lanes)
+        if result is None:
+            wf.pc = pc + 1
+            if recording:
+                record_plain(pc, lanes, probed, read_uniques, write_uniques)
+            continue
+        result.active_lanes = lanes
+        wf.pc = pc + 1 if result.next_pc is None else result.next_pc
+        if recording:
+            record(pc, result, probed, read_uniques, write_uniques)
+        if result.is_barrier or result.ends_wavefront:
+            break
     else:
         raise DeadlockError("functional execution exceeded step limit")
     if recording:
         reads.count()
         writes.count()
-    return executed
+    return counter - start
 
 
 class _Probes:

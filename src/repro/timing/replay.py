@@ -10,7 +10,10 @@ CU model only ever walks the result:
 
 * :class:`TraceRecorder` collects, per wavefront, the minimal
   timing-relevant outcome of every functional execution into compact
-  :mod:`array`-backed streams.
+  :mod:`array`-backed streams: :meth:`WfStream.record` takes the
+  :class:`~repro.common.exec_types.ExecResult` a step returned, and
+  :meth:`WfStream.record_plain` the far more common step that returned
+  none (an ALU op: flags 0, only the active-lane count).
 * :class:`ExecTrace` is the recorded artifact: per-wavefront streams plus
   metadata, with a binary serialization for the on-disk trace store
   (:class:`repro.harness.cache.TraceStore`).  An ``execute`` run keeps
@@ -125,7 +128,7 @@ class WfStream:
         """A simulator-initiated (HSAIL reconvergence) PC change."""
         self.code.append(-(new_pc + 1))
 
-    def record(self, pc: int, result: ExecResult, probed: bool, active: int,
+    def record(self, pc: int, result: ExecResult, probed: bool,
                read_uniques: Optional[List[int]],
                write_uniques: Optional[List[int]]) -> None:
         """One issued instruction's functional outcome."""
@@ -147,34 +150,16 @@ class WfStream:
             self.mem_counts.append(len(lines))
             self.mem_lines.extend(lines)
         if probed:
-            self._probe(active, read_uniques, write_uniques)
+            self._probe(result.active_lanes, read_uniques, write_uniques)
 
-    def record_fused(self, pc: int, active: int, probed: bool,
+    def record_plain(self, pc: int, active: int, probed: bool,
                      read_uniques: Optional[List[int]],
                      write_uniques: Optional[List[int]]) -> None:
-        """One superop-chain instruction's outcome — :meth:`record`
-        specialized for ops whose result fields are statically empty (no
-        memory access, branch, barrier, or end)."""
+        """:meth:`record` of an instruction whose only outcome is its
+        active-lane count (no memory access, branch, barrier or end) —
+        the step that returned no :class:`ExecResult`."""
         self.code.append(pc)
         self.flags.append(0)
-        self.active.append(active)
-        if probed:
-            self._probe(active, read_uniques, write_uniques)
-
-    def record_branch(self, pc: int, active: int, probed: bool,
-                      taken: bool, target: Optional[int],
-                      read_uniques: Optional[List[int]],
-                      write_uniques: Optional[List[int]]) -> None:
-        """A fused terminal branch's outcome (taken branches consume one
-        entry of ``targets``, exactly as :meth:`record` encodes them)."""
-        flags = 0
-        if taken:
-            flags = _F_TAKEN
-            if target is not None:
-                flags |= _F_TARGET
-                self.targets.append(target)
-        self.code.append(pc)
-        self.flags.append(flags)
         self.active.append(active)
         if probed:
             self._probe(active, read_uniques, write_uniques)

@@ -5,9 +5,9 @@ function of the stream alone, never of the swept configuration, so it is
 computed once per wavefront here and memoized on the :class:`ExecTrace`
 (``_decode_cache``):
 
-* :class:`FoldArtifact` — the four trace-determined statistic families
-  (instruction mix, SIMD lane utilisation, VRF reuse distance, sampled
-  value uniqueness) as array reductions over the whole stream.  This is
+* :class:`FoldArtifact` — the trace-determined statistics (instruction
+  mix, SIMD lane utilisation, VRF reuse distance, sampled value
+  uniqueness, IB flushes) as reductions over the whole stream.  This is
   the only place they are computed: ``Gpu._place_workgroup`` applies the
   fold to the dispatch :class:`~repro.common.stats.StatSet` for every
   run — stored trace or just recorded, event-traced or not, either
@@ -38,6 +38,7 @@ import numpy as np
 
 from ..common.errors import ConfigError
 from ..common.stats import StatSet
+from ..obs.metrics import IB_FLUSHES
 from .predecode import UNIT_SIMD, predecode_kernel
 from .replay import (
     _F_BARRIER,
@@ -130,10 +131,14 @@ class FoldArtifact:
     never stored — payload encoding preserves key sets.
     """
 
-    __slots__ = ("n", "cats", "simd", "reuse", "read_probe", "write_probe")
+    __slots__ = ("n", "cats", "simd", "reuse", "read_probe", "write_probe",
+                 "flushes")
 
     def __init__(self) -> None:
         self.n = 0
+        #: IB flushes: every reconvergence jump and every taken branch
+        #: with a target, the records ``ComputeUnit._flush`` fires on.
+        self.flushes = 0
         self.cats: "Tuple[Tuple[object, int], ...]" = ()
         self.simd: "Optional[Tuple[int, int]]" = None
         self.reuse: "Optional[Tuple[Tuple[Tuple[int, int], ...], int, int]]" = None
@@ -148,6 +153,8 @@ class FoldArtifact:
         for cat, count in self.cats:
             by_category[cat] += count
         stats.counters["dynamic_instructions"] += self.n
+        if self.flushes:
+            stats.bump(IB_FLUSHES, self.flushes)
         if self.simd is not None:
             stats.simd_utilization.add(self.simd[0], self.simd[1])
         if self.reuse is not None:
@@ -166,8 +173,6 @@ class FoldArtifact:
                                        self.write_probe[1])
 
 
-
-
 def _fold_stream(stream: WfStream, tables: KernelTables) -> FoldArtifact:
     """Reduce one stream's trace-determined statistics."""
     fold = FoldArtifact()
@@ -177,6 +182,9 @@ def _fold_stream(stream: WfStream, tables: KernelTables) -> FoldArtifact:
     if n == 0:
         return fold
     fold.n = n
+    # Every reconvergence jump, plus every record holding TAKEN|TARGET:
+    # each of those consumed exactly one entry of ``targets``.
+    fold.flushes = len(code) - n + len(stream.targets)
 
     # Instruction mix.
     cat_counts = np.bincount(tables.cat_code[pcs],

@@ -26,7 +26,7 @@ from ..runtime.process import GpuProcess
 #: Process-wide dual-ISA compile memo, keyed by (workload class, scale,
 #: seed).  The IR a workload builds is a pure function of those three,
 #: and the compiled kernels are immutable at run time (the predecoded
-#: IssueDesc tables and superop chains cached on them are themselves
+#: IssueDesc tables and step tables cached on them are themselves
 #: deterministic compile products), so every run of the same cell in
 #: one process — bench repeats, the execute pass of a sweep, a resident
 #: daemon — shares one frontend + finalizer pass instead of recompiling

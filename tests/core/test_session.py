@@ -69,6 +69,21 @@ class TestSessionRun:
         assert run.trace is not None
         assert run.trace.events
 
+    def test_capture_without_a_trace_store_runs_as_execute(self, monkeypatch):
+        """With caching disabled there is nowhere to file a trace: the
+        run records none and reports what actually ran."""
+        import repro.harness.runner as runner
+
+        def no_recorder():
+            raise AssertionError("a capture without a store built a recorder")
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setattr(runner, "TraceRecorder", no_recorder)
+        run = Session(small_config(2)).run("arraybw", "gcn3", scale=0.1,
+                                           execution="capture")
+        assert run.verified
+        assert run.execution == "execute"
+
 
 class TestSessionSuite:
     def test_suite_runs_matrix(self):

@@ -3,9 +3,8 @@ predicated writes, carries, and the aliasing the zero-copy views make
 newly dangerous.  Same oracle and method as
 ``tests/hsail/test_register_file.py``: a row-major ``uint32[vgpr, lane]``
 block with (lo, hi) split pairs and read-everything-then-write
-instructions, compared bit for bit with the raw interpreter
-(:meth:`Gcn3Executor.execute`) *and* the block engine's closure
-(:func:`repro.gcn3.superops.handler_for`) run from the same state.
+instructions, compared bit for bit with :meth:`Gcn3Executor.execute`,
+which runs the compiled step the functional pass's step table holds.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.common.exec_types import DispatchContext
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, VCC, VReg
 from repro.gcn3.semantics import Gcn3Executor, Gcn3WfState
-from repro.gcn3.superops import handler_for
 from repro.runtime.memory import HEAP_BASE, SimulatedMemory
 from tests.regfile_oracle import (
     FULL,
@@ -74,20 +72,12 @@ def make_wf(instr, regs, exec_bits, vcc=0):
     return wf
 
 
-def run_both_engines(instr, regs, exec_bits, vcc=0, memory=None):
-    """(vgpr bits, vcc) after the raw interpreter and after the block
-    engine's closure for the same instruction, from the same state."""
-    out = []
-    for engine in ("raw", "block"):
-        wf = make_wf(instr, regs, exec_bits, vcc)
-        if engine == "raw" or memory is not None:
-            Gcn3Executor(memory or SimulatedMemory()).execute(wf)
-        else:
-            run, is_branch, _ = handler_for(wf.kernel, 0, instr)
-            assert not is_branch
-            run(wf)
-        out.append((np.array(wf.vgpr), wf.vcc))
-    return out
+def run_one(instr, regs, exec_bits, vcc=0, memory=None):
+    """(vgpr bits, vcc) after executing ``instr`` from that state."""
+    wf = make_wf(instr, regs, exec_bits, vcc)
+    result = Gcn3Executor(memory or SimulatedMemory()).execute(wf)
+    assert result.next_pc is None and wf.pc == 1
+    return np.array(wf.vgpr), wf.vcc
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +195,10 @@ def check(instr, seed, exec_bits, vcc=0):
     if "mov" in instr.opcode or "cndmask" in instr.opcode:
         ty = "b32"  # moved, not computed: exact bits
     computed = (instr.dest.index, NP[ty]) if ty in ("f32", "f64") else None
-    for got, got_vcc in run_both_engines(instr, regs, exec_bits, vcc):
-        assert same_bits(got, want, computed), \
-            f"{instr!r} under EXEC {exec_bits:#x}"
-        assert got_vcc == want_vcc, f"{instr!r}: VCC"
+    got, got_vcc = run_one(instr, regs, exec_bits, vcc)
+    assert same_bits(got, want, computed), \
+        f"{instr!r} under EXEC {exec_bits:#x}"
+    assert got_vcc == want_vcc, f"{instr!r}: VCC"
 
 
 def operand(choice, index, wide=False):
@@ -335,10 +325,10 @@ def test_inactive_lanes_keep_nan_payloads_and_negative_zero():
     regs[1] = np.float32(1.5).view(np.uint32)
     instr = Gcn3Instr("v_add_f32", VReg(4), (VReg(4), VReg(1)))
     exec_bits = 0x00000000FFFF0000
-    for got, _ in run_both_engines(instr, regs, exec_bits):
-        inactive = ~lanes_of(exec_bits)
-        assert np.array_equal(got[4][inactive], regs[4][inactive])
-        assert not np.array_equal(got[4][~inactive], regs[4][~inactive])
+    got, _ = run_one(instr, regs, exec_bits)
+    inactive = ~lanes_of(exec_bits)
+    assert np.array_equal(got[4][inactive], regs[4][inactive])
+    assert not np.array_equal(got[4][~inactive], regs[4][~inactive])
 
 
 def test_v_cmp_masks_with_exec_and_leaves_vgprs_alone():
@@ -346,8 +336,8 @@ def test_v_cmp_masks_with_exec_and_leaves_vgprs_alone():
     exec_bits = 0x0F0F0F0F0F0F0F0F
     instr = Gcn3Instr("v_cmp_lt_u32", VCC, (VReg(1), VReg(2)))
     want = bits_of(regs[1] < regs[2]) & exec_bits
-    for got, vcc in run_both_engines(instr, regs, exec_bits):
-        assert vcc == want and np.array_equal(got, regs)
+    got, vcc = run_one(instr, regs, exec_bits)
+    assert vcc == want and np.array_equal(got, regs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +362,5 @@ def test_load_into_its_own_address_pair(op, dest_index, addr_index):
     want = regs.copy()
     ref_write(want, dest_index, data[:64] if wide else data[:64].astype(np.uint32),
               lanes_of(exec_bits))
-    for got, _ in run_both_engines(instr, regs, exec_bits, memory=memory):
-        assert np.array_equal(got, want)
+    got, _ = run_one(instr, regs, exec_bits, memory=memory)
+    assert np.array_equal(got, want)

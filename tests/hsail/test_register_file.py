@@ -5,12 +5,9 @@ The oracle is the representation the views replaced: a plain row-major
 ``uint32[slot, lane]`` block where a 64-bit value is split into (lo, hi)
 rows on every write and recombined on every read, and every instruction
 computes into fresh vectors before it writes.  Each instruction runs
-twice from the same state -- through :meth:`HsailExecutor.execute` (the
-raw interpreter) and through the superop closure
-:func:`repro.hsail.superops.handler_for` hands the block engine -- and
-both must leave exactly the oracle's bits, which is also what shows the
-two engines share one register file.  ``derandomize=True`` keeps CI
-deterministic.
+through :meth:`HsailExecutor.execute` -- the compiled step the
+functional pass's step table holds -- and must leave exactly the
+oracle's bits.  ``derandomize=True`` keeps CI deterministic.
 """
 
 import numpy as np
@@ -21,7 +18,6 @@ from hypothesis import strategies as st
 from repro.common.exec_types import DispatchContext
 from repro.hsail.isa import HReg, HsailInstr, HsailKernel, Imm
 from repro.hsail.semantics import HsailExecutor, HsailWfState
-from repro.hsail.superops import handler_for
 from repro.kernels.types import DType
 from repro.runtime.memory import HEAP_BASE, Segment, SimulatedMemory
 from tests.regfile_oracle import (
@@ -75,20 +71,13 @@ def make_wf(instr, regs, mask_bits):
     return wf
 
 
-def run_both_engines(instr, regs, mask_bits, memory=None):
-    """Final register bits after the raw interpreter and after the block
-    engine's closure for the same instruction, from the same state."""
-    out = []
-    for engine in ("raw", "block"):
-        wf = make_wf(instr, regs, mask_bits)
-        if engine == "raw" or memory is not None:
-            HsailExecutor(memory or SimulatedMemory()).execute(wf)
-        else:
-            run, is_branch, _ = handler_for(wf.kernel, 0, instr)
-            assert not is_branch
-            run(wf)
-        out.append(np.array(wf.regs))
-    return out
+def run_one(instr, regs, mask_bits, memory=None):
+    """Final register bits after executing ``instr`` from ``regs`` under
+    ``mask_bits``."""
+    wf = make_wf(instr, regs, mask_bits)
+    result = HsailExecutor(memory or SimulatedMemory()).execute(wf)
+    assert result.next_pc is None and wf.pc == 1
+    return np.array(wf.regs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +182,8 @@ def check(opcode, dtype, dest_index, src_indices, seed, mask_bits, **attrs):
     # mov/cmov/cmp move or produce exact bits; arithmetic may pick a NaN.
     computed = (dest_index, NP[dtype]) if dtype.is_float \
         and opcode not in ("mov", "cmov", "cmp") else None
-    for got in run_both_engines(instr, regs, mask_bits):
-        assert same_bits(got, want, computed), \
-            f"{instr!r} under mask {mask_bits:#x}"
+    assert same_bits(run_one(instr, regs, mask_bits), want, computed), \
+        f"{instr!r} under mask {mask_bits:#x}"
 
 
 slot = st.integers(0, SLOTS - 2)
@@ -280,10 +268,10 @@ def test_inactive_lanes_keep_nan_payloads_and_negative_zero():
     instr = HsailInstr(opcode="add", dtype=DType.F32, dest=HReg("s", 4),
                        srcs=(HReg("s", 4), HReg("s", 0)))
     mask_bits = 0x00000000FFFF0000
-    for got in run_both_engines(instr, regs, mask_bits):
-        inactive = ~lanes_of(mask_bits)
-        assert np.array_equal(got[4][inactive], regs[4][inactive])
-        assert not np.array_equal(got[4][~inactive], regs[4][~inactive])
+    got = run_one(instr, regs, mask_bits)
+    inactive = ~lanes_of(mask_bits)
+    assert np.array_equal(got[4][inactive], regs[4][inactive])
+    assert not np.array_equal(got[4][~inactive], regs[4][~inactive])
 
 
 def test_immediates_are_shared_and_read_only():
@@ -320,5 +308,4 @@ def test_load_into_its_own_address_pair(dtype, dest_index):
     want = regs.copy()
     loaded = data[:64] if dtype.is_wide else data[:64].astype(np.uint32)
     ref_write(want, dest_index, dtype, loaded, lanes_of(mask_bits))
-    for got in run_both_engines(instr, regs, mask_bits, memory=memory):
-        assert np.array_equal(got, want)
+    assert np.array_equal(run_one(instr, regs, mask_bits, memory), want)

@@ -23,14 +23,21 @@ SCALE = 0.1
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _start_daemon(tmp_dir, *extra_args):
+def _start_daemon(tmp_dir, *extra_args, store=True):
+    """A daemon with its trace store and result cache under ``tmp_dir``;
+    ``store=False`` starts one with neither (``REPRO_NO_CACHE``, no
+    directories given)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
     env["PYTHONUNBUFFERED"] = "1"
+    dirs = ["--trace-dir", str(tmp_dir / "traces"),
+            "--cache-dir", str(tmp_dir / "cache")]
+    if not store:
+        env["REPRO_NO_CACHE"] = "1"
+        dirs = []
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--trace-dir", str(tmp_dir / "traces"),
-         "--cache-dir", str(tmp_dir / "cache"), *extra_args],
+         *dirs, *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         env=env, cwd=str(tmp_dir), text=True)
     deadline = time.monotonic() + 60
@@ -275,3 +282,24 @@ class TestGracefulShutdown:
         client.shutdown()
         assert process.wait(timeout=120) == 0
         assert daemon_status.job_id == status.job_id
+
+
+class TestNoTraceStore:
+    def test_storeless_daemon_runs_auto_cells_as_execute(self, tmp_path):
+        """Caching disabled and no ``--trace-dir``: the daemon has no
+        trace store, and degrades instead of dying at startup — an
+        ``auto`` cell executes, and the metrics report no store
+        traffic."""
+        process, port = _start_daemon(tmp_path, store=False)
+        client = DaemonClient("127.0.0.1", port, client_id="storeless")
+        try:
+            job = client.wait(client.submit(_run_request(seed=50)).job_id)
+            assert job.state == "done", job.error
+            assert job.execution == "execute"
+            metrics = client.metrics()
+            assert (metrics.executes, metrics.captures) == (1, 0)
+            assert (metrics.trace_hits, metrics.trace_misses) == (0, 0)
+        finally:
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        assert not list(tmp_path.rglob("*.trace"))

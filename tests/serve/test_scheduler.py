@@ -107,6 +107,22 @@ class TestBatching:
                 expected.pop(noise, None)
             assert got == expected, f"l1d={size} drifted"
 
+    def test_storeless_scheduler_executes_and_reports_no_store(
+            self, monkeypatch):
+        """With caching disabled and no trace dir there is no store: an
+        ``auto`` cell runs as ``execute`` and the metrics read 0 hits
+        and misses instead of raising."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        sched = Scheduler()
+        assert sched.store is None
+        job = sched.submit(_run_request())
+        sched.run_until_idle()
+        assert job.state == "done", job.error
+        assert job.execution == "execute"
+        metrics = sched.metrics()
+        assert (metrics.executes, metrics.captures, metrics.replays) == (1, 0, 0)
+        assert (metrics.trace_hits, metrics.trace_misses) == (0, 0)
+
     def test_execute_mode_cells_never_batch(self, tmp_path):
         sched = Scheduler(trace_dir=str(tmp_path / "traces"))
         a = sched.submit(_run_request(execution="execute"))

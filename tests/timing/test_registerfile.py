@@ -125,7 +125,7 @@ def _reuse(moves):
     for pc, desc in enumerate(predecode_kernel(kernel)):
         # one instruction in four carries a uniqueness probe, as recorded
         probed = (pc + 1) & 3 == 0 and bool(desc.rw_slots)
-        stream.record_fused(pc, 64, probed, [1] * len(desc.read_slots),
+        stream.record_plain(pc, 64, probed, [1] * len(desc.read_slots),
                             [1] * len(desc.write_slots))
     folded = StatSet()
     wf_decode(ExecTrace({}, [stream]), 0, kernel,

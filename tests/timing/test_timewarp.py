@@ -43,6 +43,7 @@ from repro.runtime.process import GpuProcess
 from repro.timing.funcsim import run_dispatch_functional
 from repro.timing.replay import TraceRecorder
 from repro.workloads import all_workloads, create
+from tests.trace_oracle import run_dispatch_reference
 
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "cell_digests.json")
@@ -195,23 +196,29 @@ def test_replay_identity(golden, captured, workload, isa):
 # ---------------------------------------------------------------------------
 
 
+#: The functional pass itself (``block``, the id of the superop chains it
+#: once ran) and the one-``execute()``-per-instruction reference driver
+#: of ``tests/trace_oracle.py`` (``raw``, the interpreter it replaces).
+FUNCTIONAL_PASSES = {"block": run_dispatch_functional,
+                     "raw": run_dispatch_reference}
+
+
 @pytest.mark.parametrize("semantics", ["block", "raw"])
 @pytest.mark.parametrize("workload,isa", CELLS)
-def test_functional_capture_identity(golden, captured, monkeypatch,
-                                     workload, isa, semantics):
+def test_functional_capture_identity(golden, captured, workload, isa,
+                                     semantics):
     """``run_dispatch_functional`` + ``TraceRecorder`` — no CU, no
-    caches, no clock — writes the pinned trace bytes under both
-    semantics engines, and executes each dynamic instruction the timing
-    model then counts exactly once."""
-    monkeypatch.setenv("REPRO_SEMANTICS", semantics)
+    caches, no clock — and the reference driver both write the pinned
+    trace bytes, and execute each dynamic instruction the timing model
+    then counts exactly once."""
+    run_functional = FUNCTIONAL_PASSES[semantics]
     store, runs = captured
     stored = store.get(trace_fingerprint(small_config(NUM_CUS), workload,
                                          isa, SCALE, SEED))
     process = GpuProcess(isa, memory_capacity=1 << 25)
     create(workload, scale=SCALE, seed=SEED).stage(process, isa)
     recorder = TraceRecorder()
-    executed = sum(run_dispatch_functional(process, dispatch,
-                                           recorder=recorder)
+    executed = sum(run_functional(process, dispatch, recorder=recorder)
                    for dispatch in process.dispatches)
     # The header is metadata about the cell, not about how it ran.
     trace = recorder.finish(stored.meta)
