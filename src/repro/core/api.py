@@ -162,9 +162,13 @@ class Session:
     def suite(self, *, progress: "Optional[ProgressFn]" = None,
               **fields: object) -> "SuiteResults":
         """Run every workload under both ISAs (the paper's evaluation
-        matrix), with caching and process-pool fan-out.  Traced suites
-        bypass both cache layers — a cached result has no events to
-        replay."""
+        matrix) as a one-point :meth:`sweep` with zero axes: the same
+        on-disk result cache (each cell written as it finishes) and
+        process-pool fan-out.  There is no in-process memo: a repeated
+        call is served from the disk cache, and ``use_cache=False``
+        re-simulates unless ``use_disk_cache=True``.  Traced suites
+        neither read nor write the cache — a cached result has no events
+        to replay."""
         return self.build_suite_request(**fields).execute(progress=progress)
 
     def sweep(self, axes: "Sequence[Axis | str]", *,

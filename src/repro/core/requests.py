@@ -33,7 +33,7 @@ set it).
 
 Execution lives behind :func:`execute_request`, which dispatches to the
 harness (:func:`repro.harness.runner.execute_run_request` /
-``execute_suite_request`` /
+:func:`repro.explore.sweep.execute_suite_request` /
 :func:`repro.explore.sweep.execute_sweep_request`); the
 request objects themselves never import the harness at module level, so
 they stay importable from anywhere (workers, the daemon, the CLI)
@@ -77,14 +77,13 @@ API_VERSION = "repro-api/1"
 #: :mod:`repro.harness.runner` re-exports it.
 ISAS = ("hsail", "gcn3")
 
-#: What a cell does with its dynamic instruction stream (canonical home;
-#: re-exported by :mod:`repro.harness.runner`).  Every mode drives the
-#: timing model from a recorded trace:
-#: ``execute`` records one in memory and drops it (the default),
-#: ``capture`` records one and files it in the trace store,
-#: ``replay`` reads a stored one instead of running semantics,
-#: ``auto`` replays when the trace store has a capture and captures
-#: otherwise.
+#: A cell's trace-store policy (canonical home; re-exported by
+#: :mod:`repro.harness.runner`).  Every mode replays a recorded trace
+#: through the timing model, with bit-identical statistics; they differ
+#: only in the store: ``execute`` neither reads nor writes it (the
+#: default), ``capture`` writes the trace it records, ``replay`` reads
+#: and fails without a stored trace, ``auto`` reads when it can and
+#: writes otherwise.
 EXECUTION_MODES = ("auto", "execute", "capture", "replay")
 
 _ENGINES = ("", "auto", "scalar", "vector")
@@ -403,6 +402,13 @@ class SuiteRequest(_RequestBase):
     engine: str = wire(_str, "")
 
     kind = "suite"
+    # A suite is a sweep with zero axes: the sweep-side names the ledger
+    # reads, fixed for every suite (class attributes, not wire fields).
+    axes = ()
+    mode = "grid"
+    isas = ISAS
+    resume = False
+    verify_replay = False
 
     def __post_init__(self) -> None:
         if self.workloads is not None:
@@ -413,19 +419,9 @@ class SuiteRequest(_RequestBase):
         names = ",".join(self.workloads) if self.workloads else "all"
         return f"suite[{names}] scale={self.scale:g} seed={self.seed}"
 
-    def cells(self, **changes: object) -> Tuple[RunRequest, ...]:
-        """The matrix decomposed into its per-cell :class:`RunRequest`\\ s
-        (the daemon's batch scheduler feeds on these)."""
-        from ..workloads import all_workloads
-
-        names = (self.workloads if self.workloads is not None
-                 else tuple(w.name for w in all_workloads()))
-        return tuple(self.cell(name, isa, **changes)
-                     for name in names for isa in ISAS)
-
     def execute(self, progress: "Optional[ProgressFn]" = None) -> "SuiteResults":
         """Run the matrix (the single suite entry point)."""
-        from ..harness.runner import execute_suite_request
+        from ..explore.sweep import execute_suite_request
 
         return execute_suite_request(self, progress=progress)
 

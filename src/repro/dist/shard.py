@@ -2,8 +2,8 @@
 content-addressed units of distributable work.
 
 A shard is one trace group of the sweep ledger's live cells
-(:meth:`~repro.explore.sweep.SweepLedger.trace_groups` — the grouping
-the single-host sweep phases on and the daemon's scheduler batches on),
+(:func:`~repro.harness.parallel.trace_groups` — the grouping the
+single-host sweep phases on and the daemon's scheduler batches on),
 so each shard keeps the capture-once-replay-everywhere economics of PR 5
 *within itself*: whichever worker leases it captures the functional
 trace once and replays every other cell, and a stolen or re-leased
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.requests import ShardCell, ShardRequest
 from ..explore.sweep import SweepLedger
-from ..harness.parallel import Job
+from ..harness.parallel import Job, trace_groups
 
 
 def shard_id_for(sweep_id: str, trace_fp: str,
@@ -80,7 +80,7 @@ class ShardState:
 def group_shards(ledger: SweepLedger, cells: Sequence[Job],
                  max_shard_cells: Optional[int] = None) -> List[ShardRequest]:
     """The ledger's live ``cells``, one :class:`ShardRequest` per trace
-    group (:meth:`SweepLedger.trace_groups`).
+    group (:func:`~repro.harness.parallel.trace_groups`).
 
     ``max_shard_cells`` caps shard size (a capped group splits into
     consecutive chunks that still share the fingerprint, so every chunk
@@ -98,7 +98,7 @@ def group_shards(ledger: SweepLedger, cells: Sequence[Job],
     sweep = ledger.results
     capture_shards: List[ShardRequest] = []
     replay_shards: List[ShardRequest] = []
-    for fp, jobs in ledger.trace_groups(cells).items():
+    for fp, jobs in trace_groups(cells).items():
         members = [ShardCell(point=job.point, workload=job.workload,
                              isa=job.isa,
                              overrides=ledger.point(job.point).overrides)

@@ -10,7 +10,8 @@ design-space machine:
 * :mod:`~repro.explore.sweep` — :class:`SweepLedger` owns a sweep's
   resumable JSONL journal, caches and per-point failure isolation;
   :func:`execute_sweep_request` fans its live points x workloads x ISAs
-  through the process pool;
+  through the process pool, and :func:`execute_suite_request` runs the
+  paper matrix as the one-point sweep over zero axes;
 * :mod:`~repro.explore.analyze` — tornado tables, response curves,
   threshold detection, and CSV/JSON/markdown export.
 
@@ -38,6 +39,7 @@ from .sweep import (
     SweepLedger,
     SweepResults,
     default_sweeps_dir,
+    execute_suite_request,
     execute_sweep_request,
     sweep_fingerprint,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "curve",
     "curve_report",
     "default_sweeps_dir",
+    "execute_suite_request",
     "execute_sweep_request",
     "monotonicity",
     "parse_value",

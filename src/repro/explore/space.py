@@ -167,13 +167,12 @@ def _dedupe(points: Iterable[SweepPoint]) -> List[SweepPoint]:
 
 
 class Grid:
-    """Full cartesian product of the axes' values."""
+    """Full cartesian product of the axes' values.  With no axes that is
+    the one ``base`` point: a suite is a grid over zero axes."""
 
     mode = "grid"
 
     def __init__(self, axes: Sequence[Axis]) -> None:
-        if not axes:
-            raise ConfigError("a sweep needs at least one axis")
         paths = [axis.path for axis in axes]
         if len(set(paths)) != len(paths):
             raise ConfigError(f"duplicate axis paths: {paths}")
@@ -202,7 +201,7 @@ class OneFactorAtATime:
     mode = "ofat"
 
     def __init__(self, axes: Sequence[Axis]) -> None:
-        # Same validation as the grid: at least one axis, unique paths.
+        # Same validation as the grid: unique paths.
         self.axes = Grid(axes).axes
 
     def points(self, base: GpuConfig) -> List[SweepPoint]:

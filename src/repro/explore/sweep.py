@@ -1,5 +1,5 @@
-"""Sweep ledger and its serial/pool executor, with a resumable on-disk
-journal.
+"""Sweep ledger and its serial/pool executor — the one matrix executor —
+with a resumable on-disk journal.
 
 :class:`SweepLedger` is the one place that decides what a sweep already
 knows (journal replay, invalid points, cache hits), what is still live,
@@ -9,6 +9,13 @@ replay is checked.  Executors are dispatch *policies* over it:
 harness pool (captures, barrier, the rest); the distributed
 :class:`~repro.dist.Coordinator` leases them to workers.  Both write the
 journal through the same ledger, so either resumes the other's.
+
+A suite is a sweep with zero axes: :func:`execute_suite_request` opens
+a ledger over the one ``base`` point of a
+:class:`~repro.core.requests.SuiteRequest` (no journal, no drift guard)
+and runs it through the same dispatch loop, so ``repro figures``,
+``Session.suite`` and ``POST /v1/suite`` share the sweep's cache lookup,
+progress events, pool fan-out and deterministic reduce.
 
 One sweep = (base config, space, workloads, ISAs, scale, seed).  Its
 identity is a content hash of exactly those inputs, so the journal
@@ -57,7 +64,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.requests import SweepRequest
+    from ..core.requests import SuiteRequest, SweepRequest
 
 from ..common.config import GpuConfig
 from ..common.errors import ReproError
@@ -76,7 +83,7 @@ from ..harness.parallel import (
     resolve_jobs,
     run_job_inline,
     run_jobs,
-    trace_key,
+    trace_groups,
 )
 from ..harness.runner import SuiteResults, WorkloadRun
 from ..workloads import all_workloads
@@ -471,23 +478,25 @@ def resolve_sweep_execution(
 class SweepLedger:
     """The single owner of one sweep's bookkeeping.
 
-    Built from a :class:`~repro.core.requests.SweepRequest`, the ledger
-    resolves the spec (engine-folded base config, workload names, points,
-    sweep id, per-cell execution mode, trace store, result cache), owns
-    the journal, and answers the five questions every executor has:
-    what is already known (:meth:`open` — journal replay, invalid points,
-    cache hits), what is still live (the cells :meth:`open` returns, and
-    their :meth:`trace_groups`), what happens when a cell lands
-    (:meth:`accept`), when a point is journaled (the moment its last
-    cell resolves) and how replay is checked (:meth:`verify`).
+    Built from a :class:`~repro.core.requests.SweepRequest` (or a
+    :class:`~repro.core.requests.SuiteRequest`, a sweep with zero axes
+    and no journal), the ledger resolves the spec (engine-folded base
+    config, workload names, points, sweep id, per-cell execution mode,
+    trace store, result cache), owns the journal, and answers the five
+    questions every executor has: what is already known (:meth:`open` —
+    journal replay, invalid points, cache hits), what is still live (the
+    cells :meth:`open` returns, and their
+    :func:`~repro.harness.parallel.trace_groups`), what happens when a
+    cell lands (:meth:`accept`), when a point is journaled (the moment
+    its last cell resolves) and how replay is checked (:meth:`verify`).
 
     Executors are dispatch policies over it: the serial/pool path
-    (:func:`execute_sweep_request`) and the distributed
-    :class:`~repro.dist.Coordinator`.  Not thread-safe; the coordinator
-    calls it under its own lock.
+    (:func:`execute_sweep_request`, :func:`execute_suite_request`) and
+    the distributed :class:`~repro.dist.Coordinator`.  Not thread-safe;
+    the coordinator calls it under its own lock.
     """
 
-    def __init__(self, request: "SweepRequest",
+    def __init__(self, request: "Union[SweepRequest, SuiteRequest]",
                  progress: Optional[ProgressFn] = None) -> None:
         self.request = request
         self.progress = progress
@@ -504,16 +513,29 @@ class SweepLedger:
                     sweep_fingerprint(base, space.axes, request.mode, names,
                                       request.isas, request.scale,
                                       request.seed))
-        self.journal = SweepJournal(
-            request.sweeps_dir or default_sweeps_dir(), sweep_id)
+        use_disk_cache = request.use_disk_cache
+        #: None for a suite: it has nothing to read a journal back with,
+        #: and its per-cell cache puts are its restart state.
+        self.journal: Optional[SweepJournal] = None
+        if request.kind == "suite":
+            # A traced suite neither reads nor writes the result cache (a
+            # cached run has no events); use_cache=False re-simulates
+            # unless use_disk_cache explicitly re-enables the disk layer.
+            if request.trace is not None or (
+                    not request.use_cache and use_disk_cache is None):
+                use_disk_cache = False
+        else:
+            self.journal = SweepJournal(
+                request.sweeps_dir or default_sweeps_dir(), sweep_id)
         self.results = SweepResults(
             sweep_id=sweep_id, base=base, axes=space.axes,
             mode=request.mode, workloads=names, isas=request.isas,
             scale=request.scale, seed=request.seed,
-            journal_path=str(self.journal.path), execution=self.cell_mode,
+            journal_path=str(self.journal.path) if self.journal else None,
+            execution=self.cell_mode,
         )
         self.disk: Optional[ResultCache] = resolve_cache(
-            request.use_disk_cache, request.cache_dir)
+            use_disk_cache, request.cache_dir)
         self.total = len(self.points) * len(names) * len(request.isas)
         self._index = 0
         self._points_by_id = {p.point_id: p for p in self.points}
@@ -549,14 +571,15 @@ class SweepLedger:
         request = self.request
         res = self.results
         replayed = self.journal.load() if request.resume else {}
-        self.journal.open(
-            journal_header(res.sweep_id, res.base, res.axes, res.mode,
-                           res.workloads, res.isas, res.scale, res.seed),
-            # A resume against an empty, stale, or unreadable journal
-            # starts over with a fresh header rather than appending after
-            # one that load() will reject next time.
-            resume=bool(request.resume) and bool(replayed),
-        )
+        if self.journal is not None:
+            self.journal.open(
+                journal_header(res.sweep_id, res.base, res.axes, res.mode,
+                               res.workloads, res.isas, res.scale, res.seed),
+                # A resume against an empty, stale, or unreadable journal
+                # starts over with a fresh header rather than appending
+                # after one that load() will reject next time.
+                resume=bool(request.resume) and bool(replayed),
+            )
         cell_keys = [(w, isa) for w in res.workloads for isa in res.isas]
         live: List[Job] = []
         for point in self.points:
@@ -581,7 +604,9 @@ class SweepLedger:
                     self._emit(pid, w, isa, "failed", 0.0)
                 self._finish_point(point, {})
                 continue
-            runs: Dict[Tuple[str, str], WorkloadRun] = {}
+            # Keyed up front, so the point's runs come out in workloads x
+            # ISAs order whichever cells hit and whenever misses land.
+            runs = dict.fromkeys(cell_keys)
             misses: List[Job] = []
             for w, isa in cell_keys:
                 job = Job(point=pid, request=request.cell(
@@ -602,18 +627,7 @@ class SweepLedger:
             live.extend(misses)
         return live
 
-    # -- planning: the one trace-fingerprint grouping ---------------------------
-
-    @staticmethod
-    def trace_groups(cells: Sequence[Job]) -> "Dict[str, List[Job]]":
-        """Cells keyed by :func:`~repro.harness.parallel.trace_key`, groups
-        and members in first-seen order.  A group shares one dynamic
-        instruction stream: sweep phases, dist shards and the daemon's
-        batches are all cuts of this one grouping."""
-        groups: "Dict[str, List[Job]]" = {}
-        for job in cells:
-            groups.setdefault(trace_key(job.request), []).append(job)
-        return groups
+    # -- planning: cuts of the one trace-fingerprint grouping ------------------
 
     def phases(self, cells: List[Job]) -> "List[List[Job]]":
         """The batches a local executor runs, with a barrier between.
@@ -629,7 +643,7 @@ class SweepLedger:
             return [cells]
         captures: List[Job] = []
         rest: List[Job] = []
-        for fp, members in self.trace_groups(cells).items():
+        for fp, members in trace_groups(cells).items():
             stored = self.store.has(fp)  # type: ignore[union-attr]
             if not stored:
                 captures.append(members[0])
@@ -687,7 +701,8 @@ class SweepLedger:
                       runs: "Dict[Tuple[str, str], WorkloadRun]") -> None:
         pr = PointResult(point=point, runs=runs)
         self._done[point.point_id] = pr
-        self.journal.append_point(pr)
+        if self.journal is not None:
+            self.journal.append_point(pr)
 
     # -- the end ---------------------------------------------------------------
 
@@ -718,7 +733,8 @@ class SweepLedger:
         enumeration order."""
         self.results.points = [self._done[p.point_id] for p in self.points
                                if p.point_id in self._done]
-        self.journal.close()
+        if self.journal is not None:
+            self.journal.close()
         return self.results
 
 
@@ -759,7 +775,30 @@ def execute_sweep_request(
     """
     if execute is not None:
         request = replace(request, execution="execute")
-    ledger = SweepLedger(request, progress)
+    return _dispatch(SweepLedger(request, progress), execute)
+
+
+def execute_suite_request(
+    request: "SuiteRequest",
+    progress: Optional[ProgressFn] = None,
+) -> SuiteResults:
+    """Run one :class:`~repro.core.requests.SuiteRequest` — THE suite
+    entry point of ``Session.suite``, ``repro figures`` and ``POST
+    /v1/suite`` — as a sweep with zero axes: one ``base`` point, no
+    journal, no drift guard.  Cells are cached as they land, so a killed
+    suite's rerun reports its finished cells as ``hit``; failed cells
+    are never cached, so a rerun retries them."""
+    (base,) = _dispatch(SweepLedger(request, progress)).points
+    return base.suite(request.scale)
+
+
+def _dispatch(ledger: SweepLedger,
+              execute: Optional[Callable[[Job], "Dict[str, object]"]] = None
+              ) -> SweepResults:
+    """The serial/pool dispatch policy over a ledger: its live cells
+    phase by phase, through the pool when more than one worker and cell
+    are in play and inline otherwise, then the drift guard."""
+    request = ledger.request
     try:
         for batch in ledger.phases(ledger.open()):
             pool_size = min(resolve_jobs(request.jobs), len(batch))

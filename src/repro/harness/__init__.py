@@ -1,5 +1,6 @@
-"""Experiment harness: suite runner, parallel fan-out, result cache,
-figure generators, hardware proxy."""
+"""Experiment harness: the cell runner, parallel fan-out, result cache,
+figure generators, hardware proxy.  The (workload x ISA) matrix runs
+through the sweep ledger (:func:`repro.explore.sweep.execute_suite_request`)."""
 
 from .cache import ResultCache, job_fingerprint, source_tree_stamp
 from .figures import ALL_FIGURES
@@ -10,7 +11,6 @@ from .runner import (
     WorkloadRun,
     clear_suite_cache,
     execute_run_request,
-    execute_suite_request,
     run_workload,
 )
 
@@ -24,7 +24,6 @@ __all__ = [
     "clear_suite_cache",
     "correlate",
     "execute_run_request",
-    "execute_suite_request",
     "hardware_cycles",
     "job_fingerprint",
     "run_jobs",

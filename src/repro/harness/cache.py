@@ -6,7 +6,10 @@ so results survive across processes and pytest sessions but are invalidated
 automatically the moment any simulator code or configuration parameter
 changes.  Entries are one JSON file each under the cache directory
 (``.repro_cache/`` by default); a truncated or otherwise corrupt entry is
-treated as a miss and silently rewritten.
+treated as a miss and silently rewritten.  Suites and sweeps share it
+through the sweep ledger, which writes each cell as it lands (never a
+failed one), so a killed run keeps every finished cell.  It is the only
+result memo: no suite is kept in memory.
 
 Knobs
 -----
@@ -16,7 +19,9 @@ Knobs
     the ``--cache-dir`` CLI flag).
 ``REPRO_NO_CACHE``
     Any non-empty value disables reads *and* writes (same as the
-    ``--no-cache`` CLI flag).
+    ``--no-cache`` CLI flag).  ``Session.suite(use_cache=False)`` does
+    the same for one suite unless ``use_disk_cache=True`` re-enables it;
+    a traced suite never touches it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The matrix is embarrassingly parallel — every (workload, ISA, scale, seed)
 cell simulates independently — so :func:`run_jobs` spreads cells across a
 :class:`~concurrent.futures.ProcessPoolExecutor` and reduces the results
 back into a deterministic, submission-ordered mapping that is
-stat-identical to running the same cells serially.
+stat-identical to running the same cells serially.  Its one matrix caller
+is the sweep ledger's dispatch loop (:mod:`repro.explore.sweep`).
 
 Failure policy (a worker must never take the suite down with it):
 
@@ -30,12 +31,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..common.config import GpuConfig
 from ..core.requests import RunRequest
 from ..obs.trace import TraceConfig
 from .cache import job_fingerprint
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,9 @@ class Job:
     """
 
     request: RunRequest
-    #: sweep-point tag.  Empty for plain suites (the key stays the
-    #: two-tuple the serial reduce expects); a sweep sets it to the point
-    #: id so cells of *different* configs for the same (workload, isa)
-    #: stop colliding in the result mapping.
+    #: sweep-point tag (``base`` for a suite's one point), so cells of
+    #: *different* configs for the same (workload, isa) never collide in
+    #: the result mapping.  Empty for a lone cell (:func:`run_cell`).
     point: str = ""
 
     # -- request field views (the request is the source of truth) -------------
@@ -121,7 +123,7 @@ class JobEvent:
     wall_seconds: float
     index: int           # 1-based position in the suite
     total: int
-    #: sweep-point id; empty outside sweeps.
+    #: sweep-point id (``base`` for a suite); empty for a lone cell.
     point: str = ""
 
     def format(self) -> str:
@@ -205,6 +207,18 @@ def trace_key(request: RunRequest) -> str:
                              request.isa, request.scale, request.seed)
 
 
+def trace_groups(items: Sequence[T]) -> "Dict[str, List[T]]":
+    """``items`` (anything with a ``.request`` cell: a :class:`Job`, a
+    daemon's queued job) keyed by :func:`trace_key`, groups and members
+    in first-seen order.  A group shares one dynamic instruction stream:
+    sweep phases, dist shards and the daemon's batches are all cuts of
+    this one grouping."""
+    groups: "Dict[str, List[T]]" = {}
+    for item in items:
+        groups.setdefault(trace_key(item.request), []).append(item)
+    return groups
+
+
 def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
              timeout: Optional[float] = None) -> "object":
     """Run one cell for a resident caller (the serve scheduler, a dist
@@ -239,8 +253,6 @@ def run_jobs(
     timeout: Optional[float] = None,
     execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
     progress: Optional[ProgressFn] = None,
-    progress_offset: int = 0,
-    progress_total: Optional[int] = None,
     on_result: Optional[ResultFn] = None,
 ) -> "Dict[Tuple[str, ...], object]":
     """Fan ``jobs`` out over ``max_workers`` processes.
@@ -254,7 +266,6 @@ def run_jobs(
     from .runner import WorkloadRun
 
     execute = execute or execute_job
-    total = progress_total if progress_total is not None else len(jobs)
     results: "Dict[Tuple[str, ...], object]" = {}
     if not jobs:
         return results
@@ -321,8 +332,8 @@ def run_jobs(
                     isa=job.isa,
                     status=status,
                     wall_seconds=getattr(run, "wall_seconds", 0.0),
-                    index=progress_offset + index + 1,
-                    total=total,
+                    index=index + 1,
+                    total=len(jobs),
                     point=job.point,
                 ))
     finally:

@@ -1,14 +1,14 @@
-"""Experiment runner: execute (workload x ISA) pairs and collect results.
+"""Experiment runner: the cell path — one (workload x ISA) pair, simulated.
 
 One :class:`WorkloadRun` captures everything the paper's figures need for
 one workload under one ISA: aggregate and per-dispatch statistics, the
 static instruction footprint, the device data footprint, and functional
-verification.  :meth:`repro.core.Session.suite` runs the full matrix
-once (via :func:`execute_suite_request` here), caches it
-in-process *and* persistently on disk (see :mod:`repro.harness.cache`),
-and can fan the matrix out across worker processes (``jobs=N``, see
-:mod:`repro.harness.parallel`) — the parallel path reduces back into the
-exact ordering and statistics the serial path produces.
+verification.  :func:`execute_run_request` is the one entry point every
+surface runs a cell through; :class:`SuiteResults` is the (workload x
+ISA) matrix.  The matrix itself is run by the sweep ledger
+(:func:`repro.explore.sweep.execute_suite_request`): a suite is a sweep
+with zero axes, so suites and sweeps share one cache lookup, one
+progress stream, one pool fan-out and one deterministic reduce.
 """
 
 from __future__ import annotations
@@ -24,22 +24,14 @@ from ..core.requests import (  # re-exported: canonical home is requests
     EXECUTION_MODES,
     ISAS,
     RunRequest,
-    SuiteRequest,
 )
 from ..obs.trace import TraceBus, TraceConfig, TraceData
 from ..runtime.process import GpuProcess
 from ..timing.gpu import Gpu
 from ..timing.replay import ExecTrace, TraceRecorder
-from ..workloads import all_workloads, create
-from .cache import (
-    ResultCache,
-    TraceStore,
-    resolve_cache,
-    resolve_trace_store,
-    trace_fingerprint,
-)
+from ..workloads import create
+from .cache import TraceStore, resolve_trace_store, trace_fingerprint
 from .equivalence import derive, file_witness
-from .parallel import Job, JobEvent, ProgressFn, resolve_jobs, run_job_inline, run_jobs
 
 
 @dataclass
@@ -242,18 +234,20 @@ def run_workload(
     the GPU and the returned run carries the recorded
     :class:`~repro.obs.TraceData`.
 
-    ``execution`` selects one of :data:`EXECUTION_MODES`.  Every mode
-    drives the timing model from a recorded instruction stream:
-    ``execute`` records one in memory (the GPU's functional pass) and
-    drops it, ``capture`` also files it in ``trace_store``, and
-    ``replay`` reads the stored one instead — statistically bit-identical
-    and considerably faster, because functional execution, register
-    uniqueness probes, and result verification are all skipped (the
-    verification verdict and footprint metadata travel inside the trace).
-    ``auto`` replays when a trace exists and captures otherwise; without
-    a ``trace_store`` a capture runs, and is labelled, as ``execute``.  A
-    replay that :func:`~repro.harness.equivalence.derive` answers from a
-    filed witness returns ``execution="derived"``.
+    ``execution`` is one of :data:`EXECUTION_MODES`: a *trace-store
+    policy*, not a choice of simulator.  Every run is "obtain a trace,
+    replay it through the timing model"; the modes differ only in where
+    the trace comes from and whether it is kept.  ``execute`` neither
+    reads nor writes ``trace_store`` (the functional pass records a trace
+    in memory and drops it); ``capture`` writes the recorded trace;
+    ``replay`` reads a stored one and fails without it; ``auto`` reads
+    when the store has one and writes otherwise.  Statistics are
+    bit-identical under every policy — a read skips the functional pass,
+    uniqueness probes and verification, whose verdict and footprints
+    travel inside the trace.  Without a ``trace_store`` a capture runs,
+    and is labelled, as ``execute``.  A replay that
+    :func:`~repro.harness.equivalence.derive` answers from a filed
+    witness returns ``execution="derived"``.
     """
     if execution not in EXECUTION_MODES:
         raise ReproError(
@@ -391,20 +385,12 @@ def _rearm(process: GpuProcess) -> bool:
     return True
 
 
-#: In-process memo of full suite results.  Keyed by the config
-#: *fingerprint* as well as (scale, seed, names): two different configs
-#: with the same scale/seed/workloads must never share an entry.
-_SUITE_CACHE: Dict[Tuple[str, float, int, Tuple[str, ...]], SuiteResults] = {}
-
-
 def clear_suite_cache() -> None:
-    """Drop the in-process memos — suite results, staged replay
-    processes, parsed traces, and compiled kernels (test isolation
-    helper)."""
+    """Drop the in-process memos — staged replay processes, parsed
+    traces, and compiled kernels (test isolation helper)."""
     from ..workloads.base import clear_kernel_memo
     from .cache import clear_trace_memo
 
-    _SUITE_CACHE.clear()
     _REPLAY_STAGING.clear()
     clear_trace_memo()
     clear_kernel_memo()
@@ -436,109 +422,3 @@ def execute_run_request(
         execution=request.execution,
         trace_store=trace_store if request.execution != "execute" else None,
     )
-
-
-def execute_suite_request(
-    request: SuiteRequest,
-    progress: Optional[ProgressFn] = None,
-) -> SuiteResults:
-    """Execute one :class:`~repro.core.requests.SuiteRequest`: every
-    workload under both ISAs.
-
-    Results are memoized in-process and persisted in the on-disk result
-    cache, so a warm rerun (same config/scale/seed/source tree) costs
-    only JSON deserialization.  ``jobs`` > 1 fans cache misses out over a
-    process pool; the reduce step is deterministic, so the result matrix
-    is stat-identical to the serial path.
-
-    ``progress`` is execution-side (a live callback cannot ride the
-    wire): one :class:`JobEvent` per cell, cache hit or simulated.
-
-    Traced suites bypass both the in-process memo and the disk cache in
-    both directions: a cached result carries no events, and traced
-    results must not poison the cache for untraced callers.
-    """
-    config = request.resolved_config()
-    scale, seed = request.scale, request.seed
-    names: Tuple[str, ...] = tuple(
-        request.workloads if request.workloads is not None
-        else [w.name for w in all_workloads()]
-    )
-    use_cache = request.use_cache
-    use_disk_cache = request.use_disk_cache
-    mem_key = (config.fingerprint(), scale, seed, names, request.execution)
-    if request.trace is not None:
-        use_cache = False
-        use_disk_cache = False
-    if use_cache and mem_key in _SUITE_CACHE:
-        return _SUITE_CACHE[mem_key]
-
-    # use_cache=False must mean "really re-simulate" unless the caller
-    # explicitly re-enables the disk layer.
-    disk: Optional[ResultCache] = resolve_cache(
-        use_disk_cache if use_cache or use_disk_cache is not None else False,
-        request.cache_dir,
-    )
-
-    cells = [Job(request=cell) for cell in request.cells(config=config)]
-    total = len(cells)
-    runs: Dict[Tuple[str, str], WorkloadRun] = {}
-    misses: List[Job] = []
-    for cell in cells:
-        cached = disk.get(cell.fingerprint) if disk is not None else None
-        if cached is not None:
-            runs[cell.key] = cached
-        else:
-            misses.append(cell)
-
-    # Report hits first (they resolve instantly), then simulate misses.
-    index = 0
-    if progress is not None:
-        for cell in cells:
-            if cell.key in runs:
-                index += 1
-                progress(JobEvent(
-                    workload=cell.workload, isa=cell.isa, status="hit",
-                    wall_seconds=runs[cell.key].wall_seconds,
-                    index=index, total=total,
-                ))
-
-    if misses:
-        if resolve_jobs(request.jobs) > 1 and len(misses) > 1:
-            executed = run_jobs(
-                misses,
-                max_workers=resolve_jobs(request.jobs),
-                timeout=request.job_timeout,
-                progress=progress,
-                progress_offset=index,
-                progress_total=total,
-            )
-            runs.update(executed)
-        else:
-            for cell in misses:
-                run = run_job_inline(cell)
-                runs[cell.key] = run
-                index += 1
-                if progress is not None:
-                    progress(JobEvent(
-                        workload=cell.workload, isa=cell.isa,
-                        status="failed" if run.error else "ok",
-                        wall_seconds=run.wall_seconds,
-                        index=index, total=total,
-                    ))
-        if disk is not None:
-            for cell in misses:
-                run = runs[cell.key]
-                if run.error is None:
-                    disk.put(cell.fingerprint, run,
-                             config_fingerprint=cell.config.fingerprint())
-
-    # Deterministic reduce: insertion order matches the serial loop
-    # exactly, whatever order the pool completed in.
-    results = SuiteResults(scale=scale)
-    for name in names:
-        for isa in ISAS:
-            results.runs[(name, isa)] = runs[(name, isa)]
-    if use_cache:
-        _SUITE_CACHE[mem_key] = results
-    return results

@@ -13,12 +13,13 @@ Batched scheduling
 ------------------
 
 When the worker picks the next job, it drains *every other queued run
-cell with the same trace fingerprint* into one batch
-(:func:`~repro.harness.parallel.trace_key`, the key sweeps phase on and
-dist shards group on, folds in only the functional config half, so
-timing-only variants collide — that is the point).  Cells in a batch execute back to back against the shared
-store: the first one captures the functional trace, all the others
-replay it through the timing model.  M queued cells over K functional
+cell in its trace group* into one batch
+(:func:`~repro.harness.parallel.trace_groups`, the grouping sweeps phase
+on and dist shards cut; its key folds in only the functional config
+half, so timing-only variants collide — that is the point).  Cells in a
+batch execute back to back against the shared store: the first one
+captures the functional trace, all the others replay it through the
+timing model.  M queued cells over K functional
 groups therefore cost exactly K functional executions, which is where
 the warm-daemon latency win comes from.
 
@@ -296,10 +297,11 @@ class Scheduler:
                 and request.execution in ("auto", "capture", "replay"))
 
     def _pop_batch(self) -> List[ServerJob]:
-        """Pop the highest-priority job plus every queued run cell that
-        shares its trace fingerprint (regardless of priority — a shared
-        capture is worth more than strict ordering within the group)."""
-        from ..harness.parallel import trace_key
+        """Pop the highest-priority job plus every queued run cell in its
+        trace group (:func:`~repro.harness.parallel.trace_groups`),
+        regardless of priority — a shared capture is worth more than
+        strict ordering within the group; the rest run in ``seq`` order."""
+        from ..harness.parallel import trace_groups
 
         with self._lock:
             if not self._heap:
@@ -307,18 +309,15 @@ class Scheduler:
             _, _, head = heapq.heappop(self._heap)
             batch = [head]
             if self._batchable(head.request):
-                key = trace_key(head.request)
-                kept = []
-                for entry in self._heap:
-                    job = entry[2]
-                    if (self._batchable(job.request)
-                            and trace_key(job.request) == key):
-                        batch.append(job)
-                    else:
-                        kept.append(entry)
+                queued = [entry[2] for entry in self._heap
+                          if self._batchable(entry[2].request)]
+                # The head is seen first, so its group comes first.
+                batch = next(iter(trace_groups([head, *queued]).values()))
                 if len(batch) > 1:
-                    heapq.heapify(kept)
-                    self._heap = kept
+                    taken = {job.seq for job in batch}
+                    self._heap = [entry for entry in self._heap
+                                  if entry[1] not in taken]
+                    heapq.heapify(self._heap)
                     batch[1:] = sorted(batch[1:], key=lambda j: j.seq)
             batch_id = f"b{next(self._batch_seq):04d}"
             for job in batch:

@@ -249,15 +249,21 @@ class TestCliSessionEquivalence:
         assert sweep_request_from_args(bare).resume is True
 
     def test_suite_cells_match_run_requests(self):
-        """SuiteRequest.cells() decomposes into exactly the RunRequests
-        Session.build_run_request would produce."""
-        suite = Session(small_config(2)).build_suite_request(
-            workloads=["arraybw"], scale=0.1)
-        cells = suite.cells()
+        """A suite's cells (the live jobs of its one-point sweep ledger)
+        are exactly the RunRequests Session.build_run_request would
+        produce, with the engine pinned to the config's."""
+        from repro.explore.sweep import SweepLedger
+
+        session = Session(small_config(2))
+        ledger = SweepLedger(session.build_suite_request(
+            workloads=["arraybw"], scale=0.1, use_disk_cache=False))
+        cells = [job.request for job in ledger.open()]
+        ledger.close()
         assert [c.isa for c in cells] == ["hsail", "gcn3"]
         for cell in cells:
-            assert cell == Session(small_config(2)).build_run_request(
-                "arraybw", cell.isa, scale=0.1)
+            assert cell == session.build_run_request(
+                "arraybw", cell.isa, scale=0.1,
+                engine=small_config(2).engine)
 
 
 def _stats(run) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import small_config
 from repro.core import DualKernel, Session
-from repro.harness.runner import WorkloadRun, clear_suite_cache
+from repro.harness.runner import WorkloadRun
 from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
 from repro.obs import TraceConfig
@@ -114,22 +114,20 @@ class TestSessionSuite:
                 run.dynamic_instructions
 
     def test_traced_suite_bypasses_caches(self, tmp_path):
-        """A traced suite must neither read nor write either cache layer."""
+        """A traced suite must neither read nor write the result cache."""
         cache_dir = tmp_path / "cache"
         session = Session(small_config(2))
-        clear_suite_cache()
-        # Warm both cache layers with an untraced suite.
-        warm = session.suite(scale=0.1, workloads=["arraybw"],
-                             use_disk_cache=True, cache_dir=str(cache_dir))
+        # Warm the cache with an untraced suite.
+        session.suite(scale=0.1, workloads=["arraybw"],
+                      use_disk_cache=True, cache_dir=str(cache_dir))
         n_entries = len(list(cache_dir.glob("*.json")))
         assert n_entries > 0
         traced = session.suite(scale=0.1, workloads=["arraybw"],
                                use_disk_cache=True, cache_dir=str(cache_dir),
                                trace=TraceConfig())
-        assert traced is not warm                      # memo not served
-        assert traced.get("arraybw", "gcn3").trace is not None
+        assert traced.get("arraybw", "gcn3").trace is not None  # not read
         assert len(list(cache_dir.glob("*.json"))) == n_entries  # not written
-        # And the memo was not poisoned with the traced matrix.
+        # And the cache was not poisoned with the traced matrix.
         warm_again = session.suite(scale=0.1, workloads=["arraybw"],
                                    use_disk_cache=True,
                                    cache_dir=str(cache_dir))

@@ -102,8 +102,16 @@ class TestGrid:
             Grid([Axis("cu.vrf_banks", (2,)), Axis("cu.vrf_banks", (4,))])
 
     def test_no_axes_rejected(self):
-        with pytest.raises(ConfigError):
-            Grid([])
+        """A grid over zero axes is the one base point (a suite); a sweep
+        request still needs at least one axis."""
+        from repro.core.requests import RequestError, SweepRequest
+
+        base = small_config(2)
+        (point,) = Grid([]).points(base)
+        assert point.point_id == "base" and point.overrides == ()
+        assert point.fingerprint() == base.fingerprint()
+        with pytest.raises(RequestError, match="at least one axis"):
+            SweepRequest(axes=())
 
 
 class TestOneFactorAtATime:

@@ -45,10 +45,19 @@ class TestRunner:
         assert hs.isa == "hsail" and g3.isa == "gcn3"
         assert g3.dynamic_instructions > hs.dynamic_instructions
 
-    def test_suite_cached_in_process(self, mini_suite):
-        again = Session(small_config(2)).suite(
-            scale=0.1, workloads=["arraybw", "comd"])
-        assert again is mini_suite
+    def test_suite_cached_in_process(self, tmp_path):
+        """A repeated suite in one process is served from the result
+        cache (there is no in-process memo): every cell a hit, the same
+        payloads."""
+        common = dict(scale=0.1, workloads=["arraybw", "comd"],
+                      use_disk_cache=True, cache_dir=str(tmp_path))
+        first = Session(small_config(2)).suite(**common)
+        events = []
+        again = Session(small_config(2)).suite(progress=events.append,
+                                               **common)
+        assert [e.status for e in events] == ["hit"] * 4
+        assert ({k: r.to_payload() for k, r in again.runs.items()}
+                == {k: r.to_payload() for k, r in first.runs.items()})
 
 
 class TestFigures:

@@ -113,12 +113,17 @@ class TestSuiteCacheKey:
         # results would mean the second call was served the stale matrix.
         assert a.get("arraybw", "gcn3").cycles < b.get("arraybw", "gcn3").cycles
 
-    def test_same_config_still_memoized(self):
-        a = Session(small_config(2)).suite(scale=SCALE, workloads=["arraybw"],
-                                           seed=SEED)
-        b = Session(small_config(2)).suite(scale=SCALE, workloads=["arraybw"],
-                                           seed=SEED)
-        assert a is b
+    def test_same_config_still_memoized(self, tmp_path):
+        """The same config again is served from the result cache: every
+        cell a hit, the same payloads."""
+        common = dict(scale=SCALE, workloads=["arraybw"], seed=SEED,
+                      use_disk_cache=True, cache_dir=str(tmp_path))
+        a = Session(small_config(2)).suite(**common)
+        events = []
+        b = Session(small_config(2)).suite(progress=events.append, **common)
+        assert {e.status for e in events} == {"hit"} and len(events) == 2
+        assert ({k: r.to_payload() for k, r in a.runs.items()}
+                == {k: r.to_payload() for k, r in b.runs.items()})
 
 
 class TestFailureIsolation:
