@@ -233,6 +233,18 @@ def test_functional_capture_identity(golden, captured, workload, isa,
 # ---------------------------------------------------------------------------
 
 
+#: sha256 of the full event stream (``TraceData.to_payload()``: every
+#: event with its timestamp and arguments, the stall accounting) of each
+#: traced cell.  The text report only shows per-category counts; these
+#: pin the order and content of every cache, VRF, stall and issue event.
+EVENT_STREAM_SHA256 = {
+    "fft/gcn3":
+        "59389f5dc6a29d3997b82f7ced54cd79802d652e944e8cf15337ac29af72c512",
+    "comd/hsail":
+        "519a36033ef0d6d13b71b967b5de4619292f5c83e522e708083a0a6ce1de945e",
+}
+
+
 @pytest.mark.parametrize("workload,isa", TRACED_CELLS)
 def test_traced_report_identity(golden, workload, isa):
     """Tracing must not move a statistic, and the rendered stall-reason
@@ -242,3 +254,4 @@ def test_traced_report_identity(golden, workload, isa):
     key = f"{workload}/{isa}"
     assert _stats_sha(run) == golden["cells"][key]["stats_sha256"]
     assert _report_sha(run) == golden["reports"][key]
+    assert _sha(run.trace.to_payload()) == EVENT_STREAM_SHA256[key]
