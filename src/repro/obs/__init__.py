@@ -20,13 +20,15 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import METRICS, Metric, MetricKind, MetricRegistry, MetricScope
+from .metrics import (METRICS, Metric, MetricClass, MetricKind, MetricRegistry,
+                      MetricScope)
 from .trace import CATEGORIES, TraceBus, TraceConfig, TraceData, TraceEvent
 
 __all__ = [
     "CATEGORIES",
     "METRICS",
     "Metric",
+    "MetricClass",
     "MetricKind",
     "MetricRegistry",
     "MetricScope",

@@ -67,7 +67,7 @@ def _assert_engines_identical(dual, isa, data):
     trace = rec.finish({"verified": True, "workload": "fuzz", "isa": isa})
     (stats,) = capture
     assert trace_determined(stats) == trace_determined(
-        walk_trace(trace, dual.for_isa(isa))), f"fold diverged on {isa}"
+        walk_trace(trace, dual.for_isa(isa), 1)), f"fold diverged on {isa}"
     reference = [s.to_payload() for s in capture]
     for engine in ("scalar", "vector"):
         gpu = Gpu(cfg.with_overrides({"engine": engine}),

@@ -20,11 +20,13 @@ from repro.common.errors import ConfigError
 from repro.common.stats import StatSet
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import ISAS, clear_suite_cache, run_workload
-from repro.obs import TraceConfig
+from repro.obs import METRICS, MetricClass, TraceBus, TraceConfig
+from repro.runtime.process import GpuProcess
+from repro.timing import gpu as gpu_module
 from repro.timing.replay import _F_TAKEN, _F_TARGET, TraceError
 from repro.timing.vector import (ENGINES, VectorReplayCursor, resolve_engine,
                                  wf_decode)
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, create
 from tests.trace_oracle import trace_determined, walk_stream
 
 SCALE = 0.1
@@ -124,9 +126,11 @@ TIMING_POINTS = [{"l1d.size_bytes": 1 << 10}, {"cu.vrf_banks": 8},
                          ids=[f"{w}-{i}" for w, i in CELLS])
 def test_trace_determined_statistics_are_config_invariant(
         store, captured, workload, isa):
-    """Instruction mix, dynamic instructions, SIMD utilisation, reuse
-    distance and value uniqueness are functions of the trace: equal at
-    every timing point and in an event-traced run, while cycles move."""
+    """Every ``trace``-class statistic (instruction mix, dynamic
+    instructions, IB flushes, memory requests, barriers, SIMD
+    utilisation, reuse distance, value uniqueness) is a function of the
+    trace: equal at every timing point and in an event-traced run, while
+    cycles move."""
     reference = captured[(workload, isa)]
     runs = [run_workload(workload, isa, scale=SCALE,
                          config=_config().with_overrides(point),
@@ -142,6 +146,34 @@ def test_trace_determined_statistics_are_config_invariant(
             trace_determined(s) for s in reference.per_dispatch]
     assert runs[-1].cycles == reference.cycles  # tracing only observes
     assert len({run.cycles for run in runs}) > 1
+
+
+#: Cells that between them issue every memory kind and reach barriers.
+ONLY_TIMING_CELLS = [("bitonic", "gcn3"), ("bitonic", "hsail"),
+                     ("arraybw", "gcn3"), ("comd", "hsail")]
+
+
+@pytest.mark.parametrize("workload,isa", ONLY_TIMING_CELLS,
+                         ids=[f"{w}-{i}" for w, i in ONLY_TIMING_CELLS])
+def test_cycle_model_computes_only_timing(store, captured, monkeypatch,
+                                          workload, isa):
+    """With the fold application patched out, untraced and event-traced
+    replays leave only ``timing``-class counters behind (per the metric
+    registry) and none of the accumulators the fold owns: the CU and the
+    memory system compute no statistic the trace determines."""
+    monkeypatch.setattr(gpu_module, "fold_workgroup", lambda stats, folds: None)
+    trace = store.get(trace_fingerprint(_config(), workload, isa, SCALE, 7))
+    empty = trace_determined(StatSet())
+    for bus in (None, TraceBus()):
+        process = GpuProcess(isa, memory_capacity=1 << 25)
+        create(workload, scale=SCALE, seed=7).stage(process, isa)
+        runs = gpu_module.Gpu(_config(), process, trace=bus,
+                              replay=trace).run_all()
+        assert sum(stats.cycles for stats in runs) > 0
+        for stats in runs:
+            assert trace_determined(stats) == empty
+            assert all(METRICS.find(name).metric_class is MetricClass.TIMING
+                       for name in stats.counters)
 
 
 #: The default timing point and one that moves instruction fetch (small
