@@ -1,12 +1,13 @@
 """Vector register file model: bank conflicts and value uniqueness
 (paper Figures 6 and 10).
 
-* **Bank conflicts** — operand slots map to ``slot % num_banks``; two
-  operands of one instruction hitting the same bank serialize and count
-  as conflicts.  HSAIL places every operand in the VRF (no SRF), so it
-  suffers roughly 3x the conflicts of GCN3 (paper §V.B).  The one VRF
-  statistic that depends on *when* instructions issue, so the one the
-  CU accounts as it issues (:class:`VrfModel`).
+* **Bank conflicts** — operand slots map to ``slot % num_banks``; the
+  gathers of concurrently executing instructions that hit the same bank
+  serialize and count as conflicts.  HSAIL places every operand in the
+  VRF (no SRF), so it suffers roughly 3x the conflicts of GCN3 (paper
+  §V.B).  The one VRF statistic that depends on *when* instructions
+  issue (``timing``-class), so the one the CU accounts as it issues
+  (:class:`VrfModel`), the same way in traced and untraced runs.
 * **Value uniqueness** — |unique lane values| / |active lanes| over all
   VRF reads and writes (paper §V.D).  It needs the wavefront's *actual*
   register values, so the functional pass samples it
@@ -27,36 +28,32 @@ from ..common.stats import StatSet
 from ..obs.metrics import VRF_BANK_CONFLICTS
 from ..obs.trace import TraceBus
 
+#: ``VrfModel._min_cycle`` when no conflict waits to be emitted.
+_NONE_HELD = 1 << 62
+
 
 class VrfModel:
     """Per-CU VRF bank-conflict state."""
 
-    __slots__ = ("num_banks", "stats", "trace", "cu_id", "_pending",
-                 "_min_cycle", "emits_vrf", "_bank_end")
+    __slots__ = ("stats", "trace", "cu_id", "_bank_end", "_held", "_min_cycle")
 
     def __init__(self, num_banks: int, stats: StatSet,
                  trace: Optional[TraceBus] = None, cu_id: int = -1) -> None:
-        self.num_banks = num_banks
         self.stats = stats
-        self.trace = trace
+        #: where ``bank_conflict`` events go; None unless ``trace`` wants
+        #: ``vrf`` events.
+        self.trace = trace if trace is not None and trace.wants_vrf else None
         self.cu_id = cu_id
-        #: Not-yet-finalized operand gathers.  Traced runs key it
-        #: cycle -> {bank -> reads}; the untraced fast path keys it flat
-        #: (cycle * num_banks + bank) -> reads.
-        self._pending: Dict[int, object] = {}
-        #: earliest pending cycle, so :meth:`collect` (called every CU
-        #: cycle when tracing) can early-out without walking the map.
-        self._min_cycle = 1 << 62
-        #: With per-cycle trace emission off, conflicts are counted
-        #: incrementally in :meth:`note_access` (the total is a sum over
-        #: cycles, so accumulation order cannot change it) and the CU
-        #: skips the per-cycle :meth:`collect` sweep entirely.
-        self.emits_vrf = trace is not None and trace.wants_vrf
-        #: Untraced fast path: per-bank end of the covered gather window.
-        #: Issue times are monotonic per CU, so the union of all gather
-        #: windows at or beyond ``now`` is one contiguous interval per
-        #: bank — a single integer replaces the per-cycle map.
+        #: Per-bank end of the covered gather window.  Issue times are
+        #: monotonic per CU, so the union of all gather windows at or
+        #: beyond ``now`` is one contiguous interval per bank — a single
+        #: integer replaces a per-cycle map.
         self._bank_end = [0] * num_banks
+        #: Traced runs only: conflicts per cycle not yet emitted, and the
+        #: earliest such cycle, so :meth:`collect` (called every CU cycle
+        #: when tracing) can early-out without walking the map.
+        self._held: Dict[int, int] = {}
+        self._min_cycle = _NONE_HELD
 
     # -- bank conflicts ----------------------------------------------------
     #
@@ -70,78 +67,56 @@ class VrfModel:
 
     def note_access(self, banks: Sequence[int], now: int,
                     duration: int) -> None:
-        """Record one instruction's operand gathers.
+        """Record one instruction's operand gathers and count the
+        conflicts they cause.
 
         ``banks`` are the distinct banks its source slots live in (slot
         ``s`` is in bank ``s % num_banks``; the CU reads them from the
         kernel's predecoded :func:`~repro.timing.predecode.read_banks`
         table).  A 64-lane operand is read 16 lanes per cycle, so each
         bank stays occupied for the instruction's full gather window.
+
+        Every earlier window starts at or before ``now``, so a cycle of
+        this window conflicts exactly when it was already covered: the
+        overlap with ``[now, bank_end)`` is the bank's conflict count,
+        one per cycle per extra gather.
         """
-        if not banks:
-            return
-        counts = self._pending
         if duration < 1:
             duration = 1
-        if self.emits_vrf:
-            # Exact per-cycle bookkeeping; collect() emits trace events.
-            if now < self._min_cycle:
-                self._min_cycle = now
-            for cycle in range(now, now + duration):
-                per_cycle = counts.setdefault(cycle, {})
-                for bank in banks:
-                    per_cycle[bank] = per_cycle.get(bank, 0) + 1
-            return
-        # Fast path: issue times are monotonic per CU, so the union of
-        # earlier gather windows restricted to ``[now, inf)`` is one
-        # contiguous interval per bank (every earlier window starts at or
-        # before ``now``).  A cycle conflicts exactly when it was already
-        # covered before this gather — its per-cycle count goes from
-        # ``n >= 1`` to ``n + 1``, adding one conflict, the same
-        # (count-1)-per-cycle total collect() would produce — so the
-        # overlap with ``[now, bank_end)`` IS the conflict count and one
-        # end marker per bank replaces the whole per-cycle map.
         ends = self._bank_end
+        held = self._held if self.trace is not None else None
         end = now + duration
         conflicts = 0
         for bank in banks:
             covered = ends[bank]
             if covered > now:
-                conflicts += (covered if covered < end else end) - now
+                stop = covered if covered < end else end
+                conflicts += stop - now
+                if held is not None:
+                    for cycle in range(now, stop):
+                        held[cycle] = held.get(cycle, 0) + 1
             if end > covered:
                 ends[bank] = end
         if conflicts:
             self.stats.counters[VRF_BANK_CONFLICTS.name] += conflicts
+            if held is not None and now < self._min_cycle:
+                self._min_cycle = now
 
     def collect(self, now: int) -> None:
-        """Fold finished cycles into the conflict counter (tracing path).
-
-        With trace emission off the counting already happened in
-        :meth:`note_access`, so this only prunes the finished cycles.
-        """
+        """Emit one ``bank_conflict`` event per conflicting cycle before
+        ``now`` (traced runs; :meth:`note_access` already counted it).
+        No later gather can reach such a cycle."""
         if self._min_cycle >= now:
             return
-        pending = self._pending
-        if not self.emits_vrf:
-            return  # fast path keeps no per-cycle state to fold
-        done = [c for c in pending if c < now]
-        trace = self.trace
-        for cycle in done:
-            per_cycle = pending.pop(cycle)
-            conflicts = sum(n - 1 for n in per_cycle.values() if n > 1)
-            if conflicts:
-                self.stats.bump(VRF_BANK_CONFLICTS, conflicts)
-                if trace is not None and trace.wants_vrf:
-                    trace.emit("vrf", "bank_conflict", cycle, cu=self.cu_id,
-                               args={"conflicts": conflicts})
-        self._min_cycle = min(pending) if pending else 1 << 62
+        held = self._held
+        for cycle in [c for c in held if c < now]:
+            self.trace.emit("vrf", "bank_conflict", cycle, cu=self.cu_id,
+                            args={"conflicts": held.pop(cycle)})
+        self._min_cycle = min(held) if held else _NONE_HELD
 
     def flush(self) -> None:
-        if self.emits_vrf:
-            self.collect(1 << 62)
-        else:
-            self._bank_end = [0] * self.num_banks
-            self._min_cycle = 1 << 62
+        """Emit every conflict still held (end of dispatch)."""
+        self.collect(_NONE_HELD)
 
 
 def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,

@@ -7,11 +7,14 @@ Whenever geometry A ran a line stream without evicting and geometry B
 and completion cycle.  ``derandomize=True`` keeps CI deterministic.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, small_config
 from repro.common.stats import StatSet
+from repro.obs.trace import TraceBus
 from repro.timing.caches import Cache, MemorySystem, admits
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -64,7 +67,7 @@ class TestEvictionCounter:
     def test_memory_system_counts_every_inlined_site(self):
         tiny = CacheConfig(size_bytes=64, associativity=0)
         ms = MemorySystem(small_config(2).scaled(
-            l1d=tiny, l1i=tiny, scalar_cache=tiny, l2=tiny), StatSet())
+            l1d=tiny, l1i=tiny, scalar_cache=tiny, l2=tiny))
         ms.vector_access(0, [1, 2], False, 0)    # untraced read path
         ms.vector_access(0, [3, 4], True, 10)    # write-through: L2 only
         ms.scalar_access(0, [5, 6], 20)
@@ -129,10 +132,10 @@ _requests = st.lists(
     min_size=1, max_size=40)
 
 
-def _run_hierarchy(config, requests):
+def _run_hierarchy(config, requests, trace=None):
     """(completion cycle of every request, final per-cache hits/misses,
     the memory system)."""
-    ms = MemorySystem(config, StatSet())
+    ms = MemorySystem(config, trace)
     now = 0
     done = []
     for kind, cu, lines, gap in requests:
@@ -186,3 +189,32 @@ def test_hierarchy_property_is_not_vacuous():
                    for lines in ms_a.witness()[family])
     done_b, counters_b, _ = _run_hierarchy(config_b, requests)
     assert (done_b, counters_b) == (done_a, counters_a)
+
+
+def _contents(ms):
+    """Every cache's evictions and resident lines in LRU order."""
+    return [(cache.name, cache.evictions, [list(lru) for lru in cache._sets])
+            for group in (ms.l1d, ms.l1i, ms.scalar, ms.l2) for cache in group]
+
+
+@_SETTINGS
+@given(geometries=st.tuples(*[_geometries] * 4), requests=_requests)
+def test_traced_and_untraced_hierarchies_agree(geometries, requests):
+    """Tracing only observes: an event-traced memory system walks the
+    same path and reaches the same completion cycles, hits, misses and
+    evictions, and publishes one hit-or-miss event per line read and one
+    L2 write fill per line written."""
+    config = small_config(2).scaled(**dict(zip(_FAMILIES, geometries)))
+    bus = TraceBus()
+    plain = _run_hierarchy(config, requests)
+    traced = _run_hierarchy(config, requests, trace=bus)
+    assert traced[:2] == plain[:2]
+    assert _contents(traced[2]) == _contents(plain[2])
+    reads = sum(1 if kind == "ifetch" else len(lines)
+                for kind, _, lines, _ in requests if kind != "write")
+    writes = sum(len(lines) for kind, _, lines, _ in requests
+                 if kind == "write")
+    ops = Counter((e.name.startswith("l2_"), e.args["op"], "write" in e.args)
+                  for e in bus.events)
+    assert ops[False, "hit", False] + ops[False, "miss", False] == reads
+    assert ops[True, "fill", True] == writes

@@ -76,7 +76,7 @@ class TestDram:
 
 class TestMemorySystem:
     def make(self):
-        return MemorySystem(paper_config(), StatSet())
+        return MemorySystem(paper_config())
 
     def test_miss_slower_than_hit(self):
         ms = self.make()
@@ -114,9 +114,10 @@ class TestMemorySystem:
 
     def test_ifetch_counts(self):
         ms = self.make()
-        stats = ms.stats
         ms.ifetch(0, 600, now=0)
         ms.ifetch(0, 600, now=100)
+        stats = StatSet()
+        ms.export_stats(stats)
         assert stats["ifetch_requests"] == 2
         assert stats["ifetch_misses"] == 1
 

@@ -1,11 +1,12 @@
 """VRF probe tests: bank conflicts, reuse distance, uniqueness."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.stats import StatSet
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, VReg
+from repro.obs.trace import TraceBus
 from repro.timing.predecode import predecode_kernel, read_banks
 from repro.timing.registerfile import VrfModel, unique_counts, unique_rows
 from repro.timing.replay import ExecTrace, WfStream
@@ -73,18 +74,22 @@ class TestBankConflicts:
         assert stats["vrf_bank_conflicts"] == 2  # cycles 2 and 3
 
     def test_untraced_counts_eagerly_and_collect_never_double_counts(self):
-        # Without per-cycle trace emission the model counts each conflict
-        # the moment the overlapping gather is recorded (the per-cycle
-        # totals are order-independent), so both overlap cycles are
-        # visible immediately and collect()/flush() add nothing.
-        vrf, stats = make_vrf()
-        vrf.note_access((0,), now=0, duration=2)
-        vrf.note_access((0,), now=0, duration=2)
-        assert stats["vrf_bank_conflicts"] == 2
-        vrf.collect(1)
-        vrf.collect(10)
-        vrf.flush()
-        assert stats["vrf_bank_conflicts"] == 2
+        # Traced or not, the model counts each conflict the moment the
+        # overlapping gather is recorded, so both overlap cycles are
+        # visible immediately; collect()/flush() only emit the traced
+        # run's per-cycle events and never add to the counter.
+        for bus in (None, TraceBus()):
+            stats = StatSet()
+            vrf = VrfModel(num_banks=4, stats=stats, trace=bus)
+            vrf.note_access((0,), now=0, duration=2)
+            vrf.note_access((0,), now=0, duration=2)
+            assert stats["vrf_bank_conflicts"] == 2
+            vrf.collect(1)
+            vrf.collect(10)
+            vrf.flush()
+            assert stats["vrf_bank_conflicts"] == 2
+        assert [(e.ts, e.args) for e in bus.events] == [
+            (0, {"conflicts": 1}), (1, {"conflicts": 1})]
 
     def test_expired_windows_never_conflict_with_later_issues(self):
         vrf, stats = make_vrf()
@@ -93,8 +98,8 @@ class TestBankConflicts:
         assert stats["vrf_bank_conflicts"] == 0
         vrf.note_access((0,), now=5, duration=2)   # overlaps the live window
         assert stats["vrf_bank_conflicts"] == 2
-        # the untraced fast path keeps no per-cycle state at all
-        assert vrf._pending == {}
+        # an untraced model holds no per-cycle state at all
+        assert vrf._held == {}
 
     def test_empty_slots_noop(self):
         vrf, stats = make_vrf()
@@ -105,6 +110,44 @@ class TestBankConflicts:
         kernel = _kernel([Gcn3Instr(opcode="v_mov_b32", dest=VReg(1),
                                     srcs=(SImm(0),))])
         assert read_banks(kernel, 4) == ((), ())
+
+
+#: One CU's gathers: (cycles after the previous issue, distinct banks,
+#: gather window), so issue times are monotonic as on a real CU.
+_GATHERS = st.lists(
+    st.tuples(st.integers(0, 5),
+              st.sets(st.integers(0, 3), max_size=3).map(sorted),
+              st.integers(0, 8)),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gathers=_GATHERS)
+def test_traced_and_untraced_models_count_the_same_conflicts(gathers):
+    """A traced and an untraced model see the same conflict totals, equal
+    to the per-cycle definition (each cycle a bank is gathered by ``n``
+    windows adds ``n - 1``); the traced one emits them once per cycle,
+    in cycle order, with the CU's collect-then-issue cadence."""
+    bus = TraceBus()
+    plain, traced = StatSet(), StatSet()
+    models = (VrfModel(4, plain), VrfModel(4, traced, trace=bus))
+    per_cycle = {}
+    now = 0
+    for gap, banks, duration in gathers:
+        now += gap
+        for model in models:
+            model.collect(now)
+            model.note_access(banks, now, duration)
+        for cycle in range(now, now + max(duration, 1)):
+            for bank in banks:
+                per_cycle[cycle, bank] = per_cycle.get((cycle, bank), 0) + 1
+    for model in models:
+        model.flush()
+    expected = sum(n - 1 for n in per_cycle.values())
+    assert plain["vrf_bank_conflicts"] == traced["vrf_bank_conflicts"] == expected
+    emitted = [(e.ts, e.args["conflicts"]) for e in bus.events]
+    assert sum(n for _, n in emitted) == expected
+    assert [ts for ts, _ in emitted] == sorted({ts for ts, _ in emitted})
 
 
 def _reuse(moves):
