@@ -7,6 +7,7 @@ normalized figures the visual shape of the paper's plots in plain text.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, TextIO
 
 from ..common.tables import render_table
@@ -50,11 +51,16 @@ def render_bars(
 
 
 def figure_with_bars(data: FigureData, value_column: int = 3) -> str:
-    """Render one figure's table followed by a bar view of its ratios."""
+    """Render one figure's table followed by a bar view of its ratios.
+
+    A failed pair's ratio is ``nan``: the table shows it as ``n/a`` and
+    the bar view leaves the row out.
+    """
     title, headers, rows = data
     out = [render_table(headers, rows, title)]
     bar_rows = [r for r in rows
-                if r[0] != "GEOMEAN" and isinstance(r[value_column], float)]
+                if r[0] != "GEOMEAN" and isinstance(r[value_column], float)
+                and math.isfinite(r[value_column])]
     if bar_rows:
         labels = [str(r[0]) for r in bar_rows]
         values = [float(r[value_column]) for r in bar_rows]

@@ -62,6 +62,16 @@ class TestReport:
         assert "#" in text or "0.00" in text
 
 
+    def test_failed_pair_stays_out_of_the_bar_view(self):
+        """A pair whose run failed has a ``nan`` ratio: the table says
+        ``n/a`` and the bars skip the row instead of crashing on it."""
+        data = ("Figure X", ["Workload", "HSAIL", "GCN3", "GCN3/HSAIL"],
+                [["good", 10, 20, 2.0], ["failed", 10, 0, float("nan")]])
+        table, bars = figure_with_bars(data).split("\n\n")
+        assert "failed" in table and "n/a" in table
+        assert "good" in bars and "failed" not in bars
+
+
 class TestCli:
     def test_parser_commands(self):
         parser = build_parser()
