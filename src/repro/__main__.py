@@ -188,11 +188,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         rows.append([
             metric.name,
             metric.kind.value,
+            metric.metric_class.value,
             metric.unit,
             metric.scope.value,
             metric.description,
         ])
-    print(render_table(["Metric", "Kind", "Unit", "Scope", "Description"],
+    print(render_table(["Metric", "Kind", "Class", "Unit", "Scope",
+                        "Description"],
                        rows, title="Metric registry (repro.obs.METRICS)"))
     return 0
 

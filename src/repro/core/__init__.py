@@ -12,7 +12,6 @@ goes through the frozen, JSON-round-trippable request objects in
 :mod:`repro.core.requests`.
 """
 
-from ..timing.funcsim import run_dispatch_functional
 from .api import DualKernel, Session
 from .requests import (
     API_VERSION,
@@ -38,3 +37,12 @@ __all__ = [
     "parse_request_json",
     "run_dispatch_functional",
 ]
+
+
+def __getattr__(name: str):
+    """``run_dispatch_functional`` is re-exported lazily, so importing
+    :mod:`repro.core` does not load the timing package for it."""
+    if name == "run_dispatch_functional":
+        from ..timing.funcsim import run_dispatch_functional
+        return run_dispatch_functional
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
