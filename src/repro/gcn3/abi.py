@@ -21,7 +21,7 @@ adding ``v0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -67,35 +67,33 @@ class KernelDescriptor:
 def initialize_wavefront_registers(
     sgpr: np.ndarray,
     vgpr: np.ndarray,
-    ctx: DispatchContext,
+    contexts: Sequence[DispatchContext],
+    local_ids: Tuple[np.ndarray, np.ndarray, np.ndarray],
     dims: int = 1,
 ) -> None:
-    """Apply the ABI's initial register state for one wavefront.
+    """Apply the ABI's initial register state to a set of wavefronts.
 
-    ``sgpr`` is a uint32 array (the WF's scalar registers), ``vgpr`` a
-    uint32 array of shape [vgprs, wavefront_size].  ``dims`` is the
-    kernel descriptor's enabled work-item-id dimension count: v0 always
-    holds the X id; v1/v2 and s9/s10 are initialized only when enabled.
+    ``sgpr`` is a uint32 array ``[wf, sgprs]`` (row ``i`` the scalar
+    registers of ``contexts[i]``'s wavefront), ``vgpr`` a uint32 view
+    ``[vgprs, wf, lane]`` and ``local_ids`` the per-lane (x, y, z)
+    work-item ids ``[wf, lane]``.  ``dims`` is the kernel descriptor's
+    enabled work-item-id dimension count: v0 always holds the X id;
+    v1/v2 and s9/s10 are initialized only when enabled.
     """
-    def store64(base: int, value: int) -> None:
-        sgpr[base] = value & 0xFFFFFFFF
-        sgpr[base + 1] = (value >> 32) & 0xFFFFFFFF
+    def column(field: str) -> np.ndarray:
+        return np.array([getattr(ctx, field) for ctx in contexts],
+                        dtype=np.uint64)
 
-    store64(SGPR_PRIVATE_DESC, ctx.private_base)
-    sgpr[SGPR_PRIVATE_DESC + 2] = ctx.private_stride
-    sgpr[SGPR_PRIVATE_DESC + 3] = 0  # size field, unused by generated code
-    store64(SGPR_DISPATCH_PTR, ctx.aql_packet_addr)
-    store64(SGPR_KERNARG_PTR, ctx.kernarg_base)
-    sgpr[SGPR_WORKGROUP_ID_X] = ctx.wg_id[0]
-    if dims >= 2:
-        sgpr[SGPR_WORKGROUP_ID_Y] = ctx.wg_id[1]
-    if dims >= 3:
-        sgpr[SGPR_WORKGROUP_ID_Z] = ctx.wg_id[2]
+    def store64(base: int, value: np.ndarray) -> None:
+        sgpr[:, base] = value & np.uint64(0xFFFFFFFF)
+        sgpr[:, base + 1] = value >> np.uint64(32)
 
-    lx, ly, lz = ctx.local_ids()
-    n = ctx.wavefront_size
-    vgpr[0, :n] = lx[:n]
-    if dims >= 2:
-        vgpr[1, :n] = ly[:n]
-    if dims >= 3:
-        vgpr[2, :n] = lz[:n]
+    store64(SGPR_PRIVATE_DESC, column("private_base"))
+    sgpr[:, SGPR_PRIVATE_DESC + 2] = column("private_stride")
+    sgpr[:, SGPR_PRIVATE_DESC + 3] = 0  # size field, unused by generated code
+    store64(SGPR_DISPATCH_PTR, column("aql_packet_addr"))
+    store64(SGPR_KERNARG_PTR, column("kernarg_base"))
+    wg_ids = np.array([ctx.wg_id for ctx in contexts], dtype=np.uint32)
+    for dim in range(max(1, min(dims, 3))):
+        sgpr[:, SGPR_WORKGROUP_ID_X + dim] = wg_ids[:, dim]
+        vgpr[dim] = local_ids[dim]

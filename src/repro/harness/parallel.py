@@ -158,22 +158,8 @@ def execute_job(job: Job) -> "Dict[str, object]":
 
 def _failed_run(job: Job, message: str, wall: float) -> "object":
     from .runner import WorkloadRun
-    from ..common.stats import StatSet
 
-    return WorkloadRun(
-        workload=job.workload,
-        isa=job.isa,
-        verified=False,
-        total=StatSet(),
-        per_dispatch=[],
-        dispatch_kernel_names=[],
-        data_footprint_bytes=0,
-        instr_footprint_bytes=0,
-        static_instructions=0,
-        kernel_code_bytes={},
-        wall_seconds=wall,
-        error=message,
-    )
+    return WorkloadRun.failure(job.workload, job.isa, message, wall)
 
 
 def run_job_inline(

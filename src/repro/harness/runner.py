@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import GpuConfig, paper_config
-from ..common.errors import ReproError
+from ..common.errors import ReproError, RuntimeStackError
 from ..common.stats import StatSet, merge_all
 from ..core.requests import (  # re-exported: canonical home is requests
     EXECUTION_MODES,
@@ -65,6 +65,18 @@ class WorkloadRun:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+    @classmethod
+    def failure(cls, workload: str, isa: str, error: str,
+                wall_seconds: float = 0.0,
+                execution: str = "execute") -> "WorkloadRun":
+        """A run that failed outright: no statistics, ``error`` says why."""
+        return cls(workload=workload, isa=isa, verified=False,
+                   total=StatSet(), per_dispatch=[], dispatch_kernel_names=[],
+                   data_footprint_bytes=0, instr_footprint_bytes=0,
+                   static_instructions=0, kernel_code_bytes={},
+                   wall_seconds=wall_seconds, error=error,
+                   execution=execution)
 
     @property
     def cycles(self) -> int:
@@ -294,7 +306,10 @@ def run_workload(
                 run.wall_seconds = time.time() - start
                 run.execution = "derived"
                 return run
-        process = _replay_process(name, isa, scale, seed)
+        try:
+            process = _replay_process(name, isa, scale, seed)
+        except RuntimeStackError as exc:
+            return _staging_failure(name, isa, exc, start, mode)
         start = time.time()
         gpu = Gpu(config, process, trace=bus, replay=exec_trace)
         per_dispatch = gpu.run_all()
@@ -305,7 +320,10 @@ def run_workload(
         workload = create(name, scale=scale, seed=seed)
         process = GpuProcess(isa, memory_capacity=1 << 25)
         start = time.time()
-        workload.stage(process, isa)
+        try:
+            workload.stage(process, isa)
+        except RuntimeStackError as exc:
+            return _staging_failure(name, isa, exc, start, mode)
         gpu = Gpu(config, process, trace=bus, recorder=recorder)
         per_dispatch = gpu.run_all()
         verified = workload.verify(process)
@@ -348,6 +366,14 @@ def run_workload(
     if exec_trace is not None and bus is None:
         file_witness(exec_trace, config, gpu.memsys, run)
     return run
+
+
+def _staging_failure(name: str, isa: str, exc: Exception, start: float,
+                     mode: str) -> WorkloadRun:
+    """A cell whose dispatches could not be staged, reported the way a
+    suite reports a cell that raised: a failed run naming the error."""
+    return WorkloadRun.failure(name, isa, f"{type(exc).__name__}: {exc}",
+                               time.time() - start, mode)
 
 
 #: Staged processes reused across replay runs, keyed by

@@ -12,8 +12,9 @@ policy for special segments:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,6 +125,8 @@ class GpuProcess:
         # so it never pollutes the application data footprint.
         queue_base = self.allocator.alloc(64 * 256, Segment.ARG, tag="aql_queue")
         self.queue = AqlQueue(self.memory, queue_base)
+        #: packets staged while the ring was full, in dispatch order
+        self._backlog: Deque[AqlDispatchPacket] = deque()
         self.dispatches: List[Dispatch] = []
         self._signal_count = 0
 
@@ -178,7 +181,7 @@ class GpuProcess:
             kernarg_address=kernarg_addr,
             completion_signal=signal_addr,
         )
-        index = self.queue.enqueue(packet)
+        index = self._submit(packet)
         dispatch = Dispatch(
             kernel=kernel,
             loaded=loaded,
@@ -192,6 +195,27 @@ class GpuProcess:
         )
         self.dispatches.append(dispatch)
         return dispatch
+
+    def _submit(self, packet: AqlDispatchPacket) -> int:
+        """Enqueue ``packet``, or hold it while the ring is full; returns
+        its packet index either way (its slot is known in advance)."""
+        queue = self.queue
+        if self._backlog or queue.size >= queue.capacity:
+            self._backlog.append(packet)
+            return queue.write_index + len(self._backlog) - 1
+        return queue.enqueue(packet)
+
+    def next_packet(self) -> Optional[AqlDispatchPacket]:
+        """The packet processor's dequeue.  Staging runs in bounded
+        batches: before the next packet is consumed, held packets move
+        into the slots of packets already consumed -- whose dispatches
+        have completed, so no kernel still reads the packet it
+        overwrites -- and dispatch order is staging order."""
+        queue = self.queue
+        backlog = self._backlog
+        while backlog and queue.size < queue.capacity:
+            queue.enqueue(backlog.popleft())
+        return queue.dequeue()
 
     def _stage_kernargs(self, kernel: AnyKernel, values: "List[KernargValue]") -> int:
         params = kernel.params

@@ -106,7 +106,7 @@ class Gpu:
         """Run every queued dispatch in order; one StatSet per dispatch."""
         results = []
         while True:
-            packet = self.process.queue.dequeue()
+            packet = self.process.next_packet()
             if packet is None:
                 break
             index = len(results)

@@ -212,3 +212,71 @@ class TestProcess:
         d = proc.dispatch(dual.gcn3, grid=300, wg=128, kernargs=[buf])
         assert d.num_workgroups == 3  # ceil(300/128)
         assert d.wavefronts_per_wg == 2
+
+
+def build_counter():
+    """out[global id] += 1, with the id computed from the dispatch packet's
+    workgroup size on GCN3 (paper Table 1)."""
+    kb = KernelBuilder("count", [("p", DType.U64)])
+    slot = kb.kernarg("p") + kb.cvt(kb.wi_abs_id(), DType.U64) * 4
+    kb.store(Segment.GLOBAL, slot, kb.load(Segment.GLOBAL, slot, DType.U32) + 1)
+    return Session().compile(kb.finish())
+
+
+class TestStagingBacklog:
+    """More dispatches than the 256-slot AQL ring: staging holds the
+    overflow and the packet processor takes it in order."""
+
+    DISPATCHES = 300
+
+    @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
+    def test_every_dispatch_runs_in_order_with_its_own_packet(self, isa):
+        from repro.common.config import small_config
+        from repro.timing.gpu import Gpu
+
+        kernel = build_counter().for_isa(isa)
+        proc = GpuProcess(isa)
+        buf = proc.upload(np.zeros(64, dtype=np.uint32))
+        # Alternate the workgroup size: a kernel reading another
+        # dispatch's packet would compute the wrong ids.
+        staged = [proc.dispatch(kernel, grid=64 if i % 3 else 32,
+                                wg=32 if i % 2 else 64, kernargs=[buf])
+                  for i in range(self.DISPATCHES)]
+        assert proc.queue.size == proc.queue.capacity
+        stats = Gpu(small_config(1), proc).run_all()
+        assert len(stats) == self.DISPATCHES
+        assert all(d.signal.value == 0 for d in staged)
+        expected = np.zeros(64, dtype=np.uint32)
+        for i in range(self.DISPATCHES):
+            expected[:64 if i % 3 else 32] += 1
+        assert np.array_equal(proc.download(buf, np.uint32, 64), expected)
+
+    def test_packet_slots_wrap_in_dispatch_order(self):
+        proc = GpuProcess("gcn3")
+        kernel = build_trivial().gcn3
+        buf = proc.alloc_buffer(4 * 64)
+        staged = [proc.dispatch(kernel, grid=64, wg=64, kernargs=[buf])
+                  for _ in range(proc.queue.capacity + 3)]
+        assert staged[-1].packet_addr == staged[2].packet_addr
+        for dispatch in staged:
+            packet = proc.next_packet()
+            assert packet == AqlDispatchPacket.read_from(proc.memory,
+                                                         dispatch.packet_addr)
+        assert proc.next_packet() is None
+
+    def test_lulesh_at_scale_2_runs(self):
+        """320 dispatches: staging used to raise "AQL queue overflow"."""
+        run = Session().run("lulesh", "gcn3", scale=2)
+        assert not run.failed and run.verified
+        assert len(run.per_dispatch) > 256
+
+    def test_a_staging_error_is_a_failed_run(self, monkeypatch):
+        from repro.workloads import create
+
+        def overflow(self, process, isa):
+            raise RuntimeStackError("AQL queue overflow")
+
+        monkeypatch.setattr(type(create("arraybw")), "stage", overflow)
+        run = Session().run("arraybw", "gcn3", scale=0.1)
+        assert run.failed and not run.verified
+        assert run.error == "RuntimeStackError: AQL queue overflow"
