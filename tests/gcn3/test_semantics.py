@@ -288,6 +288,16 @@ class TestControlFlow:
         assert result.branch_taken
         assert wf.pc == 3
 
+    def test_unconditional_branch(self, executor):
+        wf = make_wf([
+            Gcn3Instr(opcode="s_branch", attrs={"target": 2}),
+            Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
+            Gcn3Instr(opcode="s_endpgm"),
+        ])
+        result = executor.execute(wf)
+        assert result.branch_taken and result.next_pc == 2
+        assert wf.pc == 2
+
     def test_execz_branch_not_taken_with_lanes(self, executor):
         wf = make_wf([
             Gcn3Instr(opcode="s_cbranch_execz", attrs={"target": 2}),
