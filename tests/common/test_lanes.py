@@ -11,7 +11,7 @@ from repro.common.lanes import (
     LdsImage,
     bool_to_mask,
     mask_to_bool,
-    touched_lines,
+    row_access,
 )
 
 
@@ -43,23 +43,41 @@ class TestMaskConversion:
         assert bool_to_mask(mask_to_bool(bits)) == bits
 
 
+def _lines(addrs, mask, size):
+    """The sorted unique lines of one wavefront's access."""
+    return row_access(addrs[None], mask[None], size)[3][0]
+
+
 class TestTouchedLines:
     def test_single_line(self):
         addrs = np.full(64, 128, dtype=np.uint64)
         mask = np.ones(64, dtype=bool)
-        assert touched_lines(addrs, mask, 4) == [2]
+        assert _lines(addrs, mask, 4) == [2]
 
     def test_straddling_access(self):
         addrs = np.full(64, 60, dtype=np.uint64)
         mask = np.zeros(64, dtype=bool)
         mask[0] = True
         # an 8-byte access at 60 touches lines 0 and 1
-        assert touched_lines(addrs, mask, 8) == [0, 1]
+        assert _lines(addrs, mask, 8) == [0, 1]
 
     def test_inactive_lanes_ignored(self):
         addrs = np.arange(64, dtype=np.uint64) * 64
         mask = np.zeros(64, dtype=bool)
-        assert touched_lines(addrs, mask, 4) == []
+        assert _lines(addrs, mask, 4) == []
+
+    def test_lines_per_wavefront(self):
+        """One access over three wavefronts: each gets its own sorted
+        lines, and the touched lines cover them all."""
+        addrs = np.stack([np.arange(64, dtype=np.uint64)[::-1] * 64,
+                          np.full(64, 4096, dtype=np.uint64),
+                          np.zeros(64, dtype=np.uint64)])
+        mask = np.ones((3, 64), dtype=bool)
+        mask[2] = False
+        idx, _align, touched, lines = row_access(addrs, mask, 4)
+        assert idx.size == 128
+        assert [lines[r] for r in range(3)] == [list(range(64)), [64], []]
+        assert sorted(touched) == list(range(65))
 
 
 class TestLdsAccess:
