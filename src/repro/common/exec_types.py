@@ -3,17 +3,14 @@
 Both ISA semantics modules return an :class:`ExecResult` describing the
 side effects the timing model must account for (memory lines touched,
 branch outcome, barrier/end markers).  :class:`DispatchContext` carries
-the per-wavefront launch state that instruction semantics read.
+the per-wavefront launch state; :class:`~repro.common.lanes.Wavefronts`
+turns it into the lanes instruction semantics read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import numpy as np
-
-from .xp import pack_mask
+from typing import List, Optional, Sequence, Tuple, Union
 
 
 @dataclass
@@ -50,56 +47,6 @@ class DispatchContext:
         """Flat work-item id of lane 0 of this wavefront within the grid."""
         return self.flat_wg_id * self.wg_flat_size + self.wf_index_in_wg * self.wavefront_size
 
-    @property
-    def grid_flat_size(self) -> int:
-        return self.grid_size[0] * self.grid_size[1] * self.grid_size[2]
-
-    def local_ids(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Per-lane (x, y, z) work-item ids within the workgroup.
-
-        Work-items fill the workgroup box x-fastest (HSA order); lane i of
-        wavefront w covers in-workgroup flat id ``w*64 + i``.
-        """
-        flat = (np.uint32(self.wf_index_in_wg * self.wavefront_size)
-                + np.arange(self.wavefront_size, dtype=np.uint32))
-        wx, wy, _wz = self.wg_size
-        lx = flat % np.uint32(wx)
-        rest = flat // np.uint32(wx)
-        ly = rest % np.uint32(wy)
-        lz = rest // np.uint32(wy)
-        return lx, ly, lz
-
-    def absolute_ids(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Per-lane absolute (grid) work-item ids along each dimension."""
-        lx, ly, lz = self.local_ids()
-        return (
-            np.uint32(self.wg_id[0] * self.wg_size[0]) + lx,
-            np.uint32(self.wg_id[1] * self.wg_size[1]) + ly,
-            np.uint32(self.wg_id[2] * self.wg_size[2]) + lz,
-        )
-
-    def active_mask_array(self) -> np.ndarray:
-        """Boolean per-lane activity: inside the workgroup box *and* the
-        grid (edge workgroups of ragged multi-dimensional grids have
-        inactive lanes interleaved mid-wavefront, not just at the tail)."""
-        lx, ly, lz = self.local_ids()
-        in_wg = lz < np.uint32(self.wg_size[2])
-        ax, ay, az = self.absolute_ids()
-        in_grid = (
-            (ax < np.uint32(self.grid_size[0]))
-            & (ay < np.uint32(self.grid_size[1]))
-            & (az < np.uint32(self.grid_size[2]))
-        )
-        return in_wg & in_grid
-
-    def active_mask_bits(self) -> int:
-        """The initial EXEC mask for this wavefront."""
-        return pack_mask(self.active_mask_array())
-
-    def active_lanes(self) -> int:
-        """Number of lanes of this wavefront that map to real work-items."""
-        return int(self.active_mask_array().sum())
-
 
 class MemKind:
     """Memory traffic classes the timing model routes differently."""
@@ -113,13 +60,20 @@ class MemKind:
 
 @dataclass(slots=True)
 class ExecResult:
-    """Functional side effects of executing one instruction on one WF."""
+    """Functional side effects of one group step (the step protocol of
+    :mod:`repro.common.lanes`) that the timing model must account for."""
 
     mem_kind: str = MemKind.NONE
-    mem_lines: List[int] = field(default_factory=list)  # unique 64B line addrs
-    branch_taken: Optional[bool] = None
+    #: the sorted unique 64-byte lines each member touched, one list per
+    #: member (a :class:`~repro.common.lanes.RowLines`)
+    mem_lines: Sequence[List[int]] = field(default_factory=list)
+    #: one flag for every member, or one per member
+    branch_taken: Union[None, bool, List[bool]] = None
     next_pc: Optional[int] = None     # set when control transfers
     ends_wavefront: bool = False
     is_barrier: bool = False
     waitcnt: Optional[Tuple[int, int]] = None  # (vmcnt, lgkmcnt) thresholds
-    active_lanes: int = 0             # lanes this instruction operated on
+    #: lanes the instruction operated on; set only where one wavefront
+    #: is stepped on its own (the functional pass records the group's
+    #: ``active`` counts instead)
+    active_lanes: int = 0

@@ -1,8 +1,8 @@
 """Lane-level state and helpers shared by both functional models: the
-execution-mask conversions, the typed register file of a set of
-wavefronts with its operand accessors, the one-pass memory access over
-those wavefronts' lanes, and the step protocol both ISAs' instructions
-compile to (:class:`Group`, :class:`Executor`)."""
+lane-mask codec, the typed register file of a set of wavefronts with its
+operand accessors, the one-pass memory access over those wavefronts'
+lanes, and the step protocol both ISAs' instructions compile to
+(:class:`Wavefronts`, :class:`Group`, :class:`Executor`)."""
 
 from __future__ import annotations
 
@@ -14,28 +14,17 @@ import numpy as np
 
 from .errors import ExecutionError
 from .exec_types import DispatchContext, ExecResult, MemKind
-from .xp import ensure_quiet_numeric, pack_mask
+from .xp import ensure_quiet_numeric
 
 WF_SIZE = 64
 FULL_MASK = (1 << WF_SIZE) - 1
 
-_LANES_U64 = np.arange(WF_SIZE, dtype=np.uint64)
 _LANES_I64 = np.arange(WF_SIZE, dtype=np.int64)
 #: Pair views and the word-aligned memory paths reinterpret bytes as
 #: native words, which matches the little-endian composition (low
 #: register / low address first) only on little-endian hosts; big-endian
 #: hosts keep the portable split and byte-plane paths.
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def mask_to_bool(bits: int) -> np.ndarray:
-    """64-bit execution mask -> bool[64]."""
-    return (((np.uint64(bits & FULL_MASK)) >> _LANES_U64) & np.uint64(1)).astype(bool)
-
-
-def bool_to_mask(mask: np.ndarray) -> int:
-    """bool[64] -> 64-bit execution mask."""
-    return pack_mask(mask)
 
 
 def pack_rows(lanes: np.ndarray) -> np.ndarray:
@@ -526,77 +515,31 @@ def store_op(address: Accessor, data: Accessor, size: int,
 
 
 def atomic_add_op(address: Accessor, data: Accessor, dest) -> Callable:
-    """32-bit atomic add returning the old value into ``dest``; lanes
-    serialize in ascending order.  Its group is one wavefront: the
-    functional pass never groups a kernel with an atomic
-    (:func:`has_atomic`)."""
+    """32-bit atomic add returning the old value into ``dest``; the
+    active lanes load, add and store one at a time in ascending order.
+    Its group is one wavefront: the functional pass never groups a
+    kernel with an atomic (:func:`has_atomic`)."""
     out, commit = dest
 
     def run(g, exe):
         assert len(g.rows) == 1, "atomics run one wavefront at a time"
         lanes = g.lanes
         addrs = window_addresses(address, g)
-        old = serialized_atomic_add(
-            exe.memory, addrs[0], np.broadcast_to(data(g), lanes.shape)[0],
-            lanes[0])
+        values = np.broadcast_to(data(g), lanes.shape)
+        old = np.zeros(lanes.shape, dtype=np.uint32)
+        memory = exe.memory
+        for lane in np.flatnonzero(lanes[0]).tolist():
+            addr = int(addrs[0, lane])
+            prev = memory.load_scalar(addr, 4)
+            memory.store_scalar(addr, (prev + int(values[0, lane]))
+                                & 0xFFFFFFFF, 4)
+            old[0, lane] = prev
         np.copyto(out(g), old, where=lanes)
         if commit is not None:
             commit(g)
         return ExecResult(mem_kind=MemKind.GLOBAL_STORE,
                           mem_lines=row_access(addrs, lanes, 4)[3])
     return run
-
-
-def serialized_atomic_add(memory, addrs: np.ndarray, values: np.ndarray,
-                          mask: np.ndarray) -> np.ndarray:
-    """Batched 32-bit atomic add over a lane vector; lanes serialize in
-    ascending order.
-
-    Returns the per-lane *old* values (inactive lanes read 0).  The
-    batched body computes, per address segment, an exclusive prefix sum
-    of the colliding lanes' addends — modular addition is associative,
-    so each lane's old value is exactly what the one-lane-at-a-time loop
-    would have loaded, and the final stored value (later lanes win in
-    :meth:`scatter_u32`) is the initial word plus the segment total.
-    Unaligned lanes fall back to the serial loop: 4-byte accesses that
-    straddle words can partially overlap, and only byte-accurate
-    load/store sequencing reproduces that.
-    """
-    old = np.zeros(addrs.size, dtype=np.uint32)
-    act = np.flatnonzero(mask)
-    if act.size == 0:
-        return old
-    a = addrs[mask].astype(np.uint64)
-    if np.any(a & np.uint64(3)):
-        for lane in act:
-            addr = int(addrs[lane])
-            prev = memory.load_scalar(addr, 4)
-            memory.store_scalar(addr, (prev + int(values[lane])) & 0xFFFFFFFF, 4)
-            old[lane] = prev
-        return old
-    v = values[mask].astype(np.uint64)
-    initial = memory.gather_u32(addrs, mask)[mask].astype(np.uint64)
-    order = np.argsort(a, kind="stable")
-    a_s = a[order]
-    v_s = v[order]
-    csum = np.cumsum(v_s)  # < lanes * 2^32, exact in uint64
-    excl = csum - v_s
-    seg_start = np.empty(a_s.size, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = a_s[1:] != a_s[:-1]
-    seg_id = np.cumsum(seg_start) - 1
-    within = excl - excl[seg_start][seg_id]
-    old_sorted = (initial[order] + within) & np.uint64(0xFFFFFFFF)
-    new_sorted = (old_sorted + v_s) & np.uint64(0xFFFFFFFF)
-    old_act = np.empty(a.size, dtype=np.uint64)
-    old_act[order] = old_sorted
-    old[act] = old_act.astype(np.uint32)
-    new_full = np.zeros(addrs.size, dtype=np.uint32)
-    new_act = np.empty(a.size, dtype=np.uint64)
-    new_act[order] = new_sorted
-    new_full[act] = new_act.astype(np.uint32)
-    memory.scatter_u32(addrs, new_full, mask)
-    return old
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +564,24 @@ class Wavefronts:
     """The architectural state every ISA shares, of ``len(contexts)``
     wavefronts (the rows): the register file, EXEC as bool lanes, a pc
     and an end flag per wavefront, and the per-lane launch values
-    (work-item ids, private frame addresses) the steps read.  Each ISA
-    subclass adds its own state and binds its windows into a
-    :class:`Group` (:meth:`bind`)."""
+    (work-item ids, private frame addresses) the steps read.  This is
+    the one place launch geometry becomes lanes: the ids and the initial
+    EXEC (lanes inside both the workgroup box and the grid) feed HSAIL's
+    dispatch queries and GCN3's ABI registers alike.  Each ISA subclass
+    adds its own state, binds its windows into a :class:`Group`
+    (:meth:`bind`) and names its ``instr -> step`` compiler
+    (``compiled``)."""
+
+    compiled: Callable[[object], Step]
+
+    @classmethod
+    def steps(cls, kernel) -> Tuple[Step, ...]:
+        """``kernel``'s per-pc step table, built once and cached on the
+        kernel beside its issue descriptors."""
+        table = getattr(kernel, "_steps", None)
+        if table is None:
+            table = kernel._steps = tuple(map(cls.compiled, kernel.instrs))
+        return table
 
     def __init__(self, kernel, contexts: Sequence[DispatchContext],
                  nregs: int) -> None:
@@ -761,11 +719,8 @@ def has_atomic(kernel) -> bool:
 
 
 class Executor:
-    """Executes one ISA's instructions, a group step at a time, against
-    device memory and an LDS image; ``compiled`` is the ISA's
-    ``instr -> step`` compiler."""
-
-    compiled: Callable[[object], Step]
+    """The memory a step touches: device memory and the dispatch's LDS
+    image (``lds_limit`` bytes per workgroup; default, all of it)."""
 
     def __init__(self, memory, lds: Optional[np.ndarray] = None,
                  lds_limit: Optional[int] = None) -> None:
@@ -776,67 +731,3 @@ class Executor:
         # The ALU steps run one numpy expression per dynamic
         # instruction; a per-call errstate costs more than the math.
         ensure_quiet_numeric()
-
-    @classmethod
-    def steps(cls, kernel) -> Tuple[Step, ...]:
-        """``kernel``'s per-pc step table, built once and cached on the
-        kernel beside its issue descriptors."""
-        table = getattr(kernel, "_steps", None)
-        if table is None:
-            table = kernel._steps = tuple(map(cls.compiled, kernel.instrs))
-        return table
-
-    def execute(self, wf: "WavefrontView") -> ExecResult:
-        """Execute the instruction at ``wf.pc`` of a one-wavefront state
-        and advance it; the result is that wavefront's own."""
-        pc = wf.pc
-        g = wf.group()
-        single = ExecResult(active_lanes=g.active[0])
-        result = self.steps(wf.kernel)[pc](g, self)
-        if result is not None:
-            taken = result.branch_taken
-            if isinstance(taken, list):
-                taken = taken[0]
-            single.mem_kind = result.mem_kind
-            single.mem_lines = (result.mem_lines[0] if result.mem_lines
-                                else [])
-            single.branch_taken = taken
-            single.next_pc = result.next_pc if taken else None
-            single.ends_wavefront = result.ends_wavefront
-            single.is_barrier = result.is_barrier
-            single.waitcnt = result.waitcnt
-            wf.ended[0] = result.ends_wavefront
-        wf.pc = pc + 1 if single.next_pc is None else single.next_pc
-        return single
-
-
-class WavefrontView:
-    """The single-wavefront face of a one-row :class:`Wavefronts`
-    (mixed into each ISA's ``WfState``): its pc, end flag and EXEC as
-    the scalars a per-wavefront caller expects."""
-
-    @property
-    def pc(self) -> int:
-        return self.pcs[0]
-
-    @pc.setter
-    def pc(self, value: int) -> None:
-        self.pcs[0] = value
-
-    @property
-    def done(self) -> bool:
-        return self.ended[0]
-
-    @property
-    def exec_mask(self) -> int:
-        return bool_to_mask(self.exec[0])
-
-    @exec_mask.setter
-    def exec_mask(self, bits: int) -> None:
-        self.exec[0] = mask_to_bool(bits)
-
-    def exec_bool(self) -> np.ndarray:
-        return self.exec[0]
-
-    def group(self) -> Group:
-        return Group(self, [0], self.pcs[0])

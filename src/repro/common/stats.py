@@ -83,9 +83,6 @@ class Distribution:
         self._total += other._total
         self._sorted_keys = None
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self._buckets)
-
     def to_payload(self) -> Dict[str, int]:
         """JSON-friendly bucket map (JSON object keys must be strings)."""
         return {str(value): count for value, count in sorted(self._buckets.items())}

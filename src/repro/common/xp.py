@@ -31,12 +31,3 @@ def backend_name(*_ignored: object) -> str:
     PR drops the import and this function with it."""
     return "numpy"
 
-
-# -- whole-wavefront mask kernel ---------------------------------------
-
-
-def pack_mask(mask) -> int:
-    """bool[64] lane vector -> 64-bit execution mask."""
-    return int.from_bytes(
-        _numpy.packbits(mask, bitorder="little").tobytes(), "little"
-    )

@@ -174,10 +174,6 @@ class SweepResults:
         raise KeyError(f"no sweep point {point_id!r}")
 
     @property
-    def ok_points(self) -> List[PointResult]:
-        return [pr for pr in self.points if not pr.failed]
-
-    @property
     def failed_points(self) -> List[PointResult]:
         return [pr for pr in self.points if pr.failed]
 

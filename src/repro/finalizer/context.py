@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..common.errors import FinalizerError
 from ..gcn3.isa import EXEC, SImm, SReg, SpecialReg, VCC, VReg, Gcn3Instr
-from ..hsail.isa import HReg, HsailInstr, HsailKernel
+from ..hsail.isa import HReg, HsailKernel
 from ..hsail.isa import Imm as HImm
 from ..kernels.types import DType
 from .uniformity import UniformityInfo
@@ -145,11 +145,6 @@ class FinalizeContext:
             raise FinalizerError(f"cannot alias multiply-defined register %v{vid}")
         self.vmap[vid] = operand
 
-    def is_divergent_value(self, src: Union[HReg, HImm]) -> bool:
-        if isinstance(src, HImm):
-            return False
-        return self.uniformity.is_divergent(src.index)
-
     # -- emission ------------------------------------------------------------
 
     def emit(
@@ -174,24 +169,6 @@ class FinalizeContext:
     def place_label(self, name: str) -> None:
         """Attach ``name`` to the next emitted instruction."""
         self._pending_labels.append(name)
-
-    def finish_labels(self) -> None:
-        """Resolve symbolic branch targets to instruction indices."""
-        if self._pending_labels:
-            raise FinalizerError(f"labels {self._pending_labels} never bound")
-        position: Dict[str, int] = {}
-        for i, instr in enumerate(self.instrs):
-            for name in instr.attrs.get("labels", ()):  # type: ignore[union-attr]
-                if name in position:
-                    raise FinalizerError(f"duplicate label {name}")
-                position[name] = i
-        for instr in self.instrs:
-            label = instr.attrs.get("target_label")
-            if label is None:
-                continue
-            if label not in position:
-                raise FinalizerError(f"branch to unbound label {label}")
-            instr.attrs["target"] = position[label]
 
 
 __all__ = ["FinalizeContext", "GOperand", "EXEC", "VCC"]

@@ -27,7 +27,7 @@ from ..common.bits import pack_bfe_operand
 from ..common.errors import FinalizerError
 from ..gcn3 import abi
 from ..gcn3.isa import SImm, SReg, VReg
-from ..hsail.isa import HReg, HsailInstr, HsailKernel
+from ..hsail.isa import HsailInstr, HsailKernel
 from ..hsail.isa import Imm as HImm
 from ..kernels.types import DType
 from ..runtime.memory import Segment
@@ -55,10 +55,6 @@ PACKET_GRID_SIZE_OFFSET = 12  # grid_size_x; y at +4, z at +8
 
 def _is_vgpr(op: GOperand) -> bool:
     return isinstance(op, VReg)
-
-
-def _is_wide(op: GOperand) -> bool:
-    return isinstance(op, (VReg, SReg)) and op.count == 2 and op.part < 0
 
 
 class Lowerer:

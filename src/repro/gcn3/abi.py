@@ -20,8 +20,7 @@ adding ``v0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,19 +48,6 @@ def first_free_sgpr(dims: int) -> int:
 def first_free_vgpr(dims: int) -> int:
     """First allocatable VGPR for a kernel using ``dims`` grid dimensions."""
     return max(FIRST_FREE_VGPR, dims)
-
-
-@dataclass
-class KernelDescriptor:
-    """Metadata the loader/CP reads before dispatch (amd_kernel_code_t-ish)."""
-
-    kernarg_segment_byte_size: int = 0
-    group_segment_byte_size: int = 0
-    private_segment_byte_size: int = 0  # per work-item, all scratch areas
-    wavefront_sgpr_count: int = FIRST_FREE_SGPR
-    workitem_vgpr_count: int = FIRST_FREE_VGPR
-    #: Byte offsets of the sub-areas within each work-item's private frame.
-    frame_offsets: Dict[str, int] = field(default_factory=dict)
 
 
 def initialize_wavefront_registers(

@@ -23,14 +23,12 @@ from ..common.errors import ExecutionError
 from ..common.exec_types import DispatchContext, ExecResult, MemKind
 from ..common.lanes import (
     COMPARISONS, F32, F64, FULL_MASK, I32, I64, U32, U64, VIEW_DTYPES, WF_SIZE,
-    Executor,
     Group,
+    RowLines,
     Step,
-    WavefrontView,
     Wavefronts,
     atomic_add_op,
     barrier,
-    bool_to_mask,
     convert,
     copy_lanes,
     end,
@@ -38,7 +36,6 @@ from ..common.lanes import (
     frame_addresses,
     lane_op,
     load_op,
-    mask_to_bool,
     mul_hi,
     nop,
     pack_rows,
@@ -49,7 +46,6 @@ from ..common.lanes import (
     splat,
     store_op,
     unpack_rows,
-    write_lanes,
 )
 from . import abi
 from .isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, SpecialReg, VCC, VReg
@@ -66,7 +62,7 @@ class Gcn3Wavefronts(Wavefronts):
     like EXEC) and SCC, initialized per the kernel ABI."""
 
     #: ISA discriminator shared with the HSAIL state and ReplayCursor
-    #: (see there); the ExecResult fields filled by Gcn3Executor — EXEC
+    #: (see there); the ExecResult fields the steps fill — EXEC
     #: popcounts, s_branch targets, coalesced memory lines — are the
     #: trace-capture contract of timing/replay.py.
     is_gcn3 = True
@@ -93,61 +89,6 @@ class Gcn3Wavefronts(Wavefronts):
 
 
 _NO_RPCS: frozenset = frozenset()
-
-
-class Gcn3WfState(Gcn3Wavefronts, WavefrontView):
-    """One GCN3 wavefront on its own: the per-wavefront face the unit
-    tests and the reference driver use."""
-
-    def __init__(self, kernel: Gcn3Kernel, ctx: DispatchContext) -> None:
-        super().__init__(kernel, [ctx])
-        self.ctx = ctx
-
-    @property
-    def vgpr(self) -> np.ndarray:
-        """Its ``uint32[vgpr, lane]`` registers."""
-        return self.views[U32][:self.vgprs, 0]
-
-    @property
-    def sgpr(self) -> np.ndarray:
-        return self.sgprs[0]
-
-    @property
-    def vcc(self) -> int:
-        return bool_to_mask(self.vccs[0])
-
-    @vcc.setter
-    def vcc(self, bits: int) -> None:
-        self.vccs[0] = mask_to_bool(bits)
-
-    @property
-    def scc(self) -> int:
-        return int(self.sccs[0])
-
-    # -- operand access -----------------------------------------------------
-
-    def read_s32(self, op: object) -> int:
-        return _first(_sread(op, 32)(self.group()))
-
-    def read_s64(self, op: object) -> int:
-        return _first(_sread(op, 64)(self.group()))
-
-    def write_s32(self, op: object, value: int) -> None:
-        _swrite(op, 32)(self.group(), np.uint64(value & 0xFFFFFFFF))
-
-    def write_s64(self, op: object, value: int) -> None:
-        _swrite(op, 64)(self.group(), np.uint64(value & 0xFFFFFFFFFFFFFFFF))
-
-    def read_v64(self, op: object) -> np.ndarray:
-        return np.broadcast_to(_vsrc(op, U64)(self.group()), (1, WF_SIZE))[0]
-
-    def write_v64(self, op: VReg, values: np.ndarray, mask: np.ndarray) -> None:
-        raw = np.ascontiguousarray(values).view(np.uint64).reshape(1, -1)
-        write_lanes(self.group(), U64, op.index, raw, mask.reshape(1, -1))
-
-
-def _first(value) -> int:
-    return int(np.asarray(value).reshape(-1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +218,10 @@ def compiled(instr: Gcn3Instr) -> Step:
 
     Opcode parsing, the register-file view of every operand, the ufunc
     and a branch's target are decided here, once, and memoized on the
-    instruction; :meth:`Gcn3Executor.execute` and the functional pass's
-    per-kernel step table run the same object.  ``s_waitcnt`` has no
-    functional effect: the timing layer gates on the predecoded
-    ``IssueDesc`` wait fields, and the thresholds ride in ``waitcnt``.
+    instruction, where :meth:`Gcn3Wavefronts.steps` finds it.
+    ``s_waitcnt`` has no functional effect: the timing layer gates on
+    the predecoded ``IssueDesc`` wait fields, and the thresholds ride in
+    ``waitcnt``.
     """
     run = getattr(instr, "_run", None)
     if run is None:
@@ -627,17 +568,22 @@ def _compile_smem(instr: Gcn3Instr) -> Step:
     def smem(g, exe):
         addrs = np.broadcast_to(base(g), (len(g.exec),))[g.pos].tolist()
         loaded = {}
-        for addr in addrs:  # each distinct address once
-            if addr not in loaded:
-                addr += offset
-                loaded[addr - offset] = (
-                    [exe.memory.load_scalar(addr + 4 * i, 4) & 0xFFFFFFFF
+        lines: list = []
+        starts = []
+        for addr in addrs:  # each distinct address loaded once
+            hit = loaded.get(addr)
+            if hit is None:
+                start = addr + offset
+                hit = loaded[addr] = (
+                    [exe.memory.load_scalar(start + 4 * i, 4)
                      for i in range(count)],
-                    sorted({(addr + 4 * i) >> 6 for i in range(count)}))
-        words = np.array([loaded[addr][0] for addr in addrs], dtype=np.uint32)
-        g.sgpr[g.pos, first:first + count] = words
-        return ExecResult(mem_kind=MemKind.SCALAR_LOAD,
-                          mem_lines=[loaded[addr][1] for addr in addrs])
+                    sorted({(start + 4 * i) >> 6 for i in range(count)}))
+            starts.append(len(lines))
+            lines.extend(hit[1])
+        g.sgpr[g.pos, first:first + count] = [loaded[addr][0] for addr in addrs]
+        ends = starts[1:] + [len(lines)]
+        return ExecResult(mem_kind=MemKind.SCALAR_LOAD, mem_lines=RowLines(
+            np.array(lines, dtype=np.int64), starts, ends))
     return smem
 
 
@@ -672,7 +618,4 @@ def _compile_branch(instr: Gcn3Instr) -> Step:
     return branch
 
 
-class Gcn3Executor(Executor):
-    """Executes GCN3 instructions against one memory and LDS image."""
-
-    compiled = staticmethod(compiled)
+Gcn3Wavefronts.compiled = staticmethod(compiled)

@@ -25,14 +25,11 @@ from ..common.errors import ExecutionError
 from ..common.exec_types import DispatchContext, ExecResult
 from ..common.lanes import (
     COMPARISONS, F32, F64, I32, I64, U32, U64, VIEW_DTYPES,
-    Executor,
     Group,
     Step,
-    WavefrontView,
     Wavefronts,
     atomic_add_op,
     barrier,
-    bool_to_mask,
     compare,
     convert,
     copy_lanes,
@@ -41,7 +38,6 @@ from ..common.lanes import (
     frame_addresses,
     lane_op,
     load_op,
-    mask_to_bool,
     mul_hi,
     nop,
     reg_dest,
@@ -50,7 +46,6 @@ from ..common.lanes import (
     shift,
     splat,
     store_op,
-    write_lanes,
 )
 from ..kernels.types import DType
 from ..runtime.memory import Segment
@@ -63,12 +58,13 @@ _KIND = {DType.U32: U32, DType.B1: U32, DType.S32: I32, DType.F32: F32,
 
 @dataclass
 class RsEntry:
-    """One reconvergence-stack entry."""
+    """One reconvergence-stack entry; the masks are ``bool[64]`` lane
+    rows, EXEC's form."""
 
     rpc: int
     pending_pc: Optional[int]
-    pending_mask: int
-    merged_mask: int
+    pending_mask: np.ndarray
+    merged_mask: np.ndarray
 
 
 class HsailWavefronts(Wavefronts):
@@ -78,7 +74,7 @@ class HsailWavefronts(Wavefronts):
 
     #: ISA discriminator shared with the GCN3 state and ReplayCursor, so
     #: the timing layer can branch without isinstance checks.  Every
-    #: ExecResult field the executor fills is part of the trace-capture
+    #: ExecResult field the steps fill is part of the trace-capture
     #: contract (timing/replay.py): reconvergence jumps, branch targets,
     #: memory lines, active-lane counts must stay timing-invariant.
     is_gcn3 = False
@@ -104,42 +100,13 @@ class HsailWavefronts(Wavefronts):
             top = rs[-1]
             if top.pending_pc is not None and top.pending_pc != top.rpc:
                 pc = top.pending_pc
-                self.exec[row] = mask_to_bool(top.pending_mask)
+                self.exec[row] = top.pending_mask
                 top.pending_pc = None
                 self.pcs[row] = pc
                 return pc
-            self.exec[row] = mask_to_bool(top.merged_mask)
+            self.exec[row] = top.merged_mask
             rs.pop()
         return None
-
-
-class HsailWfState(HsailWavefronts, WavefrontView):
-    """One HSAIL wavefront on its own: the per-wavefront face the unit
-    tests and the reference driver use."""
-
-    def __init__(self, kernel: HsailKernel, ctx: DispatchContext) -> None:
-        super().__init__(kernel, [ctx])
-        self.ctx = ctx
-
-    @property
-    def regs(self) -> np.ndarray:
-        """Its ``uint32[slot, lane]`` registers."""
-        return self.views[U32][:self.slots, 0]
-
-    @property
-    def rs(self) -> List[RsEntry]:
-        return self.stacks[0]
-
-    # -- operand access ---------------------------------------------------
-
-    def read_typed(self, op: "HReg | Imm", dtype: DType) -> np.ndarray:
-        lanes = _operand(op, _KIND[dtype])(self.group())
-        return lanes[0] if lanes.ndim == 2 else lanes
-
-    def write_typed(self, reg: HReg, dtype: DType, values: np.ndarray, mask: np.ndarray) -> None:
-        kind = _KIND[dtype]
-        raw = np.ascontiguousarray(values).view(VIEW_DTYPES[kind]).reshape(1, -1)
-        write_lanes(self.group(), kind, reg.index, raw, mask.reshape(1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +139,7 @@ def compiled(instr: HsailInstr) -> Step:
     Everything that depends only on the instruction -- opcode and type
     dispatch, operand kinds, which register-file view each operand is,
     the ufunc, a branch's target -- is decided here, once, and memoized
-    on the instruction; :meth:`HsailExecutor.execute` and the functional
-    pass's per-kernel step table run the same object.
+    on the instruction, where :meth:`HsailWavefronts.steps` finds it.
     """
     run = getattr(instr, "_run", None)
     if run is None:
@@ -329,11 +295,13 @@ def _compile_branch(instr: HsailInstr) -> Step:
             if rpc is None:
                 raise ExecutionError(f"divergent branch at {pc} lacks an RPC")
             pending = None if pc + 1 == rpc else pc + 1
+            # ``lanes`` may be a view of EXEC, which set_exec rewrites:
+            # an entry keeps copies.
             for r in np.flatnonzero(split).tolist():
                 g.state.stacks[g.lo + r].append(RsEntry(
                     rpc=rpc, pending_pc=pending,
-                    pending_mask=bool_to_mask(lanes[r] & ~taken[r]),
-                    merged_mask=bool_to_mask(lanes[r])))
+                    pending_mask=lanes[r] & ~taken[r],
+                    merged_mask=lanes[r].copy()))
             g.set_exec(np.where(split[:, None], taken, g.exec))
             g.rpcs.add(rpc)
         taken_rows = any_taken[g.pos]
@@ -343,16 +311,4 @@ def _compile_branch(instr: HsailInstr) -> Step:
     return cbr
 
 
-# ---------------------------------------------------------------------------
-# Executor
-# ---------------------------------------------------------------------------
-
-
-class HsailExecutor(Executor):
-    """Executes HSAIL instructions against one memory and LDS image."""
-
-    compiled = staticmethod(compiled)
-
-    def check_reconvergence(self, wf: HsailWfState) -> Optional[int]:
-        """:meth:`HsailWavefronts.reconverge` of a one-wavefront state."""
-        return wf.reconverge(0)
+HsailWavefronts.compiled = staticmethod(compiled)

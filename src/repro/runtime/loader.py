@@ -31,10 +31,6 @@ class LoadedKernel:
     code_base: int
     code_bytes: int
 
-    def pc_address(self, pc_offset: int) -> int:
-        """Byte address of a PC offset within this kernel."""
-        return self.code_base + pc_offset
-
 
 class CodeObjectLoader:
     """Maps kernels into memory, one region per unique kernel."""
@@ -69,7 +65,3 @@ class CodeObjectLoader:
         loaded = LoadedKernel(kernel=kernel, code_base=base, code_bytes=size)
         self._loaded[key] = loaded
         return loaded
-
-    @property
-    def total_code_bytes(self) -> int:
-        return sum(lk.code_bytes for lk in self._loaded.values())

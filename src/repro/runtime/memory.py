@@ -178,16 +178,6 @@ class SimulatedMemory(LaneBuffer):
         else:
             touched.update(lines)
 
-    def gather_u32(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """:meth:`gather` of dwords spread back over 64 lanes (inactive
-        lanes read 0)."""
-        out = np.zeros(addrs.shape[0], dtype=np.uint32)
-        out[mask] = self.gather(addrs, mask)[0]
-        return out
-
-    def scatter_u32(self, addrs: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
-        self.scatter(addrs, values, mask)
-
 
 @dataclass
 class Allocation:
@@ -216,10 +206,6 @@ class SegmentAllocator:
         self._cursor = HEAP_BASE
         self._live: Dict[int, Allocation] = {}
         self._reusable: Dict[str, Allocation] = {}
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor - HEAP_BASE
 
     def alloc(self, size: int, segment: Segment = Segment.GLOBAL, *, align: int = 64, tag: str = "") -> int:
         """Allocate ``size`` bytes; returns the base address."""
@@ -257,9 +243,6 @@ class SegmentAllocator:
 
     def lookup(self, addr: int) -> Optional[Allocation]:
         return self._live.get(addr)
-
-    def live_allocations(self) -> "list[Allocation]":
-        return sorted(self._live.values(), key=lambda a: a.addr)
 
     def segment_ranges(self, segments: "set[Segment]") -> "list[tuple[int, int]]":
         """Sorted [start, end) address ranges of allocations in ``segments``."""

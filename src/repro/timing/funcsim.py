@@ -55,10 +55,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import DeadlockError
-from ..common.lanes import (U32, Group, RowLines, Step, Wavefronts,
+from ..common.lanes import (U32, Executor, Group, RowLines, Step, Wavefronts,
                             has_atomic)
-from ..gcn3.semantics import Gcn3Executor, Gcn3Wavefronts
-from ..hsail.semantics import HsailExecutor, HsailWavefronts
+from ..gcn3.semantics import Gcn3Wavefronts
+from ..hsail.semantics import HsailWavefronts
 from ..runtime.process import Dispatch, GpuProcess
 from .predecode import IssueDesc, predecode_kernel
 from .registerfile import unique_rows
@@ -81,8 +81,7 @@ def run_dispatch_functional(
     the numbering the dispatcher's placement uses.
     """
     kernel = dispatch.kernel
-    executor_cls, state_cls = ((Gcn3Executor, Gcn3Wavefronts) if dispatch.is_gcn3
-                               else (HsailExecutor, HsailWavefronts))
+    state_cls = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
     # Each workgroup's LDS allocation is its own slice of one image;
     # a wavefront reaches it through its context's LDS base.
     lds_bytes = max(kernel.group_bytes, 4)
@@ -95,7 +94,7 @@ def run_dispatch_functional(
                 wg_id, wf_index, lds_base_offset=wg * lds_bytes))
             workgroup_of.append(wg)
     state = state_cls(kernel, contexts)
-    executor = executor_cls(
+    executor = Executor(
         process.memory,
         np.zeros(lds_bytes * dispatch.num_workgroups, dtype=np.uint8),
         lds_bytes)
@@ -125,7 +124,7 @@ class _Lockstep:
         kernel = state.kernel
         self.state = state
         self.executor = executor
-        self.steps: Sequence[Step] = executor.steps(kernel)
+        self.steps: Sequence[Step] = state.steps(kernel)
         self.descs: Sequence[IssueDesc] = predecode_kernel(kernel)
         self.streams: Optional[List[WfStream]] = streams
         self.workgroup_of = workgroup_of
@@ -356,7 +355,7 @@ class _Records:
         self.flags = bytearray()
         self.actives: List[List[int]] = []
         self.targets: List[int] = []
-        self.lines: List[object] = []  # RowLines, or line lists
+        self.lines: List[RowLines] = []
         self.split: Optional[List[bool]] = None
 
     def reset(self) -> None:
@@ -420,14 +419,10 @@ class _Records:
                 stream.flags.frombytes(flags)
                 stream.targets.extend(targets[:-1])
             for lines in self.lines:
-                if type(lines) is RowLines:
-                    start = lines.starts[m]
-                    end = lines.ends[m]
-                    stream.mem_counts.append(end - start)
-                    stream.mem_lines.frombytes(lines.lines[start:end].tobytes())
-                else:
-                    stream.mem_counts.append(len(lines[m]))
-                    stream.mem_lines.extend(lines[m])
+                start = lines.starts[m]
+                end = lines.ends[m]
+                stream.mem_counts.append(end - start)
+                stream.mem_lines.frombytes(lines.lines[start:end].tobytes())
         self.reset()
 
 

@@ -9,9 +9,9 @@ from repro.common.errors import ExecutionError
 from repro.common.lanes import (
     FULL_MASK,
     LdsImage,
-    bool_to_mask,
-    mask_to_bool,
+    pack_rows,
     row_access,
+    unpack_rows,
 )
 
 
@@ -26,21 +26,36 @@ def lds_gather_u32(lds, addrs, mask):
     return out
 
 
+def words(*bits):
+    return np.array(bits, dtype=np.uint64)
+
+
 class TestMaskConversion:
+    """``pack_rows``/``unpack_rows``: bool[n, 64] lane rows <-> one
+    64-bit mask word per row, lane ``i`` at bit ``i``."""
+
     def test_full(self):
-        assert mask_to_bool(FULL_MASK).all()
-        assert bool_to_mask(np.ones(64, dtype=bool)) == FULL_MASK
+        assert unpack_rows(words(FULL_MASK)).all()
+        packed = pack_rows(np.ones((2, 64), dtype=bool))
+        assert packed.dtype == np.uint64 and packed.tolist() == [FULL_MASK] * 2
 
     def test_empty(self):
-        assert not mask_to_bool(0).any()
+        assert not unpack_rows(words(0, 0)).any()
+        assert pack_rows(np.zeros((1, 64), dtype=bool)).tolist() == [0]
 
     def test_single_lane(self):
-        m = mask_to_bool(1 << 17)
-        assert m[17] and m.sum() == 1
+        rows = unpack_rows(words(1 << 17, 1 << 63))
+        assert rows.shape == (2, 64)
+        assert rows[0, 17] and rows[0].sum() == 1
+        assert rows[1, 63] and rows[1].sum() == 1
 
-    @given(st.integers(min_value=0, max_value=FULL_MASK))
+    @given(st.lists(st.integers(min_value=0, max_value=FULL_MASK),
+                    min_size=1, max_size=8))
     def test_roundtrip(self, bits):
-        assert bool_to_mask(mask_to_bool(bits)) == bits
+        rows = unpack_rows(words(*bits))
+        assert [[(b >> i) & 1 == 1 for i in range(64)] for b in bits] \
+            == rows.tolist()
+        assert pack_rows(rows).tolist() == bits
 
 
 def _lines(addrs, mask, size):

@@ -3,8 +3,9 @@ predicated writes, carries, and the aliasing the zero-copy views make
 newly dangerous.  Same oracle and method as
 ``tests/hsail/test_register_file.py``: a row-major ``uint32[vgpr, lane]``
 block with (lo, hi) split pairs and read-everything-then-write
-instructions, compared bit for bit with :meth:`Gcn3Executor.execute`,
-which runs the compiled step the functional pass's step table holds.
+instructions, compared bit for bit with the compiled step the
+functional pass's step table holds, run on a one-row state
+(``tests/trace_oracle.step_wavefront``).
 """
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.exec_types import DispatchContext
+from repro.common.lanes import U64, Executor, Group, write_lanes
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, VCC, VReg
-from repro.gcn3.semantics import Gcn3Executor, Gcn3WfState
+from repro.gcn3.semantics import Gcn3Wavefronts, _vsrc
 from repro.runtime.memory import HEAP_BASE, SimulatedMemory
 from tests.regfile_oracle import (
     FULL,
@@ -30,6 +32,9 @@ from tests.regfile_oracle import (
     typed,
     write_register,
 )
+from tests.trace_oracle import step_wavefront
+
+from .test_semantics import s64, vgpr as vgprs
 
 VGPRS = 12
 NP = {"u32": np.uint32, "b32": np.uint32, "i32": np.int32, "f32": np.float32,
@@ -63,21 +68,25 @@ def make_wf(instr, regs, exec_bits, vcc=0):
     kernel.compute_layout()
     ctx = DispatchContext(grid_size=(64, 1, 1), wg_size=(64, 1, 1),
                           wg_id=(0, 0, 0), wf_index_in_wg=0)
-    wf = Gcn3WfState(kernel=kernel, ctx=ctx)
-    for index in range(VGPRS):
-        wf.vgpr[index] = regs[index]
-    wf.sgpr[:24] = SGPR_SEED
-    wf.exec_mask = exec_bits
-    wf.vcc = vcc
+    wf = Gcn3Wavefronts(kernel, [ctx])
+    vgprs(wf)[:VGPRS] = regs
+    wf.sgprs[0, :24] = SGPR_SEED
+    wf.exec[0] = lanes_of(exec_bits)
+    wf.vccs[0] = lanes_of(vcc)
     return wf
+
+
+def read_v64(wf, op):
+    """Vector source ``op`` of the wavefront read as 64-bit lanes."""
+    return np.broadcast_to(_vsrc(op, U64)(Group(wf, [0], 0)), (1, 64))[0]
 
 
 def run_one(instr, regs, exec_bits, vcc=0, memory=None):
     """(vgpr bits, vcc) after executing ``instr`` from that state."""
     wf = make_wf(instr, regs, exec_bits, vcc)
-    result = Gcn3Executor(memory or SimulatedMemory()).execute(wf)
-    assert result.next_pc is None and wf.pc == 1
-    return np.array(wf.vgpr), wf.vcc
+    result = step_wavefront(wf, Executor(memory or SimulatedMemory()))
+    assert result.next_pc is None and wf.pcs[0] == 1
+    return np.array(vgprs(wf)[:VGPRS]), bits_of(wf.vccs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +101,9 @@ def test_write_v64_matches_the_split(seed, mask_bits, index):
     wf = make_wf(Gcn3Instr(opcode="s_nop"), regs, FULL)
     raw = np.random.default_rng(seed + 1).integers(0, 2**64, 64, dtype=np.uint64)
     mask = lanes_of(mask_bits)
-    wf.write_v64(VReg(index, count=2), raw.view(np.float64), mask)
+    write_lanes(Group(wf, [0], 0), U64, index, raw[None], mask[None])
     ref_write(regs, index, raw, mask)
-    assert np.array_equal(wf.vgpr, regs)  # odd and even pairs alike
+    assert np.array_equal(vgprs(wf)[:VGPRS], regs)  # odd and even pairs alike
 
 
 @given(seeds, vgpr)
@@ -102,12 +111,12 @@ def test_write_v64_matches_the_split(seed, mask_bits, index):
 def test_read_v64_matches_the_recombination(seed, index):
     regs = random_vgprs(seed)
     wf = make_wf(Gcn3Instr(opcode="s_nop"), regs, 0)
-    assert np.array_equal(wf.vgpr, regs)
-    pair = wf.read_v64(VReg(index, count=2))
+    assert np.array_equal(vgprs(wf)[:VGPRS], regs)
+    pair = read_v64(wf, VReg(index, count=2))
     assert pair.dtype == np.uint64
     assert np.array_equal(pair, read_register(regs, index, np.uint64))
-    assert np.shares_memory(pair, wf.vgpr) == (index % 2 == 0)
-    assert (wf.read_v64(SReg(4, count=2)) == wf.read_s64(SReg(4, count=2))).all()
+    assert np.shares_memory(pair, vgprs(wf)) == (index % 2 == 0)
+    assert (read_v64(wf, SReg(4, count=2)) == s64(wf, 4)[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +322,10 @@ def test_addc_chain_is_a_64_bit_add():
     ref_write(regs, 4, b, np.ones(64, dtype=bool))
     wf = make_wf(Gcn3Instr("v_add_u32", VReg(2), (VReg(2), VReg(4))), regs, FULL)
     wf.kernel.instrs[1:1] = [Gcn3Instr("v_addc_u32", VReg(3), (VReg(3), VReg(5)))]
-    executor = Gcn3Executor(SimulatedMemory())
-    executor.execute(wf)
-    executor.execute(wf)
-    assert np.array_equal(wf.read_v64(VReg(2, count=2)), a + b)
+    executor = Executor(SimulatedMemory())
+    step_wavefront(wf, executor)
+    step_wavefront(wf, executor)
+    assert np.array_equal(read_v64(wf, VReg(2, count=2)), a + b)
 
 
 def test_inactive_lanes_keep_nan_payloads_and_negative_zero():

@@ -5,9 +5,12 @@ import pytest
 
 from repro.common.bits import pack_bfe_operand
 from repro.common.exec_types import DispatchContext, MemKind
+from repro.common.lanes import U32, U64, Executor, Group, RowLines
 from repro.gcn3.isa import EXEC, Gcn3Instr, Gcn3Kernel, SImm, SReg, VCC, VReg
-from repro.gcn3.semantics import Gcn3Executor, Gcn3WfState
+from repro.gcn3.semantics import Gcn3Wavefronts
 from repro.runtime.memory import SimulatedMemory
+from tests.regfile_oracle import bits_of, lanes_of
+from tests.trace_oracle import step_wavefront
 
 
 def make_ctx(grid=64, wg=64):
@@ -24,16 +27,29 @@ def make_wf(instrs, ctx=None, vgprs=24, sgprs=24):
         spill_bytes=0, scratch_bytes=0,
     )
     kernel.compute_layout()
-    return Gcn3WfState(kernel=kernel, ctx=ctx or make_ctx())
+    return Gcn3Wavefronts(kernel, [ctx or make_ctx()])
+
+
+def vgpr(wf):
+    """The wavefront's ``uint32[vgpr, lane]`` registers, a view."""
+    return wf.views[U32][:, 0]
+
+
+def v64(wf, index):
+    """VGPR pair ``index`` (even) of the wavefront as uint64 lanes, a
+    view."""
+    return wf.views[U64][index >> 1, 0]
+
+
+def s64(wf, index):
+    """SGPR pair ``index`` (even) of the wavefront as a one-element
+    uint64 view."""
+    return wf.sgprs[0, index:index + 2].view(np.uint64)
 
 
 @pytest.fixture()
 def executor():
-    return Gcn3Executor(SimulatedMemory())
-
-
-def run_one(executor, wf):
-    return executor.execute(wf)
+    return Executor(SimulatedMemory())
 
 
 class TestSalu:
@@ -42,7 +58,7 @@ class TestSalu:
         if setup:
             setup(wf)
         for _ in instrs:
-            executor.execute(wf)
+            step_wavefront(wf, executor)
         return wf
 
     def test_s_mov_and_pairs(self, executor):
@@ -52,8 +68,8 @@ class TestSalu:
             Gcn3Instr(opcode="s_mov_b64", dest=SReg(10, count=2),
                       srcs=(SImm(0x1122334455),)),
         )
-        assert wf.sgpr[9] == 42
-        assert wf.read_s64(SReg(10, count=2)) == 0x1122334455
+        assert wf.sgprs[0][9] == 42
+        assert s64(wf, 10)[0] == 0x1122334455
 
     def test_add_carry_chain(self, executor):
         wf = self.exec_salu(
@@ -63,8 +79,8 @@ class TestSalu:
             Gcn3Instr(opcode="s_addc_u32", dest=SReg(10),
                       srcs=(SImm(0), SImm(0))),
         )
-        assert wf.sgpr[9] == 0
-        assert wf.sgpr[10] == 1  # the carry propagated
+        assert wf.sgprs[0][9] == 0
+        assert wf.sgprs[0][10] == 1  # the carry propagated
 
     def test_sub_borrow_chain(self, executor):
         wf = self.exec_salu(
@@ -74,8 +90,8 @@ class TestSalu:
             Gcn3Instr(opcode="s_subb_u32", dest=SReg(10),
                       srcs=(SImm(5), SImm(0))),
         )
-        assert wf.sgpr[9] == 0xFFFFFFFF
-        assert wf.sgpr[10] == 4
+        assert wf.sgprs[0][9] == 0xFFFFFFFF
+        assert wf.sgprs[0][10] == 4
 
     def test_s_mul_signed(self, executor):
         wf = self.exec_salu(
@@ -83,7 +99,7 @@ class TestSalu:
             Gcn3Instr(opcode="s_mul_i32", dest=SReg(9),
                       srcs=(SImm((-3) & 0xFFFFFFFF), SImm(7))),
         )
-        assert wf.sgpr[9] == (-21) & 0xFFFFFFFF
+        assert wf.sgprs[0][9] == (-21) & 0xFFFFFFFF
 
     def test_s_bfe_table1(self, executor):
         # The paper's Table 1 extraction: low 16 bits of the packed sizes.
@@ -94,7 +110,7 @@ class TestSalu:
             Gcn3Instr(opcode="s_bfe_u32", dest=SReg(10),
                       srcs=(SReg(9), SImm(pack_bfe_operand(0, 16)))),
         )
-        assert wf.sgpr[10] == 0x100
+        assert wf.sgprs[0][10] == 0x100
 
     def test_s_cmp_sets_scc_and_cselect(self, executor):
         wf = self.exec_salu(
@@ -103,8 +119,8 @@ class TestSalu:
             Gcn3Instr(opcode="s_cselect_b32", dest=SReg(9),
                       srcs=(SImm(1), SImm(0))),
         )
-        assert wf.scc == 1
-        assert wf.sgpr[9] == 1
+        assert wf.sccs[0]
+        assert wf.sgprs[0][9] == 1
 
     def test_s_cmp_signed(self, executor):
         wf = self.exec_salu(
@@ -112,7 +128,7 @@ class TestSalu:
             Gcn3Instr(opcode="s_cmp_gt_i32",
                       srcs=(SImm(1), SImm((-5) & 0xFFFFFFFF))),
         )
-        assert wf.scc == 1
+        assert wf.sccs[0]
 
     def test_saveexec(self, executor):
         wf = self.exec_salu(
@@ -123,9 +139,9 @@ class TestSalu:
                       srcs=(SReg(10, count=2),)),
         )
         original = (1 << 64) - 1
-        assert wf.read_s64(SReg(12, count=2)) == original  # old exec saved
-        assert wf.exec_mask == 0xF0
-        assert wf.scc == 1
+        assert s64(wf, 12)[0] == original  # old exec saved
+        assert bits_of(wf.exec[0]) == 0xF0
+        assert wf.sccs[0]
 
     def test_andn2_builds_else_mask(self, executor):
         wf = self.exec_salu(
@@ -137,7 +153,7 @@ class TestSalu:
             Gcn3Instr(opcode="s_andn2_b64", dest=SReg(14, count=2),
                       srcs=(SReg(10, count=2), SReg(12, count=2))),
         )
-        assert wf.read_s64(SReg(14, count=2)) == 0xF0
+        assert s64(wf, 14)[0] == 0xF0
 
     def test_shifts_64(self, executor):
         wf = self.exec_salu(
@@ -147,7 +163,7 @@ class TestSalu:
             Gcn3Instr(opcode="s_lshl_b64", dest=SReg(12, count=2),
                       srcs=(SReg(10, count=2), SImm(33))),
         )
-        assert wf.read_s64(SReg(12, count=2)) == 6 << 33
+        assert s64(wf, 12)[0] == 6 << 33
 
 
 class TestValu:
@@ -156,11 +172,11 @@ class TestValu:
             Gcn3Instr(opcode="v_mov_b32", dest=VReg(1), srcs=(SImm(9),)),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.exec_mask = 0b101
-        executor.execute(wf)
-        assert wf.vgpr[1][0] == 9
-        assert wf.vgpr[1][1] == 0
-        assert wf.vgpr[1][2] == 9
+        wf.exec[0] = lanes_of(0b101)
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[1][0] == 9
+        assert vgpr(wf)[1][1] == 0
+        assert vgpr(wf)[1][2] == 9
 
     def test_v_add_writes_vcc_carry(self, executor):
         wf = make_wf([
@@ -168,13 +184,13 @@ class TestValu:
                       srcs=(SImm(1), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1][:] = 0xFFFFFFFF
-        wf.vgpr[1][0] = 5
-        executor.execute(wf)
-        assert wf.vgpr[2][0] == 6
-        assert wf.vgpr[2][1] == 0
-        assert (wf.vcc & 1) == 0      # lane 0: no carry
-        assert (wf.vcc >> 1) & 1 == 1  # lane 1: carried
+        vgpr(wf)[1][:] = 0xFFFFFFFF
+        vgpr(wf)[1][0] = 5
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[2][0] == 6
+        assert vgpr(wf)[2][1] == 0
+        assert not wf.vccs[0][0]  # lane 0: no carry
+        assert wf.vccs[0][1]      # lane 1: carried
 
     def test_addc_consumes_vcc(self, executor):
         wf = make_wf([
@@ -182,10 +198,10 @@ class TestValu:
                       srcs=(SImm(0), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vcc = 0b10
-        executor.execute(wf)
-        assert wf.vgpr[2][0] == 0
-        assert wf.vgpr[2][1] == 1
+        wf.vccs[0] = lanes_of(0b10)
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[2][0] == 0
+        assert vgpr(wf)[2][1] == 1
 
     def test_v_cmp_writes_mask_sgpr(self, executor):
         wf = make_wf([
@@ -193,9 +209,9 @@ class TestValu:
                       srcs=(SImm(32), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1] = np.arange(64, dtype=np.uint32)
-        executor.execute(wf)
-        mask = wf.read_s64(SReg(10, count=2))
+        vgpr(wf)[1] = np.arange(64, dtype=np.uint32)
+        step_wavefront(wf, executor)
+        mask = s64(wf, 10)[0]
         # 32 < lane for lanes 33..63
         assert mask == sum(1 << i for i in range(33, 64))
 
@@ -205,9 +221,9 @@ class TestValu:
                       srcs=(SImm(0), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.exec_mask = 0b11
-        executor.execute(wf)
-        assert wf.read_s64(SReg(10, count=2)) == 0b11
+        wf.exec[0] = lanes_of(0b11)
+        step_wavefront(wf, executor)
+        assert s64(wf, 10)[0] == 0b11
 
     def test_cndmask_selects_per_lane(self, executor):
         wf = make_wf([
@@ -215,12 +231,12 @@ class TestValu:
                       srcs=(VReg(1), VReg(2), SReg(10, count=2))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1][:] = 100
-        wf.vgpr[2][:] = 200
-        wf.write_s64(SReg(10, count=2), 0b1)
-        executor.execute(wf)
-        assert wf.vgpr[3][0] == 200  # selected (mask bit set -> src1)
-        assert wf.vgpr[3][1] == 100
+        vgpr(wf)[1][:] = 100
+        vgpr(wf)[2][:] = 200
+        s64(wf, 10)[0] = 0b1
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[3][0] == 200  # selected (mask bit set -> src1)
+        assert vgpr(wf)[3][1] == 100
 
     def test_mul_lo_hi(self, executor):
         wf = make_wf([
@@ -230,11 +246,11 @@ class TestValu:
                       srcs=(VReg(1), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1][:] = 0x10000
-        executor.execute(wf)
-        executor.execute(wf)
-        assert wf.vgpr[2][0] == 0
-        assert wf.vgpr[3][0] == 1
+        vgpr(wf)[1][:] = 0x10000
+        step_wavefront(wf, executor)
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[2][0] == 0
+        assert vgpr(wf)[3][0] == 1
 
     def test_lshlrev_operand_order(self, executor):
         wf = make_wf([
@@ -242,9 +258,9 @@ class TestValu:
                       srcs=(SImm(4), VReg(1))),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1][:] = 3
-        executor.execute(wf)
-        assert wf.vgpr[2][0] == 48  # value shifted by src0
+        vgpr(wf)[1][:] = 3
+        step_wavefront(wf, executor)
+        assert vgpr(wf)[2][0] == 48  # value shifted by src0
 
     def test_f64_fma_with_neg(self, executor):
         wf = make_wf([
@@ -254,13 +270,10 @@ class TestValu:
                       attrs={"neg": (True, False, False)}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        ones = np.ones(64, dtype=np.float64)
-        wf.write_v64(VReg(2, count=2), (ones * 2).view(np.uint64),
-                     np.ones(64, dtype=bool))
-        wf.write_v64(VReg(4, count=2), (ones * 3).view(np.uint64),
-                     np.ones(64, dtype=bool))
-        executor.execute(wf)
-        out = wf.read_v64(VReg(6, count=2)).view(np.float64)
+        v64(wf, 2).view(np.float64)[:] = 2.0
+        v64(wf, 4).view(np.float64)[:] = 3.0
+        step_wavefront(wf, executor)
+        out = v64(wf, 6).view(np.float64)
         assert out[0] == -2.0 * 3.0 + 1.0
 
     def test_readfirstlane(self, executor):
@@ -269,10 +282,10 @@ class TestValu:
                       srcs=(VReg(1),)),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1] = np.arange(64, dtype=np.uint32) + 5
-        wf.exec_mask = 0b1000
-        executor.execute(wf)
-        assert wf.sgpr[9] == 8  # first active lane is 3
+        vgpr(wf)[1] = np.arange(64, dtype=np.uint32) + 5
+        wf.exec[0] = lanes_of(0b1000)
+        step_wavefront(wf, executor)
+        assert wf.sgprs[0][9] == 8  # first active lane is 3
 
 
 class TestControlFlow:
@@ -283,10 +296,10 @@ class TestControlFlow:
             Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        executor.execute(wf)
-        result = executor.execute(wf)
+        step_wavefront(wf, executor)
+        result = step_wavefront(wf, executor)
         assert result.branch_taken
-        assert wf.pc == 3
+        assert wf.pcs[0] == 3
 
     def test_unconditional_branch(self, executor):
         wf = make_wf([
@@ -294,9 +307,9 @@ class TestControlFlow:
             Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        result = executor.execute(wf)
+        result = step_wavefront(wf, executor)
         assert result.branch_taken and result.next_pc == 2
-        assert wf.pc == 2
+        assert wf.pcs[0] == 2
 
     def test_execz_branch_not_taken_with_lanes(self, executor):
         wf = make_wf([
@@ -304,9 +317,9 @@ class TestControlFlow:
             Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        result = executor.execute(wf)
+        result = step_wavefront(wf, executor)
         assert result.branch_taken is False
-        assert wf.pc == 1
+        assert wf.pcs[0] == 1
 
     def test_execz_branch_taken_when_empty(self, executor):
         wf = make_wf([
@@ -314,28 +327,28 @@ class TestControlFlow:
             Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.exec_mask = 0
-        result = executor.execute(wf)
+        wf.exec[0] = False
+        result = step_wavefront(wf, executor)
         assert result.branch_taken
-        assert wf.pc == 2
+        assert wf.pcs[0] == 2
 
     def test_waitcnt_reports_thresholds(self, executor):
         wf = make_wf([
             Gcn3Instr(opcode="s_waitcnt", attrs={"vmcnt": 0, "lgkmcnt": 2}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        result = executor.execute(wf)
+        result = step_wavefront(wf, executor)
         assert result.waitcnt == (0, 2)
 
     def test_endpgm_ends_wavefront(self, executor):
         wf = make_wf([Gcn3Instr(opcode="s_endpgm")])
-        result = executor.execute(wf)
-        assert result.ends_wavefront and wf.done
+        result = step_wavefront(wf, executor)
+        assert result.ends_wavefront and wf.ended[0]
 
     def test_barrier_flag(self, executor):
         wf = make_wf([Gcn3Instr(opcode="s_barrier"),
                       Gcn3Instr(opcode="s_endpgm")])
-        assert executor.execute(wf).is_barrier
+        assert step_wavefront(wf, executor).is_barrier
 
 
 class TestMemoryOps:
@@ -343,21 +356,41 @@ class TestMemoryOps:
         mem = SimulatedMemory()
         mem.map_range(0x10000, 64)
         mem.store_scalar(0x10010, 0xCAFE, 4, track=False)
-        executor = Gcn3Executor(mem)
+        executor = Executor(mem)
         wf = make_wf([
             Gcn3Instr(opcode="s_load_dword", dest=SReg(9),
                       srcs=(SReg(4, count=2),), attrs={"offset": 0x10}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.write_s64(SReg(4, count=2), 0x10000)
-        result = executor.execute(wf)
+        s64(wf, 4)[0] = 0x10000
+        result = step_wavefront(wf, executor)
         assert result.mem_kind == MemKind.SCALAR_LOAD
-        assert wf.sgpr[9] == 0xCAFE
+        assert wf.sgprs[0][9] == 0xCAFE
+
+    def test_smem_lines_per_member(self):
+        """A group's s_load reports each member's own lines, like a
+        vector memory step: the lines of base + offset."""
+        mem = SimulatedMemory()
+        mem.map_range(0x10000, 256)
+        mem.write_array(0x10000, np.arange(64, dtype=np.uint32))
+        kernel = make_wf([
+            Gcn3Instr(opcode="s_load_dwordx2", dest=SReg(10, count=2),
+                      srcs=(SReg(4, count=2),), attrs={"offset": 0x3C}),
+            Gcn3Instr(opcode="s_endpgm"),
+        ]).kernel
+        state = Gcn3Wavefronts(kernel, [make_ctx(), make_ctx()])
+        state.sgprs[:, 4:6].view(np.uint64)[:, 0] = [0x10000, 0x10040]
+        result = state.steps(kernel)[0](Group(state, [0, 1], 0),
+                                        Executor(mem))
+        assert type(result.mem_lines) is RowLines
+        assert [result.mem_lines[0], result.mem_lines[1]] == [
+            [0x10000 >> 6, 0x10040 >> 6], [0x10040 >> 6, 0x10080 >> 6]]
+        assert state.sgprs[:, 10:12].tolist() == [[15, 16], [31, 32]]
 
     def test_flat_roundtrip(self):
         mem = SimulatedMemory()
         mem.map_range(0x10000, 4096)
-        executor = Gcn3Executor(mem)
+        executor = Executor(mem)
         wf = make_wf([
             Gcn3Instr(opcode="flat_store_dword", srcs=(VReg(2, count=2), VReg(1))),
             Gcn3Instr(opcode="flat_load_dword", dest=VReg(4),
@@ -365,16 +398,16 @@ class TestMemoryOps:
             Gcn3Instr(opcode="s_endpgm"),
         ])
         lanes = np.arange(64, dtype=np.uint64)
-        wf.write_v64(VReg(2, count=2), 0x10000 + lanes * 4, np.ones(64, bool))
-        wf.vgpr[1] = np.arange(64, dtype=np.uint32) * 7
-        executor.execute(wf)
-        executor.execute(wf)
-        assert np.array_equal(wf.vgpr[4], wf.vgpr[1])
+        v64(wf, 2)[:] = 0x10000 + lanes * 4
+        vgpr(wf)[1] = np.arange(64, dtype=np.uint32) * 7
+        step_wavefront(wf, executor)
+        step_wavefront(wf, executor)
+        assert np.array_equal(vgpr(wf)[4], vgpr(wf)[1])
 
     def test_scratch_uses_private_frame(self):
         mem = SimulatedMemory()
         mem.map_range(0x20000, 64 * 16)
-        executor = Gcn3Executor(mem)
+        executor = Executor(mem)
         ctx = make_ctx()
         ctx.private_base = 0x20000
         ctx.private_stride = 16
@@ -383,14 +416,14 @@ class TestMemoryOps:
                       attrs={"offset": 8}),
             Gcn3Instr(opcode="s_endpgm"),
         ], ctx)
-        wf.vgpr[1] = np.arange(64, dtype=np.uint32)
-        executor.execute(wf)
+        vgpr(wf)[1] = np.arange(64, dtype=np.uint32)
+        step_wavefront(wf, executor)
         assert mem.load_scalar(0x20000 + 8, 4) == 0
         assert mem.load_scalar(0x20000 + 16 + 8, 4) == 1
 
     def test_ds_ops_use_lds(self):
         lds = np.zeros(1024, dtype=np.uint8)
-        executor = Gcn3Executor(SimulatedMemory(), lds)
+        executor = Executor(SimulatedMemory(), lds)
         wf = make_wf([
             Gcn3Instr(opcode="ds_write_b32", srcs=(VReg(1), VReg(2)),
                       attrs={"offset": 0}),
@@ -398,12 +431,12 @@ class TestMemoryOps:
                       attrs={"offset": 0}),
             Gcn3Instr(opcode="s_endpgm"),
         ])
-        wf.vgpr[1] = np.arange(64, dtype=np.uint32) * 4
-        wf.vgpr[2] = np.arange(64, dtype=np.uint32) + 1
-        r = executor.execute(wf)
+        vgpr(wf)[1] = np.arange(64, dtype=np.uint32) * 4
+        vgpr(wf)[2] = np.arange(64, dtype=np.uint32) + 1
+        r = step_wavefront(wf, executor)
         assert r.mem_kind == MemKind.LDS_ACCESS
-        executor.execute(wf)
-        assert np.array_equal(wf.vgpr[3], wf.vgpr[2])
+        step_wavefront(wf, executor)
+        assert np.array_equal(vgpr(wf)[3], vgpr(wf)[2])
 
 
 class TestAbiInitialization:
@@ -414,10 +447,10 @@ class TestAbiInitialization:
             private_base=0x5000, private_stride=32,
         )
         wf = make_wf([Gcn3Instr(opcode="s_endpgm")], ctx)
-        assert wf.read_s64(SReg(0, count=2)) == 0x5000   # private base
-        assert wf.sgpr[2] == 32                          # stride
-        assert wf.read_s64(SReg(4, count=2)) == 0x4000   # AQL packet
-        assert wf.read_s64(SReg(6, count=2)) == 0x3000   # kernarg
-        assert wf.sgpr[8] == 2                           # workgroup id
-        assert wf.vgpr[0][0] == 64                       # wf 1 lane 0
-        assert wf.vgpr[0][5] == 69
+        assert s64(wf, 0)[0] == 0x5000   # private base
+        assert wf.sgprs[0][2] == 32                          # stride
+        assert s64(wf, 4)[0] == 0x4000   # AQL packet
+        assert s64(wf, 6)[0] == 0x3000   # kernarg
+        assert wf.sgprs[0][8] == 2                           # workgroup id
+        assert vgpr(wf)[0][0] == 64                       # wf 1 lane 0
+        assert vgpr(wf)[0][5] == 69

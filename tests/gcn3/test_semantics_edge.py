@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.common.exec_types import DispatchContext
+from repro.common.lanes import Executor
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, SReg, VReg
-from repro.gcn3.semantics import Gcn3Executor, Gcn3WfState
+from repro.gcn3.semantics import Gcn3Wavefronts
 from repro.runtime.memory import SimulatedMemory
+from tests.regfile_oracle import bits_of, lanes_of
+from tests.trace_oracle import step_wavefront
+
+from .test_semantics import s64, v64, vgpr
 
 
 def make_wf(instrs, vgprs=24, sgprs=24):
@@ -18,17 +23,17 @@ def make_wf(instrs, vgprs=24, sgprs=24):
     kernel.compute_layout()
     ctx = DispatchContext(grid_size=(64, 1, 1), wg_size=(64, 1, 1),
                           wg_id=(0, 0, 0), wf_index_in_wg=0)
-    return Gcn3WfState(kernel=kernel, ctx=ctx)
+    return Gcn3Wavefronts(kernel, [ctx])
 
 
 @pytest.fixture()
 def ex():
-    return Gcn3Executor(SimulatedMemory())
+    return Executor(SimulatedMemory())
 
 
 def run(ex, wf, n):
     for _ in range(n):
-        ex.execute(wf)
+        step_wavefront(wf, ex)
 
 
 class TestScalarOddities:
@@ -36,14 +41,14 @@ class TestScalarOddities:
         wf = make_wf([Gcn3Instr(opcode="s_brev_b32", dest=SReg(9),
                                 srcs=(SImm(1),))])
         run(ex, wf, 1)
-        assert wf.sgpr[9] == 0x80000000
+        assert wf.sgprs[0][9] == 0x80000000
 
     def test_s_not_b32_sets_scc(self, ex):
         wf = make_wf([Gcn3Instr(opcode="s_not_b32", dest=SReg(9),
                                 srcs=(SImm(0xFFFFFFFF),))])
         run(ex, wf, 1)
-        assert wf.sgpr[9] == 0
-        assert wf.scc == 0
+        assert wf.sgprs[0][9] == 0
+        assert not wf.sccs[0]
 
     def test_s_ashr_preserves_sign(self, ex):
         wf = make_wf([
@@ -53,7 +58,7 @@ class TestScalarOddities:
                       srcs=(SReg(9), SImm(2))),
         ])
         run(ex, wf, 2)
-        assert wf.sgpr[10] == ((-16) & 0xFFFFFFFF)
+        assert wf.sgprs[0][10] == ((-16) & 0xFFFFFFFF)
 
     def test_s_lshr_b64(self, ex):
         wf = make_wf([
@@ -65,7 +70,7 @@ class TestScalarOddities:
                       srcs=(SReg(12, count=2), SImm(40))),
         ])
         run(ex, wf, 3)
-        assert wf.read_s64(SReg(14, count=2)) == 48
+        assert s64(wf, 14)[0] == 48
 
     def test_or_saveexec(self, ex):
         wf = make_wf([
@@ -74,42 +79,42 @@ class TestScalarOddities:
             Gcn3Instr(opcode="s_or_saveexec_b64", dest=SReg(12, count=2),
                       srcs=(SReg(10, count=2),)),
         ])
-        wf.exec_mask = 0x0F
+        wf.exec[0] = lanes_of(0x0F)
         run(ex, wf, 2)
-        assert wf.read_s64(SReg(12, count=2)) == 0x0F
-        assert wf.exec_mask == 0xFF
+        assert s64(wf, 12)[0] == 0x0F
+        assert bits_of(wf.exec[0]) == 0xFF
 
 
 class TestVectorOddities:
     def test_subrev_swaps_operands(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_subrev_u32", dest=VReg(2),
                                 srcs=(SImm(3), VReg(1)))])
-        wf.vgpr[1][:] = 10
+        vgpr(wf)[1][:] = 10
         run(ex, wf, 1)
-        assert wf.vgpr[2][0] == 7  # src1 - src0
+        assert vgpr(wf)[2][0] == 7  # src1 - src0
 
     def test_v_subb_consumes_borrow(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_subb_u32", dest=VReg(2),
                                 srcs=(SImm(10), VReg(1)))])
-        wf.vgpr[1][:] = 3
-        wf.vcc = 0b1  # borrow into lane 0
+        vgpr(wf)[1][:] = 3
+        wf.vccs[0] = lanes_of(0b1)  # borrow into lane 0
         run(ex, wf, 1)
-        assert wf.vgpr[2][0] == 6   # 10 - 3 - 1
-        assert wf.vgpr[2][1] == 7
+        assert vgpr(wf)[2][0] == 6   # 10 - 3 - 1
+        assert vgpr(wf)[2][1] == 7
 
     def test_v_mad_u24_masks_inputs(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_mad_u32_u24", dest=VReg(2),
                                 srcs=(VReg(1), SImm(2), SImm(5)))])
-        wf.vgpr[1][:] = 0x0100_0003  # upper byte must be ignored
+        vgpr(wf)[1][:] = 0x0100_0003  # upper byte must be ignored
         run(ex, wf, 1)
-        assert wf.vgpr[2][0] == 3 * 2 + 5
+        assert vgpr(wf)[2][0] == 3 * 2 + 5
 
     def test_v_bfe(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_bfe_u32", dest=VReg(2),
                                 srcs=(VReg(1), SImm(8), SImm(4)))])
-        wf.vgpr[1][:] = 0x00000A00
+        vgpr(wf)[1][:] = 0x00000A00
         run(ex, wf, 1)
-        assert wf.vgpr[2][0] == 0xA
+        assert vgpr(wf)[2][0] == 0xA
 
     def test_min_max_i32_signed(self, ex):
         wf = make_wf([
@@ -118,36 +123,32 @@ class TestVectorOddities:
             Gcn3Instr(opcode="v_max_i32", dest=VReg(3),
                       srcs=(SImm((-5) & 0xFFFFFFFFFFFFFFFF), VReg(1))),
         ])
-        wf.vgpr[1][:] = 3
+        vgpr(wf)[1][:] = 3
         run(ex, wf, 2)
-        assert wf.vgpr[2].view(np.int32)[0] == -5
-        assert wf.vgpr[3][0] == 3
+        assert vgpr(wf)[2].view(np.int32)[0] == -5
+        assert vgpr(wf)[3][0] == 3
 
     def test_cvt_f64_to_i32_truncates(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_cvt_i32_f64", dest=VReg(4),
                                 srcs=(VReg(2, count=2),))])
-        vals = np.full(64, -7.9, dtype=np.float64)
-        wf.write_v64(VReg(2, count=2), vals.view(np.uint64),
-                     np.ones(64, dtype=bool))
+        v64(wf, 2).view(np.float64)[:] = -7.9
         run(ex, wf, 1)
-        assert wf.vgpr[4].view(np.int32)[0] == -7
+        assert vgpr(wf)[4].view(np.int32)[0] == -7
 
     def test_readfirstlane_empty_exec_uses_lane_zero(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_readfirstlane_b32", dest=SReg(9),
                                 srcs=(VReg(1),))])
-        wf.vgpr[1][0] = 42
-        wf.exec_mask = 0
+        vgpr(wf)[1][0] = 42
+        wf.exec[0] = False
         run(ex, wf, 1)
-        assert wf.sgpr[9] == 42
+        assert wf.sgprs[0][9] == 42
 
     def test_ashrrev_i64(self, ex):
         wf = make_wf([Gcn3Instr(opcode="v_ashrrev_i64", dest=VReg(4, count=2),
                                 srcs=(SImm(8), VReg(2, count=2)))])
-        vals = np.full(64, -4096, dtype=np.int64)
-        wf.write_v64(VReg(2, count=2), vals.view(np.uint64),
-                     np.ones(64, dtype=bool))
+        v64(wf, 2).view(np.int64)[:] = -4096
         run(ex, wf, 1)
-        out = wf.read_v64(VReg(4, count=2)).view(np.int64)
+        out = v64(wf, 4).view(np.int64)
         assert out[0] == -16
 
     def test_vcc_branch(self, ex):
@@ -155,6 +156,6 @@ class TestVectorOddities:
             Gcn3Instr(opcode="s_cbranch_vccnz", attrs={"target": 2}),
             Gcn3Instr(opcode="s_nop", attrs={"simm": 0}),
         ])
-        wf.vcc = 1
-        result = ex.execute(wf)
-        assert result.branch_taken and wf.pc == 2
+        wf.vccs[0] = lanes_of(1)
+        result = step_wavefront(wf, ex)
+        assert result.branch_taken and wf.pcs[0] == 2

@@ -4,10 +4,10 @@ writes, and the aliasing the zero-copy views make newly dangerous.
 The oracle is the representation the views replaced: a plain row-major
 ``uint32[slot, lane]`` block where a 64-bit value is split into (lo, hi)
 rows on every write and recombined on every read, and every instruction
-computes into fresh vectors before it writes.  Each instruction runs
-through :meth:`HsailExecutor.execute` -- the compiled step the
-functional pass's step table holds -- and must leave exactly the
-oracle's bits.  ``derandomize=True`` keeps CI deterministic.
+computes into fresh vectors before it writes.  Each instruction runs as
+the compiled step the functional pass's step table holds, on a one-row
+state (``tests/trace_oracle.step_wavefront``), and must leave exactly
+the oracle's bits.  ``derandomize=True`` keeps CI deterministic.
 """
 
 import numpy as np
@@ -16,8 +16,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.exec_types import DispatchContext
+from repro.common.lanes import (
+    F32, F64, I32, U32, U64, VIEW_DTYPES, Executor, Group, reg_view, splat,
+    write_lanes,
+)
 from repro.hsail.isa import HReg, HsailInstr, HsailKernel, Imm
-from repro.hsail.semantics import HsailExecutor, HsailWfState
+from repro.hsail.semantics import HsailWavefronts
 from repro.kernels.types import DType
 from repro.runtime.memory import HEAP_BASE, Segment, SimulatedMemory
 from tests.regfile_oracle import (
@@ -32,10 +36,13 @@ from tests.regfile_oracle import (
     typed,
     write_register,
 )
+from tests.trace_oracle import step_wavefront
 
 SLOTS = 12
 NP = {DType.U32: np.uint32, DType.B1: np.uint32, DType.S32: np.int32,
       DType.F32: np.float32, DType.U64: np.uint64, DType.F64: np.float64}
+KIND = {DType.U32: U32, DType.B1: U32, DType.S32: I32, DType.F32: F32,
+        DType.U64: U64, DType.F64: F64}
 
 
 def random_slots(seed):
@@ -64,20 +71,33 @@ def make_wf(instr, regs, mask_bits):
         spill_bytes=0, reg_slots_used=SLOTS)
     ctx = DispatchContext(grid_size=(64, 1, 1), wg_size=(64, 1, 1),
                           wg_id=(0, 0, 0), wf_index_in_wg=0)
-    wf = HsailWfState(kernel=kernel, ctx=ctx)
-    for slot in range(SLOTS):
-        wf.regs[slot] = regs[slot]
-    wf.exec_mask = mask_bits
+    wf = HsailWavefronts(kernel, [ctx])
+    slots(wf)[:] = regs
+    wf.exec[0] = lanes_of(mask_bits)
     return wf
+
+
+def slots(wf):
+    """The wavefront's ``uint32[slot, lane]`` registers, a view."""
+    return wf.views[U32][:SLOTS, 0]
+
+
+def read_typed(wf, op, dtype):
+    """Operand ``op`` of the wavefront as ``dtype`` lanes."""
+    kind = KIND[dtype]
+    read = splat(op.pattern, kind) if isinstance(op, Imm) \
+        else reg_view(kind, op.index)
+    lanes = read(Group(wf, [0], 0))
+    return lanes[0] if lanes.ndim == 2 else lanes
 
 
 def run_one(instr, regs, mask_bits, memory=None):
     """Final register bits after executing ``instr`` from ``regs`` under
     ``mask_bits``."""
     wf = make_wf(instr, regs, mask_bits)
-    result = HsailExecutor(memory or SimulatedMemory()).execute(wf)
-    assert result.next_pc is None and wf.pc == 1
-    return np.array(wf.regs)
+    result = step_wavefront(wf, Executor(memory or SimulatedMemory()))
+    assert result.next_pc is None and wf.pcs[0] == 1
+    return np.array(slots(wf))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +115,10 @@ def test_write_typed_matches_the_split(seed, mask_bits, dtype, index):
         raw = (raw & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     values = raw.view(NP[dtype])
     mask = lanes_of(mask_bits)
-    wf.write_typed(reg(dtype, index), dtype, values, mask)
+    write_lanes(Group(wf, [0], 0), KIND[dtype], index,
+                values.view(VIEW_DTYPES[KIND[dtype]])[None], mask[None])
     ref_write(regs, index, dtype, values, mask)
-    assert np.array_equal(wf.regs, regs)  # odd and even pairs alike
+    assert np.array_equal(slots(wf), regs)  # odd and even pairs alike
 
 
 @given(seeds, st.sampled_from(list(NP)), st.integers(0, SLOTS - 2))
@@ -105,7 +126,7 @@ def test_write_typed_matches_the_split(seed, mask_bits, dtype, index):
 def test_read_typed_matches_the_recombination(seed, dtype, index):
     regs = random_slots(seed)
     wf = make_wf(HsailInstr(opcode="nop", dtype=DType.U32), regs, 0)
-    got = wf.read_typed(reg(dtype, index), dtype)
+    got = read_typed(wf, reg(dtype, index), dtype)
     want = ref_read(regs, reg(dtype, index), dtype)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -113,12 +134,13 @@ def test_read_typed_matches_the_recombination(seed, dtype, index):
 def test_even_pairs_are_views_and_odd_pairs_are_copies():
     wf = make_wf(HsailInstr(opcode="nop", dtype=DType.U32),
                  np.zeros((SLOTS, 64), dtype=np.uint32), 0)
-    even = wf.read_typed(HReg("d", 4), DType.F64)
-    assert np.shares_memory(even, wf.regs) and even.dtype == np.float64
-    assert np.shares_memory(wf.read_typed(HReg("s", 5), DType.F32), wf.regs)
-    assert not np.shares_memory(wf.read_typed(HReg("d", 5), DType.U64), wf.regs)
-    wf.regs[4] = 7  # a slot write is seen through the pair view
-    assert wf.read_typed(HReg("d", 4), DType.U64)[0] == 7
+    even = read_typed(wf, HReg("d", 4), DType.F64)
+    assert np.shares_memory(even, slots(wf)) and even.dtype == np.float64
+    assert np.shares_memory(read_typed(wf, HReg("s", 5), DType.F32), slots(wf))
+    assert not np.shares_memory(read_typed(wf, HReg("d", 5), DType.U64),
+                                slots(wf))
+    slots(wf)[4] = 7  # a slot write is seen through the pair view
+    assert read_typed(wf, HReg("d", 4), DType.U64)[0] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +300,12 @@ def test_immediates_are_shared_and_read_only():
     instr = HsailInstr(opcode="add", dtype=DType.U32, dest=HReg("s", 1),
                        srcs=(HReg("s", 0), Imm(5, DType.U32)))
     wf = make_wf(instr, np.zeros((SLOTS, 64), dtype=np.uint32), (1 << 64) - 1)
-    splat = wf.read_typed(Imm(5, DType.U32), DType.U32)
-    assert splat is wf.read_typed(Imm(5, DType.U32), DType.U32)
+    imm = read_typed(wf, Imm(5, DType.U32), DType.U32)
+    assert imm is read_typed(wf, Imm(5, DType.U32), DType.U32)
     with pytest.raises(ValueError):
-        splat[0] = 1
-    HsailExecutor(SimulatedMemory()).execute(wf)
-    assert (wf.regs[1] == 5).all()
+        imm[0] = 1
+    step_wavefront(wf, Executor(SimulatedMemory()))
+    assert (slots(wf)[1] == 5).all()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The functional pass (:mod:`repro.timing.funcsim`) takes one compiled
 step per instruction from a per-kernel table; the reference driver of
-``tests/trace_oracle.py`` steps every instruction through the public
-``execute()``, records it with ``WfStream.record`` and counts its probes
-one slot at a time.  The pass promises *bit-identity* with the driver —
+``tests/trace_oracle.py`` steps every wavefront on its own, one
+instruction at a time, records it with ``WfStream.record`` and counts
+its probes one slot at a time.  The pass promises *bit-identity* with the driver —
 not statistical closeness.  This suite holds it to that over the full
 tier-1 matrix:
 
@@ -40,10 +40,10 @@ from hypothesis import strategies as st
 
 from repro.common.config import paper_config, small_config
 from repro.core import Session
-from repro.gcn3.semantics import Gcn3Executor
+from repro.gcn3.semantics import Gcn3Wavefronts
 from repro.harness.cache import TraceStore, trace_fingerprint
 from repro.harness.runner import ISAS, clear_suite_cache, run_workload
-from repro.hsail.semantics import HsailExecutor
+from repro.hsail.semantics import HsailWavefronts
 from repro.runtime.memory import HEAP_BASE
 from repro.runtime.process import GpuProcess
 from repro.timing.funcsim import run_dispatch_functional
@@ -208,9 +208,9 @@ def test_group_steps_are_at_most_a_third_of_instructions():
         saved = [(d.kernel, getattr(d.kernel, "_steps", None)) for d in kernels]
         try:
             for dispatch in kernels:
-                executor = Gcn3Executor if dispatch.is_gcn3 else HsailExecutor
+                state = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
                 dispatch.kernel._steps = tuple(
-                    map(counted, executor.steps(dispatch.kernel)))
+                    map(counted, state.steps(dispatch.kernel)))
             for dispatch in process.dispatches:
                 executed += run_dispatch_functional(process, dispatch)
         finally:

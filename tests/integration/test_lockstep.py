@@ -23,9 +23,9 @@ from repro.common.lanes import has_atomic
 from repro.core import Session
 from repro.gcn3.abi import first_free_vgpr
 from repro.gcn3.isa import VReg
-from repro.gcn3.semantics import Gcn3Executor
+from repro.gcn3.semantics import Gcn3Wavefronts
 from repro.hsail.isa import HReg
-from repro.hsail.semantics import HsailExecutor
+from repro.hsail.semantics import HsailWavefronts
 from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
 from repro.runtime.memory import HEAP_BASE, Segment
@@ -245,7 +245,7 @@ def _outcome(name, isa, driver):
 
 def _count_group_steps(kernel, isa):
     """Wrap ``kernel``'s step table so every group step is counted."""
-    table = (Gcn3Executor if isa == "gcn3" else HsailExecutor).steps(kernel)
+    table = (Gcn3Wavefronts if isa == "gcn3" else HsailWavefronts).steps(kernel)
     counter = [0]
 
     def wrap(step):

@@ -6,6 +6,7 @@ import pytest
 from repro.common.config import small_config
 from repro.common.errors import FinalizerError
 from repro.common.exec_types import DispatchContext
+from repro.common.lanes import Wavefronts
 from repro.core import Session, run_dispatch_functional
 from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
@@ -27,34 +28,56 @@ def build_coords_kernel():
 
 
 class TestDispatchContext:
-    def make(self, grid, wg, wg_id, wf_index=0):
-        return DispatchContext(grid_size=grid, wg_size=wg, wg_id=wg_id,
-                               wf_index_in_wg=wf_index)
+    """The launch geometry of a set of wavefronts, computed once per
+    state (``Wavefronts``): per-lane ids and the initial EXEC, one row
+    per context."""
+
+    def make(self, grid, wg, *wavefronts):
+        """One state over the ``(wg_id, wf_index)`` wavefronts."""
+        return Wavefronts(None, [
+            DispatchContext(grid_size=grid, wg_size=wg, wg_id=wg_id,
+                            wf_index_in_wg=wf_index)
+            for wg_id, wf_index in wavefronts], 2)
 
     def test_local_ids_x_fastest(self):
-        ctx = self.make((32, 8, 1), (16, 4, 1), (0, 0, 0))
-        lx, ly, _lz = ctx.local_ids()
-        assert lx[0] == 0 and lx[15] == 15
-        assert lx[16] == 0 and ly[16] == 1
-        assert ly[63] == 3 and lx[63] == 15
+        state = self.make((32, 8, 1), (16, 4, 1), ((0, 0, 0), 0),
+                          ((1, 1, 0), 0))
+        lx, ly, _lz = state.local_ids
+        assert lx.shape == ly.shape == (2, 64)
+        for row in range(2):
+            assert lx[row, 0] == 0 and lx[row, 15] == 15
+            assert lx[row, 16] == 0 and ly[row, 16] == 1
+            assert ly[row, 63] == 3 and lx[row, 63] == 15
 
     def test_absolute_ids_offset_by_workgroup(self):
-        ctx = self.make((32, 8, 1), (16, 4, 1), (1, 1, 0))
-        ax, ay, _az = ctx.absolute_ids()
-        assert ax[0] == 16 and ay[0] == 4
+        state = self.make((32, 8, 1), (16, 4, 1), ((0, 0, 0), 0),
+                          ((1, 1, 0), 0))
+        ax, ay, _az = state.absolute_ids
+        assert ax[0, 0] == 0 and ay[0, 0] == 0
+        assert ax[1, 0] == 16 and ay[1, 0] == 4
+        assert ax[1, 63] == 31 and ay[1, 63] == 7
 
     def test_ragged_edge_mask_interleaved(self):
-        # grid 10x8, wg 16x4: workgroup (0,0) has lanes with lx >= 10 dead
-        ctx = self.make((10, 8, 1), (16, 4, 1), (0, 0, 0))
-        mask = ctx.active_mask_array()
-        assert mask[9] and not mask[10]     # first row cut at x=10
-        assert mask[16] and not mask[26]    # second row likewise
-        assert ctx.active_lanes() == 40     # 10 x 4 rows
+        # grid 10x6, wg 16x4: lanes with x >= 10 are dead in every
+        # workgroup, and so are the rows with y >= 6 of workgroup (0,1)
+        state = self.make((10, 6, 1), (16, 4, 1), ((0, 0, 0), 0),
+                          ((0, 1, 0), 0))
+        mask = state.exec
+        assert mask[0, 9] and not mask[0, 10]     # first row cut at x=10
+        assert mask[0, 16] and not mask[0, 26]    # second row likewise
+        assert mask[1, 25] and not mask[1, 32]    # y=6 is off the grid
+        assert mask.sum(axis=1).tolist() == [40, 20]  # 10 x 4, 10 x 2
 
     def test_second_wavefront_of_3d_wg(self):
-        ctx = self.make((4, 4, 8), (4, 4, 8), (0, 0, 0), wf_index=1)
-        _lx, _ly, lz = ctx.local_ids()
-        assert lz[0] == 4  # 64 lanes per z=16-item layer -> wf1 starts z=4
+        # 128 work-items: 64 lanes per z=16-item layer pair, so wf 1
+        # starts at z=4; both wavefronts of the workgroup in one state
+        state = self.make((4, 4, 8), (4, 4, 8), ((0, 0, 0), 0),
+                          ((0, 0, 0), 1))
+        lx, ly, lz = state.local_ids
+        assert lz[0, 0] == 0 and lz[1, 0] == 4 and lz[1, 63] == 7
+        flat = lx + 4 * ly + 16 * lz
+        assert flat.ravel().tolist() == list(range(128))
+        assert state.exec.all()
 
     def test_workgroup_decomposition(self):
         from repro.runtime.process import Dispatch

@@ -66,8 +66,8 @@ class TestVectorAccess:
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 4
         values = np.arange(64, dtype=np.uint32) * 3
         mask = np.ones(64, dtype=bool)
-        mem.scatter_u32(addrs, values, mask)
-        assert np.array_equal(mem.gather_u32(addrs, mask), values)
+        mem.scatter(addrs, values, mask)
+        assert np.array_equal(mem.gather(addrs, mask)[0], values)
 
     def test_masked_lanes_return_zero(self):
         mem = SimulatedMemory()
@@ -75,8 +75,8 @@ class TestVectorAccess:
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 4
         mask = np.zeros(64, dtype=bool)
         mask[7] = True
-        mem.scatter_u32(addrs, np.full(64, 9, dtype=np.uint32), mask)
-        out = mem.gather_u32(addrs, np.ones(64, dtype=bool))
+        mem.scatter(addrs, np.full(64, 9, dtype=np.uint32), mask)
+        out, _lines = mem.gather(addrs, np.ones(64, dtype=bool))
         assert out[7] == 9
         assert out[6] == 0
 
@@ -87,14 +87,14 @@ class TestVectorAccess:
         addrs = np.full(64, HEAP_BASE + 1, dtype=np.uint64)
         mask = np.zeros(64, dtype=bool)
         mask[0] = True
-        out = mem.gather_u32(addrs, mask)
-        assert out[0] == 0x04030201
+        out, _lines = mem.gather(addrs, mask)
+        assert out.tolist() == [0x04030201]
 
     def test_all_inactive_is_noop(self):
         mem = SimulatedMemory()
         addrs = np.zeros(64, dtype=np.uint64)  # would fault if accessed
-        out = mem.gather_u32(addrs, np.zeros(64, dtype=bool))
-        assert (out == 0).all()
+        out, lines = mem.gather(addrs, np.zeros(64, dtype=bool))
+        assert out.size == 0 and lines == []
 
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1),
                     min_size=64, max_size=64))
@@ -108,7 +108,7 @@ class TestVectorAccess:
         idx = rng.integers(0, 64, 64)
         addrs = np.uint64(HEAP_BASE) + idx.astype(np.uint64) * 4
         mask = np.ones(64, dtype=bool)
-        assert np.array_equal(mem.gather_u32(addrs, mask), data[idx])
+        assert np.array_equal(mem.gather(addrs, mask)[0], data[idx])
 
 
 class TestFootprint:
@@ -137,7 +137,7 @@ class TestFootprint:
         mem = SimulatedMemory()
         mem.map_range(HEAP_BASE, 64 * 64)
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 64
-        mem.gather_u32(addrs, np.ones(64, dtype=bool))
+        mem.gather(addrs, np.ones(64, dtype=bool))
         assert mem.data_footprint_bytes == 64 * 64
 
     def test_reset(self):

@@ -13,19 +13,21 @@
   one release per barrier the most-barriered wavefront of a workgroup
   reaches.  Nothing here shares code with the fold's array reductions,
   so agreement is evidence, not tautology.
-* :func:`run_dispatch_reference` is the functional pass as it ran
-  before the per-pc step table: every instruction goes through the
-  public ``execute()``, is recorded with ``WfStream.record`` and has its
-  probes counted one slot at a time with ``unique_counts``.  It must
-  write the same trace bytes as ``repro.timing.funcsim``.
+* :func:`run_dispatch_reference` is the functional pass without
+  lockstep groups: every wavefront is a one-row state of its own, run an
+  instruction at a time by :func:`step_wavefront` (the helper the unit
+  tests of both ISAs step with too), recorded with ``WfStream.record``
+  and probed one slot at a time with ``unique_counts``.  It must write
+  the same trace bytes as ``repro.timing.funcsim``.
 """
 
 import numpy as np
 
+from repro.common.exec_types import ExecResult, MemKind
+from repro.common.lanes import U32, Executor, Group
 from repro.common.stats import StatSet
-from repro.gcn3.semantics import Gcn3Executor, Gcn3WfState
-from repro.hsail.semantics import HsailExecutor, HsailWfState
-from repro.common.exec_types import MemKind
+from repro.gcn3.semantics import Gcn3Wavefronts
+from repro.hsail.semantics import HsailWavefronts
 from repro.obs.metrics import (BARRIERS, IB_FLUSHES, LDS_ACCESSES, METRICS,
                                SMEM_REQUESTS, VMEM_LINES, VMEM_REQUESTS,
                                WORKGROUPS_DISPATCHED, MetricClass)
@@ -121,9 +123,33 @@ def walk_trace(trace, kernel, wavefronts_per_wg):
     return stats
 
 
+def step_wavefront(state, executor):
+    """Run the instruction at the pc of one-row ``state`` (an
+    ``HsailWavefronts``/``Gcn3Wavefronts`` of one context) as the group
+    ``Group(state, [0], pc)`` and move its pc on the way the functional
+    pass moves a group's.  Returns the step's outcome as that
+    wavefront's own: its line list, its branch flag, ``next_pc`` only
+    when taken, and ``active_lanes``, the lanes on before the step."""
+    pc = state.pcs[0]
+    g = Group(state, [0], pc)
+    own = ExecResult(active_lanes=g.active[0])
+    result = state.steps(state.kernel)[pc](g, executor)
+    if result is not None:
+        taken = result.branch_taken
+        own.branch_taken = taken[0] if isinstance(taken, list) else taken
+        own.next_pc = result.next_pc if own.branch_taken else None
+        own.mem_kind = result.mem_kind
+        own.mem_lines = result.mem_lines[0] if result.mem_lines else []
+        own.ends_wavefront = state.ended[0] = result.ends_wavefront
+        own.is_barrier = result.is_barrier
+        own.waitcnt = result.waitcnt
+    state.pcs[0] = pc + 1 if own.next_pc is None else own.next_pc
+    return own
+
+
 def run_dispatch_reference(process, dispatch, recorder=None):
-    """Run one dispatch functionally, one ``execute()`` per instruction;
-    returns the dynamic instruction count.
+    """Run one dispatch functionally, one wavefront and one instruction
+    at a time; returns the dynamic instruction count.
 
     The order is funcsim's canonical one: workgroups in dispatch order,
     and within one the wavefronts take turns in index order, each
@@ -131,46 +157,48 @@ def run_dispatch_reference(process, dispatch, recorder=None):
     """
     kernel = dispatch.kernel
     descs = predecode_kernel(kernel)
-    executor_cls, state_cls = ((Gcn3Executor, Gcn3WfState) if dispatch.is_gcn3
-                               else (HsailExecutor, HsailWfState))
+    state_cls = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
     executed = 0
     for wg in range(dispatch.num_workgroups):
         lds = np.zeros(max(kernel.group_bytes, 4), dtype=np.uint8)
-        executor = executor_cls(process.memory, lds)
+        executor = Executor(process.memory, lds)
         wg_id = dispatch.workgroup_id(wg)
         live = []
         for wf_index in range(dispatch.wavefronts_in_wg(wg)):
-            wf = state_cls(kernel, dispatch.make_context(wg_id, wf_index,
-                                                         lds_base_offset=0))
-            live.append((wf, None if recorder is None
+            state = state_cls(kernel, [dispatch.make_context(
+                wg_id, wf_index, lds_base_offset=0)])
+            live.append((state, None if recorder is None
                          else recorder.stream(len(recorder.streams))))
         while live:
-            for wf, stream in live:
-                executed += _reference_wavefront(executor, wf, stream, descs)
-            live = [(wf, stream) for wf, stream in live if not wf.done]
+            for state, stream in live:
+                executed += _reference_wavefront(executor, state, stream,
+                                                 descs)
+            live = [(state, stream) for state, stream in live
+                    if not state.ended[0]]
     dispatch.signal.decrement()
     return executed
 
 
-def _reference_wavefront(executor, wf, stream, descs):
-    """``wf`` up to its next barrier or its end; one record per
-    instruction, a probe on every fourth one that touches VRF slots."""
-    regs = wf.vgpr if wf.is_gcn3 else wf.regs
+def _reference_wavefront(executor, state, stream, descs):
+    """``state``'s wavefront up to its next barrier or its end; one
+    record per instruction, a probe on every fourth one that touches VRF
+    slots."""
+    regs = state.views[U32][:, 0]
     executed = 0
     while True:
-        if not wf.is_gcn3:
-            new_pc = executor.check_reconvergence(wf)
+        if not state.is_gcn3:
+            new_pc = state.reconverge(0)
             if new_pc is not None and stream is not None:
                 stream.jump(new_pc)
-        pc = wf.pc
+        pc = state.pcs[0]
         desc = descs[pc]
         probed = (stream is not None and (len(stream.flags) + 1) % 4 == 0
                   and bool(desc.rw_slots))
         if probed:
-            mask = wf.exec_bool()
+            mask = state.exec[0].copy()
             lanes = int(mask.sum())
             read_uniques = unique_counts(regs, desc.read_slots, mask, lanes)
-        result = executor.execute(wf)
+        result = step_wavefront(state, executor)
         executed += 1
         if stream is not None:
             stream.record(pc, result, probed,
