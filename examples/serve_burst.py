@@ -95,7 +95,9 @@ def main() -> int:
         print(f"speedup   : {cold / warm:6.2f}x")
 
         assert executions.count("capture") == 1, executions
-        assert executions.count("replay") == len(L1D_SIZES) - 1, executions
+        # a replay answered from an eviction-free witness says "derived"
+        assert sum(e in ("replay", "derived") for e in executions) == (
+            len(L1D_SIZES) - 1), executions
         for status, size in zip(statuses, L1D_SIZES):
             assert status.state == "done", status.error
             direct = Session(

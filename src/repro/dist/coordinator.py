@@ -41,6 +41,7 @@ from ..core.requests import LeaseGrant, ShardCell, SweepRequest
 from ..explore.sweep import SweepLedger, SweepResults
 from ..harness.parallel import Job, ProgressFn, _failed_run
 from ..harness.runner import WorkloadRun
+from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
 
@@ -137,7 +138,7 @@ class Coordinator:
     the journal's single writer.
 
     Thread-safe: every public method may be called from the HTTP
-    daemon's event loop, in-process worker threads, and the driver
+    daemon's request threads, in-process worker threads, and the driver
     concurrently.
     """
 
@@ -405,50 +406,6 @@ class Coordinator:
                 if self.store is not None else False)
 
 
-class _CoordinatorServer:
-    """The coordinator's HTTP face: a scheduler-less serve daemon on a
-    background event-loop thread, so subprocess workers reach lease/
-    renew/report/trace routes over localhost."""
-
-    def __init__(self, coordinator: Coordinator, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        from ..serve.daemon import Daemon
-
-        self.daemon = Daemon(None, host, port, coordinator=coordinator)
-        self._loop = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> str:
-        import asyncio
-
-        started = threading.Event()
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            loop.run_until_complete(self.daemon.start())
-            started.set()
-            loop.run_forever()
-            loop.run_until_complete(self.daemon.close())
-            loop.close()
-
-        self._thread = threading.Thread(target=_run, daemon=True,
-                                        name="repro-dist-coordinator")
-        self._thread.start()
-        if not started.wait(10.0):
-            raise ReproError("coordinator HTTP server failed to start")
-        return f"http://{self.daemon.host}:{self.daemon.port}"
-
-    def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._loop = None
-        self._thread = None
-
-
 class DistSweep:
     """One distributed sweep run: coordinator + its worker fleet.
 
@@ -476,7 +433,7 @@ class DistSweep:
         self.coordinator = Coordinator(
             request, lease_ttl=lease_ttl, steal=steal,
             max_shard_cells=max_shard_cells, progress=progress, log=log)
-        self.server: Optional[_CoordinatorServer] = None
+        self.server: Optional[Daemon] = None   # workers' HTTP face
         self.url = ""
         #: auto-spawned ``repro dist worker`` subprocesses.
         self.processes: List[subprocess.Popen] = []
@@ -486,9 +443,10 @@ class DistSweep:
         if self.coordinator.done:
             return self  # fully replayed/cached; nothing to distribute
         if self.workers > 0:
-            self.server = _CoordinatorServer(self.coordinator, self.host,
-                                             self.port)
-            self.url = self.server.start()
+            self.server = Daemon(None, self.host, self.port,
+                                 coordinator=self.coordinator)
+            self.server.start()
+            self.url = self.server.url
             self._log(f"coordinator listening on {self.url}")
             for i in range(self.workers):
                 self.processes.append(self._spawn(f"local-{i}"))
@@ -578,7 +536,7 @@ class DistSweep:
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self.server is not None:
-            self.server.stop()
+            self.server.close()
             self.server = None
 
 

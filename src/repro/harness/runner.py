@@ -307,7 +307,7 @@ def run_workload(
                 run.execution = "derived"
                 return run
         try:
-            process = _replay_process(name, isa, scale, seed)
+            process = _replay_process(name, isa, scale, seed, exec_trace)
         except RuntimeStackError as exc:
             return _staging_failure(name, isa, exc, start, mode)
         start = time.time()
@@ -376,25 +376,20 @@ def _staging_failure(name: str, isa: str, exc: Exception, start: float,
                                time.time() - start, mode)
 
 
-#: Staged processes reused across replay runs, keyed by
-#: (workload, isa, scale, seed).  Replay never writes simulated memory
-#: (there is no functional execution), so the expensive part of a cell —
-#: input generation, code loading, dispatch staging — can be paid once
-#: per worker process and re-armed for every timing config replayed
-#: after it.  The backing numpy buffer is lazily committed, so an entry
-#: costs roughly its staged working set, not its address-space capacity.
-_REPLAY_STAGING: Dict[Tuple[str, str, float, int], GpuProcess] = {}
-
-
-def _replay_process(name: str, isa: str, scale: float, seed: int) -> GpuProcess:
-    key = (name, isa, scale, seed)
-    process = _REPLAY_STAGING.get(key)
+def _replay_process(name: str, isa: str, scale: float, seed: int,
+                    trace: ExecTrace) -> GpuProcess:
+    """The staged process a replay of ``trace`` runs on.  Replay never
+    writes simulated memory, so input generation, code loading and
+    dispatch staging are paid once per trace and re-armed for every
+    timing config replayed after it.  The process lives on the trace, so
+    the parsed-trace memo (``REPRO_TRACE_MEMO``) bounds how many stay."""
+    process = trace.staged
     if process is not None and _rearm(process):
         return process
     workload = create(name, scale=scale, seed=seed)
     process = GpuProcess(isa, memory_capacity=1 << 25)
     workload.stage(process, isa)
-    _REPLAY_STAGING[key] = process
+    trace.staged = process
     return process
 
 
@@ -412,12 +407,11 @@ def _rearm(process: GpuProcess) -> bool:
 
 
 def clear_suite_cache() -> None:
-    """Drop the in-process memos — staged replay processes, parsed
-    traces, and compiled kernels (test isolation helper)."""
+    """Drop the in-process memos — parsed traces with their staged replay
+    processes, and compiled kernels (test isolation helper)."""
     from ..workloads.base import clear_kernel_memo
     from .cache import clear_trace_memo
 
-    _REPLAY_STAGING.clear()
     clear_trace_memo()
     clear_kernel_memo()
 

@@ -1,4 +1,5 @@
-"""The HTTP/1.1 front end of ``repro serve`` (stdlib asyncio only).
+"""The HTTP/1.1 front end of ``repro serve`` (stdlib ``http.server``,
+one thread per connection).
 
 Routes (all payloads are versioned ``repro-api/1`` envelopes)::
 
@@ -27,19 +28,24 @@ headers: ``X-Repro-Priority`` (int, higher runs first) and
 ``X-Repro-Client`` (rate-limit bucket key; defaults to the peer
 address).  Failures map onto statuses through the scheduler exception
 types: malformed payload 400, unknown job 404, rate limit 429 (with
-``Retry-After``), queue full / draining 503.
+``Retry-After``), queue full / draining 503.  Every error, malformed
+HTTP the stdlib parser refuses included, gets an
+:class:`~repro.serve.protocol.ErrorInfo` JSON body and closes the
+connection.
 
-SIGTERM and SIGINT trigger the same graceful drain as
-``POST /v1/shutdown``: in-flight and already-queued jobs finish, new
-submissions get 503, then the process exits 0.
+SIGTERM, SIGINT and ``POST /v1/shutdown`` start the same drain: the
+listener keeps answering (new submissions get 503, job polls 200) until
+in-flight and queued jobs finish; then it closes and the process exits 0.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import signal
 import sys
+import threading
+import traceback
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..core.requests import RequestError, parse_request_json
@@ -47,10 +53,6 @@ from .protocol import ErrorInfo
 from .scheduler import Scheduler, SchedulerError, UnknownJob
 
 _MAX_BODY = 16 * 1024 * 1024
-_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-            404: "Not Found", 405: "Method Not Allowed",
-            413: "Payload Too Large", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class _HttpError(Exception):
@@ -61,8 +63,13 @@ class _HttpError(Exception):
         self.headers = headers or {}
 
 
+def _allow(method: str, path: str, want: str) -> None:
+    if method != want:
+        raise _HttpError(405, f"{path} takes {want}")
+
+
 class Daemon:
-    """One asyncio server bound to a :class:`Scheduler`, a distributed
+    """One HTTP server bound to a :class:`Scheduler`, a distributed
     coordinator, or both (``repro sweep --workers`` runs a
     coordinator-only daemon; ``repro serve`` a scheduler-only one)."""
 
@@ -73,95 +80,30 @@ class Daemon:
         self.coordinator = coordinator
         self.host = host
         self.port = port          # 0 = ephemeral; real port set by start()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
+        #: set by ``POST /v1/shutdown`` (and by ``serve_main``'s signals).
+        self.shutdown_requested = threading.Event()
+        self._server: Optional[_Server] = None
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> None:
+        """Bind, start the scheduler, and serve on a background thread."""
+        self._server = _Server((self.host, self.port), self)
+        self.port = self._server.server_address[1]
         if self.scheduler is not None:
             self.scheduler.start()
+        threading.Thread(target=self._server.serve_forever,
+                         kwargs={"poll_interval": 0.05},
+                         name="repro-serve-http", daemon=True).start()
 
-    async def wait_shutdown(self) -> None:
-        await self._shutdown.wait()
-
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def close(self) -> None:
+    def close(self) -> None:
+        """Stop accepting connections and release the port."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.shutdown()   # waits for serve_forever to return
+            self._server.server_close()
             self._server = None
-
-    # -- HTTP plumbing ---------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request_line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not request_line or not request_line.strip():
-                    break
-                try:
-                    method, path, headers, body = await self._read_request(
-                        reader, request_line)
-                except _HttpError as exc:
-                    await self._respond_error(writer, exc)
-                    break
-                keep_alive = (headers.get("connection", "").lower()
-                              != "close")
-                try:
-                    status, payload, extra = self._route(
-                        method, path, headers, body, writer)
-                except _HttpError as exc:
-                    await self._respond_error(writer, exc)
-                    if exc.status in (400, 413):
-                        break
-                    continue
-                await self._respond(writer, status, payload, extra,
-                                    keep_alive=keep_alive)
-                if not keep_alive:
-                    break
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader,
-                            request_line: bytes
-                            ) -> Tuple[str, str, Dict[str, str], bytes]:
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-            raise _HttpError(400, "malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                raise _HttpError(400, "truncated headers")
-            line = line.strip()
-            if not line:
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = 0
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise _HttpError(400, "bad Content-Length") from None
-        if length > _MAX_BODY:
-            raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
 
     def _need_scheduler(self) -> Scheduler:
         if self.scheduler is None:
@@ -180,18 +122,15 @@ class Daemon:
             raise _HttpError(503, "no trace store on this daemon")
         return store
 
-    def _route(self, method: str, path: str, headers: Dict[str, str],
-               body: bytes, writer: asyncio.StreamWriter
-               ) -> Tuple[int, object, Dict[str, str]]:
+    def _route(self, method: str, path: str, headers, body: bytes,
+               peer: str) -> Tuple[int, object, Dict[str, str]]:
         if path in ("/v1/run", "/v1/suite", "/v1/sweep"):
-            if method != "POST":
-                raise _HttpError(405, f"{path} takes POST")
+            _allow(method, path, "POST")
             self._need_scheduler()
             return self._submit(path.rsplit("/", 1)[1], headers, body,
-                                writer)
+                                peer)
         if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                raise _HttpError(405, f"{path} takes GET")
+            _allow(method, path, "GET")
             job_id = path[len("/v1/jobs/"):]
             try:
                 job = self._need_scheduler().get(job_id)
@@ -199,27 +138,23 @@ class Daemon:
                 raise _HttpError(404, str(exc)) from None
             return 200, job.status().to_payload(), {}
         if path == "/v1/jobs":
-            if method != "GET":
-                raise _HttpError(405, f"{path} takes GET")
+            _allow(method, path, "GET")
             return 200, {"jobs": [job.status().to_payload()
                                   for job in self._need_scheduler().jobs()]
                          }, {}
         if path == "/v1/metrics":
-            if method != "GET":
-                raise _HttpError(405, f"{path} takes GET")
+            _allow(method, path, "GET")
             return 200, self._need_scheduler().metrics().to_payload(), {}
         if path == "/v1/healthz":
-            if method != "GET":
-                raise _HttpError(405, f"{path} takes GET")
+            _allow(method, path, "GET")
             return 200, self._healthz(), {}
         if path.startswith("/v1/traces/"):
             return self._traces(method, path[len("/v1/traces/"):], body)
         if path.startswith("/v1/dist/"):
             return self._dist(method, path[len("/v1/dist/"):], body)
         if path == "/v1/shutdown":
-            if method != "POST":
-                raise _HttpError(405, f"{path} takes POST")
-            self.request_shutdown()
+            _allow(method, path, "POST")
+            self.shutdown_requested.set()
             return 202, {"draining": True}, {}
         raise _HttpError(404, f"no route {method} {path}")
 
@@ -259,13 +194,11 @@ class Daemon:
         if self.coordinator is None:
             raise _HttpError(404, "this daemon is not a sweep coordinator")
         if action == "status":
-            if method != "GET":
-                raise _HttpError(405, "/v1/dist/status takes GET")
+            _allow(method, "/v1/dist/status", "GET")
             return 200, self.coordinator.status(), {}
         if action not in ("lease", "renew", "report"):
             raise _HttpError(404, f"no dist action {action!r}")
-        if method != "POST":
-            raise _HttpError(405, f"/v1/dist/{action} takes POST")
+        _allow(method, f"/v1/dist/{action}", "POST")
         try:
             payload = json.loads(body or b"{}")
         except ValueError:
@@ -291,8 +224,7 @@ class Daemon:
         except Exception as exc:  # noqa: BLE001 - protocol errors -> 400
             raise _HttpError(400, f"{type(exc).__name__}: {exc}") from None
 
-    def _submit(self, expect_kind: str, headers: Dict[str, str],
-                body: bytes, writer: asyncio.StreamWriter
+    def _submit(self, expect_kind: str, headers, body: bytes, peer: str
                 ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         try:
             request = parse_request_json(body, expect_kind=expect_kind)
@@ -305,10 +237,7 @@ class Daemon:
             except ValueError:
                 raise _HttpError(400, "X-Repro-Priority must be an integer"
                                  ) from None
-        client = headers.get("x-repro-client", "")
-        if not client:
-            peer = writer.get_extra_info("peername")
-            client = peer[0] if peer else "unknown"
+        client = headers.get("x-repro-client", "") or peer
         try:
             job = self.scheduler.submit(request, client=client,
                                         priority=priority)
@@ -320,60 +249,82 @@ class Daemon:
             raise _HttpError(exc.status, str(exc), extra) from None
         return 202, job.status().to_payload(), {}
 
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: object,
-                       extra: Optional[Dict[str, str]] = None, *,
-                       keep_alive: bool = True) -> None:
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-            content_type = "application/octet-stream"
-        else:
-            body = json.dumps(payload, sort_keys=True).encode()
-            content_type = "application/json"
-        reason = _REASONS.get(status, "")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 f"Content-Type: {content_type}",
-                 f"Content-Length: {len(body)}",
-                 f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-        for name, value in (extra or {}).items():
-            lines.append(f"{name}: {value}")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)
+
+class _Handler(BaseHTTPRequestHandler):
+    """One request: read the body, route it, write the reply."""
+
+    protocol_version = "HTTP/1.1"
+
+    def __getattr__(self, name: str):
+        # Every method reaches the router, which answers 405 for a
+        # method its route does not take.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def _dispatch(self) -> None:
         try:
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+            status, payload, extra = self.server.daemon._route(
+                self.command, self.path, self.headers, self._read_body(),
+                self.client_address[0])
+        except _HttpError as exc:
+            self.send_error(exc.status, str(exc), headers=exc.headers)
+            return
+        except Exception as exc:  # noqa: BLE001 - a bug answers 500
+            traceback.print_exc()
+            self.send_error(500, f"{type(exc).__name__}: {exc}")
+            return
+        self._reply(status, payload, extra)
 
-    async def _respond_error(self, writer: asyncio.StreamWriter,
-                             exc: _HttpError) -> None:
-        await self._respond(
-            writer, exc.status,
-            ErrorInfo(status=exc.status, message=str(exc)).to_payload(),
-            exc.headers, keep_alive=False)
+    def _read_body(self) -> bytes:
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            raise _HttpError(400, f"bad Content-Length {length!r}")
+        if int(length) > _MAX_BODY:
+            raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
+        body = self.rfile.read(int(length))
+        if len(body) < int(length):
+            raise _HttpError(400, "body shorter than its Content-Length")
+        return body
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        """Every error, the stdlib parser's included, as an ErrorInfo
+        JSON body on a connection that is then closed."""
+        self.close_connection = True
+        message = message or explain or self.responses.get(code, ("",))[0]
+        self._reply(code, ErrorInfo(status=code, message=message).to_payload(),
+                    headers or {})
+
+    def _reply(self, status: int, payload: object,
+               headers: Dict[str, str]) -> None:
+        binary = isinstance(payload, (bytes, bytearray))
+        body = (bytes(payload) if binary
+                else json.dumps(payload, sort_keys=True).encode())
+        self.send_response(status)
+        self.send_header("Content-Type", "application/octet-stream"
+                         if binary else "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args) -> None:
+        pass  # the daemon logs drain events, not requests
 
 
-async def _serve(scheduler: Scheduler, host: str, port: int,
-                 log) -> int:
-    daemon = Daemon(scheduler, host, port)
-    await daemon.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, daemon.request_shutdown)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    # Parsable by scripts scraping an ephemeral port; keep the format.
-    print(f"repro-serve listening on http://{host}:{daemon.port}",
-          flush=True)
-    store = scheduler.store
-    log(f"trace store: {store.directory}" if store is not None
-        else "no trace store: run cells execute")
-    await daemon.wait_shutdown()
-    log("draining: rejecting new jobs, finishing accepted work")
-    await daemon.close()
-    drained = await asyncio.get_running_loop().run_in_executor(
-        None, scheduler.stop)
-    log("drained" if drained else "drain timed out")
-    return 0 if drained else 1
+class _Server(ThreadingHTTPServer):
+    def __init__(self, address: Tuple[str, int], daemon: Daemon) -> None:
+        self.daemon = daemon
+        super().__init__(address, _Handler)
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
 
 
 def serve_main(args) -> int:
@@ -389,11 +340,21 @@ def serve_main(args) -> int:
         max_queue=args.max_queue,
         log=log,
     )
-    try:
-        return asyncio.run(_serve(scheduler, args.host, args.port, log))
-    except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        scheduler.stop()
-        return 0
+    daemon = Daemon(scheduler, args.host, args.port)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: daemon.shutdown_requested.set())
+    daemon.start()
+    # Parsable by scripts scraping an ephemeral port; keep the format.
+    print(f"repro-serve listening on {daemon.url}", flush=True)
+    store = scheduler.store
+    log(f"trace store: {store.directory}" if store is not None
+        else "no trace store: run cells execute")
+    daemon.shutdown_requested.wait()
+    log("draining: rejecting new jobs, finishing accepted work")
+    drained = scheduler.stop()   # the listener keeps answering meanwhile
+    daemon.close()
+    log("drained" if drained else "drain timed out")
+    return 0 if drained else 1
 
 
 __all__ = ["Daemon", "serve_main"]

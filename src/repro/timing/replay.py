@@ -214,7 +214,7 @@ class TraceRecorder:
 class ExecTrace:
     """A captured functional trace: per-wavefront streams + metadata."""
 
-    __slots__ = ("meta", "streams", "_decode_cache", "witnesses")
+    __slots__ = ("meta", "streams", "_decode_cache", "witnesses", "staged")
 
     def __init__(self, meta: "Dict[str, object]",
                  streams: List[WfStream]) -> None:
@@ -230,6 +230,8 @@ class ExecTrace:
         #: with the memo entry exactly as the decode cache does; a trace
         #: nobody memoizes can neither file nor serve a witness.
         self.witnesses: "Optional[List[object]]" = None
+        #: the staged process its replays re-arm (harness/runner.py).
+        self.staged: "Optional[object]" = None
 
     @property
     def verified(self) -> bool:

@@ -272,3 +272,54 @@ class TestEdges:
                   for run in pr.runs.values() if run.error]
         assert len(failed) == 1
         assert "timed out" in failed[0].error
+
+
+class TestConcurrentHttp:
+    def test_threaded_daemon_grants_and_accepts_each_cell_once(
+            self, tmp_path, clock):
+        """Many workers leasing and reporting at once through the
+        daemon's per-connection threads: every cell is granted to
+        exactly one of them and accepted exactly once."""
+        import sys
+        import threading
+
+        from repro.serve import DaemonClient
+        from repro.serve.daemon import Daemon
+
+        co = _coordinator(tmp_path, clock, steal=False, max_shard_cells=1,
+                          axes=(Axis("l1d.hit_latency",
+                                     tuple(range(1, 25))),))
+        server = Daemon(None, port=0, coordinator=co)
+        server.start()
+        granted = {}
+
+        def work(worker_id):
+            client = DaemonClient(server.host, server.port)
+            while True:
+                grant = client.dist_lease(worker_id)
+                if grant.state != "granted":
+                    return
+                for key in _keys(grant):
+                    granted.setdefault(key, []).append(worker_id)
+                    client.dist_report(worker_id, grant.lease_id, key,
+                                       _run_payload(key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(f"w{i}",))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert len(granted) == 24
+        assert all(len(workers) == 1 for workers in granted.values())
+        status = co.status()
+        assert status["cells_accepted"] == 24 and status["done"]
+        assert status["duplicate_reports"] == 0
+        assert len(co.finish().points) == 24

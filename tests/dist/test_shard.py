@@ -167,19 +167,19 @@ class TestWireRoundTrips:
         """The same out-of-order two-axis cell, leased over HTTP from a
         running coordinator, equals the coordinator's own."""
         from repro.dist import Coordinator
-        from repro.dist.coordinator import _CoordinatorServer
         from repro.serve import DaemonClient
+        from repro.serve.daemon import Daemon
 
         co = Coordinator(_request(
             axes=(Axis("l1d.hit_latency", (8,)), Axis("cu.vrf_banks", (2,))),
             sweeps_dir=str(tmp_path / "sweeps"), execution="execute"))
         expected = co._pending[0].request
-        server = _CoordinatorServer(co)
-        host, port = server.start().rsplit("//", 1)[1].split(":")
+        server = Daemon(None, port=0, coordinator=co)
+        server.start()
         try:
-            grant = DaemonClient(host, int(port)).dist_lease("w0")
+            grant = DaemonClient(server.host, server.port).dist_lease("w0")
         finally:
-            server.stop()
+            server.close()
         assert grant.state == "granted"
         assert grant.shard.cells == expected.cells
         assert [path for path, _ in grant.shard.cells[0].overrides] == [

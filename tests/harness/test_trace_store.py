@@ -235,6 +235,35 @@ class TestTraceMemoLRU:
         assert not _LOADED_TRACES
 
 
+class TestReplayStagingBound:
+    def test_staged_processes_are_bounded_by_the_trace_memo(
+            self, store, monkeypatch):
+        """A resident process keeps the staged process of a replay with
+        the memoized trace it replays, so the memo's LRU bound is theirs
+        too: three replayed seeds under a bound of two leave two."""
+        import gc
+
+        from repro.runtime.process import GpuProcess
+
+        def live_processes():
+            gc.collect()
+            return sum(isinstance(obj, GpuProcess)
+                       for obj in gc.get_objects())
+
+        monkeypatch.setenv("REPRO_TRACE_MEMO", "2")
+        clear_suite_cache()
+        before = live_processes()
+        for seed in (1, 2, 3):
+            for execution in ("capture", "replay"):
+                run = run_workload("arraybw", "gcn3", scale=0.1,
+                                   config=small_config(2), seed=seed,
+                                   execution=execution, trace_store=store)
+                assert run.execution == execution
+        assert live_processes() - before <= 2
+        clear_suite_cache()
+        assert live_processes() == before
+
+
 class TestCaptureReplayIdentity:
     def test_full_matrix_bit_identity(self, store):
         """Replay must be bit-identical to execute-at-issue on every

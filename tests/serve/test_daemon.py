@@ -1,13 +1,14 @@
 """End-to-end daemon tests: a real ``repro serve`` subprocess on an
 ephemeral port, driven over HTTP with :class:`DaemonClient`.  Asserts
 the daemon path is bit-identical to in-process execution, that a burst
-sharing one functional fingerprint shares one capture, and that
-SIGTERM drains gracefully (in-flight finishes, new work gets 503,
-clean exit)."""
+sharing one functional fingerprint shares one capture, that malformed
+HTTP gets an ErrorInfo reply, and that SIGTERM drains gracefully
+(in-flight finishes, new work gets 503, polls answer, clean exit)."""
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -17,13 +18,15 @@ import pytest
 
 from repro.common.config import small_config
 from repro.core import Session
-from repro.serve import DaemonClient, DaemonError
+from repro.serve import DaemonClient, DaemonError, ErrorInfo
+from repro.serve.daemon import _MAX_BODY
 
 SCALE = 0.1
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _start_daemon(tmp_dir, *extra_args, store=True):
+def _start_daemon(tmp_dir, *extra_args, store=True,
+                  stderr=subprocess.DEVNULL):
     """A daemon with its trace store and result cache under ``tmp_dir``;
     ``store=False`` starts one with neither (``REPRO_NO_CACHE``, no
     directories given)."""
@@ -38,7 +41,7 @@ def _start_daemon(tmp_dir, *extra_args, store=True):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          *dirs, *extra_args],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=stderr,
         env=env, cwd=str(tmp_dir), text=True)
     deadline = time.monotonic() + 60
     line = ""
@@ -188,6 +191,70 @@ class TestDaemonErrors:
         assert excinfo.value.status == 405
 
 
+def _raw_exchange(port, request):
+    """Send raw bytes, half-close, and read the reply to EOF; returns
+    (status or None for an empty reply, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return (int(head.split()[1]) if head else None), body
+
+
+_MALFORMED = {
+    "over_long_header_line": (
+        b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * 70000
+        + b"\r\n\r\n", (431, 400)),
+    "body_shorter_than_content_length": (
+        b"POST /v1/run HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"api\":",
+        (400,)),
+    "negative_content_length": (
+        b"POST /v1/run HTTP/1.1\r\nContent-Length: -1\r\n\r\n", (400,)),
+    "non_numeric_content_length": (
+        b"POST /v1/run HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n", (400,)),
+    "body_over_max": (
+        b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (_MAX_BODY + 1), (413,)),
+}
+
+
+class TestMalformedHttp:
+    """Malformed HTTP fails closed: an ErrorInfo JSON reply instead of a
+    dropped connection, no traceback, and the daemon keeps serving."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("malformed")
+        stderr_path = tmp_dir / "daemon.err"
+        with open(stderr_path, "w") as stderr:
+            process, port = _start_daemon(tmp_dir, stderr=stderr)
+        try:
+            yield port, stderr_path
+        finally:
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+            process.stdout.close()
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_request_gets_error_info(self, served, case):
+        port, stderr_path = served
+        request, statuses = _MALFORMED[case]
+        logged = len(stderr_path.read_text())
+        status, body = _raw_exchange(port, request)
+        assert status in statuses, f"reply status {status}"
+        info = ErrorInfo.from_payload(json.loads(body))
+        assert info.status == status and info.message
+        health = DaemonClient("127.0.0.1", port).healthz()
+        assert health["ok"] is True
+        assert "Traceback" not in stderr_path.read_text()[logged:]
+
+
 class TestHealthz:
     def test_healthz_ok(self, daemon):
         payload = daemon.healthz()
@@ -274,6 +341,36 @@ class TestGracefulShutdown:
         traces = list((tmp_path / "traces").glob("*.trace"))
         assert traces, "accepted work was dropped on SIGTERM"
         assert len(jobs) == 2
+
+    def test_drain_refuses_submits_and_answers_polls(self, tmp_path):
+        """From SIGTERM until the queue is empty the listener stays up:
+        a submit gets 503 (Draining), a job poll gets 200; then exit 0."""
+        process, port = _start_daemon(tmp_path)
+        client = DaemonClient("127.0.0.1", port, client_id="drain-contract")
+        session = Session(small_config(2))
+        try:
+            jobs = [client.submit(session.build_run_request(
+                        "lulesh", "gcn3", scale=1, seed=seed,
+                        execution="execute"))
+                    for seed in (60, 61, 62, 63)]
+            process.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 30
+            while not client.healthz()["draining"]:
+                assert time.monotonic() < deadline, "drain never started"
+                time.sleep(0.01)
+            with pytest.raises(DaemonError) as excinfo:
+                client.submit(_run_request(seed=64))
+            assert excinfo.value.status == 503
+            assert "draining" in excinfo.value.info.message
+            polled = [client.job(job.job_id) for job in jobs]
+            assert [s.job_id for s in polled] == [j.job_id for j in jobs]
+            assert not polled[-1].finished, "queue drained before the polls"
+            assert process.wait(timeout=120) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
     def test_shutdown_endpoint_drains(self, tmp_path):
         process, port = _start_daemon(tmp_path)
