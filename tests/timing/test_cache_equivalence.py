@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.common.config import CacheConfig, small_config
 from repro.common.stats import StatSet
 from repro.obs.trace import TraceBus
-from repro.timing.caches import Cache, MemorySystem, admits
+from repro.timing.caches import MemorySystem, admits
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -38,11 +38,15 @@ _lines = st.lists(st.integers(0, 95), min_size=1, max_size=60)
 
 
 def _drive(geometry, stream):
-    cache = Cache("t", geometry)
+    """Fetch ``stream`` through an L1I of ``geometry``, one line per
+    fetch: (the cache, whether each fetch hit)."""
+    ms = MemorySystem(small_config(1).scaled(l1i=geometry))
+    cache = ms.l1i[0]
     hits = []
-    for line in stream:
-        hits.append(cache.lookup(line))
-        cache.fill(line)
+    for now, line in enumerate(stream):
+        before = cache.hits
+        ms.ifetch(0, line, now * 1000)
+        hits.append(cache.hits > before)
     return cache, hits
 
 
@@ -54,9 +58,10 @@ class TestEvictionCounter:
     def test_counts_only_displacements(self):
         cache, _ = _drive(_geometry(1, 2), [1, 2, 1, 2])
         assert cache.evictions == 0
-        cache.fill(3)
+        cache, _ = _drive(_geometry(1, 2), [1, 2, 1, 2, 3])
         assert cache.evictions == 1
-        cache.fill(3)  # already resident: an LRU touch, not an eviction
+        # already resident: an LRU touch, not an eviction
+        cache, _ = _drive(_geometry(1, 2), [1, 2, 1, 2, 3, 3])
         assert cache.evictions == 1
 
     def test_survives_the_per_dispatch_reset(self):

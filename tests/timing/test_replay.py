@@ -91,6 +91,16 @@ class TestSerialization:
         with pytest.raises(TraceError, match="format"):
             ExecTrace.from_bytes(trace.to_bytes())
 
+    @pytest.mark.parametrize("field", ["flags", "active", "targets",
+                                       "mem_counts", "mem_lines"])
+    def test_stream_laws(self, field):
+        """Byte counts alone are not enough: every field's length must
+        agree with what the stream's code and flags imply."""
+        trace = _sample_trace()
+        getattr(trace.streams[0], field).pop()
+        with pytest.raises(TraceError, match=f"wavefront 0: .* {field} "):
+            ExecTrace.from_bytes(trace.to_bytes())
+
 
 class TestReplayCursor:
     # advance() returns the record tuple (pc, active_lanes, mem, mem_lines,
