@@ -420,6 +420,11 @@ class TraceStore(_FileStore):
             return False
         return self._write(fingerprint, blob)
 
+    def discard(self, fingerprint: str, reason: str = "") -> bool:
+        """Drop a stored trace that parsed but failed its replay, so the
+        next ``auto`` run captures it afresh."""
+        return self._discard(self._path(fingerprint), reason)
+
     def _discard(self, path: Path, reason: str = "") -> bool:
         # A file that is gone must not be served from the parsed memo.
         _LOADED_TRACES.pop(str(path), None)

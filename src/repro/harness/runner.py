@@ -28,7 +28,7 @@ from ..core.requests import (  # re-exported: canonical home is requests
 from ..obs.trace import TraceBus, TraceConfig, TraceData
 from ..runtime.process import GpuProcess
 from ..timing.gpu import Gpu
-from ..timing.replay import ExecTrace, TraceRecorder
+from ..timing.replay import ExecTrace, TraceError, TraceRecorder
 from ..workloads import create
 from .cache import TraceStore, resolve_trace_store, trace_fingerprint
 from .equivalence import derive, file_witness
@@ -312,7 +312,16 @@ def run_workload(
             return _staging_failure(name, isa, exc, start, mode)
         start = time.time()
         gpu = Gpu(config, process, trace=bus, replay=exec_trace)
-        per_dispatch = gpu.run_all()
+        try:
+            per_dispatch = gpu.run_all()
+        except TraceError as exc:
+            if execution != "auto":
+                raise
+            # A law only the fold checks (the probe counts) is broken:
+            # discard the entry, as from_bytes would, and capture.
+            trace_store.discard(fingerprint, f"TraceError: {exc}")  # type: ignore[union-attr]
+            return run_workload(name, isa, scale, config, seed, trace,
+                                "capture", trace_store)
         wall = time.time() - start
         meta = exec_trace.meta
     else:
