@@ -63,6 +63,24 @@ class EventQueue:
         """Cycle of the earliest pending event, or None when empty."""
         return self._heap[0][0] if self._heap else None
 
+    def advance(self, limit: int) -> None:
+        """Move the clock to ``limit`` or, when earlier, to the next
+        pending event's cycle, firing every event due then: one step of
+        the dispatcher.  Events scheduled *during* processing at that
+        cycle also fire, in deterministic order."""
+        heap = self._heap
+        if heap and heap[0][0] <= limit:
+            limit = heap[0][0]
+            self.now = limit
+            pop = heapq.heappop
+            while heap and heap[0][0] == limit:
+                _cycle, _seq, fn, a, b = pop(heap)
+                fn(a, b)
+        elif limit < self.now:
+            raise TimingError(
+                f"clock cannot run backwards ({limit} < {self.now})")
+        self.now = limit
+
     def advance_to(self, cycle: int) -> None:
         """Move the clock to ``cycle``, firing every event due on the way.
 
@@ -71,22 +89,9 @@ class EventQueue:
         """
         if cycle < self.now:
             raise TimingError(f"clock cannot run backwards ({cycle} < {self.now})")
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and heap[0][0] <= cycle:
-            when, _seq, fn, a, b = pop(heap)
-            self.now = when
-            fn(a, b)
-        self.now = cycle
-
-    def tick(self) -> None:
-        """Advance the clock by exactly one cycle."""
-        cycle = self.now + 1
-        heap = self._heap
-        if heap and heap[0][0] <= cycle:
-            self.advance_to(cycle)
-        else:
-            self.now = cycle
+        self.advance(cycle)
+        while self.now < cycle:
+            self.advance(cycle)
 
     def fast_forward(self) -> bool:
         """Jump straight to the next pending event.

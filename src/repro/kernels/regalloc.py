@@ -12,6 +12,7 @@ The instruction space is abstract: callers provide per-instruction
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
@@ -118,51 +119,62 @@ class AllocationResult:
 
 
 class _SlotPool:
-    """First-fit pool of 32-bit slots with even alignment for pairs."""
+    """First-fit pool of 32-bit slots with even alignment for pairs.
+
+    Free slots are kept sorted in two lists: ``pairs`` (even bases of
+    fully free aligned pairs) and ``singles`` (free, partner taken or
+    past the budget).  One slot prefers the lowest single, so pairs keep
+    finding aligned homes (avoids fragmentation livelock when spill temps
+    need pairs in saturated regions).
+    """
 
     def __init__(self, budget: int, reserved: Set[int]) -> None:
         self.budget = budget
-        self.free = [i not in reserved for i in range(budget)]
+        self.free = free = [i not in reserved for i in range(budget)]
         self.high_water = 0
         for r in reserved:
             if r < budget:
                 self.high_water = max(self.high_water, r + 1)
+        self.pairs = [i for i in range(0, budget - 1, 2)
+                      if free[i] and free[i + 1]]
+        self.singles = [i for i in range(budget) if free[i]
+                        and not (i ^ 1 < budget and free[i ^ 1])]
 
     def take(self, width: int) -> int:
         if width == 1:
-            # Prefer slots whose even-aligned partner is taken, so pairs
-            # keep finding aligned homes (avoids fragmentation livelock
-            # when spill temps need pairs in saturated regions).
-            fallback = -1
-            for i in range(self.budget):
-                if not self.free[i]:
-                    continue
-                partner = i ^ 1
-                if partner >= self.budget or not self.free[partner]:
-                    self.free[i] = False
-                    self.high_water = max(self.high_water, i + 1)
-                    return i
-                if fallback < 0:
-                    fallback = i
-            if fallback >= 0:
-                # Take the odd half of a fully-free pair.
-                i = fallback | 1 if (fallback | 1) < self.budget and self.free[fallback | 1] else fallback
-                self.free[i] = False
-                self.high_water = max(self.high_water, i + 1)
-                return i
-        elif width == 2:
-            for i in range(0, self.budget - 1, 2):
-                if self.free[i] and self.free[i + 1]:
-                    self.free[i] = self.free[i + 1] = False
-                    self.high_water = max(self.high_water, i + 2)
-                    return i
-        else:
-            raise RegisterAllocationError(f"unsupported register width {width}")
-        return -1
+            if self.singles:
+                i = self.singles.pop(0)
+            elif self.pairs:  # the odd half of the lowest free pair
+                base = self.pairs.pop(0)
+                insort(self.singles, base)
+                i = base + 1
+            else:
+                return -1
+            self.free[i] = False
+            self.high_water = max(self.high_water, i + 1)
+            return i
+        if width == 2:
+            if not self.pairs:
+                return -1
+            i = self.pairs.pop(0)
+            self.free[i] = self.free[i + 1] = False
+            self.high_water = max(self.high_water, i + 2)
+            return i
+        raise RegisterAllocationError(f"unsupported register width {width}")
 
     def release(self, base: int, width: int) -> None:
+        free = self.free
         for i in range(base, base + width):
-            self.free[i] = True
+            if free[i]:
+                continue
+            free[i] = True
+            partner = i ^ 1
+            if partner < self.budget and free[partner]:
+                # The aligned pair is whole again.
+                del self.singles[bisect_left(self.singles, partner)]
+                insort(self.pairs, i & ~1)
+            else:
+                insort(self.singles, i)
 
 
 def linear_scan(

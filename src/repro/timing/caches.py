@@ -155,39 +155,17 @@ class MemorySystem:
             args["write"] = True
         self.trace.emit("cache", cache.name, now, cu=cu, args=args)
 
-    def _through_l2(self, cluster: int, line: int, now: int, cu: int) -> int:
-        """Completion cycle of a read that missed a first-level cache."""
-        l2 = self.l2[cluster]
-        nf = l2.next_free
-        start = nf if nf > now else now
-        l2.next_free = start + l2.occupancy
-        tracing = self.trace is not None
-        lru = l2._sets[line % l2.num_sets]
-        if line in lru:
-            lru.move_to_end(line)
-            l2.hits += 1
-            if tracing:
-                self._note(l2, "hit", line, start, cu)
-            return start + l2.hit_latency
-        l2.misses += 1
-        done = self.dram.access(line, start + l2.hit_latency)
-        l2.insert(lru, line)
-        if tracing:
-            self._note(l2, "miss", line, start, cu)
-            self._note(l2, "fill", line, done, cu)
-        return done
-
     def _read(self, cache: Cache, cu_id: int, lines: "Sequence[int]",
               now: int) -> int:
         """Completion cycle of a read of ``lines`` through the first-level
-        ``cache``: each line hits, or misses through the cluster's L2 and
-        is filled.
+        ``cache``: each line hits, or misses through the cluster's L2
+        (itself filled from DRAM on a miss) and is filled.
 
         Line ``k`` takes the port slot ``max(next_free, now) +
         k * occupancy`` — every slot starts at or after ``now`` — so the
         max resolves once and the loop carries the slot locally.
         """
-        cluster = self._cluster_of[cu_id]
+        l2 = self.l2[self._cluster_of[cu_id]]
         tracing = self.trace is not None
         sets = cache._sets
         num_sets = cache.num_sets
@@ -209,8 +187,24 @@ class MemorySystem:
                 cache.misses += 1
                 if tracing:
                     self._note(cache, "miss", line, start, cu_id)
-                done = self._through_l2(cluster, line, start + hit_latency,
-                                        cu_id)
+                start2 = start + hit_latency
+                if l2.next_free > start2:
+                    start2 = l2.next_free
+                l2.next_free = start2 + l2.occupancy
+                lru2 = l2._sets[line % l2.num_sets]
+                if line in lru2:
+                    lru2.move_to_end(line)
+                    l2.hits += 1
+                    if tracing:
+                        self._note(l2, "hit", line, start2, cu_id)
+                    done = start2 + l2.hit_latency
+                else:
+                    l2.misses += 1
+                    done = self.dram.access(line, start2 + l2.hit_latency)
+                    l2.insert(lru2, line)
+                    if tracing:
+                        self._note(l2, "miss", line, start2, cu_id)
+                        self._note(l2, "fill", line, done, cu_id)
                 cache.insert(lru, line)
                 if tracing:
                     self._note(cache, "fill", line, done, cu_id)

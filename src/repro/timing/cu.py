@@ -25,9 +25,11 @@ accounting* so idle work is skipped instead of rescanned —
 ``simd_ready[s]`` counts schedulable wavefronts per SIMD (``state ==
 READY``), ``fetch_ready`` counts fetch candidates, and ``next_wake`` is
 the earliest cycle this CU could possibly act (``NEVER_WAKE`` = only an
-event can wake it).  Every transition keeps the counts exact, so the
-scheduling *decisions* — and therefore every statistic — are
-bit-identical to the exhaustive scan.
+event can wake it), exact after issuing cycles too: a SIMD that issued
+waits for its ``simd_free`` (the next cycle after a non-VALU issue), and
+a leftover fetch candidate or an opened barrier means the next cycle.
+Every transition keeps the counts exact, so the scheduling *decisions*
+— and so every statistic — are bit-identical to the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ class ComputeUnit:
         self.unit_cost[UNIT_VMEM] = config.valu_issue_cycles  # address/coalesce
         self.unit_cost[UNIT_LDS] = config.valu_issue_cycles
         self.fetch_rr = 0
-        self._all_wfs: List[TimingWavefront] = []
+        self._all_wfs: List[TimingWavefront] = []  # the fetch arbiter's ring
+        self._n_wfs = 0
         # Ready accounting (see module docstring): schedulable wavefronts
         # per SIMD, fetch candidates, and the CU-level wake cycle the
         # dispatcher uses to skip provably idle CUs.
@@ -120,15 +123,12 @@ class ComputeUnit:
     def can_accept(self, num_wfs: int, reg_slots_per_wf: int, sgprs_per_wf: int,
                    lds_bytes: int) -> bool:
         cfg = self.config
-        if self.wf_slots_used + num_wfs > cfg.max_wavefronts:
-            return False
-        if self.vrf_slots_used + num_wfs * reg_slots_per_wf > cfg.vrf_entries:
-            return False
-        if self.srf_slots_used + num_wfs * sgprs_per_wf > cfg.srf_entries:
-            return False
-        if self.lds_bytes_used + lds_bytes > cfg.lds_bytes:
-            return False
-        return True
+        return (self.wf_slots_used + num_wfs <= cfg.max_wavefronts
+                and self.vrf_slots_used + num_wfs * reg_slots_per_wf
+                <= cfg.vrf_entries
+                and self.srf_slots_used + num_wfs * sgprs_per_wf
+                <= cfg.srf_entries
+                and self.lds_bytes_used + lds_bytes <= cfg.lds_bytes)
 
     def add_workgroup(self, record: WorkgroupRecord) -> None:
         if not self.workgroups:
@@ -150,6 +150,7 @@ class ComputeUnit:
                 self.fetch_ready += 1
             self._next_simd = (self._next_simd + 1) % self.num_simds
         self._all_wfs = [wf for group in self.simd_wfs for wf in group]
+        self._n_wfs = len(self._all_wfs)
         self.next_wake = 0
         self._trace_wg("wg_place", record)
 
@@ -166,6 +167,7 @@ class ComputeUnit:
         for simd, group in enumerate(self.simd_wfs):
             self.simd_wfs[simd] = [wf for wf in group if wf.wg_key != wg_key]
         self._all_wfs = [wf for group in self.simd_wfs for wf in group]
+        self._n_wfs = len(self._all_wfs)
         self._trace_wg("wg_retire", record)
         self.gpu._wg_done()
 
@@ -201,11 +203,10 @@ class ComputeUnit:
         gpu._wake_floor = 0
         gpu._last_progress_cycle = self.events.now  # inline notify
 
-    def _sync_fetch(self, wf: TimingWavefront) -> None:
-        """Recompute the wavefront's fetch-candidate flag after a fill or
-        a flush and keep the CU count exact (the other transitions that
-        can change it patch the flag in place)."""
-        want = wf.wants_fetch()
+    def _refetch(self, wf: TimingWavefront, new_pc: int) -> None:
+        """Flush ``wf``'s buffer to refetch from ``new_pc`` and keep the
+        CU's fetch-candidate count exact."""
+        want = wf.flush_ib(new_pc)
         if want != wf.fetch_want:
             wf.fetch_want = want
             self.fetch_ready += 1 if want else -1
@@ -216,13 +217,14 @@ class ComputeUnit:
 
     def cycle(self, now: int) -> bool:
         """One cycle of fetch + issue.  Returns whether anything happened
-        and leaves the CU's wake hint in ``next_wake``."""
+        and leaves the CU's exact wake cycle in ``next_wake``."""
         vrf = self.vrf
         if vrf._min_cycle < now:  # a traced conflict is ready to emit
             vrf.collect(now)
         # One attribute fetch per cycle; every instrumentation point below
         # is a plain ``is not None`` check when tracing is off.
         trace: Optional[TraceBus] = self.trace
+        self.next_wake = NEVER_WAKE  # a barrier opening below resets it
 
         did = bool(self.fetch_ready) and self._start_fetch(now)
         hint = NEVER_WAKE
@@ -244,12 +246,20 @@ class ComputeUnit:
                 wf_hint = wf.next_issue_cycle
                 if wf_hint <= now:
                     wf_hint = self._try_issue(wf, simd, now, trace)
-                if wf_hint is True:
-                    did = True
-                    break
+                    if wf_hint is True:
+                        # Nothing else issues from this SIMD before it
+                        # frees: after a VALU issue, or else next cycle.
+                        did = True
+                        free = simd_free[simd]
+                        wf_hint = free if free > now else now + 1
+                        if wf_hint < hint:
+                            hint = wf_hint
+                        break
                 if wf_hint is not None and wf_hint < hint:
                     hint = wf_hint
-        self.next_wake = now + 1 if did else hint
+        if self.fetch_ready or not self.next_wake:
+            hint = now + 1
+        self.next_wake = hint
         return did
 
     # -- fetch ------------------------------------------------------------
@@ -258,7 +268,7 @@ class ComputeUnit:
         """Start one fetch, for the first candidate at or after the
         round-robin pointer."""
         wfs = self._all_wfs
-        n = len(wfs)
+        n = self._n_wfs
         rr = self.fetch_rr
         for k in range(n):
             wf = wfs[(rr + k) % n]
@@ -272,8 +282,8 @@ class ComputeUnit:
         self.fetch_ready -= 1
         line = wf.fetch_lines[wf.fetch_index]
         done_cycle = self.memsys.ifetch(self.cu_id, line, now)
-        self.events.schedule_at(max(done_cycle, now + 1), self._finish_fetch,
-                                wf, wf.fetch_epoch)
+        self.events.schedule_at(done_cycle if done_cycle > now else now + 1,
+                                self._finish_fetch, wf, wf.fetch_epoch)
         trace: Optional[TraceBus] = self.trace
         if trace is not None and trace.wants_fetch:
             trace.emit("fetch", "ifetch", now,
@@ -284,9 +294,10 @@ class ComputeUnit:
     def _finish_fetch(self, wf: TimingWavefront, epoch: int) -> None:
         if epoch != wf.fetch_epoch:
             return  # flushed while in flight
-        wf.fetch_inflight = False
-        wf.fill_ib()
-        self._sync_fetch(wf)
+        # In flight, it was no candidate; the fill says if it is now.
+        if wf.fill_ib():
+            wf.fetch_want = True
+            self.fetch_ready += 1
         self._wake(wf)
 
     # -- issue ------------------------------------------------------------
@@ -304,12 +315,10 @@ class ComputeUnit:
         # The functional pass recorded it ahead of the instruction it
         # precedes, so it fires on the wavefront's first issue attempt
         # after the previous instruction.
-        if not gcn3:
-            new_pc = cursor.take_jump()
-            if new_pc is not None:
-                self._flush(wf, new_pc)
-                # The refetch starts next cycle; keep the clock moving.
-                return self.events.now + 1
+        if cursor.jump_armed and not gcn3:
+            self._flush(wf, cursor.take_jump())
+            # The refetch starts next cycle; keep the clock moving.
+            return now + 1
 
         ib_len = wf.ib_len
         if not ib_len:
@@ -321,13 +330,13 @@ class ComputeUnit:
         if wf.fetch_index - ib_len != pc:
             # Stale buffer (a flush raced with an already-checked fetch
             # stage); resynchronize and wake next cycle for the refetch.
-            wf.flush_ib(pc)
-            self._sync_fetch(wf)
+            self._refetch(wf, pc)
             if trace is not None and trace.wants_stall:
                 trace.stall("ib_resync", now, self.cu_id, wf.wf_id)
-            return self.events.now + 1
+            return now + 1
 
         desc = wf.descs[pc]
+        config = self.config
 
         # GCN3 stalls on dependencies only at explicit s_waitcnt; HSAIL
         # always consults its scoreboard.
@@ -354,74 +363,37 @@ class ComputeUnit:
                         now, self.cu_id, wf.wf_id)
                 return hint
             if (desc.is_memory
-                    and wf.pending_vmem >= self.config.max_outstanding_vmem):
+                    and wf.pending_vmem >= config.max_outstanding_vmem):
                 self._park(wf)
                 if trace is not None and trace.wants_stall:
                     trace.stall("vmem_capacity", now, self.cu_id, wf.wf_id)
                 return None
 
+        # --- unit occupancy ---
         # The SIMD itself was checked by the caller; only off-SIMD units
         # need the structural-hazard probe.  (A GCN3 vector access past
         # the outstanding limit is not held back by the port.)
         unit = desc.unit
-        if unit != UNIT_SIMD:
-            free = self.unit_free[unit]
-            if free > now and (
-                    unit != UNIT_VMEM
-                    or wf.pending_vmem < self.config.max_outstanding_vmem):
-                if trace is not None and trace.wants_stall:
-                    trace.stall(_UNIT_STALL_REASON[unit], now,
-                                self.cu_id, wf.wf_id)
-                return free
-
-        self._issue(wf, desc, simd, now, trace)
-        return True
-
-    def _waitcnt_blocks(self, wf: TimingWavefront, desc: IssueDesc, now: int,
-                        trace: Optional[TraceBus]) -> bool:
-        """Park ``wf`` if its ``s_waitcnt`` thresholds are not met yet —
-        GCN3's one explicit dependency-stall point (paper §III.B.2)."""
-        vm = desc.wait_vm
-        lgkm = desc.wait_lgkm
-        if vm is not None and wf.pending_vmem > vm:
-            reason = "waitcnt_vm"
-        elif lgkm is not None and wf.pending_lgkm > lgkm:
-            reason = "waitcnt_lgkm"
-        else:
-            return False
-        self._park(wf)  # woken by a memory completion
-        if trace is not None:
-            if trace.wants_stall:
-                trace.stall(reason, now, self.cu_id, wf.wf_id)
-            if trace.wants_wait:
-                trace.emit("wait", "s_waitcnt", now, cu=self.cu_id,
-                           wf=wf.wf_id,
-                           args={"reason": reason,
-                                 "vmcnt": vm,
-                                 "lgkmcnt": lgkm,
-                                 "pending_vmem": wf.pending_vmem,
-                                 "pending_lgkm": wf.pending_lgkm})
-        return True
-
-    def _issue(self, wf: TimingWavefront, desc: IssueDesc,
-               simd: int, now: int, trace: Optional[TraceBus]) -> None:
-        cursor = wf.cursor
-        pc = cursor.pc
-
-        # --- unit occupancy ---
-        unit = desc.unit
         if unit == UNIT_SIMD:
-            cost = self.config.valu_issue_cycles * desc.valu_mult
+            cost = config.valu_issue_cycles * desc.valu_mult
             self.simd_free[simd] = now + cost
-            if not wf.is_gcn3:
+            if not gcn3:
                 # Scoreboard release at writeback: the simulated pipeline
                 # has no forwarding network (the real machine relies on
                 # finalizer scheduling instead), so dependents wait out
                 # the full depth (paper §III.B.2).
                 wf.mark_busy(desc.write_slots,
-                             now + cost + 2 * self.config.valu_issue_cycles)
+                             now + cost + 2 * config.valu_issue_cycles)
             gather = cost
         else:
+            free = self.unit_free[unit]
+            if free > now and (
+                    unit != UNIT_VMEM
+                    or wf.pending_vmem < config.max_outstanding_vmem):
+                if trace is not None and trace.wants_stall:
+                    trace.stall(_UNIT_STALL_REASON[unit], now,
+                                self.cu_id, wf.wf_id)
+                return free
             cost = self.unit_cost[unit]
             self.unit_free[unit] = now + cost
             gather = 2
@@ -455,7 +427,7 @@ class ComputeUnit:
             self._handle_memory(wf, desc, mem, lines, now, cost, trace)
 
         # --- control flow / IB maintenance ---
-        wf.ib_len -= 1
+        wf.ib_len = ib_len - 1
         if target is not None:
             self._flush(wf, target)
         elif not (ends or wf.fetch_want or wf.fetch_inflight
@@ -476,6 +448,33 @@ class ComputeUnit:
             self._release_barrier(record)
             if record.alive() == 0:
                 self._retire_workgroup(record)
+        return True
+
+    def _waitcnt_blocks(self, wf: TimingWavefront, desc: IssueDesc, now: int,
+                        trace: Optional[TraceBus]) -> bool:
+        """Park ``wf`` if its ``s_waitcnt`` thresholds are not met yet —
+        GCN3's one explicit dependency-stall point (paper §III.B.2)."""
+        vm = desc.wait_vm
+        lgkm = desc.wait_lgkm
+        if vm is not None and wf.pending_vmem > vm:
+            reason = "waitcnt_vm"
+        elif lgkm is not None and wf.pending_lgkm > lgkm:
+            reason = "waitcnt_lgkm"
+        else:
+            return False
+        self._park(wf)  # woken by a memory completion
+        if trace is not None:
+            if trace.wants_stall:
+                trace.stall(reason, now, self.cu_id, wf.wf_id)
+            if trace.wants_wait:
+                trace.emit("wait", "s_waitcnt", now, cu=self.cu_id,
+                           wf=wf.wf_id,
+                           args={"reason": reason,
+                                 "vmcnt": vm,
+                                 "lgkmcnt": lgkm,
+                                 "pending_vmem": wf.pending_vmem,
+                                 "pending_lgkm": wf.pending_lgkm})
+        return True
 
     def _handle_memory(self, wf: TimingWavefront, desc: IssueDesc, mem: int,
                        lines: List[int], now: int, issue_cost: int,
@@ -488,28 +487,29 @@ class ComputeUnit:
             wf.pending_lgkm += 1
             if written:
                 wf.mark_mem_busy(written)
-            self.events.schedule_at(max(done, now + 1), self._finish_lgkm,
-                                    wf, written)
-            kind, count = "lds", 0
+            self.events.schedule_at(done if done > now else now + 1,
+                                    self._finish_lgkm, wf, written)
+            kind = "lds"
         elif mem == _MEM_SCALAR:
             done = self.memsys.scalar_access(self.cu_id, lines, now + issue_cost)
             wf.pending_lgkm += 1
-            self.events.schedule_at(max(done, now + 1), self._finish_lgkm,
-                                    wf, ())
-            kind, count = "scalar_load", len(lines)
+            self.events.schedule_at(done if done > now else now + 1,
+                                    self._finish_lgkm, wf, ())
+            kind = "scalar_load"
         else:
             done = self.memsys.vector_access(
                 self.cu_id, lines, mem == _MEM_STORE, now + issue_cost)
             wf.pending_vmem += 1
             if written:
                 wf.mark_mem_busy(written)
-            self.events.schedule_at(max(done, now + 1), self._finish_vmem,
-                                    wf, written)
-            kind, count = _MEM_KINDS[mem], len(lines)
+            self.events.schedule_at(done if done > now else now + 1,
+                                    self._finish_vmem, wf, written)
+            kind = _MEM_KINDS[mem]
         if trace is not None and trace.wants_mem:
             trace.emit("mem", desc.opcode, now, dur=max(done - now, 1),
                        cu=self.cu_id, wf=wf.wf_id,
-                       args={"kind": kind, "lines": count})
+                       args={"kind": kind,
+                             "lines": 0 if mem == _MEM_LDS else len(lines)})
 
     def _finish_vmem(self, wf: TimingWavefront, slots: Tuple[int, ...]) -> None:
         wf.pending_vmem -= 1
@@ -527,8 +527,7 @@ class ComputeUnit:
     def _flush(self, wf: TimingWavefront, new_pc: int) -> None:
         # The trace's fold counts IB_FLUSHES (timing/vector.py): a
         # flush is decided by the recorded stream, never by timing.
-        wf.flush_ib(new_pc)
-        self._sync_fetch(wf)
+        self._refetch(wf, new_pc)
         trace: Optional[TraceBus] = self.gpu.trace
         if trace is not None and trace.wants_flush:
             trace.emit("flush", "ib_flush", self.gpu.events.now,
@@ -550,6 +549,7 @@ class ComputeUnit:
                 if other.state == AT_BARRIER:
                     other.state = READY
                     simd_ready[other.simd_id] += 1
+            self.next_wake = 0  # the released may issue next cycle
             self.gpu.notify_progress()
 
 

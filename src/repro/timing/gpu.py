@@ -164,11 +164,15 @@ class Gpu:
         """The dispatcher: per-instruction stepping on the global event
         heap, one ``cycle()`` scan over busy CUs per visited cycle.
 
-        With tracing on, every busy CU is cycled every cycle so the
-        per-cycle stall accounting stays exhaustive; untraced runs skip
-        CUs whose ``next_wake`` proves they cannot act yet (the skip
-        changes which no-op scans run, never a scheduling decision, so
-        statistics are bit-identical — see tests/timing/test_determinism).
+        Each step jumps to the earliest CU wake or pending event.  With
+        tracing on, or while workgroups wait for a CU, a step that did
+        work goes to the next cycle instead (the traced stall accounting
+        is per cycle; a retirement can make room for a placement then),
+        and traced runs cycle every busy CU every visited cycle.
+        Untraced runs skip CUs whose exact ``next_wake`` proves they
+        cannot act yet (the skip changes which no-op scans run, never a
+        scheduling decision, so statistics are bit-identical — see
+        tests/timing/test_determinism).
         """
         traced = self.trace is not None
         events = self.events
@@ -182,34 +186,26 @@ class Gpu:
                 did_work = True
             if (not traced and not did_work and not pending
                     and self._wake_floor > now):
-                # The previous iteration already proved no CU can act
-                # before _wake_floor, and no completion handler has reset
-                # it since: jump without rescanning the busy CUs.
+                # The previous step already proved no CU can act before
+                # _wake_floor, and no completion handler has reset it
+                # since: jump without rescanning the busy CUs.
                 wake = self._wake_floor
             else:
                 wake = NEVER_WAKE
                 for cu in self.busy_cus:
-                    if cu.next_wake > now and not traced:
-                        if cu.next_wake < wake:
-                            wake = cu.next_wake
-                    elif cu.cycle(now):
+                    if (cu.next_wake <= now or traced) and cu.cycle(now):
                         did_work = True
-                    elif cu.next_wake < wake:
+                    if cu.next_wake < wake:
                         wake = cu.next_wake
                 if self._outstanding_wgs == 0:
                     break
                 if did_work:
-                    self._wake_floor = now + 1
-                    events.tick()
-                    self._last_progress_cycle = events.now  # inline notify_progress
-                    continue
+                    self._last_progress_cycle = now + 1  # inline notify
+                    if traced or pending:
+                        wake = now + 1
                 self._wake_floor = wake
-            # Nothing issued this cycle: jump to the next interesting time.
-            target = wake if now < wake < NEVER_WAKE else NEVER_WAKE
-            next_event = events.next_event_cycle()
-            if next_event is not None and now < next_event < target:
-                target = next_event
-            if target == NEVER_WAKE:
+            # Jump to the earlier of the next wake and the next event.
+            if wake == NEVER_WAKE and events.next_event_cycle() is None:
                 if pending:
                     # Waiting for CU resources that only free on
                     # retirement, which arrives via events; none exist.
@@ -217,7 +213,7 @@ class Gpu:
                         "workgroups pending but no events outstanding")
                 raise DeadlockError(
                     "GPU idle with outstanding workgroups and no events")
-            events.advance_to(target)
+            events.advance(wake)
             if events.now - self._last_progress_cycle > deadlock_cycles:
                 raise DeadlockError(
                     f"no progress for {deadlock_cycles} cycles "

@@ -178,3 +178,11 @@ def read_banks(kernel: AnyKernel, num_banks: int) -> Tuple[Tuple[int, ...], ...]
             for desc in predecode_kernel(kernel)))
 
     return _memo(kernel, ("banks", num_banks), build)
+
+
+def scoreboard_size(kernel: AnyKernel) -> int:
+    """Entries of a wavefront's HSAIL scoreboard lists: one past the
+    highest VRF slot an instruction of ``kernel`` reads or writes."""
+    return _memo(kernel, ("scoreboard",), lambda: 1 + max(
+        [slot for desc in predecode_kernel(kernel) for slot in desc.rw_slots],
+        default=-1))

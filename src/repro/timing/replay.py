@@ -353,11 +353,12 @@ class ReplayCursor:
 
     A cursor is the ``cursor`` of a :class:`TimingWavefront`: it exposes
     the attributes the timing model reads (``pc``, ``done``, ``kernel``,
-    ``is_gcn3``) and advances them from the trace.
+    ``is_gcn3``, ``jump_armed``: the next record is a reconvergence jump)
+    and advances them from the trace.
     """
 
     __slots__ = (
-        "kernel", "pc", "done", "is_gcn3",
+        "kernel", "pc", "done", "is_gcn3", "jump_armed",
         "_code", "_flags", "_active", "_targets", "_mem_counts",
         "_mem_lines", "_i_code", "_i_instr", "_i_target", "_i_mem",
         "_i_line",
@@ -380,6 +381,7 @@ class ReplayCursor:
         self._i_target = 0
         self._i_mem = 0
         self._i_line = 0
+        self.jump_armed = len(stream.code) > 0 and stream.code[0] < 0
 
     def take_jump(self) -> Optional[int]:
         """Consume a pending reconvergence jump, if the next record is one.
@@ -393,6 +395,7 @@ class ReplayCursor:
         code = self._code
         if i < len(code) and code[i] < 0:
             self._i_code = i + 1
+            self.jump_armed = i + 1 < len(code) and code[i + 1] < 0
             new_pc = -code[i] - 1
             self.pc = new_pc
             return new_pc
@@ -412,8 +415,9 @@ class ReplayCursor:
         than produce silently wrong statistics.
         """
         i = self._i_code
+        code = self._code
         try:
-            recorded_pc = self._code[i]
+            recorded_pc = code[i]
         except IndexError:
             raise TraceError(
                 f"replay ran past the end of a wavefront stream at pc {pc}"
@@ -424,6 +428,8 @@ class ReplayCursor:
                 f"timing model issued pc {pc}"
             )
         self._i_code = i + 1
+        if i + 1 < len(code) and code[i + 1] < 0:
+            self.jump_armed = True
         j = self._i_instr
         self._i_instr = j + 1
         flags = self._flags[j]

@@ -272,9 +272,10 @@ class StreamShape:
         flags = np.asarray(stream.flags)
         # Reconvergence jumps (records with code < 0) fire *before* the
         # next instruction record: ``jump_at[k]`` is the number of
-        # instruction records issued before jump ``k`` (HSAIL only).
+        # instruction records issued before jump ``k`` (HSAIL only); a
+        # closing -1 matches no record.
         jump_pos = np.flatnonzero(~instr_mask)
-        self.jump_at = np.cumsum(instr_mask)[jump_pos].tolist()
+        self.jump_at = np.cumsum(instr_mask)[jump_pos].tolist() + [-1]
         self.jump_target = (-code[jump_pos] - 1).tolist()
         # Branch targets: records with the TARGET flag consume one entry
         # of the ``targets`` side stream, in order.
@@ -468,15 +469,16 @@ class VectorReplayCursor(ReplayCursor):
         self._recs = dec.records
         self._jump_at = dec.shape.jump_at
         self._jump_target = dec.shape.jump_target
+        self.jump_armed = self._jump_at[0] == 0
 
     def take_jump(self) -> Optional[int]:
-        jp = self._jp
-        if jp < len(self._jump_at) and self._jump_at[jp] == self._j:
-            self._jp = jp + 1
-            new_pc = self._jump_target[jp]
-            self.pc = new_pc
-            return new_pc
-        return None
+        if not self.jump_armed:
+            return None
+        jp = self._jp + 1
+        self._jp = jp
+        self.jump_armed = self._jump_at[jp] == self._j
+        self.pc = new_pc = self._jump_target[jp - 1]
+        return new_pc
 
     def advance(self, pc: int) -> Record:
         j = self._j
@@ -491,7 +493,10 @@ class VectorReplayCursor(ReplayCursor):
                 f"replay desynchronized: trace recorded pc {rec[0]}, "
                 f"timing model issued pc {pc}"
             )
-        self._j = j + 1
+        j += 1
+        self._j = j
+        if j == self._jump_at[self._jp]:
+            self.jump_armed = True
         self.pc = rec[5]
         if rec[7]:
             self.done = True

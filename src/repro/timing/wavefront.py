@@ -15,14 +15,17 @@ The instruction buffer is a length, not a list: fetch fills it in
 program order from ``fetch_index`` and issue drains it from the front,
 and a flush empties it and moves ``fetch_index``, so it always holds
 exactly the instruction indices ``[fetch_index - ib_len, fetch_index)``.
+A fill and a flush return the new ``fetch_want``.  The HSAIL scoreboard
+is two per-slot lists (:func:`~repro.timing.predecode.scoreboard_size`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .predecode import IssueDesc, fetch_tables, predecode_kernel
+from .predecode import (IssueDesc, fetch_tables, predecode_kernel,
+                        scoreboard_size)
 from .replay import ReplayCursor
 
 #: ``TimingWavefront.state`` values; every one but READY keeps the
@@ -55,8 +58,9 @@ class TimingWavefront:
     # Dependency state.
     pending_vmem: int = 0
     pending_lgkm: int = 0
-    busy_slots: Dict[int, int] = field(default_factory=dict)   # HSAIL scoreboard
-    mem_busy_slots: Dict[int, int] = field(default_factory=dict)  # slot -> refcount
+    # HSAIL scoreboard per slot: release cycle, in-flight memory refcount.
+    busy_slots: List[int] = field(init=False, default_factory=list)
+    mem_busy_slots: List[int] = field(init=False, default_factory=list)
 
     state: int = READY
     next_issue_cycle: int = 0
@@ -68,9 +72,9 @@ class TimingWavefront:
     num_instrs: int = field(init=False, default=0)
     fetch_lines: Tuple[int, ...] = field(init=False, default=())
     fetch_fill: Tuple[int, ...] = field(init=False, default=())
-    #: True iff :meth:`wants_fetch` — maintained by the CU at every
-    #: fetch/IB/done transition that can change it, so the fetch arbiter
-    #: can early-out on a per-CU candidate count.
+    #: not done, no fetch in flight, code left and room in the buffer —
+    #: maintained by the CU at every fetch/IB/done transition that can
+    #: change it, so the fetch arbiter can count candidates per CU.
     fetch_want: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
@@ -81,7 +85,11 @@ class TimingWavefront:
         self.num_instrs = len(kernel.instrs)
         self.fetch_lines, self.fetch_fill = fetch_tables(
             kernel, self.code_base, self.fetch_width_bytes)
-        self.fetch_want = self.wants_fetch()
+        size = scoreboard_size(kernel)
+        self.busy_slots = [0] * size
+        self.mem_busy_slots = [0] * size
+        # A fresh wavefront is an empty buffer fetching from pc 0.
+        self.fetch_want = self.flush_ib(0)
 
     @property
     def done(self) -> bool:
@@ -89,31 +97,31 @@ class TimingWavefront:
 
     # -- instruction buffer ------------------------------------------------
 
-    def fill_ib(self) -> None:
-        """Deliver one fetch: the instructions a fetch-width read from
-        ``fetch_index`` holds, as far as the buffer has room."""
+    def fill_ib(self) -> bool:
+        """Deliver the fetch in flight: the instructions a fetch-width
+        read from ``fetch_index`` holds, as far as the buffer has room.
+        Returns the new fetch-candidate flag."""
         index = self.fetch_index
         count = self.fetch_fill[index]
-        room = self.ib_capacity - self.ib_len
+        ib_len = self.ib_len
+        room = self.ib_capacity - ib_len
         if count > room:
             count = room
-        self.ib_len += count
-        self.fetch_index = index + count
+        self.ib_len = ib_len = ib_len + count
+        self.fetch_index = index = index + count
+        self.fetch_inflight = False
+        return (ib_len < self.ib_capacity and index < self.num_instrs
+                and not self.cursor.done)
 
-    def flush_ib(self, new_pc: int) -> None:
-        """Discard buffered instructions and refetch from ``new_pc``."""
+    def flush_ib(self, new_pc: int) -> bool:
+        """Discard buffered instructions and refetch from ``new_pc``.
+        Returns the new fetch-candidate flag."""
         self.ib_len = 0
         self.fetch_index = new_pc
         self.fetch_epoch += 1
         self.fetch_inflight = False
-
-    def wants_fetch(self) -> bool:
-        return (
-            not self.cursor.done
-            and not self.fetch_inflight
-            and self.fetch_index < self.num_instrs
-            and self.ib_len < self.ib_capacity
-        )
+        return (0 < self.ib_capacity and new_pc < self.num_instrs
+                and not self.cursor.done)
 
     # -- HSAIL scoreboard -----------------------------------------------------
 
@@ -124,15 +132,13 @@ class TimingWavefront:
         by its completion event, not by time) holds one."""
         busy = self.busy_slots
         mem_busy = self.mem_busy_slots
-        if not busy and not mem_busy:
-            return 0
         worst = 0
         on_mem = False
         for slot in slots:
-            release = busy.get(slot, 0)
+            release = busy[slot]
             if release > worst:
                 worst = release
-            if slot in mem_busy:
+            if mem_busy[slot]:
                 on_mem = True
         if worst > now:
             return worst
@@ -141,18 +147,13 @@ class TimingWavefront:
     def mark_busy(self, slots: Sequence[int], until: int) -> None:
         busy = self.busy_slots
         for slot in slots:
-            prev = busy.get(slot, 0)
-            if until > prev:
+            if until > busy[slot]:
                 busy[slot] = until
 
     def mark_mem_busy(self, slots: Sequence[int]) -> None:
         for slot in slots:
-            self.mem_busy_slots[slot] = self.mem_busy_slots.get(slot, 0) + 1
+            self.mem_busy_slots[slot] += 1
 
     def release_mem_busy(self, slots: Sequence[int]) -> None:
         for slot in slots:
-            count = self.mem_busy_slots.get(slot, 0) - 1
-            if count <= 0:
-                self.mem_busy_slots.pop(slot, None)
-            else:
-                self.mem_busy_slots[slot] = count
+            self.mem_busy_slots[slot] -= 1

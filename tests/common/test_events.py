@@ -90,11 +90,6 @@ class TestFastForward:
         q.schedule(7, _nothing)
         assert q.next_event_cycle() == 7
 
-    def test_tick_advances_one(self):
-        q = EventQueue()
-        q.tick()
-        q.tick()
-        assert q.now == 2
 
     def test_len_counts_pending(self):
         q = EventQueue()
@@ -103,3 +98,47 @@ class TestFastForward:
         assert len(q) == 2
         q.advance_to(1)
         assert len(q) == 1
+
+
+class TestAdvance:
+    # One dispatcher step: to the limit or to the first pending event,
+    # whichever is earlier.
+
+    def test_stops_at_the_first_event(self):
+        q = EventQueue()
+        log = []
+        q.schedule(5, _note, log, "a")
+        q.schedule(7, _note, log, "b")
+        q.advance(100)
+        assert (q.now, log) == (5, ["a"])
+        q.advance(100)
+        assert (q.now, log) == (7, ["a", "b"])
+
+    def test_goes_to_the_limit_before_any_event(self):
+        q = EventQueue()
+        log = []
+        q.schedule(50, _note, log, "late")
+        q.advance(10)
+        assert (q.now, log) == (10, [])
+
+    def test_fires_events_due_at_the_limit(self):
+        q = EventQueue()
+        log = []
+        q.schedule(10, _note, log, "due")
+        q.advance(10)
+        assert (q.now, log) == (10, ["due"])
+
+    def test_fires_same_cycle_events_scheduled_while_firing(self):
+        q = EventQueue()
+        log = []
+        q.schedule(3, lambda queue, _b: queue.schedule(0, _note, log, "same"),
+                   q)
+        q.schedule(4, _note, log, "next")
+        q.advance(100)
+        assert (q.now, log) == (3, ["same"])
+
+    def test_rejects_the_past(self):
+        q = EventQueue()
+        q.advance(10)
+        with pytest.raises(TimingError):
+            q.advance(9)

@@ -1,10 +1,15 @@
 """Generic liveness / linear-scan allocator tests."""
 
+import random
+from typing import Set
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.errors import RegisterAllocationError
 from repro.kernels.regalloc import (
+    _SlotPool,
     allocate_registers,
     build_intervals,
     compute_live_in,
@@ -144,3 +149,89 @@ class TestEndToEnd:
 
         succs = succs_from_instrs(4, branch_of, lambda i: i == 3)
         assert succs == [[1], [2], [0, 3], []]
+
+
+# ---------------------------------------------------------------------------
+# _SlotPool against the first-fit scan it replaced
+# ---------------------------------------------------------------------------
+
+
+class _ScanSlotPool:
+    """The first-fit scan ``_SlotPool`` replaced, kept verbatim as the
+    oracle: every take is a scan over the whole budget."""
+
+    def __init__(self, budget: int, reserved: Set[int]) -> None:
+        self.budget = budget
+        self.free = [i not in reserved for i in range(budget)]
+        self.high_water = 0
+        for r in reserved:
+            if r < budget:
+                self.high_water = max(self.high_water, r + 1)
+
+    def take(self, width: int) -> int:
+        if width == 1:
+            # Prefer slots whose even-aligned partner is taken, so pairs
+            # keep finding aligned homes (avoids fragmentation livelock
+            # when spill temps need pairs in saturated regions).
+            fallback = -1
+            for i in range(self.budget):
+                if not self.free[i]:
+                    continue
+                partner = i ^ 1
+                if partner >= self.budget or not self.free[partner]:
+                    self.free[i] = False
+                    self.high_water = max(self.high_water, i + 1)
+                    return i
+                if fallback < 0:
+                    fallback = i
+            if fallback >= 0:
+                # Take the odd half of a fully-free pair.
+                i = fallback | 1 if (fallback | 1) < self.budget and self.free[fallback | 1] else fallback
+                self.free[i] = False
+                self.high_water = max(self.high_water, i + 1)
+                return i
+        elif width == 2:
+            for i in range(0, self.budget - 1, 2):
+                if self.free[i] and self.free[i + 1]:
+                    self.free[i] = self.free[i + 1] = False
+                    self.high_water = max(self.high_water, i + 2)
+                    return i
+        else:
+            raise RegisterAllocationError(f"unsupported register width {width}")
+        return -1
+
+    def release(self, base: int, width: int) -> None:
+        for i in range(base, base + width):
+            self.free[i] = True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_slot_pool_matches_first_fit_scan(seed):
+    """Seeded take/release sequences of widths 1 and 2, on even and odd
+    budgets with and without reserved slots: the filed pool returns the
+    scan's slot at every take and agrees on the free map and the high
+    water mark after every step."""
+    rng = random.Random(seed)
+    budget = rng.choice([1, 2, 3, 7, 8, 16, 33, 102, 256, 2048])
+    reserved = {rng.randrange(budget + 2) for _ in range(rng.randrange(4))}
+    pool = _SlotPool(budget, set(reserved))
+    oracle = _ScanSlotPool(budget, set(reserved))
+    held = []
+    for _ in range(400 if budget < 2048 else 120):
+        if held and rng.random() < 0.4:
+            base, width = held.pop(rng.randrange(len(held)))
+            pool.release(base, width)
+            oracle.release(base, width)
+        else:
+            width = rng.choice([1, 1, 2])
+            got = pool.take(width)
+            assert got == oracle.take(width)
+            if got >= 0:
+                held.append((got, width))
+        assert pool.free == oracle.free
+        assert pool.high_water == oracle.high_water
+
+
+def test_slot_pool_rejects_other_widths():
+    with pytest.raises(RegisterAllocationError):
+        _SlotPool(8, set()).take(3)

@@ -5,13 +5,20 @@ this file pins how much host-side work the cycle model spends getting
 them.  Counters are patched onto the tier-1 matrix (every workload x
 ISA at ``small_config(2)``, scale 0.1, seed 7) per ISA:
 
-* ``cycle``         — ``ComputeUnit.cycle`` entries (visited CU-cycles);
-* ``try_issue``     — ``ComputeUnit._try_issue`` calls;
-* ``fetches``       — instruction fetches (``MemorySystem.ifetch``);
-* ``events``        — event-queue entries popped (fetch, VMEM, LGKM
+* ``cycle``            — ``ComputeUnit.cycle`` entries (visited CU-cycles);
+* ``try_issue``        — ``ComputeUnit._try_issue`` calls;
+* ``fetches``          — instruction fetches (``MemorySystem.ifetch``);
+* ``events``           — event-queue entries popped (fetch, VMEM, LGKM
   and LDS completions);
-* ``idle_advances`` — dispatcher jumps over cycles where nothing issued
-  (each consults ``EventQueue.next_event_cycle`` once).
+* ``dispatcher_steps`` — dispatcher loop iterations that move the clock
+  (``EventQueue.advance`` calls outside ``advance_to``: each jumps to
+  the earliest CU wake or pending event);
+* ``calls_per_issue``  — Python-level calls (``call`` and ``c_call``
+  profile events) inside ``Gpu._loop_scan`` per dynamic instruction,
+  counted in a second pass with none of the patches above in place.
+  numpy's own Python frames count too (about 0.17 per instruction), so
+  the ceiling holds for one interpreter and numpy (pinned under CPython
+  3.11 and numpy 2.4).
 
 Beside the ceilings, the trace decode is counted: a stream shape
 (``timing/vector.py`` ``StreamShape``) is built once per distinct
@@ -21,9 +28,15 @@ The committed numbers are ceilings: a change that re-adds work fails
 here even when every statistic still matches, and a change that removes
 work should lower them.  Visit counts describe the model's cost, never
 its results.
+
+``python tests/timing/test_cu_work.py`` (repo root, ``PYTHONPATH=src``)
+prints ``calls_per_issue``, ``cycle`` and ``dispatcher_steps`` per ISA
+as a Markdown table (CI writes it to the step summary).
 """
 
+import gc
 import heapq
+import sys
 
 import pytest
 
@@ -39,10 +52,12 @@ from repro.workloads import all_workloads
 
 #: Per ISA, the counts measured when the ceilings were last lowered.
 CEILINGS = {
-    "hsail": {"cycle": 21328, "try_issue": 11689, "fetches": 3912,
-              "events": 4781, "idle_advances": 11872},
-    "gcn3": {"cycle": 21578, "try_issue": 12115, "fetches": 4326,
-             "events": 5417, "idle_advances": 8732},
+    "hsail": {"cycle": 15912, "try_issue": 11661, "fetches": 3912,
+              "events": 4781, "dispatcher_steps": 15928,
+              "calls_per_issue": 25.54},
+    "gcn3": {"cycle": 16183, "try_issue": 12107, "fetches": 4326,
+             "events": 5417, "dispatcher_steps": 16207,
+             "calls_per_issue": 15.55},
 }
 
 
@@ -68,8 +83,65 @@ def _count(patch, counts, owner, name, key):
     patch.setattr(owner, name, counted)
 
 
-@pytest.fixture(scope="module")
-def work():
+def _count_steps(patch, counts):
+    """Count ``EventQueue.advance`` calls made by the dispatcher, not
+    those ``advance_to`` makes (the per-dispatch launch latency)."""
+    advance, advance_to = EventQueue.advance, EventQueue.advance_to
+    depth = [0]
+
+    def counted_advance(self, limit):
+        if not depth[0]:
+            counts["dispatcher_steps"] += 1
+        return advance(self, limit)
+
+    def nested_advance_to(self, cycle):
+        depth[0] += 1
+        try:
+            return advance_to(self, cycle)
+        finally:
+            depth[0] -= 1
+
+    patch.setattr(EventQueue, "advance", counted_advance)
+    patch.setattr(EventQueue, "advance_to", nested_advance_to)
+
+
+def _run_matrix(isa):
+    """Run the tier-1 matrix under ``isa``; the total dynamic
+    instructions."""
+    return sum(run_workload(workload.name, isa, scale=0.1, seed=7,
+                            config=small_config(2)).dynamic_instructions
+               for workload in all_workloads())
+
+
+def _calls_per_issue(isa):
+    """Profile events of the dispatcher loop per dynamic instruction."""
+    calls = [0]
+    loop = gpu_module.Gpu._loop_scan
+
+    def counter(_frame, event, _arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+
+    def profiled(self, *args):
+        # No collection inside the loop: finalizers of garbage left by
+        # earlier work would count as calls of this one.
+        gc.collect()
+        gc.disable()
+        sys.setprofile(counter)
+        try:
+            return loop(self, *args)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpu_module.Gpu, "_loop_scan", profiled)
+        instructions = _run_matrix(isa)
+    return round(calls[0] / instructions, 2)
+
+
+def measure():
+    """Every counter of :data:`CEILINGS` per ISA, plus the shape counts."""
     measured = {}
     for isa in ISAS:
         counts = dict.fromkeys(CEILINGS[isa], 0)
@@ -88,9 +160,8 @@ def work():
             _count(patch, counts, ComputeUnit, "cycle", "cycle")
             _count(patch, counts, ComputeUnit, "_try_issue", "try_issue")
             _count(patch, counts, MemorySystem, "ifetch", "fetches")
-            _count(patch, counts, EventQueue, "next_event_cycle",
-                   "idle_advances")
             _count(patch, counts, StreamShape, "__init__", "shapes")
+            _count_steps(patch, counts)
             patch.setattr(gpu_module, "wf_decode", keyed)
             patch.setattr(events_module, "heapq", _CountingHeapq(counts))
             for workload in all_workloads():
@@ -99,8 +170,14 @@ def work():
                 run_workload(workload.name, isa, scale=0.1, seed=7,
                              config=small_config(2))
                 counts["shape_keys"] += len(keys)
+        counts["calls_per_issue"] = _calls_per_issue(isa)
         measured[isa] = counts
     return measured
+
+
+@pytest.fixture(scope="module")
+def work():
+    return measure()
 
 
 @pytest.mark.parametrize("isa", ISAS)
@@ -120,3 +197,14 @@ def test_one_shape_per_distinct_stream(work, isa):
     counts = work[isa]
     assert counts["shapes"] == counts["shape_keys"]
     assert 0 < counts["shapes"] < counts["wavefronts"]
+
+
+if __name__ == "__main__":
+    measured = measure()
+    names = ("calls_per_issue", "cycle", "dispatcher_steps")
+    print("| CU work (tier-1 matrix) | " + " | ".join(names) + " |")
+    print("|---|" + "---:|" * len(names))
+    for isa in ISAS:
+        print(f"| {isa} | " + " | ".join(
+            f"{measured[isa][name]} (ceiling {CEILINGS[isa][name]})"
+            for name in names) + " |")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.common.config import small_config, paper_config
+from repro.common.errors import DeadlockError
 from repro.core import Session
 from repro.kernels.dsl import KernelBuilder
 from repro.kernels.types import DType
 from repro.runtime.memory import Segment
 from repro.runtime.process import GpuProcess
+from repro.timing.cu import ComputeUnit
 from repro.timing.gpu import DISPATCH_LATENCY, Gpu
 
 from tests.conftest import build_branchy, build_vec_add
@@ -180,3 +182,81 @@ class TestBarriers:
             expected = (np.arange(128) ^ 64) + 1
             assert np.array_equal(got, expected), isa
             assert stats["barriers"] >= 1
+
+
+class TestDispatcherWatchdog:
+    """The three ``DeadlockError`` branches of ``Gpu._loop_scan``, and the
+    progress clock the third one reads (the dispatcher jumps straight to
+    each wake, so an issuing step must count as progress)."""
+
+    @staticmethod
+    def _run(dual, isa, config, n=128):
+        proc = GpuProcess(isa)
+        a = proc.upload(np.ones(n, dtype=np.float32))
+        out = proc.alloc_buffer(4 * n)
+        proc.dispatch(dual.for_isa(isa), grid=n, wg=64, kernargs=[a, a, out])
+        gpu = Gpu(config, proc)
+        stats = gpu.run_all()[0]
+        assert np.allclose(proc.download(out, np.float32, n), 2.0)
+        return stats
+
+    def test_unplaceable_workgroup_with_no_events(self, vec_add_dual,
+                                                  monkeypatch):
+        monkeypatch.setattr(ComputeUnit, "can_accept",
+                            lambda self, *args: False)
+        with pytest.raises(DeadlockError, match="workgroups pending"):
+            self._run(vec_add_dual, "gcn3", small_config(1))
+
+    @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
+    def test_idle_gpu_with_no_events(self, vec_add_dual, monkeypatch, isa):
+        # Fetches complete but deliver nothing: every wavefront parks on
+        # an empty buffer and no event is left to wake it.
+        monkeypatch.setattr(ComputeUnit, "_finish_fetch",
+                            lambda self, wf, epoch: None)
+        with pytest.raises(DeadlockError, match="GPU idle"):
+            self._run(vec_add_dual, isa, small_config(1))
+
+    def test_no_progress_while_events_keep_firing(self, vec_add_dual,
+                                                  monkeypatch):
+        # A fetch that never lands: its event keeps re-arming itself, so
+        # the clock moves but nothing issues or completes.
+        def never_lands(self, wf, epoch):
+            self.events.schedule(50, self._finish_fetch, wf, epoch)
+
+        monkeypatch.setattr(ComputeUnit, "_finish_fetch", never_lands)
+        config = small_config(1).scaled(deadlock_cycles=2000)
+        with pytest.raises(DeadlockError, match="no progress for 2000"):
+            self._run(vec_add_dual, "gcn3", config)
+
+    @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
+    def test_long_dram_wait_is_progress(self, vec_add_dual, isa):
+        # Each load waits 5000 cycles on DRAM, five times the watchdog's
+        # window: its completion is the progress the watchdog sees.
+        config = small_config(1).with_overrides(
+            {"dram.base_latency_cycles": 5000}).scaled(deadlock_cycles=1000)
+        stats = self._run(vec_add_dual, isa, config)
+        assert stats["cycles"] > 2 * 5000
+
+    @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
+    def test_issuing_steps_are_progress(self, isa):
+        # A dependent chain of 400-cycle VALU issues in one wavefront
+        # whose buffer holds the whole kernel: after the first fetches no
+        # event fires for thousands of cycles, so only the issues keep
+        # the watchdog quiet (HSAIL's scoreboard holds each dependent
+        # for 1,200 cycles, inside the 1,500-cycle window).
+        kb = KernelBuilder("chain", [("out", DType.U64)])
+        tid = kb.wi_abs_id()
+        acc = kb.var(DType.F32, kb.cvt(tid, DType.F32))
+        for _ in range(24):
+            kb.assign(acc, acc * 1.5 + 1.0)
+        kb.store(Segment.GLOBAL,
+                 kb.kernarg("out") + kb.cvt(tid, DType.U64) * 4, acc)
+        dual = Session().compile(kb.finish())
+        config = small_config(1).with_overrides(
+            {"cu.valu_issue_cycles": 400, "cu.ib_entries": 512,
+             "cu.fetch_width_bytes": 4096}).scaled(deadlock_cycles=1500)
+        proc = GpuProcess(isa)
+        out = proc.alloc_buffer(4 * 64)
+        proc.dispatch(dual.for_isa(isa), grid=64, wg=64, kernargs=[out])
+        stats = Gpu(config, proc).run_all()[0]
+        assert stats["cycles"] > 10 * 1500

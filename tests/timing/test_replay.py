@@ -110,7 +110,7 @@ class TestReplayCursor:
         trace = _sample_trace()
         cur = trace.cursor(0, kernel=None, is_gcn3=True)
 
-        assert cur.take_jump() is None
+        assert not cur.jump_armed and cur.take_jump() is None
         assert cur.advance(0) == (0, 4, 0, (), None, 1, False, False)
         assert cur.pc == 1 and not cur.done
 
@@ -122,8 +122,9 @@ class TestReplayCursor:
         assert rec[4] == 7 and rec[5] == 7   # taken branch flushes to 7
         assert cur.pc == 7
 
+        assert cur.jump_armed                # the next record is a jump
         assert cur.take_jump() == 9          # reconvergence overrides pc
-        assert cur.pc == 9
+        assert cur.pc == 9 and not cur.jump_armed
         *_, barrier, ends = cur.advance(9)
         assert ends and not barrier and cur.done
 

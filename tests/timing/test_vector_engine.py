@@ -331,6 +331,7 @@ class TestVectorCursorErrors:
             vec = VectorReplayCursor(dec, kernel, True)
             sca = trace.cursor(wf_id, kernel, True)
             while not sca.done:
+                assert vec.jump_armed == sca.jump_armed
                 assert vec.take_jump() == sca.take_jump()
                 assert vec.pc == sca.pc
                 # the same record tuple, mem_lines list included

@@ -10,13 +10,14 @@ from repro.timing.wavefront import TimingWavefront
 
 def make_wf(num_instrs=8, literals=(), ib_capacity=4, fetch_width_bytes=32):
     """A GCN3 wavefront over ``num_instrs`` instructions; the indices in
-    ``literals`` carry a 32-bit literal (8 bytes instead of 4)."""
-    instrs = [Gcn3Instr(opcode="v_mov_b32", dest=VReg(1),
+    ``literals`` carry a 32-bit literal (8 bytes instead of 4).  They
+    write v8, so the scoreboard lists cover slots 0-8."""
+    instrs = [Gcn3Instr(opcode="v_mov_b32", dest=VReg(8),
                         srcs=(SImm(123456 if i in literals else 0),))
               for i in range(num_instrs - 1)]
     instrs.append(Gcn3Instr(opcode="s_endpgm"))
     kernel = Gcn3Kernel(
-        name="t", instrs=instrs, sgprs_used=10, vgprs_used=4, params=[],
+        name="t", instrs=instrs, sgprs_used=10, vgprs_used=9, params=[],
         kernarg_bytes=0, group_bytes=0, private_bytes=0, spill_bytes=0,
         scratch_bytes=0,
     )
@@ -54,16 +55,20 @@ class TestInstructionBuffer:
         assert wf.fetch_epoch == epoch + 1
 
     def test_wants_fetch_conditions(self):
+        # A fill and a flush return the new fetch-candidate flag: not
+        # done, nothing in flight, room in the buffer, code left.
         wf = make_wf()
-        assert wf.wants_fetch()
+        assert wf.fetch_want            # a fresh wavefront fetches from 0
         wf.fetch_inflight = True
-        assert not wf.wants_fetch()
-        wf.fetch_inflight = False
-        wf.ib_len = wf.ib_capacity  # full
-        assert not wf.wants_fetch()
-        wf.ib_len = 0
-        wf.fetch_index = wf.num_instrs
-        assert not wf.wants_fetch()
+        assert not wf.fill_ib()         # the delivery fills the buffer
+        assert not wf.fetch_inflight
+        assert wf.flush_ib(2)
+        assert not wf.flush_ib(wf.num_instrs)  # nothing left to fetch
+        roomy = make_wf(ib_capacity=12)
+        assert roomy.fill_ib() is False       # all 8 fetched at once
+        assert roomy.flush_ib(6) and roomy.fill_ib() is False
+        roomy.cursor.done = True
+        assert not roomy.flush_ib(0)          # a done wavefront never fetches
 
     def test_instruction_addresses_variable_length(self):
         # Instruction k starts at 0x1000 + 4k: k = 16 opens the next
@@ -107,22 +112,26 @@ class _ListIb:
                     max_size=40))
 def test_counter_ib_matches_list_ib(n, literals, capacity, width, ops):
     """Random fill/pop/flush sequences: the counter buffer and the list
-    buffer agree on head, length and fetch eligibility at every step."""
+    buffer agree on head and length at every step, and on fetch
+    eligibility after every fill and flush (the flag those return)."""
     wf = make_wf(n, literals, capacity, width)
     ref = _ListIb([d.size_bytes for d in wf.descs], capacity, width)
+    assert wf.fetch_want == ref.wants_fetch()
     for op, pc in ops:
+        want = None
         if op == "fill" and wf.fetch_index < wf.num_instrs:
-            wf.fill_ib()
+            want = wf.fill_ib()
             ref.fill()
         elif op == "pop" and wf.ib_len:
             wf.ib_len -= 1
             ref.ib.pop(0)
         elif op == "flush":
-            wf.flush_ib(pc % n)
+            want = wf.flush_ib(pc % n)
             ref.ib, ref.fetch_index = [], pc % n
         assert ib_head(wf) == (ref.ib[0][0] if ref.ib else None)
         assert wf.ib_len == len(ref.ib)
-        assert wf.wants_fetch() == ref.wants_fetch()
+        if want is not None:
+            assert want == ref.wants_fetch()
 
 
 class TestScoreboard:
@@ -151,6 +160,10 @@ class TestScoreboard:
         # a timed reservation on another operand still gives a hint
         wf.mark_busy([8], until=9)
         assert wf.slot_release([7, 8], now=5) == 9
+
+    def test_lists_cover_the_kernels_slots(self):
+        wf = make_wf()
+        assert len(wf.busy_slots) == len(wf.mem_busy_slots) == 9
 
     def test_unrelated_slots_unaffected(self):
         wf = make_wf()
