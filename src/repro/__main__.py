@@ -735,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
     sweep_p.add_argument("--workers", type=int, default=0,
-                         help="distribute the sweep: auto-spawn N local "
-                              "'repro dist worker' subprocesses against "
-                              "an ephemeral coordinator (0 = run "
+                         help="distribute the sweep: fork N local "
+                              "workers from this process against an "
+                              "ephemeral coordinator (0 = run "
                               "single-host)")
     sweep_p.add_argument("--worker-url", action="append", default=[],
                          metavar="URL",

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, Iterable, List, Mapping
 
 from .categories import CATEGORY_ORDER, InstrCategory
+
+#: A category and its wire value, both ways, so the payload codec builds
+#: no enum member per key.
+_CATEGORY_OF = {cat.value: cat for cat in InstrCategory}
+_VALUE_OF = {cat: cat.value for cat in InstrCategory}
 
 
 class Distribution:
@@ -90,8 +96,12 @@ class Distribution:
     @classmethod
     def from_payload(cls, payload: Mapping[str, int]) -> "Distribution":
         dist = cls()
-        for value, count in payload.items():
-            dist.add(int(value), int(count))
+        buckets = dist._buckets = defaultdict(
+            int, zip(map(int, payload), map(int, payload.values())))
+        if len(buckets) < len(payload) or min(buckets.values(), default=1) <= 0:
+            raise ValueError("bucket values must be distinct, counts positive")
+        dist._count = sum(buckets.values())
+        dist._total = sum(map(mul, buckets, buckets.values()))
         return dist
 
 
@@ -195,13 +205,11 @@ class StatSet:
         results can cross process boundaries or live in the on-disk cache.
         """
         return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "by_category": {
-                cat.value: count
-                for cat, count in sorted(
-                    self.instructions_by_category.items(), key=lambda kv: kv[0].value
-                )
-            },
+            "counters": dict(sorted(self.counters.items())),
+            "by_category": dict(sorted(
+                (_VALUE_OF[cat], count)
+                for cat, count in self.instructions_by_category.items()
+            )),
             "reuse_distance": self.reuse_distance.to_payload(),
             "read_uniqueness": self.read_uniqueness.to_payload(),
             "write_uniqueness": self.write_uniqueness.to_payload(),
@@ -210,16 +218,16 @@ class StatSet:
 
     @classmethod
     def from_payload(cls, payload: "Mapping[str, object]") -> "StatSet":
-        stats = cls()
-        for name, value in payload.get("counters", {}).items():  # type: ignore[union-attr]
-            stats.counters[name] = int(value)
-        for cat, count in payload.get("by_category", {}).items():  # type: ignore[union-attr]
-            stats.instructions_by_category[InstrCategory(cat)] = int(count)
-        stats.reuse_distance = Distribution.from_payload(payload.get("reuse_distance", {}))
-        stats.read_uniqueness = RatioProbe.from_payload(payload.get("read_uniqueness", (0, 0)))
-        stats.write_uniqueness = RatioProbe.from_payload(payload.get("write_uniqueness", (0, 0)))
-        stats.simd_utilization = RatioProbe.from_payload(payload.get("simd_utilization", (0, 0)))
-        return stats
+        counters: Mapping = payload.get("counters", {})  # type: ignore[assignment]
+        by_category: Mapping = payload.get("by_category", {})  # type: ignore[assignment]
+        return cls(
+            defaultdict(int, zip(counters, map(int, counters.values()))),
+            defaultdict(int, {_CATEGORY_OF[cat]: int(count)
+                              for cat, count in by_category.items()}),
+            Distribution.from_payload(payload.get("reuse_distance", {})),  # type: ignore[arg-type]
+            *(RatioProbe.from_payload(payload.get(name, (0, 0)))  # type: ignore[arg-type]
+              for name in ("read_uniqueness", "write_uniqueness", "simd_utilization")),
+        )
 
     def snapshot(self) -> Mapping[str, float]:
         """A flat, JSON-friendly view used by the harness cache."""

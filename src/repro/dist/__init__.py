@@ -11,7 +11,8 @@ leases shards to workers under heartbeat leases
 the journal's single writer — requeues expired leases with completed
 cells subtracted (zero resimulation), and lets idle workers steal from
 the largest outstanding lease.  Workers (:mod:`repro.dist.worker`) run
-cells in-process or on remote ``repro serve`` daemons.
+cells in-process (``workers=N`` forks N local ones from the coordinator's
+process) or on remote ``repro serve`` daemons.
 
 Because the serial executor writes through the same ledger, the
 distributed journal is bit-identical (modulo wall-clock fields) to the

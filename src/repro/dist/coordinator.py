@@ -28,12 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
-import sys
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..common.errors import ReproError
@@ -44,6 +42,7 @@ from ..harness.runner import WorkloadRun
 from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
+from .worker import Worker, build_worker
 
 #: A lease that dies this many times marks its remaining cells failed
 #: instead of requeueing forever (poison-shard guard).
@@ -152,6 +151,8 @@ class Coordinator:
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.steal_enabled = steal
         self._max_attempts = max_attempts
+        #: set once every cell of the sweep has landed.
+        self.finished = threading.Event()
         self._log = log or (lambda message: None)
         self._lock = threading.RLock()
 
@@ -179,14 +180,15 @@ class Coordinator:
                                          cell.isa)]
         self._leases = LeaseTable(lease_ttl, clock)
         self.shards = len(shards)
+        if self.ledger.done:
+            self.finished.set()
         self._log(f"sweep {self.ledger.results.sweep_id}: {len(shards)} "
                   f"shard(s), {len(live)} live cell(s) of "
                   f"{self.ledger.total}")
 
     @property
     def done(self) -> bool:
-        with self._lock:
-            return self.ledger.done
+        return self.finished.is_set()
 
     # -- worker protocol -------------------------------------------------------
 
@@ -346,6 +348,8 @@ class Coordinator:
             home.remaining.pop(cell_key, None)
         self._worker(worker_id).cells += 1
         self.ledger.accept(self._cells[cell_key], run)
+        if self.ledger.done:
+            self.finished.set()
 
     def status(self) -> Dict[str, object]:
         with self._lock:
@@ -406,6 +410,22 @@ class Coordinator:
                 if self.store is not None else False)
 
 
+class ForkedWorker:
+    """A local worker forked by :class:`DistSweep`: ``pid`` and
+    ``poll`` as on ``subprocess.Popen``; ``block`` reaps it."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self, block: bool = False) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
 class DistSweep:
     """One distributed sweep run: coordinator + its worker fleet.
 
@@ -435,75 +455,73 @@ class DistSweep:
             max_shard_cells=max_shard_cells, progress=progress, log=log)
         self.server: Optional[Daemon] = None   # workers' HTTP face
         self.url = ""
-        #: auto-spawned ``repro dist worker`` subprocesses.
-        self.processes: List[subprocess.Popen] = []
+        #: the local workers, forked from this process by :meth:`start`.
+        self.processes: List[ForkedWorker] = []
         self._threads: List[threading.Thread] = []
 
     def start(self) -> "DistSweep":
         if self.coordinator.done:
             return self  # fully replayed/cached; nothing to distribute
         if self.workers > 0:
+            # Bind, fork, then serve: the children's first lease waits
+            # in the listen backlog, and no thread of ours runs at a fork.
             self.server = Daemon(None, self.host, self.port,
                                  coordinator=self.coordinator)
-            self.server.start()
+            self.server.bind()
             self.url = self.server.url
             self._log(f"coordinator listening on {self.url}")
             for i in range(self.workers):
                 self.processes.append(self._spawn(f"local-{i}"))
+            self.server.serve()
         for i, url in enumerate(self.worker_urls):
             thread = threading.Thread(
-                target=self._url_worker, args=(f"daemon-{i}", url),
+                target=self._worker(f"daemon-{i}", daemon_url=url).run,
                 name=f"repro-dist-{url}", daemon=True)
             thread.start()
             self._threads.append(thread)
         return self
 
-    def _spawn(self, worker_id: str) -> subprocess.Popen:
-        import repro
+    def _worker(self, worker_id: str, url: Optional[str] = None,
+                daemon_url: Optional[str] = None) -> Worker:
+        """A worker of this sweep: over HTTP to the coordinator at
+        ``url``, else with the coordinator as its transport (inline, or
+        forwarding each cell to the daemon at ``daemon_url``).  Local
+        workers share the coordinator's store directory, so trace sync
+        degenerates to the filesystem (like the pool)."""
+        store = self.coordinator.store
+        return build_worker(
+            worker_id, url or self.coordinator,
+            trace_dir=str(store.directory) if store is not None else None,
+            job_timeout=self.request.job_timeout, daemon_url=daemon_url,
+            poll=0.1, log=self._log)
 
-        cmd = [sys.executable, "-m", "repro", "dist", "worker",
-               "--coordinator", self.url, "--worker-id", worker_id,
-               "--poll", "0.1", "--quiet"]
-        if self.coordinator.store is not None:
-            # Local workers share the coordinator's store directory, so
-            # trace sync degenerates to the filesystem (like the pool).
-            cmd += ["--trace-dir", str(self.coordinator.store.directory)]
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
-
-    def _url_worker(self, worker_id: str, url: str) -> None:
-        """A remote ``repro serve`` daemon as a worker: the loop runs
-        here (the coordinator is its transport), each cell executes over
-        there."""
-        from ..serve.client import DaemonClient
-        from .worker import DaemonBackend, Worker, _parse_url
-
-        d_host, d_port = _parse_url(url)
-        backend = DaemonBackend(DaemonClient(d_host, d_port,
-                                             client_id=worker_id))
-        Worker(worker_id, self.coordinator, backend, poll=0.1,
-               log=self._log).run()
+    def _spawn(self, worker_id: str) -> ForkedWorker:
+        """Fork one local worker: it holds every module a cell needs
+        already, and leaves through ``os._exit`` on every path."""
+        pid = os.fork()
+        if pid:
+            return ForkedWorker(pid)
+        code = 1
+        try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            devnull = os.open(os.devnull, os.O_RDWR)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            self.server.close()  # the inherited listening socket
+            self._worker(worker_id, self.url).run()
+            code = 0
+        finally:
+            os._exit(code)
 
     def alive_workers(self) -> int:
         return (sum(1 for p in self.processes if p.poll() is None)
                 + sum(1 for t in self._threads if t.is_alive()))
 
-    def _run_inline(self) -> None:
-        """Safety net (and the workers=0 path): an embedded worker in
-        this process finishes whatever is left."""
-        from .worker import EmbeddedBackend, Worker
-
-        trace_dir = (str(self.coordinator.store.directory)
-                     if self.coordinator.store is not None else None)
-        backend = EmbeddedBackend(trace_dir=trace_dir,
-                                  job_timeout=self.request.job_timeout)
-        Worker("inline", self.coordinator, backend, poll=0.05,
-               log=self._log).run()
-
     def wait(self, timeout: Optional[float] = None) -> DistSweepResults:
+        """Wait until every cell has landed; when no worker is left
+        alive, an inline worker in this process finishes the rest (the
+        safety net, and the whole sweep when there are no workers)."""
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         try:
@@ -514,9 +532,11 @@ class DistSweep:
                     break
                 if ((self.workers or self.worker_urls)
                         and self.alive_workers() > 0):
-                    time.sleep(0.05)
+                    # The done event ends the wait at once; the slice
+                    # bounds how late a dead fleet is noticed.
+                    self.coordinator.finished.wait(0.1)
                     continue
-                self._run_inline()
+                self._worker("inline").run()
         finally:
             try:
                 results = self.coordinator.finish()
@@ -525,14 +545,12 @@ class DistSweep:
         return results
 
     def stop(self) -> None:
+        """Kill and reap the local workers (so their CPU time counts as
+        this process's children's), join the threads, close the daemon."""
         for proc in self.processes:
             if proc.poll() is None:
-                proc.terminate()
-        for proc in self.processes:
-            try:
-                proc.wait(timeout=5.0)
-            except (subprocess.TimeoutExpired, OSError):
-                proc.kill()
+                os.kill(proc.pid, signal.SIGKILL)
+            proc.poll(block=True)
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self.server is not None:
@@ -554,8 +572,9 @@ def run_dist_sweep(request: SweepRequest, *,
                    ) -> DistSweepResults:
     """Run one sweep request across a worker fleet; see the module doc.
 
-    ``workers`` auto-spawns that many local ``repro dist worker``
-    subprocesses against an ephemeral coordinator daemon;
+    ``workers`` forks that many local workers from this process, each
+    reaching an ephemeral coordinator daemon over HTTP as ``repro dist
+    worker`` does, and reaps them before returning;
     ``worker_urls`` adds one in-process worker per remote ``repro
     serve`` daemon; with neither, an embedded worker runs the whole
     sweep inline (useful as a serial cross-check of the dist path).
@@ -572,6 +591,7 @@ __all__ = [
     "Coordinator",
     "DistSweep",
     "DistSweepResults",
+    "ForkedWorker",
     "MAX_SHARD_ATTEMPTS",
     "WorkerStats",
     "journal_digest",

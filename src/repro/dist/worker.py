@@ -6,8 +6,9 @@ report, renew — with the actual simulation delegated to a *backend*:
 * :class:`EmbeddedBackend` runs cells in this process through
   :func:`~repro.harness.parallel.run_cell` — the call the serve
   scheduler makes for a run cell — against one resident trace store, so
-  a standalone ``repro dist worker`` gets the daemon's store sharing and
-  job-timeout plumbing without a daemon's queue.
+  a standalone ``repro dist worker`` (or a worker a
+  :class:`~repro.dist.DistSweep` forks) gets the daemon's store sharing
+  and job-timeout plumbing without a daemon's queue.
 * :class:`DaemonBackend` forwards each cell to a remote ``repro serve``
   daemon through :class:`~repro.serve.DaemonClient` — an already-warm
   daemon farm becomes a sweep fleet without restarting anything.
@@ -15,8 +16,8 @@ report, renew — with the actual simulation delegated to a *backend*:
 The transport is whatever answers ``lease``/``renew``/``report``/
 ``get_trace``/``put_trace``: :class:`HttpTransport` speaks a coordinator
 daemon's ``/v1/dist/*`` routes, and a :class:`~repro.dist.Coordinator`
-in the same process is its own transport (the auto-spawned-worker
-fallback and the unit tests).
+in the same process is its own transport (the inline and per-daemon
+workers, and the unit tests).  :func:`build_worker` builds every worker.
 
 Trace sync: a granted shard names its functional trace fingerprint.
 When the coordinator already holds that trace
@@ -314,18 +315,41 @@ class Worker:
 # -- CLI entry point -----------------------------------------------------------
 
 
+def build_worker(worker_id: str, coordinator, *,
+                 trace_dir: Optional[str] = None,
+                 job_timeout: Optional[float] = None,
+                 daemon_url: Optional[str] = None, poll: float = 0.5,
+                 log: Optional[Callable[[str], None]] = None) -> Worker:
+    """The worker of ``repro dist worker`` and of a
+    :class:`~repro.dist.DistSweep`: ``coordinator`` is a URL or an
+    in-process transport; cells run embedded unless ``daemon_url``."""
+    transport = coordinator
+    if isinstance(coordinator, str):
+        transport = HttpTransport(DaemonClient(*_parse_url(coordinator),
+                                               client_id=worker_id))
+    if daemon_url:
+        backend = DaemonBackend(DaemonClient(*_parse_url(daemon_url),
+                                             client_id=worker_id))
+    else:
+        backend = EmbeddedBackend(trace_dir=trace_dir,
+                                  job_timeout=job_timeout)
+    return Worker(worker_id, transport, backend, poll=poll, log=log)
+
+
 def worker_main(args) -> int:
     """Entry point of ``repro dist worker`` (parsed CLI namespace)."""
     import sys
 
     log = ((lambda message: None) if args.quiet
            else (lambda message: print(message, file=sys.stderr, flush=True)))
-    host, port = _parse_url(args.coordinator)
-    client = DaemonClient(host, port, client_id=args.worker_id)
+    worker = build_worker(args.worker_id, args.coordinator,
+                          trace_dir=args.trace_dir,
+                          job_timeout=args.job_timeout,
+                          daemon_url=args.daemon_url, poll=args.poll, log=log)
     deadline = time.monotonic() + args.connect_timeout
     while True:
         try:
-            client.healthz()
+            worker.transport.client.healthz()
             break
         except (ReproError, OSError) as exc:
             if time.monotonic() >= deadline:
@@ -333,18 +357,8 @@ def worker_main(args) -> int:
                       f"{exc}", file=sys.stderr)
                 return 1
             time.sleep(0.1)
-    transport = HttpTransport(client)
     if args.daemon_url:
-        d_host, d_port = _parse_url(args.daemon_url)
-        backend = DaemonBackend(
-            DaemonClient(d_host, d_port, client_id=args.worker_id))
-        log(f"{args.worker_id}: forwarding cells to daemon "
-            f"{d_host}:{d_port}")
-    else:
-        backend = EmbeddedBackend(trace_dir=args.trace_dir,
-                                  job_timeout=args.job_timeout)
-    worker = Worker(args.worker_id, transport, backend,
-                    poll=args.poll, log=log)
+        log(f"{args.worker_id}: forwarding cells to daemon {args.daemon_url}")
     worker.run()
     return 0
 
@@ -354,5 +368,6 @@ __all__ = [
     "EmbeddedBackend",
     "HttpTransport",
     "Worker",
+    "build_worker",
     "worker_main",
 ]

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from repro.common.config import small_config
 from repro.core.requests import SweepRequest
-from repro.dist import DistSweep, journal_digest
+from repro.dist import DistSweep, Worker, journal_digest
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
 
@@ -38,7 +38,18 @@ def _kill_a_lease_holder(sweep, deadline):
     return None
 
 
-def test_sigkill_worker_mid_sweep(tmp_path):
+def test_sigkill_worker_mid_sweep(tmp_path, monkeypatch):
+    # Local workers are forked, so they lease at once and the whole sweep
+    # lands in about 0.15 s, which a 50 ms poll can miss.  The children
+    # inherit this patch: a cell takes 0.1 s longer, so a live lease
+    # stays in view for about a second.
+    run_cell = Worker._run_cell
+
+    def slow_run_cell(self, request):
+        time.sleep(0.1)
+        return run_cell(self, request)
+
+    monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
     request = SweepRequest(
         axes=AXES, workloads=WORKLOADS, isas=("gcn3",), scale=SCALE,
         seed=7, config=small_config(2), use_disk_cache=False,
