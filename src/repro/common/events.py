@@ -92,15 +92,3 @@ class EventQueue:
         self.advance(cycle)
         while self.now < cycle:
             self.advance(cycle)
-
-    def fast_forward(self) -> bool:
-        """Jump straight to the next pending event.
-
-        Returns False when no events are pending (the caller must decide
-        whether that means completion or deadlock).
-        """
-        nxt = self.next_event_cycle()
-        if nxt is None:
-            return False
-        self.advance_to(nxt)
-        return True

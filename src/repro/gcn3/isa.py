@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..common.categories import InstrCategory
-from ..common.errors import EncodingError, FinalizerError
+from ..common.errors import EncodingError
 
 #: Architectural register budgets per wavefront (paper §V.B).
 MAX_VGPRS = 256
@@ -408,20 +408,6 @@ class Gcn3Kernel:
         if not self.code_bytes_total:
             self.compute_layout()
         return self.code_bytes_total
-
-    def index_of_pc(self, pc: int) -> int:
-        """Instruction index at byte offset ``pc`` (exact match required)."""
-        lo, hi = 0, len(self.pc_of_index) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            v = self.pc_of_index[mid]
-            if v == pc:
-                return mid
-            if v < pc:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        raise FinalizerError(f"no instruction at pc {pc:#x} in {self.name}")
 
     def pretty(self) -> str:
         if not self.pc_of_index:

@@ -294,7 +294,7 @@ def run_workload(
     # Every mode is "obtain a trace, replay it": a stored trace comes
     # with its metadata; otherwise the GPU's functional pass records one
     # while it runs, and the metadata is computed from the live workload.
-    start = time.time()
+    start = time.perf_counter()
     if exec_trace is not None:
         if bus is None:
             # Eviction-free equivalence: an untraced replay that provably
@@ -303,14 +303,14 @@ def run_workload(
             witnessed = derive(exec_trace, config)
             if witnessed is not None:
                 run = WorkloadRun.from_payload(witnessed)
-                run.wall_seconds = time.time() - start
+                run.wall_seconds = time.perf_counter() - start
                 run.execution = "derived"
                 return run
         try:
             process = _replay_process(name, isa, scale, seed, exec_trace)
         except RuntimeStackError as exc:
             return _staging_failure(name, isa, exc, start, mode)
-        start = time.time()
+        start = time.perf_counter()
         gpu = Gpu(config, process, trace=bus, replay=exec_trace)
         try:
             per_dispatch = gpu.run_all()
@@ -322,13 +322,13 @@ def run_workload(
             trace_store.discard(fingerprint, f"TraceError: {exc}")  # type: ignore[union-attr]
             return run_workload(name, isa, scale, config, seed, trace,
                                 "capture", trace_store)
-        wall = time.time() - start
+        wall = time.perf_counter() - start
         meta = exec_trace.meta
     else:
         recorder = TraceRecorder() if mode == "capture" else None
         workload = create(name, scale=scale, seed=seed)
         process = GpuProcess(isa, memory_capacity=1 << 25)
-        start = time.time()
+        start = time.perf_counter()
         try:
             workload.stage(process, isa)
         except RuntimeStackError as exc:
@@ -336,7 +336,7 @@ def run_workload(
         gpu = Gpu(config, process, trace=bus, recorder=recorder)
         per_dispatch = gpu.run_all()
         verified = workload.verify(process)
-        wall = time.time() - start
+        wall = time.perf_counter() - start
         kernels = {kname: dual.for_isa(isa)
                    for kname, dual in workload.kernels().items()}
         meta = {
@@ -382,7 +382,7 @@ def _staging_failure(name: str, isa: str, exc: Exception, start: float,
     """A cell whose dispatches could not be staged, reported the way a
     suite reports a cell that raised: a failed run naming the error."""
     return WorkloadRun.failure(name, isa, f"{type(exc).__name__}: {exc}",
-                               time.time() - start, mode)
+                               time.perf_counter() - start, mode)
 
 
 def _replay_process(name: str, isa: str, scale: float, seed: int,

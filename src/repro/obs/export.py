@@ -250,7 +250,8 @@ def text_report(trace: TraceData, stats: Optional[StatSet] = None,
     if trace.stall_cycles:
         total_stalls = sum(trace.stall_cycles.values())
         lines.append("")
-        lines.append(f"stall reasons ({total_stalls} blocked wavefront-scans):")
+        lines.append(f"stall cycles ({total_stalls}: wavefront-cycles, "
+                     f"simd_busy in SIMD-cycles):")
         ranked = sorted(trace.stall_cycles.items(),
                         key=lambda kv: (-kv[1], kv[0]))
         for reason, cycles in ranked:

@@ -34,7 +34,7 @@ CATEGORIES = (
     "cache",     # per-cache hit/miss/fill outcomes
     "vrf",       # register-file operand gathers and bank conflicts
     "flush",     # instruction-buffer flushes
-    "stall",     # why a ready wavefront could not issue this cycle
+    "stall",     # one blocked interval: ts = start, dur = cycles, name = why
     "wait",      # s_waitcnt arrival with pending counts
     "dispatch",  # kernel dispatch + workgroup place/retire lifecycle
     "fetch",     # instruction-buffer fill requests
@@ -155,7 +155,8 @@ class TraceBus:
         self.config = config or TraceConfig()
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        #: exact stall accounting: reason -> blocked wavefront-scans.
+        #: exact stall accounting: reason -> blocked wavefront-cycles
+        #: (``simd_busy``: busy SIMD-cycles).
         self.stall_cycles: Dict[str, int] = {}
         self._seen: Dict[str, int] = {}
         enabled = set(self.config.categories)
@@ -189,11 +190,12 @@ class TraceBus:
             return
         self.events.append(TraceEvent(ts, dur, cat, name, cu, wf, args))
 
-    def stall(self, reason: str, ts: int, cu: int = -1, wf: int = -1) -> None:
-        """Account one blocked wavefront-scan; the counter is exact even
-        when the corresponding event stream is sampled away."""
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + 1
-        self.emit("stall", reason, ts, cu=cu, wf=wf)
+    def stall(self, reason: str, ts: int, cu: int = -1, wf: int = -1, *,
+              dur: int = 1) -> None:
+        """Account one blocked interval ``[ts, ts + dur)``; the counter is
+        exact even when the corresponding event stream is sampled away."""
+        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + dur
+        self.emit("stall", reason, ts, dur=dur, cu=cu, wf=wf)
 
     def data(self) -> "TraceData":
         return TraceData(

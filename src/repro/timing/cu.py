@@ -186,11 +186,16 @@ class ComputeUnit:
     # Ready accounting helpers
     # ------------------------------------------------------------------
 
-    def _park(self, wf: TimingWavefront) -> None:
+    def _park(self, wf: TimingWavefront, reason: str, now: int) -> None:
         """Park a wavefront the issue scan just visited (so it was
-        schedulable); it leaves the ready set until an event unparks it."""
+        schedulable); it leaves the ready set until an event unparks it.
+        A traced run charges the blocked interval at the wake."""
         wf.state = PARKED
         self.simd_ready[wf.simd_id] -= 1
+        trace = self.trace
+        if trace is not None and trace.wants_stall:
+            wf.park_reason = reason
+            wf.parked_at = now
 
     def _wake(self, wf: TimingWavefront) -> None:
         """An event completed for ``wf``: unpark it and make this CU (and
@@ -198,6 +203,10 @@ class ComputeUnit:
         if wf.state == PARKED:
             wf.state = READY
             self.simd_ready[wf.simd_id] += 1
+            trace = self.trace
+            if trace is not None and trace.wants_stall:
+                trace.stall(wf.park_reason, wf.parked_at, self.cu_id,
+                            wf.wf_id, dur=self.events.now - wf.parked_at)
         self.next_wake = 0
         gpu = self.gpu
         gpu._wake_floor = 0
@@ -218,9 +227,6 @@ class ComputeUnit:
     def cycle(self, now: int) -> bool:
         """One cycle of fetch + issue.  Returns whether anything happened
         and leaves the CU's exact wake cycle in ``next_wake``."""
-        vrf = self.vrf
-        if vrf._min_cycle < now:  # a traced conflict is ready to emit
-            vrf.collect(now)
         # One attribute fetch per cycle; every instrumentation point below
         # is a plain ``is not None`` check when tracing is off.
         trace: Optional[TraceBus] = self.trace
@@ -235,8 +241,6 @@ class ComputeUnit:
             if free > now:
                 if free < hint:
                     hint = free
-                if trace is not None and trace.wants_stall:
-                    trace.stall("simd_busy", now, self.cu_id)
                 continue
             if not simd_ready[simd]:
                 continue
@@ -322,9 +326,7 @@ class ComputeUnit:
 
         ib_len = wf.ib_len
         if not ib_len:
-            self._park(wf)  # woken by the fetch fill
-            if trace is not None and trace.wants_stall:
-                trace.stall("fetch_wait", now, self.cu_id, wf.wf_id)
+            self._park(wf, "fetch_wait", now)  # woken by the fetch fill
             return None
         pc = cursor.pc
         if wf.fetch_index - ib_len != pc:
@@ -346,27 +348,19 @@ class ComputeUnit:
         else:
             release = wf.slot_release(desc.rw_slots, now)
             if release:
-                hint = None
                 if release < 0:
-                    self._park(wf)  # blocked on in-flight memory
-                else:
-                    hint = release
-                    if trace is None:
-                        # The release cycle is exact and only this
-                        # wavefront's own issues move it, so re-polling
-                        # before it is futile; traced runs keep polling
-                        # for their per-poll stall events.
-                        wf.next_issue_cycle = release
+                    self._park(wf, "scoreboard_mem", now)  # in-flight memory
+                    return None
+                # The release cycle is exact and only this wavefront's
+                # own issues move it, so polling before it is futile.
+                wf.next_issue_cycle = release
                 if trace is not None and trace.wants_stall:
-                    trace.stall(
-                        "scoreboard_mem" if hint is None else "scoreboard",
-                        now, self.cu_id, wf.wf_id)
-                return hint
+                    trace.stall("scoreboard", now, self.cu_id, wf.wf_id,
+                                dur=release - now)
+                return release
             if (desc.is_memory
                     and wf.pending_vmem >= config.max_outstanding_vmem):
-                self._park(wf)
-                if trace is not None and trace.wants_stall:
-                    trace.stall("vmem_capacity", now, self.cu_id, wf.wf_id)
+                self._park(wf, "vmem_capacity", now)
                 return None
 
         # --- unit occupancy ---
@@ -377,6 +371,9 @@ class ComputeUnit:
         if unit == UNIT_SIMD:
             cost = config.valu_issue_cycles * desc.valu_mult
             self.simd_free[simd] = now + cost
+            if cost > 1 and trace is not None and trace.wants_stall:
+                # The SIMD's other wavefronts wait out the occupancy.
+                trace.stall("simd_busy", now + 1, self.cu_id, dur=cost - 1)
             if not gcn3:
                 # Scoreboard release at writeback: the simulated pipeline
                 # has no forwarding network (the real machine relies on
@@ -390,9 +387,11 @@ class ComputeUnit:
             if free > now and (
                     unit != UNIT_VMEM
                     or wf.pending_vmem < config.max_outstanding_vmem):
+                # Every attempt before ``free`` would fail the same way.
+                wf.next_issue_cycle = free
                 if trace is not None and trace.wants_stall:
-                    trace.stall(_UNIT_STALL_REASON[unit], now,
-                                self.cu_id, wf.wf_id)
+                    trace.stall(_UNIT_STALL_REASON[unit], now, self.cu_id,
+                                wf.wf_id, dur=free - now)
                 return free
             cost = self.unit_cost[unit]
             self.unit_free[unit] = now + cost
@@ -462,18 +461,15 @@ class ComputeUnit:
             reason = "waitcnt_lgkm"
         else:
             return False
-        self._park(wf)  # woken by a memory completion
-        if trace is not None:
-            if trace.wants_stall:
-                trace.stall(reason, now, self.cu_id, wf.wf_id)
-            if trace.wants_wait:
-                trace.emit("wait", "s_waitcnt", now, cu=self.cu_id,
-                           wf=wf.wf_id,
-                           args={"reason": reason,
-                                 "vmcnt": vm,
-                                 "lgkmcnt": lgkm,
-                                 "pending_vmem": wf.pending_vmem,
-                                 "pending_lgkm": wf.pending_lgkm})
+        self._park(wf, reason, now)  # woken by a memory completion
+        if trace is not None and trace.wants_wait:
+            trace.emit("wait", "s_waitcnt", now, cu=self.cu_id,
+                       wf=wf.wf_id,
+                       args={"reason": reason,
+                             "vmcnt": vm,
+                             "lgkmcnt": lgkm,
+                             "pending_vmem": wf.pending_vmem,
+                             "pending_lgkm": wf.pending_lgkm})
         return True
 
     def _handle_memory(self, wf: TimingWavefront, desc: IssueDesc, mem: int,

@@ -154,8 +154,6 @@ class Gpu:
                 dur=self.events.now - start_cycle,
                 args={"dispatch": dispatch_id, "workgroups": num_wgs},
             )
-        for cu in self.cus:
-            cu.vrf.flush()
         self.memsys.export_stats(stats)
         return stats
 
@@ -164,17 +162,15 @@ class Gpu:
         """The dispatcher: per-instruction stepping on the global event
         heap, one ``cycle()`` scan over busy CUs per visited cycle.
 
-        Each step jumps to the earliest CU wake or pending event.  With
-        tracing on, or while workgroups wait for a CU, a step that did
-        work goes to the next cycle instead (the traced stall accounting
-        is per cycle; a retirement can make room for a placement then),
-        and traced runs cycle every busy CU every visited cycle.
-        Untraced runs skip CUs whose exact ``next_wake`` proves they
-        cannot act yet (the skip changes which no-op scans run, never a
+        Each step jumps to the earliest CU wake or pending event; while
+        workgroups wait for a CU, a step that did work goes to the next
+        cycle instead (a retirement can make room for a placement then).
+        CUs whose exact ``next_wake`` proves they cannot act yet are
+        skipped (the skip changes which no-op scans run, never a
         scheduling decision, so statistics are bit-identical — see
-        tests/timing/test_determinism).
+        tests/timing/test_determinism).  A trace bus only observes: the
+        steps are the same with or without one.
         """
-        traced = self.trace is not None
         events = self.events
         deadlock_cycles = self.config.deadlock_cycles
         while self._outstanding_wgs > 0:
@@ -184,8 +180,7 @@ class Gpu:
             if pending and self._try_place(dispatch, dispatch_id, pending[0]):
                 pending.popleft()
                 did_work = True
-            if (not traced and not did_work and not pending
-                    and self._wake_floor > now):
+            if not did_work and not pending and self._wake_floor > now:
                 # The previous step already proved no CU can act before
                 # _wake_floor, and no completion handler has reset it
                 # since: jump without rescanning the busy CUs.
@@ -193,7 +188,7 @@ class Gpu:
             else:
                 wake = NEVER_WAKE
                 for cu in self.busy_cus:
-                    if (cu.next_wake <= now or traced) and cu.cycle(now):
+                    if cu.next_wake <= now and cu.cycle(now):
                         did_work = True
                     if cu.next_wake < wake:
                         wake = cu.next_wake
@@ -201,7 +196,7 @@ class Gpu:
                     break
                 if did_work:
                     self._last_progress_cycle = now + 1  # inline notify
-                    if traced or pending:
+                    if pending:
                         wake = now + 1
                 self._wake_floor = wake
             # Jump to the earlier of the next wake and the next event.

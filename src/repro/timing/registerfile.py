@@ -20,7 +20,7 @@ reach the statistics through the trace's fold
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +28,11 @@ from ..common.stats import StatSet
 from ..obs.metrics import VRF_BANK_CONFLICTS
 from ..obs.trace import TraceBus
 
-#: ``VrfModel._min_cycle`` when no conflict waits to be emitted.
-_NONE_HELD = 1 << 62
-
 
 class VrfModel:
     """Per-CU VRF bank-conflict state."""
 
-    __slots__ = ("stats", "trace", "cu_id", "_bank_end", "_held", "_min_cycle")
+    __slots__ = ("stats", "trace", "cu_id", "_bank_end")
 
     def __init__(self, num_banks: int, stats: StatSet,
                  trace: Optional[TraceBus] = None, cu_id: int = -1) -> None:
@@ -49,11 +46,6 @@ class VrfModel:
         #: beyond ``now`` is one contiguous interval per bank — a single
         #: integer replaces a per-cycle map.
         self._bank_end = [0] * num_banks
-        #: Traced runs only: conflicts per cycle not yet emitted, and the
-        #: earliest such cycle, so :meth:`collect` (called every CU cycle
-        #: when tracing) can early-out without walking the map.
-        self._held: Dict[int, int] = {}
-        self._min_cycle = _NONE_HELD
 
     # -- bank conflicts ----------------------------------------------------
     #
@@ -79,44 +71,30 @@ class VrfModel:
         Every earlier window starts at or before ``now``, so a cycle of
         this window conflicts exactly when it was already covered: the
         overlap with ``[now, bank_end)`` is the bank's conflict count,
-        one per cycle per extra gather.
+        one per cycle per extra gather.  A traced run gets one
+        ``bank_conflict`` event per conflicting gather: its count, over
+        the span of cycles it conflicts in.
         """
         if duration < 1:
             duration = 1
         ends = self._bank_end
-        held = self._held if self.trace is not None else None
         end = now + duration
         conflicts = 0
+        span = now
         for bank in banks:
             covered = ends[bank]
             if covered > now:
                 stop = covered if covered < end else end
                 conflicts += stop - now
-                if held is not None:
-                    for cycle in range(now, stop):
-                        held[cycle] = held.get(cycle, 0) + 1
+                if stop > span:
+                    span = stop
             if end > covered:
                 ends[bank] = end
         if conflicts:
             self.stats.counters[VRF_BANK_CONFLICTS.name] += conflicts
-            if held is not None and now < self._min_cycle:
-                self._min_cycle = now
-
-    def collect(self, now: int) -> None:
-        """Emit one ``bank_conflict`` event per conflicting cycle before
-        ``now`` (traced runs; :meth:`note_access` already counted it).
-        No later gather can reach such a cycle."""
-        if self._min_cycle >= now:
-            return
-        held = self._held
-        for cycle in [c for c in held if c < now]:
-            self.trace.emit("vrf", "bank_conflict", cycle, cu=self.cu_id,
-                            args={"conflicts": held.pop(cycle)})
-        self._min_cycle = min(held) if held else _NONE_HELD
-
-    def flush(self) -> None:
-        """Emit every conflict still held (end of dispatch)."""
-        self.collect(_NONE_HELD)
+            if self.trace is not None:
+                self.trace.emit("vrf", "bank_conflict", now, dur=span - now,
+                                cu=self.cu_id, args={"conflicts": conflicts})
 
 
 def unique_counts(regs: np.ndarray, slots: Sequence[int], mask: np.ndarray,

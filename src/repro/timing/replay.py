@@ -11,9 +11,7 @@ CU model only ever walks the result:
 * :class:`TraceRecorder` collects, per wavefront, the minimal
   timing-relevant outcome of every functional execution into compact
   :mod:`array`-backed streams: :meth:`WfStream.record` takes the
-  :class:`~repro.common.exec_types.ExecResult` a step returned, and
-  :meth:`WfStream.record_plain` the far more common step that returned
-  none (an ALU op: flags 0, only the active-lane count).
+  :class:`~repro.common.exec_types.ExecResult` a step returned.
 * :class:`ExecTrace` is the recorded artifact: per-wavefront streams plus
   metadata, with a binary serialization for the on-disk trace store
   (:class:`repro.harness.cache.TraceStore`).  An ``execute`` run keeps
@@ -153,18 +151,6 @@ class WfStream:
             self.mem_lines.extend(lines)
         if probed:
             self._probe(result.active_lanes, read_uniques, write_uniques)
-
-    def record_plain(self, pc: int, active: int, probed: bool,
-                     read_uniques: Optional[List[int]],
-                     write_uniques: Optional[List[int]]) -> None:
-        """:meth:`record` of an instruction whose only outcome is its
-        active-lane count (no memory access, branch, barrier or end) —
-        the step that returned no :class:`ExecResult`."""
-        self.code.append(pc)
-        self.flags.append(0)
-        self.active.append(active)
-        if probed:
-            self._probe(active, read_uniques, write_uniques)
 
     def _probe(self, active: int, read_uniques: Optional[List[int]],
                write_uniques: Optional[List[int]]) -> None:

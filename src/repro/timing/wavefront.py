@@ -64,6 +64,10 @@ class TimingWavefront:
 
     state: int = READY
     next_issue_cycle: int = 0
+    # Traced runs only: why and since when the wavefront is parked (the
+    # stall interval is charged when the completion event wakes it).
+    park_reason: str = ""
+    parked_at: int = 0
 
     # Derived, filled in by __post_init__ (static for the WF's lifetime
     # except fetch_want, which the owning CU keeps in sync).

@@ -72,18 +72,6 @@ class TestScheduling:
 
 
 class TestFastForward:
-    def test_jumps_to_next_event(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(100, _note, fired, True)
-        assert q.fast_forward()
-        assert q.now == 100
-        assert fired == [True]
-
-    def test_returns_false_when_empty(self):
-        q = EventQueue()
-        assert not q.fast_forward()
-
     def test_next_event_cycle(self):
         q = EventQueue()
         assert q.next_event_cycle() is None

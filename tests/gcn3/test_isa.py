@@ -131,12 +131,6 @@ class TestKernelLayout:
         assert k.pc_of_index == [0, 8, 12]
         assert k.code_bytes == 16
 
-    def test_index_of_pc(self):
-        k = self.make_kernel()
-        assert k.index_of_pc(8) == 1
-        with pytest.raises(Exception):
-            k.index_of_pc(6)
-
     def test_branch_attrs(self):
         b = Gcn3Instr(opcode="s_cbranch_scc1", attrs={"target": 5})
         assert b.is_branch and b.is_conditional and b.target == 5

@@ -119,7 +119,7 @@ class TestTextReport:
                              title="arraybw/gcn3")
         assert "== arraybw/gcn3 ==" in report
         assert "by category:" in report
-        assert "stall reasons" in report
+        assert "stall cycles" in report
         assert "occupancy (resident workgroups):" in report
         assert "cycles:" in report and "IPC:" in report
         assert "L1I" in report   # cache hit-rate table
@@ -132,7 +132,8 @@ class TestTextReport:
     def test_stall_percentages_sum_sensibly(self, traced_run):
         total = sum(traced_run.trace.stall_cycles.values())
         report = text_report(traced_run.trace)
-        assert f"({total} blocked wavefront-scans)" in report
+        assert (f"({total}: wavefront-cycles, simd_busy in SIMD-cycles)"
+                in report)
 
     def test_empty_trace_reports_zero_events(self):
         report = text_report(TraceBus(TraceConfig()).data(),

@@ -77,6 +77,13 @@ class TestTraceBus:
         assert bus.stall_cycles == {"simd_busy": 250}
         assert len([e for e in bus.events if e.cat == "stall"]) == 3
 
+    def test_stall_charges_its_interval(self):
+        bus = TraceBus()
+        bus.stall("scoreboard", ts=3, cu=0, wf=1, dur=5)
+        bus.stall("scoreboard", ts=9, cu=0, wf=1)
+        assert bus.stall_cycles == {"scoreboard": 6}
+        assert [(e.ts, e.dur) for e in bus.events] == [(3, 5), (9, 1)]
+
     def test_data_is_a_snapshot(self):
         bus = TraceBus()
         bus.emit("issue", "op", ts=0)

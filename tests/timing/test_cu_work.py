@@ -23,6 +23,9 @@ ISA at ``small_config(2)``, scale 0.1, seed 7) per ISA:
 Beside the ceilings, the trace decode is counted: a stream shape
 (``timing/vector.py`` ``StreamShape``) is built once per distinct
 (kernel, code, flags, targets) of a run's trace, not once per wavefront.
+And tracing only observes: a run with every trace category on makes
+exactly the ``cycle`` entries and dispatcher steps of the untraced run,
+cell by cell.
 
 The committed numbers are ceilings: a change that re-adds work fails
 here even when every statistic still matches, and a change that removes
@@ -44,6 +47,7 @@ from repro.common import events as events_module
 from repro.common.config import small_config
 from repro.common.events import EventQueue
 from repro.harness.runner import ISAS, run_workload
+from repro.obs.trace import TraceConfig
 from repro.timing.caches import MemorySystem
 from repro.timing import gpu as gpu_module
 from repro.timing.cu import ComputeUnit
@@ -52,10 +56,10 @@ from repro.workloads import all_workloads
 
 #: Per ISA, the counts measured when the ceilings were last lowered.
 CEILINGS = {
-    "hsail": {"cycle": 15912, "try_issue": 11661, "fetches": 3912,
+    "hsail": {"cycle": 15912, "try_issue": 11654, "fetches": 3912,
               "events": 4781, "dispatcher_steps": 15928,
               "calls_per_issue": 25.54},
-    "gcn3": {"cycle": 16183, "try_issue": 12107, "fetches": 4326,
+    "gcn3": {"cycle": 16183, "try_issue": 12091, "fetches": 4326,
              "events": 5417, "dispatcher_steps": 16207,
              "calls_per_issue": 15.55},
 }
@@ -175,6 +179,17 @@ def measure():
     return measured
 
 
+def _scheduling_steps(workload, isa, trace):
+    """``cycle`` entries and dispatcher steps of one tier-1 cell."""
+    counts = {"cycle": 0, "dispatcher_steps": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        _count(patch, counts, ComputeUnit, "cycle", "cycle")
+        _count_steps(patch, counts)
+        run_workload(workload, isa, scale=0.1, seed=7, config=small_config(2),
+                     trace=trace)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def work():
     return measure()
@@ -197,6 +212,15 @@ def test_one_shape_per_distinct_stream(work, isa):
     counts = work[isa]
     assert counts["shapes"] == counts["shape_keys"]
     assert 0 < counts["shapes"] < counts["wavefronts"]
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+@pytest.mark.parametrize("isa", ISAS)
+def test_tracing_takes_the_untraced_steps(workload, isa):
+    """A trace bus only observes: with every category on, the CUs are
+    cycled and the clock is stepped exactly as without one."""
+    assert (_scheduling_steps(workload, isa, TraceConfig())
+            == _scheduling_steps(workload, isa, None))
 
 
 if __name__ == "__main__":

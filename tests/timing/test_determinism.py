@@ -3,9 +3,9 @@
 The hot-path work (predecoded descriptors, ready-set scheduling, eager
 VRF conflict accounting, masked-write fast paths) is only admissible if
 it changes *nothing* observable: the same simulation must produce
-bit-identical statistics run over run, and the traced engine — which
-keeps the original per-cycle bookkeeping so it can emit events — must
-agree with the untraced fast paths exactly.
+bit-identical statistics run over run, and a traced run — which takes
+the same scheduling steps and only adds event emission — must agree
+with the untraced one exactly.
 
 ``tests/harness/test_golden.py`` additionally pins the absolute values
 against ``tests/golden/suite_small.json``; this file proves the

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.exec_types import ExecResult
 from repro.common.stats import StatSet
 from repro.gcn3.isa import Gcn3Instr, Gcn3Kernel, SImm, VReg
 from repro.obs.trace import TraceBus
@@ -41,7 +42,6 @@ class TestBankConflicts:
         banks = read_banks(kernel, 4)[0]
         assert banks == (0,)  # v0, v4, v8 all live in bank 0
         vrf.note_access(banks, now=0, duration=4)
-        vrf.flush()
         # the three operands occupy bank 0 but belong to one gather
         assert stats["vrf_bank_conflicts"] == 0
 
@@ -49,47 +49,38 @@ class TestBankConflicts:
         vrf, stats = make_vrf()
         vrf.note_access((0,), now=0, duration=4)
         vrf.note_access((0,), now=0, duration=4)  # slot 4: also bank 0
-        vrf.flush()
         assert stats["vrf_bank_conflicts"] == 4  # overlap on all 4 cycles
 
     def test_different_banks_no_conflict(self):
         vrf, stats = make_vrf()
         vrf.note_access((0,), now=0, duration=4)
         vrf.note_access((1,), now=0, duration=4)
-        vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
 
     def test_disjoint_windows_no_conflict(self):
         vrf, stats = make_vrf()
         vrf.note_access((0,), now=0, duration=4)
         vrf.note_access((0,), now=4, duration=4)
-        vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
 
     def test_partial_overlap(self):
         vrf, stats = make_vrf()
         vrf.note_access((0,), now=0, duration=4)
         vrf.note_access((0,), now=2, duration=4)
-        vrf.flush()
         assert stats["vrf_bank_conflicts"] == 2  # cycles 2 and 3
 
-    def test_untraced_counts_eagerly_and_collect_never_double_counts(self):
+    def test_one_event_per_conflicting_gather(self):
         # Traced or not, the model counts each conflict the moment the
-        # overlapping gather is recorded, so both overlap cycles are
-        # visible immediately; collect()/flush() only emit the traced
-        # run's per-cycle events and never add to the counter.
+        # overlapping gather is recorded; a traced one also emits that
+        # gather's count over the span of cycles it conflicts in.
         for bus in (None, TraceBus()):
             stats = StatSet()
             vrf = VrfModel(num_banks=4, stats=stats, trace=bus)
             vrf.note_access((0,), now=0, duration=2)
             vrf.note_access((0,), now=0, duration=2)
             assert stats["vrf_bank_conflicts"] == 2
-            vrf.collect(1)
-            vrf.collect(10)
-            vrf.flush()
-            assert stats["vrf_bank_conflicts"] == 2
-        assert [(e.ts, e.args) for e in bus.events] == [
-            (0, {"conflicts": 1}), (1, {"conflicts": 1})]
+        assert [(e.ts, e.dur, e.args) for e in bus.events] == [
+            (0, 2, {"conflicts": 2})]
 
     def test_expired_windows_never_conflict_with_later_issues(self):
         vrf, stats = make_vrf()
@@ -98,13 +89,10 @@ class TestBankConflicts:
         assert stats["vrf_bank_conflicts"] == 0
         vrf.note_access((0,), now=5, duration=2)   # overlaps the live window
         assert stats["vrf_bank_conflicts"] == 2
-        # an untraced model holds no per-cycle state at all
-        assert vrf._held == {}
 
     def test_empty_slots_noop(self):
         vrf, stats = make_vrf()
         vrf.note_access((), now=0, duration=4)
-        vrf.flush()
         assert stats["vrf_bank_conflicts"] == 0
         # an instruction without vector sources has no banks to note
         kernel = _kernel([Gcn3Instr(opcode="v_mov_b32", dest=VReg(1),
@@ -126,28 +114,29 @@ _GATHERS = st.lists(
 def test_traced_and_untraced_models_count_the_same_conflicts(gathers):
     """A traced and an untraced model see the same conflict totals, equal
     to the per-cycle definition (each cycle a bank is gathered by ``n``
-    windows adds ``n - 1``); the traced one emits them once per cycle,
-    in cycle order, with the CU's collect-then-issue cadence."""
+    windows adds ``n - 1``); the traced one emits one event per
+    conflicting gather, at its issue, with its count and spanning up to
+    its last conflicting cycle."""
     bus = TraceBus()
     plain, traced = StatSet(), StatSet()
     models = (VrfModel(4, plain), VrfModel(4, traced, trace=bus))
     per_cycle = {}
+    gathered = []
     now = 0
     for gap, banks, duration in gathers:
         now += gap
+        window = [(cycle, bank) for cycle in range(now, now + max(duration, 1))
+                  for bank in banks]
+        busy = [cycle for cycle, bank in window if (cycle, bank) in per_cycle]
+        if busy:
+            gathered.append((now, max(busy) + 1 - now, len(busy)))
         for model in models:
-            model.collect(now)
             model.note_access(banks, now, duration)
-        for cycle in range(now, now + max(duration, 1)):
-            for bank in banks:
-                per_cycle[cycle, bank] = per_cycle.get((cycle, bank), 0) + 1
-    for model in models:
-        model.flush()
+        for key in window:
+            per_cycle[key] = per_cycle.get(key, 0) + 1
     expected = sum(n - 1 for n in per_cycle.values())
     assert plain["vrf_bank_conflicts"] == traced["vrf_bank_conflicts"] == expected
-    emitted = [(e.ts, e.args["conflicts"]) for e in bus.events]
-    assert sum(n for _, n in emitted) == expected
-    assert [ts for ts, _ in emitted] == sorted({ts for ts, _ in emitted})
+    assert [(e.ts, e.dur, e.args["conflicts"]) for e in bus.events] == gathered
 
 
 def _reuse(moves):
@@ -168,8 +157,8 @@ def _reuse(moves):
     for pc, desc in enumerate(predecode_kernel(kernel)):
         # one instruction in four carries a uniqueness probe, as recorded
         probed = (pc + 1) & 3 == 0 and bool(desc.rw_slots)
-        stream.record_plain(pc, 64, probed, [1] * len(desc.read_slots),
-                            [1] * len(desc.write_slots))
+        stream.record(pc, ExecResult(active_lanes=64), probed,
+                      [1] * len(desc.read_slots), [1] * len(desc.write_slots))
     folded = StatSet()
     wf_decode(ExecTrace({}, [stream]), 0, kernel,
               records=False).fold.apply(folded)

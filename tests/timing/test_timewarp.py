@@ -239,19 +239,56 @@ def test_functional_capture_identity(golden, captured, workload, isa,
 #: pin the order and content of every cache, VRF, stall and issue event.
 EVENT_STREAM_SHA256 = {
     "fft/gcn3":
-        "59389f5dc6a29d3997b82f7ced54cd79802d652e944e8cf15337ac29af72c512",
+        "0f86df91db01178f3bdde4ef48c33ada8a791777b569065da81cdbf77d841a80",
     "comd/hsail":
-        "519a36033ef0d6d13b71b967b5de4619292f5c83e522e708083a0a6ce1de945e",
+        "ef2856837e336c565e4b2d92930c4bfada1df2e4ed5f271b51a946df1b34beab",
 }
 
 
+@pytest.fixture(scope="module")
+def traced():
+    """Each traced cell run once with every category, unsampled."""
+    return {cell: _run(*cell, trace=TraceConfig(sample_every=1))
+            for cell in TRACED_CELLS}
+
+
 @pytest.mark.parametrize("workload,isa", TRACED_CELLS)
-def test_traced_report_identity(golden, workload, isa):
+def test_traced_report_identity(golden, traced, workload, isa):
     """Tracing must not move a statistic, and the rendered stall-reason
     / occupancy / cache report — the user-facing observability surface —
     must be character-identical."""
-    run = _run(workload, isa, trace=TraceConfig())
+    run = traced[(workload, isa)]
     key = f"{workload}/{isa}"
     assert _stats_sha(run) == golden["cells"][key]["stats_sha256"]
     assert _report_sha(run) == golden["reports"][key]
     assert _sha(run.trace.to_payload()) == EVENT_STREAM_SHA256[key]
+
+
+@pytest.mark.parametrize("workload,isa", TRACED_CELLS)
+def test_stall_intervals_are_charged_once(traced, workload, isa):
+    """Each blocked interval is one ``stall`` event whose ``dur`` is its
+    cycles: per reason the durations sum to the exact account, and a
+    wavefront's intervals never overlap each other or its issue cycles
+    (``simd_busy`` is charged to the SIMD, not to a wavefront).  The
+    VRF's one event per conflicting gather sums to the statistic."""
+    run = traced[(workload, isa)]
+    trace = run.trace
+    assert not trace.dropped
+    charged = {}
+    busy = {}
+    for event in trace.by_category("stall"):
+        assert event.dur >= 1, event
+        charged[event.name] = charged.get(event.name, 0) + event.dur
+        if event.wf >= 0:
+            busy.setdefault(event.wf, []).append(
+                (event.ts, event.ts + event.dur))
+    assert charged == trace.stall_cycles
+    for event in trace.by_category("issue"):
+        busy.setdefault(event.wf, []).append((event.ts, event.ts + 1))
+    for wf, spans in busy.items():
+        spans.sort()
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start, f"wavefront {wf}: overlap at {start}"
+    conflicts = [e.args["conflicts"] for e in trace.by_category("vrf")
+                 if e.name == "bank_conflict"]
+    assert sum(conflicts) == run.stat("vrf_bank_conflicts")
