@@ -277,8 +277,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"and {traces} trace(s) from {store.directory}")
         return 0
     if args.prune_older_than is not None:
-        removed, freed = cache.prune_older_than(args.prune_older_than)
-        t_removed, t_freed = store.prune_older_than(args.prune_older_than)
+        try:
+            removed, freed = cache.prune_older_than(args.prune_older_than)
+            t_removed, t_freed = store.prune_older_than(
+                args.prune_older_than)
+        except ValueError as exc:
+            print(f"error: --prune-older-than: {exc}", file=sys.stderr)
+            return 2
         print(f"pruned {removed} entrie(s) older than "
               f"{args.prune_older_than:g} day(s) from {cache.directory} "
               f"({freed} bytes freed)")
@@ -444,115 +449,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if (results.failed_points or results.replay_drift) else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness import perfbench
-
-    progress = (None if args.quiet
-                else (lambda msg: print(msg, file=sys.stderr)))
-    workloads = args.workloads.split(",") if args.workloads else None
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    regressions: List[str] = []
-    wall_gate = bool(args.wall_gate)
-    label = args.label or perfbench.DEFAULT_LABEL
-    output = args.output or f"BENCH_{label}.json"
-    if args.against:
-        # Paired same-epoch run: both trees benched now, interleaved.
-        # The comparison is same-epoch by construction, so wall-clock
-        # regressions are enforceable.
-        if args.baseline or args.sweep_axis or args.profile:
-            print("error: --against is its own comparison; it cannot be "
-                  "combined with --baseline, --sweep-axis, or --profile",
-                  file=sys.stderr)
-            return 2
-        wall_gate = True
-        try:
-            report = perfbench.run_bench_against(
-                args.against,
-                rounds=args.rounds,
-                workloads=workloads,
-                scale=args.scale,
-                seed=args.seed,
-                cus=args.cus if args.cus != 8 else None,
-                label=label,
-                threshold=args.threshold,
-                engines=engines,
-                progress=progress,
-            )
-        except perfbench.BenchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        assert report.baseline is not None
-        regressions = list(report.baseline["regressions"])  # type: ignore[arg-type]
-    else:
-        config = config_from_args(args)
-        try:
-            report = perfbench.run_bench(
-                workloads=workloads,
-                scale=args.scale,
-                seed=args.seed,
-                config=config,
-                repeats=args.repeats,
-                label=label,
-                progress=progress,
-                profile_dir=args.profile,
-                engines=engines,
-            )
-        except perfbench.BenchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.sweep_axis:
-            sweep_workloads = (args.sweep_workloads.split(",")
-                               if args.sweep_workloads
-                               else ["lulesh", "comd", "hpgmg"])
-            try:
-                report.sweep = perfbench.bench_sweep(
-                    args.sweep_axis, sweep_workloads,
-                    isas=(args.sweep_isas.split(",")
-                          if args.sweep_isas else None),
-                    scale=args.scale, seed=args.seed, config=config,
-                    jobs=args.sweep_jobs, repeats=args.sweep_repeats,
-                    progress=None if args.quiet else _progress_printer,
-                    engine=args.sweep_engine,
-                )
-            except perfbench.BenchError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if args.baseline:
-            try:
-                baseline = perfbench.load_report(args.baseline)
-            except perfbench.BenchError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            _, regressions = perfbench.compare(
-                report, baseline, args.baseline, threshold=args.threshold,
-                wall_gate=wall_gate)
-    perfbench.write_report(report, output)
-    print(perfbench.render_text(report))
-    print(f"wrote {output}")
-    cycle_drift: List[str] = []
-    if report.baseline is not None:
-        cycle_drift = list(report.baseline.get("cycle_drift") or [])  # type: ignore[union-attr]
-    for cell in cycle_drift:
-        print(f"CYCLE DRIFT {cell}: simulated cycles changed vs the "
-              f"baseline — a model change, not a perf delta",
-              file=sys.stderr)
-    for line in regressions:
-        # A committed baseline was measured in another epoch; its wall
-        # numbers drift with the host, so they only gate on request
-        # (or on an --against run, which is same-epoch by design).
-        tag = "REGRESSION" if wall_gate else "WARNING (wall, not gated)"
-        print(f"{tag} {line}", file=sys.stderr)
-    if not all(c.verified for c in report.cells):
-        return 1
-    if report.sweep is not None and (report.sweep["replay_drift"]
-                                     or not report.sweep["cells_identical"]):
-        print("REPLAY DRIFT in sweep bench", file=sys.stderr)
-        return 1
-    if cycle_drift:
-        return 1
-    return 1 if (regressions and wall_gate) else 0
 
 
 def _cmd_per_kernel(args: argparse.Namespace) -> int:
@@ -758,68 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the DistSweepResults JSON (per-"
                               "worker cells, steals, expiries, retries)")
 
-    bench_p = sub.add_parser(
-        "bench", help="time the suite and write a BENCH_*.json perf point",
-        parents=[_shared("scale", "seed", "cus", "quiet")])
-    bench_p.add_argument("--workloads", "-w",
-                         help="comma-separated workload names (default all)")
-    bench_p.add_argument("--repeats", "-r", type=int, default=1,
-                         help="runs per cell; best-of is reported")
-    bench_p.add_argument("--label", "-l",
-                         help="trajectory label stored in the report "
-                              "(default dev)")
-    bench_p.add_argument("--engines", default="scalar,vector",
-                         help="comma-separated cycle engines to time "
-                              "(scalar = execute cells, scalar engine; "
-                              "vector = warm-store trace replay; "
-                              "default scalar,vector)")
-    bench_p.add_argument("--baseline", "-b",
-                         help="prior BENCH_*.json to compare against "
-                              "(another epoch: wall deltas warn unless "
-                              "--wall-gate; cycle drift always fails)")
-    bench_p.add_argument("--against", metavar="TREE-ISH|DIR",
-                         help="paired same-epoch comparison: check this "
-                              "git tree-ish (or checkout dir) out and "
-                              "bench both trees interleaved, alternating "
-                              "order each round (per-cell best-of)")
-    bench_p.add_argument("--rounds", type=int, default=3,
-                         help="interleaved A/B rounds for --against "
-                              "(default 3)")
-    bench_p.add_argument("--wall-gate", action="store_true",
-                         help="exit non-zero on --baseline wall-clock "
-                              "regressions too (off by default: a "
-                              "committed baseline is another epoch's "
-                              "weather; --against gates walls always)")
-    bench_p.add_argument("--threshold", "-t", type=float, default=0.25,
-                         help="fractional slowdown that counts as a "
-                              "regression (default 0.25 = 25%%)")
-    bench_p.add_argument("--output", "-o",
-                         help="report path (default BENCH_<label>.json)")
-    bench_p.add_argument("--profile", metavar="DIR",
-                         help="dump per-cell cProfile stats to "
-                              "DIR/<workload>_<isa>.prof (skews wall "
-                              "numbers; never commit a profiled report)")
-    bench_p.add_argument("--sweep-axis", metavar="PATH=V1,V2,...",
-                         help="also time this timing-only sweep twice "
-                              "(execute vs trace replay) and embed the "
-                              "speedup as the report's 'sweep' section")
-    bench_p.add_argument("--sweep-workloads",
-                         help="workloads for --sweep-axis "
-                              "(default lulesh,comd,hpgmg)")
-    bench_p.add_argument("--sweep-isas",
-                         help="ISAs for --sweep-axis, e.g. gcn3 "
-                              "(default both)")
-    bench_p.add_argument("--sweep-engine",
-                         choices=["auto", "scalar", "vector"],
-                         default="auto",
-                         help="replay cursor for the --sweep-axis replay "
-                              "pass (default auto)")
-    bench_p.add_argument("--sweep-repeats", type=int, default=1,
-                         help="run the execute/replay pass pair N times "
-                              "and report best-of walls (default 1)")
-    bench_p.add_argument("--sweep-jobs", type=int, default=1,
-                         help="worker processes for --sweep-axis passes")
-
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache",
                              parents=[_shared("cache_dir", "trace_dir")])
     cache_p.add_argument("--clear", action="store_true",
@@ -913,7 +747,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "disasm": _cmd_disasm,
         "diff": _cmd_diff,
         "per-kernel": _cmd_per_kernel,
-        "bench": _cmd_bench,
         "cache": _cmd_cache,
         "sweep": _cmd_sweep,
         "serve": _cmd_serve,

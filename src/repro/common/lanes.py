@@ -371,14 +371,7 @@ class LaneBuffer:
 
     def _access(self, addrs, where, size, pos, phys):
         """``(physical idx, align, per-member lines)`` of one admitted
-        access; a lane vector is one wavefront, whose lines come back
-        as one list."""
-        single = addrs.ndim == 1
-        if single:
-            addrs = addrs.reshape(1, -1)
-            if where is not True:
-                where = where.reshape(1, -1)
-            pos = slice(None)
+        access."""
         idx, align, touched, lines = row_access(addrs, where, size)
         if idx.size:
             self.admit(idx, align, touched, size)
@@ -386,17 +379,18 @@ class LaneBuffer:
                 if phys.shape[-1] != WF_SIZE:
                     phys = np.broadcast_to(phys, (len(phys), WF_SIZE))
                 idx = phys.reshape(-1) if where is True else phys[where]
-        return idx, align, lines[0] if single else lines.pick(pos)
+        return idx, align, lines.pick(pos)
 
     def gather(self, addrs: np.ndarray, where, size: int = 4, pos=slice(None),
-               phys: Optional[np.ndarray] = None) -> Tuple[np.ndarray, list]:
+               phys: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, RowLines]:
         """Per-lane ``size``-byte (4 or 8) load.
 
-        ``addrs`` holds the lane addresses (64-bit) of one wavefront
-        (``[64]``) or of a group's (``[wf, 64]``), ``where`` is True or a
-        bool mask of that shape.  Returns the active lanes' values in
-        wavefront-then-lane order and the sorted unique lines covered --
-        one list for a lane vector, else one per member (``pos``).
+        ``addrs`` holds the lane addresses (64-bit) of a group's
+        wavefronts (``[wf, 64]``), ``where`` is True or a bool mask of
+        that shape.  Returns the active lanes' values in
+        wavefront-then-lane order and the sorted unique lines covered,
+        one list per member (``pos``).
         ``phys``, when given, is where the lanes really point (an LDS
         image's per-workgroup base added); ``addrs`` is what is admitted
         and recorded.  Lanes need not be aligned or contiguous.
@@ -412,7 +406,7 @@ class LaneBuffer:
 
     def scatter(self, addrs: np.ndarray, values: np.ndarray, where,
                 size: int = 4, pos=slice(None),
-                phys: Optional[np.ndarray] = None) -> list:
+                phys: Optional[np.ndarray] = None) -> RowLines:
         """Per-lane ``size``-byte store of the active lanes of ``values``
         (uint32/uint64, shaped like ``addrs`` or broadcastable to it);
         returns the lines as :meth:`gather` does.
@@ -425,7 +419,7 @@ class LaneBuffer:
         idx, align, lines = self._access(addrs, where, size, pos, phys)
         if not idx.size:
             return lines
-        shape = addrs.shape if addrs.ndim == 1 else (len(addrs), WF_SIZE)
+        shape = (len(addrs), WF_SIZE)
         if values.shape != shape:
             values = np.broadcast_to(values, shape)
         values = values.reshape(-1) if where is True else values[where]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -203,7 +204,13 @@ class _FileStore:
         growth across config fingerprints; age-based pruning is always
         safe because every entry is a pure content-addressed memoization
         — at worst a pruned cell is re-simulated (or re-captured).
+        A negative or non-finite ``days`` raises :class:`ValueError`
+        (``nan`` or ``-1`` would otherwise put every entry past the
+        cutoff).
         """
+        if not (math.isfinite(days) and days >= 0):
+            raise ValueError(f"days must be a finite number >= 0, "
+                             f"not {days!r}")
         cutoff = time.time() - days * 86400.0
         removed = 0
         freed = 0

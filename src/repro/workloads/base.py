@@ -28,7 +28,7 @@ from ..runtime.process import GpuProcess
 #: and the compiled kernels are immutable at run time (the predecoded
 #: IssueDesc tables and step tables cached on them are themselves
 #: deterministic compile products), so every run of the same cell in
-#: one process — bench repeats, the execute pass of a sweep, a resident
+#: one process — benchmark repeats, the execute pass of a sweep, a resident
 #: daemon — shares one frontend + finalizer pass instead of recompiling
 #: per run.  Workloads with explicit ``finalize_options`` (the ablation
 #: benchmarks) bypass the memo.  :func:`clear_kernel_memo` drops it.

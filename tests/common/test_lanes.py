@@ -16,13 +16,14 @@ from repro.common.lanes import (
 
 
 def lds_scatter_u32(lds, addrs, values, mask):
-    LdsImage(lds).scatter(addrs, values, mask)
+    LdsImage(lds).scatter(addrs.reshape(1, -1), values, mask.reshape(1, -1))
 
 
 def lds_gather_u32(lds, addrs, mask):
     """Active lanes' dwords spread over 64 lanes; inactive lanes read 0."""
     out = np.zeros(64, dtype=np.uint32)
-    out[mask] = LdsImage(lds).gather(addrs, mask)[0]
+    out[mask] = LdsImage(lds).gather(addrs.reshape(1, -1),
+                                     mask.reshape(1, -1))[0]
     return out
 
 

@@ -174,6 +174,14 @@ class TestPruneAndBreakdown:
     def test_prune_empty_directory(self, tmp_path):
         assert ResultCache(tmp_path / "void").prune_older_than(0.0) == (0, 0)
 
+    @pytest.mark.parametrize("days", [float("nan"), -1.0, float("inf")])
+    def test_prune_rejects_bad_days_and_keeps_entries(self, tmp_path,
+                                                     tiny_run, days):
+        cache, keys = self._fill(tmp_path, tiny_run, n=2)
+        with pytest.raises(ValueError, match="days"):
+            cache.prune_older_than(days)
+        assert all(cache.get(k) is not None for k in keys)
+
     def test_breakdown_groups_by_config(self, tmp_path, tiny_run):
         cache, _keys = self._fill(tmp_path, tiny_run)
         other = job_fingerprint(small_config(4), "arraybw", "gcn3", 0.1, 7)

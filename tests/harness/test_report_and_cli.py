@@ -1,5 +1,6 @@
 """Report rendering and CLI tests."""
 
+import argparse
 import io
 import re
 
@@ -9,6 +10,19 @@ from repro.common.config import small_config
 from repro.harness.report import figure_with_bars, render_bars, write_report
 from repro.core import Session
 from repro.__main__ import build_parser, main
+
+
+def _command_paths(parser, prefix=()):
+    """Every subcommand path ``build_parser()`` registers, nested ones
+    (``dist worker``) included, read from the subparsers' choices."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield prefix + (name,)
+                yield from _command_paths(child, prefix + (name,))
+
+
+COMMAND_PATHS = list(_command_paths(build_parser()))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +93,16 @@ class TestCli:
         assert args.workload == "snap"
         args = parser.parse_args(["figures", "--only", "fig09"])
         assert args.only == "fig09"
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS,
+                             ids=["_".join(p) for p in COMMAND_PATHS])
+    def test_every_subcommand_prints_help(self, path, capsys):
+        # An argparse flag conflict (a shared flag group plus the same
+        # flag declared by the command) raises while the parser builds.
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -249,6 +273,18 @@ class TestCachePruneCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "pruned 0 entrie(s)" in out
+
+    @pytest.mark.parametrize("days", ["nan", "-1"])
+    def test_bad_prune_days_is_an_error_and_deletes_nothing(
+            self, tmp_path, capsys, days):
+        entry = tmp_path / "0123456789abcdef.json"
+        entry.write_text("{}")
+        code = main(["cache", "--cache-dir", str(tmp_path),
+                     "--prune-older-than", days])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: --prune-older-than" in err
+        assert entry.exists()
 
     def test_breakdown_listed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

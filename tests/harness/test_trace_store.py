@@ -229,6 +229,14 @@ class TestBlobSyncAndMaintenance:
         fp = trace_fingerprint(small_config(2), "arraybw", "gcn3", 0.1, 7)
         assert store.has(fp)
 
+    @pytest.mark.parametrize("days", [float("nan"), -1.0, float("inf")])
+    def test_prune_rejects_bad_days_and_keeps_traces(self, store, days):
+        _capture(store)
+        with pytest.raises(ValueError, match="days"):
+            store.prune_older_than(days)
+        fp = trace_fingerprint(small_config(2), "arraybw", "gcn3", 0.1, 7)
+        assert store.has(fp)
+
     def test_breakdown_keys_by_fingerprint(self, store):
         fp = trace_fingerprint(small_config(2), "arraybw", "gcn3", 0.1, 7)
         _capture(store)

@@ -14,6 +14,12 @@ from repro.runtime.memory import (
 )
 
 
+def _row(lanes):
+    """One wavefront's lanes as a one-row group (``[1, 64]``), the shape
+    ``gather``/``scatter`` take."""
+    return lanes.reshape(1, -1)
+
+
 class TestMapping:
     def test_access_below_heap_faults(self):
         mem = SimulatedMemory()
@@ -66,8 +72,8 @@ class TestVectorAccess:
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 4
         values = np.arange(64, dtype=np.uint32) * 3
         mask = np.ones(64, dtype=bool)
-        mem.scatter(addrs, values, mask)
-        assert np.array_equal(mem.gather(addrs, mask)[0], values)
+        mem.scatter(_row(addrs), values, _row(mask))
+        assert np.array_equal(mem.gather(_row(addrs), _row(mask))[0], values)
 
     def test_masked_lanes_return_zero(self):
         mem = SimulatedMemory()
@@ -75,8 +81,8 @@ class TestVectorAccess:
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 4
         mask = np.zeros(64, dtype=bool)
         mask[7] = True
-        mem.scatter(addrs, np.full(64, 9, dtype=np.uint32), mask)
-        out, _lines = mem.gather(addrs, np.ones(64, dtype=bool))
+        mem.scatter(_row(addrs), np.full(64, 9, dtype=np.uint32), _row(mask))
+        out, _lines = mem.gather(_row(addrs), _row(np.ones(64, dtype=bool)))
         assert out[7] == 9
         assert out[6] == 0
 
@@ -87,13 +93,13 @@ class TestVectorAccess:
         addrs = np.full(64, HEAP_BASE + 1, dtype=np.uint64)
         mask = np.zeros(64, dtype=bool)
         mask[0] = True
-        out, _lines = mem.gather(addrs, mask)
+        out, _lines = mem.gather(_row(addrs), _row(mask))
         assert out.tolist() == [0x04030201]
 
     def test_all_inactive_is_noop(self):
         mem = SimulatedMemory()
         addrs = np.zeros(64, dtype=np.uint64)  # would fault if accessed
-        out, lines = mem.gather(addrs, np.zeros(64, dtype=bool))
+        out, (lines,) = mem.gather(_row(addrs), _row(np.zeros(64, dtype=bool)))
         assert out.size == 0 and lines == []
 
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1),
@@ -108,7 +114,8 @@ class TestVectorAccess:
         idx = rng.integers(0, 64, 64)
         addrs = np.uint64(HEAP_BASE) + idx.astype(np.uint64) * 4
         mask = np.ones(64, dtype=bool)
-        assert np.array_equal(mem.gather(addrs, mask)[0], data[idx])
+        assert np.array_equal(mem.gather(_row(addrs), _row(mask))[0],
+                              data[idx])
 
 
 class TestFootprint:
@@ -137,7 +144,7 @@ class TestFootprint:
         mem = SimulatedMemory()
         mem.map_range(HEAP_BASE, 64 * 64)
         addrs = np.uint64(HEAP_BASE) + np.arange(64, dtype=np.uint64) * 64
-        mem.gather(addrs, np.ones(64, dtype=bool))
+        mem.gather(_row(addrs), _row(np.ones(64, dtype=bool)))
         assert mem.data_footprint_bytes == 64 * 64
 
     def test_reset(self):
@@ -249,9 +256,9 @@ class TestOnePassAccess:
         values = rng.integers(0, 2**64, 64, dtype=np.uint64)
         if size == 4:
             values = (values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        where = True if mask.all() else mask
+        where = True if mask.all() else _row(mask)
 
-        assert mem.scatter(addrs, values, where, size) \
+        assert mem.scatter(_row(addrs), values, where, size)[0] \
             == ref.lines(addrs, mask, size)
         ref.store(addrs, values, mask, size)
         assert np.array_equal(mem.read_block(HEAP_BASE, self.WINDOW),
@@ -260,7 +267,7 @@ class TestOnePassAccess:
 
         # Loads from a second, differently shuffled set of addresses.
         addrs2 = self._addresses(seed + 2, align, span)
-        got, lines = mem.gather(addrs2, where, size)
+        got, (lines,) = mem.gather(_row(addrs2), where, size)
         assert np.array_equal(got, ref.load(addrs2, mask, size)[mask])
         assert lines == ref.lines(addrs2, mask, size)
         assert mem.touched_line_addresses() == ref.footprint
@@ -269,7 +276,8 @@ class TestOnePassAccess:
         mem = SimulatedMemory()
         mem.map_range(HEAP_BASE, 64)
         addrs = np.full(64, HEAP_BASE + 8, dtype=np.uint64)
-        mem.scatter(addrs, np.arange(64, dtype=np.uint64) + np.uint64(1 << 40),
+        mem.scatter(_row(addrs),
+                    np.arange(64, dtype=np.uint64) + np.uint64(1 << 40),
                     True, 8)
         assert mem.load_u64(HEAP_BASE + 8) == 63 + (1 << 40)
 
@@ -277,38 +285,38 @@ class TestOnePassAccess:
         mem = SimulatedMemory()
         mem.map_range(HEAP_BASE, 256)
         addrs = np.full(64, HEAP_BASE + 60, dtype=np.uint64)  # dword aligned
-        _, lines = mem.gather(addrs, True, 8)
+        _, (lines,) = mem.gather(_row(addrs), True, 8)
         assert lines == [HEAP_BASE >> 6, (HEAP_BASE >> 6) + 1]
         assert mem.data_footprint_bytes == 128
 
     def test_accesses_up_to_the_mapped_limit(self):
         mem = SimulatedMemory()
         mem.map_range(HEAP_BASE, 100)  # limit mid-line: the exact check decides
-        last = np.full(64, HEAP_BASE + 96, dtype=np.uint64)
+        last = _row(np.full(64, HEAP_BASE + 96, dtype=np.uint64))
         assert mem.gather(last, True, 4)[0].shape == (64,)
         with pytest.raises(MemoryError_):
             mem.gather(last, True, 8)
         with pytest.raises(MemoryError_):
             mem.scatter(last + np.uint64(1), np.zeros(64, np.uint32), True, 4)
-        below = np.full(64, HEAP_BASE - 4, dtype=np.uint64)
+        below = _row(np.full(64, HEAP_BASE - 4, dtype=np.uint64))
         with pytest.raises(MemoryError_):
             mem.gather(below, True, 4)
         # one lane out of bounds among in-bounds lanes, and masked off
         mixed = last.copy()
-        mixed[5] = HEAP_BASE + 4096
+        mixed[0, 5] = HEAP_BASE + 4096
         with pytest.raises(MemoryError_):
             mem.gather(mixed, True, 4)
         mask = np.ones(64, dtype=bool)
         mask[5] = False
-        assert mem.gather(mixed, mask, 4)[0].shape == (63,)
+        assert mem.gather(mixed, _row(mask), 4)[0].shape == (63,)
 
     def test_growth_rebinds_the_word_views(self):
         mem = SimulatedMemory(capacity=HEAP_BASE + 64)
         mem.map_range(HEAP_BASE, 1 << 20)  # forces the buffer to grow
         addrs = np.uint64(HEAP_BASE + (1 << 19)) + np.arange(64, dtype=np.uint64) * 8
         values = np.arange(64, dtype=np.uint64) * np.uint64(3)
-        mem.scatter(addrs, values, True, 8)
-        assert np.array_equal(mem.gather(addrs, True, 8)[0], values)
+        mem.scatter(_row(addrs), values, True, 8)
+        assert np.array_equal(mem.gather(_row(addrs), True, 8)[0], values)
         assert np.array_equal(
             mem.read_array(HEAP_BASE + (1 << 19), np.uint64, 64), values)
 
