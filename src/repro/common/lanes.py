@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ExecutionError
 from .exec_types import DispatchContext, ExecResult, MemKind
+from .memo import kernel_memo
 from .xp import ensure_quiet_numeric
 
 WF_SIZE = 64
@@ -572,10 +573,8 @@ class Wavefronts:
     def steps(cls, kernel) -> Tuple[Step, ...]:
         """``kernel``'s per-pc step table, built once and cached on the
         kernel beside its issue descriptors."""
-        table = getattr(kernel, "_steps", None)
-        if table is None:
-            table = kernel._steps = tuple(map(cls.compiled, kernel.instrs))
-        return table
+        return kernel_memo(kernel, "steps",
+                           lambda: tuple(map(cls.compiled, kernel.instrs)))
 
     def __init__(self, kernel, contexts: Sequence[DispatchContext],
                  nregs: int) -> None:
@@ -705,11 +704,8 @@ def has_atomic(kernel) -> bool:
     value to a register, so the values one wavefront sees depend on
     which others ran before it: the functional pass keeps such kernels
     in the canonical one-wavefront-at-a-time order."""
-    flag = getattr(kernel, "_has_atomic", None)
-    if flag is None:
-        flag = kernel._has_atomic = any(
-            "atomic" in instr.opcode for instr in kernel.instrs)
-    return flag
+    return kernel_memo(kernel, "has_atomic", lambda: any(
+        "atomic" in instr.opcode for instr in kernel.instrs))
 
 
 class Executor:

@@ -41,6 +41,7 @@ from ..gcn3.isa import Gcn3Kernel
 from ..hsail.codegen import compile_hsail
 from ..hsail.isa import HsailKernel
 from ..kernels.ir import KernelIR
+from ..obs.host import span
 from .requests import RunRequest, SuiteRequest, SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -82,8 +83,10 @@ def _compile_dual(ir: KernelIR,
     """The full two-phase flow: frontend -> HSAIL (BRIG-ready) ->
     finalizer -> GCN3.  Internal; the public door is
     :meth:`Session.compile`."""
-    hsail = compile_hsail(ir)
-    gcn3 = finalize(hsail, options)
+    with span("toolchain.codegen"):
+        hsail = compile_hsail(ir)
+    with span("toolchain.finalize"):
+        gcn3 = finalize(hsail, options)
     return DualKernel(ir=ir, hsail=hsail, gcn3=gcn3)
 
 

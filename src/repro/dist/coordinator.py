@@ -39,6 +39,7 @@ from ..core.requests import LeaseGrant, ShardCell, SweepRequest
 from ..explore.sweep import SweepLedger, SweepResults
 from ..harness.parallel import Job, ProgressFn, _failed_run
 from ..harness.runner import WorkloadRun
+from ..obs.host import span
 from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
@@ -225,7 +226,7 @@ class Coordinator:
 
     def lease(self, worker_id: str) -> LeaseGrant:
         """One worker's pull: a shard grant, a back-off, or done."""
-        with self._lock:
+        with span("dist.lease"), self._lock:
             self._expire_stale()
             while self._pending:
                 shard = self._pending.pop(0)
@@ -311,34 +312,35 @@ class Coordinator:
         dropped.  A report from an expired lease is still accepted when
         the cell is outstanding — the work is done and deterministic, so
         discarding it would only buy a resimulation."""
-        try:
-            run = WorkloadRun.from_payload(run_payload)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ReproError(
-                f"malformed run payload for cell {cell_key!r}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        with self._lock:
-            self._expire_stale()
-            job = self._cells.get(cell_key)
-            if job is None:
-                raise ReproError(f"unknown cell {cell_key!r}")
-            if (run.workload, run.isa) != (job.workload, job.isa):
-                # A stale or buggy worker must not journal one cell's
-                # statistics as another's; the cell stays outstanding.
+        with span("dist.report"):
+            try:
+                run = WorkloadRun.from_payload(run_payload)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise ReproError(
-                    f"mislabelled report: cell {cell_key!r} got a run of "
-                    f"{run.workload}/{run.isa}")
-            if cell_key in self._accepted:
-                self.duplicate_reports += 1
-                return {"accepted": False, "duplicate": True,
+                    f"malformed run payload for cell {cell_key!r}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            with self._lock:
+                self._expire_stale()
+                job = self._cells.get(cell_key)
+                if job is None:
+                    raise ReproError(f"unknown cell {cell_key!r}")
+                if (run.workload, run.isa) != (job.workload, job.isa):
+                    # A stale or buggy worker must not journal one cell's
+                    # statistics as another's; the cell stays outstanding.
+                    raise ReproError(
+                        f"mislabelled report: cell {cell_key!r} got a run of "
+                        f"{run.workload}/{run.isa}")
+                if cell_key in self._accepted:
+                    self.duplicate_reports += 1
+                    return {"accepted": False, "duplicate": True,
+                            "done": self.done}
+                lease = self._leases.get(lease_id)
+                self._accept(cell_key, run, worker_id=worker_id)
+                if lease is not None and not lease.shard.remaining:
+                    self._leases.release(lease_id)
+                return {"accepted": True, "duplicate": False,
                         "done": self.done}
-            lease = self._leases.get(lease_id)
-            self._accept(cell_key, run, worker_id=worker_id)
-            if lease is not None and not lease.shard.remaining:
-                self._leases.release(lease_id)
-            return {"accepted": True, "duplicate": False,
-                    "done": self.done}
 
     def _accept(self, cell_key: str, run: WorkloadRun, *,
                 worker_id: str) -> None:

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..common.config import GpuConfig
+from ..obs.host import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .runner import WorkloadRun
@@ -242,23 +243,24 @@ class ResultCache(_FileStore):
         from .runner import WorkloadRun
 
         path = self._path(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                entry = json.load(f)
-            if entry.get("format") != CACHE_FORMAT_VERSION:
-                raise ValueError(f"format {entry.get('format')!r}")
-            run = WorkloadRun.from_payload(entry["run"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            # Truncated write, hand-edited garbage, stale format: drop the
-            # entry so the fresh result can be rewritten in its place.
-            self.misses += 1
-            self._discard(path, reason=f"{type(exc).__name__}: {exc}")
-            return None
-        self.hits += 1
-        return run
+        with span("result.get"):
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    entry = json.load(f)
+                if entry.get("format") != CACHE_FORMAT_VERSION:
+                    raise ValueError(f"format {entry.get('format')!r}")
+                run = WorkloadRun.from_payload(entry["run"])
+            except FileNotFoundError:
+                self.misses += 1
+                return None
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                # Truncated write, hand-edited garbage, stale format: drop the
+                # entry so the fresh result can be rewritten in its place.
+                self.misses += 1
+                self._discard(path, reason=f"{type(exc).__name__}: {exc}")
+                return None
+            self.hits += 1
+            return run
 
     def put(self, fingerprint: str, run: "WorkloadRun",
             config_fingerprint: Optional[str] = None) -> bool:
@@ -269,16 +271,17 @@ class ResultCache(_FileStore):
         :meth:`breakdown` can attribute disk usage per configuration —
         sweeps multiply entries across many configs.
         """
-        entry = {
-            "format": CACHE_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "workload": run.workload,
-            "isa": run.isa,
-            "config": config_fingerprint,
-            "run": run.to_payload(),
-        }
-        return self._write(
-            fingerprint, json.dumps(entry, sort_keys=True).encode("utf-8"))
+        with span("result.put"):
+            entry = {
+                "format": CACHE_FORMAT_VERSION,
+                "fingerprint": fingerprint,
+                "workload": run.workload,
+                "isa": run.isa,
+                "config": config_fingerprint,
+                "run": run.to_payload(),
+            }
+            return self._write(
+                fingerprint, json.dumps(entry, sort_keys=True).encode("utf-8"))
 
     def breakdown(self) -> "Dict[str, Dict[str, int]]":
         """Per-config-fingerprint usage: ``{config: {entries, bytes}}``.
@@ -363,7 +366,14 @@ class TraceStore(_FileStore):
             return False
 
     def get(self, fingerprint: str) -> "Optional[object]":
-        """The stored trace, or ``None`` on any miss (corrupt → discard)."""
+        """The stored trace, or ``None`` on any miss (corrupt → discard);
+        its ``trace.get`` span's ``path`` says ``memo``, ``disk`` or
+        ``miss``."""
+        with span("trace.get") as attrs:
+            trace, attrs["path"] = self._lookup(fingerprint)
+            return trace
+
+    def _lookup(self, fingerprint: str) -> "Tuple[Optional[object], str]":
         from ..timing.replay import ExecTrace, TraceError
 
         path = self._path(fingerprint)
@@ -373,23 +383,23 @@ class TraceStore(_FileStore):
         except OSError:
             self.misses += 1
             _LOADED_TRACES.pop(key, None)
-            return None
+            return None, "miss"
         memo = _LOADED_TRACES.get(key)
         if (memo is not None and memo[0] == st.st_mtime_ns
                 and memo[1] == st.st_size):
             _LOADED_TRACES.move_to_end(key)  # LRU touch
             self.hits += 1
-            return memo[2]
+            return memo[2], "memo"
         try:
             blob = path.read_bytes()
             trace = ExecTrace.from_bytes(blob)
         except FileNotFoundError:
             self.misses += 1
-            return None
+            return None, "miss"
         except (OSError, TraceError, ValueError) as exc:
             self.misses += 1
             self._discard(path, reason=f"{type(exc).__name__}: {exc}")
-            return None
+            return None, "miss"
         cap = _trace_memo_cap()
         if cap > 0:
             trace.witnesses = []  # memoized: replays may file witnesses
@@ -398,11 +408,12 @@ class TraceStore(_FileStore):
             while len(_LOADED_TRACES) > cap:
                 _LOADED_TRACES.popitem(last=False)
         self.hits += 1
-        return trace
+        return trace, "disk"
 
     def put(self, fingerprint: str, trace: "object") -> bool:
         """Persist ``trace``; returns False (and stays silent) on failure."""
-        return self._write(fingerprint, trace.to_bytes())  # type: ignore[attr-defined]
+        with span("trace.put"):
+            return self._write(fingerprint, trace.to_bytes())  # type: ignore[attr-defined]
 
     def read_blob(self, fingerprint: str) -> Optional[bytes]:
         """The raw serialized trace bytes (no parse) — the unit workers

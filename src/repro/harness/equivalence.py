@@ -17,17 +17,20 @@ counterexample that makes "bigger" alone insufficient.
 :func:`file_witness` runs after an untraced replay simulated.  Witnesses
 hang off the trace store's memoized :class:`~repro.timing.replay.ExecTrace`
 (``trace.witnesses``), so they are evicted, invalidated and cleared with
-it and do not exist under ``REPRO_TRACE_MEMO=0``.
+it and do not exist under ``REPRO_TRACE_MEMO=0``.  Each lookup is a
+``result.derive`` host span (:mod:`repro.obs.host`) carrying its outcome,
+each filed witness a ``result.witness`` one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.config import CacheConfig, GpuConfig
+from ..obs.host import span
 from ..timing.caches import MemorySystem, admits
 from ..timing.replay import ExecTrace
 
@@ -37,19 +40,6 @@ from ..timing.replay import ExecTrace
 MAX_WITNESSES = 8
 
 _GEOMETRY = ("size_bytes", "associativity")
-
-#: Process-wide tally, the equivalence's counterpart of the trace
-#: store's hits/misses: replays that simulated and filed a witness,
-#: replays answered from one, and replays a comparable witness existed
-#: for but whose geometry it did not admit.
-_counters = {"witnessed": 0, "derived": 0, "refused": 0}
-
-
-def equivalence_counters() -> Dict[str, int]:
-    """A copy of the process-wide ``witnessed``/``derived``/``refused``
-    tally (monotonic; compare two readings to scope it)."""
-    return dict(_counters)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -83,22 +73,22 @@ def _only_geometry(a: CacheConfig, b: CacheConfig) -> bool:
                for f in fields(CacheConfig) if f.name not in _GEOMETRY)
 
 
-def derive(trace: ExecTrace, config: GpuConfig) -> "Optional[Dict[str, object]]":
+def derive(trace: ExecTrace, config: GpuConfig
+           ) -> "Tuple[Optional[Dict[str, object]], str]":
     """The run payload a replay of ``trace`` under ``config`` must
-    produce, when a filed witness proves it; ``None`` means simulate."""
-    comparable = False
+    produce, when a filed witness proves it (``None`` means simulate),
+    and the outcome: ``derived``, ``refused`` (a comparable witness did
+    not admit the new geometry) or ``none``."""
+    outcome = "none"
     for witness in tuple(trace.witnesses or ()):
         changed = witness.free_families(config)
         if changed is None:
             continue
         if all(admits(lines, getattr(config, family))
                for family in changed for lines in witness.resident[family]):
-            _counters["derived"] += 1
-            return witness.payload
-        comparable = True
-    if comparable:
-        _counters["refused"] += 1
-    return None
+            return witness.payload, "derived"
+        outcome = "refused"
+    return None, outcome
 
 
 def file_witness(trace: ExecTrace, config: GpuConfig, memsys: MemorySystem,
@@ -110,7 +100,7 @@ def file_witness(trace: ExecTrace, config: GpuConfig, memsys: MemorySystem,
     witnesses = trace.witnesses
     if witnesses is None:
         return
-    witnesses.append(Witness(
-        config, memsys.witness(), run.to_payload()))  # type: ignore[attr-defined]
-    del witnesses[:-MAX_WITNESSES]
-    _counters["witnessed"] += 1
+    with span("result.witness"):
+        witnesses.append(Witness(
+            config, memsys.witness(), run.to_payload()))  # type: ignore[attr-defined]
+        del witnesses[:-MAX_WITNESSES]

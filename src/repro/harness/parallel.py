@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..common.config import GpuConfig
 from ..core.requests import RunRequest
+from ..obs.host import span
 from ..obs.trace import TraceConfig
 from .cache import job_fingerprint
 
@@ -282,8 +283,9 @@ def run_jobs(
                 status = "failed" if getattr(run, "error", None) else "ok"
             else:
                 try:
-                    payload = future.result(timeout=timeout)
-                    run = WorkloadRun.from_payload(payload)
+                    with span("pool.ipc"):
+                        run = WorkloadRun.from_payload(
+                            future.result(timeout=timeout))
                 except FuturesTimeoutError:
                     future.cancel()
                     timed_out = True

@@ -25,6 +25,7 @@ from ..core.requests import (  # re-exported: canonical home is requests
     ISAS,
     RunRequest,
 )
+from ..obs.host import span
 from ..obs.trace import TraceBus, TraceConfig, TraceData
 from ..runtime.process import GpuProcess
 from ..timing.gpu import Gpu
@@ -265,8 +266,17 @@ def run_workload(
         raise ReproError(
             f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
         )
-    config = config or paper_config()
+    with span("run.cell", workload=name, isa=isa) as cell:
+        return _run_cell(cell, name, isa, scale, config or paper_config(),
+                         seed, trace, execution, trace_store)
 
+
+def _run_cell(cell: "Dict[str, object]", name: str, isa: str, scale: float,
+              config: GpuConfig, seed: int, trace: Optional[TraceConfig],
+              execution: str, trace_store: Optional[TraceStore]
+              ) -> WorkloadRun:
+    """:func:`run_workload` inside its ``run.cell`` span, whose attrs
+    (``cell``) learn the path taken."""
     mode = execution
     exec_trace: Optional[ExecTrace] = None
     fingerprint: Optional[str] = None
@@ -288,6 +298,7 @@ def run_workload(
     if mode == "capture" and trace_store is None:
         # Nowhere to file a trace: record none, and say what ran.
         mode = "execute"
+    cell["path"] = mode
 
     bus = TraceBus(trace) if trace is not None else None
 
@@ -300,12 +311,13 @@ def run_workload(
             # Eviction-free equivalence: an untraced replay that provably
             # cannot differ from one already simulated is that one's
             # result, decoded afresh (event-traced runs need the events).
-            witnessed = derive(exec_trace, config)
-            if witnessed is not None:
-                run = WorkloadRun.from_payload(witnessed)
-                run.wall_seconds = time.perf_counter() - start
-                run.execution = "derived"
-                return run
+            with span("result.derive") as derivation:
+                witnessed, derivation["outcome"] = derive(exec_trace, config)
+                if witnessed is not None:
+                    run = WorkloadRun.from_payload(witnessed)
+                    run.wall_seconds = time.perf_counter() - start
+                    run.execution = cell["path"] = "derived"
+                    return run
         try:
             process = _replay_process(name, isa, scale, seed, exec_trace)
         except RuntimeStackError as exc:
@@ -330,12 +342,14 @@ def run_workload(
         process = GpuProcess(isa, memory_capacity=1 << 25)
         start = time.perf_counter()
         try:
-            workload.stage(process, isa)
+            with span("runtime.stage"):
+                workload.stage(process, isa)
         except RuntimeStackError as exc:
             return _staging_failure(name, isa, exc, start, mode)
         gpu = Gpu(config, process, trace=bus, recorder=recorder)
         per_dispatch = gpu.run_all()
-        verified = workload.verify(process)
+        with span("workloads.verify"):
+            verified = workload.verify(process)
         wall = time.perf_counter() - start
         kernels = {kname: dual.for_isa(isa)
                    for kname, dual in workload.kernels().items()}
@@ -397,7 +411,8 @@ def _replay_process(name: str, isa: str, scale: float, seed: int,
         return process
     workload = create(name, scale=scale, seed=seed)
     process = GpuProcess(isa, memory_capacity=1 << 25)
-    workload.stage(process, isa)
+    with span("runtime.stage"):
+        workload.stage(process, isa)
     trace.staged = process
     return process
 

@@ -49,6 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..core.requests import RequestError, parse_request_json
+from ..obs.host import span
 from .protocol import ErrorInfo
 from .scheduler import Scheduler, SchedulerError, UnknownJob
 
@@ -277,18 +278,23 @@ class _Handler(BaseHTTPRequestHandler):
         raise AttributeError(name)
 
     def _dispatch(self) -> None:
-        try:
-            status, payload, extra = self.server.daemon._route(
-                self.command, self.path, self.headers, self._read_body(),
-                self.client_address[0])
-        except _HttpError as exc:
-            self.send_error(exc.status, str(exc), headers=exc.headers)
-            return
-        except Exception as exc:  # noqa: BLE001 - a bug answers 500
-            traceback.print_exc()
-            self.send_error(500, f"{type(exc).__name__}: {exc}")
-            return
-        self._reply(status, payload, extra)
+        with span("http.request", method=self.command,
+                  path=self.path) as attrs:
+            try:
+                status, payload, extra = self.server.daemon._route(
+                    self.command, self.path, self.headers, self._read_body(),
+                    self.client_address[0])
+            except _HttpError as exc:
+                attrs["status"] = exc.status
+                self.send_error(exc.status, str(exc), headers=exc.headers)
+                return
+            except Exception as exc:  # noqa: BLE001 - a bug answers 500
+                attrs["status"] = 500
+                traceback.print_exc()
+                self.send_error(500, f"{type(exc).__name__}: {exc}")
+                return
+            attrs["status"] = status
+            self._reply(status, payload, extra)
 
     def _read_body(self) -> bytes:
         length = self.headers.get("Content-Length", "0").strip()

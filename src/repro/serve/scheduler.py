@@ -103,6 +103,11 @@ class TokenBucket:
             return True
         return False
 
+    def full(self, now: float) -> bool:
+        """Refilled to ``burst`` at ``now``: from here on it acts exactly
+        like a fresh bucket."""
+        return self._tokens + (now - self._last) * self.rate >= self.burst
+
     def retry_after(self) -> float:
         """Seconds until one token is available (0 when rate is 0)."""
         if self.rate <= 0:
@@ -196,6 +201,7 @@ class Scheduler:
         self._heap: List[tuple] = []   # (-priority, seq, ServerJob)
         self._jobs: Dict[str, ServerJob] = {}
         self._buckets: Dict[str, TokenBucket] = {}
+        self._swept = clock()
         self._seq = itertools.count(1)
         self._batch_seq = itertools.count(1)
         self._draining = False
@@ -243,6 +249,7 @@ class Scheduler:
                 self._rejected += 1
                 raise Draining("daemon is draining; not accepting new jobs")
             if self.rate_limit > 0:
+                self._forget_full_buckets()
                 bucket = self._buckets.get(client)
                 if bucket is None:
                     bucket = TokenBucket(self.rate_limit, self.rate_burst,
@@ -276,6 +283,20 @@ class Scheduler:
             self._wake.notify_all()
         self._log(f"queued {job.job_id}: {request.describe()}")
         return job
+
+    def _forget_full_buckets(self) -> None:
+        """Drop every bucket that has refilled to ``burst`` (the client's
+        next submit creates an identical fresh one), so clients that
+        rotate ``X-Repro-Client`` cannot grow the table without bound.
+        Swept at most once per refill time, so each bucket is looked at
+        once per ``burst / rate`` seconds."""
+        now = self._clock()
+        if now - self._swept < self.rate_burst / self.rate_limit:
+            return
+        self._swept = now
+        self._buckets = {client: bucket
+                         for client, bucket in self._buckets.items()
+                         if not bucket.full(now)}
 
     def get(self, job_id: str) -> ServerJob:
         with self._lock:

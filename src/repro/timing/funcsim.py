@@ -59,6 +59,7 @@ from ..common.lanes import (U32, Executor, Group, RowLines, Step, Wavefronts,
                             has_atomic)
 from ..gcn3.semantics import Gcn3Wavefronts
 from ..hsail.semantics import HsailWavefronts
+from ..obs.host import span
 from ..runtime.process import Dispatch, GpuProcess
 from .predecode import IssueDesc, predecode_kernel
 from .registerfile import unique_rows
@@ -80,28 +81,30 @@ def run_dispatch_functional(
     stream — wavefront ids follow workgroup order then wavefront index,
     the numbering the dispatcher's placement uses.
     """
-    kernel = dispatch.kernel
-    state_cls = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
-    # Each workgroup's LDS allocation is its own slice of one image;
-    # a wavefront reaches it through its context's LDS base.
-    lds_bytes = max(kernel.group_bytes, 4)
-    contexts = []
-    workgroup_of = []
-    for wg in range(dispatch.num_workgroups):
-        wg_id = dispatch.workgroup_id(wg)
-        for wf_index in range(dispatch.wavefronts_in_wg(wg)):
-            contexts.append(dispatch.make_context(
-                wg_id, wf_index, lds_base_offset=wg * lds_bytes))
-            workgroup_of.append(wg)
-    state = state_cls(kernel, contexts)
-    executor = Executor(
-        process.memory,
-        np.zeros(lds_bytes * dispatch.num_workgroups, dtype=np.uint8),
-        lds_bytes)
-    streams = (None if recorder is None else
-               [recorder.stream(len(recorder.streams)) for _ in contexts])
-    executed = _Lockstep(state, executor, streams, workgroup_of,
-                         not has_atomic(kernel)).run(step_limit)
+    with span("funcsim", isa=process.isa) as attrs:
+        kernel = dispatch.kernel
+        state_cls = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
+        # Each workgroup's LDS allocation is its own slice of one image;
+        # a wavefront reaches it through its context's LDS base.
+        lds_bytes = max(kernel.group_bytes, 4)
+        contexts = []
+        workgroup_of = []
+        for wg in range(dispatch.num_workgroups):
+            wg_id = dispatch.workgroup_id(wg)
+            for wf_index in range(dispatch.wavefronts_in_wg(wg)):
+                contexts.append(dispatch.make_context(
+                    wg_id, wf_index, lds_base_offset=wg * lds_bytes))
+                workgroup_of.append(wg)
+        state = state_cls(kernel, contexts)
+        executor = Executor(
+            process.memory,
+            np.zeros(lds_bytes * dispatch.num_workgroups, dtype=np.uint8),
+            lds_bytes)
+        streams = (None if recorder is None else
+                   [recorder.stream(len(recorder.streams)) for _ in contexts])
+        executed = attrs["instructions"] = _Lockstep(
+            state, executor, streams, workgroup_of,
+            not has_atomic(kernel)).run(step_limit)
     dispatch.signal.decrement()
     return executed
 

@@ -31,6 +31,7 @@ from ..common.errors import DeadlockError, TimingError
 from ..common.events import EventQueue
 from ..common.stats import StatSet
 from ..gcn3.isa import Gcn3Kernel
+from ..obs.host import span
 from ..obs.metrics import CYCLES
 from ..obs.trace import TraceBus
 from ..runtime.process import Dispatch, GpuProcess
@@ -145,7 +146,8 @@ class Gpu:
         dispatch_id = self._dispatch_counter
         self._dispatch_counter += 1
 
-        self._loop_scan(dispatch, dispatch_id, pending)
+        with span("timing.cu"):
+            self._loop_scan(dispatch, dispatch_id, pending)
 
         stats.bump(CYCLES, self.events.now - start_cycle)
         if self.trace is not None and self.trace.wants_dispatch:
@@ -255,42 +257,44 @@ class Gpu:
         wavefronts = []
         folds = []
         vector = self.engine == "vector"
-        for _ in range(num_wfs):
-            dec = wf_decode(source, self._wf_counter, kernel, records=vector)
-            folds.append(dec.fold)
-            if vector:
-                cursor = VectorReplayCursor(dec, kernel, dispatch.is_gcn3)
-            else:
-                cursor = source.cursor(self._wf_counter, kernel,
-                                       dispatch.is_gcn3)
-            wf = TimingWavefront(
-                wf_id=self._wf_counter,
-                simd_id=0,
-                wg_key=wg_key,
-                cursor=cursor,
-                code_base=dispatch.loaded.code_base,
-                ib_capacity=self.config.cu.ib_entries,
-                fetch_width_bytes=self.config.cu.fetch_width_bytes,
-            )
-            self._wf_counter += 1
-            wavefronts.append(wf)
-        if self._sink is not None:
-            # Streams recorded for this run are replayed exactly once: a
-            # decode memo would only pin every wavefront's decode until
-            # the GPU itself is collected.
-            source._decode_cache.clear()
-        record = WorkgroupRecord(
+        with span("timing.fold"):
+            for _ in range(num_wfs):
+                dec = wf_decode(source, self._wf_counter, kernel,
+                                records=vector)
+                folds.append(dec.fold)
+                if vector:
+                    cursor = VectorReplayCursor(dec, kernel, dispatch.is_gcn3)
+                else:
+                    cursor = source.cursor(self._wf_counter, kernel,
+                                           dispatch.is_gcn3)
+                wf = TimingWavefront(
+                    wf_id=self._wf_counter,
+                    simd_id=0,
+                    wg_key=wg_key,
+                    cursor=cursor,
+                    code_base=dispatch.loaded.code_base,
+                    ib_capacity=self.config.cu.ib_entries,
+                    fetch_width_bytes=self.config.cu.fetch_width_bytes,
+                )
+                self._wf_counter += 1
+                wavefronts.append(wf)
+            if self._sink is not None:
+                # Streams recorded for this run are replayed exactly once:
+                # a decode memo would only pin every wavefront's decode
+                # until the GPU itself is collected.
+                source._decode_cache.clear()
+            # Everything the trace determines about this workgroup's
+            # statistics is folded into the dispatch StatSet here, for
+            # every run; the CU and the memory system only advance
+            # timing state.
+            fold_workgroup(self.stats, folds)
+        cu.add_workgroup(WorkgroupRecord(
             wg_key=wg_key,
             wavefronts=wavefronts,
             lds_bytes=lds_bytes,
             reg_slots=reg_slots * num_wfs,
             sgpr_slots=sgprs * num_wfs,
-        )
-        cu.add_workgroup(record)
-        # Everything the trace determines about this workgroup's
-        # statistics is folded into the dispatch StatSet here, for every
-        # run; the CU and the memory system only advance timing state.
-        fold_workgroup(self.stats, folds)
+        ))
 
     def _wg_done(self) -> None:
         """A CU retired one of this dispatch's workgroups."""

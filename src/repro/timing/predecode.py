@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..common.categories import InstrCategory
+from ..common.memo import kernel_memo
 from ..gcn3 import isa as gcn3_isa
 from ..gcn3.isa import Gcn3Instr, Gcn3Kernel
 from ..hsail import isa as hsail_isa
@@ -128,22 +129,9 @@ def predecode_kernel(kernel: AnyKernel) -> Tuple[IssueDesc, ...]:
     after finalization); repeated dispatches and every wavefront of a
     dispatch share one table.
     """
-    cached = getattr(kernel, "_issue_descs", None)
-    if cached is not None:
-        return cached
-    is_gcn3 = isinstance(kernel, Gcn3Kernel)
-    descs = tuple(build_desc(instr, is_gcn3) for instr in kernel.instrs)
-    kernel._issue_descs = descs  # type: ignore[union-attr]
-    return descs
-
-
-def _memo(kernel: AnyKernel, key: tuple, build):
-    """A per-kernel table that also depends on ``key`` (load address or
-    a config field), built once and cached on the kernel."""
-    memo = kernel.__dict__.setdefault("_timing_tables", {})
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    return kernel_memo(kernel, "issue_descs", lambda: tuple(
+        build_desc(instr, isinstance(kernel, Gcn3Kernel))
+        for instr in kernel.instrs))
 
 
 def fetch_tables(kernel: AnyKernel, code_base: int, fetch_width: int
@@ -164,7 +152,7 @@ def fetch_tables(kernel: AnyKernel, code_base: int, fetch_width: int
                 tuple(bisect_left(offsets, offsets[i] + fetch_width, i) - i
                       for i in range(n)))
 
-    return _memo(kernel, ("fetch", code_base, fetch_width), build)
+    return kernel_memo(kernel, ("fetch", code_base, fetch_width), build)
 
 
 def read_banks(kernel: AnyKernel, num_banks: int) -> Tuple[Tuple[int, ...], ...]:
@@ -177,12 +165,12 @@ def read_banks(kernel: AnyKernel, num_banks: int) -> Tuple[Tuple[int, ...], ...]
             tuple(sorted({slot % num_banks for slot in desc.read_slots}))
             for desc in predecode_kernel(kernel)))
 
-    return _memo(kernel, ("banks", num_banks), build)
+    return kernel_memo(kernel, ("banks", num_banks), build)
 
 
 def scoreboard_size(kernel: AnyKernel) -> int:
     """Entries of a wavefront's HSAIL scoreboard lists: one past the
     highest VRF slot an instruction of ``kernel`` reads or writes."""
-    return _memo(kernel, ("scoreboard",), lambda: 1 + max(
+    return kernel_memo(kernel, "scoreboard", lambda: 1 + max(
         [slot for desc in predecode_kernel(kernel) for slot in desc.rw_slots],
         default=-1))

@@ -10,8 +10,8 @@ CU model only ever walks the result:
 
 * :class:`TraceRecorder` collects, per wavefront, the minimal
   timing-relevant outcome of every functional execution into compact
-  :mod:`array`-backed streams: :meth:`WfStream.record` takes the
-  :class:`~repro.common.exec_types.ExecResult` a step returned.
+  :mod:`array`-backed streams, written a group step at a time by
+  :mod:`repro.timing.funcsim` (``_Records.flush``).
 * :class:`ExecTrace` is the recorded artifact: per-wavefront streams plus
   metadata, with a binary serialization for the on-disk trace store
   (:class:`repro.harness.cache.TraceStore`).  An ``execute`` run keeps
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..common.errors import ReproError
-from ..common.exec_types import ExecResult, MemKind
+from ..common.exec_types import MemKind
 
 #: bump when the stream encoding changes; stored traces then read as
 #: misses instead of desynchronizing the replay.
@@ -127,41 +127,6 @@ class WfStream:
     def jump(self, new_pc: int) -> None:
         """A simulator-initiated (HSAIL reconvergence) PC change."""
         self.code.append(-(new_pc + 1))
-
-    def record(self, pc: int, result: ExecResult, probed: bool,
-               read_uniques: Optional[List[int]],
-               write_uniques: Optional[List[int]]) -> None:
-        """One issued instruction's functional outcome."""
-        flags = _MEM_INDEX[result.mem_kind] << _F_MEM_SHIFT
-        if result.branch_taken:
-            flags |= _F_TAKEN
-            if result.next_pc is not None:
-                flags |= _F_TARGET
-                self.targets.append(result.next_pc)
-        if result.ends_wavefront:
-            flags |= _F_ENDS
-        if result.is_barrier:
-            flags |= _F_BARRIER
-        self.code.append(pc)
-        self.flags.append(flags)
-        self.active.append(result.active_lanes)
-        if flags >> _F_MEM_SHIFT:
-            lines = result.mem_lines
-            self.mem_counts.append(len(lines))
-            self.mem_lines.extend(lines)
-        if probed:
-            self._probe(result.active_lanes, read_uniques, write_uniques)
-
-    def _probe(self, active: int, read_uniques: Optional[List[int]],
-               write_uniques: Optional[List[int]]) -> None:
-        """One sampled probe: its EXEC popcount, then (with lanes active)
-        one unique count per read and per write slot."""
-        self.probe_active.append(active)
-        if active:
-            if read_uniques:
-                self.probe_read.extend(read_uniques)
-            if write_uniques:
-                self.probe_write.extend(write_uniques)
 
     def approx_bytes(self) -> int:
         return sum(

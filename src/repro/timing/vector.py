@@ -43,6 +43,7 @@ import numpy as np
 
 from ..common.errors import ConfigError
 from ..common.exec_types import MemKind
+from ..common.memo import kernel_memo
 from ..common.stats import StatSet
 from ..obs.metrics import (BARRIERS, DYNAMIC_INSTRUCTIONS, IB_FLUSHES,
                            LDS_ACCESSES, SMEM_REQUESTS, VMEM_LINES,
@@ -124,11 +125,7 @@ class KernelTables:
 
 def kernel_tables(kernel: object) -> KernelTables:
     """The kernel's fold tables, built once and cached on the kernel."""
-    tables = getattr(kernel, "_vector_tables", None)
-    if tables is None:
-        tables = KernelTables(kernel)
-        kernel._vector_tables = tables  # type: ignore[attr-defined]
-    return tables
+    return kernel_memo(kernel, "vector_tables", lambda: KernelTables(kernel))
 
 
 # ---------------------------------------------------------------------------

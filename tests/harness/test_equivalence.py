@@ -13,8 +13,9 @@ from repro.harness.cache import (
     clear_trace_memo,
     trace_fingerprint,
 )
-from repro.harness.equivalence import MAX_WITNESSES, equivalence_counters
+from repro.harness.equivalence import MAX_WITNESSES
 from repro.harness.runner import ISAS, clear_suite_cache, run_workload
+from repro.obs import host
 from repro.obs.trace import TraceConfig
 from repro.workloads import all_workloads
 
@@ -51,11 +52,28 @@ def _stable(run):
 
 
 def _tally(call):
-    """(result, what the call added to the process tally)."""
-    before = equivalence_counters()
-    result = call()
-    after = equivalence_counters()
-    return result, {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    """(result, what the call did about witnesses): filed (``witnessed``,
+    one ``result.witness`` span each), answered from one (``derived``)
+    or consulted one that did not admit the config (``refused``), as the
+    call's ``result.derive`` spans say."""
+    tally = {}
+
+    def count(record):
+        if record["name"] == "result.witness":
+            key = "witnessed"
+        elif record["name"] == "result.derive":
+            key = record["attrs"]["outcome"]
+        else:
+            return
+        if key != "none":
+            tally[key] = tally.get(key, 0) + 1
+
+    unsubscribe = host.subscribe(count)
+    try:
+        result = call()
+    finally:
+        unsubscribe()
+    return result, tally
 
 
 def _witnesses(store, workload="spmv", isa="gcn3"):

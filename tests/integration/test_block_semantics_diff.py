@@ -3,7 +3,8 @@
 The functional pass (:mod:`repro.timing.funcsim`) takes one compiled
 step per instruction from a per-kernel table; the reference driver of
 ``tests/trace_oracle.py`` steps every wavefront on its own, one
-instruction at a time, records it with ``WfStream.record`` and counts
+instruction at a time, records it with its own per-issue encoder
+(``trace_oracle.record``) and counts
 its probes one slot at a time.  The pass promises *bit-identity* with the driver —
 not statistical closeness.  This suite holds it to that over the full
 tier-1 matrix:
@@ -205,15 +206,15 @@ def test_group_steps_are_at_most_a_third_of_instructions():
         process = GpuProcess(isa, memory_capacity=1 << 25)
         create(name, scale=SCALE, seed=SEED).stage(process, isa)
         kernels = {id(d.kernel): d for d in process.dispatches}.values()
-        saved = [(d.kernel, getattr(d.kernel, "_steps", None)) for d in kernels]
+        saved = [(d.kernel, (Gcn3Wavefronts if d.is_gcn3
+                             else HsailWavefronts).steps(d.kernel))
+                 for d in kernels]
         try:
-            for dispatch in kernels:
-                state = Gcn3Wavefronts if dispatch.is_gcn3 else HsailWavefronts
-                dispatch.kernel._steps = tuple(
-                    map(counted, state.steps(dispatch.kernel)))
+            for kernel, table in saved:
+                kernel._memo["steps"] = tuple(map(counted, table))
             for dispatch in process.dispatches:
                 executed += run_dispatch_functional(process, dispatch)
         finally:
             for kernel, table in saved:
-                kernel._steps = table
+                kernel._memo["steps"] = table
     assert 3 * steps[0] <= executed, (steps[0], executed)

@@ -253,7 +253,7 @@ def _count_group_steps(kernel, isa):
             counter[0] += 1
             return step(g, exe)
         return counted
-    kernel._steps = tuple(map(wrap, table))
+    kernel._memo["steps"] = tuple(map(wrap, table))
     return counter
 
 

@@ -1,0 +1,338 @@
+"""Host-side spans (``repro.obs.host``): the record a sink receives, the
+span points at each layer boundary, and what they cost unsubscribed.
+
+* Every one of the 20 cells (``paper_config``, scale 0.25, seed 7,
+  ``execute``, kernel memo cleared first) enters each span name a number
+  of times that is a closed form in the cell's kernels, dispatches and
+  workgroups: per cell one ``run.cell``, ``runtime.stage`` and
+  ``workloads.verify``; per kernel one ``toolchain.codegen`` and
+  ``toolchain.finalize``; per dispatch one ``funcsim`` and
+  ``timing.cu``; per workgroup one ``timing.fold``.  No count depends
+  on instructions or cycles.
+* The layer spans account for the cell: ``run.cell``'s self time (its
+  duration minus its direct children's) is at most a tenth of it.
+* ``run.cell``'s ``path`` attr is the path that ran, on every path.
+* Unsubscribed, a span point reads no clock: whole cells run with the
+  clock replaced by one that raises.
+
+``python tests/obs/test_host_spans.py`` (repo root, ``PYTHONPATH=src``)
+prints each span name's share of the 20 cells' self time as a Markdown
+table (CI writes it to the step summary).
+"""
+
+import gc
+import threading
+from collections import Counter, defaultdict
+
+import pytest
+
+from repro.common.config import small_config
+from repro.harness.cache import TraceStore, trace_fingerprint
+from repro.harness.parallel import Job, run_jobs
+from repro.harness.runner import (ISAS, RunRequest, WorkloadRun,
+                                  clear_suite_cache, run_workload)
+from repro.obs import host
+from repro.obs.host import span
+from repro.runtime.process import GpuProcess
+from repro.workloads import all_workloads, create
+
+SCALE = 0.25
+SEED = 7
+CELLS = [(w.name, isa) for w in all_workloads() for isa in ISAS]
+
+
+def _recorded(call):
+    """(what ``call()`` returned, the spans it finished)."""
+    records = []
+    unsubscribe = host.subscribe(records.append)
+    try:
+        result = call()
+    finally:
+        unsubscribe()
+    return result, records
+
+
+def _cell(workload, isa, **kw):
+    """One execute cell from cold memos, and its spans."""
+    clear_suite_cache()
+    return _recorded(lambda: run_workload(workload, isa, scale=SCALE,
+                                          seed=SEED, **kw))
+
+
+def self_times(records):
+    """Span id -> duration minus the durations of its direct children."""
+    own = {r["id"]: r["end_ns"] - r["start_ns"] for r in records}
+    for r in records:
+        if r["parent"] in own:
+            own[r["parent"]] -= r["end_ns"] - r["start_ns"]
+    return own
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memos():
+    clear_suite_cache()
+    yield
+    clear_suite_cache()
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    """(run, spans) of each of the 20 cells."""
+    try:
+        return {cell: _cell(*cell) for cell in CELLS}
+    finally:
+        clear_suite_cache()
+
+
+class TestSpan:
+    def test_record_fields_and_parents(self):
+        def nested():
+            with span("outer", a=1) as outer:
+                outer["b"] = 2
+                with span("inner"):
+                    pass
+            return outer
+
+        outer_attrs, records = _recorded(nested)
+        inner, outer = records                     # finished inner first
+        assert outer_attrs == {"a": 1, "b": 2}
+        assert set(outer) == {"id", "parent", "name", "attrs", "pid", "tid",
+                              "start_ns", "end_ns"}
+        assert (outer["name"], outer["attrs"], outer["parent"]) == (
+            "outer", {"a": 1, "b": 2}, None)
+        assert (inner["name"], inner["parent"]) == ("inner", outer["id"])
+        assert inner["id"] != outer["id"]
+        assert inner["pid"] == outer["pid"] and inner["tid"] == outer["tid"]
+        assert (outer["start_ns"] <= inner["start_ns"] <= inner["end_ns"]
+                <= outer["end_ns"])
+
+    def test_a_raising_body_still_finishes_its_span(self):
+        def fail():
+            with span("boom"):
+                raise ValueError("x")
+
+        records = []
+        unsubscribe = host.subscribe(records.append)
+        try:
+            with pytest.raises(ValueError):
+                fail()
+            with span("after"):
+                pass
+        finally:
+            unsubscribe()
+        assert [(r["name"], r["parent"]) for r in records] == [
+            ("boom", None), ("after", None)]
+
+    def test_parents_are_per_thread(self):
+        def other():
+            with span("other"):
+                pass
+
+        def run():
+            with span("main"):
+                thread = threading.Thread(target=other)
+                thread.start()
+                thread.join()
+
+        _, records = _recorded(run)
+        assert {r["name"]: r["parent"] for r in records} == {
+            "other": None, "main": None}
+
+    def test_unsubscribe_stops_delivery(self):
+        records = []
+        unsubscribe = host.subscribe(records.append)
+        unsubscribe()
+        with span("unseen"):
+            pass
+        assert records == []
+
+    def test_unsubscribed_span_reads_no_clock(self, monkeypatch):
+        monkeypatch.setattr(host, "clock", _no_clock)
+        with span("quiet", a=1) as attrs:
+            attrs["b"] = 2
+        assert attrs == {"a": 1, "b": 2}
+
+
+def _no_clock():
+    raise AssertionError("an unsubscribed span read the clock")
+
+
+@pytest.mark.parametrize("isa", ISAS)
+def test_unsubscribed_cell_reads_no_clock(isa, monkeypatch):
+    monkeypatch.setattr(host, "clock", _no_clock)
+    run = run_workload("bitonic", isa, scale=0.1, config=small_config(2))
+    assert run.verified and run.error is None
+
+
+def _shape(workload, isa):
+    """(kernels, dispatches, workgroups) of one cell, counted without
+    the simulator: compile and stage only."""
+    cell = create(workload, scale=SCALE, seed=SEED)
+    process = GpuProcess(isa, memory_capacity=1 << 25)
+    cell.stage(process, isa)
+    return (len(cell.kernels()), len(process.dispatches),
+            sum(d.num_workgroups for d in process.dispatches))
+
+
+@pytest.mark.parametrize("workload,isa", CELLS,
+                         ids=[f"{w}-{i}" for w, i in CELLS])
+def test_span_counts_are_closed_forms(matrix, workload, isa):
+    run, records = matrix[(workload, isa)]
+    kernels, dispatches, workgroups = _shape(workload, isa)
+    assert Counter(r["name"] for r in records) == {
+        "run.cell": 1, "runtime.stage": 1, "workloads.verify": 1,
+        "toolchain.codegen": kernels, "toolchain.finalize": kernels,
+        "funcsim": dispatches, "timing.cu": dispatches,
+        "timing.fold": workgroups}
+    names = {r["id"]: r["name"] for r in records}
+    assert {(r["name"], names.get(r["parent"])) for r in records} == {
+        ("run.cell", None), ("runtime.stage", "run.cell"),
+        ("toolchain.codegen", "runtime.stage"),
+        ("toolchain.finalize", "runtime.stage"),
+        ("funcsim", "run.cell"), ("timing.cu", "run.cell"),
+        ("timing.fold", "timing.cu"), ("workloads.verify", "run.cell")}
+    funcsim = [r["attrs"] for r in records if r["name"] == "funcsim"]
+    assert {attrs["isa"] for attrs in funcsim} == {isa}
+    assert sum(a["instructions"] for a in funcsim) == run.dynamic_instructions
+    assert len(run.per_dispatch) == dispatches
+
+
+@pytest.mark.parametrize("isa", ISAS)
+def test_layer_spans_cover_the_cell(isa):
+    gc.collect()
+    _, records = _cell("bitonic", isa)
+    [root] = [r for r in records if r["name"] == "run.cell"]
+    duration = root["end_ns"] - root["start_ns"]
+    assert self_times(records)[root["id"]] <= 0.10 * duration
+
+
+class TestProvenance:
+    """``run.cell``'s ``path`` attr against ``WorkloadRun.execution``."""
+
+    CONFIG = small_config(2).with_overrides({"l1d.size_bytes": 65536})
+
+    def _run(self, store, execution, workload="spmv", config=None):
+        return _recorded(lambda: run_workload(
+            workload, "gcn3", scale=0.1, config=config or self.CONFIG,
+            execution=execution, trace_store=store))
+
+    @staticmethod
+    def _paths(records):
+        return [r["attrs"].get("path") for r in records
+                if r["name"] == "run.cell"]
+
+    def test_each_path_is_named(self, tmp_path):
+        store = TraceStore(tmp_path / "traces")
+        seen = []
+        for execution in ("execute", "capture", "replay", "replay"):
+            run, records = self._run(store, execution)
+            assert self._paths(records) == [run.execution]
+            seen.append(run.execution)
+        # The second replay is answered from the first one's witness.
+        assert seen == ["execute", "capture", "replay", "derived"]
+
+    def test_auto_recapture_nests_a_capture_in_the_replay(self, tmp_path):
+        """A probe-law TraceError found by the replay discards the entry
+        and captures: the outer span says what it tried, the nested one
+        what ran."""
+        from tests.harness.test_trace_store import _move_count
+
+        store = TraceStore(tmp_path / "traces")
+        config = small_config(2)
+        self._run(store, "capture", "md", config)
+        _move_count(store._path(trace_fingerprint(
+            config, "md", "gcn3", 0.1, 7)), "probe_read", "probe_write")
+        clear_suite_cache()
+        run, records = self._run(store, "auto", "md", config)
+        assert run.execution == "capture"
+        cells = [r for r in records if r["name"] == "run.cell"]
+        inner, outer = cells
+        assert (outer["attrs"]["path"], inner["attrs"]["path"]) == (
+            "replay", "capture")
+        assert inner["parent"] == outer["id"]
+
+    def test_trace_get_names_its_tier(self, tmp_path):
+        store = TraceStore(tmp_path / "traces")
+        run_workload("arraybw", "gcn3", scale=0.1, config=self.CONFIG,
+                     execution="capture", trace_store=store)
+        clear_suite_cache()
+        fp = trace_fingerprint(self.CONFIG, "arraybw", "gcn3", 0.1, 7)
+        _, records = _recorded(lambda: [store.get(fp), store.get(fp),
+                                        store.get("0" * 64)])
+        assert [r["attrs"]["path"] for r in records] == [
+            "disk", "memo", "miss"]
+
+
+def _payload(job):
+    return WorkloadRun.failure(job.workload, job.isa, "synthetic").to_payload()
+
+
+def test_pool_ipc_span_per_job():
+    jobs = [Job(RunRequest(workload=name, isa="gcn3"))
+            for name in ("arraybw", "spmv")]
+    results, records = _recorded(
+        lambda: run_jobs(jobs, max_workers=2, execute=_payload))
+    assert len(results) == 2
+    assert [r["name"] for r in records] == ["pool.ipc", "pool.ipc"]
+
+
+def test_http_request_spans_wrap_dist_calls(tmp_path):
+    from repro.serve import DaemonClient, DaemonError
+    from repro.serve.daemon import Daemon
+    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, \
+        _run_payload
+
+    co = _coordinator(tmp_path, FakeClock())
+    server = Daemon(None, port=0, coordinator=co)
+    server.start()
+
+    def drive():
+        client = DaemonClient(server.host, server.port)
+        grant = client.dist_lease("w1")
+        for key in _keys(grant):
+            client.dist_report("w1", grant.lease_id, key, _run_payload(key))
+        with pytest.raises(DaemonError):
+            client.job("nope")           # no scheduler on this daemon: 503
+
+    try:
+        _, records = _recorded(drive)
+    finally:
+        server.close()
+        co.finish()
+    by_id = {r["id"]: r for r in records}
+    dist = [r for r in records if r["name"].startswith("dist.")]
+    assert [r["name"] for r in dist] == ["dist.lease", "dist.report",
+                                         "dist.report"]
+    for record in dist:
+        request = by_id[record["parent"]]
+        assert request["name"] == "http.request"
+        assert (request["attrs"]["method"], request["attrs"]["status"]) == (
+            "POST", 200)
+    statuses = [r["attrs"]["status"] for r in records
+                if r["name"] == "http.request"]
+    assert statuses == [200, 200, 200, 503]
+
+
+def layer_table(matrix):
+    """Markdown rows: each span name's count, self time and share of the
+    cells' total time."""
+    own = defaultdict(int)
+    count = Counter()
+    total = 0
+    for _run, records in matrix.values():
+        times = self_times(records)
+        for r in records:
+            own[r["name"]] += times[r["id"]]
+            count[r["name"]] += 1
+            if r["name"] == "run.cell":
+                total += r["end_ns"] - r["start_ns"]
+    rows = ["| host span (20 execute cells, scale 0.25, cold memos) | spans "
+            "| self ms | share |", "|---|---:|---:|---:|"]
+    for name in sorted(own, key=own.get, reverse=True):
+        rows.append(f"| {name} | {count[name]} | {own[name] / 1e6:.1f} "
+                    f"| {100 * own[name] / total:.1f} % |")
+    return rows
+
+
+if __name__ == "__main__":
+    print("\n".join(layer_table({cell: _cell(*cell) for cell in CELLS})))

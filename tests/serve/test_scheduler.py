@@ -191,6 +191,42 @@ class TestRateLimit:
         clock.advance(1.5)
         sched.submit(_run_request(), client="alice")  # no raise
 
+    def test_refilled_buckets_are_forgotten(self, tmp_path):
+        """A client rotating ``X-Repro-Client`` cannot grow the bucket
+        table: once the clock has moved by ``burst / rate`` every bucket
+        has refilled to ``burst`` and is dropped, and every accept or
+        refusal is the one a table that keeps each bucket forever (the
+        reference below) makes."""
+        clock = FakeClock()
+        rate, burst = 2.0, 3.0
+        sched = Scheduler(trace_dir=str(tmp_path / "t"), rate_limit=rate,
+                          rate_burst=burst, max_queue=10_000, clock=clock)
+        reference = {}
+        request = _run_request()
+
+        def submit(client):
+            bucket = reference.setdefault(
+                client, TokenBucket(rate, burst, clock))
+            expected = bucket.try_take()
+            try:
+                sched.submit(request, client=client)
+                accepted = True
+            except RateLimited:
+                accepted = False
+            assert accepted == expected, client
+            return accepted
+
+        for i in range(1000):
+            assert submit(f"c{i}")
+            if i % 100 == 0:             # some clients drain their bucket
+                outcomes = [submit(f"c{i}") for _ in range(4)]
+                assert outcomes == [True, True, False, False]
+            clock.advance(0.001)
+        clock.advance(burst / rate)
+        assert submit("last")
+        assert len(sched._buckets) <= 2
+        assert [submit("c0") for _ in range(4)] == [True, True, True, False]
+
     def test_queue_full_503(self, tmp_path):
         sched = Scheduler(trace_dir=str(tmp_path / "t"), max_queue=2)
         sched.submit(_run_request(seed=1))

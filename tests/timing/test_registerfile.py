@@ -12,7 +12,7 @@ from repro.timing.predecode import predecode_kernel, read_banks
 from repro.timing.registerfile import VrfModel, unique_counts, unique_rows
 from repro.timing.replay import ExecTrace, WfStream
 from repro.timing.vector import wf_decode
-from tests.trace_oracle import walk_stream
+from tests.trace_oracle import record, walk_stream
 
 
 def make_vrf():
@@ -157,8 +157,8 @@ def _reuse(moves):
     for pc, desc in enumerate(predecode_kernel(kernel)):
         # one instruction in four carries a uniqueness probe, as recorded
         probed = (pc + 1) & 3 == 0 and bool(desc.rw_slots)
-        stream.record(pc, ExecResult(active_lanes=64), probed,
-                      [1] * len(desc.read_slots), [1] * len(desc.write_slots))
+        record(stream, pc, ExecResult(active_lanes=64), probed,
+               [1] * len(desc.read_slots), [1] * len(desc.write_slots))
     folded = StatSet()
     wf_decode(ExecTrace({}, [stream]), 0, kernel,
               records=False).fold.apply(folded)

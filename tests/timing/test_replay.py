@@ -11,6 +11,7 @@ from repro.timing.replay import (
     TraceRecorder,
     WfStream,
 )
+from tests.trace_oracle import record
 
 
 def _result(**kw) -> ExecResult:
@@ -24,19 +25,19 @@ def _sample_trace() -> ExecTrace:
     """A tiny hand-built two-wavefront trace exercising every stream."""
     rec = TraceRecorder()
     s0 = rec.stream(0)
-    s0.record(0, _result(active_lanes=4), False, None, None)
-    s0.record(1, _result(active_lanes=4, mem_kind=MemKind.GLOBAL_LOAD,
-                         mem_lines=[64, 128]), True, [2], [1])
-    s0.record(2, _result(active_lanes=2, branch_taken=True, next_pc=7),
-              False, None, None)
+    record(s0, 0, _result(active_lanes=4), False, None, None)
+    record(s0, 1, _result(active_lanes=4, mem_kind=MemKind.GLOBAL_LOAD,
+                          mem_lines=[64, 128]), True, [2], [1])
+    record(s0, 2, _result(active_lanes=2, branch_taken=True, next_pc=7),
+           False, None, None)
     s0.jump(9)
-    s0.record(9, _result(active_lanes=4, ends_wavefront=True),
-              False, None, None)
+    record(s0, 9, _result(active_lanes=4, ends_wavefront=True),
+           False, None, None)
     s1 = rec.stream(1)
-    s1.record(0, _result(active_lanes=1, is_barrier=True), False,
-              None, None)
-    s1.record(1, _result(active_lanes=1, ends_wavefront=True), False,
-              None, None)
+    record(s1, 0, _result(active_lanes=1, is_barrier=True), False,
+           None, None)
+    record(s1, 1, _result(active_lanes=1, ends_wavefront=True), False,
+           None, None)
     return rec.finish({"verified": True, "workload": "unit", "isa": "gcn3"})
 
 

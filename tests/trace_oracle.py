@@ -16,9 +16,12 @@
 * :func:`run_dispatch_reference` is the functional pass without
   lockstep groups: every wavefront is a one-row state of its own, run an
   instruction at a time by :func:`step_wavefront` (the helper the unit
-  tests of both ISAs step with too), recorded with ``WfStream.record``
-  and probed one slot at a time with ``unique_counts``.  It must write
-  the same trace bytes as ``repro.timing.funcsim``.
+  tests of both ISAs step with too), recorded with :func:`record` and
+  probed one slot at a time with ``unique_counts``.  It must write the
+  same trace bytes as ``repro.timing.funcsim``.
+* :func:`record` is the per-issue encoder of the stream format: one
+  ``ExecResult`` appended at a time, where ``funcsim._Records.flush``
+  writes a whole group step's records at once.
 """
 
 import numpy as np
@@ -33,7 +36,8 @@ from repro.obs.metrics import (BARRIERS, IB_FLUSHES, LDS_ACCESSES, METRICS,
                                WORKGROUPS_DISPATCHED, MetricClass)
 from repro.timing.predecode import UNIT_SIMD, predecode_kernel
 from repro.timing.registerfile import unique_counts
-from repro.timing.replay import _F_BARRIER, _F_MEM_SHIFT, _F_TARGET, _MEM_KINDS
+from repro.timing.replay import (_F_BARRIER, _F_ENDS, _F_MEM_SHIFT, _F_TAKEN,
+                                 _F_TARGET, _MEM_INDEX, _MEM_KINDS)
 
 
 def trace_determined(stats):
@@ -47,6 +51,34 @@ def trace_determined(stats):
                            if METRICS.find(name).metric_class
                            is MetricClass.TRACE}
     return payload
+
+
+def record(stream, pc, result, probed, read_uniques, write_uniques):
+    """Append one issued instruction's functional outcome (an
+    ``ExecResult``) to ``stream``; a probed one also appends its EXEC
+    popcount and, with lanes active, one unique count per read and per
+    write slot."""
+    flags = _MEM_INDEX[result.mem_kind] << _F_MEM_SHIFT
+    if result.branch_taken:
+        flags |= _F_TAKEN
+        if result.next_pc is not None:
+            flags |= _F_TARGET
+            stream.targets.append(result.next_pc)
+    if result.ends_wavefront:
+        flags |= _F_ENDS
+    if result.is_barrier:
+        flags |= _F_BARRIER
+    stream.code.append(pc)
+    stream.flags.append(flags)
+    stream.active.append(result.active_lanes)
+    if flags >> _F_MEM_SHIFT:
+        stream.mem_counts.append(len(result.mem_lines))
+        stream.mem_lines.extend(result.mem_lines)
+    if probed:
+        stream.probe_active.append(result.active_lanes)
+        if result.active_lanes:
+            stream.probe_read.extend(read_uniques or ())
+            stream.probe_write.extend(write_uniques or ())
 
 
 def record_reuse(stats, tracker, instr_counter, slots):
@@ -201,9 +233,9 @@ def _reference_wavefront(executor, state, stream, descs):
         result = step_wavefront(state, executor)
         executed += 1
         if stream is not None:
-            stream.record(pc, result, probed,
-                          read_uniques if probed else None,
-                          unique_counts(regs, desc.write_slots, mask, lanes)
-                          if probed else None)
+            record(stream, pc, result, probed,
+                   read_uniques if probed else None,
+                   unique_counts(regs, desc.write_slots, mask, lanes)
+                   if probed else None)
         if result.is_barrier or result.ends_wavefront:
             return executed
