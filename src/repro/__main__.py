@@ -632,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "re-execution of one replayed cell")
     sweep_p.add_argument("--workers", type=int, default=0,
                          help="distribute the sweep: fork N local "
-                              "workers from this process against an "
-                              "ephemeral coordinator (0 = run "
-                              "single-host)")
+                              "workers from this process, each talking "
+                              "to the coordinator over its own "
+                              "socketpair (0 = run single-host)")
     sweep_p.add_argument("--worker-url", action="append", default=[],
                          metavar="URL",
                          help="also use the 'repro serve' daemon at URL "

@@ -29,10 +29,11 @@ import hashlib
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, ShardCell, SweepRequest
@@ -43,7 +44,8 @@ from ..obs.host import span
 from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
-from .worker import Worker, build_worker
+from .worker import (PipeTransport, Worker, build_worker, recv_frame,
+                     send_frame)
 
 #: A lease that dies this many times marks its remaining cells failed
 #: instead of requeueing forever (poison-shard guard).
@@ -412,6 +414,33 @@ class Coordinator:
                 if self.store is not None else False)
 
 
+#: The coordinator methods a pipe frame may name; nothing else is looked up.
+PIPE_VERBS = ("lease", "renew", "report", "get_trace", "put_trace")
+
+
+def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
+    """Answer one forked worker's :class:`PipeTransport` frames until its
+    end closes.  A coordinator error answers ``(False, message)``, as the
+    daemon answers 400; a truncated or undecodable frame closes the pipe
+    unanswered, and the worker's lease then expires by TTL."""
+    verbs = {verb: getattr(coordinator, verb) for verb in PIPE_VERBS}
+    with sock:
+        try:
+            while True:
+                verb, args = recv_frame(sock)
+                with span("dist.pipe", verb=str(verb)) as attrs:
+                    try:
+                        if not isinstance(verb, str) or verb not in verbs:
+                            raise ReproError(f"unknown verb {verb!r}")
+                        reply = (True, verbs[verb](*args))
+                    except Exception as exc:  # noqa: BLE001 - as HTTP's 400
+                        reply = (False, f"{type(exc).__name__}: {exc}")
+                    attrs["ok"] = reply[0]
+                    send_frame(sock, reply)
+        except (OSError, TypeError, ValueError):
+            return  # EOF, a cut or undecodable frame, or a dead worker
+
+
 class ForkedWorker:
     """A local worker forked by :class:`DistSweep`: ``pid`` and
     ``poll`` as on ``subprocess.Popen``; ``block`` reaps it."""
@@ -431,8 +460,10 @@ class ForkedWorker:
 class DistSweep:
     """One distributed sweep run: coordinator + its worker fleet.
 
-    Split into :meth:`start` / :meth:`wait` (rather than one function)
-    so callers — the chaos test in particular — can reach
+    Forked local workers reach the coordinator over one socketpair each,
+    served by one thread per pipe (:func:`serve_pipe`); the HTTP daemon
+    serves everyone else.  Split into :meth:`start` / :meth:`wait` so
+    callers — the chaos test in particular — can reach
     :attr:`processes` mid-flight and SIGKILL a worker.
     """
 
@@ -457,24 +488,33 @@ class DistSweep:
             max_shard_cells=max_shard_cells, progress=progress, log=log)
         self.server: Optional[Daemon] = None   # workers' HTTP face
         self.url = ""
-        #: the local workers, forked from this process by :meth:`start`.
+        #: the local workers :meth:`start` forks, and their socketpairs.
         self.processes: List[ForkedWorker] = []
+        self.pipes: List[Tuple[socket.socket, socket.socket]] = []
         self._threads: List[threading.Thread] = []
+        self._pipe_threads: List[threading.Thread] = []
 
     def start(self) -> "DistSweep":
         if self.coordinator.done:
             return self  # fully replayed/cached; nothing to distribute
         if self.workers > 0:
-            # Bind, fork, then serve: the children's first lease waits
-            # in the listen backlog, and no thread of ours runs at a fork.
+            # Every pipe is made before the first fork, and no thread of
+            # ours runs until the last one.
+            self.pipes = [socket.socketpair() for _ in range(self.workers)]
+            for i, (_, child_end) in enumerate(self.pipes):
+                self.processes.append(self._spawn(f"local-{i}", child_end))
+            for parent_end, child_end in self.pipes:
+                child_end.close()
+                self._pipe_threads.append(threading.Thread(
+                    target=serve_pipe, args=(parent_end, self.coordinator),
+                    name="repro-dist-pipe", daemon=True))
+                self._pipe_threads[-1].start()
+            # For `repro dist worker` and other remote joiners.
             self.server = Daemon(None, self.host, self.port,
                                  coordinator=self.coordinator)
-            self.server.bind()
+            self.server.start()
             self.url = self.server.url
             self._log(f"coordinator listening on {self.url}")
-            for i in range(self.workers):
-                self.processes.append(self._spawn(f"local-{i}"))
-            self.server.serve()
         for i, url in enumerate(self.worker_urls):
             thread = threading.Thread(
                 target=self._worker(f"daemon-{i}", daemon_url=url).run,
@@ -483,23 +523,23 @@ class DistSweep:
             self._threads.append(thread)
         return self
 
-    def _worker(self, worker_id: str, url: Optional[str] = None,
+    def _worker(self, worker_id: str, transport=None,
                 daemon_url: Optional[str] = None) -> Worker:
-        """A worker of this sweep: over HTTP to the coordinator at
-        ``url``, else with the coordinator as its transport (inline, or
+        """A worker of this sweep: over ``transport`` (a forked worker's
+        pipe), else with the coordinator as its transport (inline, or
         forwarding each cell to the daemon at ``daemon_url``).  Local
         workers share the coordinator's store directory, so trace sync
         degenerates to the filesystem (like the pool)."""
         store = self.coordinator.store
         return build_worker(
-            worker_id, url or self.coordinator,
+            worker_id, transport or self.coordinator,
             trace_dir=str(store.directory) if store is not None else None,
             job_timeout=self.request.job_timeout, daemon_url=daemon_url,
             poll=0.1, log=self._log)
 
-    def _spawn(self, worker_id: str) -> ForkedWorker:
-        """Fork one local worker: it holds every module a cell needs
-        already, and leaves through ``os._exit`` on every path."""
+    def _spawn(self, worker_id: str, pipe: socket.socket) -> ForkedWorker:
+        """Fork one local worker on its ``pipe`` end: it already holds
+        every module a cell needs, and leaves through ``os._exit``."""
         pid = os.fork()
         if pid:
             return ForkedWorker(pid)
@@ -510,8 +550,10 @@ class DistSweep:
             devnull = os.open(os.devnull, os.O_RDWR)
             os.dup2(devnull, 1)
             os.dup2(devnull, 2)
-            self.server.close()  # the inherited listening socket
-            self._worker(worker_id, self.url).run()
+            for end in (end for pair in self.pipes for end in pair):
+                if end is not pipe:
+                    end.close()  # the parent's ends and the siblings'
+            self._worker(worker_id, PipeTransport(pipe)).run()
             code = 0
         finally:
             os._exit(code)
@@ -553,7 +595,7 @@ class DistSweep:
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
             proc.poll(block=True)
-        for thread in self._threads:
+        for thread in self._threads + self._pipe_threads:
             thread.join(timeout=5.0)
         if self.server is not None:
             self.server.close()
@@ -575,8 +617,8 @@ def run_dist_sweep(request: SweepRequest, *,
     """Run one sweep request across a worker fleet; see the module doc.
 
     ``workers`` forks that many local workers from this process, each
-    reaching an ephemeral coordinator daemon over HTTP as ``repro dist
-    worker`` does, and reaps them before returning;
+    on its own socketpair to the coordinator (an ephemeral daemon still
+    listens for ``repro dist worker``), and reaps them before returning;
     ``worker_urls`` adds one in-process worker per remote ``repro
     serve`` daemon; with neither, an embedded worker runs the whole
     sweep inline (useful as a serial cross-check of the dist path).
@@ -598,4 +640,5 @@ __all__ = [
     "WorkerStats",
     "journal_digest",
     "run_dist_sweep",
+    "serve_pipe",
 ]

@@ -15,9 +15,11 @@ report, renew — with the actual simulation delegated to a *backend*:
 
 The transport is whatever answers ``lease``/``renew``/``report``/
 ``get_trace``/``put_trace``: :class:`HttpTransport` speaks a coordinator
-daemon's ``/v1/dist/*`` routes, and a :class:`~repro.dist.Coordinator`
-in the same process is its own transport (the inline and per-daemon
-workers, and the unit tests).  :func:`build_worker` builds every worker.
+daemon's ``/v1/dist/*`` routes, :class:`PipeTransport` sends pickled
+frames over the socketpair of a worker :class:`~repro.dist.DistSweep`
+forks, and a :class:`~repro.dist.Coordinator` in the same process is
+its own transport (the inline and per-daemon workers, the unit tests).
+:func:`build_worker` builds every worker.
 
 Trace sync: a granted shard names its functional trace fingerprint.
 When the coordinator already holds that trace
@@ -29,9 +31,11 @@ of recapturing.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from dataclasses import replace
+from functools import partialmethod
 from typing import Callable, Dict, Optional, Set
 from urllib.parse import urlsplit
 
@@ -84,6 +88,64 @@ class HttpTransport:
             return self.client.put_trace(fingerprint, blob)
         except DaemonError:
             return False  # coordinator without a store; sync is optional
+
+
+def send_frame(sock, obj: object) -> None:
+    """One frame: the pickle's length (4 bytes, big-endian), the pickle."""
+    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    sock.sendall(len(body).to_bytes(4, "big") + body)
+
+
+def _recv_exact(sock, size: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = sock.recv(min(size - len(buf), 1 << 20))
+        if not chunk:
+            raise ConnectionError(f"pipe closed {len(buf)}/{size} bytes in")
+        buf += chunk
+    return buf
+
+
+def recv_frame(sock) -> object:
+    """The next frame's object; ConnectionError (an OSError) on EOF, a
+    frame shorter than its length, or a body that does not unpickle."""
+    body = _recv_exact(sock, int.from_bytes(_recv_exact(sock, 4), "big"))
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # noqa: BLE001 - any bad pickle fails closed
+        raise ConnectionError(f"undecodable frame: {exc!r}") from exc
+
+
+class PipeTransport:
+    """The coordinator of the parent process over this end of a
+    socketpair: ``(verb, args)`` out, ``(ok, value)`` back, one pair at a
+    time (the renew thread shares the pipe).  A coordinator error comes
+    back as a :class:`ReproError`, as HTTP's 400 does; EOF, a truncated
+    frame or a timeout closes the pipe, and every later call raises
+    OSError."""
+
+    def __init__(self, sock, timeout: float = 60.0) -> None:
+        sock.settimeout(timeout)
+        self.sock = sock
+        self._lock = threading.Lock()
+
+    def _call(self, verb: str, *args):
+        with self._lock:
+            try:
+                send_frame(self.sock, (verb, args))
+                ok, value = recv_frame(self.sock)
+            except OSError:
+                self.sock.close()
+                raise
+        if not ok:
+            raise ReproError(value)
+        return value
+
+    lease = partialmethod(_call, "lease")
+    renew = partialmethod(_call, "renew")
+    report = partialmethod(_call, "report")
+    get_trace = partialmethod(_call, "get_trace")
+    put_trace = partialmethod(_call, "put_trace")
 
 
 # -- backends ------------------------------------------------------------------
@@ -187,10 +249,7 @@ class Worker:
         for attempt in range(TRANSPORT_RETRIES):
             try:
                 return fn(*args)
-            except ReproError as exc:
-                self._log(f"{self.worker_id}: transport error "
-                          f"({attempt + 1}/{TRANSPORT_RETRIES}): {exc}")
-            except OSError as exc:
+            except (ReproError, OSError) as exc:
                 self._log(f"{self.worker_id}: transport error "
                           f"({attempt + 1}/{TRANSPORT_RETRIES}): {exc}")
             self._sleep(0.2 * (attempt + 1))
@@ -321,8 +380,8 @@ def build_worker(worker_id: str, coordinator, *,
                  daemon_url: Optional[str] = None, poll: float = 0.5,
                  log: Optional[Callable[[str], None]] = None) -> Worker:
     """The worker of ``repro dist worker`` and of a
-    :class:`~repro.dist.DistSweep`: ``coordinator`` is a URL or an
-    in-process transport; cells run embedded unless ``daemon_url``."""
+    :class:`~repro.dist.DistSweep`: ``coordinator`` is a URL or a
+    transport object; cells run embedded unless ``daemon_url``."""
     transport = coordinator
     if isinstance(coordinator, str):
         transport = HttpTransport(DaemonClient(*_parse_url(coordinator),
@@ -367,6 +426,7 @@ __all__ = [
     "DaemonBackend",
     "EmbeddedBackend",
     "HttpTransport",
+    "PipeTransport",
     "Worker",
     "build_worker",
     "worker_main",

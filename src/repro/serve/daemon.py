@@ -80,11 +80,10 @@ class Daemon:
         self.scheduler = scheduler
         self.coordinator = coordinator
         self.host = host
-        self.port = port          # 0 = ephemeral; real port set by bind()
+        self.port = port          # 0 = ephemeral; real port set by start()
         #: set by ``POST /v1/shutdown`` (and by ``serve_main``'s signals).
         self.shutdown_requested = threading.Event()
         self._server: Optional[_Server] = None
-        self._serving = False
 
     @property
     def url(self) -> str:
@@ -92,33 +91,21 @@ class Daemon:
 
     def start(self) -> None:
         """Bind, start the scheduler, and serve on a background thread."""
-        self.bind()
-        self.serve()
-
-    def bind(self) -> None:
-        """Listen on the port; connections queue until :meth:`serve`.
-        Starts no thread, so a caller may fork in between."""
         self._server = _Server((self.host, self.port), self)
         self.port = self._server.server_address[1]
-
-    def serve(self) -> None:
-        """Start the scheduler and answer on a background thread."""
         if self.scheduler is not None:
             self.scheduler.start()
-        self._serving = True
         # The poll interval bounds how long close() waits for the loop.
         threading.Thread(target=self._server.serve_forever,
                          kwargs={"poll_interval": 0.01},
                          name="repro-serve-http", daemon=True).start()
 
     def close(self) -> None:
-        """Stop serving (when serving) and release the port."""
+        """Stop serving and release the port."""
         if self._server is not None:
-            if self._serving:
-                self._server.shutdown()  # waits for serve_forever to return
+            self._server.shutdown()  # waits for serve_forever to return
             self._server.server_close()
             self._server = None
-            self._serving = False
 
     def _need_scheduler(self) -> Scheduler:
         if self.scheduler is None:

@@ -5,12 +5,15 @@ remote fleet runs.
 A forked child must leave through ``os._exit`` on every path (else a
 failure would carry on running its parent's code — here, pytest), must
 not inherit the coordinator's signal handlers, output or listening
-socket, and must see the journal fully written.  Every local worker is
-built by ``build_worker`` with the request's ``job_timeout``."""
+socket (the daemon starts after the last fork), must hold its own end
+of its socketpair and no other socket, and must see the journal fully
+written.  Every local worker is built by
+``build_worker`` with the request's ``job_timeout``."""
 
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -53,16 +56,23 @@ def serial_digest(tmp_path_factory):
     return journal_digest(results.journal_path)
 
 
-def _open_inodes():
-    """(device, inode) of every file descriptor this process holds."""
+def _open_inodes(sockets_only=False):
+    """(device, inode) of every file descriptor (or every socket) this
+    process holds."""
     out = set()
     for fd in os.listdir("/proc/self/fd"):
         try:
             st = os.fstat(int(fd))
         except OSError:
             continue
-        out.add((st.st_dev, st.st_ino))
+        if not sockets_only or stat.S_ISSOCK(st.st_mode):
+            out.add((st.st_dev, st.st_ino))
     return out
+
+
+def _inode(fileobj):
+    st = os.fstat(fileobj.fileno())
+    return st.st_dev, st.st_ino
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -71,15 +81,16 @@ def test_forked_children_start_clean(tmp_path, monkeypatch, serial_digest):
     parent = os.getpid()
     sweep = DistSweep(_request(tmp_path, "fork"), workers=2)
     threads_before = threading.active_count()
+    sockets_before = _open_inodes(sockets_only=True)
     at_fork = []
     real_fork, real_run = os.fork, Worker.run
 
     def fork():
-        listener = os.fstat(sweep.server._server.socket.fileno())
         journal = sweep.coordinator.ledger.journal.path
         at_fork.append({
             "threads": threading.active_count(),
-            "listener": (listener.st_dev, listener.st_ino),
+            "listening": sweep.server is not None,
+            "pipes": [[_inode(end) for end in pair] for pair in sweep.pipes],
             "journal": [json.loads(line)["type"]
                         for line in journal.read_text().splitlines()],
         })
@@ -88,13 +99,17 @@ def test_forked_children_start_clean(tmp_path, monkeypatch, serial_digest):
     def run(self):
         if os.getpid() != parent:
             devnull = os.stat(os.devnull)
+            own = _inode(self.transport.sock)
+            sockets = _open_inodes(sockets_only=True) - sockets_before
             state = {
                 "sigterm": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
                 "sigint": signal.getsignal(signal.SIGINT) == signal.SIG_DFL,
                 "stdout": os.path.samestat(os.fstat(1), devnull),
                 "stderr": os.path.samestat(os.fstat(2), devnull),
-                "listener_closed":
-                    tuple(at_fork[-1]["listener"]) not in _open_inodes(),
+                "own_child_end":
+                    own == at_fork[-1]["pipes"][len(at_fork) - 1][1],
+                # no listener, no parent end, no sibling's end
+                "no_other_socket": sockets == {own},
             }
             (tmp_path / f"child-{os.getpid()}.json").write_text(
                 json.dumps(state))
@@ -103,12 +118,16 @@ def test_forked_children_start_clean(tmp_path, monkeypatch, serial_digest):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(Worker, "run", run)
     sweep.start()
+    # The parent keeps only its own ends, one serving thread per pipe.
+    assert not _open_inodes() & {pair[1] for pair in at_fork[-1]["pipes"]}
     results = sweep.wait(timeout=120)
 
     assert len(at_fork) == 2
     for record in at_fork:
         assert record["threads"] == threads_before   # no thread of ours
+        assert not record["listening"]               # the daemon comes later
         assert record["journal"] == ["header"]       # nothing buffered
+    assert at_fork[0]["pipes"] == at_fork[1]["pipes"]   # all made first
     # A child still asking for work when the sweep is done is killed.
     assert all(p.returncode in (0, -signal.SIGKILL) for p in sweep.processes)
     states = [json.loads(p.read_text()) for p in tmp_path.glob("child-*")]

@@ -313,6 +313,63 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
     assert statuses == [200, 200, 200, 503]
 
 
+def test_pipe_spans_wrap_dist_calls(tmp_path):
+    import socket
+
+    from repro.common.errors import ReproError
+    from repro.dist.worker import PipeTransport
+    from repro.dist.coordinator import serve_pipe
+    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, \
+        _run_payload
+
+    co = _coordinator(tmp_path, FakeClock())
+    parent_end, child_end = socket.socketpair()
+
+    def drive():
+        server = threading.Thread(target=serve_pipe, args=(parent_end, co))
+        server.start()
+        transport = PipeTransport(child_end)
+        grant = transport.lease("w1")
+        for key in _keys(grant):
+            transport.report("w1", grant.lease_id, key, _run_payload(key))
+        with pytest.raises(ReproError):
+            transport.report("w1", grant.lease_id, "nope", {})
+        child_end.close()                # the worker leaves: EOF
+        server.join(timeout=10)
+        assert not server.is_alive()
+
+    _, records = _recorded(drive)
+    co.finish()
+    by_id = {r["id"]: r for r in records}
+    dist = [r for r in records if r["name"] in ("dist.lease", "dist.report")]
+    assert [r["name"] for r in dist] == ["dist.lease", "dist.report",
+                                         "dist.report", "dist.report"]
+    for record in dist:
+        frame = by_id[record["parent"]]
+        assert frame["name"] == "dist.pipe"
+        assert frame["attrs"]["verb"] == record["name"][len("dist."):]
+    assert [(r["attrs"]["verb"], r["attrs"]["ok"]) for r in records
+            if r["name"] == "dist.pipe"] == [
+        ("lease", True), ("report", True), ("report", True),
+        ("report", False)]
+
+
+def test_a_local_worker_sweep_makes_no_http_request(tmp_path):
+    from repro.dist import run_dist_sweep
+    from tests.dist.test_local_workers import CELLS, _request
+
+    results, records = _recorded(lambda: run_dist_sweep(
+        _request(tmp_path, "pipe"), workers=1, timeout=120))
+    assert set(results.workers) == {"local-0"}
+    names = Counter(r["name"] for r in records)
+    assert names["http.request"] == 0
+    assert names["dist.report"] == CELLS
+    by_id = {r["id"]: r for r in records}
+    for record in records:
+        if record["name"] in ("dist.lease", "dist.report"):
+            assert by_id[record["parent"]]["name"] == "dist.pipe"
+
+
 def layer_table(matrix):
     """Markdown rows: each span name's count, self time and share of the
     cells' total time."""
