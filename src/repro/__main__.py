@@ -5,7 +5,7 @@
 :func:`build_parser` are the only synopsis.  Every command that
 simulates builds one of the :mod:`repro.core.requests` objects from its
 flags and hands it to ``execute_request`` — the same objects
-``Session``, the pool and the ``repro serve`` daemon execute.
+``Session``, the dist workers and the ``repro serve`` daemon execute.
 """
 
 from __future__ import annotations
@@ -514,8 +514,8 @@ _SHARED_FLAGS = {
              "$REPRO_CACHE_DIR)")),
     "job_timeout": (("--job-timeout",), dict(
         type=float,
-        help="per-job wall-clock limit in seconds (enforced through the "
-             "process pool)")),
+        help="per-job wall-clock limit in seconds (each job runs in a "
+             "forked child, killed on overrun)")),
     "quiet": (("--quiet", "-q"), dict(
         action="store_true", help="suppress progress/log lines on stderr")),
 }

@@ -7,7 +7,7 @@ produces the HSAIL and GCN3 forms of a kernel, ``.run()``/``.suite()``
 simulate them cycle by cycle (optionally recording a
 :class:`repro.obs.TraceData`); :mod:`repro.timing.funcsim` executes
 either ISA functionally.  Every execution surface — the Session
-methods, the CLI, the parallel pool, and the ``repro serve`` daemon —
+methods, the CLI, the dist workers, and the ``repro serve`` daemon —
 goes through the frozen, JSON-round-trippable request objects in
 :mod:`repro.core.requests`.
 """

@@ -10,7 +10,7 @@ settings — and exposes the three things users do:
   optionally recording a cycle-level trace
   (:class:`repro.obs.TraceConfig`);
 * :meth:`Session.suite` — the paper's full (workload x ISA) matrix with
-  caching and process-pool fan-out.
+  caching and ``jobs``-worker fan-out.
 
 Since the request-object redesign, ``Session.run/.suite/.sweep`` are
 thin *builders*: each assembles a frozen, JSON-round-trippable request
@@ -18,7 +18,7 @@ object (:class:`repro.core.requests.RunRequest` /
 :class:`~repro.core.requests.SuiteRequest` /
 :class:`~repro.core.requests.SweepRequest`) and hands it to the single
 execution entry point (:func:`repro.core.requests.execute_request`) —
-the exact same path the CLI, the parallel pool, and the ``repro serve``
+the exact same path the CLI, the dist workers, and the ``repro serve``
 daemon take.  ``session.build_run_request(...)`` et al. expose the
 request without executing it (e.g. to POST it to a daemon)::
 
@@ -167,7 +167,7 @@ class Session:
         """Run every workload under both ISAs (the paper's evaluation
         matrix) as a one-point :meth:`sweep` with zero axes: the same
         on-disk result cache (each cell written as it finishes) and
-        process-pool fan-out.  There is no in-process memo: a repeated
+        ``jobs``-worker fan-out.  There is no in-process memo: a repeated
         call is served from the disk cache, and ``use_cache=False``
         re-simulates unless ``use_disk_cache=True``.  Traced suites
         neither read nor write the cache — a cached result has no events
@@ -182,7 +182,7 @@ class Session:
         ``axes`` are :class:`repro.explore.Axis` objects or their CLI
         spellings (``"l1i.size_bytes=8k,16k,32k"``); ``mode`` is
         ``"grid"`` or ``"ofat"``.  Points fan out through the same
-        process pool and disk cache as :meth:`suite`, journaled under
+        forked workers and disk cache as :meth:`suite`, journaled under
         ``.repro_cache/sweeps/<sweep-id>/`` so a killed sweep resumes
         (``resume=True`` or an explicit sweep id) without re-simulating
         completed points.  With the default ``execution="auto"``, each

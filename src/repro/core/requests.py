@@ -1,7 +1,7 @@
 """Frozen, versioned, JSON-round-trippable request objects.
 
 Every way of running a simulation — ``Session.run/.suite/.sweep``, the
-``repro`` CLI, the parallel-pool :class:`~repro.harness.parallel.Job`,
+``repro`` CLI, the forked workers' :class:`~repro.harness.parallel.Job`,
 and the ``repro serve`` daemon's HTTP endpoints — goes through exactly
 one of three request objects:
 
@@ -350,8 +350,8 @@ def _trace_field():
 @dataclass(frozen=True)
 class RunRequest(_RequestBase):
     """One (workload, ISA) simulation cell; the atom every other request
-    decomposes into and the unit the parallel pool and the daemon's
-    batch scheduler move around."""
+    decomposes into and the unit dist workers and the daemon's batch
+    scheduler move around."""
 
     workload: str = wire(_str)
     isa: str = wire(_str)
@@ -644,7 +644,7 @@ def parse_request_json(text: Union[str, bytes],
 
 def execute_request(request: AnyRequest,
                     progress: "Optional[ProgressFn]" = None):
-    """THE execution entry point: every surface (Session, CLI, pool,
+    """THE execution entry point: every surface (Session, CLI, workers,
     daemon) funnels through here, so engine/execution/trace_dir can
     never drift between paths."""
     if isinstance(request, RunRequest):

@@ -5,8 +5,9 @@ The coordinator is the *distributed dispatch policy* over a
 request, owns the journal, the per-cell disk cache and the trace store,
 replays what is already known, files every cell that lands, journals
 each point as its last cell resolves and runs the replay fidelity guard
-— exactly as it does under the serial/pool policy
-(:func:`~repro.explore.sweep.execute_sweep_request`).  What is left here
+— exactly as it does under the serial policy
+(:func:`~repro.explore.sweep.execute_sweep_request`, which hands its
+ledger to a coordinator here under ``jobs > 1``).  What is left here
 is what is genuinely distributed: pull-based workers lease
 content-addressed shards of the ledger's live cells, stream per-cell
 results back, and renew heartbeat leases.  Because there is one ledger,
@@ -33,19 +34,19 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, ShardCell, SweepRequest
 from ..explore.sweep import SweepLedger, SweepResults
-from ..harness.parallel import Job, ProgressFn, _failed_run
+from ..harness.parallel import (ForkedProcess, Job, ProgressFn, _failed_run,
+                                fork, recv_frame, send_frame)
 from ..harness.runner import WorkloadRun
 from ..obs.host import span
 from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
-from .worker import (PipeTransport, Worker, build_worker, recv_frame,
-                     send_frame)
+from .worker import PipeTransport, Worker, build_worker
 
 #: A lease that dies this many times marks its remaining cells failed
 #: instead of requeueing forever (poison-shard guard).
@@ -139,12 +140,17 @@ class Coordinator:
     policy over a :class:`~repro.explore.sweep.SweepLedger`, which stays
     the journal's single writer.
 
+    ``request`` is a sweep request, or a caller's own ledger (a suite or
+    sweep under ``jobs > 1``) with ``live`` the cells its
+    :meth:`~repro.explore.sweep.SweepLedger.open` returned.
+
     Thread-safe: every public method may be called from the HTTP
-    daemon's request threads, in-process worker threads, and the driver
-    concurrently.
+    daemon's request threads, pipe threads, in-process worker threads,
+    and the driver concurrently.
     """
 
-    def __init__(self, request: SweepRequest, *,
+    def __init__(self, request: Union[SweepRequest, SweepLedger], *,
+                 live: Optional[List[Job]] = None,
                  lease_ttl: float = 30.0,
                  steal: bool = True,
                  max_shard_cells: Optional[int] = None,
@@ -159,7 +165,8 @@ class Coordinator:
         self._log = log or (lambda message: None)
         self._lock = threading.RLock()
 
-        self.ledger = SweepLedger(request, progress)
+        self.ledger = (request if isinstance(request, SweepLedger)
+                       else SweepLedger(request, progress))
         self.store = self.ledger.store
         # The distribution half of :class:`DistSweepResults`; the sweep
         # half is the ledger's.
@@ -167,20 +174,22 @@ class Coordinator:
         self.steals = self.expiries = self.retries = 0
         self.duplicate_reports = 0
 
-        live = self.ledger.open()
+        if live is None:
+            live = self.ledger.open()
         jobs = {job.key: job for job in live}
         shards = group_shards(self.ledger, live, max_shard_cells)
         self._pending: List[ShardState] = [ShardState.from_request(s)
                                            for s in shards]
         self._cell_home: Dict[str, ShardState] = {}
-        #: every distributable cell, by wire key; never shrinks.
-        self._cells: Dict[str, Job] = {}
+        #: every distributable cell, by wire key; never shrinks.  A
+        #: local worker runs these very requests (see :class:`Worker`).
+        self.cells: Dict[str, Job] = {}
         self._accepted: Dict[str, int] = {}
         for state in self._pending:
             for key, cell in state.remaining.items():
                 self._cell_home[key] = state
-                self._cells[key] = jobs[(cell.point, cell.workload,
-                                         cell.isa)]
+                self.cells[key] = jobs[(cell.point, cell.workload,
+                                        cell.isa)]
         self._leases = LeaseTable(lease_ttl, clock)
         self.shards = len(shards)
         if self.ledger.done:
@@ -221,9 +230,19 @@ class Coordinator:
                       f"expired; requeued shard {shard.shard_id} with "
                       f"{len(shard.remaining)} cell(s) left")
 
+    def drop(self, worker_id: str) -> None:
+        """``worker_id`` can never report again (its pipe closed): its
+        leases expire now instead of at their TTL, each still counted as
+        an expiry and as an attempt of its shard."""
+        with self._lock:
+            for lease in self._leases.active():
+                if lease.worker_id == worker_id:
+                    lease.deadline = float("-inf")
+            self._expire_stale()
+
     def _fail_shard(self, shard: ShardState, message: str) -> None:
         for key in list(shard.remaining):
-            self._accept(key, _failed_run(self._cells[key], message, 0.0),
+            self._accept(key, _failed_run(self.cells[key], message, 0.0),
                          worker_id="(coordinator)")
 
     def lease(self, worker_id: str) -> LeaseGrant:
@@ -272,10 +291,12 @@ class Coordinator:
     def _split(self, victim) -> Optional[ShardState]:
         """Move the tail half of the victim's outstanding cells into a
         fresh content-addressed shard (the victim keeps working its head
-        and learns about the theft on its next renewal)."""
+        and learns about the theft on its next renewal).  None before
+        the victim's capture is stored: the thief would capture again."""
         keys = list(victim.shard.remaining)
         take = len(keys) // 2
-        if take < 1:
+        if take < 1 or not (self.ledger.cell_mode == "execute"
+                            or self.store.has(victim.shard.trace_fp)):  # type: ignore[union-attr]
             return None
         taken = keys[len(keys) - take:]
         cells: Dict[str, ShardCell] = {}
@@ -324,7 +345,7 @@ class Coordinator:
                 ) from exc
             with self._lock:
                 self._expire_stale()
-                job = self._cells.get(cell_key)
+                job = self.cells.get(cell_key)
                 if job is None:
                     raise ReproError(f"unknown cell {cell_key!r}")
                 if (run.workload, run.isa) != (job.workload, job.isa):
@@ -351,7 +372,7 @@ class Coordinator:
         if home is not None:
             home.remaining.pop(cell_key, None)
         self._worker(worker_id).cells += 1
-        self.ledger.accept(self._cells[cell_key], run)
+        self.ledger.accept(self.cells[cell_key], run)
         if self.ledger.done:
             self.finished.set()
 
@@ -422,7 +443,7 @@ def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
     """Answer one forked worker's :class:`PipeTransport` frames until its
     end closes.  A coordinator error answers ``(False, message)``, as the
     daemon answers 400; a truncated or undecodable frame closes the pipe
-    unanswered, and the worker's lease then expires by TTL."""
+    unanswered (and :class:`DistSweep` then drops the worker's leases)."""
     verbs = {verb: getattr(coordinator, verb) for verb in PIPE_VERBS}
     with sock:
         try:
@@ -441,55 +462,35 @@ def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
             return  # EOF, a cut or undecodable frame, or a dead worker
 
 
-class ForkedWorker:
-    """A local worker forked by :class:`DistSweep`: ``pid`` and
-    ``poll`` as on ``subprocess.Popen``; ``block`` reaps it."""
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.returncode: Optional[int] = None
-
-    def poll(self, block: bool = False) -> Optional[int]:
-        if self.returncode is None:
-            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
-            if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
-        return self.returncode
-
-
 class DistSweep:
     """One distributed sweep run: coordinator + its worker fleet.
 
     Forked local workers reach the coordinator over one socketpair each,
-    served by one thread per pipe (:func:`serve_pipe`); the HTTP daemon
-    serves everyone else.  Split into :meth:`start` / :meth:`wait` so
+    served by one thread per pipe (:func:`serve_pipe`); nothing listens
+    on a port (:func:`run_dist_sweep` adds the HTTP daemon remote
+    workers join through).  ``request`` and ``live`` are as for
+    :class:`Coordinator`.  Split into :meth:`start` / :meth:`wait` so
     callers — the chaos test in particular — can reach
     :attr:`processes` mid-flight and SIGKILL a worker.
     """
 
-    def __init__(self, request: SweepRequest, *,
+    def __init__(self, request: Union[SweepRequest, SweepLedger], *,
+                 live: Optional[List[Job]] = None,
                  workers: int = 0,
                  worker_urls: Sequence[str] = (),
                  lease_ttl: float = 30.0,
                  steal: bool = True,
                  max_shard_cells: Optional[int] = None,
                  progress: Optional[ProgressFn] = None,
-                 host: str = "127.0.0.1",
-                 port: int = 0,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        self.request = request
         self.workers = max(0, int(workers))
         self.worker_urls = tuple(worker_urls)
-        self.host = host
-        self.port = port
         self._log = log or (lambda message: None)
         self.coordinator = Coordinator(
-            request, lease_ttl=lease_ttl, steal=steal,
+            request, live=live, lease_ttl=lease_ttl, steal=steal,
             max_shard_cells=max_shard_cells, progress=progress, log=log)
-        self.server: Optional[Daemon] = None   # workers' HTTP face
-        self.url = ""
         #: the local workers :meth:`start` forks, and their socketpairs.
-        self.processes: List[ForkedWorker] = []
+        self.processes: List[ForkedProcess] = []
         self.pipes: List[Tuple[socket.socket, socket.socket]] = []
         self._threads: List[threading.Thread] = []
         self._pipe_threads: List[threading.Thread] = []
@@ -503,18 +504,12 @@ class DistSweep:
             self.pipes = [socket.socketpair() for _ in range(self.workers)]
             for i, (_, child_end) in enumerate(self.pipes):
                 self.processes.append(self._spawn(f"local-{i}", child_end))
-            for parent_end, child_end in self.pipes:
+            for i, (parent_end, child_end) in enumerate(self.pipes):
                 child_end.close()
                 self._pipe_threads.append(threading.Thread(
-                    target=serve_pipe, args=(parent_end, self.coordinator),
+                    target=self._serve, args=(parent_end, f"local-{i}"),
                     name="repro-dist-pipe", daemon=True))
                 self._pipe_threads[-1].start()
-            # For `repro dist worker` and other remote joiners.
-            self.server = Daemon(None, self.host, self.port,
-                                 coordinator=self.coordinator)
-            self.server.start()
-            self.url = self.server.url
-            self._log(f"coordinator listening on {self.url}")
         for i, url in enumerate(self.worker_urls):
             thread = threading.Thread(
                 target=self._worker(f"daemon-{i}", daemon_url=url).run,
@@ -527,36 +522,33 @@ class DistSweep:
                 daemon_url: Optional[str] = None) -> Worker:
         """A worker of this sweep: over ``transport`` (a forked worker's
         pipe), else with the coordinator as its transport (inline, or
-        forwarding each cell to the daemon at ``daemon_url``).  Local
-        workers share the coordinator's store directory, so trace sync
-        degenerates to the filesystem (like the pool)."""
+        forwarding each cell to the daemon at ``daemon_url``).  A local
+        one (every worker but a daemon's) shares the coordinator's
+        memory and store directory: it runs the ledger's own cell
+        requests, and trace sync degenerates to the filesystem."""
         store = self.coordinator.store
-        return build_worker(
+        worker = build_worker(
             worker_id, transport or self.coordinator,
             trace_dir=str(store.directory) if store is not None else None,
-            job_timeout=self.request.job_timeout, daemon_url=daemon_url,
-            poll=0.1, log=self._log)
+            job_timeout=self.coordinator.ledger.request.job_timeout,
+            daemon_url=daemon_url, poll=0.1, log=self._log)
+        if daemon_url is None:
+            worker.cells = self.coordinator.cells
+        return worker
 
-    def _spawn(self, worker_id: str, pipe: socket.socket) -> ForkedWorker:
-        """Fork one local worker on its ``pipe`` end: it already holds
-        every module a cell needs, and leaves through ``os._exit``."""
-        pid = os.fork()
-        if pid:
-            return ForkedWorker(pid)
-        code = 1
-        try:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.signal(signal.SIGINT, signal.SIG_DFL)
-            devnull = os.open(os.devnull, os.O_RDWR)
-            os.dup2(devnull, 1)
-            os.dup2(devnull, 2)
-            for end in (end for pair in self.pipes for end in pair):
-                if end is not pipe:
-                    end.close()  # the parent's ends and the siblings'
-            self._worker(worker_id, PipeTransport(pipe)).run()
-            code = 0
-        finally:
-            os._exit(code)
+    def _spawn(self, worker_id: str, pipe: socket.socket) -> ForkedProcess:
+        """Fork one local worker on its ``pipe`` end."""
+        return fork(
+            lambda: self._worker(worker_id, PipeTransport(pipe)).run(),
+            close=[end for pair in self.pipes for end in pair
+                   if end is not pipe])
+
+    def _serve(self, pipe: socket.socket, worker_id: str) -> None:
+        """Answer one local worker's pipe.  Once it closes (the worker
+        exited or died) nothing can come from that worker again, so its
+        leases go back at once rather than at their TTL."""
+        serve_pipe(pipe, self.coordinator)
+        self.coordinator.drop(worker_id)
 
     def alive_workers(self) -> int:
         return (sum(1 for p in self.processes if p.poll() is None)
@@ -590,16 +582,13 @@ class DistSweep:
 
     def stop(self) -> None:
         """Kill and reap the local workers (so their CPU time counts as
-        this process's children's), join the threads, close the daemon."""
+        this process's children's) and join the threads."""
         for proc in self.processes:
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
             proc.poll(block=True)
         for thread in self._threads + self._pipe_threads:
             thread.join(timeout=5.0)
-        if self.server is not None:
-            self.server.close()
-            self.server = None
 
 
 def run_dist_sweep(request: SweepRequest, *,
@@ -617,25 +606,35 @@ def run_dist_sweep(request: SweepRequest, *,
     """Run one sweep request across a worker fleet; see the module doc.
 
     ``workers`` forks that many local workers from this process, each
-    on its own socketpair to the coordinator (an ephemeral daemon still
-    listens for ``repro dist worker``), and reaps them before returning;
-    ``worker_urls`` adds one in-process worker per remote ``repro
-    serve`` daemon; with neither, an embedded worker runs the whole
-    sweep inline (useful as a serial cross-check of the dist path).
+    on its own socketpair to the coordinator, and reaps them before
+    returning; an ephemeral daemon on ``host:port`` then listens for
+    ``repro dist worker`` joiners.  ``worker_urls`` adds one in-process
+    worker per remote ``repro serve`` daemon; with neither, an embedded
+    worker runs the whole sweep inline (useful as a serial cross-check
+    of the dist path).
     """
     sweep = DistSweep(request, workers=workers, worker_urls=worker_urls,
                       lease_ttl=lease_ttl, steal=steal,
                       max_shard_cells=max_shard_cells, progress=progress,
-                      host=host, port=port, log=log)
-    sweep.start()
-    return sweep.wait(timeout=timeout)
+                      log=log).start()
+    server = None
+    if workers > 0 and not sweep.coordinator.done:
+        # Bound after the last fork, so no local worker holds its socket.
+        server = Daemon(None, host, port, coordinator=sweep.coordinator)
+        server.start()
+        if log is not None:
+            log(f"coordinator listening on {server.url}")
+    try:
+        return sweep.wait(timeout=timeout)
+    finally:
+        if server is not None:
+            server.close()
 
 
 __all__ = [
     "Coordinator",
     "DistSweep",
     "DistSweepResults",
-    "ForkedWorker",
     "MAX_SHARD_ATTEMPTS",
     "WorkerStats",
     "journal_digest",

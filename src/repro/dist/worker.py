@@ -8,7 +8,7 @@ report, renew — with the actual simulation delegated to a *backend*:
   scheduler makes for a run cell — against one resident trace store, so
   a standalone ``repro dist worker`` (or a worker a
   :class:`~repro.dist.DistSweep` forks) gets the daemon's store sharing
-  and job-timeout plumbing without a daemon's queue.
+  and job timeout (a forked child per cell) without a daemon's queue.
 * :class:`DaemonBackend` forwards each cell to a remote ``repro serve``
   daemon through :class:`~repro.serve.DaemonClient` — an already-warm
   daemon farm becomes a sweep fleet without restarting anything.
@@ -26,15 +26,15 @@ When the coordinator already holds that trace
 (``grant.trace_available``) the worker pulls the blob into its backend
 before simulating, so every cell replays; after the shard, a freshly
 captured trace is pushed back so re-leases and thieves replay instead
-of recapturing.
+of recapturing.  A local worker (forked by, or running inside, the
+coordinator's process) pushes nothing back: its store is the
+coordinator's own directory.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
-from dataclasses import replace
 from functools import partialmethod
 from typing import Callable, Dict, Optional, Set
 from urllib.parse import urlsplit
@@ -42,7 +42,8 @@ from urllib.parse import urlsplit
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, RunRequest
 from ..harness.cache import resolve_trace_store
-from ..harness.parallel import Job, _failed_run, run_cell
+from ..harness.parallel import (Job, _failed_run, recv_frame, run_cell,
+                                send_frame)
 from ..serve.client import DaemonClient, DaemonError
 
 #: transient transport failures tolerated back to back before a worker
@@ -90,32 +91,6 @@ class HttpTransport:
             return False  # coordinator without a store; sync is optional
 
 
-def send_frame(sock, obj: object) -> None:
-    """One frame: the pickle's length (4 bytes, big-endian), the pickle."""
-    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    sock.sendall(len(body).to_bytes(4, "big") + body)
-
-
-def _recv_exact(sock, size: int) -> bytearray:
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = sock.recv(min(size - len(buf), 1 << 20))
-        if not chunk:
-            raise ConnectionError(f"pipe closed {len(buf)}/{size} bytes in")
-        buf += chunk
-    return buf
-
-
-def recv_frame(sock) -> object:
-    """The next frame's object; ConnectionError (an OSError) on EOF, a
-    frame shorter than its length, or a body that does not unpickle."""
-    body = _recv_exact(sock, int.from_bytes(_recv_exact(sock, 4), "big"))
-    try:
-        return pickle.loads(body)
-    except Exception as exc:  # noqa: BLE001 - any bad pickle fails closed
-        raise ConnectionError(f"undecodable frame: {exc!r}") from exc
-
-
 class PipeTransport:
     """The coordinator of the parent process over this end of a
     socketpair: ``(verb, args)`` out, ``(ok, value)`` back, one pair at a
@@ -152,21 +127,16 @@ class PipeTransport:
 
 
 class EmbeddedBackend:
-    """Cells execute in this process, one at a time, against one
-    resident trace store (shared hit/miss counters, parsed-trace memo)."""
+    """Cells execute in this process, one at a time (each in a forked
+    child under a job timeout), against one resident trace store (shared
+    hit/miss counters, parsed-trace memo)."""
 
     def __init__(self, *, trace_dir: Optional[str] = None,
                  job_timeout: Optional[float] = None) -> None:
-        self.trace_dir = trace_dir
         self.job_timeout = job_timeout
         self.store = resolve_trace_store(trace_dir)
 
     def run(self, request: RunRequest) -> Dict[str, object]:
-        if self.trace_dir is not None and request.trace_dir is None:
-            # A timed cell runs in a pool process, which resolves its
-            # store from the request: pin ours onto it (as the serve
-            # scheduler does at submission).
-            request = replace(request, trace_dir=self.trace_dir)
         return run_cell(request, trace_store=self.store,
                         timeout=self.job_timeout).to_payload()
 
@@ -240,6 +210,11 @@ class Worker:
         self.poll = poll
         self.cells_done = 0
         self.shards_done = 0
+        #: a local worker's view of the coordinator's cells (wire key ->
+        #: job), shared by fork or by running in its process: it runs each
+        #: cell's own request, and its store is the coordinator's, so it
+        #: pushes no trace back.  None: rebuild each request from the shard.
+        self.cells: Optional[Dict[str, Job]] = None
         self._log = log or (lambda message: None)
         self._sleep = sleep
 
@@ -294,7 +269,9 @@ class Worker:
                     break
                 if cell.key in stolen:
                     continue
-                payload = self._run_cell(shard.run_request(cell))
+                payload = self._run_cell(
+                    shard.run_request(cell) if self.cells is None
+                    else self.cells[cell.key].request)
                 reply = self._rpc(self.transport.report, self.worker_id,
                                   grant.lease_id, cell.key, payload)
                 if reply is None:
@@ -304,7 +281,7 @@ class Worker:
         finally:
             stop.set()
             renewer.join(timeout=2.0)
-        if completed and not had_trace:
+        if completed and not had_trace and self.cells is None:
             self._sync_out(grant)
         if completed:
             self.shards_done += 1

@@ -9,8 +9,8 @@ design-space machine:
   variants (deduplicated by fingerprint);
 * :mod:`~repro.explore.sweep` — :class:`SweepLedger` owns a sweep's
   resumable JSONL journal, caches and per-point failure isolation;
-  :func:`execute_sweep_request` fans its live points x workloads x ISAs
-  through the process pool, and :func:`execute_suite_request` runs the
+  :func:`execute_sweep_request` runs its live points x workloads x ISAs
+  (over forked workers under ``jobs > 1``), and :func:`execute_suite_request` runs the
   paper matrix as the one-point sweep over zero axes;
 * :mod:`~repro.explore.analyze` — tornado tables, response curves,
   threshold detection, and CSV/JSON/markdown export.

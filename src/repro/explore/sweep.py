@@ -1,13 +1,14 @@
-"""Sweep ledger and its serial/pool executor — the one matrix executor —
+"""Sweep ledger and its local dispatch loop — the one matrix executor —
 with a resumable on-disk journal.
 
 :class:`SweepLedger` is the one place that decides what a sweep already
 knows (journal replay, invalid points, cache hits), what is still live,
 what happens when a cell lands, when a point is journaled, and how
 replay is checked.  Executors are dispatch *policies* over it:
-:func:`execute_sweep_request` runs the live cells inline or through the
-harness pool (captures, barrier, the rest); the distributed
-:class:`~repro.dist.Coordinator` leases them to workers.  Both write the
+:func:`execute_sweep_request` runs the live cells inline (captures,
+barrier, the rest), and the distributed
+:class:`~repro.dist.Coordinator` leases them to workers — under
+``jobs > 1`` to workers forked from this very process.  Both write the
 journal through the same ledger, so either resumes the other's.
 
 A suite is a sweep with zero axes: :func:`execute_suite_request` opens
@@ -15,7 +16,7 @@ a ledger over the one ``base`` point of a
 :class:`~repro.core.requests.SuiteRequest` (no journal, no drift guard)
 and runs it through the same dispatch loop, so ``repro figures``,
 ``Session.suite`` and ``POST /v1/suite`` share the sweep's cache lookup,
-progress events, pool fan-out and deterministic reduce.
+progress events, ``--jobs`` fan-out and deterministic reduce.
 
 One sweep = (base config, space, workloads, ISAs, scale, seed).  Its
 identity is a content hash of exactly those inputs, so the journal
@@ -81,8 +82,8 @@ from ..harness.parallel import (
     JobEvent,
     ProgressFn,
     resolve_jobs,
+    run_cell,
     run_job_inline,
-    run_jobs,
     trace_groups,
 )
 from ..harness.runner import SuiteResults, WorkloadRun
@@ -486,10 +487,11 @@ class SweepLedger:
     cell lands (:meth:`accept`), when a point is journaled (the moment
     its last cell resolves) and how replay is checked (:meth:`verify`).
 
-    Executors are dispatch policies over it: the serial/pool path
+    Executors are dispatch policies over it: the local loop
     (:func:`execute_sweep_request`, :func:`execute_suite_request`) and
-    the distributed :class:`~repro.dist.Coordinator`.  Not thread-safe;
-    the coordinator calls it under its own lock.
+    the distributed :class:`~repro.dist.Coordinator`, which the local
+    loop hands its ledger to under ``jobs > 1``.  Not thread-safe; the
+    coordinator calls it under its own lock.
     """
 
     def __init__(self, request: "Union[SweepRequest, SuiteRequest]",
@@ -626,14 +628,13 @@ class SweepLedger:
     # -- planning: cuts of the one trace-fingerprint grouping ------------------
 
     def phases(self, cells: List[Job]) -> "List[List[Job]]":
-        """The batches a local executor runs, with a barrier between.
+        """The batches the serial loop runs, one after the other.
 
         "auto" runs in two phases: first one capture per trace group whose
-        trace is missing, then everything else — which now replays.  The
-        barrier is what turns an N-point sweep into 1 functional execution
-        + N replays instead of a pool-race of captures; phase 2 cells
-        still run as "auto", so if a capture failed they self-heal by
-        capturing rather than erroring out.
+        trace is missing, then everything else — which now replays, so an
+        N-point sweep costs 1 functional execution + N replays per group;
+        phase 2 cells still run as "auto", so if a capture failed they
+        self-heal by capturing rather than erroring out.
         """
         if self.cell_mode != "auto":
             return [cells]
@@ -648,10 +649,10 @@ class SweepLedger:
 
     # -- pass 2: a cell lands ----------------------------------------------------
 
-    def record(self, job: Job, run: WorkloadRun) -> None:
-        """File one finished cell: count it, cache it, and journal its
-        point the moment the point's last cell resolves — a kill between
-        points loses only the in-flight tail."""
+    def accept(self, job: Job, run: WorkloadRun) -> None:
+        """File one finished cell: count it, cache it, journal its point
+        the moment the point's last cell resolves — a kill between points
+        loses only the in-flight tail — and emit its progress event."""
         pid = job.point
         self._pending[pid][(job.workload, job.isa)] = run
         if run.error is None:
@@ -672,16 +673,6 @@ class SweepLedger:
         self._remaining[pid] -= 1
         if self._remaining[pid] == 0:
             self._finish_point(self.point(pid), self._pending.pop(pid))
-
-    def announce(self, event: JobEvent) -> None:
-        """Re-number an executor's per-cell event into the sweep's own
-        1..total sequence and pass it on."""
-        self._emit(event.point, event.workload, event.isa, event.status,
-                   event.wall_seconds)
-
-    def accept(self, job: Job, run: WorkloadRun) -> None:
-        """:meth:`record` one cell, then emit its progress event."""
-        self.record(job, run)
         self._emit(job.point, job.workload, job.isa,
                    "failed" if run.error else "ok", run.wall_seconds)
 
@@ -741,13 +732,14 @@ def execute_sweep_request(
 ) -> SweepResults:
     """Run (or resume) one :class:`~repro.core.requests.SweepRequest` —
     THE sweep entry point shared by ``Session.sweep``, the ``repro sweep``
-    CLI, and the daemon's ``POST /v1/sweep``: the serial/pool dispatch
-    policy over a :class:`SweepLedger`.
+    CLI, and the daemon's ``POST /v1/sweep``: the local dispatch policy
+    over a :class:`SweepLedger`.
 
     :param progress: per-cell :class:`JobEvent` callback; replayed points
         emit one event per cell with status ``"journal"``.
-    :param execute: test hook — replaces the per-cell worker entry point
-        (same contract as :func:`repro.harness.parallel.run_jobs`); forces
+    :param execute: test hook — simulates one :class:`Job` and returns
+        its run payload in place of the usual cell path; an in-process
+        callable, so it forces the serial loop without a job timeout, and
         ``execution="execute"`` since the hook bypasses the trace store.
 
     Both are execution-side arguments: callables cannot ride the wire.
@@ -770,7 +762,8 @@ def execute_sweep_request(
       entries or journals.
     """
     if execute is not None:
-        request = replace(request, execution="execute")
+        request = replace(request, execution="execute", jobs=1,
+                          job_timeout=None)
     return _dispatch(SweepLedger(request, progress), execute)
 
 
@@ -791,21 +784,28 @@ def execute_suite_request(
 def _dispatch(ledger: SweepLedger,
               execute: Optional[Callable[[Job], "Dict[str, object]"]] = None
               ) -> SweepResults:
-    """The serial/pool dispatch policy over a ledger: its live cells
-    phase by phase, through the pool when more than one worker and cell
-    are in play and inline otherwise, then the drift guard."""
+    """The local dispatch policy over a ledger.  With more than one
+    worker and live cell in play, that many workers forked from this
+    process lease the live cells from an in-process coordinator over
+    the ledger (:class:`~repro.dist.DistSweep`, which runs the drift
+    guard).  Otherwise the cells run here phase by phase — each in a
+    forked child when the request has a job timeout — then the guard."""
     request = ledger.request
+    timeout = request.job_timeout
     try:
-        for batch in ledger.phases(ledger.open()):
-            pool_size = min(resolve_jobs(request.jobs), len(batch))
-            if pool_size > 1:
-                run_jobs(batch, max_workers=pool_size,
-                         timeout=request.job_timeout, execute=execute,
-                         progress=ledger.announce, on_result=ledger.record)
-            else:
+        live = ledger.open()
+        workers = min(resolve_jobs(request.jobs), len(live))
+        if workers > 1:
+            from ..dist.coordinator import DistSweep
+
+            DistSweep(ledger, live=live, workers=workers).start().wait()
+        else:
+            for batch in ledger.phases(live):
                 for job in batch:
-                    ledger.accept(job, run_job_inline(job, execute))
-        ledger.verify()
+                    ledger.accept(job, run_job_inline(job, execute)
+                                  if timeout is None
+                                  else run_cell(job.request, timeout=timeout))
+            ledger.verify()
     finally:
         ledger.close()
     return ledger.results

@@ -1,11 +1,11 @@
-"""Experiment harness: the cell runner, parallel fan-out, result cache,
+"""Experiment harness: the cell runner, forked timed cells, result cache,
 figure generators, hardware proxy.  The (workload x ISA) matrix runs
 through the sweep ledger (:func:`repro.explore.sweep.execute_suite_request`)."""
 
 from .cache import ResultCache, job_fingerprint, source_tree_stamp
 from .figures import ALL_FIGURES
 from .hardware_model import correlate, hardware_cycles, table07_rows
-from .parallel import Job, JobEvent, run_jobs
+from .parallel import Job, JobEvent
 from .runner import (
     SuiteResults,
     WorkloadRun,
@@ -26,7 +26,6 @@ __all__ = [
     "execute_run_request",
     "hardware_cycles",
     "job_fingerprint",
-    "run_jobs",
     "run_workload",
     "source_tree_stamp",
     "table07_rows",

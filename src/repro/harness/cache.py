@@ -346,8 +346,8 @@ class TraceStore(_FileStore):
     by :func:`trace_fingerprint` under :class:`ResultCache`'s best-effort
     contract: corrupt or truncated entries read as misses and
     are discarded so the next capture rewrites them, and write failures
-    degrade to "re-capture next time", never to an error.  Pool workers
-    of a sweep all point at the same directory, so whichever worker
+    degrade to "re-capture next time", never to an error.  The local
+    workers of a sweep all point at the same directory, so whichever worker
     captures first publishes the trace for every other point.
     """
 

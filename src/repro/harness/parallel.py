@@ -1,42 +1,38 @@
-"""Process-pool fan-out for the (workload x ISA) simulation matrix.
+"""Where one cell of the (workload x ISA) simulation matrix runs.
 
-The matrix is embarrassingly parallel — every (workload, ISA, scale, seed)
-cell simulates independently — so :func:`run_jobs` spreads cells across a
-:class:`~concurrent.futures.ProcessPoolExecutor` and reduces the results
-back into a deterministic, submission-ordered mapping that is
-stat-identical to running the same cells serially.  Its one matrix caller
-is the sweep ledger's dispatch loop (:mod:`repro.explore.sweep`).
+A cell (:class:`Job`: a :class:`~repro.core.requests.RunRequest` plus
+its sweep-point tag) runs in this process — :func:`run_job_inline` for
+the sweep ledger's serial loop, :func:`run_cell` for a resident caller
+(the serve scheduler, a dist worker) against its shared trace store —
+or, when it has a wall-clock limit, in a child :func:`fork` makes: the
+child sends the run back as one :func:`send_frame` frame over a
+socketpair, an overrun child is SIGKILLed and reaped, and a child that
+dies leaves the cell marked failed with an error saying so.
 
-Failure policy (a worker must never take the suite down with it):
-
-* a worker that *raises* surfaces as a marked-failed :class:`WorkloadRun`
-  carrying the exception message;
-* a worker that exceeds the per-job timeout is recorded as failed with a
-  timeout message and its pool process is terminated at shutdown so the
-  suite cannot hang on it;
-* a worker that *dies* (crash, ``os._exit``, OOM-kill) breaks the pool for
-  every job still in flight; those jobs are retried inline in the parent
-  process, and only jobs that fail again stay failed.
-
-Results cross the process boundary as the same JSON-friendly payloads the
-on-disk cache stores (:meth:`WorkloadRun.to_payload`), keeping transport,
-persistence, and the golden-stats format identical.
+``--jobs N`` is not fanned out here: the sweep ledger's dispatch loop
+(:mod:`repro.explore.sweep`) forks N dist workers
+(:class:`~repro.dist.DistSweep`, through :func:`fork` as well) that
+lease the cells from an in-process coordinator.  Wherever a cell runs,
+one that raises comes back as a marked-failed
+:class:`~repro.harness.runner.WorkloadRun` carrying the exception
+message, never as a raise, and a run crosses a process boundary as the
+JSON-friendly payload the on-disk cache stores
+(:meth:`WorkloadRun.to_payload`).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import socket
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from ..common.config import GpuConfig
 from ..core.requests import RunRequest
-from ..obs.host import span
-from ..obs.trace import TraceConfig
 from .cache import job_fingerprint
 
 T = TypeVar("T")
@@ -46,11 +42,10 @@ T = TypeVar("T")
 class Job:
     """One cell of the simulation matrix.
 
-    Since the request-object redesign a job *is* a serializable
-    :class:`~repro.core.requests.RunRequest` plus pool bookkeeping: the
-    request rides across the process boundary (frozen, picklable) and is
-    the exact same object the CLI, ``Session``, and the ``repro serve``
-    daemon execute — one schema, one code path.
+    A job *is* a serializable :class:`~repro.core.requests.RunRequest`
+    plus its sweep-point tag: the request is the exact same object the
+    CLI, ``Session``, and the ``repro serve`` daemon execute — one
+    schema, one code path.
     """
 
     request: RunRequest
@@ -70,32 +65,8 @@ class Job:
         return self.request.isa
 
     @property
-    def scale(self) -> float:
-        return self.request.scale
-
-    @property
-    def seed(self) -> int:
-        return self.request.seed
-
-    @property
     def config(self) -> GpuConfig:
         return self.request.config
-
-    @property
-    def trace(self) -> Optional[TraceConfig]:
-        return self.request.trace
-
-    @property
-    def execution(self) -> str:
-        return self.request.execution
-
-    @property
-    def trace_dir(self) -> Optional[str]:
-        return self.request.trace_dir
-
-    @property
-    def engine(self) -> str:
-        return self.request.engine
 
     @property
     def key(self) -> "Tuple[str, ...]":
@@ -107,7 +78,7 @@ class Job:
     def fingerprint(self) -> str:
         """This cell's key in the persistent result cache."""
         return job_fingerprint(self.config, self.workload, self.isa,
-                               self.scale, self.seed)
+                               self.request.scale, self.request.seed)
 
     def describe(self) -> str:
         prefix = f"[{self.point}] " if self.point else ""
@@ -120,7 +91,7 @@ class JobEvent:
 
     workload: str
     isa: str
-    status: str          # "hit" | "ok" | "failed" | "timeout" | "journal"
+    status: str          # "hit" | "ok" | "failed" | "journal"
     wall_seconds: float
     index: int           # 1-based position in the suite
     total: int
@@ -138,24 +109,6 @@ class JobEvent:
 
 ProgressFn = Callable[[JobEvent], None]
 
-#: called with (job, run) as each result lands, in submission order —
-#: the sweep journal appends a point the moment its last cell resolves.
-ResultFn = Callable[[Job, object], None]
-
-
-def execute_job(job: Job) -> "Dict[str, object]":
-    """Worker entry point: simulate one job, return its payload.
-
-    Must stay a module-level function so the pool can pickle it; imports
-    lazily to keep worker start-up (and the parallel<->runner import
-    cycle) cheap.  Executes the job's request through the same
-    :func:`~repro.harness.runner.execute_run_request` path as every
-    other surface.
-    """
-    from .runner import execute_run_request
-
-    return execute_run_request(job.request).to_payload()
-
 
 def _failed_run(job: Job, message: str, wall: float) -> "object":
     from .runner import WorkloadRun
@@ -164,19 +117,19 @@ def _failed_run(job: Job, message: str, wall: float) -> "object":
 
 
 def run_job_inline(
-    job: Job, execute: Optional[Callable[[Job], "Dict[str, object]"]] = None
+    job: Job, execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
+    trace_store: "Optional[object]" = None,
 ) -> "object":
-    """Run one job in this process with the same failure capture as a
-    worker: an exception becomes a marked-failed run, never a raise.
-    Without a custom ``execute`` the run never leaves the process, so it
-    is handed over as it is rather than through the (lossless) payload
-    encoding a worker's result crosses back in."""
+    """Run one job in this process with failure capture: an exception
+    becomes a marked-failed run, never a raise.  Without a custom
+    ``execute`` the run never leaves the process, so it is handed over
+    as it is rather than through the (lossless) payload encoding."""
     from .runner import WorkloadRun, execute_run_request
 
     start = time.monotonic()
     try:
         if execute is None:
-            return execute_run_request(job.request)
+            return execute_run_request(job.request, trace_store=trace_store)
         return WorkloadRun.from_payload(execute(job))
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
         return _failed_run(
@@ -208,16 +161,103 @@ def trace_groups(items: Sequence[T]) -> "Dict[str, List[T]]":
 
 def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
              timeout: Optional[float] = None) -> "object":
-    """Run one cell for a resident caller (the serve scheduler, a dist
-    worker) against its shared ``trace_store``.  With ``timeout`` set the
-    cell rides a one-worker pool instead, whose terminate-on-overrun
-    machinery turns a wedged simulation into a marked-failed run."""
-    if timeout is not None:
-        job = Job(request=request)
-        return run_jobs([job], max_workers=1, timeout=timeout)[job.key]
-    from .runner import execute_run_request
+    """Run one cell against a resident caller's shared ``trace_store``
+    (the serve scheduler, a dist worker, the sweep's serial loop).  With
+    ``timeout`` set the cell runs in a forked child: past the limit the
+    child is SIGKILLed and reaped and the cell comes back marked failed
+    "timed out after ...s"; a child that dies comes back marked failed
+    naming its exit status."""
+    from .runner import WorkloadRun, execute_run_request
 
-    return execute_run_request(request, trace_store=trace_store)
+    if timeout is None:
+        return execute_run_request(request, trace_store=trace_store)
+    job = Job(request=request)
+    start = time.monotonic()
+    ours, theirs = socket.socketpair()
+    with ours:
+        child = fork(lambda: send_frame(theirs, run_job_inline(
+            job, trace_store=trace_store).to_payload()), close=(ours,))
+        theirs.close()
+        ours.settimeout(timeout)
+        try:
+            return WorkloadRun.from_payload(recv_frame(ours))
+        except TimeoutError:  # no frame within the limit
+            os.kill(child.pid, signal.SIGKILL)
+            error = f"timed out after {timeout:g}s"
+        except OSError:       # EOF or a cut frame: the child died
+            error = (f"cell process died (exit status "
+                     f"{child.poll(block=True)})")
+        finally:
+            child.poll(block=True)
+    return _failed_run(job, error, time.monotonic() - start)
+
+
+def send_frame(sock: socket.socket, obj: object) -> None:
+    """One frame: the pickle's length (4 bytes, big-endian), the pickle."""
+    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    sock.sendall(len(body).to_bytes(4, "big") + body)
+
+
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = sock.recv(min(size - len(buf), 1 << 20))
+        if not chunk:
+            raise ConnectionError(f"pipe closed {len(buf)}/{size} bytes in")
+        buf += chunk
+    return buf
+
+
+def recv_frame(sock: socket.socket) -> object:
+    """The next frame's object; ConnectionError (an OSError) on EOF, a
+    frame shorter than its length, or a body that does not unpickle."""
+    body = _recv_exact(sock, int.from_bytes(_recv_exact(sock, 4), "big"))
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # noqa: BLE001 - any bad pickle fails closed
+        raise ConnectionError(f"undecodable frame: {exc!r}") from exc
+
+
+class ForkedProcess:
+    """A child :func:`fork` made: ``pid`` and ``poll`` as on
+    ``subprocess.Popen``; ``block`` reaps it."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self, block: bool = False) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
+def fork(body: Callable[[], object],
+         close: Iterable[socket.socket] = ()) -> ForkedProcess:
+    """Run ``body`` in a forked child, which already holds every module
+    a cell needs.  The child restores the default SIGTERM/SIGINT
+    handlers, sends stdout/stderr to devnull, closes ``close`` (the pipe
+    ends that are not its own) and leaves through ``os._exit`` on every
+    path: 0 when ``body`` returns, 1 when it raises — it never runs on
+    into its parent's code."""
+    pid = os.fork()
+    if pid:
+        return ForkedProcess(pid)
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        devnull = os.open(os.devnull, os.O_RDWR)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        for end in close:
+            end.close()
+        body()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -232,107 +272,3 @@ def resolve_jobs(jobs: Optional[int]) -> int:
         except AttributeError:  # macOS/Windows
             return max(1, os.cpu_count() or 1)
     return jobs
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    max_workers: int,
-    timeout: Optional[float] = None,
-    execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
-    progress: Optional[ProgressFn] = None,
-    on_result: Optional[ResultFn] = None,
-) -> "Dict[Tuple[str, ...], object]":
-    """Fan ``jobs`` out over ``max_workers`` processes.
-
-    Returns ``{job.key: WorkloadRun}`` with keys inserted in submission
-    order regardless of completion order, so downstream consumers observe
-    exactly the ordering the serial path produces.  ``on_result`` fires
-    per job as its result lands (also in submission order), before the
-    corresponding ``progress`` event.
-    """
-    from .runner import WorkloadRun
-
-    execute = execute or execute_job
-    results: "Dict[Tuple[str, ...], object]" = {}
-    if not jobs:
-        return results
-
-    max_workers = min(max_workers, len(jobs))
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    timed_out = False
-    pool_broken = False
-    try:
-        futures = []
-        submitting = True
-        for job in jobs:
-            future = None
-            if submitting:
-                try:
-                    future = pool.submit(execute, job)
-                except BrokenProcessPool:
-                    # A worker died while we were still submitting; the
-                    # unsubmitted tail finishes in-process below.
-                    submitting = False
-            futures.append((job, future))
-        for index, (job, future) in enumerate(futures):
-            start = time.monotonic()
-            status = "ok"
-            if future is None or pool_broken:
-                # The pool died under us; finish the tail in-process.
-                run = run_job_inline(job, execute)
-                status = "failed" if getattr(run, "error", None) else "ok"
-            else:
-                try:
-                    with span("pool.ipc"):
-                        run = WorkloadRun.from_payload(
-                            future.result(timeout=timeout))
-                except FuturesTimeoutError:
-                    future.cancel()
-                    timed_out = True
-                    status = "timeout"
-                    run = _failed_run(
-                        job,
-                        f"timed out after {timeout:g}s",
-                        time.monotonic() - start,
-                    )
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    run = run_job_inline(job, execute)
-                    if getattr(run, "error", None):
-                        run.error = (
-                            f"worker process died ({exc}); inline retry "
-                            f"failed: {run.error}"
-                        )
-                        status = "failed"
-                except Exception as exc:  # raised inside the worker
-                    status = "failed"
-                    run = _failed_run(
-                        job,
-                        f"{type(exc).__name__}: {exc}",
-                        time.monotonic() - start,
-                    )
-            results[job.key] = run
-            if on_result is not None:
-                on_result(job, run)
-            if progress is not None:
-                progress(JobEvent(
-                    workload=job.workload,
-                    isa=job.isa,
-                    status=status,
-                    wall_seconds=getattr(run, "wall_seconds", 0.0),
-                    index=index + 1,
-                    total=len(jobs),
-                    point=job.point,
-                ))
-    finally:
-        if timed_out:
-            # A stuck worker would make a graceful shutdown wait forever;
-            # cancel what never started and terminate what never finished.
-            processes = list(getattr(pool, "_processes", {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return results

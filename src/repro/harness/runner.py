@@ -8,7 +8,7 @@ surface runs a cell through; :class:`SuiteResults` is the (workload x
 ISA) matrix.  The matrix itself is run by the sweep ledger
 (:func:`repro.explore.sweep.execute_suite_request`): a suite is a sweep
 with zero axes, so suites and sweeps share one cache lookup, one
-progress stream, one pool fan-out and one deterministic reduce.
+progress stream, one ``--jobs`` fan-out and one deterministic reduce.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def execute_run_request(
     trace_store: Optional[TraceStore] = None,
 ) -> WorkloadRun:
     """Execute one :class:`~repro.core.requests.RunRequest` — THE entry
-    point for single cells: ``Session.run``, the CLI, pool workers, and
+    point for single cells: ``Session.run``, the CLI, forked workers, and
     the ``repro serve`` scheduler all land here, so the engine fold,
     trace-store resolution, and execution-mode handling can never drift
     between surfaces.

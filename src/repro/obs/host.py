@@ -4,8 +4,8 @@ The simulated machine publishes cycle events on a
 :class:`~repro.obs.trace.TraceBus`; this module is the host's
 counterpart.  Each layer boundary of the pipeline (a cell, one kernel's
 codegen or finalize, staging, a dispatch's functional pass and CU loop,
-a workgroup's decode and fold, a store read or write, a pool, HTTP or
-dist round trip) runs inside ``with span(name, **attrs) as attrs:``, and
+a workgroup's decode and fold, a store read or write, an HTTP or dist
+round trip) runs inside ``with span(name, **attrs) as attrs:``, and
 the body may add to ``attrs`` what it learns (the path a lookup took,
 what a pass returned).  DESIGN.md ("Host spans") has the table of names.
 

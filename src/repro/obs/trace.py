@@ -18,7 +18,7 @@ Volume control:
 
 The result of a traced run is an immutable :class:`TraceData`, which is
 JSON-serializable (:meth:`TraceData.to_payload`) so traces survive the
-harness's process-pool fan-out and can be exported to Chrome
+trip back from a forked worker and can be exported to Chrome
 ``trace_event`` JSON or JSONL (see :mod:`repro.obs.export`).
 """
 
@@ -57,8 +57,8 @@ def _normalize(categories: Sequence[str]) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """What to record.  Hashable and picklable (crosses the process pool
-    inside a :class:`repro.harness.parallel.Job`)."""
+    """What to record.  Hashable and picklable (rides inside a
+    :class:`repro.harness.parallel.Job`'s request)."""
 
     categories: Tuple[str, ...] = CATEGORIES
     sample_every: int = 1

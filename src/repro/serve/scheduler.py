@@ -24,9 +24,9 @@ groups therefore cost exactly K functional executions, which is where
 the warm-daemon latency win comes from.
 
 Run cells execute through :func:`repro.harness.parallel.run_cell`, the
-same call a dist worker makes; with ``job_timeout`` set it rides a
-one-worker pool whose timeout/terminate machinery brings a wedged cell
-back as a marked-failed run instead of wedging the daemon.
+same call a dist worker makes; with ``job_timeout`` set each runs in a
+forked child that is killed on overrun, so a wedged cell comes back as
+a marked-failed run instead of wedging the daemon.
 """
 
 from __future__ import annotations
@@ -229,8 +229,9 @@ class Scheduler:
 
     def _normalize(self, request: AnyRequest) -> AnyRequest:
         """Pin the daemon's shared store/cache dirs onto requests that
-        left them defaulted, so every execution path (in-process batch,
-        pool worker) resolves the same directories."""
+        left them defaulted, so every execution path (a batched run
+        cell, a suite or sweep and its workers) resolves the same
+        directories."""
         updates: Dict[str, object] = {}
         if self.trace_dir is not None and request.trace_dir is None:
             updates["trace_dir"] = self.trace_dir

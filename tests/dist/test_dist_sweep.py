@@ -107,10 +107,8 @@ class CountingExecute:
         self.cells = []
 
     def __call__(self, job):
-        from repro.harness.parallel import execute_job
-
         self.cells.append(job.key)
-        return execute_job(job)
+        return job.request.execute().to_payload()
 
 
 class TestCrossPathResume:

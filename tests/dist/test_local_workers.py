@@ -4,10 +4,10 @@ remote fleet runs.
 
 A forked child must leave through ``os._exit`` on every path (else a
 failure would carry on running its parent's code — here, pytest), must
-not inherit the coordinator's signal handlers, output or listening
-socket (the daemon starts after the last fork), must hold its own end
-of its socketpair and no other socket, and must see the journal fully
-written.  Every local worker is built by
+not inherit the coordinator's signal handlers or output, must hold its
+own end of its socketpair and no other socket (nothing listens: only
+``run_dist_sweep`` adds a daemon, after the last fork), and must see
+the journal fully written.  Every local worker is built by
 ``build_worker`` with the request's ``job_timeout``."""
 
 import json
@@ -89,7 +89,6 @@ def test_forked_children_start_clean(tmp_path, monkeypatch, serial_digest):
         journal = sweep.coordinator.ledger.journal.path
         at_fork.append({
             "threads": threading.active_count(),
-            "listening": sweep.server is not None,
             "pipes": [[_inode(end) for end in pair] for pair in sweep.pipes],
             "journal": [json.loads(line)["type"]
                         for line in journal.read_text().splitlines()],
@@ -125,7 +124,6 @@ def test_forked_children_start_clean(tmp_path, monkeypatch, serial_digest):
     assert len(at_fork) == 2
     for record in at_fork:
         assert record["threads"] == threads_before   # no thread of ours
-        assert not record["listening"]               # the daemon comes later
         assert record["journal"] == ["header"]       # nothing buffered
     assert at_fork[0]["pipes"] == at_fork[1]["pipes"]   # all made first
     # A child still asking for work when the sweep is done is killed.
@@ -166,6 +164,31 @@ def test_a_failing_child_exits_and_the_sweep_finishes_inline(
     assert journal_digest(results.journal_path) == serial_digest
 
 
+def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
+    """A forked worker that dies inside a cell closes its pipe, and its
+    lease goes back then, not after the 600 s TTL: the other worker runs
+    the dead one's cells, and the death still counts as an expiry."""
+    parent = os.getpid()
+    real_run_cell = Worker._run_cell
+
+    def run_cell(self, request):
+        if os.getpid() != parent and self.worker_id == "local-0":
+            os._exit(3)
+        return real_run_cell(self, request)
+
+    monkeypatch.setattr(Worker, "_run_cell", run_cell)
+    sweep = DistSweep(_request(tmp_path, "dead", workloads=("spmv", "bitonic")),
+                      workers=2, lease_ttl=600)
+    results = sweep.start().wait(timeout=120)
+
+    assert sweep.processes[0].returncode == 3
+    assert results.workers["local-0"].cells == 0
+    assert results.expiries == results.workers["local-0"].expiries == 1
+    runs = [run for pr in results.points for run in pr.runs.values()]
+    assert len(runs) == 2 * CELLS
+    assert all(run.error is None and run.verified for run in runs)
+
+
 def test_local_workers_honour_the_job_timeout(tmp_path):
     def failed(workers):
         results = run_dist_sweep(
@@ -200,4 +223,6 @@ def test_dist_worker_cli_against_a_coordinator(tmp_path, serial_digest):
     assert coordinator.done
     results = coordinator.finish()
     assert results.workers["cli-0"].cells == CELLS
+    # Its own store is elsewhere, so the captured trace was pushed back.
+    assert list(coordinator.store.directory.glob("*.trace"))
     assert journal_digest(results.journal_path) == serial_digest

@@ -13,7 +13,6 @@ from repro.explore.sweep import (
     execute_sweep_request,
     sweep_fingerprint,
 )
-from repro.harness.parallel import execute_job
 from repro.harness.runner import run_workload
 
 AXES = [Axis("cu.vrf_banks", (2, 4))]
@@ -40,7 +39,7 @@ class CountingExecute:
 
     def __call__(self, job):
         self.calls.append(job.describe())
-        return execute_job(job)
+        return job.request.execute().to_payload()
 
 
 class TestSweepFingerprint:

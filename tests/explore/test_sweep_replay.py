@@ -86,6 +86,14 @@ class TestAutoSweep:
         assert results.replays == 6
         assert results.replay_drift == 0
 
+    def test_job_timeout_holds_when_one_cell_captures(self, tmp_path):
+        """Two workers, one trace group: the one capture is timed too."""
+        results = _sweep(tmp_path, jobs=2, job_timeout=0.001,
+                         axis="l1d.size_bytes=8k,16k", isas=("gcn3",))
+        runs = [run for pr in results.points for run in pr.runs.values()]
+        assert len(runs) == 2
+        assert all(run.error == "timed out after 0.001s" for run in runs)
+
 
 class TestStrictAndDegraded:
     def test_strict_replay_against_warm_store(self, tmp_path):

@@ -1,14 +1,20 @@
-"""Parallel fan-out: determinism vs the serial path, failure isolation."""
+"""``--jobs`` fan-out (forked workers leasing from an in-process
+coordinator): determinism vs the serial path, failure isolation, and
+job timeouts at every ``jobs`` value."""
 
-import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.config import small_config
 from repro.core import Session
-from repro.harness.parallel import Job, JobEvent, resolve_jobs, run_job_inline, run_jobs
+from repro.harness import runner
+from repro.harness.parallel import Job, JobEvent, resolve_jobs, run_job_inline
 from repro.harness.runner import run_workload
 
 WORKLOADS = ["arraybw", "comd", "bitonic"]
@@ -23,28 +29,37 @@ def _jobs(workloads=WORKLOADS, isas=("hsail", "gcn3"), config=None):
             for w in workloads for isa in isas]
 
 
-# ---- failure-injection worker functions ------------------------------------
-# Module-level so the process pool can pickle them.
+# ---- failure injection -------------------------------------------------------
+# Stand-ins for ``runner.execute_run_request``, which every cell runs
+# through; a forked worker inherits the patch.
 
-def _exec_raise_on_comd(job):
-    from repro.harness.parallel import execute_job
+_execute = runner.execute_run_request
+_PARENT = os.getpid()
 
-    if job.workload == "comd":
+
+def _exec_raise_on_comd(request, trace_store=None):
+    if request.workload == "comd":
         raise RuntimeError("injected failure for comd")
-    return execute_job(job)
+    return _execute(request, trace_store=trace_store)
 
 
-def _exec_sleep_forever(job):
+def _exec_sleep_forever(request, trace_store=None):
     time.sleep(600)
 
 
-def _exec_die_in_worker(job):
-    """Hard-crash the worker process; succeed when retried in the parent."""
-    from repro.harness.parallel import execute_job
-
-    if multiprocessing.parent_process() is not None:
+def _exec_die_in_worker(request, trace_store=None):
+    """Hard-crash a forked worker; succeed when retried in the parent."""
+    if os.getpid() != _PARENT:
         os._exit(3)   # simulates a segfault/OOM-kill: no exception, no result
-    return execute_job(job)
+    return _execute(request, trace_store=trace_store)
+
+
+def _suite(monkeypatch, execute, workloads=WORKLOADS, jobs=2, **kw):
+    """A ``jobs=2`` suite's runs with every cell executed by ``execute``."""
+    monkeypatch.setattr(runner, "execute_run_request", execute)
+    return Session(small_config(2)).suite(
+        scale=SCALE, workloads=workloads, seed=SEED, use_cache=False,
+        jobs=jobs, **kw).runs
 
 
 class TestDeterminism:
@@ -127,8 +142,8 @@ class TestSuiteCacheKey:
 
 
 class TestFailureIsolation:
-    def test_raising_worker_marks_run_failed(self):
-        results = run_jobs(_jobs(), max_workers=2, execute=_exec_raise_on_comd)
+    def test_raising_worker_marks_run_failed(self, monkeypatch):
+        results = _suite(monkeypatch, _exec_raise_on_comd)
         assert len(results) == 6
         for (workload, _isa), run in results.items():
             if workload == "comd":
@@ -139,58 +154,41 @@ class TestFailureIsolation:
                 assert run.error is None
                 assert run.verified
 
-    def test_timeout_marks_run_failed_without_hanging(self):
+    def test_timeout_marks_run_failed_without_hanging(self, monkeypatch):
         start = time.monotonic()
-        results = run_jobs(_jobs(["arraybw"]), max_workers=2,
-                           timeout=0.5, execute=_exec_sleep_forever)
+        results = _suite(monkeypatch, _exec_sleep_forever, ["arraybw"],
+                         job_timeout=0.5)
         elapsed = time.monotonic() - start
         assert elapsed < 30, "suite hung on a stuck worker"
         assert len(results) == 2
         for run in results.values():
-            assert run.error is not None and "timed out" in run.error
+            assert run.error == "timed out after 0.5s"
 
-    def test_dead_worker_retried_inline(self):
-        results = run_jobs(_jobs(["arraybw"]), max_workers=1,
-                           execute=_exec_die_in_worker)
+    def test_dead_worker_retried_inline(self, monkeypatch):
+        """Both forked workers die inside a cell: each lease goes back,
+        and this process finishes the cells."""
+        results = _suite(monkeypatch, _exec_die_in_worker, ["arraybw"])
         assert len(results) == 2
         for run in results.values():
             assert run.error is None, run.error
             assert run.verified
 
-    def test_worker_death_during_submission_retried_inline(self, monkeypatch):
-        """A worker that dies before the last ``submit`` makes ``submit``
-        itself raise; the unsubmitted tail must still finish inline."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.harness import parallel
-        from repro.harness.parallel import execute_job
-
-        class DiesAfterFirstSubmit:
-            def __init__(self, max_workers):
-                self.submitted = 0
-
-            def submit(self, fn, job):
-                self.submitted += 1
-                if self.submitted > 1:
-                    raise BrokenProcessPool("a child process terminated")
-                future = Future()
-                future.set_exception(BrokenProcessPool("pool died"))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
-                            DiesAfterFirstSubmit)
-        events = []
-        results = run_jobs(_jobs(["arraybw"]), max_workers=1,
-                           execute=execute_job, progress=events.append)
-        assert len(results) == 2
+    def test_a_dead_timed_cell_says_so(self, monkeypatch):
+        """Under a job timeout a cell runs in a child of its own; one
+        that dies is a failed cell naming the exit, not a retry."""
+        results = _suite(monkeypatch, _exec_die_in_worker, ["arraybw"],
+                         jobs=1, job_timeout=60)
         for run in results.values():
-            assert run.error is None, run.error
-            assert run.verified
-        assert [e.status for e in events] == ["ok", "ok"]
+            assert run.error == "cell process died (exit status 3)"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_job_timeout_holds_at_every_jobs_value(self, jobs):
+        results = Session(small_config(2)).suite(
+            scale=SCALE, workloads=["arraybw"], seed=SEED, use_cache=False,
+            jobs=jobs, job_timeout=0.001)
+        assert len(results.runs) == 2
+        for run in results.runs.values():
+            assert run.error == "timed out after 0.001s"
 
     def test_inline_capture_never_raises(self):
         run = run_job_inline(_jobs(["no-such-workload"], ["gcn3"])[0])
@@ -242,6 +240,44 @@ class TestProgressEvents:
         event = JobEvent("comd", "gcn3", "miss", 1.234, 3, 20)
         line = event.format()
         assert "comd/gcn3" in line and "[3/20]" in line and "1.23s" in line
+
+
+def test_a_traced_suite_keeps_its_events_under_jobs():
+    """A forked worker runs the ledger's own cell requests, so a traced
+    suite's cells come back with their events."""
+    from repro.obs import TraceConfig
+
+    results = Session(small_config(2)).suite(
+        scale=SCALE, workloads=["arraybw"], seed=SEED, jobs=2,
+        trace=TraceConfig(max_events=10))
+    for run in results.runs.values():
+        assert run.verified and len(run.trace.events) == 10
+
+
+def test_no_process_pool_is_imported():
+    """Every ``repro`` module imported and a ``jobs=2`` suite run, and
+    still no ``concurrent.futures``: the forked workers are the one way
+    a cell leaves the process."""
+    script = """
+import pkgutil, importlib, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__":
+        importlib.import_module(info.name)
+from repro.common.config import small_config
+from repro.core import Session
+runs = Session(small_config(2)).suite(scale=0.1, workloads=["arraybw"],
+                                      use_cache=False, jobs=2).runs
+assert all(run.verified for run in runs.values())
+print(sorted(name for name in sys.modules
+             if name.startswith("concurrent")))
+"""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestResolveJobs:

@@ -28,9 +28,7 @@ import pytest
 
 from repro.common.config import small_config
 from repro.harness.cache import TraceStore, trace_fingerprint
-from repro.harness.parallel import Job, run_jobs
-from repro.harness.runner import (ISAS, RunRequest, WorkloadRun,
-                                  clear_suite_cache, run_workload)
+from repro.harness.runner import ISAS, clear_suite_cache, run_workload
 from repro.obs import host
 from repro.obs.host import span
 from repro.runtime.process import GpuProcess
@@ -263,17 +261,19 @@ class TestProvenance:
             "disk", "memo", "miss"]
 
 
-def _payload(job):
-    return WorkloadRun.failure(job.workload, job.isa, "synthetic").to_payload()
+def test_jobs_cells_cross_as_pipe_reports():
+    """A ``jobs=2`` suite's cells come back to this process as one
+    ``dist.pipe`` report frame each; nothing goes over HTTP."""
+    from repro.core import Session
 
-
-def test_pool_ipc_span_per_job():
-    jobs = [Job(RunRequest(workload=name, isa="gcn3"))
-            for name in ("arraybw", "spmv")]
-    results, records = _recorded(
-        lambda: run_jobs(jobs, max_workers=2, execute=_payload))
-    assert len(results) == 2
-    assert [r["name"] for r in records] == ["pool.ipc", "pool.ipc"]
+    results, records = _recorded(lambda: Session(small_config(2)).suite(
+        scale=0.1, workloads=["arraybw", "spmv"], use_cache=False, jobs=2))
+    assert all(run.verified for run in results.runs.values())
+    names = Counter(r["name"] for r in records)
+    assert names["http.request"] == 0 and names["dist.report"] == 4
+    reports = [r for r in records if r["name"] == "dist.pipe"
+               and r["attrs"]["verb"] == "report"]
+    assert len(reports) == 4 and all(r["attrs"]["ok"] for r in reports)
 
 
 def test_http_request_spans_wrap_dist_calls(tmp_path):
@@ -368,6 +368,22 @@ def test_a_local_worker_sweep_makes_no_http_request(tmp_path):
     for record in records:
         if record["name"] in ("dist.lease", "dist.report"):
             assert by_id[record["parent"]]["name"] == "dist.pipe"
+
+
+def test_a_local_worker_pushes_no_trace_back(tmp_path):
+    """A local worker's store is the coordinator's own directory, so a
+    trace it captured is already there: no ``put_trace`` frame.  Two
+    trace groups, so the first shard ends well before the sweep does."""
+    from repro.dist import run_dist_sweep
+    from tests.dist.test_local_workers import _request
+
+    results, records = _recorded(lambda: run_dist_sweep(
+        _request(tmp_path, "sync", workloads=("spmv", "bitonic")),
+        workers=1, timeout=120))
+    assert results.captures == 2 and not results.failed_points
+    verbs = Counter(r["attrs"]["verb"] for r in records
+                    if r["name"] == "dist.pipe")
+    assert verbs["report"] == 8 and verbs["put_trace"] == 0
 
 
 def layer_table(matrix):
