@@ -662,30 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delete results and traces older than this "
                               "many days")
 
-    dist_p = sub.add_parser(
-        "dist", help="distributed-sweep worker processes")
-    dist_sub = dist_p.add_subparsers(dest="dist_command", required=True)
-    worker_p = dist_sub.add_parser(
-        "worker", help="pull-based sweep worker: lease shards from a "
-                       "coordinator, stream per-cell results back",
-        parents=[_shared("trace_dir", "job_timeout", "quiet")])
-    worker_p.add_argument("--coordinator", required=True, metavar="URL",
-                          help="coordinator daemon, e.g. "
-                               "http://127.0.0.1:8650 (printed by "
-                               "'repro sweep --workers')")
-    worker_p.add_argument("--worker-id", default="",
-                          help="stable identity in the coordinator's "
-                               "report (default worker-<pid>)")
-    worker_p.add_argument("--daemon-url", metavar="URL",
-                          help="forward cells to the 'repro serve' "
-                               "daemon at URL instead of simulating "
-                               "in-process")
-    worker_p.add_argument("--poll", type=float, default=0.5,
-                          help="idle poll interval in seconds")
-    worker_p.add_argument("--connect-timeout", type=float, default=10.0,
-                          help="seconds to wait for the coordinator to "
-                               "answer /v1/healthz before giving up")
-
     diff_p = sub.add_parser("diff", help="compare two --json exports")
     diff_p.add_argument("before")
     diff_p.add_argument("after")
@@ -726,16 +702,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_main(args)
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
-    import os
-
-    from .dist.worker import worker_main
-
-    if not args.worker_id:
-        args.worker_id = f"worker-{os.getpid()}"
-    return worker_main(args)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -750,7 +716,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cache": _cmd_cache,
         "sweep": _cmd_sweep,
         "serve": _cmd_serve,
-        "dist": _cmd_dist,
     }[args.command]
     return handler(args)
 

@@ -527,8 +527,8 @@ class ShardRequest(_RequestBase):
 
     Not an executable request kind (it never rides ``POST /v1/run``-style
     endpoints or :func:`parse_request`); it travels inside the
-    coordinator's lease protocol (``/v1/dist/*``) under the same
-    ``repro-api/1`` envelope discipline.
+    coordinator's :class:`LeaseGrant` and keeps the same ``repro-api/1``
+    envelope discipline.
     """
 
     shard_id: str = wire(_str)

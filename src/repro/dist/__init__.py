@@ -10,9 +10,13 @@ leases shards to workers under heartbeat leases
 (:mod:`repro.dist.lease`), hands every streamed cell to the ledger —
 the journal's single writer — requeues expired leases with completed
 cells subtracted (zero resimulation), and lets idle workers steal from
-the largest outstanding lease.  Workers (:mod:`repro.dist.worker`) run
-cells in-process (``workers=N`` forks N local ones, each on a socketpair
-to the coordinator's process) or on remote ``repro serve`` daemons.
+the largest outstanding lease.  A worker (:mod:`repro.dist.worker`) is
+one of three kinds: a local one forked from the coordinator's process
+on its own socketpair (``workers=N``, and ``--jobs N``), an in-process
+thread that forwards cells to a ``repro serve`` daemon
+(``worker_urls``), or the inline safety net that runs what no other
+worker is left to run.  Nothing here imports the serve layer unless a
+daemon-backed worker is built.
 
 Because the serial executor writes through the same ledger, the
 distributed journal is bit-identical (modulo wall-clock fields) to the
@@ -38,7 +42,6 @@ from .shard import ShardState, group_shards, shard_id_for
 from .worker import (
     DaemonBackend,
     EmbeddedBackend,
-    HttpTransport,
     Worker,
 )
 
@@ -48,7 +51,6 @@ __all__ = [
     "DistSweep",
     "DistSweepResults",
     "EmbeddedBackend",
-    "HttpTransport",
     "LeaseState",
     "LeaseTable",
     "ShardState",

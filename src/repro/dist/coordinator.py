@@ -43,7 +43,6 @@ from ..harness.parallel import (ForkedProcess, Job, ProgressFn, _failed_run,
                                 fork, recv_frame, send_frame)
 from ..harness.runner import WorkloadRun
 from ..obs.host import span
-from ..serve.daemon import Daemon
 from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
 from .worker import PipeTransport, Worker, build_worker
@@ -144,8 +143,8 @@ class Coordinator:
     sweep under ``jobs > 1``) with ``live`` the cells its
     :meth:`~repro.explore.sweep.SweepLedger.open` returned.
 
-    Thread-safe: every public method may be called from the HTTP
-    daemon's request threads, pipe threads, in-process worker threads,
+    Thread-safe: every public method may be called from the pipe
+    threads, the in-process (inline and daemon-backed) worker threads,
     and the driver concurrently.
     """
 
@@ -441,9 +440,9 @@ PIPE_VERBS = ("lease", "renew", "report", "get_trace", "put_trace")
 
 def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
     """Answer one forked worker's :class:`PipeTransport` frames until its
-    end closes.  A coordinator error answers ``(False, message)``, as the
-    daemon answers 400; a truncated or undecodable frame closes the pipe
-    unanswered (and :class:`DistSweep` then drops the worker's leases)."""
+    end closes.  A coordinator error answers ``(False, message)``; a
+    truncated or undecodable frame closes the pipe unanswered (and
+    :class:`DistSweep` then drops the worker's leases)."""
     verbs = {verb: getattr(coordinator, verb) for verb in PIPE_VERBS}
     with sock:
         try:
@@ -454,7 +453,7 @@ def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
                         if not isinstance(verb, str) or verb not in verbs:
                             raise ReproError(f"unknown verb {verb!r}")
                         reply = (True, verbs[verb](*args))
-                    except Exception as exc:  # noqa: BLE001 - as HTTP's 400
+                    except Exception as exc:  # noqa: BLE001 - answered, not raised
                         reply = (False, f"{type(exc).__name__}: {exc}")
                     attrs["ok"] = reply[0]
                     send_frame(sock, reply)
@@ -465,10 +464,11 @@ def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
 class DistSweep:
     """One distributed sweep run: coordinator + its worker fleet.
 
-    Forked local workers reach the coordinator over one socketpair each,
-    served by one thread per pipe (:func:`serve_pipe`); nothing listens
-    on a port (:func:`run_dist_sweep` adds the HTTP daemon remote
-    workers join through).  ``request`` and ``live`` are as for
+    A worker is one of three kinds: a forked local worker on its own
+    socketpair, served by one thread per pipe (:func:`serve_pipe`); an
+    in-process thread per ``worker_urls`` entry that forwards cells to a
+    ``repro serve`` daemon; or the inline safety net :meth:`wait` runs.
+    Nothing listens on a port.  ``request`` and ``live`` are as for
     :class:`Coordinator`.  Split into :meth:`start` / :meth:`wait` so
     callers — the chaos test in particular — can reach
     :attr:`processes` mid-flight and SIGKILL a worker.
@@ -598,8 +598,6 @@ def run_dist_sweep(request: SweepRequest, *,
                    steal: bool = True,
                    max_shard_cells: Optional[int] = None,
                    progress: Optional[ProgressFn] = None,
-                   host: str = "127.0.0.1",
-                   port: int = 0,
                    timeout: Optional[float] = None,
                    log: Optional[Callable[[str], None]] = None
                    ) -> DistSweepResults:
@@ -607,28 +605,15 @@ def run_dist_sweep(request: SweepRequest, *,
 
     ``workers`` forks that many local workers from this process, each
     on its own socketpair to the coordinator, and reaps them before
-    returning; an ephemeral daemon on ``host:port`` then listens for
-    ``repro dist worker`` joiners.  ``worker_urls`` adds one in-process
-    worker per remote ``repro serve`` daemon; with neither, an embedded
-    worker runs the whole sweep inline (useful as a serial cross-check
-    of the dist path).
+    returning.  ``worker_urls`` adds one in-process worker per
+    ``repro serve`` daemon; with neither, an embedded worker runs the
+    whole sweep inline (useful as a serial cross-check of the dist
+    path).
     """
-    sweep = DistSweep(request, workers=workers, worker_urls=worker_urls,
-                      lease_ttl=lease_ttl, steal=steal,
-                      max_shard_cells=max_shard_cells, progress=progress,
-                      log=log).start()
-    server = None
-    if workers > 0 and not sweep.coordinator.done:
-        # Bound after the last fork, so no local worker holds its socket.
-        server = Daemon(None, host, port, coordinator=sweep.coordinator)
-        server.start()
-        if log is not None:
-            log(f"coordinator listening on {server.url}")
-    try:
-        return sweep.wait(timeout=timeout)
-    finally:
-        if server is not None:
-            server.close()
+    return DistSweep(request, workers=workers, worker_urls=worker_urls,
+                     lease_ttl=lease_ttl, steal=steal,
+                     max_shard_cells=max_shard_cells, progress=progress,
+                     log=log).start().wait(timeout=timeout)
 
 
 __all__ = [

@@ -6,19 +6,20 @@ report, renew — with the actual simulation delegated to a *backend*:
 * :class:`EmbeddedBackend` runs cells in this process through
   :func:`~repro.harness.parallel.run_cell` — the call the serve
   scheduler makes for a run cell — against one resident trace store, so
-  a standalone ``repro dist worker`` (or a worker a
-  :class:`~repro.dist.DistSweep` forks) gets the daemon's store sharing
-  and job timeout (a forked child per cell) without a daemon's queue.
-* :class:`DaemonBackend` forwards each cell to a remote ``repro serve``
-  daemon through :class:`~repro.serve.DaemonClient` — an already-warm
-  daemon farm becomes a sweep fleet without restarting anything.
+  a worker a :class:`~repro.dist.DistSweep` forks (or runs inline) gets
+  the daemon's store sharing and job timeout (a forked child per cell)
+  without a daemon's queue.
+* :class:`DaemonBackend` forwards each cell to a ``repro serve`` daemon
+  through :class:`~repro.serve.DaemonClient` (``/v1/run`` and
+  ``/v1/traces``) — an already-warm daemon becomes a sweep worker
+  without restarting anything.  The serve layer is imported only when
+  such a worker is built.
 
 The transport is whatever answers ``lease``/``renew``/``report``/
-``get_trace``/``put_trace``: :class:`HttpTransport` speaks a coordinator
-daemon's ``/v1/dist/*`` routes, :class:`PipeTransport` sends pickled
-frames over the socketpair of a worker :class:`~repro.dist.DistSweep`
-forks, and a :class:`~repro.dist.Coordinator` in the same process is
-its own transport (the inline and per-daemon workers, the unit tests).
+``get_trace``/``put_trace``: :class:`PipeTransport` sends pickled frames
+over the socketpair of a worker :class:`~repro.dist.DistSweep` forks,
+and a :class:`~repro.dist.Coordinator` in the same process is its own
+transport (the inline and daemon-backed workers, the unit tests).
 :func:`build_worker` builds every worker.
 
 Trace sync: a granted shard names its functional trace fingerprint.
@@ -44,7 +45,6 @@ from ..core.requests import LeaseGrant, RunRequest
 from ..harness.cache import resolve_trace_store
 from ..harness.parallel import (Job, _failed_run, recv_frame, run_cell,
                                 send_frame)
-from ..serve.client import DaemonClient, DaemonError
 
 #: transient transport failures tolerated back to back before a worker
 #: abandons its shard (the lease then expires and the work requeues).
@@ -57,47 +57,20 @@ def _parse_url(url: str):
         url = "http://" + url
     parts = urlsplit(url)
     if not parts.hostname:
-        raise ReproError(f"bad coordinator/daemon URL {url!r}")
+        raise ReproError(f"bad daemon URL {url!r}")
     return parts.hostname, parts.port or 8642
 
 
 # -- transport ----------------------------------------------------------------
 
 
-class HttpTransport:
-    """The ``/v1/dist/*`` + ``/v1/traces/*`` routes of a coordinator
-    daemon, through the retrying :class:`DaemonClient`."""
-
-    def __init__(self, client: DaemonClient) -> None:
-        self.client = client
-
-    def lease(self, worker_id: str) -> LeaseGrant:
-        return self.client.dist_lease(worker_id)
-
-    def renew(self, worker_id: str, lease_id: str) -> Dict[str, object]:
-        return self.client.dist_renew(worker_id, lease_id)
-
-    def report(self, worker_id: str, lease_id: str, cell: str,
-               run: Dict[str, object]) -> Dict[str, object]:
-        return self.client.dist_report(worker_id, lease_id, cell, run)
-
-    def get_trace(self, fingerprint: str) -> Optional[bytes]:
-        return self.client.get_trace(fingerprint)
-
-    def put_trace(self, fingerprint: str, blob: bytes) -> bool:
-        try:
-            return self.client.put_trace(fingerprint, blob)
-        except DaemonError:
-            return False  # coordinator without a store; sync is optional
-
-
 class PipeTransport:
     """The coordinator of the parent process over this end of a
     socketpair: ``(verb, args)`` out, ``(ok, value)`` back, one pair at a
     time (the renew thread shares the pipe).  A coordinator error comes
-    back as a :class:`ReproError`, as HTTP's 400 does; EOF, a truncated
-    frame or a timeout closes the pipe, and every later call raises
-    OSError."""
+    back as a :class:`ReproError`, as it does from an in-process
+    coordinator; EOF, a truncated frame or a timeout closes the pipe, and
+    every later call raises OSError."""
 
     def __init__(self, sock, timeout: float = 60.0) -> None:
         sock.settimeout(timeout)
@@ -153,10 +126,12 @@ class EmbeddedBackend:
 
 
 class DaemonBackend:
-    """Cells execute on a remote ``repro serve`` daemon; the daemon's
-    own trace store is the backend store, synced over ``/v1/traces``."""
+    """Cells execute on a ``repro serve`` daemon; the daemon's own trace
+    store is the backend store, synced over ``/v1/traces``.  A daemon's
+    refusal (a :class:`~repro.serve.DaemonError`) of a blob transfer
+    reads as "no blob"."""
 
-    def __init__(self, client: DaemonClient, *,
+    def __init__(self, client: "DaemonClient", *,
                  wait_timeout: float = 600.0) -> None:
         self.client = client
         self.wait_timeout = wait_timeout
@@ -176,13 +151,13 @@ class DaemonBackend:
     def get_blob(self, fingerprint: str) -> Optional[bytes]:
         try:
             return self.client.get_trace(fingerprint)
-        except DaemonError:
+        except ReproError:
             return None
 
     def put_blob(self, fingerprint: str, blob: bytes) -> bool:
         try:
             return self.client.put_trace(fingerprint, blob)
-        except DaemonError:
+        except ReproError:
             return False
 
 
@@ -348,22 +323,17 @@ class Worker:
                       f"{shard.trace_fp[:12]} out ({len(blob)} bytes)")
 
 
-# -- CLI entry point -----------------------------------------------------------
-
-
-def build_worker(worker_id: str, coordinator, *,
+def build_worker(worker_id: str, transport, *,
                  trace_dir: Optional[str] = None,
                  job_timeout: Optional[float] = None,
                  daemon_url: Optional[str] = None, poll: float = 0.5,
                  log: Optional[Callable[[str], None]] = None) -> Worker:
-    """The worker of ``repro dist worker`` and of a
-    :class:`~repro.dist.DistSweep`: ``coordinator`` is a URL or a
-    transport object; cells run embedded unless ``daemon_url``."""
-    transport = coordinator
-    if isinstance(coordinator, str):
-        transport = HttpTransport(DaemonClient(*_parse_url(coordinator),
-                                               client_id=worker_id))
+    """The worker of a :class:`~repro.dist.DistSweep`, on ``transport``:
+    cells run embedded unless ``daemon_url`` names a daemon to forward
+    them to."""
     if daemon_url:
+        from ..serve.client import DaemonClient
+
         backend = DaemonBackend(DaemonClient(*_parse_url(daemon_url),
                                              client_id=worker_id))
     else:
@@ -372,39 +342,10 @@ def build_worker(worker_id: str, coordinator, *,
     return Worker(worker_id, transport, backend, poll=poll, log=log)
 
 
-def worker_main(args) -> int:
-    """Entry point of ``repro dist worker`` (parsed CLI namespace)."""
-    import sys
-
-    log = ((lambda message: None) if args.quiet
-           else (lambda message: print(message, file=sys.stderr, flush=True)))
-    worker = build_worker(args.worker_id, args.coordinator,
-                          trace_dir=args.trace_dir,
-                          job_timeout=args.job_timeout,
-                          daemon_url=args.daemon_url, poll=args.poll, log=log)
-    deadline = time.monotonic() + args.connect_timeout
-    while True:
-        try:
-            worker.transport.client.healthz()
-            break
-        except (ReproError, OSError) as exc:
-            if time.monotonic() >= deadline:
-                print(f"error: coordinator {args.coordinator} unreachable: "
-                      f"{exc}", file=sys.stderr)
-                return 1
-            time.sleep(0.1)
-    if args.daemon_url:
-        log(f"{args.worker_id}: forwarding cells to daemon {args.daemon_url}")
-    worker.run()
-    return 0
-
-
 __all__ = [
     "DaemonBackend",
     "EmbeddedBackend",
-    "HttpTransport",
     "PipeTransport",
     "Worker",
     "build_worker",
-    "worker_main",
 ]

@@ -6,8 +6,9 @@ the sweep ledger's serial loop, :func:`run_cell` for a resident caller
 (the serve scheduler, a dist worker) against its shared trace store —
 or, when it has a wall-clock limit, in a child :func:`fork` makes: the
 child sends the run back as one :func:`send_frame` frame over a
-socketpair, an overrun child is SIGKILLed and reaped, and a child that
-dies leaves the cell marked failed with an error saying so.
+socketpair, an overrun child is SIGKILLed and reaped, a child that dies
+leaves the cell marked failed with an error saying so, and a child
+whose parent dies (its end of the socketpair closes) exits at once.
 
 ``--jobs N`` is not fanned out here: the sweep ledger's dispatch loop
 (:mod:`repro.explore.sweep`) forks N dist workers
@@ -26,6 +27,7 @@ import os
 import pickle
 import signal
 import socket
+import threading
 import time
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -166,7 +168,9 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
     ``timeout`` set the cell runs in a forked child: past the limit the
     child is SIGKILLed and reaped and the cell comes back marked failed
     "timed out after ...s"; a child that dies comes back marked failed
-    naming its exit status."""
+    naming its exit status.  The child dies with this process: a thread
+    of its own blocks on its end of the socketpair and exits the child
+    at EOF, which only this process's end closing can bring."""
     from .runner import WorkloadRun, execute_run_request
 
     if timeout is None:
@@ -175,8 +179,13 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
     start = time.monotonic()
     ours, theirs = socket.socketpair()
     with ours:
-        child = fork(lambda: send_frame(theirs, run_job_inline(
-            job, trace_store=trace_store).to_payload()), close=(ours,))
+        def body():
+            threading.Thread(target=_exit_at_eof, args=(theirs,),
+                             daemon=True).start()
+            send_frame(theirs, run_job_inline(
+                job, trace_store=trace_store).to_payload())
+
+        child = fork(body, close=(ours,))
         theirs.close()
         ours.settimeout(timeout)
         try:
@@ -190,6 +199,11 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
         finally:
             child.poll(block=True)
     return _failed_run(job, error, time.monotonic() - start)
+
+
+def _exit_at_eof(sock: socket.socket) -> None:
+    sock.recv(1)  # nothing is ever sent this way: returns only at EOF
+    os._exit(1)
 
 
 def send_frame(sock: socket.socket, obj: object) -> None:

@@ -18,8 +18,7 @@ Layout: :mod:`~repro.serve.protocol` (response wire types),
 :mod:`~repro.serve.scheduler` (priority queue, batching, rate limits,
 drain — synchronous and fully testable without a socket),
 :mod:`~repro.serve.daemon` (stdlib ``http.server`` HTTP/1.1 front end,
-one thread per connection, shared with the distributed-sweep
-coordinator),
+one thread per connection),
 :mod:`~repro.serve.client` (blocking ``http.client`` convenience
 wrapper).
 """

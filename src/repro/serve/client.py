@@ -29,7 +29,7 @@ import time
 from typing import Callable, Dict, Optional, Union
 
 from ..common.errors import ReproError
-from ..core.requests import AnyRequest, LeaseGrant
+from ..core.requests import AnyRequest
 from .protocol import ErrorInfo, JobStatus, MetricsSnapshot, parse_response
 
 
@@ -199,28 +199,6 @@ class DaemonClient:
             "PUT", f"/v1/traces/{fingerprint}", body=blob,
             headers={"Content-Type": "application/octet-stream"})
         return bool(payload.get("stored"))
-
-    # -- distributed-sweep worker protocol -------------------------------------
-
-    def dist_lease(self, worker_id: str) -> LeaseGrant:
-        payload = self._call("POST", "/v1/dist/lease",
-                             body=json.dumps({"worker_id": worker_id}))
-        return LeaseGrant.from_payload(payload)
-
-    def dist_renew(self, worker_id: str, lease_id: str) -> Dict[str, object]:
-        return self._call("POST", "/v1/dist/renew",
-                          body=json.dumps({"worker_id": worker_id,
-                                           "lease_id": lease_id}))
-
-    def dist_report(self, worker_id: str, lease_id: str, cell: str,
-                    run: Dict[str, object]) -> Dict[str, object]:
-        return self._call("POST", "/v1/dist/report",
-                          body=json.dumps({"worker_id": worker_id,
-                                           "lease_id": lease_id,
-                                           "cell": cell, "run": run}))
-
-    def dist_status(self) -> Dict[str, object]:
-        return self._call("GET", "/v1/dist/status")
 
 
 __all__ = ["DaemonClient", "DaemonError"]

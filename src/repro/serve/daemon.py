@@ -14,14 +14,9 @@ Routes (all payloads are versioned ``repro-api/1`` envelopes)::
     GET  /v1/traces/<fp>  fetch a trace blob     -> 200 octet-stream
     PUT  /v1/traces/<fp>  store a trace blob     -> 200 {stored: bool}
 
-When the daemon fronts a distributed-sweep coordinator
-(:class:`repro.dist.Coordinator`) instead of — or alongside — a
-scheduler, four more routes serve the pull-based worker protocol::
-
-    POST /v1/dist/lease   {worker_id}                 -> 200 LeaseGrant
-    POST /v1/dist/renew   {worker_id, lease_id}       -> 200 {ok, ttl, stolen}
-    POST /v1/dist/report  {worker_id, lease_id, cell, run} -> 200 {accepted,..}
-    GET  /v1/dist/status  coordinator progress        -> 200 {...}
+A distributed sweep uses a daemon as a worker through ``/v1/run`` and
+``/v1/traces`` (:class:`repro.dist.DaemonBackend`); its coordinator
+never listens on a port.
 
 Submission metadata that is *not* part of the request schema travels in
 headers: ``X-Repro-Priority`` (int, higher runs first) and
@@ -70,15 +65,11 @@ def _allow(method: str, path: str, want: str) -> None:
 
 
 class Daemon:
-    """One HTTP server bound to a :class:`Scheduler`, a distributed
-    coordinator, or both (``repro sweep --workers`` runs a
-    coordinator-only daemon; ``repro serve`` a scheduler-only one)."""
+    """One HTTP server bound to a :class:`Scheduler`."""
 
-    def __init__(self, scheduler: Optional[Scheduler],
-                 host: str = "127.0.0.1", port: int = 8642, *,
-                 coordinator=None) -> None:
+    def __init__(self, scheduler: Scheduler,
+                 host: str = "127.0.0.1", port: int = 8642) -> None:
         self.scheduler = scheduler
-        self.coordinator = coordinator
         self.host = host
         self.port = port          # 0 = ephemeral; real port set by start()
         #: set by ``POST /v1/shutdown`` (and by ``serve_main``'s signals).
@@ -93,8 +84,7 @@ class Daemon:
         """Bind, start the scheduler, and serve on a background thread."""
         self._server = _Server((self.host, self.port), self)
         self.port = self._server.server_address[1]
-        if self.scheduler is not None:
-            self.scheduler.start()
+        self.scheduler.start()
         # The poll interval bounds how long close() waits for the loop.
         threading.Thread(target=self._server.serve_forever,
                          kwargs={"poll_interval": 0.01},
@@ -107,69 +97,39 @@ class Daemon:
             self._server.server_close()
             self._server = None
 
-    def _need_scheduler(self) -> Scheduler:
-        if self.scheduler is None:
-            raise _HttpError(
-                503, "this daemon fronts a sweep coordinator, not a "
-                     "job scheduler")
-        return self.scheduler
-
-    def _trace_store(self):
-        store = None
-        if self.scheduler is not None:
-            store = self.scheduler.store
-        elif self.coordinator is not None:
-            store = self.coordinator.store
-        if store is None:
-            raise _HttpError(503, "no trace store on this daemon")
-        return store
-
     def _route(self, method: str, path: str, headers, body: bytes,
                peer: str) -> Tuple[int, object, Dict[str, str]]:
         if path in ("/v1/run", "/v1/suite", "/v1/sweep"):
             _allow(method, path, "POST")
-            self._need_scheduler()
             return self._submit(path.rsplit("/", 1)[1], headers, body,
                                 peer)
         if path.startswith("/v1/jobs/"):
             _allow(method, path, "GET")
             job_id = path[len("/v1/jobs/"):]
             try:
-                job = self._need_scheduler().get(job_id)
+                job = self.scheduler.get(job_id)
             except UnknownJob as exc:
                 raise _HttpError(404, str(exc)) from None
             return 200, job.status().to_payload(), {}
         if path == "/v1/jobs":
             _allow(method, path, "GET")
             return 200, {"jobs": [job.status().to_payload()
-                                  for job in self._need_scheduler().jobs()]
+                                  for job in self.scheduler.jobs()]
                          }, {}
         if path == "/v1/metrics":
             _allow(method, path, "GET")
-            return 200, self._need_scheduler().metrics().to_payload(), {}
+            return 200, self.scheduler.metrics().to_payload(), {}
         if path == "/v1/healthz":
             _allow(method, path, "GET")
-            return 200, self._healthz(), {}
+            return 200, {"ok": True, "draining": self.scheduler.draining,
+                         "role": "scheduler"}, {}
         if path.startswith("/v1/traces/"):
             return self._traces(method, path[len("/v1/traces/"):], body)
-        if path.startswith("/v1/dist/"):
-            return self._dist(method, path[len("/v1/dist/"):], body)
         if path == "/v1/shutdown":
             _allow(method, path, "POST")
             self.shutdown_requested.set()
             return 202, {"draining": True}, {}
         raise _HttpError(404, f"no route {method} {path}")
-
-    def _healthz(self) -> Dict[str, object]:
-        role = []
-        draining = False
-        if self.scheduler is not None:
-            role.append("scheduler")
-            draining = self.scheduler.draining
-        if self.coordinator is not None:
-            role.append("coordinator")
-        return {"ok": True, "draining": draining,
-                "role": "+".join(role) or "idle"}
 
     # -- trace-blob sync (workers warm their stores over HTTP) -----------------
 
@@ -177,7 +137,9 @@ class Daemon:
                 ) -> Tuple[int, object, Dict[str, str]]:
         if not fingerprint or "/" in fingerprint:
             raise _HttpError(400, "bad trace fingerprint")
-        store = self._trace_store()
+        store = self.scheduler.store
+        if store is None:
+            raise _HttpError(503, "no trace store on this daemon")
         if method == "GET":
             blob = store.read_blob(fingerprint)
             if blob is None:
@@ -188,43 +150,6 @@ class Daemon:
             # refused instead of poisoning the store.
             return 200, {"stored": store.write_blob(fingerprint, body)}, {}
         raise _HttpError(405, "/v1/traces/<fp> takes GET or PUT")
-
-    # -- distributed-sweep worker protocol -------------------------------------
-
-    def _dist(self, method: str, action: str, body: bytes
-              ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        if self.coordinator is None:
-            raise _HttpError(404, "this daemon is not a sweep coordinator")
-        if action == "status":
-            _allow(method, "/v1/dist/status", "GET")
-            return 200, self.coordinator.status(), {}
-        if action not in ("lease", "renew", "report"):
-            raise _HttpError(404, f"no dist action {action!r}")
-        _allow(method, f"/v1/dist/{action}", "POST")
-        try:
-            payload = json.loads(body or b"{}")
-        except ValueError:
-            raise _HttpError(400, "body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise _HttpError(400, "body must be a JSON object")
-        worker_id = str(payload.get("worker_id", "")) or "anonymous"
-        try:
-            if action == "lease":
-                return 200, self.coordinator.lease(worker_id).to_payload(), {}
-            lease_id = str(payload.get("lease_id", ""))
-            if action == "renew":
-                return 200, self.coordinator.renew(worker_id, lease_id), {}
-            cell = payload.get("cell")
-            run = payload.get("run")
-            if not isinstance(cell, str) or not isinstance(run, dict):
-                raise _HttpError(
-                    400, "report needs 'cell' (string) and 'run' (object)")
-            return 200, self.coordinator.report(worker_id, lease_id,
-                                                cell, run), {}
-        except _HttpError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - protocol errors -> 400
-            raise _HttpError(400, f"{type(exc).__name__}: {exc}") from None
 
     def _submit(self, expect_kind: str, headers, body: bytes, peer: str
                 ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
@@ -356,7 +281,11 @@ def serve_main(args) -> int:
     store = scheduler.store
     log(f"trace store: {store.directory}" if store is not None
         else "no trace store: run cells execute")
-    daemon.shutdown_requested.wait()
+    # Any thread may take SIGTERM (one in fork or pthread_create does, if
+    # it comes meanwhile), but only this one runs the Python handler, and
+    # only between bytecodes: a wait without a timeout would miss it.
+    while not daemon.shutdown_requested.wait(0.1):
+        pass
     log("draining: rejecting new jobs, finishing accepted work")
     drained = scheduler.stop()   # the listener keeps answering meanwhile
     daemon.close()

@@ -275,48 +275,57 @@ class TestEdges:
 
 
 class TestConcurrentHttp:
+    # The id predates the pipe transport: the same race, once driven
+    # through the daemon's per-connection threads, now through one
+    # serve_pipe thread per forked worker's socketpair.
     def test_threaded_daemon_grants_and_accepts_each_cell_once(
             self, tmp_path, clock):
-        """Many workers leasing and reporting at once through the
-        daemon's per-connection threads: every cell is granted to
+        """Eight workers leasing and reporting at once, each over its
+        own pipe with its own serving thread: every cell is granted to
         exactly one of them and accepted exactly once."""
+        import socket
         import sys
         import threading
 
-        from repro.serve import DaemonClient
-        from repro.serve.daemon import Daemon
+        from repro.dist.coordinator import serve_pipe
+        from repro.dist.worker import PipeTransport
 
         co = _coordinator(tmp_path, clock, steal=False, max_shard_cells=1,
                           axes=(Axis("l1d.hit_latency",
                                      tuple(range(1, 25))),))
-        server = Daemon(None, port=0, coordinator=co)
-        server.start()
+        pipes = [socket.socketpair() for _ in range(8)]
+        servers = [threading.Thread(target=serve_pipe, args=(parent, co))
+                   for parent, _ in pipes]
         granted = {}
 
-        def work(worker_id):
-            client = DaemonClient(server.host, server.port)
+        def work(worker_id, pipe):
+            transport = PipeTransport(pipe)
             while True:
-                grant = client.dist_lease(worker_id)
+                grant = transport.lease(worker_id)
                 if grant.state != "granted":
                     return
                 for key in _keys(grant):
                     granted.setdefault(key, []).append(worker_id)
-                    client.dist_report(worker_id, grant.lease_id, key,
-                                       _run_payload(key))
+                    transport.report(worker_id, grant.lease_id, key,
+                                     _run_payload(key))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=work, args=(f"w{i}",))
-                       for i in range(8)]
-            for thread in threads:
+            threads = [threading.Thread(target=work, args=(f"w{i}", child))
+                       for i, (_, child) in enumerate(pipes)]
+            for thread in servers + threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            server.close()
+            for _, child in pipes:
+                child.close()
+            for server in servers:
+                server.join(timeout=10)
+                assert not server.is_alive()
         assert len(granted) == 24
         assert all(len(workers) == 1 for workers in granted.values())
         status = co.status()

@@ -1,14 +1,15 @@
-"""Local workers: ``DistSweep(workers=N)`` forks them from the
-coordinator's process, and ``repro dist worker`` stays the worker a
-remote fleet runs.
+"""Sweep workers beside the inline one: ``DistSweep(workers=N)`` forks
+local ones from the coordinator's process, and ``worker_urls`` adds a
+thread per ``repro serve`` daemon.
 
 A forked child must leave through ``os._exit`` on every path (else a
 failure would carry on running its parent's code — here, pytest), must
 not inherit the coordinator's signal handlers or output, must hold its
-own end of its socketpair and no other socket (nothing listens: only
-``run_dist_sweep`` adds a daemon, after the last fork), and must see
-the journal fully written.  Every local worker is built by
-``build_worker`` with the request's ``job_timeout``."""
+own end of its socketpair and no other socket (nothing listens on a
+port), and must see the journal fully written.  Every local worker is
+built by ``build_worker`` with the request's ``job_timeout``, and a
+timed cell's own child dies with the worker.  None of this loads the
+serve layer."""
 
 import json
 import os
@@ -17,6 +18,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,6 @@ import repro
 from repro.common.config import small_config
 from repro.core.requests import SweepRequest
 from repro.dist import (
-    Coordinator,
     DistSweep,
     Worker,
     journal_digest,
@@ -33,7 +34,6 @@ from repro.dist import (
 )
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
-from repro.serve.daemon import Daemon
 
 AXES = (Axis("cu.vrf_banks", (2, 4)), Axis("l1d.hit_latency", (4, 8)))
 CELLS = 4
@@ -203,26 +203,94 @@ def test_local_workers_honour_the_job_timeout(tmp_path):
     assert failed(1) == inline
 
 
-def test_dist_worker_cli_against_a_coordinator(tmp_path, serial_digest):
-    coordinator = Coordinator(_request(tmp_path, "cli"))
-    server = Daemon(None, port=0, coordinator=coordinator)
-    server.start()
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+def _gone_or_zombie(pid):
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "dist", "worker",
-             "--coordinator", server.url, "--worker-id", "cli-0",
-             "--trace-dir", str(tmp_path / "cli" / "worker-traces"),
-             "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120)
+        with open(f"/proc/{pid}/status") as f:
+            return "\nState:\tZ" in f.read()
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads a process's state from /proc")
+def test_a_timed_cell_dies_with_its_killed_worker(tmp_path, monkeypatch):
+    """An aborted sweep SIGKILLs a worker that is inside a timed cell;
+    the child running that cell must die with it, not run on (a wedged
+    cell would run forever)."""
+    from repro.harness import runner
+
+    pid_file = tmp_path / "cell.pid"
+
+    def wedged(request, trace_store=None):
+        pid_file.write_text(str(os.getpid()))
+        time.sleep(120)
+
+    monkeypatch.setattr(runner, "execute_run_request", wedged)
+    sweep = DistSweep(_request(tmp_path, "orphan", job_timeout=600),
+                      workers=1).start()
+    deadline = time.monotonic() + 60
+    while not pid_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    results = sweep.wait(timeout=0.1)      # aborts: the sweep times out
+    runs = [run for pr in results.points for run in pr.runs.values()]
+    assert runs and all("timed out" in (run.error or "") for run in runs)
+    pid = int(pid_file.read_text())
+    assert pid not in (os.getpid(), sweep.processes[0].pid)
+    deadline = time.monotonic() + 5
+    while not _gone_or_zombie(pid):
+        if time.monotonic() >= deadline:
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"timed cell {pid} outlived its killed worker")
+        time.sleep(0.05)
+
+
+def test_a_daemon_backed_worker_pushes_its_trace_back(tmp_path,
+                                                      serial_digest):
+    """A worker that forwards cells to a ``repro serve`` daemon with its
+    own store captures there, and pushes the trace back to the
+    coordinator's store after the shard."""
+    from repro.serve import Scheduler
+    from repro.serve.daemon import Daemon
+
+    daemon = Daemon(Scheduler(trace_dir=str(tmp_path / "daemon-traces")),
+                    port=0)
+    daemon.start()
+    try:
+        results = run_dist_sweep(_request(tmp_path, "daemon"),
+                                 worker_urls=[daemon.url], timeout=120)
     finally:
-        server.close()
-    assert done.returncode == 0, done.stderr
-    assert coordinator.done
-    results = coordinator.finish()
-    assert results.workers["cli-0"].cells == CELLS
-    # Its own store is elsewhere, so the captured trace was pushed back.
-    assert list(coordinator.store.directory.glob("*.trace"))
+        daemon.close()
+        daemon.scheduler.stop()
+    assert results.workers["daemon-0"].cells == CELLS
+    assert list((tmp_path / "daemon-traces").glob("*.trace"))
+    assert list((tmp_path / "daemon" / "traces").glob("*.trace"))
     assert journal_digest(results.journal_path) == serial_digest
+
+
+def test_local_workers_leave_the_serve_layer_unloaded(tmp_path):
+    """A ``workers=1`` dist sweep and a ``jobs=2`` suite in one fresh
+    process: neither imports the serve layer or the HTTP stack."""
+    script = f"""
+import sys
+from repro.common.config import small_config
+from repro.core import Session
+from repro.dist import run_dist_sweep
+from tests.dist.test_local_workers import CELLS, _request
+from pathlib import Path
+results = run_dist_sweep(_request(Path({str(tmp_path)!r}), "diet"),
+                         workers=1, timeout=120)
+assert sum(w.cells for w in results.workers.values()) == CELLS
+runs = Session(small_config(2)).suite(scale=0.1, workloads=["arraybw"],
+                                      use_cache=False, jobs=2).runs
+assert all(run.verified for run in runs.values())
+print(sorted(name for name in sys.modules
+             if name.startswith(("repro.serve", "http."))))
+"""
+    root = Path(repro.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=str(root), timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root)])))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

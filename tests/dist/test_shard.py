@@ -164,22 +164,29 @@ class TestWireRoundTrips:
                                             ("l1d.hit_latency", 8)))
 
     def test_two_axis_cell_survives_a_live_lease(self, tmp_path):
-        """The same out-of-order two-axis cell, leased over HTTP from a
-        running coordinator, equals the coordinator's own."""
+        """The same out-of-order two-axis cell, leased over a forked
+        worker's pipe from a running coordinator, equals the
+        coordinator's own."""
+        import socket
+        import threading
+
         from repro.dist import Coordinator
-        from repro.serve import DaemonClient
-        from repro.serve.daemon import Daemon
+        from repro.dist.coordinator import serve_pipe
+        from repro.dist.worker import PipeTransport
 
         co = Coordinator(_request(
             axes=(Axis("l1d.hit_latency", (8,)), Axis("cu.vrf_banks", (2,))),
             sweeps_dir=str(tmp_path / "sweeps"), execution="execute"))
         expected = co._pending[0].request
-        server = Daemon(None, port=0, coordinator=co)
+        parent_end, child_end = socket.socketpair()
+        server = threading.Thread(target=serve_pipe, args=(parent_end, co))
         server.start()
         try:
-            grant = DaemonClient(server.host, server.port).dist_lease("w0")
+            grant = PipeTransport(child_end).lease("w0")
         finally:
-            server.close()
+            child_end.close()
+            server.join(timeout=10)
+        assert not server.is_alive()
         assert grant.state == "granted"
         assert grant.shard.cells == expected.cells
         assert [path for path, _ in grant.shard.cells[0].overrides] == [

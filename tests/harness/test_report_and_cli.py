@@ -14,7 +14,7 @@ from repro.__main__ import build_parser, main
 
 def _command_paths(parser, prefix=()):
     """Every subcommand path ``build_parser()`` registers, nested ones
-    (``dist worker``) included, read from the subparsers' choices."""
+    included, read from the subparsers' choices."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():

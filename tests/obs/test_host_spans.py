@@ -277,40 +277,52 @@ def test_jobs_cells_cross_as_pipe_reports():
 
 
 def test_http_request_spans_wrap_dist_calls(tmp_path):
-    from repro.serve import DaemonClient, DaemonError
+    """The lease protocol never crosses HTTP: ``dist.lease`` and
+    ``dist.report`` nest under ``dist.pipe`` frames, while
+    ``http.request`` still wraps every scheduler route."""
+    import socket
+
+    from repro.dist.coordinator import serve_pipe
+    from repro.dist.worker import PipeTransport
+    from repro.serve import DaemonClient, DaemonError, Scheduler
     from repro.serve.daemon import Daemon
     from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, \
         _run_payload
 
     co = _coordinator(tmp_path, FakeClock())
-    server = Daemon(None, port=0, coordinator=co)
+    server = Daemon(Scheduler(trace_dir=str(tmp_path / "traces")), port=0)
     server.start()
+    parent_end, child_end = socket.socketpair()
 
     def drive():
-        client = DaemonClient(server.host, server.port)
-        grant = client.dist_lease("w1")
+        pipe = threading.Thread(target=serve_pipe, args=(parent_end, co))
+        pipe.start()
+        transport = PipeTransport(child_end)
+        grant = transport.lease("w1")
         for key in _keys(grant):
-            client.dist_report("w1", grant.lease_id, key, _run_payload(key))
+            transport.report("w1", grant.lease_id, key, _run_payload(key))
+        child_end.close()
+        pipe.join(timeout=10)
+        client = DaemonClient(server.host, server.port)
+        assert client.healthz()["ok"]
         with pytest.raises(DaemonError):
-            client.job("nope")           # no scheduler on this daemon: 503
+            client.job("nope")           # unknown job: 404
 
     try:
         _, records = _recorded(drive)
     finally:
         server.close()
+        server.scheduler.stop()
         co.finish()
     by_id = {r["id"]: r for r in records}
-    dist = [r for r in records if r["name"].startswith("dist.")]
+    dist = [r for r in records if r["name"] in ("dist.lease", "dist.report")]
     assert [r["name"] for r in dist] == ["dist.lease", "dist.report",
                                          "dist.report"]
     for record in dist:
-        request = by_id[record["parent"]]
-        assert request["name"] == "http.request"
-        assert (request["attrs"]["method"], request["attrs"]["status"]) == (
-            "POST", 200)
-    statuses = [r["attrs"]["status"] for r in records
-                if r["name"] == "http.request"]
-    assert statuses == [200, 200, 200, 503]
+        assert by_id[record["parent"]]["name"] == "dist.pipe"
+    assert [(r["attrs"]["method"], r["attrs"]["path"], r["attrs"]["status"])
+            for r in records if r["name"] == "http.request"] == [
+        ("GET", "/v1/healthz", 200), ("GET", "/v1/jobs/nope", 404)]
 
 
 def test_pipe_spans_wrap_dist_calls(tmp_path):

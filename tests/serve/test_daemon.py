@@ -297,6 +297,8 @@ class TestTraceBlobRoutes:
 
 class TestDistRoutesWithoutCoordinator:
     def test_dist_routes_404_on_plain_daemon(self, daemon):
+        """A sweep coordinator never listens on a port, so the daemon
+        has no lease protocol: its old routes are unknown paths."""
         for method, path in [("POST", "/v1/dist/lease"),
                              ("POST", "/v1/dist/renew"),
                              ("POST", "/v1/dist/report"),
@@ -304,7 +306,7 @@ class TestDistRoutesWithoutCoordinator:
             with pytest.raises(DaemonError) as excinfo:
                 daemon._call(method, path, body="{}")
             assert excinfo.value.status == 404
-            assert "not a sweep coordinator" in str(excinfo.value)
+            assert f"no route {method} {path}" in str(excinfo.value)
 
 
 class TestRateLimitOverHttp:
@@ -366,6 +368,38 @@ class TestGracefulShutdown:
             assert [s.job_id for s in polled] == [j.job_id for j in jobs]
             assert not polled[-1].finished, "queue drained before the polls"
             assert process.wait(timeout=120) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
+    def test_sigterm_taken_by_another_thread_still_drains(self, tmp_path):
+        """Any thread may take a process-directed signal, but only the
+        main thread runs its Python handler: a main thread blocked for
+        good never sees one that another thread took (a thread in
+        ``fork`` or ``pthread_create`` takes a signal that arrives
+        meanwhile).  Here only a helper thread can take SIGTERM, every
+        time; the drain must still start."""
+        script = f"""
+import signal, sys, threading, time
+threading.Thread(target=time.sleep, args=(600,), daemon=True).start()
+signal.pthread_sigmask(signal.SIG_BLOCK, {{signal.SIGTERM}})
+from repro.__main__ import main
+sys.exit(main(["serve", "--port", "0", "--trace-dir", "traces",
+               "--cache-dir", "cache"]))
+"""
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=REPO_SRC))
+        try:
+            line = process.stdout.readline()
+            assert "listening on" in line, line
+            client = DaemonClient("127.0.0.1", int(line.rsplit(":", 1)[1]))
+            assert client.healthz()["ok"]
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
         finally:
             if process.poll() is None:
                 process.kill()
