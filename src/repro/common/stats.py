@@ -89,6 +89,13 @@ class Distribution:
         self._total += other._total
         self._sorted_keys = None
 
+    def copy(self) -> "Distribution":
+        """An independent copy: no bucket map shared."""
+        dist = Distribution()
+        dist._buckets.update(self._buckets)
+        dist._count, dist._total = self._count, self._total
+        return dist
+
     def to_payload(self) -> Dict[str, int]:
         """JSON-friendly bucket map (JSON object keys must be strings)."""
         return {str(value): count for value, count in sorted(self._buckets.items())}
@@ -127,6 +134,11 @@ class RatioProbe:
     def merge(self, other: "RatioProbe") -> None:
         self.numerator += other.numerator
         self.denominator += other.denominator
+
+    def copy(self) -> "RatioProbe":
+        probe = RatioProbe()
+        probe.numerator, probe.denominator = self.numerator, self.denominator
+        return probe
 
     def to_payload(self) -> "List[int]":
         return [self.numerator, self.denominator]
@@ -196,6 +208,14 @@ class StatSet:
         self.read_uniqueness.merge(other.read_uniqueness)
         self.write_uniqueness.merge(other.write_uniqueness)
         self.simd_utilization.merge(other.simd_utilization)
+
+    def copy(self) -> "StatSet":
+        """An independent copy sharing nothing mutable: a payload round
+        trip without building a ``str``, enum or ``int`` per entry."""
+        return StatSet(defaultdict(int, self.counters),
+                       defaultdict(int, self.instructions_by_category),
+                       self.reuse_distance.copy(), self.read_uniqueness.copy(),
+                       self.write_uniqueness.copy(), self.simd_utilization.copy())
 
     def to_payload(self) -> "Dict[str, object]":
         """A lossless JSON-friendly encoding (inverse of :meth:`from_payload`).

@@ -17,7 +17,10 @@ counterexample that makes "bigger" alone insufficient.
 :func:`file_witness` runs after an untraced replay simulated.  Witnesses
 hang off the trace store's memoized :class:`~repro.timing.replay.ExecTrace`
 (``trace.witnesses``), so they are evicted, invalidated and cleared with
-it and do not exist under ``REPRO_TRACE_MEMO=0``.  Each lookup is a
+it and do not exist under ``REPRO_TRACE_MEMO=0``.  A witness keeps a
+private copy of the run it simulated, and a derivation answers with a
+copy of that (:meth:`~repro.harness.runner.WorkloadRun.copy`), so no
+payload is encoded or decoded on either side.  Each lookup is a
 ``result.derive`` host span (:mod:`repro.obs.host`) carrying its outcome,
 each filed witness a ``result.witness`` one.
 """
@@ -25,7 +28,7 @@ each filed witness a ``result.witness`` one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +36,9 @@ from ..common.config import CacheConfig, GpuConfig
 from ..obs.host import span
 from ..timing.caches import MemorySystem, admits
 from ..timing.replay import ExecTrace
+
+if TYPE_CHECKING:
+    from .runner import WorkloadRun
 
 #: Witnesses kept per trace, oldest dropped first.  A size sweep files
 #: one per evicting point plus one for the whole eviction-free plateau;
@@ -49,9 +55,9 @@ class Witness:
     config: GpuConfig
     #: GpuConfig cache field -> resident lines of each instance.
     resident: Dict[str, List[np.ndarray]]
-    #: ``WorkloadRun.to_payload()``; never handed out, so every
-    #: derivation decodes its own independent result from it.
-    payload: Dict[str, object]
+    #: A copy of the simulated run, never handed out: every derivation
+    #: answers with its own :meth:`~repro.harness.runner.WorkloadRun.copy`.
+    run: "WorkloadRun"
 
     def free_families(self, config: GpuConfig) -> Optional[List[str]]:
         """The cache families whose geometry ``config`` changes, when
@@ -74,11 +80,12 @@ def _only_geometry(a: CacheConfig, b: CacheConfig) -> bool:
 
 
 def derive(trace: ExecTrace, config: GpuConfig
-           ) -> "Tuple[Optional[Dict[str, object]], str]":
-    """The run payload a replay of ``trace`` under ``config`` must
-    produce, when a filed witness proves it (``None`` means simulate),
-    and the outcome: ``derived``, ``refused`` (a comparable witness did
-    not admit the new geometry) or ``none``."""
+           ) -> "Tuple[Optional[WorkloadRun], str]":
+    """The witnessed run a replay of ``trace`` under ``config`` must
+    equal, when a filed witness proves it (``None`` means simulate; the
+    caller copies it, never hands it out), and the outcome: ``derived``,
+    ``refused`` (a comparable witness did not admit the new geometry) or
+    ``none``."""
     outcome = "none"
     for witness in tuple(trace.witnesses or ()):
         changed = witness.free_families(config)
@@ -86,21 +93,19 @@ def derive(trace: ExecTrace, config: GpuConfig
             continue
         if all(admits(lines, getattr(config, family))
                for family in changed for lines in witness.resident[family]):
-            return witness.payload, "derived"
+            return witness.run, "derived"
         outcome = "refused"
     return None, outcome
 
 
 def file_witness(trace: ExecTrace, config: GpuConfig, memsys: MemorySystem,
-                 run: "object") -> None:
-    """Remember the ``run`` (a :class:`~repro.harness.runner.WorkloadRun`)
-    a replay just simulated from ``trace`` under ``config``, ``memsys``
-    being the hierarchy it left behind (no-op for a trace the store does
-    not memoize)."""
+                 run: "WorkloadRun") -> None:
+    """Remember (a copy of) the ``run`` a replay just simulated from
+    ``trace`` under ``config``, ``memsys`` being the hierarchy it left
+    behind (no-op for a trace the store does not memoize)."""
     witnesses = trace.witnesses
     if witnesses is None:
         return
     with span("result.witness"):
-        witnesses.append(Witness(
-            config, memsys.witness(), run.to_payload()))  # type: ignore[attr-defined]
+        witnesses.append(Witness(config, memsys.witness(), run.copy()))
         del witnesses[:-MAX_WITNESSES]

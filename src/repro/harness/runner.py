@@ -14,7 +14,7 @@ progress stream, one ``--jobs`` fan-out and one deterministic reduce.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import GpuConfig, paper_config
@@ -130,6 +130,17 @@ class WorkloadRun:
             "error": self.error,
             **({"execution": self.execution} if self.execution != "execute" else {}),
         }
+
+    def copy(self, **changes: object) -> "WorkloadRun":
+        """An independent copy with ``changes`` applied to its fields: no
+        StatSet, list or dict is shared (the event ``trace`` is), and
+        ``to_payload()`` writes the same bytes."""
+        return replace(
+            self, total=self.total.copy(),
+            per_dispatch=[stats.copy() for stats in self.per_dispatch],
+            dispatch_kernel_names=list(self.dispatch_kernel_names),
+            kernel_code_bytes=dict(self.kernel_code_bytes),
+            **changes)
 
     def to_payload(self) -> "Dict[str, object]":
         """A *lossless* JSON encoding (inverse of :meth:`from_payload`).
@@ -309,15 +320,15 @@ def _run_cell(cell: "Dict[str, object]", name: str, isa: str, scale: float,
     if exec_trace is not None:
         if bus is None:
             # Eviction-free equivalence: an untraced replay that provably
-            # cannot differ from one already simulated is that one's
-            # result, decoded afresh (event-traced runs need the events).
+            # cannot differ from one already simulated is a copy of that
+            # one's result (event-traced runs need the events).
             with span("result.derive") as derivation:
                 witnessed, derivation["outcome"] = derive(exec_trace, config)
                 if witnessed is not None:
-                    run = WorkloadRun.from_payload(witnessed)
-                    run.wall_seconds = time.perf_counter() - start
-                    run.execution = cell["path"] = "derived"
-                    return run
+                    cell["path"] = "derived"
+                    return witnessed.copy(
+                        wall_seconds=time.perf_counter() - start,
+                        execution="derived")
         try:
             process = _replay_process(name, isa, scale, seed, exec_trace)
         except RuntimeStackError as exc:

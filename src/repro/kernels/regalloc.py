@@ -12,7 +12,7 @@ The instruction space is abstract: callers provide per-instruction
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
@@ -193,16 +193,16 @@ def linear_scan(
     pool = _SlotPool(budget, set(reserved))
     slot_of: Dict[int, int] = {}
     spilled: List[int] = []
-    active: List[LiveInterval] = []  # kept sorted by end
+    # Sorted by end, equal ends in placement order; ``ends`` mirrors it
+    # for bisection (``bisect``'s ``key=`` needs Python 3.10).
+    active: List[LiveInterval] = []
+    ends: List[int] = []
     for interval in sorted(intervals, key=lambda iv: (iv.start, iv.vreg)):
-        # Expire finished intervals.
-        still: List[LiveInterval] = []
-        for a in active:
-            if a.end < interval.start:
-                pool.release(slot_of[a.vreg], a.width)
-            else:
-                still.append(a)
-        active = still
+        # Expire finished intervals: a prefix of ``active``.
+        done = bisect_left(ends, interval.start)
+        for a in active[:done]:
+            pool.release(slot_of[a.vreg], a.width)
+        del active[:done], ends[:done]
         base = pool.take(interval.width)
         pinned = interval.vreg in no_spill
         while base < 0:
@@ -219,7 +219,8 @@ def linear_scan(
             outlives = victim is not None and victim.end > interval.end
             if victim is not None and (outlives or pinned):
                 pool.release(slot_of.pop(victim.vreg), victim.width)
-                active.remove(victim)
+                at = active.index(victim)
+                del active[at], ends[at]
                 spilled.append(victim.vreg)
                 base = pool.take(interval.width)
                 continue
@@ -232,8 +233,9 @@ def linear_scan(
             spilled.append(interval.vreg)
             continue
         slot_of[interval.vreg] = base
-        active.append(interval)
-        active.sort(key=lambda a: a.end)
+        at = bisect_right(ends, interval.end)
+        active.insert(at, interval)
+        ends.insert(at, interval.end)
     return AllocationResult(slot_of=slot_of, slots_used=pool.high_water, spilled=spilled)
 
 

@@ -126,8 +126,7 @@ class Daemon:
         if path.startswith("/v1/traces/"):
             return self._traces(method, path[len("/v1/traces/"):], body)
         if path == "/v1/shutdown":
-            _allow(method, path, "POST")
-            self.shutdown_requested.set()
+            _allow(method, path, "POST")   # _dispatch sets the event
             return 202, {"draining": True}, {}
         raise _HttpError(404, f"no route {method} {path}")
 
@@ -207,6 +206,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             attrs["status"] = status
             self._reply(status, payload, extra)
+            if self.path == "/v1/shutdown":
+                # After the reply: the drain may end the process.
+                self.server.daemon.shutdown_requested.set()
 
     def _read_body(self) -> bytes:
         length = self.headers.get("Content-Length", "0").strip()

@@ -1,12 +1,19 @@
 """Eviction-free equivalence through ``run_workload``: every derived
-result equals the simulated one, and every case outside the proof
-simulates (EXPERIMENTS.md, "Eviction-free equivalence")."""
+result equals the simulated one, every case outside the proof
+simulates, and neither filing a witness nor deriving from one encodes or
+decodes a run payload (EXPERIMENTS.md, "Eviction-free equivalence").
+
+``PYTHONPATH=src python tests/harness/test_equivalence.py`` prints the
+StatSet payload codec calls of one filed witness and one derived cell.
+"""
 
 import os
+import tempfile
 
 import pytest
 
 from repro.common.config import small_config
+from repro.common.stats import StatSet
 from repro.harness import equivalence
 from repro.harness.cache import (
     TraceStore,
@@ -74,6 +81,37 @@ def _tally(call):
     finally:
         unsubscribe()
     return result, tally
+
+
+def _codec_calls(call):
+    """(result, StatSet payload ``decodes``/``encodes`` made by ``call``),
+    counted by wrapping ``StatSet.from_payload`` and ``.to_payload``."""
+    calls = {"decodes": 0, "encodes": 0}
+    decode = StatSet.__dict__["from_payload"]
+    encode = StatSet.__dict__["to_payload"]
+
+    def counted_decode(cls, payload):
+        calls["decodes"] += 1
+        return decode.__func__(cls, payload)
+
+    def counted_encode(self):
+        calls["encodes"] += 1
+        return encode(self)
+
+    StatSet.from_payload = classmethod(counted_decode)
+    StatSet.to_payload = counted_encode
+    try:
+        result = call()
+    finally:
+        StatSet.from_payload = decode
+        StatSet.to_payload = encode
+    return result, calls
+
+
+def _lulesh_point(store, size):
+    """((run, tally), codec calls) of a lulesh replay at an L1D ``size``."""
+    return _codec_calls(lambda: _tally(lambda: _run(
+        store, {"l1d.size_bytes": size}, workload="lulesh")))
 
 
 def _witnesses(store, workload="spmv", isa="gcn3"):
@@ -160,13 +198,41 @@ class TestDerives:
         again, tally = _tally(lambda: _run(store, {"l1d.size_bytes": 131072}))
         assert tally == {"derived": 1}
         assert _stable(again) == reference
-        assert _witnesses(store)[0].payload["total"] == reference["total"]
+        assert _witnesses(store)[0].run.total.to_payload() == reference["total"]
 
     def test_witness_list_is_bounded(self, store):
         _run(store, execution="capture")
         for ways in range(1, MAX_WITNESSES + 4):     # each one evicts
             _run(store, {"l1d.size_bytes": 64 * ways})
         assert len(_witnesses(store)) == MAX_WITNESSES
+
+
+class TestNoPayloadCodec:
+    """A witness holds a copy of its run and a derivation copies that:
+    lulesh (20 dispatches here) is where a payload round trip cost most."""
+
+    @pytest.fixture()
+    def captured(self, store):
+        _run(store, workload="lulesh", execution="capture")
+
+    def test_filing_a_witness_encodes_nothing(self, store, captured):
+        (_, tally), calls = _lulesh_point(store, 65536)
+        assert tally == {"witnessed": 1}
+        assert calls == {"decodes": 0, "encodes": 0}
+
+    def test_a_derived_cell_neither_decodes_nor_encodes(self, store,
+                                                         captured):
+        _lulesh_point(store, 65536)
+        (run, tally), calls = _lulesh_point(store, 131072)
+        assert tally == {"derived": 1} and len(run.per_dispatch) == 20
+        assert calls == {"decodes": 0, "encodes": 0}
+
+    def test_a_plateau_derives_without_decoding(self, store, captured):
+        _lulesh_point(store, 65536)
+        for size in (32768, 131072, 262144, 1 << 20):
+            (_, tally), calls = _lulesh_point(store, size)
+            assert tally == {"derived": 1}
+            assert calls == {"decodes": 0, "encodes": 0}
 
 
 class TestEvictingFamilyBlocksOnlyItself:
@@ -258,3 +324,19 @@ class TestFailsClosed:
         forced, tally = _tally(lambda: _run(store, {"l1d.size_bytes": 1024}))
         assert tally == {"derived": 1}
         assert _stable(forced) != honest
+
+
+if __name__ == "__main__":
+    clear_suite_cache()
+    with tempfile.TemporaryDirectory() as tmp:
+        store = TraceStore(tmp)
+        _run(store, workload="lulesh", execution="capture")
+        lines = []
+        for what, size in (("filed witness", 65536),
+                           ("derived cell", 131072)):
+            (_, tally), calls = _lulesh_point(store, size)
+            lines.append(f"{what} {calls['decodes']} decodes "
+                         f"{calls['encodes']} encodes {tally}")
+    clear_suite_cache()
+    print("StatSet payload codec calls, lulesh/gcn3 scale "
+          f"{SCALE:g}: " + "; ".join(lines))

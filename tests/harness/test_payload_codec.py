@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.categories import InstrCategory
 from repro.common.config import small_config
 from repro.common.stats import Distribution, StatSet
 from repro.harness.runner import ISAS, WorkloadRun, run_workload
@@ -82,6 +83,34 @@ def test_from_payload_round_trips(texts, cell):
             rebuilt.count, rebuilt.total, rebuilt.median)
         assert all(isinstance(cat.value, str)
                    for cat in stats.instructions_by_category)
+
+
+@pytest.mark.parametrize("cell", [f"{w}/{isa}" for w, isa in CELLS])
+def test_copy_writes_the_same_bytes(texts, cell):
+    run = WorkloadRun.from_payload(json.loads(texts[cell]))
+    assert _text(run.copy()) == texts[cell]
+
+
+def test_copy_shares_nothing_mutable(texts):
+    run = WorkloadRun.from_payload(json.loads(texts["lulesh/gcn3"]))
+    copy = run.copy(wall_seconds=1.0, execution="derived")
+    assert (copy.wall_seconds, copy.execution) == (1.0, "derived")
+    for stats in [copy.total] + copy.per_dispatch:
+        stats.bump("cycles", 3)
+        stats.bump("brand_new_counter")
+        stats.record_instruction(InstrCategory.VMEM, 2)
+        stats.reuse_distance.add(7, 5)
+        stats.reuse_distance.add(123456)
+        for probe in (stats.read_uniqueness, stats.write_uniqueness,
+                      stats.simd_utilization):
+            probe.add(1, 2)
+    copy.per_dispatch[0].merge(copy.total)
+    copy.per_dispatch.append(StatSet())
+    copy.dispatch_kernel_names.append("bogus")
+    copy.dispatch_kernel_names[0] = "renamed"
+    copy.kernel_code_bytes["bogus"] = 1
+    copy.kernel_code_bytes[next(iter(run.kernel_code_bytes))] += 1
+    assert _text(run) == texts["lulesh/gcn3"]
 
 
 @pytest.mark.parametrize("buckets", [{"3": 0}, {"3": -1}, {"3": 1, "03": 1}])

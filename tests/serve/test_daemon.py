@@ -406,6 +406,33 @@ sys.exit(main(["serve", "--port", "0", "--trace-dir", "traces",
                 process.wait()
             process.stdout.close()
 
+    def test_shutdown_reply_is_written_before_the_drain(self, tmp_path,
+                                                        monkeypatch):
+        """``serve_main`` may return, ending the process and every
+        handler thread, as soon as the event is set; set before the
+        reply, the client read a cut body (``IncompleteRead``)."""
+        from repro.serve import Scheduler
+        from repro.serve.daemon import Daemon, _Handler
+
+        server = Daemon(Scheduler(trace_dir=str(tmp_path / "traces")),
+                        port=0)
+        requested_at_reply = []
+        reply = _Handler._reply
+
+        def spy(handler, status, payload, headers):
+            requested_at_reply.append(server.shutdown_requested.is_set())
+            reply(handler, status, payload, headers)
+
+        monkeypatch.setattr(_Handler, "_reply", spy)
+        server.start()
+        try:
+            DaemonClient(server.host, server.port).shutdown()
+            assert server.shutdown_requested.wait(10)
+        finally:
+            server.scheduler.stop()
+            server.close()
+        assert requested_at_reply == [False]
+
     def test_shutdown_endpoint_drains(self, tmp_path):
         process, port = _start_daemon(tmp_path)
         client = DaemonClient("127.0.0.1", port, client_id="stopper")
