@@ -372,8 +372,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             worker_urls=args.worker_url or (),
             lease_ttl=args.lease_ttl,
-            steal=not args.no_steal,
-            max_shard_cells=args.max_shard_cells,
             progress=None if args.quiet else _progress_printer,
             log=(None if args.quiet
                  else (lambda message: print(message, file=sys.stderr))),
@@ -643,13 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--lease-ttl", type=float, default=30.0,
                          help="seconds a worker may go without renewing "
                               "before its shard is requeued (default 30)")
-    sweep_p.add_argument("--max-shard-cells", type=int, default=None,
-                         help="split shards larger than this many cells "
-                              "(default: one shard per trace "
-                              "fingerprint)")
-    sweep_p.add_argument("--no-steal", action="store_true",
-                         help="disable work-stealing (idle workers wait "
-                              "instead of splitting the largest lease)")
     sweep_p.add_argument("--dist-output", metavar="FILE",
                          help="write the DistSweepResults JSON (per-"
                               "worker cells, steals, expiries, retries)")

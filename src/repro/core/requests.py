@@ -475,13 +475,12 @@ class SweepRequest(_RequestBase):
         axes = " x ".join(axis.describe() for axis in self.axes)
         return f"sweep[{axes}] mode={self.mode} scale={self.scale:g}"
 
-    def execute(self, progress: "Optional[ProgressFn]" = None,
-                execute_hook: "Optional[Callable]" = None) -> "SweepResults":
+    def execute(self, progress: "Optional[ProgressFn]" = None
+                ) -> "SweepResults":
         """Run the sweep (the single sweep entry point)."""
         from ..explore.sweep import execute_sweep_request
 
-        return execute_sweep_request(self, progress=progress,
-                                     execute=execute_hook)
+        return execute_sweep_request(self, progress=progress)
 
 
 @dataclass(frozen=True)
@@ -489,8 +488,8 @@ class ShardCell(Envelope):
     """One (point x workload x ISA) cell inside a shard.
 
     The overrides are the sweep point's dotted-path edits on the shard's
-    base config, so a worker rebuilds the exact :class:`GpuConfig` the
-    coordinator enumerated without shipping a full config per cell.
+    base config, which keep the record self-describing without a full
+    config per cell (a worker runs the ledger's own cell request).
     ``point`` carries the point's identity and the config does not
     depend on the order of the edits, so they are kept sorted by path:
     the order a ``sort_keys`` JSON encoder writes them in, which makes
@@ -557,22 +556,6 @@ class ShardRequest(_RequestBase):
         return (f"shard {self.shard_id} of sweep {self.sweep_id}: "
                 f"{len(self.cells)} cell(s)")
 
-    def cell_config(self, cell: ShardCell) -> GpuConfig:
-        """The cell's full config: shard base + the point's overrides
-        (raises ``ConfigError`` on an impossible geometry, but the
-        coordinator only shards valid points)."""
-        if not cell.overrides:
-            return self.config
-        return self.config.with_overrides(dict(cell.overrides))
-
-    def run_request(self, cell: ShardCell,
-                    trace_dir: Optional[str] = None) -> RunRequest:
-        """The :class:`RunRequest` a worker executes for one cell —
-        field-identical to what a single-host sweep would build, so
-        statistics cannot drift between distributed and serial runs."""
-        return self.cell(cell.workload, cell.isa,
-                         config=self.cell_config(cell), trace_dir=trace_dir)
-
 
 #: Lease grant states: a shard to work on, back off and re-poll, or the
 #: sweep is complete and the worker should exit.
@@ -590,8 +573,8 @@ class LeaseGrant(Envelope):
     shard: Optional[ShardRequest] = wire(
         ShardRequest.from_payload, None, dump=ShardRequest.to_payload,
         sparse=True)
-    #: the coordinator's trace store already holds this shard's trace, so
-    #: the worker should sync it in and replay instead of recapturing.
+    #: always False: no worker needs it (a local one shares the
+    #: coordinator's store, a daemon's reads it); kept for the envelope.
     trace_available: bool = wire(_bool, False)
     #: the shard was split off another worker's outstanding lease.
     stolen: bool = wire(_bool, False)

@@ -15,8 +15,11 @@ one of three kinds: a local one forked from the coordinator's process
 on its own socketpair (``workers=N``, and ``--jobs N``), an in-process
 thread that forwards cells to a ``repro serve`` daemon
 (``worker_urls``), or the inline safety net that runs what no other
-worker is left to run.  Nothing here imports the serve layer unless a
-daemon-backed worker is built.
+worker is left to run.  Each runs the ledger's own cell requests and
+reports every :class:`~repro.harness.runner.WorkloadRun` as itself;
+only the daemon-backed one syncs traces and decodes a run (from the
+daemon's HTTP).  Work stealing is the one load balancer.  Nothing here
+imports the serve layer unless a daemon-backed worker is built.
 
 Because the serial executor writes through the same ledger, the
 distributed journal is bit-identical (modulo wall-clock fields) to the

@@ -9,19 +9,24 @@ each point as its last cell resolves and runs the replay fidelity guard
 (:func:`~repro.explore.sweep.execute_sweep_request`, which hands its
 ledger to a coordinator here under ``jobs > 1``).  What is left here
 is what is genuinely distributed: pull-based workers lease
-content-addressed shards of the ledger's live cells, stream per-cell
-results back, and renew heartbeat leases.  Because there is one ledger,
-a distributed journal is *bit-identical* (modulo wall-clock fields) to
-the single-host one, and either executor resumes the other's journal:
+content-addressed shards of the ledger's live cells, report each
+finished :class:`~repro.harness.runner.WorkloadRun` as itself (every
+worker is forked from this process or runs in it; only one that
+forwards cells to a daemon decodes a run, from the daemon's HTTP), and
+renew heartbeat leases.  Because there is one ledger, a distributed
+journal is *bit-identical* (modulo wall-clock fields) to the
+single-host one, and either executor resumes the other's journal:
 :func:`journal_digest` makes that property checkable.
 
 Fault tolerance: a worker that stops renewing (SIGKILL, hang,
 partition) loses its lease; the shard goes back on the queue with every
 already-reported cell subtracted, so nothing journaled is ever
-resimulated.  Work-stealing: an idle worker splits the tail off the
-largest outstanding lease; the victim learns which cells left via its
-next renewal.  Double reports (a stale worker racing its replacement)
-resolve first-wins.
+resimulated.  A forked worker whose pipe closes gives its leases back
+at once.  Work-stealing is the one load balancer: an idle worker splits
+the tail off the largest outstanding lease once that shard's capture
+is stored; the victim learns which cells left via its next renewal.
+Double reports (a stale worker racing its replacement) resolve
+first-wins.
 """
 
 from __future__ import annotations
@@ -151,13 +156,10 @@ class Coordinator:
     def __init__(self, request: Union[SweepRequest, SweepLedger], *,
                  live: Optional[List[Job]] = None,
                  lease_ttl: float = 30.0,
-                 steal: bool = True,
-                 max_shard_cells: Optional[int] = None,
                  max_attempts: int = MAX_SHARD_ATTEMPTS,
                  clock: Callable[[], float] = time.monotonic,
                  progress: Optional[ProgressFn] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        self.steal_enabled = steal
         self._max_attempts = max_attempts
         #: set once every cell of the sweep has landed.
         self.finished = threading.Event()
@@ -176,12 +178,12 @@ class Coordinator:
         if live is None:
             live = self.ledger.open()
         jobs = {job.key: job for job in live}
-        shards = group_shards(self.ledger, live, max_shard_cells)
+        shards = group_shards(self.ledger, live)
         self._pending: List[ShardState] = [ShardState.from_request(s)
                                            for s in shards]
         self._cell_home: Dict[str, ShardState] = {}
-        #: every distributable cell, by wire key; never shrinks.  A
-        #: local worker runs these very requests (see :class:`Worker`).
+        #: every distributable cell, by wire key; never shrinks.  Every
+        #: worker runs these very requests (see :class:`Worker`).
         self.cells: Dict[str, Job] = {}
         self._accepted: Dict[str, int] = {}
         for state in self._pending:
@@ -253,19 +255,15 @@ class Coordinator:
                 if not shard.remaining:
                     continue  # every cell landed as a late report
                 return self._grant(worker_id, shard, stolen=False)
-            if self.steal_enabled:
-                victim = self._leases.largest()
-                if victim is not None:
-                    shard = self._split(victim)
-                    if shard is not None:
-                        self.steals += 1
-                        self._worker(worker_id).steals += 1
-                        self._log(
-                            f"{worker_id} stole {len(shard.remaining)} "
-                            f"cell(s) from lease {victim.lease_id} "
-                            f"({victim.worker_id}) as shard "
-                            f"{shard.shard_id}")
-                        return self._grant(worker_id, shard, stolen=True)
+            victim = self._leases.largest()
+            shard = self._split(victim) if victim is not None else None
+            if shard is not None:
+                self.steals += 1
+                self._worker(worker_id).steals += 1
+                self._log(f"{worker_id} stole {len(shard.remaining)} "
+                          f"cell(s) from lease {victim.lease_id} "
+                          f"({victim.worker_id}) as shard {shard.shard_id}")
+                return self._grant(worker_id, shard, stolen=True)
             if self.done:
                 return LeaseGrant(state="done")
             return LeaseGrant(state="wait",
@@ -274,16 +272,12 @@ class Coordinator:
     def _grant(self, worker_id: str, shard: ShardState,
                stolen: bool) -> LeaseGrant:
         lease = self._leases.grant(worker_id, shard)
-        stats = self._worker(worker_id)
-        stats.leases += 1
-        available = (self.store is not None
-                     and self.store.has(shard.trace_fp))
+        self._worker(worker_id).leases += 1
         return LeaseGrant(
             state="granted",
             lease_id=lease.lease_id,
             ttl=self._leases.ttl,
             shard=shard.granted_request(),
-            trace_available=available,
             stolen=stolen,
         )
 
@@ -328,20 +322,17 @@ class Coordinator:
             return {"ok": True, "ttl": self._leases.ttl, "stolen": stolen}
 
     def report(self, worker_id: str, lease_id: str, cell_key: str,
-               run_payload: Dict[str, object]) -> Dict[str, object]:
-        """One finished cell streaming back.  First report wins; a
-        duplicate (stale worker racing its replacement) is counted and
+               run: WorkloadRun) -> Dict[str, object]:
+        """One finished cell's run streaming back.  First report wins;
+        a duplicate (stale worker racing its replacement) is counted and
         dropped.  A report from an expired lease is still accepted when
         the cell is outstanding — the work is done and deterministic, so
         discarding it would only buy a resimulation."""
         with span("dist.report"):
-            try:
-                run = WorkloadRun.from_payload(run_payload)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            if not isinstance(run, WorkloadRun):
                 raise ReproError(
-                    f"malformed run payload for cell {cell_key!r}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
+                    f"malformed report for cell {cell_key!r}: a "
+                    f"{type(run).__name__}, not a WorkloadRun")
             with self._lock:
                 self._expire_stale()
                 job = self.cells.get(cell_key)
@@ -423,19 +414,9 @@ class Coordinator:
                 expiries=self.expiries, retries=self.retries,
                 duplicate_reports=self.duplicate_reports)
 
-    # -- trace sync (the store side of a worker's transport) -------------------
-
-    def get_trace(self, fingerprint: str) -> Optional[bytes]:
-        return (self.store.read_blob(fingerprint)
-                if self.store is not None else None)
-
-    def put_trace(self, fingerprint: str, blob: bytes) -> bool:
-        return (self.store.write_blob(fingerprint, blob)
-                if self.store is not None else False)
-
 
 #: The coordinator methods a pipe frame may name; nothing else is looked up.
-PIPE_VERBS = ("lease", "renew", "report", "get_trace", "put_trace")
+PIPE_VERBS = ("lease", "renew", "report")
 
 
 def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
@@ -479,16 +460,14 @@ class DistSweep:
                  workers: int = 0,
                  worker_urls: Sequence[str] = (),
                  lease_ttl: float = 30.0,
-                 steal: bool = True,
-                 max_shard_cells: Optional[int] = None,
                  progress: Optional[ProgressFn] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.workers = max(0, int(workers))
         self.worker_urls = tuple(worker_urls)
         self._log = log or (lambda message: None)
         self.coordinator = Coordinator(
-            request, live=live, lease_ttl=lease_ttl, steal=steal,
-            max_shard_cells=max_shard_cells, progress=progress, log=log)
+            request, live=live, lease_ttl=lease_ttl, progress=progress,
+            log=log)
         #: the local workers :meth:`start` forks, and their socketpairs.
         self.processes: List[ForkedProcess] = []
         self.pipes: List[Tuple[socket.socket, socket.socket]] = []
@@ -522,19 +501,16 @@ class DistSweep:
                 daemon_url: Optional[str] = None) -> Worker:
         """A worker of this sweep: over ``transport`` (a forked worker's
         pipe), else with the coordinator as its transport (inline, or
-        forwarding each cell to the daemon at ``daemon_url``).  A local
-        one (every worker but a daemon's) shares the coordinator's
-        memory and store directory: it runs the ledger's own cell
-        requests, and trace sync degenerates to the filesystem."""
+        forwarding each cell to the daemon at ``daemon_url``).  Each runs
+        the ledger's own cell requests against the coordinator's store
+        directory; only a daemon's worker syncs traces with it."""
         store = self.coordinator.store
-        worker = build_worker(
+        return build_worker(
             worker_id, transport or self.coordinator,
+            self.coordinator.cells,
             trace_dir=str(store.directory) if store is not None else None,
             job_timeout=self.coordinator.ledger.request.job_timeout,
             daemon_url=daemon_url, poll=0.1, log=self._log)
-        if daemon_url is None:
-            worker.cells = self.coordinator.cells
-        return worker
 
     def _spawn(self, worker_id: str, pipe: socket.socket) -> ForkedProcess:
         """Fork one local worker on its ``pipe`` end."""
@@ -595,8 +571,6 @@ def run_dist_sweep(request: SweepRequest, *,
                    workers: int = 0,
                    worker_urls: Sequence[str] = (),
                    lease_ttl: float = 30.0,
-                   steal: bool = True,
-                   max_shard_cells: Optional[int] = None,
                    progress: Optional[ProgressFn] = None,
                    timeout: Optional[float] = None,
                    log: Optional[Callable[[str], None]] = None
@@ -611,8 +585,7 @@ def run_dist_sweep(request: SweepRequest, *,
     path).
     """
     return DistSweep(request, workers=workers, worker_urls=worker_urls,
-                     lease_ttl=lease_ttl, steal=steal,
-                     max_shard_cells=max_shard_cells, progress=progress,
+                     lease_ttl=lease_ttl, progress=progress,
                      log=log).start().wait(timeout=timeout)
 
 

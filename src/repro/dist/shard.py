@@ -4,10 +4,10 @@ content-addressed units of distributable work.
 A shard is one trace group of the sweep ledger's live cells
 (:func:`~repro.harness.parallel.trace_groups` — the grouping the
 single-host sweep phases on and the daemon's scheduler batches on),
-so each shard keeps the capture-once-replay-everywhere economics of PR 5
-*within itself*: whichever worker leases it captures the functional
-trace once and replays every other cell, and a stolen or re-leased
-shard replays a synced trace instead of recapturing.
+so each shard keeps the capture-once-replay-everywhere economics of a
+single-host sweep *within itself*: whichever worker leases it captures
+the functional trace once and replays every other cell, and a stolen
+or re-leased shard replays the stored trace instead of recapturing.
 
 Shard ids are content hashes over (sweep id, trace fingerprint, cell
 keys), so the same spec shards identically on every coordinator and a
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Sequence
 
 from ..core.requests import ShardCell, ShardRequest
 from ..explore.sweep import SweepLedger
@@ -69,56 +69,37 @@ class ShardState:
         """The wire request covering only the outstanding cells (already
         completed cells are subtracted, so a re-lease after an expiry
         never resimulates journaled work)."""
-        from dataclasses import replace
-
         cells = tuple(self.remaining.values())
         if len(cells) == len(self.request.cells):
             return self.request
         return replace(self.request, cells=cells)
 
 
-def group_shards(ledger: SweepLedger, cells: Sequence[Job],
-                 max_shard_cells: Optional[int] = None) -> List[ShardRequest]:
+def group_shards(ledger: SweepLedger,
+                 cells: Sequence[Job]) -> List[ShardRequest]:
     """The ledger's live ``cells``, one :class:`ShardRequest` per trace
-    group (:func:`~repro.harness.parallel.trace_groups`).
-
-    ``max_shard_cells`` caps shard size (a capped group splits into
-    consecutive chunks that still share the fingerprint, so every chunk
-    after the first replays the first chunk's capture via the store).
-
-    Capture-bearing shards (each fingerprint's first chunk) are handed
-    out before every replay-only chunk: workers pulling from the front
-    of the queue then seed the trace store as early as possible, so
-    replay-only shards leased later find their capture already synced
-    instead of stalling on a same-fingerprint capture still in flight.
-    Shard ids are content hashes over (sweep, fingerprint, cells), so
-    the reordering changes lease order only — identities, journal
-    entries, and merge results are untouched.
-    """
+    group (:func:`~repro.harness.parallel.trace_groups`), in the order
+    the groups first appear.  A large shard is not cut here: an idle
+    worker steals half of it once its capture is stored (see
+    :meth:`~repro.dist.Coordinator.lease`)."""
     sweep = ledger.results
-    capture_shards: List[ShardRequest] = []
-    replay_shards: List[ShardRequest] = []
+    shards: List[ShardRequest] = []
     for fp, jobs in trace_groups(cells).items():
-        members = [ShardCell(point=job.point, workload=job.workload,
-                             isa=job.isa,
-                             overrides=ledger.point(job.point).overrides)
-                   for job in jobs]
-        chunk = (max_shard_cells if max_shard_cells and max_shard_cells > 0
-                 else len(members))
-        for start in range(0, len(members), chunk):
-            part = tuple(members[start:start + chunk])
-            request = ShardRequest(
-                shard_id=shard_id_for(sweep.sweep_id, fp, part),
-                sweep_id=sweep.sweep_id,
-                trace_fp=fp,
-                cells=part,
-                scale=sweep.scale,
-                seed=sweep.seed,
-                config=sweep.base,
-                execution=ledger.cell_mode,
-            )
-            (capture_shards if start == 0 else replay_shards).append(request)
-    return capture_shards + replay_shards
+        members = tuple(
+            ShardCell(point=job.point, workload=job.workload, isa=job.isa,
+                      overrides=ledger.point(job.point).overrides)
+            for job in jobs)
+        shards.append(ShardRequest(
+            shard_id=shard_id_for(sweep.sweep_id, fp, members),
+            sweep_id=sweep.sweep_id,
+            trace_fp=fp,
+            cells=members,
+            scale=sweep.scale,
+            seed=sweep.seed,
+            config=sweep.base,
+            execution=ledger.cell_mode,
+        ))
+    return shards
 
 
 __all__ = [

@@ -1,41 +1,39 @@
 """Pull-based sweep workers.
 
-A worker is a loop around three verbs against a coordinator — lease,
-report, renew — with the actual simulation delegated to a *backend*:
+Every worker runs one loop against a coordinator: lease a shard, run
+each cell's own request out of the ledger's cells, report the
+:class:`~repro.harness.runner.WorkloadRun` itself, and renew the lease
+meanwhile.  The simulation is delegated to a *backend*:
 
 * :class:`EmbeddedBackend` runs cells in this process through
   :func:`~repro.harness.parallel.run_cell` — the call the serve
-  scheduler makes for a run cell — against one resident trace store, so
-  a worker a :class:`~repro.dist.DistSweep` forks (or runs inline) gets
-  the daemon's store sharing and job timeout (a forked child per cell)
-  without a daemon's queue.
+  scheduler makes for a run cell — against one resident trace store
+  (the coordinator's directory), so a worker a
+  :class:`~repro.dist.DistSweep` forks (or runs inline) gets the
+  daemon's store sharing and job timeout without a daemon's queue.
 * :class:`DaemonBackend` forwards each cell to a ``repro serve`` daemon
-  through :class:`~repro.serve.DaemonClient` (``/v1/run`` and
-  ``/v1/traces``) — an already-warm daemon becomes a sweep worker
-  without restarting anything.  The serve layer is imported only when
-  such a worker is built.
+  through :class:`~repro.serve.DaemonClient`, so an already-warm daemon
+  becomes a sweep worker.  The daemon keeps its own trace store, so
+  this backend alone syncs traces, and it decodes the daemon's HTTP
+  result, where that outside input arrives.  The serve layer is
+  imported only when such a worker is built.
 
-The transport is whatever answers ``lease``/``renew``/``report``/
-``get_trace``/``put_trace``: :class:`PipeTransport` sends pickled frames
-over the socketpair of a worker :class:`~repro.dist.DistSweep` forks,
-and a :class:`~repro.dist.Coordinator` in the same process is its own
-transport (the inline and daemon-backed workers, the unit tests).
-:func:`build_worker` builds every worker.
-
-Trace sync: a granted shard names its functional trace fingerprint.
-When the coordinator already holds that trace
-(``grant.trace_available``) the worker pulls the blob into its backend
-before simulating, so every cell replays; after the shard, a freshly
-captured trace is pushed back so re-leases and thieves replay instead
-of recapturing.  A local worker (forked by, or running inside, the
-coordinator's process) pushes nothing back: its store is the
-coordinator's own directory.
+The transport is whatever answers ``lease``/``renew``/``report``:
+:class:`PipeTransport` sends pickled frames over the socketpair of a
+worker :class:`~repro.dist.DistSweep` forks, and a
+:class:`~repro.dist.Coordinator` in the same process is its own
+transport (the inline and daemon-backed workers, the unit tests).  No
+call is retried: a pipe error is permanent (the transport closes its
+socket) and a coordinator error is deterministic, so a worker leaves,
+or abandons its shard, at the first failure; a forked worker's lease
+then comes back when its pipe closes.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from functools import partialmethod
 from typing import Callable, Dict, Optional, Set
 from urllib.parse import urlsplit
@@ -44,11 +42,8 @@ from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, RunRequest
 from ..harness.cache import resolve_trace_store
 from ..harness.parallel import (Job, _failed_run, recv_frame, run_cell,
-                                send_frame)
-
-#: transient transport failures tolerated back to back before a worker
-#: abandons its shard (the lease then expires and the work requeues).
-TRANSPORT_RETRIES = 3
+                                send_frame, trace_key)
+from ..harness.runner import WorkloadRun
 
 
 def _parse_url(url: str):
@@ -92,8 +87,6 @@ class PipeTransport:
     lease = partialmethod(_call, "lease")
     renew = partialmethod(_call, "renew")
     report = partialmethod(_call, "report")
-    get_trace = partialmethod(_call, "get_trace")
-    put_trace = partialmethod(_call, "put_trace")
 
 
 # -- backends ------------------------------------------------------------------
@@ -109,56 +102,62 @@ class EmbeddedBackend:
         self.job_timeout = job_timeout
         self.store = resolve_trace_store(trace_dir)
 
-    def run(self, request: RunRequest) -> Dict[str, object]:
+    def run(self, request: RunRequest) -> WorkloadRun:
         return run_cell(request, trace_store=self.store,
-                        timeout=self.job_timeout).to_payload()
-
-    def has_blob(self, fingerprint: str) -> bool:
-        return self.store is not None and self.store.has(fingerprint)
-
-    def get_blob(self, fingerprint: str) -> Optional[bytes]:
-        return (self.store.read_blob(fingerprint)
-                if self.store is not None else None)
-
-    def put_blob(self, fingerprint: str, blob: bytes) -> bool:
-        return (self.store.write_blob(fingerprint, blob)
-                if self.store is not None else False)
+                        timeout=self.job_timeout)
 
 
 class DaemonBackend:
-    """Cells execute on a ``repro serve`` daemon; the daemon's own trace
-    store is the backend store, synced over ``/v1/traces``.  A daemon's
-    refusal (a :class:`~repro.serve.DaemonError`) of a blob transfer
-    reads as "no blob"."""
+    """Cells execute on a ``repro serve`` daemon, which pins its own
+    trace store (so the request's ``trace_dir`` is cleared).  ``store``
+    is the coordinator's: before a cell, its trace is pushed to the
+    daemon, at most once per fingerprint; after a capture, the daemon's
+    trace is pulled into it, so other workers replay.  A daemon's
+    refusal of a transfer (a :class:`~repro.serve.DaemonError`) only
+    costs a capture.  A result the daemon sends that does not decode
+    comes back as a marked-failed run naming the fault."""
 
-    def __init__(self, client: "DaemonClient", *,
+    def __init__(self, client: "DaemonClient", store=None, *,
                  wait_timeout: float = 600.0) -> None:
         self.client = client
+        self.store = store
         self.wait_timeout = wait_timeout
+        #: fingerprints the daemon holds: pushed to it or captured there.
+        self._synced: Set[str] = set()
 
-    def run(self, request: RunRequest) -> Dict[str, object]:
-        job = self.client.submit(request)
+    def run(self, request: RunRequest) -> WorkloadRun:
+        fp = (trace_key(request) if self.store is not None
+              and request.execution != "execute" else "")
+        if fp and fp not in self._synced:
+            blob = self.store.read_blob(fp)
+            if blob is not None and self._quietly(self.client.put_trace,
+                                                  fp, blob):
+                self._synced.add(fp)
+        job = self.client.submit(replace(request, trace_dir=None))
         status = self.client.wait(job.job_id, timeout=self.wait_timeout)
-        if status.result is not None:
-            return status.result
-        return _failed_run(Job(request=request),
-                           status.error or "daemon produced no result",
-                           status.wall_seconds or 0.0).to_payload()
-
-    def has_blob(self, fingerprint: str) -> bool:
-        return self.get_blob(fingerprint) is not None
-
-    def get_blob(self, fingerprint: str) -> Optional[bytes]:
+        if status.result is None:
+            return _failed_run(Job(request=request),
+                               status.error or "daemon produced no result",
+                               status.wall_seconds or 0.0)
         try:
-            return self.client.get_trace(fingerprint)
+            run = WorkloadRun.from_payload(status.result)
+        except ValueError as exc:   # names the field at fault
+            return _failed_run(Job(request=request),
+                               f"malformed run payload from the daemon: "
+                               f"{exc}", status.wall_seconds or 0.0)
+        if fp and run.execution == "capture":
+            self._synced.add(fp)
+            blob = self._quietly(self.client.get_trace, fp)
+            if blob:
+                self.store.write_blob(fp, blob)
+        return run
+
+    @staticmethod
+    def _quietly(call, *args):
+        try:
+            return call(*args)
         except ReproError:
             return None
-
-    def put_blob(self, fingerprint: str, blob: bytes) -> bool:
-        try:
-            return self.client.put_trace(fingerprint, blob)
-        except ReproError:
-            return False
 
 
 # -- the worker loop -----------------------------------------------------------
@@ -167,56 +166,41 @@ class DaemonBackend:
 class Worker:
     """Lease shards, simulate their cells, stream results back, renew.
 
-    One background thread per held lease renews at ttl/3 and learns
-    which cells were stolen; everything else is synchronous.  The worker
-    never retries a failed *cell* (failure isolation is per point, the
-    coordinator journals the failed run) but does retry a failed
-    *transport call*, and abandons the shard when the coordinator stays
-    unreachable — the lease expires and the work requeues elsewhere.
+    ``cells`` is the coordinator's view of its cells (wire key -> job),
+    shared by fork or by running in its process: a worker runs each
+    cell's own request.  One background thread per held lease renews at
+    ttl/3 and learns which cells were stolen; everything else is
+    synchronous.  The worker never retries a failed *cell* (failure
+    isolation is per point, the coordinator journals the failed run) nor
+    a failed transport call: it leaves when a lease call fails and
+    abandons the shard when a report or a renewal does.
     """
 
-    def __init__(self, worker_id: str, transport, backend, *,
-                 poll: float = 0.5,
+    def __init__(self, worker_id: str, transport, backend,
+                 cells: Dict[str, Job], *, poll: float = 0.5,
                  log: Optional[Callable[[str], None]] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.worker_id = worker_id
         self.transport = transport
         self.backend = backend
+        self.cells = cells
         self.poll = poll
         self.cells_done = 0
-        self.shards_done = 0
-        #: a local worker's view of the coordinator's cells (wire key ->
-        #: job), shared by fork or by running in its process: it runs each
-        #: cell's own request, and its store is the coordinator's, so it
-        #: pushes no trace back.  None: rebuild each request from the shard.
-        self.cells: Optional[Dict[str, Job]] = None
         self._log = log or (lambda message: None)
         self._sleep = sleep
 
-    def _rpc(self, fn, *args):
-        """A transport call with bounded retry; None when the
-        coordinator stays unreachable."""
-        for attempt in range(TRANSPORT_RETRIES):
-            try:
-                return fn(*args)
-            except (ReproError, OSError) as exc:
-                self._log(f"{self.worker_id}: transport error "
-                          f"({attempt + 1}/{TRANSPORT_RETRIES}): {exc}")
-            self._sleep(0.2 * (attempt + 1))
-        return None
-
     def run(self) -> int:
-        """Work until the coordinator says done; returns cells run."""
+        """Work until the coordinator says done or cannot be reached;
+        returns cells run."""
         while True:
-            grant = self._rpc(self.transport.lease, self.worker_id)
-            if grant is None:
-                self._log(f"{self.worker_id}: coordinator unreachable; "
-                          f"exiting")
+            try:
+                grant = self.transport.lease(self.worker_id)
+            except (ReproError, OSError) as exc:
+                self._log(f"{self.worker_id}: lease failed ({exc}); exiting")
                 return self.cells_done
             if grant.state == "done":
                 self._log(f"{self.worker_id}: sweep done "
-                          f"({self.cells_done} cell(s), "
-                          f"{self.shards_done} shard(s))")
+                          f"({self.cells_done} cell(s))")
                 return self.cells_done
             if grant.state == "wait":
                 self._sleep(grant.retry_after or self.poll)
@@ -234,8 +218,6 @@ class Worker:
             args=(grant, lost, stop, stolen),
             name=f"renew-{grant.lease_id}", daemon=True)
         renewer.start()
-        had_trace = self._sync_in(grant)
-        completed = 0
         try:
             for cell in shard.cells:
                 if lost.is_set():
@@ -244,102 +226,62 @@ class Worker:
                     break
                 if cell.key in stolen:
                     continue
-                payload = self._run_cell(
-                    shard.run_request(cell) if self.cells is None
-                    else self.cells[cell.key].request)
-                reply = self._rpc(self.transport.report, self.worker_id,
-                                  grant.lease_id, cell.key, payload)
-                if reply is None:
-                    break  # unreachable; let the lease expire
-                completed += 1
+                run = self._run_cell(self.cells[cell.key].request)
+                try:
+                    self.transport.report(self.worker_id, grant.lease_id,
+                                          cell.key, run)
+                except (ReproError, OSError) as exc:
+                    self._log(f"{self.worker_id}: report failed ({exc}); "
+                              f"abandoning shard {shard.shard_id}")
+                    break
                 self.cells_done += 1
         finally:
             stop.set()
             renewer.join(timeout=2.0)
-        if completed and not had_trace and self.cells is None:
-            self._sync_out(grant)
-        if completed:
-            self.shards_done += 1
 
-    def _run_cell(self, request: RunRequest) -> Dict[str, object]:
+    def _run_cell(self, request: RunRequest) -> WorkloadRun:
         start = time.monotonic()
         try:
             return self.backend.run(request)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            return _failed_run(
-                Job(request=request),
-                f"{type(exc).__name__}: {exc}",
-                time.monotonic() - start,
-            ).to_payload()
+            return _failed_run(Job(request=request),
+                               f"{type(exc).__name__}: {exc}",
+                               time.monotonic() - start)
 
     def _renew_loop(self, grant: LeaseGrant, lost: threading.Event,
                     stop: threading.Event, stolen: Set[str]) -> None:
         interval = max(0.05, (grant.ttl or 1.0) / 3.0)
-        misses = 0
         while not stop.wait(interval):
             try:
                 reply = self.transport.renew(self.worker_id, grant.lease_id)
             except (ReproError, OSError):
-                misses += 1
-                if misses >= TRANSPORT_RETRIES:
-                    lost.set()
-                    return
-                continue
-            misses = 0
+                reply = {}
             if not reply.get("ok"):
                 lost.set()
                 return
             for key in reply.get("stolen", ()):
                 stolen.add(str(key))
 
-    def _sync_in(self, grant: LeaseGrant) -> bool:
-        """Warm the backend's store with the shard's trace; True when
-        the backend already has (or just received) it."""
-        shard = grant.shard
-        assert shard is not None
-        if not shard.trace_fp or shard.execution == "execute":
-            return True
-        if self.backend.has_blob(shard.trace_fp):
-            return True
-        if not grant.trace_available:
-            return False
-        blob = self._rpc(self.transport.get_trace, shard.trace_fp)
-        if blob and self.backend.put_blob(shard.trace_fp, blob):
-            self._log(f"{self.worker_id}: synced trace "
-                      f"{shard.trace_fp[:12]} in ({len(blob)} bytes)")
-            return True
-        return False
 
-    def _sync_out(self, grant: LeaseGrant) -> None:
-        """Push a freshly captured trace back to the coordinator."""
-        shard = grant.shard
-        assert shard is not None
-        if not shard.trace_fp or shard.execution == "execute":
-            return
-        blob = self.backend.get_blob(shard.trace_fp)
-        if blob and self._rpc(self.transport.put_trace, shard.trace_fp,
-                              blob):
-            self._log(f"{self.worker_id}: synced trace "
-                      f"{shard.trace_fp[:12]} out ({len(blob)} bytes)")
-
-
-def build_worker(worker_id: str, transport, *,
+def build_worker(worker_id: str, transport, cells: Dict[str, Job], *,
                  trace_dir: Optional[str] = None,
                  job_timeout: Optional[float] = None,
                  daemon_url: Optional[str] = None, poll: float = 0.5,
                  log: Optional[Callable[[str], None]] = None) -> Worker:
     """The worker of a :class:`~repro.dist.DistSweep`, on ``transport``:
-    cells run embedded unless ``daemon_url`` names a daemon to forward
-    them to."""
+    cells run embedded against the store at ``trace_dir`` unless
+    ``daemon_url`` names a daemon to forward them to, which then syncs
+    traces with that store."""
     if daemon_url:
         from ..serve.client import DaemonClient
 
-        backend = DaemonBackend(DaemonClient(*_parse_url(daemon_url),
-                                             client_id=worker_id))
+        backend = DaemonBackend(
+            DaemonClient(*_parse_url(daemon_url), client_id=worker_id),
+            resolve_trace_store(trace_dir) if trace_dir else None)
     else:
         backend = EmbeddedBackend(trace_dir=trace_dir,
                                   job_timeout=job_timeout)
-    return Worker(worker_id, transport, backend, poll=poll, log=log)
+    return Worker(worker_id, transport, backend, cells, poll=poll, log=log)
 
 
 __all__ = [

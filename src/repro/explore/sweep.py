@@ -55,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
@@ -728,7 +727,6 @@ class SweepLedger:
 def execute_sweep_request(
     request: "SweepRequest",
     progress: Optional[ProgressFn] = None,
-    execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
 ) -> SweepResults:
     """Run (or resume) one :class:`~repro.core.requests.SweepRequest` —
     THE sweep entry point shared by ``Session.sweep``, the ``repro sweep``
@@ -736,13 +734,9 @@ def execute_sweep_request(
     over a :class:`SweepLedger`.
 
     :param progress: per-cell :class:`JobEvent` callback; replayed points
-        emit one event per cell with status ``"journal"``.
-    :param execute: test hook — simulates one :class:`Job` and returns
-        its run payload in place of the usual cell path; an in-process
-        callable, so it forces the serial loop without a job timeout, and
-        ``execution="execute"`` since the hook bypasses the trace store.
+        emit one event per cell with status ``"journal"``.  An
+        execution-side argument: callables cannot ride the wire.
 
-    Both are execution-side arguments: callables cannot ride the wire.
     Request fields whose meaning is not obvious from their name:
 
     * ``resume`` — ``True`` resumes the deterministic sweep id for this
@@ -761,10 +755,7 @@ def execute_sweep_request(
       computed, so cells run under different engines never share cache
       entries or journals.
     """
-    if execute is not None:
-        request = replace(request, execution="execute", jobs=1,
-                          job_timeout=None)
-    return _dispatch(SweepLedger(request, progress), execute)
+    return _dispatch(SweepLedger(request, progress))
 
 
 def execute_suite_request(
@@ -781,9 +772,7 @@ def execute_suite_request(
     return base.suite(request.scale)
 
 
-def _dispatch(ledger: SweepLedger,
-              execute: Optional[Callable[[Job], "Dict[str, object]"]] = None
-              ) -> SweepResults:
+def _dispatch(ledger: SweepLedger) -> SweepResults:
     """The local dispatch policy over a ledger.  With more than one
     worker and live cell in play, that many workers forked from this
     process lease the live cells from an in-process coordinator over
@@ -802,7 +791,7 @@ def _dispatch(ledger: SweepLedger,
         else:
             for batch in ledger.phases(live):
                 for job in batch:
-                    ledger.accept(job, run_job_inline(job, execute)
+                    ledger.accept(job, run_job_inline(job)
                                   if timeout is None
                                   else run_cell(job.request, timeout=timeout))
             ledger.verify()

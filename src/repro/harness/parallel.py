@@ -16,9 +16,10 @@ whose parent dies (its end of the socketpair closes) exits at once.
 lease the cells from an in-process coordinator.  Wherever a cell runs,
 one that raises comes back as a marked-failed
 :class:`~repro.harness.runner.WorkloadRun` carrying the exception
-message, never as a raise, and a run crosses a process boundary as the
-JSON-friendly payload the on-disk cache stores
-(:meth:`WorkloadRun.to_payload`).
+message, never as a raise.  Within the host a run crosses a process
+boundary as itself, pickled into one frame; the JSON-friendly payload
+(:meth:`WorkloadRun.to_payload`) is for bytes that leave the process:
+the daemon's HTTP, the result cache and the sweep journal.
 """
 
 from __future__ import annotations
@@ -118,21 +119,15 @@ def _failed_run(job: Job, message: str, wall: float) -> "object":
     return WorkloadRun.failure(job.workload, job.isa, message, wall)
 
 
-def run_job_inline(
-    job: Job, execute: Optional[Callable[[Job], "Dict[str, object]"]] = None,
-    trace_store: "Optional[object]" = None,
-) -> "object":
+def run_job_inline(job: Job,
+                   trace_store: "Optional[object]" = None) -> "object":
     """Run one job in this process with failure capture: an exception
-    becomes a marked-failed run, never a raise.  Without a custom
-    ``execute`` the run never leaves the process, so it is handed over
-    as it is rather than through the (lossless) payload encoding."""
-    from .runner import WorkloadRun, execute_run_request
+    becomes a marked-failed run, never a raise."""
+    from .runner import execute_run_request
 
     start = time.monotonic()
     try:
-        if execute is None:
-            return execute_run_request(job.request, trace_store=trace_store)
-        return WorkloadRun.from_payload(execute(job))
+        return execute_run_request(job.request, trace_store=trace_store)
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
         return _failed_run(
             job, f"{type(exc).__name__}: {exc}", time.monotonic() - start
@@ -171,7 +166,7 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
     naming its exit status.  The child dies with this process: a thread
     of its own blocks on its end of the socketpair and exits the child
     at EOF, which only this process's end closing can bring."""
-    from .runner import WorkloadRun, execute_run_request
+    from .runner import execute_run_request
 
     if timeout is None:
         return execute_run_request(request, trace_store=trace_store)
@@ -182,14 +177,13 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
         def body():
             threading.Thread(target=_exit_at_eof, args=(theirs,),
                              daemon=True).start()
-            send_frame(theirs, run_job_inline(
-                job, trace_store=trace_store).to_payload())
+            send_frame(theirs, run_job_inline(job, trace_store=trace_store))
 
         child = fork(body, close=(ours,))
         theirs.close()
         ours.settimeout(timeout)
         try:
-            return WorkloadRun.from_payload(recv_frame(ours))
+            return recv_frame(ours)
         except TimeoutError:  # no frame within the limit
             os.kill(child.pid, signal.SIGKILL)
             error = f"timed out after {timeout:g}s"

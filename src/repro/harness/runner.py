@@ -174,31 +174,35 @@ class WorkloadRun:
 
     @classmethod
     def from_payload(cls, payload: "Dict[str, object]") -> "WorkloadRun":
+        """Inverse of :meth:`to_payload`; a malformed payload raises
+        ValueError naming the field at fault."""
+        def decoded(name, decode, *absent):
+            try:
+                value = payload.get(name) if absent else payload[name]
+                return absent[0] if value is None and absent else decode(value)
+            except (KeyError, IndexError, TypeError, ValueError,
+                    AttributeError) as exc:
+                raise ValueError(f"run payload field {name!r}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+
         return cls(
-            workload=str(payload["workload"]),
-            isa=str(payload["isa"]),
-            verified=bool(payload["verified"]),
-            total=StatSet.from_payload(payload["total"]),  # type: ignore[arg-type]
-            per_dispatch=[
-                StatSet.from_payload(p)  # type: ignore[arg-type]
-                for p in payload["per_dispatch"]  # type: ignore[union-attr]
-            ],
-            dispatch_kernel_names=[str(n) for n in payload["dispatch_kernel_names"]],  # type: ignore[union-attr]
-            data_footprint_bytes=int(payload["data_footprint_bytes"]),  # type: ignore[arg-type]
-            instr_footprint_bytes=int(payload["instr_footprint_bytes"]),  # type: ignore[arg-type]
-            static_instructions=int(payload["static_instructions"]),  # type: ignore[arg-type]
-            kernel_code_bytes={
-                str(k): int(v)
-                for k, v in payload["kernel_code_bytes"].items()  # type: ignore[union-attr]
-            },
-            wall_seconds=float(payload["wall_seconds"]),  # type: ignore[arg-type]
-            error=payload.get("error"),  # type: ignore[arg-type]
-            trace=(
-                TraceData.from_payload(payload["trace"])  # type: ignore[arg-type]
-                if payload.get("trace") is not None
-                else None
-            ),
-            execution=str(payload.get("execution", "execute")),
+            workload=decoded("workload", str),
+            isa=decoded("isa", str),
+            verified=decoded("verified", bool),
+            total=decoded("total", StatSet.from_payload),
+            per_dispatch=decoded("per_dispatch", lambda dispatches: [
+                StatSet.from_payload(p) for p in dispatches]),
+            dispatch_kernel_names=decoded(
+                "dispatch_kernel_names", lambda names: list(map(str, names))),
+            data_footprint_bytes=decoded("data_footprint_bytes", int),
+            instr_footprint_bytes=decoded("instr_footprint_bytes", int),
+            static_instructions=decoded("static_instructions", int),
+            kernel_code_bytes=decoded("kernel_code_bytes", lambda sizes: {
+                str(k): int(v) for k, v in sizes.items()}),
+            wall_seconds=decoded("wall_seconds", float),
+            error=decoded("error", lambda error: error, None),
+            trace=decoded("trace", TraceData.from_payload, None),
+            execution=decoded("execution", str, "execute"),
         )
 
 

@@ -14,9 +14,12 @@ Routes (all payloads are versioned ``repro-api/1`` envelopes)::
     GET  /v1/traces/<fp>  fetch a trace blob     -> 200 octet-stream
     PUT  /v1/traces/<fp>  store a trace blob     -> 200 {stored: bool}
 
-A distributed sweep uses a daemon as a worker through ``/v1/run`` and
-``/v1/traces`` (:class:`repro.dist.DaemonBackend`); its coordinator
-never listens on a port.
+A distributed sweep uses a daemon as a worker through ``/v1/run``
+(:class:`repro.dist.DaemonBackend`); its coordinator never listens on a
+port.  ``/v1/traces`` moves a trace between the daemon's store and the
+coordinator's: the backend pushes the coordinator's trace before a
+cell, at most once per fingerprint, and pulls the daemon's after a
+capture.
 
 Submission metadata that is *not* part of the request schema travels in
 headers: ``X-Repro-Priority`` (int, higher runs first) and
@@ -130,7 +133,7 @@ class Daemon:
             return 202, {"draining": True}, {}
         raise _HttpError(404, f"no route {method} {path}")
 
-    # -- trace-blob sync (workers warm their stores over HTTP) -----------------
+    # -- trace-blob sync (for a dist sweep's daemon-backed worker) ---------
 
     def _traces(self, method: str, fingerprint: str, body: bytes
                 ) -> Tuple[int, object, Dict[str, str]]:

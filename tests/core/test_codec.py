@@ -217,13 +217,6 @@ class TestCellRule:
         assert (cell.execution, cell.seed) == ("auto", 1)
         assert cell.trace_dir == sweep.trace_dir
 
-    def test_shard_run_request_goes_through_it(self):
-        cell = _SHARD.run_request(_CELLS[0], trace_dir="/tmp/w")
-        assert cell == _SHARD.cell(
-            "spmv", "gcn3", config=_SHARD.cell_config(_CELLS[0]),
-            trace_dir="/tmp/w")
-        assert cell.config.cu.vrf_banks == 2
-
 
 class TestBuild:
     def test_unknown_keyword_fails_like_an_unknown_wire_key(self):

@@ -15,10 +15,10 @@ def plan_shards(tmp_path):
     :func:`group_shards` over the live cells of a ledger opened on a
     scratch journal directory."""
 
-    def plan(request, max_shard_cells=None):
+    def plan(request):
         ledger = SweepLedger(replace(request, sweeps_dir=str(tmp_path)))
         try:
-            shards = group_shards(ledger, ledger.open(), max_shard_cells)
+            shards = group_shards(ledger, ledger.open())
         finally:
             ledger.close()
         return SimpleNamespace(

@@ -25,25 +25,27 @@ class FakeClock:
         self.now += seconds
 
 
-def _coordinator(tmp_path, clock, *, banks=(2, 4), axes=None, **kw):
+def _coordinator(tmp_path, clock, *, banks=(2, 4), axes=None,
+                 workloads=("spmv",), isas=("gcn3",), execution="execute",
+                 **kw):
     if axes is None:
         axes = (Axis("cu.vrf_banks", banks),)
     request = SweepRequest(
-        axes=axes, workloads=("spmv",), isas=("gcn3",), scale=0.1, seed=7,
+        axes=axes, workloads=workloads, isas=isas, scale=0.1, seed=7,
         config=small_config(2), use_disk_cache=False,
-        sweeps_dir=str(tmp_path / "sweeps"), execution="execute",
-        verify_replay=False)
+        sweeps_dir=str(tmp_path / "sweeps"), execution=execution,
+        trace_dir=str(tmp_path / "traces"), verify_replay=False)
     return Coordinator(request, lease_ttl=10.0, clock=clock, **kw)
 
 
-def _run_payload(cell_key, wall=0.01):
+def _run(cell_key, wall=0.01):
     point, rest = cell_key.split(":", 1)
     workload, isa = rest.split("/")
     return WorkloadRun(workload=workload, isa=isa, verified=True,
                        total=StatSet(), per_dispatch=[],
                        dispatch_kernel_names=[], data_footprint_bytes=0,
                        instr_footprint_bytes=0, static_instructions=0,
-                       kernel_code_bytes={}, wall_seconds=wall).to_payload()
+                       kernel_code_bytes={}, wall_seconds=wall)
 
 
 def _keys(grant):
@@ -65,11 +67,11 @@ class TestLeaseReportCycle:
         assert len(keys) == 2
         assert not co.done
         first = co.report("w1", grant.lease_id, keys[0],
-                          _run_payload(keys[0]))
+                          _run(keys[0]))
         assert first["accepted"] and not first["duplicate"]
         assert not first["done"]
         last = co.report("w1", grant.lease_id, keys[1],
-                         _run_payload(keys[1]))
+                         _run(keys[1]))
         assert last["done"] and co.done
         assert co.status()["active_leases"] == 0   # released on last cell
         results = co.finish()
@@ -83,12 +85,14 @@ class TestLeaseReportCycle:
         co = _coordinator(tmp_path, clock)
         grant = co.lease("w1")
         for key in _keys(grant):
-            co.report("w1", grant.lease_id, key, _run_payload(key))
+            co.report("w1", grant.lease_id, key, _run(key))
         assert co.lease("w2").state == "done"
         co.finish()
 
     def test_second_worker_waits_without_steal(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock, steal=False)
+        # The only shard's capture is not stored yet, so stealing half of
+        # it would capture again: the second worker waits instead.
+        co = _coordinator(tmp_path, clock, execution="auto")
         co.lease("w1")
         grant = co.lease("w2")
         assert grant.state == "wait"
@@ -101,7 +105,7 @@ class TestExpiry:
         co = _coordinator(tmp_path, clock)
         grant = co.lease("w1")
         keys = _keys(grant)
-        co.report("w1", grant.lease_id, keys[0], _run_payload(keys[0]))
+        co.report("w1", grant.lease_id, keys[0], _run(keys[0]))
         clock.advance(11.0)
         regrant = co.lease("w2")
         assert regrant.state == "granted"
@@ -111,7 +115,7 @@ class TestExpiry:
         assert status["expiries"] == 1 and status["retries"] == 1
         # the dead lease cannot renew; the victim learns to abandon it.
         assert co.renew("w1", grant.lease_id)["ok"] is False
-        co.report("w2", regrant.lease_id, keys[1], _run_payload(keys[1]))
+        co.report("w2", regrant.lease_id, keys[1], _run(keys[1]))
         results = co.finish()
         assert results.workers["w1"].expiries == 1
         assert len(results.points) == 2
@@ -124,11 +128,11 @@ class TestExpiry:
         # the work is deterministic and done; discarding it would only
         # buy a resimulation.
         late = co.report("w1", grant.lease_id, keys[0],
-                         _run_payload(keys[0]))
+                         _run(keys[0]))
         assert late["accepted"] and not late["duplicate"]
         regrant = co.lease("w2")
         assert _keys(regrant) == [keys[1]]
-        co.report("w2", regrant.lease_id, keys[1], _run_payload(keys[1]))
+        co.report("w2", regrant.lease_id, keys[1], _run(keys[1]))
         co.finish()
 
     def test_poison_shard_fails_after_max_attempts(self, tmp_path, clock):
@@ -167,9 +171,9 @@ class TestSteal:
         assert status["steals"] == 1
         assert status["outstanding_cells"] == 4
         for key in _keys(victim)[:2]:
-            co.report("w1", victim.lease_id, key, _run_payload(key))
+            co.report("w1", victim.lease_id, key, _run(key))
         for key in stolen_keys:
-            co.report("w2", stolen.lease_id, key, _run_payload(key))
+            co.report("w2", stolen.lease_id, key, _run(key))
         results = co.finish()
         assert results.steals == 1
         assert results.workers["w2"].steals == 1
@@ -185,10 +189,10 @@ class TestSteal:
         stolen = co.lease("w2")
         contested = _keys(stolen)[0]
         first = co.report("w1", victim.lease_id, contested,
-                          _run_payload(contested))
+                          _run(contested))
         assert first["accepted"]
         second = co.report("w2", stolen.lease_id, contested,
-                           _run_payload(contested))
+                           _run(contested))
         assert second["duplicate"] and not second["accepted"]
         assert co.status()["duplicate_reports"] == 1
         assert co._accepted[contested] == 1
@@ -201,30 +205,49 @@ class TestReportValidation:
         grant = co.lease("w1")
         with pytest.raises(ReproError, match="unknown cell"):
             co.report("w1", grant.lease_id, "nope:spmv/gcn3",
-                      _run_payload("nope:spmv/gcn3"))
+                      _run("nope:spmv/gcn3"))
         co.ledger.close()
 
     def test_malformed_payload_raises(self, tmp_path, clock):
+        # A report carries the run itself; anything else is refused and
+        # the cell stays outstanding.
         co = _coordinator(tmp_path, clock)
         grant = co.lease("w1")
         key = _keys(grant)[0]
-        with pytest.raises(ReproError, match="malformed run payload"):
-            co.report("w1", grant.lease_id, key, {"workload": "spmv"})
-        co.ledger.close()
-
-
-    def test_non_dict_field_is_malformed_not_a_crash(self, tmp_path, clock):
-        # from_payload calls .items() on it: an AttributeError, which
-        # must surface as the protocol error, not kill a worker thread.
-        co = _coordinator(tmp_path, clock)
-        grant = co.lease("w1")
-        key = _keys(grant)[0]
-        payload = _run_payload(key)
-        payload["kernel_code_bytes"] = ["not", "a", "dict"]
-        with pytest.raises(ReproError, match="malformed run payload"):
-            co.report("w1", grant.lease_id, key, payload)
+        with pytest.raises(ReproError, match=f"malformed report for cell "
+                                             f"'{key}': a dict"):
+            co.report("w1", grant.lease_id, key, _run(key).to_payload())
         assert key not in co._accepted
+        assert co.status()["outstanding_cells"] == 2
         co.ledger.close()
+
+    def test_non_dict_field_is_malformed_not_a_crash(self):
+        # A run from a daemon arrives as JSON; from_payload would call
+        # .items() on the list.  The daemon's worker decodes it and hands
+        # back a failed run naming the field instead of raising.
+        from types import SimpleNamespace
+
+        from repro.core.requests import RunRequest
+        from repro.dist import DaemonBackend
+
+        payload = _run("p0:spmv/gcn3").to_payload()
+        payload["kernel_code_bytes"] = ["not", "a", "dict"]
+
+        class Client:
+            def submit(self, request):
+                return SimpleNamespace(job_id="j1")
+
+            def wait(self, job_id, timeout):
+                return SimpleNamespace(result=payload, error=None,
+                                       wall_seconds=0.5)
+
+        run = DaemonBackend(Client()).run(RunRequest(
+            workload="spmv", isa="gcn3", scale=0.1,
+            config=small_config(2)))
+        assert (run.workload, run.isa, run.verified) == ("spmv", "gcn3",
+                                                         False)
+        assert "malformed run payload" in run.error
+        assert "'kernel_code_bytes'" in run.error
 
     @pytest.mark.parametrize("label", ["bitonic/gcn3", "spmv/hsail"])
     def test_mislabelled_report_is_rejected(self, tmp_path, clock, label):
@@ -236,12 +259,12 @@ class TestReportValidation:
         point = keys[0].split(":", 1)[0]
         with pytest.raises(ReproError, match="mislabelled report"):
             co.report("w1", grant.lease_id, keys[0],
-                      _run_payload(f"{point}:{label}"))
+                      _run(f"{point}:{label}"))
         # the cell stays outstanding and is still reportable.
         assert keys[0] not in co._accepted
         assert co.status()["outstanding_cells"] == 2
         good = co.report("w1", grant.lease_id, keys[0],
-                         _run_payload(keys[0]))
+                         _run(keys[0]))
         assert good["accepted"]
         co.ledger.close()
 
@@ -254,7 +277,7 @@ class TestEdges:
         grant = co.lease("w1")
         keys = _keys(grant)
         assert len(keys) == 1
-        co.report("w1", grant.lease_id, keys[0], _run_payload(keys[0]))
+        co.report("w1", grant.lease_id, keys[0], _run(keys[0]))
         results = co.finish()
         assert len(results.points) == 2
         assert sum(1 for pr in results.points
@@ -264,7 +287,7 @@ class TestEdges:
         co = _coordinator(tmp_path, clock)
         grant = co.lease("w1")
         keys = _keys(grant)
-        co.report("w1", grant.lease_id, keys[0], _run_payload(keys[0]))
+        co.report("w1", grant.lease_id, keys[0], _run(keys[0]))
         co.abort("sweep timed out")
         assert co.done
         results = co.finish()
@@ -290,9 +313,14 @@ class TestConcurrentHttp:
         from repro.dist.coordinator import serve_pipe
         from repro.dist.worker import PipeTransport
 
-        co = _coordinator(tmp_path, clock, steal=False, max_shard_cells=1,
-                          axes=(Axis("l1d.hit_latency",
-                                     tuple(range(1, 25))),))
+        # Every workload x ISA is its own trace group: 20 one-cell
+        # shards, so no lease is ever large enough to steal from.
+        workloads = ("arraybw", "bitonic", "comd", "fft", "hpgmg",
+                     "lulesh", "md", "snap", "spmv", "xsbench")
+        co = _coordinator(tmp_path, clock, workloads=workloads,
+                          isas=("gcn3", "hsail"),
+                          axes=(Axis("l1d.hit_latency", (4,)),))
+        assert co.shards == 20
         pipes = [socket.socketpair() for _ in range(8)]
         servers = [threading.Thread(target=serve_pipe, args=(parent, co))
                    for parent, _ in pipes]
@@ -307,7 +335,7 @@ class TestConcurrentHttp:
                 for key in _keys(grant):
                     granted.setdefault(key, []).append(worker_id)
                     transport.report(worker_id, grant.lease_id, key,
-                                     _run_payload(key))
+                                     _run(key))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -326,9 +354,9 @@ class TestConcurrentHttp:
             for server in servers:
                 server.join(timeout=10)
                 assert not server.is_alive()
-        assert len(granted) == 24
+        assert len(granted) == 20
         assert all(len(workers) == 1 for workers in granted.values())
         status = co.status()
-        assert status["cells_accepted"] == 24 and status["done"]
-        assert status["duplicate_reports"] == 0
-        assert len(co.finish().points) == 24
+        assert status["cells_accepted"] == 20 and status["done"]
+        assert status["duplicate_reports"] == 0 and status["steals"] == 0
+        assert len(co.finish().points) == 1

@@ -8,8 +8,9 @@ not inherit the coordinator's signal handlers or output, must hold its
 own end of its socketpair and no other socket (nothing listens on a
 port), and must see the journal fully written.  Every local worker is
 built by ``build_worker`` with the request's ``job_timeout``, and a
-timed cell's own child dies with the worker.  None of this loads the
-serve layer."""
+timed cell's own child dies with the worker.  A run comes back from a
+forked worker or a timed cell's child as itself, never decoded from a
+payload.  None of this loads the serve layer."""
 
 import json
 import os
@@ -19,13 +20,15 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.common.config import small_config
-from repro.core.requests import SweepRequest
+from repro.common.stats import StatSet
+from repro.core.requests import RunRequest, SweepRequest
 from repro.dist import (
     DistSweep,
     Worker,
@@ -34,6 +37,8 @@ from repro.dist import (
 )
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
+from repro.harness.parallel import run_cell
+from repro.harness.runner import WorkloadRun
 
 AXES = (Axis("cu.vrf_banks", (2, 4)), Axis("l1d.hit_latency", (4, 8)))
 CELLS = 4
@@ -187,6 +192,50 @@ def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
     runs = [run for pr in results.points for run in pr.runs.values()]
     assert len(runs) == 2 * CELLS
     assert all(run.error is None and run.verified for run in runs)
+
+
+def _decodes(call):
+    """(result, payload decodes by class) that ``call`` makes in this
+    process, counted by wrapping ``WorkloadRun.from_payload`` and
+    ``StatSet.from_payload``; a forked child's decodes are its own."""
+    counts = Counter()
+    originals = {cls: cls.__dict__["from_payload"]
+                 for cls in (WorkloadRun, StatSet)}
+
+    def counting(cls, original):
+        def decode(klass, payload):
+            counts[cls.__name__] += 1
+            return original.__func__(klass, payload)
+        return classmethod(decode)
+
+    for cls, original in originals.items():
+        cls.from_payload = counting(cls, original)
+    try:
+        result = call()
+    finally:
+        for cls, original in originals.items():
+            cls.from_payload = original
+    return result, counts
+
+
+def test_a_local_workers_reports_decode_nothing(tmp_path):
+    """A forked worker reports each cell's run as itself: the
+    coordinator's process decodes no run payload."""
+    spec = dict(axes=(AXES[0],))
+    results, decodes = _decodes(lambda: run_dist_sweep(
+        _request(tmp_path, "decode", **spec), workers=1, timeout=120))
+    assert results.workers["local-0"].cells == 2
+    assert not results.failed_points
+    assert decodes == {}
+
+
+def test_a_timed_cell_decodes_nothing():
+    """A timed cell's child sends its run back as itself."""
+    run, decodes = _decodes(lambda: run_cell(
+        RunRequest(workload="spmv", isa="gcn3", scale=0.1,
+                   config=small_config(2)), timeout=300))
+    assert run.verified and run.error is None
+    assert decodes == {}
 
 
 def test_local_workers_honour_the_job_timeout(tmp_path):

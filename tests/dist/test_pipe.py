@@ -5,11 +5,11 @@
 It fails closed.  EOF or a truncated frame ends the serving loop without
 an answer and without applying anything half read; an unknown verb gets
 an error reply and is never looked up on the coordinator; a coordinator
-error reaches the worker as a ``ReproError``, which ``Worker._rpc``
-retries as it retries an HTTP 400; and a closed pipe makes every later
-call raise ``OSError``, so the worker leaves through its unreachable
-path.  A report's reply is sent only after the coordinator's progress
-callback has returned."""
+error reaches the worker as a ``ReproError``, and the worker abandons
+its shard after that one failed call; and a closed pipe makes every
+later call raise ``OSError``, so the worker leaves at its first failed
+lease, without retrying or sleeping.  A report's reply is sent only
+after the coordinator's progress callback has returned."""
 
 import pickle
 import socket
@@ -25,7 +25,7 @@ from repro.dist.coordinator import PIPE_VERBS, serve_pipe
 from repro.dist.worker import PipeTransport, recv_frame
 from repro.obs import host
 
-from .test_coordinator import FakeClock, _coordinator, _keys, _run_payload
+from .test_coordinator import FakeClock, _coordinator, _keys, _run
 
 
 class _Serving:
@@ -80,7 +80,7 @@ def co(tmp_path):
 def _report_frame(co):
     grant = co.lease("w1")
     key = _keys(grant)[0]
-    return _frame(("report", ("w1", grant.lease_id, key, _run_payload(key))))
+    return _frame(("report", ("w1", grant.lease_id, key, _run(key))))
 
 
 @pytest.mark.parametrize("cut", ["in_header", "in_body", "long_length"])
@@ -141,23 +141,34 @@ def test_a_coordinator_error_reaches_the_worker_as_a_repro_error(co):
     transport = PipeTransport(child_end)
     grant = transport.lease("w1")
     with pytest.raises(ReproError, match="unknown cell"):
-        transport.report("w1", grant.lease_id, "nope", _run_payload(
+        transport.report("w1", grant.lease_id, "nope", _run(
             _keys(grant)[0]))
-    with pytest.raises(ReproError, match="malformed run payload"):
+    with pytest.raises(ReproError, match="malformed report"):
         transport.report("w1", grant.lease_id, _keys(grant)[0], {})
-    # Worker._rpc retries it as it retries an HTTP 400, then gives up.
+    # A worker whose report is refused makes that one call and abandons
+    # the shard: the second cell never runs.
+    ran = []
+
+    class Mislabelling:
+        def run(self, request):
+            ran.append(request)
+            return _run("p:bitonic/gcn3")
+
     records = []
     unsubscribe = host.subscribe(records.append)
     try:
-        worker = Worker("w1", transport, None, sleep=lambda _s: None)
-        assert worker._rpc(transport.report, "w1", grant.lease_id, "nope",
-                           {}) is None
-        # Served after the third report's span has closed; still open.
+        worker = Worker("w1", transport, Mislabelling(), co.cells,
+                        sleep=lambda _s: None)
+        worker._run_shard(grant)
+        # Served after the report's span has closed (its own span may
+        # close after the reply is read); the lease is still held.
         assert transport.renew("w1", grant.lease_id)["ok"]
     finally:
         unsubscribe()
-    assert [r["attrs"] for r in records if r["name"] == "dist.pipe"][:3] == [
-        {"verb": "report", "ok": False}] * 3
+    assert len(ran) == 1 and worker.cells_done == 0
+    reports = [r["attrs"] for r in records if r["name"] == "dist.pipe"
+               and r["attrs"]["verb"] == "report"]
+    assert reports == [{"verb": "report", "ok": False}]
     child_end.close()
     serving.join()
     assert co.status()["cells_accepted"] == 0
@@ -172,8 +183,10 @@ def test_eof_closes_the_pipe_and_the_worker_leaves(co):
     assert child_end.fileno() == -1
     with pytest.raises(OSError):
         transport.lease("w1")
-    worker = Worker("w1", transport, None, sleep=lambda _s: None)
+    slept = []
+    worker = Worker("w1", transport, None, co.cells, sleep=slept.append)
     assert worker.run() == 0             # the unreachable path
+    assert slept == []                   # left at once, no retry
 
 
 def test_a_timeout_closes_the_pipe(co):
@@ -204,7 +217,7 @@ def test_the_report_reply_waits_for_the_progress_callback(tmp_path):
     transport = PipeTransport(child_end)
     grant = transport.lease("w1")
     key = _keys(grant)[0]
-    reply = transport.report("w1", grant.lease_id, key, _run_payload(key))
+    reply = transport.report("w1", grant.lease_id, key, _run(key))
     assert landed.is_set()
     assert reply["accepted"]
     child_end.close()

@@ -1,5 +1,5 @@
-"""Shard planning: content-addressed ids, trace-fingerprint grouping,
-size caps, and wire round-trips."""
+"""Shard planning: content-addressed ids, one shard per trace
+fingerprint, and wire round-trips."""
 
 import json
 from pathlib import Path
@@ -77,30 +77,6 @@ class TestPlanShards:
         assert len(plan.shards) == 2
         assert len({shard.trace_fp for shard in plan.shards}) == 2
 
-    def test_max_shard_cells_chunks_within_a_fingerprint(self, plan_shards):
-        plan = plan_shards(_request(), max_shard_cells=1)
-        assert len(plan.shards) == 2
-        assert len({shard.shard_id for shard in plan.shards}) == 2
-        # chunks still share the fingerprint: the second replays the
-        # first chunk's capture via the store.
-        assert len({shard.trace_fp for shard in plan.shards}) == 1
-
-    def test_capture_chunks_lease_before_replay_chunks(self, plan_shards):
-        # Two fingerprints, three cells each, chunked to one cell per
-        # shard: the queue must open with both capture-bearing chunks
-        # (each group's first) before any replay-only chunk, preserving
-        # relative group order within each half.
-        plan = plan_shards(
-            _request(workloads=("spmv", "bitonic"),
-                     axes=(Axis("cu.vrf_banks", (2, 4, 8)),)),
-            max_shard_cells=1)
-        assert len(plan.shards) == 6
-        fps = [s.trace_fp for s in plan.shards]
-        assert fps[:2] == sorted(set(fps), key=fps.index)  # one per group
-        assert len(set(fps[:2])) == 2
-        # the replay tail keeps each group's chunks in planning order
-        assert fps[2:] == [fps[0], fps[0], fps[1], fps[1]]
-
     def test_same_spec_plans_identically(self, plan_shards):
         a = plan_shards(_request())
         b = plan_shards(_request())
@@ -130,14 +106,6 @@ class TestShardState:
         assert all(cell.key != done_key for cell in granted.cells)
         # identity is preserved: it is the same shard, minus done work.
         assert granted.shard_id == state.request.shard_id
-
-    def test_cell_config_rebuilds_point_config(self, plan_shards):
-        plan = plan_shards(_request())
-        shard = plan.shards[0]
-        for cell, point in zip(shard.cells, (p for p in plan.ledger.points
-                                             if p.valid)):
-            assert shard.cell_config(cell).fingerprint() == \
-                point.config.fingerprint()
 
 
 class TestWireRoundTrips:

@@ -13,6 +13,7 @@ from repro.explore.sweep import (
     execute_sweep_request,
     sweep_fingerprint,
 )
+from repro.harness import runner
 from repro.harness.runner import run_workload
 
 AXES = [Axis("cu.vrf_banks", (2, 4))]
@@ -20,26 +21,30 @@ WORKLOADS = ["arraybw"]
 SCALE = 0.1
 
 
-def _sweep(tmp, progress=None, execute=None, **kw):
+def _sweep(tmp, progress=None, **kw):
     kw.setdefault("axes", AXES)
     kw.setdefault("config", small_config(2))
     kw.setdefault("workloads", WORKLOADS)
     kw.setdefault("scale", SCALE)
     kw.setdefault("use_disk_cache", False)
     kw.setdefault("sweeps_dir", str(tmp))
-    return execute_sweep_request(SweepRequest(**kw), progress=progress,
-                                 execute=execute)
+    return execute_sweep_request(SweepRequest(**kw), progress=progress)
 
 
 class CountingExecute:
-    """Execute hook that counts simulated cells (serial path only)."""
+    """Counts the cells simulated in this process (the serial path), by
+    wrapping ``runner.execute_run_request``, which every cell runs
+    through; ``calls`` holds their requests."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = []
+        execute = runner.execute_run_request
 
-    def __call__(self, job):
-        self.calls.append(job.describe())
-        return job.request.execute().to_payload()
+        def counting(request, trace_store=None):
+            self.calls.append(request)
+            return execute(request, trace_store=trace_store)
+
+        monkeypatch.setattr(runner, "execute_run_request", counting)
 
 
 class TestSweepFingerprint:
@@ -122,7 +127,8 @@ class TestCleanSweep:
 
 
 class TestResume:
-    def test_killed_sweep_resumes_without_resimulation(self, tmp_path):
+    def test_killed_sweep_resumes_without_resimulation(self, tmp_path,
+                                                       monkeypatch):
         """The satellite contract: kill mid-flight, resume, and the
         journaled points replay with zero re-simulation while the merged
         results equal a clean serial sweep."""
@@ -137,15 +143,15 @@ class TestResume:
         with pytest.raises(KeyboardInterrupt):
             _sweep(tmp_path, progress=kill_after_first_point)
 
-        counter = CountingExecute()
-        resumed = _sweep(tmp_path, resume=True, execute=counter)
+        counter = CountingExecute(monkeypatch)
+        resumed = _sweep(tmp_path, resume=True, execution="execute")
 
         assert resumed.replayed() == 1
         assert resumed.points[0].from_journal
         assert not resumed.points[1].from_journal
         # Only the second point's two cells were simulated.
         assert len(counter.calls) == 2
-        assert all("cu.vrf_banks=4" in c for c in counter.calls)
+        assert all(r.config.cu.vrf_banks == 4 for r in counter.calls)
 
         clean = _sweep(tmp_path / "clean")
         assert [pr.point.point_id for pr in resumed.points] == \
@@ -155,43 +161,45 @@ class TestResume:
                 assert a.runs[key].total.snapshot() == \
                     b.runs[key].total.snapshot()
 
-    def test_full_resume_serves_everything_from_journal(self, tmp_path):
+    def test_full_resume_serves_everything_from_journal(self, tmp_path,
+                                                        monkeypatch):
         _sweep(tmp_path)
-        counter = CountingExecute()
+        counter = CountingExecute(monkeypatch)
         events = []
-        resumed = _sweep(tmp_path, resume=True, execute=counter,
+        resumed = _sweep(tmp_path, resume=True, execution="execute",
                          progress=events.append)
         assert resumed.replayed() == 2
         assert counter.calls == []
         assert {e.status for e in events} == {"journal"}
 
-    def test_resume_by_explicit_sweep_id(self, tmp_path):
+    def test_resume_by_explicit_sweep_id(self, tmp_path, monkeypatch):
         first = _sweep(tmp_path)
-        counter = CountingExecute()
-        resumed = _sweep(tmp_path, resume=first.sweep_id, execute=counter)
+        counter = CountingExecute(monkeypatch)
+        resumed = _sweep(tmp_path, resume=first.sweep_id, execution="execute")
         assert resumed.sweep_id == first.sweep_id
         assert resumed.replayed() == 2
         assert counter.calls == []
 
-    def test_multi_axis_resume_ignores_journal_key_order(self, tmp_path):
+    def test_multi_axis_resume_ignores_journal_key_order(self, tmp_path,
+                                                         monkeypatch):
         # The journal is written with sorted keys, which reorders the
         # overrides of a point whose axes are not alphabetical.
         axes = [Axis("l1d.hit_latency", (4, 8)), Axis("cu.vrf_banks", (2, 4))]
         _sweep(tmp_path, axes=axes, isas=("gcn3",))
-        counter = CountingExecute()
+        counter = CountingExecute(monkeypatch)
         resumed = _sweep(tmp_path, axes=axes, isas=("gcn3",), resume=True,
-                         execute=counter)
+                         execution="execute")
         assert resumed.replayed() == 4
         assert counter.calls == []
 
-    def test_fresh_run_truncates_prior_journal(self, tmp_path):
+    def test_fresh_run_truncates_prior_journal(self, tmp_path, monkeypatch):
         _sweep(tmp_path)
-        counter = CountingExecute()
-        again = _sweep(tmp_path, execute=counter)  # no resume
+        counter = CountingExecute(monkeypatch)
+        again = _sweep(tmp_path, execution="execute")  # no resume
         assert again.replayed() == 0
         assert len(counter.calls) == 4
 
-    def test_stale_source_journal_resimulates(self, tmp_path):
+    def test_stale_source_journal_resimulates(self, tmp_path, monkeypatch):
         results = _sweep(tmp_path)
         lines = open(results.journal_path, encoding="utf-8").readlines()
         header = json.loads(lines[0])
@@ -199,22 +207,23 @@ class TestResume:
         with open(results.journal_path, "w", encoding="utf-8") as f:
             f.write(json.dumps(header) + "\n")
             f.writelines(lines[1:])
-        counter = CountingExecute()
+        counter = CountingExecute(monkeypatch)
         with pytest.warns(UserWarning, match="different source tree"):
-            resumed = _sweep(tmp_path, resume=True, execute=counter)
+            resumed = _sweep(tmp_path, resume=True, execution="execute")
         assert resumed.replayed() == 0
         assert len(counter.calls) == 4
 
-    def test_truncated_tail_ignored(self, tmp_path):
+    def test_truncated_tail_ignored(self, tmp_path, monkeypatch):
         results = _sweep(tmp_path)
         with open(results.journal_path, "a", encoding="utf-8") as f:
             f.write('{"type": "point", "point": {"overr')  # mid-write kill
-        counter = CountingExecute()
-        resumed = _sweep(tmp_path, resume=True, execute=counter)
+        counter = CountingExecute(monkeypatch)
+        resumed = _sweep(tmp_path, resume=True, execution="execute")
         assert resumed.replayed() == 2
         assert counter.calls == []
 
-    def test_changed_config_fingerprint_resimulates(self, tmp_path):
+    def test_changed_config_fingerprint_resimulates(self, tmp_path,
+                                                    monkeypatch):
         results = _sweep(tmp_path)
         lines = open(results.journal_path, encoding="utf-8").readlines()
         entry = json.loads(lines[1])
@@ -223,51 +232,54 @@ class TestResume:
             f.write(lines[0])
             f.write(json.dumps(entry) + "\n")
             f.writelines(lines[2:])
-        counter = CountingExecute()
-        resumed = _sweep(tmp_path, resume=True, execute=counter)
+        counter = CountingExecute(monkeypatch)
+        resumed = _sweep(tmp_path, resume=True, execution="execute")
         assert resumed.replayed() == 1   # the untampered point
         assert len(counter.calls) == 2   # the tampered one re-ran
 
 
 class TestFailureIsolation:
-    def test_invalid_point_journaled_failed_not_simulated(self, tmp_path):
-        counter = CountingExecute()
+    def test_invalid_point_journaled_failed_not_simulated(self, tmp_path,
+                                                          monkeypatch):
+        counter = CountingExecute(monkeypatch)
         results = _sweep(tmp_path,
                          axes=[Axis("l1i.size_bytes", (8192, 100))],
-                         execute=counter)
+                         execution="execute")
         assert len(results.points) == 2
         (bad,) = results.failed_points
         assert bad.point.error is not None
         assert "l1i.size_bytes" in bad.error
         assert len(counter.calls) == 2   # only the valid point ran
         # The failed point is journaled, so resume replays it too.
-        counter2 = CountingExecute()
+        counter2 = CountingExecute(monkeypatch)
         resumed = _sweep(tmp_path,
                          axes=[Axis("l1i.size_bytes", (8192, 100))],
-                         resume=True, execute=counter2)
+                         resume=True, execution="execute")
         assert resumed.replayed() == 2
         assert counter2.calls == []
 
-    def test_unwritable_journal_degrades_gracefully(self, tmp_path):
+    def test_unwritable_journal_degrades_gracefully(self, tmp_path,
+                                                    monkeypatch):
         # A *file* where the sweeps dir should be: mkdir fails, journalling
         # turns off, but the sweep itself still completes correctly.
         blocker = tmp_path / "nope"
         blocker.write_text("not a directory")
-        counter = CountingExecute()
-        results = _sweep(tmp_path, sweeps_dir=str(blocker), execute=counter)
+        counter = CountingExecute(monkeypatch)
+        results = _sweep(tmp_path, sweeps_dir=str(blocker),
+                         execution="execute")
         assert len(results.points) == 2
         assert not results.failed_points
         assert len(counter.calls) == 4
 
 
 class TestDiskCacheIntegration:
-    def test_warm_cache_skips_pool(self, tmp_path):
+    def test_warm_cache_skips_pool(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         _sweep(tmp_path / "s1", use_disk_cache=True, cache_dir=cache_dir)
-        counter = CountingExecute()
+        counter = CountingExecute(monkeypatch)
         events = []
         again = _sweep(tmp_path / "s2", use_disk_cache=True,
-                       cache_dir=cache_dir, execute=counter,
+                       cache_dir=cache_dir, execution="execute",
                        progress=events.append)
         assert counter.calls == []
         assert {e.status for e in events} == {"hit"}

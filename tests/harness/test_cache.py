@@ -95,6 +95,18 @@ class TestResultCache:
         cache._path(key).write_text('{"format": 1, "run": {"nope": true}}')
         assert cache.get(key) is None
 
+    def test_mistyped_field_is_a_miss_not_a_crash(self, tmp_path, tiny_run):
+        # from_payload would call .items() on the list; the decode names
+        # the field in a ValueError, which get() treats as corruption.
+        cache = ResultCache(tmp_path / "cache")
+        key = job_fingerprint(small_config(2), "arraybw", "gcn3", 0.1, 7)
+        cache.put(key, tiny_run)
+        entry = json.loads(cache._path(key).read_text())
+        entry["run"]["kernel_code_bytes"] = ["not", "a", "dict"]
+        cache._path(key).write_text(json.dumps(entry))
+        assert cache.get(key) is None
+        assert not cache._path(key).exists()
+
     def test_stale_format_version_is_a_miss(self, tmp_path, tiny_run):
         cache = ResultCache(tmp_path / "cache")
         key = job_fingerprint(small_config(2), "arraybw", "gcn3", 0.1, 7)

@@ -1,8 +1,9 @@
 """The run-payload codec is a byte contract.
 
-``WorkloadRun.to_payload`` is what a dist worker reports, what the
-coordinator journals and what the result cache and ``repro serve``
-store, so a faster codec must write the same bytes.
+``WorkloadRun.to_payload`` is what the sweep journal, the result cache
+and ``repro serve``'s HTTP carry: every place a run leaves the process
+as bytes (within the host a dist worker reports the run itself), so a
+faster codec must write the same bytes.
 ``tests/golden/payload_digests.json`` pins, for every workload x ISA
 cell at ``small_config(2)``, scale 0.25, seed 7, the sha256 of
 ``json.dumps(run.to_payload(), sort_keys=True)`` with ``wall_seconds``

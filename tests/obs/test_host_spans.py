@@ -286,8 +286,7 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
     from repro.dist.worker import PipeTransport
     from repro.serve import DaemonClient, DaemonError, Scheduler
     from repro.serve.daemon import Daemon
-    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, \
-        _run_payload
+    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, _run
 
     co = _coordinator(tmp_path, FakeClock())
     server = Daemon(Scheduler(trace_dir=str(tmp_path / "traces")), port=0)
@@ -300,7 +299,7 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
         transport = PipeTransport(child_end)
         grant = transport.lease("w1")
         for key in _keys(grant):
-            transport.report("w1", grant.lease_id, key, _run_payload(key))
+            transport.report("w1", grant.lease_id, key, _run(key))
         child_end.close()
         pipe.join(timeout=10)
         client = DaemonClient(server.host, server.port)
@@ -331,8 +330,7 @@ def test_pipe_spans_wrap_dist_calls(tmp_path):
     from repro.common.errors import ReproError
     from repro.dist.worker import PipeTransport
     from repro.dist.coordinator import serve_pipe
-    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, \
-        _run_payload
+    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, _run
 
     co = _coordinator(tmp_path, FakeClock())
     parent_end, child_end = socket.socketpair()
@@ -343,7 +341,7 @@ def test_pipe_spans_wrap_dist_calls(tmp_path):
         transport = PipeTransport(child_end)
         grant = transport.lease("w1")
         for key in _keys(grant):
-            transport.report("w1", grant.lease_id, key, _run_payload(key))
+            transport.report("w1", grant.lease_id, key, _run(key))
         with pytest.raises(ReproError):
             transport.report("w1", grant.lease_id, "nope", {})
         child_end.close()                # the worker leaves: EOF
@@ -384,8 +382,9 @@ def test_a_local_worker_sweep_makes_no_http_request(tmp_path):
 
 def test_a_local_worker_pushes_no_trace_back(tmp_path):
     """A local worker's store is the coordinator's own directory, so a
-    trace it captured is already there: no ``put_trace`` frame.  Two
-    trace groups, so the first shard ends well before the sweep does."""
+    trace it captured is already there: its pipe carries the lease
+    protocol's verbs and nothing else.  Two trace groups, so the first
+    shard ends well before the sweep does."""
     from repro.dist import run_dist_sweep
     from tests.dist.test_local_workers import _request
 
@@ -395,7 +394,8 @@ def test_a_local_worker_pushes_no_trace_back(tmp_path):
     assert results.captures == 2 and not results.failed_points
     verbs = Counter(r["attrs"]["verb"] for r in records
                     if r["name"] == "dist.pipe")
-    assert verbs["report"] == 8 and verbs["put_trace"] == 0
+    assert verbs["report"] == 8
+    assert set(verbs) <= {"lease", "renew", "report"}
 
 
 def layer_table(matrix):
