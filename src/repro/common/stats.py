@@ -89,6 +89,10 @@ class Distribution:
         self._total += other._total
         self._sorted_keys = None
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Distribution)
+                and self._buckets == other._buckets)
+
     def copy(self) -> "Distribution":
         """An independent copy: no bucket map shared."""
         dist = Distribution()
@@ -134,6 +138,11 @@ class RatioProbe:
     def merge(self, other: "RatioProbe") -> None:
         self.numerator += other.numerator
         self.denominator += other.denominator
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, RatioProbe)
+                and self.numerator == other.numerator
+                and self.denominator == other.denominator)
 
     def copy(self) -> "RatioProbe":
         probe = RatioProbe()

@@ -3,9 +3,9 @@
 The coordinator is the *distributed dispatch policy* over a
 :class:`~repro.explore.sweep.SweepLedger`.  The ledger resolves the
 request, owns the journal, the per-cell disk cache and the trace store,
-replays what is already known, files every cell that lands, journals
-each point as its last cell resolves and runs the replay fidelity guard
-— exactly as it does under the serial policy
+replays what is already known, files and journals every cell that
+lands, marks each point done as its last cell resolves and runs the
+replay fidelity guard — exactly as it does under the serial policy
 (:func:`~repro.explore.sweep.execute_sweep_request`, which hands its
 ledger to a coordinator here under ``jobs > 1``).  What is left here
 is what is genuinely distributed: pull-based workers lease
@@ -24,7 +24,8 @@ already-reported cell subtracted, so nothing journaled is ever
 resimulated.  A forked worker whose pipe closes gives its leases back
 at once.  Work-stealing is the one load balancer: an idle worker splits
 the tail off the largest outstanding lease once that shard's capture
-is stored; the victim learns which cells left via its next renewal.
+is stored; the victim learns which cells left from its next report or
+renewal, and skips them.
 Double reports (a stale worker racing its replacement) resolve
 first-wins.
 """
@@ -108,13 +109,14 @@ def journal_digest(path) -> str:
 
     Wall-clock fields (per-run ``wall_seconds``, the header's
     ``created``) and the capture-vs-replay ``execution`` tag differ
-    between hosts and runs; the simulated statistics must not.  Points
-    are keyed by id, not line order, because a distributed sweep
-    journals points in completion order.  Two journals with equal
-    digests carry bit-identical sweep statistics.
+    between hosts and runs; the simulated statistics must not.  Cells
+    are keyed by (point id, workload, ISA) and points by id, not by line
+    order, because a distributed sweep journals them in completion
+    order.  Two journals with equal digests carry bit-identical sweep
+    statistics.
     """
     header: Dict[str, object] = {}
-    points: Dict[str, object] = {}
+    lines: Dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
             try:
@@ -127,14 +129,15 @@ def journal_digest(path) -> str:
                 header = dict(entry)
                 header.pop("created", None)
             elif entry.get("type") == "point":
-                entry = json.loads(json.dumps(entry))  # private copy
-                for run in entry.get("runs", ()):
-                    if isinstance(run, dict):
-                        run.pop("wall_seconds", None)
-                        run.pop("execution", None)
-                pid = str(entry.get("point", {}).get("point_id", ""))
-                points[pid] = entry
-    canonical = json.dumps({"header": header, "points": points},
+                lines[str(entry.get("point", {}).get("point_id", ""))] = entry
+            elif (entry.get("type") == "cell"
+                  and isinstance(entry.get("run"), dict)):
+                run = entry["run"]
+                run.pop("wall_seconds", None)
+                run.pop("execution", None)
+                lines[f"{entry.get('point')} {run.get('workload')}/"
+                      f"{run.get('isa')}"] = entry
+    canonical = json.dumps({"header": header, "lines": lines},
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -211,11 +214,11 @@ class Coordinator:
 
     def _expire_stale(self) -> None:
         for lease in self._leases.expire():
-            self.expiries += 1
-            self._worker(lease.worker_id).expiries += 1
             shard = lease.shard
             if not shard.remaining:
-                continue
+                continue  # nothing lost: other workers landed its cells
+            self.expiries += 1
+            self._worker(lease.worker_id).expiries += 1
             shard.attempts += 1
             if shard.attempts >= self._max_attempts:
                 self._log(f"shard {shard.shard_id} abandoned after "
@@ -284,8 +287,9 @@ class Coordinator:
     def _split(self, victim) -> Optional[ShardState]:
         """Move the tail half of the victim's outstanding cells into a
         fresh content-addressed shard (the victim keeps working its head
-        and learns about the theft on its next renewal).  None before
-        the victim's capture is stored: the thief would capture again."""
+        and learns of the theft from its next report or renewal).  None
+        before the victim's capture is stored: the thief would capture
+        again."""
         keys = list(victim.shard.remaining)
         take = len(keys) // 2
         if take < 1 or not (self.ledger.cell_mode == "execute"
@@ -327,7 +331,10 @@ class Coordinator:
         a duplicate (stale worker racing its replacement) is counted and
         dropped.  A report from an expired lease is still accepted when
         the cell is outstanding — the work is done and deterministic, so
-        discarding it would only buy a resimulation."""
+        discarding it would only buy a resimulation.  The reply's
+        ``stolen`` names the cells taken from the lease since the
+        worker last heard, so it never simulates them; a lease left
+        with no cells is released."""
         with span("dist.report"):
             if not isinstance(run, WorkloadRun):
                 raise ReproError(
@@ -344,16 +351,19 @@ class Coordinator:
                     raise ReproError(
                         f"mislabelled report: cell {cell_key!r} got a run of "
                         f"{run.workload}/{run.isa}")
-                if cell_key in self._accepted:
+                duplicate = cell_key in self._accepted
+                if duplicate:
                     self.duplicate_reports += 1
-                    return {"accepted": False, "duplicate": True,
-                            "done": self.done}
+                else:
+                    self._accept(cell_key, run, worker_id=worker_id)
+                stolen: List[str] = []
                 lease = self._leases.get(lease_id)
-                self._accept(cell_key, run, worker_id=worker_id)
-                if lease is not None and not lease.shard.remaining:
-                    self._leases.release(lease_id)
-                return {"accepted": True, "duplicate": False,
-                        "done": self.done}
+                if lease is not None and lease.worker_id == worker_id:
+                    stolen, lease.stolen_pending = lease.stolen_pending, []
+                    if not lease.shard.remaining:
+                        self._leases.release(lease_id)
+                return {"accepted": not duplicate, "duplicate": duplicate,
+                        "done": self.done, "stolen": stolen}
 
     def _accept(self, cell_key: str, run: WorkloadRun, *,
                 worker_id: str) -> None:

@@ -169,11 +169,12 @@ class Worker:
     ``cells`` is the coordinator's view of its cells (wire key -> job),
     shared by fork or by running in its process: a worker runs each
     cell's own request.  One background thread per held lease renews at
-    ttl/3 and learns which cells were stolen; everything else is
-    synchronous.  The worker never retries a failed *cell* (failure
-    isolation is per point, the coordinator journals the failed run) nor
-    a failed transport call: it leaves when a lease call fails and
-    abandons the shard when a report or a renewal does.
+    ttl/3; every renewal's and report's reply names the cells stolen
+    from the lease, which the worker then skips.  The worker never
+    retries a failed *cell* (failure isolation is per point, the
+    coordinator journals the failed run) nor a failed transport call:
+    it leaves when a lease call fails and abandons the shard when a
+    report or a renewal does.
     """
 
     def __init__(self, worker_id: str, transport, backend,
@@ -228,12 +229,13 @@ class Worker:
                     continue
                 run = self._run_cell(self.cells[cell.key].request)
                 try:
-                    self.transport.report(self.worker_id, grant.lease_id,
-                                          cell.key, run)
+                    reply = self.transport.report(
+                        self.worker_id, grant.lease_id, cell.key, run)
                 except (ReproError, OSError) as exc:
                     self._log(f"{self.worker_id}: report failed ({exc}); "
                               f"abandoning shard {shard.shard_id}")
                     break
+                stolen.update(reply.get("stolen", ()))
                 self.cells_done += 1
         finally:
             stop.set()

@@ -22,11 +22,13 @@ One sweep = (base config, space, workloads, ISAs, scale, seed).  Its
 identity is a content hash of exactly those inputs, so the journal
 directory (``.repro_cache/sweeps/<sweep-id>/``) is found again by simply
 re-issuing the same command with ``--resume``.  The journal is JSONL —
-a header line followed by one line per *completed point* (all of its
-workload x ISA cells), appended and flushed the moment the point's last
-cell resolves.  A killed or crashed sweep therefore restarts from the
-last completed point: resumed points are served straight from the
-journal (zero re-simulation), and only the tail runs.
+a header line, then one ``cell`` line per workload x ISA cell as it
+lands (encoded once, from the payload the result cache writes too) and
+one small ``point`` line the moment a point's last cell resolves.  A
+killed or crashed sweep therefore restarts from the last finished
+cell: completed points are served straight from the journal, the
+journaled cells of an unfinished one pre-complete (zero
+re-simulation), and only the tail runs.
 
 Failure isolation is per point: an invalid geometry (caught at
 enumeration by ``with_overrides``) or a diverging simulation marks that
@@ -59,6 +61,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -86,12 +89,13 @@ from ..harness.parallel import (
     trace_groups,
 )
 from ..harness.runner import SuiteResults, WorkloadRun
+from ..obs.host import span
 from ..workloads import all_workloads
 from .space import Axis, SweepPoint, build_space
 
 #: bump when the journal line shape changes; older journals then re-run
 #: instead of deserializing garbage.
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -127,16 +131,6 @@ class PointResult:
         results = SuiteResults(scale=scale)
         results.runs.update(self.runs)
         return results
-
-    def to_journal_line(self) -> "Dict[str, object]":
-        return {
-            "type": "point",
-            "point": self.point.to_dict(),
-            "status": self.status,
-            "error": self.error,
-            "runs": [run.to_payload()
-                     for _key, run in sorted(self.runs.items())],
-        }
 
 
 @dataclass
@@ -264,15 +258,22 @@ class SweepJournal:
 
     # -- replay ----------------------------------------------------------------
 
-    def load(self) -> "Dict[str, Tuple[PointResult, Optional[str]]]":
-        """Completed points keyed by point id, each carrying the config
-        fingerprint it was journaled under (empty on any problem)."""
+    def load(self) -> Tuple[
+            Dict[Tuple[str, str], Dict[Tuple[str, str], WorkloadRun]],
+            Set[Tuple[str, str]]]:
+        """(the journaled cells' runs by (workload, ISA), under (point id,
+        config fingerprint); the finished points' (point id, config
+        fingerprint)), both empty on any problem.  A later line for the
+        same cell wins.  Ids are read, not recomputed from the overrides:
+        ids are order-sensitive, and a JSON object's key order is not
+        the journal's contract."""
+        cells: Dict[Tuple[str, str], Dict[Tuple[str, str], WorkloadRun]] = {}
+        finished: Set[Tuple[str, str]] = set()
         try:
             with open(self.path, "r", encoding="utf-8") as f:
                 lines = f.read().splitlines()
         except OSError:
-            return {}
-        out: Dict[str, Tuple[PointResult, Optional[str]]] = {}
+            return cells, finished
         header_ok = False
         for line in lines:
             try:
@@ -291,39 +292,22 @@ class SweepJournal:
                         f"different source tree or format; re-simulating",
                         stacklevel=2,
                     )
-                    return {}
+                    return {}, set()
                 continue
-            if not header_ok or entry.get("type") != "point":
+            if not header_ok:
                 continue
-            parsed = self._parse_point(entry)
-            if parsed is not None:
-                out[parsed[0]] = parsed[1:]
-        return out
-
-    @staticmethod
-    def _parse_point(
-        entry: "Dict[str, object]",
-    ) -> "Optional[Tuple[str, PointResult, Optional[str]]]":
-        """(journaled point id, result, config fingerprint) of one point
-        line.  The id is read, not recomputed from the overrides: ids are
-        order-sensitive and the sorted-key write reorders a multi-axis
-        point's overrides."""
-        try:
-            raw = entry["point"]
-            point = SweepPoint(
-                overrides=tuple(raw["overrides"].items()),  # type: ignore[union-attr,index]
-                config=None,
-                error=raw.get("error"),  # type: ignore[union-attr]
-            )
-            runs = {}
-            for payload in entry.get("runs", ()):  # type: ignore[union-attr]
-                run = WorkloadRun.from_payload(payload)  # type: ignore[arg-type]
-                runs[(run.workload, run.isa)] = run
-            return (str(raw["point_id"]),  # type: ignore[index]
-                    PointResult(point=point, runs=runs, from_journal=True),
-                    raw.get("config_fingerprint"))  # type: ignore[union-attr]
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
+            try:
+                if entry.get("type") == "cell":
+                    run = WorkloadRun.from_payload(entry["run"])
+                    cells.setdefault((str(entry["point"]), entry["config"]),
+                                     {})[(run.workload, run.isa)] = run
+                elif entry.get("type") == "point":
+                    raw = entry["point"]
+                    finished.add((str(raw["point_id"]),
+                                  raw["config_fingerprint"]))
+            except (KeyError, TypeError, ValueError, AttributeError):
+                continue
+        return cells, finished
 
     # -- append ----------------------------------------------------------------
 
@@ -342,7 +326,7 @@ class SweepJournal:
             mode = "a" if resume and self.path.exists() else "w"
             self._file = open(self.path, mode, encoding="utf-8")
             if mode == "w":
-                self._append(header)
+                self.append(json.dumps(header), durable=True)
         except OSError:
             self._file = None
 
@@ -388,16 +372,17 @@ class SweepJournal:
             pass
         self._lock_file = lock_file
 
-    def append_point(self, result: PointResult) -> None:
-        self._append(result.to_journal_line())
-
-    def _append(self, entry: "Dict[str, object]") -> None:
+    def append(self, line: str, durable: bool) -> None:
+        """Write and flush one JSON line, so a forked worker inherits no
+        buffered bytes and a kill loses nothing written; ``durable``
+        also fsyncs it, and with it every line before it."""
         if self._file is None:
             return
         try:
-            self._file.write(json.dumps(entry, sort_keys=True) + "\n")
+            self._file.write(line + "\n")
             self._file.flush()
-            os.fsync(self._file.fileno())
+            if durable:
+                os.fsync(self._file.fileno())
         except (OSError, ValueError):
             self._file = None
 
@@ -483,8 +468,9 @@ class SweepLedger:
     journal replay, invalid points, cache hits), what is still live (the
     cells :meth:`open` returns, and their
     :func:`~repro.harness.parallel.trace_groups`), what happens when a
-    cell lands (:meth:`accept`), when a point is journaled (the moment
-    its last cell resolves) and how replay is checked (:meth:`verify`).
+    cell lands (:meth:`accept`, which journals it), when a point is
+    journaled (the moment its last cell resolves) and how replay is
+    checked (:meth:`verify`).
 
     Executors are dispatch policies over it: the local loop
     (:func:`execute_sweep_request`, :func:`execute_suite_request`) and
@@ -546,6 +532,10 @@ class SweepLedger:
         #: those rank by instruction count; simulated ones by their wall.
         self._replay_sample: Optional[
             Tuple[Tuple[bool, float, int], Job, WorkloadRun]] = None
+        #: per (workload, ISA), the last run journaled, its payload minus
+        #: ``wall_seconds`` and ``execution``, and that payload's JSON.
+        self._encoded: Dict[Tuple[str, str],
+                            Tuple[WorkloadRun, Dict[str, object], str]] = {}
 
     @property
     def points_done(self) -> int:
@@ -567,7 +557,8 @@ class SweepLedger:
         back in enumeration order for an executor to run."""
         request = self.request
         res = self.results
-        replayed = self.journal.load() if request.resume else {}
+        cells, finished = (self.journal.load() if request.resume
+                           else ({}, set()))
         if self.journal is not None:
             self.journal.open(
                 journal_header(res.sweep_id, res.base, res.axes, res.mode,
@@ -575,25 +566,26 @@ class SweepLedger:
                 # A resume against an empty, stale, or unreadable journal
                 # starts over with a fresh header rather than appending
                 # after one that load() will reject next time.
-                resume=bool(request.resume) and bool(replayed),
+                resume=bool(request.resume) and bool(cells or finished),
             )
         cell_keys = [(w, isa) for w in res.workloads for isa in res.isas]
         live: List[Job] = []
         for point in self.points:
             pid = point.point_id
-            prior, journal_fp = replayed.get(pid, (None, None))
-            # Replay only if the journaled entry covers this exact config
-            # and cell set; anything else re-simulates.
-            if (prior is not None and journal_fp == point.fingerprint()
+            # Only lines journaled under this exact config count; a point
+            # replays whole once its line and every cell are there.
+            known = cells.get((pid, point.fingerprint()), {})
+            if ((pid, point.fingerprint()) in finished
                     and (point.error is not None
-                         or set(prior.runs) == set(cell_keys))):
-                prior.point = point
-                for (w, isa), run in sorted(prior.runs.items()):
+                         or all(key in known for key in cell_keys))):
+                runs = {key: known[key] for key in cell_keys if key in known}
+                for (w, isa), run in sorted(runs.items()):
                     self._emit(pid, w, isa, "journal", run.wall_seconds)
-                if point.error is not None and not prior.runs:
+                if point.error is not None and not runs:
                     for w, isa in cell_keys:
                         self._emit(pid, w, isa, "journal", 0.0)
-                self._done[pid] = prior
+                self._done[pid] = PointResult(point=point, runs=runs,
+                                              from_journal=True)
                 continue
             if point.error is not None:
                 # Invalid geometry: journal as failed, never simulate.
@@ -603,9 +595,16 @@ class SweepLedger:
                 continue
             # Keyed up front, so the point's runs come out in workloads x
             # ISAs order whichever cells hit and whenever misses land.
+            # An unfinished point's journaled cells pre-complete as cache
+            # hits do (a failed one runs again, as it is never cached).
             runs = dict.fromkeys(cell_keys)
             misses: List[Job] = []
             for w, isa in cell_keys:
+                journaled = known.get((w, isa))
+                if journaled is not None and journaled.error is None:
+                    runs[(w, isa)] = journaled
+                    self._emit(pid, w, isa, "journal", journaled.wall_seconds)
+                    continue
                 job = Job(point=pid, request=request.cell(
                     w, isa, config=point.config, execution=self.cell_mode,
                     engine=point.config.engine))
@@ -613,6 +612,7 @@ class SweepLedger:
                           if self.disk is not None else None)
                 if cached is not None:
                     runs[(w, isa)] = cached
+                    self._journal_cell(point, cached)
                     self._emit(pid, w, isa, "hit", cached.wall_seconds)
                 else:
                     misses.append(job)
@@ -649,11 +649,13 @@ class SweepLedger:
     # -- pass 2: a cell lands ----------------------------------------------------
 
     def accept(self, job: Job, run: WorkloadRun) -> None:
-        """File one finished cell: count it, cache it, journal its point
-        the moment the point's last cell resolves — a kill between points
-        loses only the in-flight tail — and emit its progress event."""
+        """File one finished cell: count it, journal and cache it from one
+        payload (a kill loses only the cells in flight), mark its point
+        done once its last cell resolves, and emit its progress event."""
         pid = job.point
+        point = self.point(pid)
         self._pending[pid][(job.workload, job.isa)] = run
+        payload = self._journal_cell(point, run)
         if run.error is None:
             derived = run.execution == "derived"
             if run.execution == "capture":
@@ -667,11 +669,11 @@ class SweepLedger:
                 if sample is None or rank < sample[0]:
                     self._replay_sample = (rank, job, run)
             if self.disk is not None:
-                self.disk.put(job.fingerprint, run,
+                self.disk.put(job.fingerprint, payload or run,
                               config_fingerprint=job.config.fingerprint())
         self._remaining[pid] -= 1
         if self._remaining[pid] == 0:
-            self._finish_point(self.point(pid), self._pending.pop(pid))
+            self._finish_point(point, self._pending.pop(pid))
         self._emit(job.point, job.workload, job.isa,
                    "failed" if run.error else "ok", run.wall_seconds)
 
@@ -683,12 +685,44 @@ class SweepLedger:
                                    wall_seconds=wall, index=self._index,
                                    total=self.total, point=point_id))
 
+    def _journal_cell(self, point: SweepPoint,
+                      run: WorkloadRun) -> "Optional[Dict[str, object]]":
+        """Journal one cell's run (flushed, not fsynced: the point line's
+        fsync makes it durable) and return its payload.  A run whose
+        statistics equal the last one journaled for its workload and ISA
+        (a derived replay and its witness) reuses that encoding."""
+        if self.journal is None:
+            return None
+        with span("sweep.journal", kind="cell"):
+            last = self._encoded.get((run.workload, run.isa))
+            if last is None or replace(last[0], wall_seconds=run.wall_seconds,
+                                       execution=run.execution) != run:
+                body = run.to_payload()
+                del body["wall_seconds"]
+                body.pop("execution", None)
+                # Keys stay in built order (the digest sorts them), and
+                # a payload holds no cycles to check.
+                last = self._encoded[(run.workload, run.isa)] = (
+                    run, body, json.dumps(body, check_circular=False))
+            volatile: "Dict[str, object]" = {"wall_seconds": run.wall_seconds}
+            if run.execution != "execute":
+                volatile["execution"] = run.execution
+            # The run's object is the encoding's members plus these.
+            self.journal.append(
+                '{"type": "cell", "point": %s, "config": %s, "run": %s, %s}'
+                % (json.dumps(point.point_id), json.dumps(point.fingerprint()),
+                   last[2][:-1], json.dumps(volatile)[1:]), durable=False)
+        return {**last[1], **volatile}
+
     def _finish_point(self, point: SweepPoint,
                       runs: "Dict[Tuple[str, str], WorkloadRun]") -> None:
         pr = PointResult(point=point, runs=runs)
         self._done[point.point_id] = pr
-        if self.journal is not None:
-            self.journal.append_point(pr)
+        if self.journal is not None:  # a status marker: runs are cells
+            with span("sweep.journal", kind="point"):
+                self.journal.append(json.dumps({
+                    "type": "point", "point": point.to_dict(),
+                    "status": pr.status, "error": pr.error}), durable=True)
 
     # -- the end ---------------------------------------------------------------
 

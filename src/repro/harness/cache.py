@@ -35,7 +35,7 @@ import time
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..common.config import GpuConfig
 from ..obs.host import span
@@ -262,9 +262,11 @@ class ResultCache(_FileStore):
             self.hits += 1
             return run
 
-    def put(self, fingerprint: str, run: "WorkloadRun",
+    def put(self, fingerprint: str, run: "Union[WorkloadRun, Dict]",
             config_fingerprint: Optional[str] = None) -> bool:
-        """Persist ``run``; returns False (and stays silent) on failure.
+        """Persist ``run``, or its payload when the caller already encoded
+        it (a sweep journals the same dict); returns False (and stays
+        silent) on failure.
 
         ``config_fingerprint`` (the :meth:`GpuConfig.fingerprint` the run
         was simulated under) is stored alongside the payload so
@@ -272,13 +274,14 @@ class ResultCache(_FileStore):
         sweeps multiply entries across many configs.
         """
         with span("result.put"):
+            payload = run if isinstance(run, dict) else run.to_payload()
             entry = {
                 "format": CACHE_FORMAT_VERSION,
                 "fingerprint": fingerprint,
-                "workload": run.workload,
-                "isa": run.isa,
+                "workload": payload["workload"],
+                "isa": payload["isa"],
                 "config": config_fingerprint,
-                "run": run.to_payload(),
+                "run": payload,
             }
             return self._write(
                 fingerprint, json.dumps(entry, sort_keys=True).encode("utf-8"))

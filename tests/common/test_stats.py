@@ -217,6 +217,26 @@ class TestStatSet:
         assert snap["simd_utilization"] == 0.5
         assert "ipc" in snap
 
+    def test_equal_content_compares_equal(self):
+        """A sweep reuses a journaled encoding for an equal run, so a
+        copy must compare equal and any accumulator that differs must
+        not."""
+        s = StatSet()
+        s.bump("cycles", 5)
+        s.record_instruction(InstrCategory.VALU, 2)
+        s.reuse_distance.add(3)
+        s.read_uniqueness.add(1, 4)
+        assert s.copy() == s and s.copy().to_payload() == s.to_payload()
+        for change in (lambda c: c.bump("cycles"),
+                       lambda c: c.record_instruction(InstrCategory.SALU),
+                       lambda c: c.reuse_distance.add(3),
+                       lambda c: c.read_uniqueness.add(0, 1),
+                       lambda c: c.write_uniqueness.add(1, 1),
+                       lambda c: c.simd_utilization.add(1, 1)):
+            other = s.copy()
+            change(other)
+            assert other != s
+
 
 class TestCategories:
     def test_memory_flag(self):

@@ -198,6 +198,51 @@ class TestSteal:
         assert co._accepted[contested] == 1
         co.ledger.close()
 
+    def test_a_report_names_the_stolen_cells_and_frees_the_lease(
+            self, tmp_path, clock):
+        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+        victim = co.lease("w1")
+        stolen = co.lease("w2")
+        head = _keys(victim)[:2]
+        first = co.report("w1", victim.lease_id, head[0], _run(head[0]))
+        assert sorted(first["stolen"]) == sorted(_keys(stolen))
+        last = co.report("w1", victim.lease_id, head[1], _run(head[1]))
+        assert last["stolen"] == []          # told once
+        assert co.renew("w1", victim.lease_id)["ok"] is False  # released
+        for key in _keys(stolen):
+            reply = co.report("w2", stolen.lease_id, key, _run(key))
+            assert reply["accepted"] and reply["stolen"] == []
+        status = co.status()
+        assert status["active_leases"] == 0 and status["done"]
+        results = co.finish()
+        assert results.duplicate_reports == results.expiries == 0
+
+    def test_a_worker_skips_the_cells_its_report_says_were_stolen(
+            self, tmp_path, clock):
+        """A thief arrives while the victim simulates its first cell; the
+        victim runs only the head it still holds, so nothing is
+        simulated twice."""
+        from repro.dist import Worker
+
+        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+        grant = co.lease("w1")
+        ran, thief = [], []
+
+        class Backend:
+            def run(self, request):
+                ran.append(request)
+                if not thief:
+                    thief.append(co.lease("w2"))
+                return _run(f"p:{request.workload}/{request.isa}")
+
+        Worker("w1", co, Backend(), co.cells)._run_shard(grant)
+        assert len(ran) == 2
+        for key in _keys(thief[0]):
+            co.report("w2", thief[0].lease_id, key, _run(key))
+        results = co.finish()
+        assert results.duplicate_reports == results.expiries == 0
+        assert results.workers["w1"].cells == 2
+
 
 class TestReportValidation:
     def test_unknown_cell_raises(self, tmp_path, clock):

@@ -218,6 +218,39 @@ def _decodes(call):
     return result, counts
 
 
+def test_stolen_cells_run_once(tmp_path, monkeypatch):
+    """A victim learns of a theft from its next report's reply, so no
+    stolen cell is simulated twice and the thief's lease is released,
+    not expired.  24 cells in four trace groups of six; each of
+    ``local-0``'s cells takes 0.4 s longer (the forked workers inherit
+    the patch), so ``local-1`` runs out of shards first and steals from
+    it while it still has cells to run."""
+    run_cell = Worker._run_cell
+
+    def slow_run_cell(self, request):
+        if self.worker_id == "local-0":
+            time.sleep(0.4)
+        return run_cell(self, request)
+
+    monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
+    request = _request(
+        tmp_path, "steal", workloads=("spmv", "hpgmg"),
+        isas=("hsail", "gcn3"),
+        axes=(Axis("cu.vrf_banks", (2, 4, 8)),
+              Axis("l1d.hit_latency", (4, 8))))
+    results = run_dist_sweep(request, workers=2, timeout=120)
+    dist = results.dist_payload()
+    assert sum(w["cells"] for w in dist["workers"].values()) == 24
+    assert dist["steals"] >= 1
+    assert dist["duplicate_reports"] == 0 and dist["expiries"] == 0
+    assert not results.failed_points
+    serial = execute_sweep_request(_request(
+        tmp_path, "steal-serial", workloads=("spmv", "hpgmg"),
+        isas=("hsail", "gcn3"), axes=request.axes))
+    assert (journal_digest(results.journal_path)
+            == journal_digest(serial.journal_path))
+
+
 def test_a_local_workers_reports_decode_nothing(tmp_path):
     """A forked worker reports each cell's run as itself: the
     coordinator's process decodes no run payload."""

@@ -24,6 +24,7 @@ from repro.dist import Worker
 from repro.dist.coordinator import PIPE_VERBS, serve_pipe
 from repro.dist.worker import PipeTransport, recv_frame
 from repro.obs import host
+from tests.obs.test_host_spans import wait_for_span
 
 from .test_coordinator import FakeClock, _coordinator, _keys, _run
 
@@ -136,39 +137,41 @@ def test_an_unknown_verb_gets_an_error_and_no_lookup(co, verb):
 
 
 def test_a_coordinator_error_reaches_the_worker_as_a_repro_error(co):
+    records = []
+    unsubscribe = host.subscribe(records.append)
     parent_end, child_end = socket.socketpair()
     serving = _Serving(parent_end, co)
     transport = PipeTransport(child_end)
-    grant = transport.lease("w1")
-    with pytest.raises(ReproError, match="unknown cell"):
-        transport.report("w1", grant.lease_id, "nope", _run(
-            _keys(grant)[0]))
-    with pytest.raises(ReproError, match="malformed report"):
-        transport.report("w1", grant.lease_id, _keys(grant)[0], {})
-    # A worker whose report is refused makes that one call and abandons
-    # the shard: the second cell never runs.
-    ran = []
-
-    class Mislabelling:
-        def run(self, request):
-            ran.append(request)
-            return _run("p:bitonic/gcn3")
-
-    records = []
-    unsubscribe = host.subscribe(records.append)
     try:
+        grant = transport.lease("w1")
+        with pytest.raises(ReproError, match="unknown cell"):
+            transport.report("w1", grant.lease_id, "nope", _run(
+                _keys(grant)[0]))
+        with pytest.raises(ReproError, match="malformed report"):
+            transport.report("w1", grant.lease_id, _keys(grant)[0], {})
+        # A worker whose report is refused makes that one call and
+        # abandons the shard: the second cell never runs.
+        ran = []
+
+        class Mislabelling:
+            def run(self, request):
+                ran.append(request)
+                return _run("p:bitonic/gcn3")
+
         worker = Worker("w1", transport, Mislabelling(), co.cells,
                         sleep=lambda _s: None)
         worker._run_shard(grant)
-        # Served after the report's span has closed (its own span may
-        # close after the reply is read); the lease is still held.
-        assert transport.renew("w1", grant.lease_id)["ok"]
+        assert transport.renew("w1", grant.lease_id)["ok"]  # still held
+        # One thread serves the frames in order, each span closing after
+        # its reply: once the last has closed, every frame is recorded.
+        wait_for_span(records, "dist.pipe", verb="renew")
     finally:
         unsubscribe()
     assert len(ran) == 1 and worker.cells_done == 0
-    reports = [r["attrs"] for r in records if r["name"] == "dist.pipe"
-               and r["attrs"]["verb"] == "report"]
-    assert reports == [{"verb": "report", "ok": False}]
+    assert [r["attrs"] for r in records if r["name"] == "dist.pipe"] == [
+        {"verb": "lease", "ok": True}, {"verb": "report", "ok": False},
+        {"verb": "report", "ok": False}, {"verb": "report", "ok": False},
+        {"verb": "renew", "ok": True}]
     child_end.close()
     serving.join()
     assert co.status()["cells_accepted"] == 0

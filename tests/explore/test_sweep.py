@@ -1,10 +1,20 @@
-"""Sweep scheduler: journaling, resume-without-resimulation, isolation."""
+"""Sweep scheduler: journaling, resume-without-resimulation, isolation.
+
+``PYTHONPATH=src python tests/explore/test_sweep.py`` prints the run
+payload encodes a one-point sweep with the disk cache on makes per
+accepted cell (one: the journal's cell line and the cache entry share
+it).
+"""
 
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import small_config
+from repro.common.stats import StatSet
 from repro.core import Session
 from repro.explore.space import Axis
 from repro.core.requests import SweepRequest
@@ -14,7 +24,7 @@ from repro.explore.sweep import (
     sweep_fingerprint,
 )
 from repro.harness import runner
-from repro.harness.runner import run_workload
+from repro.harness.runner import WorkloadRun, run_workload
 
 AXES = [Axis("cu.vrf_banks", (2, 4))]
 WORKLOADS = ["arraybw"]
@@ -45,6 +55,38 @@ class CountingExecute:
             return execute(request, trace_store=trace_store)
 
         monkeypatch.setattr(runner, "execute_run_request", counting)
+
+
+def _encodes(call):
+    """(result, payload encodes by class) that ``call`` makes, counted by
+    wrapping ``WorkloadRun.to_payload`` and ``StatSet.to_payload``."""
+    counts = Counter()
+    originals = {cls: cls.__dict__["to_payload"]
+                 for cls in (WorkloadRun, StatSet)}
+
+    def counting(cls, original):
+        def encode(self):
+            counts[cls.__name__] += 1
+            return original(self)
+        return encode
+
+    for cls, original in originals.items():
+        cls.to_payload = counting(cls, original)
+    try:
+        result = call()
+    finally:
+        for cls, original in originals.items():
+            cls.to_payload = original
+    return result, counts
+
+
+def _one_point_encodes(tmp):
+    """(results, encodes) of a one-point, four-cell sweep, disk cache on
+    (executed, so no drift guard re-runs a cell and compares payloads)."""
+    return _encodes(lambda: _sweep(
+        tmp, axes=[Axis("cu.vrf_banks", (4,))],
+        workloads=["arraybw", "spmv"], use_disk_cache=True,
+        cache_dir=str(tmp / "cache"), execution="execute"))
 
 
 class TestSweepFingerprint:
@@ -105,7 +147,20 @@ class TestCleanSweep:
         points = [l for l in lines if l["type"] == "point"]
         assert [p["point"]["point_id"] for p in points] == \
             [pr.point.point_id for pr in results.points]
-        assert all(len(p["runs"]) == 2 for p in points)
+        assert all(set(p) == {"type", "point", "status", "error"}
+                   for p in points)
+        # Each cell is journaled as it lands, before its point's line.
+        runs = {}
+        for line in lines[1:]:
+            if line["type"] == "cell":
+                runs.setdefault(line["point"], []).append(line["run"])
+            else:
+                assert len(runs[line["point"]["point_id"]]) == 2
+        assert sorted(runs) == sorted(p["point"]["point_id"] for p in points)
+        assert all(len(r) == 2 for r in runs.values())
+        for pr in results.points:
+            assert sorted((r["workload"], r["isa"])
+                          for r in runs[pr.point.point_id]) == sorted(pr.runs)
 
     def test_point_suite_adapter_feeds_figures(self, tmp_path):
         from repro.harness.figures import figure09_ib_flushes
@@ -161,6 +216,49 @@ class TestResume:
                 assert a.runs[key].total.snapshot() == \
                     b.runs[key].total.snapshot()
 
+    def test_a_kill_between_two_cells_keeps_the_finished_one(
+            self, tmp_path, monkeypatch):
+        """A point's finished cell is journaled when it lands, so a kill
+        before its sibling lands loses nothing: on resume it comes back
+        as ``journal`` and only the other three cells run."""
+        from repro.dist import journal_digest
+
+        def kill_after_first_cell(event):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _sweep(tmp_path, progress=kill_after_first_cell)
+
+        counter = CountingExecute(monkeypatch)
+        events = []
+        resumed = _sweep(tmp_path, resume=True, execution="execute",
+                         progress=events.append)
+        first = (events[0].point, events[0].isa)
+        assert [e.status for e in events] == ["journal", "ok", "ok", "ok"]
+        assert first == ("cu.vrf_banks=2", "hsail")
+        assert len(counter.calls) == 3
+        assert ("hsail", 2) not in {(r.isa, r.config.cu.vrf_banks)
+                                    for r in counter.calls}
+        assert resumed.replayed() == 0 and not resumed.failed_points
+        clean = _sweep(tmp_path / "clean")
+        assert (journal_digest(resumed.journal_path)
+                == journal_digest(clean.journal_path))
+
+    def test_format_1_journal_resimulates(self, tmp_path, monkeypatch):
+        results = _sweep(tmp_path)
+        lines = open(results.journal_path, encoding="utf-8").readlines()
+        header = json.loads(lines[0])
+        header["format"] = 1
+        with open(results.journal_path, "w", encoding="utf-8") as f:
+            f.write(json.dumps(header) + "\n")
+            f.writelines(lines[1:])
+        counter = CountingExecute(monkeypatch)
+        with pytest.warns(UserWarning, match="different source tree or "
+                                             "format"):
+            resumed = _sweep(tmp_path, resume=True, execution="execute")
+        assert resumed.replayed() == 0
+        assert len(counter.calls) == 4
+
     def test_full_resume_serves_everything_from_journal(self, tmp_path,
                                                         monkeypatch):
         _sweep(tmp_path)
@@ -182,8 +280,8 @@ class TestResume:
 
     def test_multi_axis_resume_ignores_journal_key_order(self, tmp_path,
                                                          monkeypatch):
-        # The journal is written with sorted keys, which reorders the
-        # overrides of a point whose axes are not alphabetical.
+        # Point ids are order-sensitive: a point whose axes are not
+        # alphabetical must not be matched by its overrides' key order.
         axes = [Axis("l1d.hit_latency", (4, 8)), Axis("cu.vrf_banks", (2, 4))]
         _sweep(tmp_path, axes=axes, isas=("gcn3",))
         counter = CountingExecute(monkeypatch)
@@ -226,12 +324,19 @@ class TestResume:
                                                     monkeypatch):
         results = _sweep(tmp_path)
         lines = open(results.journal_path, encoding="utf-8").readlines()
-        entry = json.loads(lines[1])
-        entry["point"]["config_fingerprint"] = "deadbeefdeadbeef"
+        first = results.points[0].point.point_id
         with open(results.journal_path, "w", encoding="utf-8") as f:
             f.write(lines[0])
-            f.write(json.dumps(entry) + "\n")
-            f.writelines(lines[2:])
+            for line in lines[1:]:
+                # Every line of the first point, as if journaled under
+                # another config: its two cells and its point line.
+                entry = json.loads(line)
+                if entry["type"] == "cell" and entry["point"] == first:
+                    entry["config"] = "deadbeefdeadbeef"
+                elif (entry["type"] == "point"
+                      and entry["point"]["point_id"] == first):
+                    entry["point"]["config_fingerprint"] = "deadbeefdeadbeef"
+                f.write(json.dumps(entry) + "\n")
         counter = CountingExecute(monkeypatch)
         resumed = _sweep(tmp_path, resume=True, execution="execute")
         assert resumed.replayed() == 1   # the untampered point
@@ -270,6 +375,45 @@ class TestFailureIsolation:
         assert len(results.points) == 2
         assert not results.failed_points
         assert len(counter.calls) == 4
+
+
+class TestEncodeOnce:
+    def test_one_payload_encode_per_accepted_cell(self, tmp_path):
+        """The journal's cell line and the result cache entry are written
+        from one payload dict."""
+        results, encodes = _one_point_encodes(tmp_path)
+        (point,) = results.points
+        assert not point.failed and len(point.runs) == 4
+        assert encodes["WorkloadRun"] == 4
+        assert encodes["StatSet"] == sum(1 + len(run.per_dispatch)
+                                         for run in point.runs.values())
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 4
+
+    def test_equal_statistics_reuse_one_encoding(self, tmp_path):
+        """A derived replay has its witness's statistics: its cell line
+        reuses the last encoding journaled for its workload and ISA, with
+        its own wall time and execution, and reads back as the run
+        itself.  The 1 KiB point evicts, so its statistics differ and
+        the cells on either side of it are encoded again."""
+        from repro.explore.sweep import SweepJournal
+
+        results, encodes = _encodes(lambda: _sweep(
+            tmp_path, axes=[Axis("l1d.size_bytes", (65536, 131072, 1024,
+                                                    262144))],
+            workloads=["spmv"], isas=("gcn3",), execution="auto",
+            trace_dir=str(tmp_path / "traces"), verify_replay=False))
+        runs = [pr.runs[("spmv", "gcn3")] for pr in results.points]
+        assert runs[3].execution == "derived"
+        assert runs[0].total.snapshot() == runs[1].total.snapshot()
+        assert runs[1].total.snapshot() != runs[2].total.snapshot()
+        assert encodes["WorkloadRun"] == 3
+        cells, finished = SweepJournal(tmp_path, results.sweep_id).load()
+        assert len(finished) == 4
+        for pr in results.points:
+            (journaled,) = cells[(pr.point.point_id,
+                                  pr.point.fingerprint())].values()
+            assert (journaled.to_payload()
+                    == pr.runs[("spmv", "gcn3")].to_payload())
 
 
 class TestDiskCacheIntegration:
@@ -337,3 +481,13 @@ class TestJournalLock:
         second = SweepJournal(str(tmp_path), "cafe12345678")
         second.open(header, resume=False)          # no longer contended
         second.close()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        results, encodes = _one_point_encodes(Path(tmp))
+    cells = len(results.points[0].runs)
+    print(f"sweep payload encodes, 1 point x {cells} cells "
+          f"(arraybw, spmv; both ISAs), disk cache on: "
+          f"{encodes['WorkloadRun'] / cells:g} WorkloadRun.to_payload per "
+          f"accepted cell ({encodes['StatSet']} StatSet.to_payload)")

@@ -14,6 +14,11 @@ span points at each layer boundary, and what they cost unsubscribed.
 * ``run.cell``'s ``path`` attr is the path that ran, on every path.
 * Unsubscribed, a span point reads no clock: whole cells run with the
   clock replaced by one that raises.
+* A sweep journals each cell and each point inside one ``sweep.journal``
+  span (``kind`` ``cell`` or ``point``); a dist sweep's cell lines are
+  written inside the ``dist.report`` that filed them.
+* A span another thread closes after its reply went out is waited for
+  (:func:`wait_for_span`), never assumed closed.
 
 ``python tests/obs/test_host_spans.py`` (repo root, ``PYTHONPATH=src``)
 prints each span name's share of the 20 cells' self time as a Markdown
@@ -22,6 +27,7 @@ table (CI writes it to the step summary).
 
 import gc
 import threading
+import time
 from collections import Counter, defaultdict
 
 import pytest
@@ -48,6 +54,20 @@ def _recorded(call):
     finally:
         unsubscribe()
     return result, records
+
+
+def wait_for_span(records, name, timeout=10.0, **attrs):
+    """Wait until a span called ``name`` whose attrs include ``attrs``
+    has closed into ``records`` (which a subscribed sink fills): a
+    server thread may close its span after the reply was read.  Fails
+    naming the span if it has not closed within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not any(r["name"] == name and attrs.items() <= r["attrs"].items()
+                  for r in list(records)):
+        if time.monotonic() > deadline:
+            pytest.fail(f"span {name!r} {attrs} did not close within "
+                        f"{timeout:g} s")
+        time.sleep(0.001)
 
 
 def _cell(workload, isa, **kw):
@@ -292,8 +312,9 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
     server = Daemon(Scheduler(trace_dir=str(tmp_path / "traces")), port=0)
     server.start()
     parent_end, child_end = socket.socketpair()
-
-    def drive():
+    records = []
+    unsubscribe = host.subscribe(records.append)
+    try:
         pipe = threading.Thread(target=serve_pipe, args=(parent_end, co))
         pipe.start()
         transport = PipeTransport(child_end)
@@ -304,12 +325,13 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
         pipe.join(timeout=10)
         client = DaemonClient(server.host, server.port)
         assert client.healthz()["ok"]
+        # The handler closes its span after the reply is written.
+        wait_for_span(records, "http.request", path="/v1/healthz")
         with pytest.raises(DaemonError):
             client.job("nope")           # unknown job: 404
-
-    try:
-        _, records = _recorded(drive)
+        wait_for_span(records, "http.request", path="/v1/jobs/nope")
     finally:
+        unsubscribe()
         server.close()
         server.scheduler.stop()
         co.finish()
@@ -378,6 +400,37 @@ def test_a_local_worker_sweep_makes_no_http_request(tmp_path):
     for record in records:
         if record["name"] in ("dist.lease", "dist.report"):
             assert by_id[record["parent"]]["name"] == "dist.pipe"
+    # Each cell is journaled inside the report that filed it.
+    journal = [r for r in records if r["name"] == "sweep.journal"]
+    assert Counter(r["attrs"]["kind"] for r in journal) == {
+        "cell": CELLS, "point": len(results.points)}
+    assert {by_id[r["parent"]]["name"] for r in journal} == {"dist.report"}
+
+
+def test_journal_spans_are_closed_forms(tmp_path):
+    """A serial sweep of P points x C cells journals inside P x C
+    ``cell`` spans and P ``point`` spans, whichever cells hit the
+    result cache: a hit is journaled too."""
+    from repro.core.requests import SweepRequest
+    from repro.explore.space import Axis
+    from repro.explore.sweep import execute_sweep_request
+
+    def sweep(name):
+        return _recorded(lambda: execute_sweep_request(SweepRequest(
+            axes=(Axis("cu.vrf_banks", (2, 4, 8)),), workloads=("arraybw",),
+            scale=0.1, config=small_config(2), execution="execute",
+            use_disk_cache=True, cache_dir=str(tmp_path / "cache"),
+            sweeps_dir=str(tmp_path / name))))
+
+    for name, status in (("cold", "ok"), ("warm", "hit")):
+        results, records = sweep(name)
+        assert len(results.points) == 3 and not results.failed_points
+        journal = [r for r in records if r["name"] == "sweep.journal"]
+        assert Counter(r["attrs"]["kind"] for r in journal) == {
+            "cell": 6, "point": 3}
+        assert all(r["parent"] is None for r in journal)
+        assert Counter(r["name"] for r in records)["run.cell"] == (
+            6 if status == "ok" else 0)
 
 
 def test_a_local_worker_pushes_no_trace_back(tmp_path):
