@@ -371,7 +371,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             request,
             workers=args.workers,
             worker_urls=args.worker_url or (),
-            lease_ttl=args.lease_ttl,
             progress=None if args.quiet else _progress_printer,
             log=(None if args.quiet
                  else (lambda message: print(message, file=sys.stderr))),
@@ -638,9 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also use the 'repro serve' daemon at URL "
                               "as a sweep worker (repeatable; composable "
                               "with --workers)")
-    sweep_p.add_argument("--lease-ttl", type=float, default=30.0,
-                         help="seconds a worker may go without renewing "
-                              "before its shard is requeued (default 30)")
     sweep_p.add_argument("--dist-output", metavar="FILE",
                          help="write the DistSweepResults JSON (per-"
                               "worker cells, steals, expiries, retries)")

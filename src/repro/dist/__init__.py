@@ -6,16 +6,18 @@ The distributed *dispatch policy* over the sweep ledger
 caches already know, and hands back the live (point x workload x ISA)
 cells; :mod:`repro.dist.shard` cuts the ledger's trace groups into
 content-addressed shards; a coordinator (:mod:`repro.dist.coordinator`)
-leases shards to workers under heartbeat leases
-(:mod:`repro.dist.lease`), hands every streamed cell to the ledger —
-the journal's single writer — requeues expired leases with completed
-cells subtracted (zero resimulation), and lets idle workers steal from
-the largest outstanding lease.  A worker (:mod:`repro.dist.worker`) is
-one of three kinds: a local one forked from the coordinator's process
-on its own socketpair (``workers=N``, and ``--jobs N``), an in-process
-thread that forwards cells to a ``repro serve`` daemon
-(``worker_urls``), or the inline safety net that runs what no other
-worker is left to run.  Each runs the ledger's own cell requests and
+leases shards to workers, hands every streamed cell to the ledger —
+the journal's single writer — and lets idle workers steal from the
+largest outstanding lease.  A lease ends when its holder ends or a
+report is refused, not at a heartbeat deadline; one that ends with
+cells left requeues its shard with completed cells subtracted (zero
+resimulation).  The trade: a worker frozen whole (SIGSTOP) keeps its
+last cell until the sweep's timeout.  A worker
+(:mod:`repro.dist.worker`) is one of three kinds: a local one forked
+from the coordinator's process on its own socketpair (``workers=N``,
+and ``--jobs N``), an in-process thread that forwards cells to a
+``repro serve`` daemon (``worker_urls``), or the inline safety net
+that runs what no other worker is left to run.  Each runs the ledger's own cell requests and
 reports every :class:`~repro.harness.runner.WorkloadRun` as itself;
 only the daemon-backed one syncs traces and decodes a run (from the
 daemon's HTTP).  Work stealing is the one load balancer.  Nothing here
@@ -40,7 +42,6 @@ from .coordinator import (
     journal_digest,
     run_dist_sweep,
 )
-from .lease import LeaseState, LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
 from .worker import (
     DaemonBackend,
@@ -54,8 +55,6 @@ __all__ = [
     "DistSweep",
     "DistSweepResults",
     "EmbeddedBackend",
-    "LeaseState",
-    "LeaseTable",
     "ShardState",
     "Worker",
     "WorkerStats",

@@ -9,30 +9,37 @@ replay fidelity guard — exactly as it does under the serial policy
 (:func:`~repro.explore.sweep.execute_sweep_request`, which hands its
 ledger to a coordinator here under ``jobs > 1``).  What is left here
 is what is genuinely distributed: pull-based workers lease
-content-addressed shards of the ledger's live cells, report each
+content-addressed shards of the ledger's live cells and report each
 finished :class:`~repro.harness.runner.WorkloadRun` as itself (every
 worker is forked from this process or runs in it; only one that
-forwards cells to a daemon decodes a run, from the daemon's HTTP), and
-renew heartbeat leases.  Because there is one ledger, a distributed
-journal is *bit-identical* (modulo wall-clock fields) to the
-single-host one, and either executor resumes the other's journal:
-:func:`journal_digest` makes that property checkable.
+forwards cells to a daemon decodes a run, from the daemon's HTTP).
+Because there is one ledger, a distributed journal is *bit-identical*
+(modulo wall-clock fields) to the single-host one, and either executor
+resumes the other's journal: :func:`journal_digest` makes that property
+checkable.
 
-Fault tolerance: a worker that stops renewing (SIGKILL, hang,
-partition) loses its lease; the shard goes back on the queue with every
-already-reported cell subtracted, so nothing journaled is ever
-resimulated.  A forked worker whose pipe closes gives its leases back
-at once.  Work-stealing is the one load balancer: an idle worker splits
-the tail off the largest outstanding lease once that shard's capture
-is stored; the victim learns which cells left from its next report or
-renewal, and skips them.
-Double reports (a stale worker racing its replacement) resolve
-first-wins.
+A lease is one worker's exclusive claim on a shard's outstanding cells.
+It ends at its holder's last report, when a report of its holder's is
+refused, or when its holder ends: a forked worker's pipe closes
+(SIGKILL, crash, exit) or an in-process worker's thread returns.  There
+is no heartbeat.  A lease that ends with cells left counts as an
+expiry: the shard goes back on the queue with every already-reported
+cell subtracted, so nothing journaled is ever resimulated, and after
+:data:`MAX_SHARD_ATTEMPTS` such endings its cells fail instead.  The
+trade: a worker frozen whole (SIGSTOP) keeps its lease until stealing
+has split it down to one cell, and that cell waits for the sweep's
+timeout; a hung cell is bounded by the request's ``job_timeout``.
+Work-stealing is the one load
+balancer: an idle worker splits the tail off the largest outstanding
+lease once that shard's capture is stored; the victim learns which
+cells left from its next report's reply, and skips them.  Double
+reports (a stale worker racing its replacement) resolve first-wins.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -40,7 +47,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NoReturn, Optional, Sequence, Tuple,
+                    Union)
 
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, ShardCell, SweepRequest
@@ -49,13 +57,30 @@ from ..harness.parallel import (ForkedProcess, Job, ProgressFn, _failed_run,
                                 fork, recv_frame, send_frame)
 from ..harness.runner import WorkloadRun
 from ..obs.host import span
-from .lease import LeaseTable
 from .shard import ShardState, group_shards, shard_id_for
 from .worker import PipeTransport, Worker, build_worker
 
-#: A lease that dies this many times marks its remaining cells failed
-#: instead of requeueing forever (poison-shard guard).
+#: A shard whose lease ends with cells left this many times marks them
+#: failed instead of requeueing forever (poison-shard guard).
 MAX_SHARD_ATTEMPTS = 5
+
+#: Seconds a worker told to wait sleeps before it asks again.
+RETRY_AFTER = 0.1
+
+
+@dataclass
+class LeaseState:
+    """One live lease (coordinator-private)."""
+
+    lease_id: str
+    worker_id: str
+    shard: ShardState
+    #: cell keys stolen from this lease since its holder's last report;
+    #: drained into the next report's reply so the holder skips them.
+    stolen_pending: List[str] = field(default_factory=list)
+
+    def outstanding(self) -> int:
+        return len(self.shard.remaining)
 
 
 @dataclass
@@ -158,12 +183,8 @@ class Coordinator:
 
     def __init__(self, request: Union[SweepRequest, SweepLedger], *,
                  live: Optional[List[Job]] = None,
-                 lease_ttl: float = 30.0,
-                 max_attempts: int = MAX_SHARD_ATTEMPTS,
-                 clock: Callable[[], float] = time.monotonic,
                  progress: Optional[ProgressFn] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        self._max_attempts = max_attempts
         #: set once every cell of the sweep has landed.
         self.finished = threading.Event()
         self._log = log or (lambda message: None)
@@ -194,7 +215,9 @@ class Coordinator:
                 self._cell_home[key] = state
                 self.cells[key] = jobs[(cell.point, cell.workload,
                                         cell.isa)]
-        self._leases = LeaseTable(lease_ttl, clock)
+        #: live leases by id.
+        self._leases: Dict[str, LeaseState] = {}
+        self._lease_ids = itertools.count(1)
         self.shards = len(shards)
         if self.ledger.done:
             self.finished.set()
@@ -212,37 +235,38 @@ class Coordinator:
         return self.workers.setdefault(worker_id,
                                        WorkerStats(worker_id=worker_id))
 
-    def _expire_stale(self) -> None:
-        for lease in self._leases.expire():
-            shard = lease.shard
-            if not shard.remaining:
-                continue  # nothing lost: other workers landed its cells
-            self.expiries += 1
-            self._worker(lease.worker_id).expiries += 1
-            shard.attempts += 1
-            if shard.attempts >= self._max_attempts:
-                self._log(f"shard {shard.shard_id} abandoned after "
-                          f"{shard.attempts} dead leases; failing "
-                          f"{len(shard.remaining)} cell(s)")
-                self._fail_shard(shard,
-                                 f"shard {shard.shard_id} failed after "
-                                 f"{shard.attempts} lease expiries")
-                continue
-            self.retries += 1
-            self._pending.append(shard)
-            self._log(f"lease {lease.lease_id} ({lease.worker_id}) "
-                      f"expired; requeued shard {shard.shard_id} with "
-                      f"{len(shard.remaining)} cell(s) left")
+    def _end(self, lease: LeaseState) -> None:
+        """End ``lease``.  With cells left (its holder ended, or a report
+        was refused) this is an expiry: the shard goes back on the queue,
+        or fails once it has used up :data:`MAX_SHARD_ATTEMPTS`."""
+        del self._leases[lease.lease_id]
+        shard = lease.shard
+        if not shard.remaining:
+            return  # its holder's last report, or others landed its cells
+        self.expiries += 1
+        self._worker(lease.worker_id).expiries += 1
+        shard.attempts += 1
+        if shard.attempts >= MAX_SHARD_ATTEMPTS:
+            self._log(f"shard {shard.shard_id} abandoned after "
+                      f"{shard.attempts} dead leases; failing "
+                      f"{len(shard.remaining)} cell(s)")
+            self._fail_shard(shard,
+                             f"shard {shard.shard_id} failed after "
+                             f"{shard.attempts} lease expiries")
+            return
+        self.retries += 1
+        self._pending.append(shard)
+        self._log(f"lease {lease.lease_id} ({lease.worker_id}) ended; "
+                  f"requeued shard {shard.shard_id} with "
+                  f"{len(shard.remaining)} cell(s) left")
 
     def drop(self, worker_id: str) -> None:
-        """``worker_id`` can never report again (its pipe closed): its
-        leases expire now instead of at their TTL, each still counted as
-        an expiry and as an attempt of its shard."""
+        """``worker_id`` can never report again (its pipe closed or its
+        thread returned): its leases end now."""
         with self._lock:
-            for lease in self._leases.active():
+            for lease in list(self._leases.values()):
                 if lease.worker_id == worker_id:
-                    lease.deadline = float("-inf")
-            self._expire_stale()
+                    self._end(lease)
 
     def _fail_shard(self, shard: ShardState, message: str) -> None:
         for key in list(shard.remaining):
@@ -252,13 +276,16 @@ class Coordinator:
     def lease(self, worker_id: str) -> LeaseGrant:
         """One worker's pull: a shard grant, a back-off, or done."""
         with span("dist.lease"), self._lock:
-            self._expire_stale()
             while self._pending:
                 shard = self._pending.pop(0)
                 if not shard.remaining:
                     continue  # every cell landed as a late report
                 return self._grant(worker_id, shard, stolen=False)
-            victim = self._leases.largest()
+            # The victim is the lease with the most outstanding cells;
+            # splitting one that is down to one cell buys nothing.
+            victim = max((lease for lease in self._leases.values()
+                          if lease.outstanding() >= 2),
+                         key=LeaseState.outstanding, default=None)
             shard = self._split(victim) if victim is not None else None
             if shard is not None:
                 self.steals += 1
@@ -269,27 +296,26 @@ class Coordinator:
                 return self._grant(worker_id, shard, stolen=True)
             if self.done:
                 return LeaseGrant(state="done")
-            return LeaseGrant(state="wait",
-                              retry_after=min(1.0, self._leases.ttl / 4))
+            return LeaseGrant(state="wait", retry_after=RETRY_AFTER)
 
     def _grant(self, worker_id: str, shard: ShardState,
                stolen: bool) -> LeaseGrant:
-        lease = self._leases.grant(worker_id, shard)
+        lease = LeaseState(lease_id=f"L{next(self._lease_ids):05d}",
+                           worker_id=worker_id, shard=shard)
+        self._leases[lease.lease_id] = lease
         self._worker(worker_id).leases += 1
         return LeaseGrant(
             state="granted",
             lease_id=lease.lease_id,
-            ttl=self._leases.ttl,
             shard=shard.granted_request(),
             stolen=stolen,
         )
 
-    def _split(self, victim) -> Optional[ShardState]:
+    def _split(self, victim: LeaseState) -> Optional[ShardState]:
         """Move the tail half of the victim's outstanding cells into a
         fresh content-addressed shard (the victim keeps working its head
-        and learns of the theft from its next report or renewal).  None
-        before the victim's capture is stored: the thief would capture
-        again."""
+        and learns of the theft from its next report).  None before the
+        victim's capture is stored: the thief would capture again."""
         keys = list(victim.shard.remaining)
         take = len(keys) // 2
         if take < 1 or not (self.ledger.cell_mode == "execute"
@@ -300,7 +326,6 @@ class Coordinator:
         for key in taken:
             cells[key] = victim.shard.remaining.pop(key)
             victim.stolen_pending.append(key)
-            victim.stolen_total += 1
         request = replace(
             victim.shard.request,
             shard_id=shard_id_for(victim.shard.request.sweep_id,
@@ -314,56 +339,53 @@ class Coordinator:
             self._cell_home[key] = shard
         return shard
 
-    def renew(self, worker_id: str, lease_id: str) -> Dict[str, object]:
-        """Heartbeat: extend the lease, hand back any stolen cell keys."""
-        with self._lock:
-            self._expire_stale()
-            lease = self._leases.renew(lease_id)
-            if lease is None or lease.worker_id != worker_id:
-                return {"ok": False, "ttl": 0.0, "stolen": []}
-            stolen = list(lease.stolen_pending)
-            lease.stolen_pending.clear()
-            return {"ok": True, "ttl": self._leases.ttl, "stolen": stolen}
-
     def report(self, worker_id: str, lease_id: str, cell_key: str,
                run: WorkloadRun) -> Dict[str, object]:
         """One finished cell's run streaming back.  First report wins;
         a duplicate (stale worker racing its replacement) is counted and
-        dropped.  A report from an expired lease is still accepted when
+        dropped.  A report from an ended lease is still accepted when
         the cell is outstanding — the work is done and deterministic, so
         discarding it would only buy a resimulation.  The reply's
         ``stolen`` names the cells taken from the lease since the
         worker last heard, so it never simulates them; a lease left
-        with no cells is released."""
-        with span("dist.report"):
+        with no cells ends.  A refused report ends its lease before it
+        raises: the worker abandons the shard at the refusal, and
+        nothing else would free it while the worker lives."""
+        with span("dist.report"), self._lock:
             if not isinstance(run, WorkloadRun):
-                raise ReproError(
-                    f"malformed report for cell {cell_key!r}: a "
-                    f"{type(run).__name__}, not a WorkloadRun")
-            with self._lock:
-                self._expire_stale()
-                job = self.cells.get(cell_key)
-                if job is None:
-                    raise ReproError(f"unknown cell {cell_key!r}")
-                if (run.workload, run.isa) != (job.workload, job.isa):
-                    # A stale or buggy worker must not journal one cell's
-                    # statistics as another's; the cell stays outstanding.
-                    raise ReproError(
-                        f"mislabelled report: cell {cell_key!r} got a run of "
-                        f"{run.workload}/{run.isa}")
-                duplicate = cell_key in self._accepted
-                if duplicate:
-                    self.duplicate_reports += 1
-                else:
-                    self._accept(cell_key, run, worker_id=worker_id)
-                stolen: List[str] = []
-                lease = self._leases.get(lease_id)
-                if lease is not None and lease.worker_id == worker_id:
-                    stolen, lease.stolen_pending = lease.stolen_pending, []
-                    if not lease.shard.remaining:
-                        self._leases.release(lease_id)
-                return {"accepted": not duplicate, "duplicate": duplicate,
-                        "done": self.done, "stolen": stolen}
+                self._refuse(worker_id, lease_id,
+                             f"malformed report for cell {cell_key!r}: a "
+                             f"{type(run).__name__}, not a WorkloadRun")
+            job = self.cells.get(cell_key)
+            if job is None:
+                self._refuse(worker_id, lease_id,
+                             f"unknown cell {cell_key!r}")
+            if (run.workload, run.isa) != (job.workload, job.isa):
+                # A stale or buggy worker must not journal one cell's
+                # statistics as another's; the cell stays outstanding.
+                self._refuse(worker_id, lease_id,
+                             f"mislabelled report: cell {cell_key!r} got "
+                             f"a run of {run.workload}/{run.isa}")
+            duplicate = cell_key in self._accepted
+            if duplicate:
+                self.duplicate_reports += 1
+            else:
+                self._accept(cell_key, run, worker_id=worker_id)
+            stolen: List[str] = []
+            lease = self._leases.get(lease_id)
+            if lease is not None and lease.worker_id == worker_id:
+                stolen, lease.stolen_pending = lease.stolen_pending, []
+                if not lease.shard.remaining:
+                    self._end(lease)
+            return {"accepted": not duplicate, "duplicate": duplicate,
+                    "done": self.done, "stolen": stolen}
+
+    def _refuse(self, worker_id: str, lease_id: str,
+                message: str) -> NoReturn:
+        lease = self._leases.get(lease_id)
+        if lease is not None and lease.worker_id == worker_id:
+            self._end(lease)
+        raise ReproError(message)
 
     def _accept(self, cell_key: str, run: WorkloadRun, *,
                 worker_id: str) -> None:
@@ -380,7 +402,7 @@ class Coordinator:
         with self._lock:
             outstanding = sum(len(s.remaining) for s in self._pending)
             outstanding += sum(lease.outstanding()
-                               for lease in self._leases.active())
+                               for lease in self._leases.values())
             return {
                 "sweep_id": self.ledger.results.sweep_id,
                 "total_points": len(self.ledger.points),
@@ -403,11 +425,9 @@ class Coordinator:
         """Mark every outstanding cell failed so :meth:`finish` can
         produce a complete (but failed) result — the timeout path."""
         with self._lock:
-            self._expire_stale()
-            for lease in list(self._leases.active()):
-                self._leases.release(lease.lease_id)
-                if lease.shard.remaining:
-                    self._pending.append(lease.shard)
+            self._pending.extend(lease.shard
+                                 for lease in self._leases.values())
+            self._leases.clear()
             while self._pending:
                 shard = self._pending.pop(0)
                 if shard.remaining:
@@ -426,7 +446,7 @@ class Coordinator:
 
 
 #: The coordinator methods a pipe frame may name; nothing else is looked up.
-PIPE_VERBS = ("lease", "renew", "report")
+PIPE_VERBS = ("lease", "report")
 
 
 def serve_pipe(sock: socket.socket, coordinator: Coordinator) -> None:
@@ -469,15 +489,13 @@ class DistSweep:
                  live: Optional[List[Job]] = None,
                  workers: int = 0,
                  worker_urls: Sequence[str] = (),
-                 lease_ttl: float = 30.0,
                  progress: Optional[ProgressFn] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.workers = max(0, int(workers))
         self.worker_urls = tuple(worker_urls)
         self._log = log or (lambda message: None)
-        self.coordinator = Coordinator(
-            request, live=live, lease_ttl=lease_ttl, progress=progress,
-            log=log)
+        self.coordinator = Coordinator(request, live=live,
+                                       progress=progress, log=log)
         #: the local workers :meth:`start` forks, and their socketpairs.
         self.processes: List[ForkedProcess] = []
         self.pipes: List[Tuple[socket.socket, socket.socket]] = []
@@ -501,7 +519,7 @@ class DistSweep:
                 self._pipe_threads[-1].start()
         for i, url in enumerate(self.worker_urls):
             thread = threading.Thread(
-                target=self._worker(f"daemon-{i}", daemon_url=url).run,
+                target=self._run, args=(f"daemon-{i}", url),
                 name=f"repro-dist-{url}", daemon=True)
             thread.start()
             self._threads.append(thread)
@@ -520,7 +538,7 @@ class DistSweep:
             self.coordinator.cells,
             trace_dir=str(store.directory) if store is not None else None,
             job_timeout=self.coordinator.ledger.request.job_timeout,
-            daemon_url=daemon_url, poll=0.1, log=self._log)
+            daemon_url=daemon_url, log=self._log)
 
     def _spawn(self, worker_id: str, pipe: socket.socket) -> ForkedProcess:
         """Fork one local worker on its ``pipe`` end."""
@@ -532,9 +550,18 @@ class DistSweep:
     def _serve(self, pipe: socket.socket, worker_id: str) -> None:
         """Answer one local worker's pipe.  Once it closes (the worker
         exited or died) nothing can come from that worker again, so its
-        leases go back at once rather than at their TTL."""
+        leases end."""
         serve_pipe(pipe, self.coordinator)
         self.coordinator.drop(worker_id)
+
+    def _run(self, worker_id: str, daemon_url: Optional[str] = None) -> None:
+        """Run one in-process worker (inline, or forwarding to the daemon
+        at ``daemon_url``).  Once it returns or raises nothing can come
+        from it again, so its leases end."""
+        try:
+            self._worker(worker_id, daemon_url=daemon_url).run()
+        finally:
+            self.coordinator.drop(worker_id)
 
     def alive_workers(self) -> int:
         return (sum(1 for p in self.processes if p.poll() is None)
@@ -558,7 +585,7 @@ class DistSweep:
                     # bounds how late a dead fleet is noticed.
                     self.coordinator.finished.wait(0.1)
                     continue
-                self._worker("inline").run()
+                self._run("inline")
         finally:
             try:
                 results = self.coordinator.finish()
@@ -580,7 +607,6 @@ class DistSweep:
 def run_dist_sweep(request: SweepRequest, *,
                    workers: int = 0,
                    worker_urls: Sequence[str] = (),
-                   lease_ttl: float = 30.0,
                    progress: Optional[ProgressFn] = None,
                    timeout: Optional[float] = None,
                    log: Optional[Callable[[str], None]] = None
@@ -595,8 +621,7 @@ def run_dist_sweep(request: SweepRequest, *,
     path).
     """
     return DistSweep(request, workers=workers, worker_urls=worker_urls,
-                     lease_ttl=lease_ttl, progress=progress,
-                     log=log).start().wait(timeout=timeout)
+                     progress=progress, log=log).start().wait(timeout=timeout)
 
 
 __all__ = [

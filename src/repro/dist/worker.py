@@ -1,9 +1,11 @@
 """Pull-based sweep workers.
 
 Every worker runs one loop against a coordinator: lease a shard, run
-each cell's own request out of the ledger's cells, report the
-:class:`~repro.harness.runner.WorkloadRun` itself, and renew the lease
-meanwhile.  The simulation is delegated to a *backend*:
+each cell's own request out of the ledger's cells, and report the
+:class:`~repro.harness.runner.WorkloadRun` itself.  It sends nothing
+between reports: a lease ends when its worker ends or a report is
+refused, so there is no heartbeat.  The simulation is delegated to a
+*backend*:
 
 * :class:`EmbeddedBackend` runs cells in this process through
   :func:`~repro.harness.parallel.run_cell` — the call the serve
@@ -18,20 +20,20 @@ meanwhile.  The simulation is delegated to a *backend*:
   result, where that outside input arrives.  The serve layer is
   imported only when such a worker is built.
 
-The transport is whatever answers ``lease``/``renew``/``report``:
+The transport is whatever answers ``lease``/``report``:
 :class:`PipeTransport` sends pickled frames over the socketpair of a
 worker :class:`~repro.dist.DistSweep` forks, and a
 :class:`~repro.dist.Coordinator` in the same process is its own
 transport (the inline and daemon-backed workers, the unit tests).  No
 call is retried: a pipe error is permanent (the transport closes its
 socket) and a coordinator error is deterministic, so a worker leaves,
-or abandons its shard, at the first failure; a forked worker's lease
-then comes back when its pipe closes.
+or abandons its shard, at the first failure; the coordinator ends the
+lease of a refused report, and a forked worker's leases end when its
+pipe closes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import replace
 from functools import partialmethod
@@ -61,31 +63,28 @@ def _parse_url(url: str):
 
 class PipeTransport:
     """The coordinator of the parent process over this end of a
-    socketpair: ``(verb, args)`` out, ``(ok, value)`` back, one pair at a
-    time (the renew thread shares the pipe).  A coordinator error comes
-    back as a :class:`ReproError`, as it does from an in-process
-    coordinator; EOF, a truncated frame or a timeout closes the pipe, and
-    every later call raises OSError."""
+    socketpair: ``(verb, args)`` out, ``(ok, value)`` back, for one
+    caller (the worker's own thread).  A coordinator error comes back
+    as a :class:`ReproError`, as it does from an in-process coordinator;
+    EOF, a truncated frame or a timeout closes the pipe, and every later
+    call raises OSError."""
 
     def __init__(self, sock, timeout: float = 60.0) -> None:
         sock.settimeout(timeout)
         self.sock = sock
-        self._lock = threading.Lock()
 
     def _call(self, verb: str, *args):
-        with self._lock:
-            try:
-                send_frame(self.sock, (verb, args))
-                ok, value = recv_frame(self.sock)
-            except OSError:
-                self.sock.close()
-                raise
+        try:
+            send_frame(self.sock, (verb, args))
+            ok, value = recv_frame(self.sock)
+        except OSError:
+            self.sock.close()
+            raise
         if not ok:
             raise ReproError(value)
         return value
 
     lease = partialmethod(_call, "lease")
-    renew = partialmethod(_call, "renew")
     report = partialmethod(_call, "report")
 
 
@@ -164,28 +163,26 @@ class DaemonBackend:
 
 
 class Worker:
-    """Lease shards, simulate their cells, stream results back, renew.
+    """Lease shards, simulate their cells, stream results back.
 
     ``cells`` is the coordinator's view of its cells (wire key -> job),
     shared by fork or by running in its process: a worker runs each
-    cell's own request.  One background thread per held lease renews at
-    ttl/3; every renewal's and report's reply names the cells stolen
+    cell's own request.  Every report's reply names the cells stolen
     from the lease, which the worker then skips.  The worker never
     retries a failed *cell* (failure isolation is per point, the
     coordinator journals the failed run) nor a failed transport call:
     it leaves when a lease call fails and abandons the shard when a
-    report or a renewal does.
+    report does.
     """
 
     def __init__(self, worker_id: str, transport, backend,
-                 cells: Dict[str, Job], *, poll: float = 0.5,
+                 cells: Dict[str, Job], *,
                  log: Optional[Callable[[str], None]] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.worker_id = worker_id
         self.transport = transport
         self.backend = backend
         self.cells = cells
-        self.poll = poll
         self.cells_done = 0
         self._log = log or (lambda message: None)
         self._sleep = sleep
@@ -204,42 +201,27 @@ class Worker:
                           f"({self.cells_done} cell(s))")
                 return self.cells_done
             if grant.state == "wait":
-                self._sleep(grant.retry_after or self.poll)
+                self._sleep(grant.retry_after)
                 continue
             self._run_shard(grant)
 
     def _run_shard(self, grant: LeaseGrant) -> None:
         shard = grant.shard
         assert shard is not None
-        lost = threading.Event()
-        stop = threading.Event()
         stolen: Set[str] = set()
-        renewer = threading.Thread(
-            target=self._renew_loop,
-            args=(grant, lost, stop, stolen),
-            name=f"renew-{grant.lease_id}", daemon=True)
-        renewer.start()
-        try:
-            for cell in shard.cells:
-                if lost.is_set():
-                    self._log(f"{self.worker_id}: lease {grant.lease_id} "
-                              f"lost; abandoning shard {shard.shard_id}")
-                    break
-                if cell.key in stolen:
-                    continue
-                run = self._run_cell(self.cells[cell.key].request)
-                try:
-                    reply = self.transport.report(
-                        self.worker_id, grant.lease_id, cell.key, run)
-                except (ReproError, OSError) as exc:
-                    self._log(f"{self.worker_id}: report failed ({exc}); "
-                              f"abandoning shard {shard.shard_id}")
-                    break
-                stolen.update(reply.get("stolen", ()))
-                self.cells_done += 1
-        finally:
-            stop.set()
-            renewer.join(timeout=2.0)
+        for cell in shard.cells:
+            if cell.key in stolen:
+                continue
+            run = self._run_cell(self.cells[cell.key].request)
+            try:
+                reply = self.transport.report(
+                    self.worker_id, grant.lease_id, cell.key, run)
+            except (ReproError, OSError) as exc:
+                self._log(f"{self.worker_id}: report failed ({exc}); "
+                          f"abandoning shard {shard.shard_id}")
+                return
+            stolen.update(reply.get("stolen", ()))
+            self.cells_done += 1
 
     def _run_cell(self, request: RunRequest) -> WorkloadRun:
         start = time.monotonic()
@@ -250,25 +232,11 @@ class Worker:
                                f"{type(exc).__name__}: {exc}",
                                time.monotonic() - start)
 
-    def _renew_loop(self, grant: LeaseGrant, lost: threading.Event,
-                    stop: threading.Event, stolen: Set[str]) -> None:
-        interval = max(0.05, (grant.ttl or 1.0) / 3.0)
-        while not stop.wait(interval):
-            try:
-                reply = self.transport.renew(self.worker_id, grant.lease_id)
-            except (ReproError, OSError):
-                reply = {}
-            if not reply.get("ok"):
-                lost.set()
-                return
-            for key in reply.get("stolen", ()):
-                stolen.add(str(key))
-
 
 def build_worker(worker_id: str, transport, cells: Dict[str, Job], *,
                  trace_dir: Optional[str] = None,
                  job_timeout: Optional[float] = None,
-                 daemon_url: Optional[str] = None, poll: float = 0.5,
+                 daemon_url: Optional[str] = None,
                  log: Optional[Callable[[str], None]] = None) -> Worker:
     """The worker of a :class:`~repro.dist.DistSweep`, on ``transport``:
     cells run embedded against the store at ``trace_dir`` unless
@@ -283,7 +251,7 @@ def build_worker(worker_id: str, transport, cells: Dict[str, Job], *,
     else:
         backend = EmbeddedBackend(trace_dir=trace_dir,
                                   job_timeout=job_timeout)
-    return Worker(worker_id, transport, backend, cells, poll=poll, log=log)
+    return Worker(worker_id, transport, backend, cells, log=log)
 
 
 __all__ = [

@@ -429,6 +429,7 @@ def resolve_sweep_execution(
     execution: str,
     use_disk_cache: Optional[bool],
     trace_dir: Optional[str],
+    cache_dir: Optional[str],
 ) -> "Tuple[str, Optional[TraceStore]]":
     """The (per-cell execution mode, trace store) a sweep runs under.
 
@@ -444,7 +445,7 @@ def resolve_sweep_execution(
         if trace_dir is None and use_disk_cache is False:
             store = None
         else:
-            store = resolve_trace_store(trace_dir)
+            store = resolve_trace_store(trace_dir, cache_dir)
         if store is not None:
             cell_mode = execution
         elif execution == "replay":
@@ -491,7 +492,8 @@ class SweepLedger:
         space = build_space(list(request.axes), request.mode)
         self.points: List[SweepPoint] = space.points(base)
         self.cell_mode, self.store = resolve_sweep_execution(
-            request.execution, request.use_disk_cache, request.trace_dir)
+            request.execution, request.use_disk_cache, request.trace_dir,
+            request.cache_dir)
         sweep_id = (request.resume if isinstance(request.resume, str) else
                     sweep_fingerprint(base, space.axes, request.mode, names,
                                       request.isas, request.scale,
@@ -569,6 +571,10 @@ class SweepLedger:
                 resume=bool(request.resume) and bool(cells or finished),
             )
         cell_keys = [(w, isa) for w in res.workloads for isa in res.isas]
+        # Every cell captures into and replays from the ledger's store,
+        # whichever executor runs it.
+        trace_dir = (str(self.store.directory) if self.store is not None
+                     else request.trace_dir)
         live: List[Job] = []
         for point in self.points:
             pid = point.point_id
@@ -607,7 +613,7 @@ class SweepLedger:
                     continue
                 job = Job(point=pid, request=request.cell(
                     w, isa, config=point.config, execution=self.cell_mode,
-                    engine=point.config.engine))
+                    engine=point.config.engine, trace_dir=trace_dir))
                 cached = (self.disk.get(job.fingerprint)
                           if self.disk is not None else None)
                 if cached is not None:

@@ -466,19 +466,23 @@ class TraceStore(_FileStore):
         return out
 
 
-def resolve_trace_store(trace_dir: Optional[str]) -> Optional[TraceStore]:
+def resolve_trace_store(trace_dir: Optional[str],
+                        cache_dir: Optional[str] = None
+                        ) -> Optional[TraceStore]:
     """The trace store replay should use, honouring env overrides.
 
     An explicit ``trace_dir`` always wins; with none given the store lives
-    under the result-cache directory (``<cache-dir>/traces``) and is
-    disabled together with it by ``REPRO_NO_CACHE`` — replay degrades to
-    plain execution rather than failing.
+    under the result-cache directory (``<cache_dir>/traces``, with
+    ``cache_dir`` defaulting as for :class:`ResultCache`) and is disabled
+    together with it by ``REPRO_NO_CACHE`` — replay degrades to plain
+    execution rather than failing.
     """
     if trace_dir is not None:
         return TraceStore(trace_dir)
     if cache_disabled_by_env():
         return None
-    return TraceStore()
+    return TraceStore(os.path.join(cache_dir, "traces") if cache_dir
+                      else None)
 
 
 def resolve_cache(

@@ -193,7 +193,7 @@ class Scheduler:
         #: the process-wide hot state batching exists to exploit.  None
         #: when caching is disabled and no ``trace_dir`` was given: cells
         #: then execute, as ``resolve_trace_store`` degrades them.
-        self.store = resolve_trace_store(trace_dir)
+        self.store = resolve_trace_store(trace_dir, cache_dir)
 
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)

@@ -1,7 +1,9 @@
-"""Coordinator protocol semantics under a fake clock: leases, expiry
-requeue with journaled cells subtracted, work-stealing, first-wins
-reports, and the poison-shard guard.  Reports are synthesized — no
-simulation runs here."""
+"""Coordinator protocol semantics: leases, the end of a lease (its
+holder dropped, or a report refused) requeueing with journaled cells
+subtracted, work-stealing, first-wins reports, and the poison-shard
+guard.  Reports are synthesized — no simulation runs here."""
+
+import threading
 
 import pytest
 
@@ -10,22 +12,12 @@ from repro.common.errors import ReproError
 from repro.common.stats import StatSet
 from repro.core.requests import SweepRequest
 from repro.dist import Coordinator
+from repro.dist.coordinator import MAX_SHARD_ATTEMPTS
 from repro.explore.space import Axis
 from repro.harness.runner import WorkloadRun
 
 
-class FakeClock:
-    def __init__(self, start=1000.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-def _coordinator(tmp_path, clock, *, banks=(2, 4), axes=None,
+def _coordinator(tmp_path, *, banks=(2, 4), axes=None,
                  workloads=("spmv",), isas=("gcn3",), execution="execute",
                  **kw):
     if axes is None:
@@ -35,7 +27,7 @@ def _coordinator(tmp_path, clock, *, banks=(2, 4), axes=None,
         config=small_config(2), use_disk_cache=False,
         sweeps_dir=str(tmp_path / "sweeps"), execution=execution,
         trace_dir=str(tmp_path / "traces"), verify_replay=False)
-    return Coordinator(request, lease_ttl=10.0, clock=clock, **kw)
+    return Coordinator(request, **kw)
 
 
 def _run(cell_key, wall=0.01):
@@ -52,17 +44,12 @@ def _keys(grant):
     return [cell.key for cell in grant.shard.cells]
 
 
-@pytest.fixture()
-def clock():
-    return FakeClock()
-
-
 class TestLeaseReportCycle:
-    def test_full_cycle(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_full_cycle(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         assert grant.state == "granted"
-        assert grant.ttl == 10.0
+        assert grant.ttl == 0.0            # no heartbeat: the field stays unset
         keys = _keys(grant)
         assert len(keys) == 2
         assert not co.done
@@ -81,18 +68,38 @@ class TestLeaseReportCycle:
         assert results.retries == results.expiries == results.steals == 0
         assert (tmp_path / "sweeps").exists()
 
-    def test_done_grant_after_completion(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_done_grant_after_completion(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         for key in _keys(grant):
             co.report("w1", grant.lease_id, key, _run(key))
         assert co.lease("w2").state == "done"
         co.finish()
 
-    def test_second_worker_waits_without_steal(self, tmp_path, clock):
+    def test_a_shard_runs_on_the_workers_own_thread(self, tmp_path):
+        """A worker sends nothing between reports, so running a shard
+        starts no thread beside the one that runs its cells."""
+        from repro.dist import Worker
+
+        co = _coordinator(tmp_path)
+        grant = co.lease("w1")
+        before = set(threading.enumerate())
+        started = []
+
+        class Backend:
+            def run(self, request):
+                started.append(set(threading.enumerate()) - before)
+                return _run(f"p:{request.workload}/{request.isa}")
+
+        Worker("w1", co, Backend(), co.cells)._run_shard(grant)
+        assert started == [set(), set()]
+        assert co.done
+        co.finish()
+
+    def test_second_worker_waits_without_steal(self, tmp_path):
         # The only shard's capture is not stored yet, so stealing half of
         # it would capture again: the second worker waits instead.
-        co = _coordinator(tmp_path, clock, execution="auto")
+        co = _coordinator(tmp_path, execution="auto")
         co.lease("w1")
         grant = co.lease("w2")
         assert grant.state == "wait"
@@ -101,30 +108,29 @@ class TestLeaseReportCycle:
 
 
 class TestExpiry:
-    def test_expired_lease_requeues_minus_reported(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_expired_lease_requeues_minus_reported(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         keys = _keys(grant)
         co.report("w1", grant.lease_id, keys[0], _run(keys[0]))
-        clock.advance(11.0)
+        co.drop("w1")                      # its pipe closed
         regrant = co.lease("w2")
         assert regrant.state == "granted"
         # the journaled cell was subtracted: zero resimulation.
         assert _keys(regrant) == [keys[1]]
         status = co.status()
         assert status["expiries"] == 1 and status["retries"] == 1
-        # the dead lease cannot renew; the victim learns to abandon it.
-        assert co.renew("w1", grant.lease_id)["ok"] is False
+        assert status["active_leases"] == 1   # the regrant alone
         co.report("w2", regrant.lease_id, keys[1], _run(keys[1]))
         results = co.finish()
         assert results.workers["w1"].expiries == 1
         assert len(results.points) == 2
 
-    def test_late_report_from_dead_lease_is_accepted(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_late_report_from_dead_lease_is_accepted(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         keys = _keys(grant)
-        clock.advance(11.0)
+        co.drop("w1")
         # the work is deterministic and done; discarding it would only
         # buy a resimulation.
         late = co.report("w1", grant.lease_id, keys[0],
@@ -135,17 +141,16 @@ class TestExpiry:
         co.report("w2", regrant.lease_id, keys[1], _run(keys[1]))
         co.finish()
 
-    def test_poison_shard_fails_after_max_attempts(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock, max_attempts=2)
-        co.lease("w1")
-        clock.advance(11.0)
-        second = co.lease("w2")            # requeue (attempt 1) + regrant
-        assert second.state == "granted"
-        clock.advance(11.0)
-        final = co.lease("w3")             # attempt 2 -> poisoned
-        assert final.state == "done"
+    def test_poison_shard_fails_after_max_attempts(self, tmp_path):
+        co = _coordinator(tmp_path)
+        for attempt in range(MAX_SHARD_ATTEMPTS):
+            # each drop ends the lease: a requeue, the last one poisons.
+            assert co.lease(f"w{attempt}").state == "granted"
+            co.drop(f"w{attempt}")
+        assert co.lease("w-last").state == "done"
         results = co.finish()
-        assert results.expiries == 2 and results.retries == 1
+        assert results.expiries == MAX_SHARD_ATTEMPTS
+        assert results.retries == MAX_SHARD_ATTEMPTS - 1
         assert len(results.points) == 2
         for pr in results.points:
             for run in pr.runs.values():
@@ -154,8 +159,8 @@ class TestExpiry:
 
 
 class TestSteal:
-    def test_steal_splits_largest_lease(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+    def test_steal_splits_largest_lease(self, tmp_path):
+        co = _coordinator(tmp_path, banks=(2, 4, 8, 16))
         victim = co.lease("w1")
         assert len(_keys(victim)) == 4
         stolen = co.lease("w2")
@@ -163,15 +168,14 @@ class TestSteal:
         stolen_keys = _keys(stolen)
         assert len(stolen_keys) == 2       # tail half
         assert set(stolen_keys).isdisjoint(_keys(victim)[:2])
-        # the victim learns which cells left on its next heartbeat.
-        reply = co.renew("w1", victim.lease_id)
-        assert reply["ok"] is True
+        # the victim learns which cells left from its next report.
+        head = _keys(victim)[:2]
+        reply = co.report("w1", victim.lease_id, head[0], _run(head[0]))
         assert sorted(reply["stolen"]) == sorted(stolen_keys)
         status = co.status()
         assert status["steals"] == 1
-        assert status["outstanding_cells"] == 4
-        for key in _keys(victim)[:2]:
-            co.report("w1", victim.lease_id, key, _run(key))
+        assert status["outstanding_cells"] == 3
+        co.report("w1", victim.lease_id, head[1], _run(head[1]))
         for key in stolen_keys:
             co.report("w2", stolen.lease_id, key, _run(key))
         results = co.finish()
@@ -181,10 +185,10 @@ class TestSteal:
         assert results.workers["w2"].cells == 2
 
     def test_stolen_cell_reported_by_victim_is_duplicate_safe(
-            self, tmp_path, clock):
-        """A victim that raced past its renewal keeps simulating stolen
-        cells; whoever reports first wins, the loser is counted."""
-        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+            self, tmp_path):
+        """A victim that has not reported since the theft keeps
+        simulating stolen cells; whoever reports first wins, the loser is counted."""
+        co = _coordinator(tmp_path, banks=(2, 4, 8, 16))
         victim = co.lease("w1")
         stolen = co.lease("w2")
         contested = _keys(stolen)[0]
@@ -199,8 +203,8 @@ class TestSteal:
         co.ledger.close()
 
     def test_a_report_names_the_stolen_cells_and_frees_the_lease(
-            self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+            self, tmp_path):
+        co = _coordinator(tmp_path, banks=(2, 4, 8, 16))
         victim = co.lease("w1")
         stolen = co.lease("w2")
         head = _keys(victim)[:2]
@@ -208,7 +212,7 @@ class TestSteal:
         assert sorted(first["stolen"]) == sorted(_keys(stolen))
         last = co.report("w1", victim.lease_id, head[1], _run(head[1]))
         assert last["stolen"] == []          # told once
-        assert co.renew("w1", victim.lease_id)["ok"] is False  # released
+        assert co.status()["active_leases"] == 1   # the victim's ended
         for key in _keys(stolen):
             reply = co.report("w2", stolen.lease_id, key, _run(key))
             assert reply["accepted"] and reply["stolen"] == []
@@ -218,13 +222,13 @@ class TestSteal:
         assert results.duplicate_reports == results.expiries == 0
 
     def test_a_worker_skips_the_cells_its_report_says_were_stolen(
-            self, tmp_path, clock):
+            self, tmp_path):
         """A thief arrives while the victim simulates its first cell; the
         victim runs only the head it still holds, so nothing is
         simulated twice."""
         from repro.dist import Worker
 
-        co = _coordinator(tmp_path, clock, banks=(2, 4, 8, 16))
+        co = _coordinator(tmp_path, banks=(2, 4, 8, 16))
         grant = co.lease("w1")
         ran, thief = [], []
 
@@ -245,18 +249,18 @@ class TestSteal:
 
 
 class TestReportValidation:
-    def test_unknown_cell_raises(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_unknown_cell_raises(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         with pytest.raises(ReproError, match="unknown cell"):
             co.report("w1", grant.lease_id, "nope:spmv/gcn3",
                       _run("nope:spmv/gcn3"))
         co.ledger.close()
 
-    def test_malformed_payload_raises(self, tmp_path, clock):
+    def test_malformed_payload_raises(self, tmp_path):
         # A report carries the run itself; anything else is refused and
         # the cell stays outstanding.
-        co = _coordinator(tmp_path, clock)
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         key = _keys(grant)[0]
         with pytest.raises(ReproError, match=f"malformed report for cell "
@@ -295,10 +299,10 @@ class TestReportValidation:
         assert "'kernel_code_bytes'" in run.error
 
     @pytest.mark.parametrize("label", ["bitonic/gcn3", "spmv/hsail"])
-    def test_mislabelled_report_is_rejected(self, tmp_path, clock, label):
+    def test_mislabelled_report_is_rejected(self, tmp_path, label):
         """A run of another (workload, ISA) filed under this cell's key
         must not be journaled as this cell's statistics."""
-        co = _coordinator(tmp_path, clock)
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         keys = _keys(grant)
         point = keys[0].split(":", 1)[0]
@@ -313,10 +317,33 @@ class TestReportValidation:
         assert good["accepted"]
         co.ledger.close()
 
+    @pytest.mark.parametrize("refusal", ["unknown", "malformed",
+                                         "mislabelled"])
+    def test_a_refused_report_ends_its_lease(self, tmp_path, refusal):
+        """The worker abandons its shard at a refused report, so the
+        lease ends there and the next worker gets the cells at once (the
+        shard's capture is not stored, so there is nothing to steal)."""
+        co = _coordinator(tmp_path, execution="auto")
+        grant = co.lease("w1")
+        keys = _keys(grant)
+        point = keys[0].split(":", 1)[0]
+        cell, run = {"unknown": ("nope:spmv/gcn3", _run(keys[0])),
+                     "malformed": (keys[0], {}),
+                     "mislabelled": (keys[0],
+                                     _run(f"{point}:bitonic/gcn3"))}[refusal]
+        with pytest.raises(ReproError):
+            co.report("w1", grant.lease_id, cell, run)
+        regrant = co.lease("w2")
+        assert regrant.state == "granted" and not regrant.stolen
+        assert _keys(regrant) == keys
+        status = co.status()
+        assert status["expiries"] == status["retries"] == 1
+        co.ledger.close()
+
 
 class TestEdges:
-    def test_invalid_points_complete_without_workers(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock,
+    def test_invalid_points_complete_without_workers(self, tmp_path):
+        co = _coordinator(tmp_path,
                           axes=(Axis("l1i.size_bytes", (8192, 100)),))
         # only the valid point's cell is distributable.
         grant = co.lease("w1")
@@ -328,8 +355,8 @@ class TestEdges:
         assert sum(1 for pr in results.points
                    if pr.point.error is not None) == 1
 
-    def test_abort_fails_outstanding_cells(self, tmp_path, clock):
-        co = _coordinator(tmp_path, clock)
+    def test_abort_fails_outstanding_cells(self, tmp_path):
+        co = _coordinator(tmp_path)
         grant = co.lease("w1")
         keys = _keys(grant)
         co.report("w1", grant.lease_id, keys[0], _run(keys[0]))
@@ -347,7 +374,7 @@ class TestConcurrentHttp:
     # through the daemon's per-connection threads, now through one
     # serve_pipe thread per forked worker's socketpair.
     def test_threaded_daemon_grants_and_accepts_each_cell_once(
-            self, tmp_path, clock):
+            self, tmp_path):
         """Eight workers leasing and reporting at once, each over its
         own pipe with its own serving thread: every cell is granted to
         exactly one of them and accepted exactly once."""
@@ -362,7 +389,7 @@ class TestConcurrentHttp:
         # shards, so no lease is ever large enough to steal from.
         workloads = ("arraybw", "bitonic", "comd", "fft", "hpgmg",
                      "lulesh", "md", "snap", "spmv", "xsbench")
-        co = _coordinator(tmp_path, clock, workloads=workloads,
+        co = _coordinator(tmp_path, workloads=workloads,
                           isas=("gcn3", "hsail"),
                           axes=(Axis("l1d.hit_latency", (4,)),))
         assert co.shards == 20

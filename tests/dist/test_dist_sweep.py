@@ -55,7 +55,7 @@ class TestInlineDistSweep:
         # Two workers, one shard: the second may only steal once the
         # first has stored its capture, so the thief replays it.  The
         # forked workers inherit the patch: a cell takes 0.3 s longer,
-        # so the thief's 0.5 s back-off ends before the victim is done.
+        # so the thief's 0.1 s back-off ends before the victim is done.
         run_cell = Worker._run_cell
 
         def slow_run_cell(self, request):
@@ -65,7 +65,7 @@ class TestInlineDistSweep:
         monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
         spread = dict(axes=(Axis("cu.vrf_banks", (2, 4, 8, 16)),))
         dist = run_dist_sweep(_request(tmp_path, "chunked", **spread),
-                              workers=2, lease_ttl=2.0, timeout=120)
+                              workers=2, timeout=120)
         assert dist.shards == 1 and dist.steals >= 1
         assert all(stats.cells for stats in dist.workers.values())
         assert dist.captures == 1 and dist.replays == 3
@@ -211,7 +211,7 @@ class TestCrossPathResume:
         co = Coordinator(_request(tmp_path, "cross", execution="execute"),
                          progress=stop)
         try:
-            Worker("w", co, EmbeddedBackend(), co.cells, poll=0.01).run()
+            Worker("w", co, EmbeddedBackend(), co.cells).run()
         except StopAfterFirstPoint:
             pass
         assert co.ledger.points_done == 1 and not co.done

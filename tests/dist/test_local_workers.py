@@ -171,8 +171,8 @@ def test_a_failing_child_exits_and_the_sweep_finishes_inline(
 
 def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
     """A forked worker that dies inside a cell closes its pipe, and its
-    lease goes back then, not after the 600 s TTL: the other worker runs
-    the dead one's cells, and the death still counts as an expiry."""
+    lease ends then: the other worker runs the dead one's cells, and the
+    death counts as an expiry."""
     parent = os.getpid()
     real_run_cell = Worker._run_cell
 
@@ -183,7 +183,7 @@ def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Worker, "_run_cell", run_cell)
     sweep = DistSweep(_request(tmp_path, "dead", workloads=("spmv", "bitonic")),
-                      workers=2, lease_ttl=600)
+                      workers=2)
     results = sweep.start().wait(timeout=120)
 
     assert sweep.processes[0].returncode == 3
@@ -192,6 +192,34 @@ def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
     runs = [run for pr in results.points for run in pr.runs.values()]
     assert len(runs) == 2 * CELLS
     assert all(run.error is None and run.verified for run in runs)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_raising_worker_thread_gives_its_lease_back(
+        tmp_path, monkeypatch, serial_digest):
+    """An in-process worker whose thread raises while it holds a lease
+    ends that lease as it returns, so the inline worker runs the whole
+    shard at once instead of waiting the sweep out.  The daemon-backed
+    worker raises before it would reach its daemon."""
+    real_run_cell = Worker._run_cell
+
+    def run_cell(self, request):
+        if self.worker_id == "daemon-0":
+            raise RuntimeError("worker thread failed")
+        return real_run_cell(self, request)
+
+    monkeypatch.setattr(Worker, "_run_cell", run_cell)
+    start = time.monotonic()
+    results = DistSweep(_request(tmp_path, "raise"),
+                        worker_urls=["http://127.0.0.1:9"]).start().wait(
+                            timeout=10)
+    assert time.monotonic() - start < 10
+    assert results.workers["daemon-0"].cells == 0
+    assert results.expiries == results.workers["daemon-0"].expiries == 1
+    assert results.workers["inline"].cells == CELLS
+    assert not results.failed_points
+    assert journal_digest(results.journal_path) == serial_digest
 
 
 def _decodes(call):

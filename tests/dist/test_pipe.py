@@ -26,7 +26,7 @@ from repro.dist.worker import PipeTransport, recv_frame
 from repro.obs import host
 from tests.obs.test_host_spans import wait_for_span
 
-from .test_coordinator import FakeClock, _coordinator, _keys, _run
+from .test_coordinator import _coordinator, _keys, _run
 
 
 class _Serving:
@@ -73,7 +73,7 @@ def _serve_bytes(coordinator, data):
 
 @pytest.fixture()
 def co(tmp_path):
-    coordinator = _coordinator(tmp_path, FakeClock())
+    coordinator = _coordinator(tmp_path)
     yield coordinator
     coordinator.ledger.close()
 
@@ -150,7 +150,8 @@ def test_a_coordinator_error_reaches_the_worker_as_a_repro_error(co):
         with pytest.raises(ReproError, match="malformed report"):
             transport.report("w1", grant.lease_id, _keys(grant)[0], {})
         # A worker whose report is refused makes that one call and
-        # abandons the shard: the second cell never runs.
+        # abandons the shard: the second cell never runs.  The first
+        # refusal ended the lease, so the shard is back on the queue.
         ran = []
 
         class Mislabelling:
@@ -161,20 +162,26 @@ def test_a_coordinator_error_reaches_the_worker_as_a_repro_error(co):
         worker = Worker("w1", transport, Mislabelling(), co.cells,
                         sleep=lambda _s: None)
         worker._run_shard(grant)
-        assert transport.renew("w1", grant.lease_id)["ok"]  # still held
+        status = co.status()
+        assert status["expiries"] == status["retries"] == 1   # requeued
+        assert status["active_leases"] == 0
+        regrant = transport.lease("w1")
+        assert _keys(regrant) == _keys(grant) and not regrant.stolen
+        key = _keys(regrant)[0]
+        transport.report("w1", regrant.lease_id, key, _run(key))
         # One thread serves the frames in order, each span closing after
         # its reply: once the last has closed, every frame is recorded.
-        wait_for_span(records, "dist.pipe", verb="renew")
+        wait_for_span(records, "dist.pipe", verb="report", ok=True)
     finally:
         unsubscribe()
     assert len(ran) == 1 and worker.cells_done == 0
     assert [r["attrs"] for r in records if r["name"] == "dist.pipe"] == [
         {"verb": "lease", "ok": True}, {"verb": "report", "ok": False},
         {"verb": "report", "ok": False}, {"verb": "report", "ok": False},
-        {"verb": "renew", "ok": True}]
+        {"verb": "lease", "ok": True}, {"verb": "report", "ok": True}]
     child_end.close()
     serving.join()
-    assert co.status()["cells_accepted"] == 0
+    assert co.status()["cells_accepted"] == 1
 
 
 def test_eof_closes_the_pipe_and_the_worker_leaves(co):
@@ -201,7 +208,7 @@ def test_a_timeout_closes_the_pipe(co):
         # The request was sent; an answer arriving late is never read.
         assert recv_frame(parent_end) == ("lease", ("w1",))
         with pytest.raises(OSError):
-            transport.renew("w1", "lease")
+            transport.report("w1", "L00001", "p0:spmv/gcn3", None)
     assert child_end.fileno() == -1
 
 
@@ -214,7 +221,7 @@ def test_the_report_reply_waits_for_the_progress_callback(tmp_path):
         time.sleep(0.2)
         landed.set()
 
-    co = _coordinator(tmp_path, FakeClock(), progress=progress)
+    co = _coordinator(tmp_path, progress=progress)
     parent_end, child_end = socket.socketpair()
     serving = _Serving(parent_end, co)
     transport = PipeTransport(child_end)

@@ -429,6 +429,22 @@ class TestDiskCacheIntegration:
         assert {e.status for e in events} == {"hit"}
         assert not again.failed_points
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_traces_live_under_the_cache_dir(self, tmp_path, monkeypatch,
+                                             jobs):
+        """With no ``trace_dir`` a sweep's traces go to
+        ``<cache_dir>/traces``, whichever executor runs its cells, not
+        under ``REPRO_CACHE_DIR`` or the working directory."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        cache_dir = tmp_path / "cache"
+        results = _sweep(tmp_path / "s", use_disk_cache=True,
+                         cache_dir=str(cache_dir), execution="auto",
+                         jobs=jobs)
+        assert not results.failed_points and results.captures == 2
+        assert len(list((cache_dir / "traces").glob("*.trace"))) == 2
+        assert not (tmp_path / "elsewhere").exists()
+
 
 class TestSessionSweep:
     def test_string_axes_accepted(self, tmp_path):

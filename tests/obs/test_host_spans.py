@@ -306,9 +306,9 @@ def test_http_request_spans_wrap_dist_calls(tmp_path):
     from repro.dist.worker import PipeTransport
     from repro.serve import DaemonClient, DaemonError, Scheduler
     from repro.serve.daemon import Daemon
-    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, _run
+    from tests.dist.test_coordinator import _coordinator, _keys, _run
 
-    co = _coordinator(tmp_path, FakeClock())
+    co = _coordinator(tmp_path)
     server = Daemon(Scheduler(trace_dir=str(tmp_path / "traces")), port=0)
     server.start()
     parent_end, child_end = socket.socketpair()
@@ -352,9 +352,9 @@ def test_pipe_spans_wrap_dist_calls(tmp_path):
     from repro.common.errors import ReproError
     from repro.dist.worker import PipeTransport
     from repro.dist.coordinator import serve_pipe
-    from tests.dist.test_coordinator import FakeClock, _coordinator, _keys, _run
+    from tests.dist.test_coordinator import _coordinator, _keys, _run
 
-    co = _coordinator(tmp_path, FakeClock())
+    co = _coordinator(tmp_path)
     parent_end, child_end = socket.socketpair()
 
     def drive():
@@ -448,7 +448,7 @@ def test_a_local_worker_pushes_no_trace_back(tmp_path):
     verbs = Counter(r["attrs"]["verb"] for r in records
                     if r["name"] == "dist.pipe")
     assert verbs["report"] == 8
-    assert set(verbs) <= {"lease", "renew", "report"}
+    assert set(verbs) <= {"lease", "report"}
 
 
 def layer_table(matrix):

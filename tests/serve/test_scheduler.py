@@ -158,6 +158,18 @@ class TestBatching:
         job2 = sched.submit(_run_request(trace_dir=explicit))
         assert job2.request.trace_dir == explicit   # client wins
 
+    def test_traces_live_under_the_cache_dir(self, tmp_path, monkeypatch):
+        """``repro serve --cache-dir D`` without ``--trace-dir`` keeps its
+        traces in ``D/traces``, not under ``REPRO_CACHE_DIR``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        sched = Scheduler(cache_dir=str(tmp_path / "cache"))
+        job = sched.submit(_run_request())
+        sched.run_until_idle()
+        assert job.state == "done" and job.execution == "capture"
+        assert len(list((tmp_path / "cache" / "traces").glob("*.trace"))) == 1
+        assert not (tmp_path / "elsewhere").exists()
+
 
 class TestRateLimit:
     def test_429_after_burst(self, tmp_path):
