@@ -557,11 +557,14 @@ class DistSweep:
     def _run(self, worker_id: str, daemon_url: Optional[str] = None) -> None:
         """Run one in-process worker (inline, or forwarding to the daemon
         at ``daemon_url``).  Once it returns or raises nothing can come
-        from it again, so its leases end."""
+        from it again, so its leases end and its backend closes (a
+        daemon-backed worker's connection)."""
+        worker = self._worker(worker_id, daemon_url=daemon_url)
         try:
-            self._worker(worker_id, daemon_url=daemon_url).run()
+            worker.run()
         finally:
             self.coordinator.drop(worker_id)
+            worker.backend.close()
 
     def alive_workers(self) -> int:
         return (sum(1 for p in self.processes if p.poll() is None)

@@ -105,6 +105,9 @@ class EmbeddedBackend:
         return run_cell(request, trace_store=self.store,
                         timeout=self.job_timeout)
 
+    def close(self) -> None:
+        """Nothing to release: the store is the coordinator's."""
+
 
 class DaemonBackend:
     """Cells execute on a ``repro serve`` daemon, which pins its own
@@ -150,6 +153,11 @@ class DaemonBackend:
             if blob:
                 self.store.write_blob(fp, blob)
         return run
+
+    def close(self) -> None:
+        """End this thread's connection to the daemon, so no idle
+        connection (nor its handler thread) outlives the worker there."""
+        self.client.close()
 
     @staticmethod
     def _quietly(call, *args):

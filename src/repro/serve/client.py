@@ -6,6 +6,13 @@ objects, responses come back through
 :func:`repro.serve.protocol.parse_response`, so a schema change breaks
 loudly on both ends at the same version gate.
 
+Each calling thread keeps one HTTP/1.1 connection to the daemon and
+reuses it until a reply carries ``Connection: close`` (every error
+reply does), the idle socket reads EOF (the daemon closed it), or a call
+fails; a failed call drops the connection and raises, and the next call
+opens a new one.  A connection made before a ``fork`` is never used by
+the child.  :meth:`DaemonClient.close` ends the calling thread's.
+
 A 429 (rate-limited) reply is retried with bounded exponential backoff:
 the daemon's ``Retry-After`` hint is the floor, ``backoff * 2**attempt``
 (capped) the curve, plus a little jitter so a herd of workers doesn't
@@ -24,7 +31,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
+import select
+import threading
 import time
 from typing import Callable, Dict, Optional, Union
 
@@ -47,8 +57,8 @@ class DaemonError(ReproError):
 
 
 class DaemonClient:
-    """One daemon endpoint; connections are per-call (the daemon keeps
-    its own state, the client stays trivially reentrant).
+    """One daemon endpoint, over one connection per calling thread (see
+    the module doc), so any number of threads may share a client.
 
     :param max_retries: how many times a 429 is retried before the
         :class:`DaemonError` propagates (0 = never retry).
@@ -71,6 +81,31 @@ class DaemonClient:
         self.backoff = backoff
         self._sleep = sleep
         self._jitter = random.Random()
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """End the calling thread's connection; a later call opens a new
+        one."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, made anew when there is none,
+        when it was made in another process (before a fork: the child
+        closes only its copy of the socket), or when its idle socket is
+        readable — the daemon closed it, or sent bytes nobody asked for."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None and (self._local.pid != os.getpid()
+                                 or _readable(conn.sock)):
+            self.close()
+            conn = None
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port,
+                                              timeout=self.timeout)
+            self._local.conn, self._local.pid = conn, os.getpid()
+        return conn
 
     # -- HTTP ------------------------------------------------------------------
 
@@ -97,8 +132,7 @@ class DaemonClient:
                    body: Optional[Union[str, bytes]] = None,
                    headers: Optional[Dict[str, str]] = None, *,
                    raw: bool = False):
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn = self._connection()
         try:
             all_headers = {"Content-Type": "application/json"}
             if self.client_id:
@@ -131,8 +165,12 @@ class DaemonClient:
             if not isinstance(payload, dict):
                 raise DaemonError(response.status, "non-object response")
             return payload
-        finally:
-            conn.close()
+        except BaseException:
+            # An error reply has closed the socket already (it carries
+            # ``Connection: close``); anything else may have left it
+            # mid-exchange.
+            self.close()
+            raise
 
     # -- API -------------------------------------------------------------------
 
@@ -199,6 +237,15 @@ class DaemonClient:
             "PUT", f"/v1/traces/{fingerprint}", body=blob,
             headers={"Content-Type": "application/octet-stream"})
         return bool(payload.get("stored"))
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has something to read (EOF included)."""
+    if sock is None:       # closed after a ``Connection: close`` reply
+        return False
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 __all__ = ["DaemonClient", "DaemonError"]

@@ -1,5 +1,9 @@
 """The HTTP/1.1 front end of ``repro serve`` (stdlib ``http.server``,
-one thread per connection).
+one thread per connection).  A connection stays open across requests
+(a :class:`~repro.serve.DaemonClient` keeps one per calling thread), so
+replies go out with ``TCP_NODELAY``: a reply is two writes, headers then
+body, and with Nagle's algorithm the second would wait for the client's
+delayed ACK (about 40 ms) on every reused connection.
 
 Routes (all payloads are versioned ``repro-api/1`` envelopes)::
 
@@ -29,7 +33,7 @@ types: malformed payload 400, unknown job 404, rate limit 429 (with
 ``Retry-After``), queue full / draining 503.  Every error, malformed
 HTTP the stdlib parser refuses included, gets an
 :class:`~repro.serve.protocol.ErrorInfo` JSON body and closes the
-connection.
+connection (``Connection: close``).
 
 SIGTERM, SIGINT and ``POST /v1/shutdown`` start the same drain: the
 listener keeps answering (new submissions get 503, job polls 200) until
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import sys
 import threading
 import traceback
@@ -94,7 +99,9 @@ class Daemon:
                          name="repro-serve-http", daemon=True).start()
 
     def close(self) -> None:
-        """Stop serving and release the port."""
+        """Stop serving, end the connections still open (an idle client
+        holds its own) and join their handler threads, and release the
+        port."""
         if self._server is not None:
             self._server.shutdown()  # waits for serve_forever to return
             self._server.server_close()
@@ -183,6 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
     """One request: read the body, route it, write the reply."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def __getattr__(self, name: str):
         # Every method reaches the router, which answers 405 for a
@@ -257,7 +265,41 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], daemon: Daemon) -> None:
         self.daemon = daemon
+        #: each open connection's socket and its handler thread.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        # ThreadingMixIn's, but every thread is recorded before it runs,
+        # so that server_close can end and join it (the mixin records
+        # only non-daemon threads).
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  daemon=True)
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Release the port, shut down every connection still open (a
+        kept-alive one's handler thread waits on its idle client for
+        ever) and join the handler threads."""
+        super().server_close()
+        with self._connections_lock:
+            open_now = dict(self._connections)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass   # the handler closed it meanwhile
+        for thread in open_now.values():
+            thread.join()
 
     def handle_error(self, request, client_address) -> None:
         if not isinstance(sys.exc_info()[1], OSError):

@@ -354,24 +354,42 @@ def test_a_timed_cell_dies_with_its_killed_worker(tmp_path, monkeypatch):
         time.sleep(0.05)
 
 
-def test_a_daemon_backed_worker_pushes_its_trace_back(tmp_path,
+def test_a_daemon_backed_worker_pushes_its_trace_back(tmp_path, monkeypatch,
                                                       serial_digest):
     """A worker that forwards cells to a ``repro serve`` daemon with its
     own store captures there, and pushes the trace back to the
-    coordinator's store after the shard."""
+    coordinator's store after the shard.  It closes its connection as
+    its thread returns, so the daemon keeps no handler thread for it."""
+    from repro.dist.worker import DaemonBackend
     from repro.serve import Scheduler
     from repro.serve.daemon import Daemon
 
+    closed = []
+    close = DaemonBackend.close
+
+    def recording(backend):
+        closed.append(threading.current_thread().name)
+        close(backend)
+
+    monkeypatch.setattr(DaemonBackend, "close", recording)
     daemon = Daemon(Scheduler(trace_dir=str(tmp_path / "daemon-traces")),
                     port=0)
     daemon.start()
+    before = set(threading.enumerate())
     try:
         results = run_dist_sweep(_request(tmp_path, "daemon"),
                                  worker_urls=[daemon.url], timeout=120)
+        handlers = [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and "process_request_thread" in thread.name]
+        for thread in handlers:
+            thread.join(timeout=10)
+        assert not [thread for thread in handlers if thread.is_alive()]
     finally:
         daemon.close()
         daemon.scheduler.stop()
     assert results.workers["daemon-0"].cells == CELLS
+    assert closed == [f"repro-dist-{daemon.url}"]   # on its own thread
     assert list((tmp_path / "daemon-traces").glob("*.trace"))
     assert list((tmp_path / "daemon" / "traces").glob("*.trace"))
     assert journal_digest(results.journal_path) == serial_digest

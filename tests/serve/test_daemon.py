@@ -62,9 +62,11 @@ def _start_daemon(tmp_dir, *extra_args, store=True,
 def daemon(tmp_path_factory):
     tmp_dir = tmp_path_factory.mktemp("serve")
     process, port = _start_daemon(tmp_dir)
+    client = DaemonClient("127.0.0.1", port, client_id="pytest")
     try:
-        yield DaemonClient("127.0.0.1", port, client_id="pytest")
+        yield client
     finally:
+        client.close()
         process.send_signal(signal.SIGTERM)
         try:
             process.wait(timeout=60)
@@ -250,7 +252,9 @@ class TestMalformedHttp:
         assert status in statuses, f"reply status {status}"
         info = ErrorInfo.from_payload(json.loads(body))
         assert info.status == status and info.message
-        health = DaemonClient("127.0.0.1", port).healthz()
+        client = DaemonClient("127.0.0.1", port)
+        health = client.healthz()
+        client.close()
         assert health["ok"] is True
         assert "Traceback" not in stderr_path.read_text()[logged:]
 
@@ -279,7 +283,9 @@ class TestTraceBlobRoutes:
         config = small_config(2)
         fp = trace_fingerprint(config, "arraybw", "gcn3", SCALE, 50)
         blob = daemon.get_trace(fp)
-        assert blob is not None and blob.startswith(b"RPROTRC1")
+        assert blob is not None and blob.startswith(b"RPROTRC1"), (
+            f"GET /v1/traces/{fp} found no trace after a run whose "
+            f"execution was {status.execution!r}")
         # Re-uploading the same (valid) blob is accepted.
         assert daemon.put_trace(fp, blob) is True
 
@@ -336,6 +342,7 @@ class TestGracefulShutdown:
         client = DaemonClient("127.0.0.1", port, client_id="drainer")
         jobs = [client.submit(_run_request(l1d=size, seed=40))
                 for size in (8192, 16384)]
+        client.close()
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=120) == 0
         # In-flight work finished before exit: the traces directory has
@@ -369,6 +376,7 @@ class TestGracefulShutdown:
             assert not polled[-1].finished, "queue drained before the polls"
             assert process.wait(timeout=120) == 0
         finally:
+            client.close()
             if process.poll() is None:
                 process.kill()
                 process.wait()
@@ -398,6 +406,7 @@ sys.exit(main(["serve", "--port", "0", "--trace-dir", "traces",
             assert "listening on" in line, line
             client = DaemonClient("127.0.0.1", int(line.rsplit(":", 1)[1]))
             assert client.healthz()["ok"]
+            client.close()
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
@@ -425,10 +434,12 @@ sys.exit(main(["serve", "--port", "0", "--trace-dir", "traces",
 
         monkeypatch.setattr(_Handler, "_reply", spy)
         server.start()
+        client = DaemonClient(server.host, server.port)
         try:
-            DaemonClient(server.host, server.port).shutdown()
+            client.shutdown()
             assert server.shutdown_requested.wait(10)
         finally:
+            client.close()
             server.scheduler.stop()
             server.close()
         assert requested_at_reply == [False]
@@ -438,6 +449,7 @@ sys.exit(main(["serve", "--port", "0", "--trace-dir", "traces",
         client = DaemonClient("127.0.0.1", port, client_id="stopper")
         status = daemon_status = client.submit(_run_request(seed=41))
         client.shutdown()
+        client.close()
         assert process.wait(timeout=120) == 0
         assert daemon_status.job_id == status.job_id
 
@@ -458,6 +470,7 @@ class TestNoTraceStore:
             assert (metrics.executes, metrics.captures) == (1, 0)
             assert (metrics.trace_hits, metrics.trace_misses) == (0, 0)
         finally:
+            client.close()
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0
         assert not list(tmp_path.rglob("*.trace"))
