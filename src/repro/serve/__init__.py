@@ -17,10 +17,9 @@ timing-only config variants pays for functional semantics exactly once.
 Layout: :mod:`~repro.serve.protocol` (response wire types),
 :mod:`~repro.serve.scheduler` (priority queue, batching, rate limits,
 drain — synchronous and fully testable without a socket),
-:mod:`~repro.serve.daemon` (stdlib ``http.server`` HTTP/1.1 front end,
-one thread per connection),
-:mod:`~repro.serve.client` (blocking ``http.client`` convenience
-wrapper).
+:mod:`~repro.serve.daemon` (HTTP/1.1 front end, one thread per
+connection), :mod:`~repro.serve.client` (blocking convenience client),
+and :mod:`~repro.serve.wire` (the HTTP/1.1 framing both share).
 """
 
 from .client import DaemonClient, DaemonError

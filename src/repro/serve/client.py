@@ -1,10 +1,13 @@
 """Blocking convenience client for a ``repro serve`` daemon.
 
-Pure ``http.client`` — no new dependencies — and symmetric with the
-daemon: requests go out as :meth:`to_json` of the shared request
-objects, responses come back through
-:func:`repro.serve.protocol.parse_response`, so a schema change breaks
-loudly on both ends at the same version gate.
+Symmetric with the daemon: both ends frame HTTP/1.1 with
+:mod:`repro.serve.wire` (a request leaves in one write, a reply is read
+through the connection's one buffered reader), requests go out as
+:meth:`to_json` of the shared request objects, and responses come back
+through :func:`repro.serve.protocol.parse_response`, so a schema change
+breaks loudly on both ends at the same version gate.  A reply that
+breaks the framing (cut short, no ``Content-Length``) raises
+:class:`ConnectionError`.
 
 Each calling thread keeps one HTTP/1.1 connection to the daemon and
 reuses it until a reply carries ``Connection: close`` (every error
@@ -12,6 +15,8 @@ reply does), the idle socket reads EOF (the daemon closed it), or a call
 fails; a failed call drops the connection and raises, and the next call
 opens a new one.  A connection made before a ``fork`` is never used by
 the child.  :meth:`DaemonClient.close` ends the calling thread's.
+:meth:`DaemonClient.wait` long-polls, so it learns that a job finished
+when the daemon does, in one request.
 
 A 429 (rate-limited) reply is retried with bounded exponential backoff:
 the daemon's ``Retry-After`` hint is the floor, ``backoff * 2**attempt``
@@ -29,17 +34,19 @@ re-synchronize.  ``max_retries=0`` restores raise-on-429.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
+import re
 import select
+import socket
 import threading
 import time
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..common.errors import ReproError
 from ..core.requests import AnyRequest
+from . import wire
 from .protocol import ErrorInfo, JobStatus, MetricsSnapshot, parse_response
 
 
@@ -91,7 +98,7 @@ class DaemonClient:
         if conn is not None:
             conn.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> "_Connection":
         """The calling thread's connection, made anew when there is none,
         when it was made in another process (before a fork: the child
         closes only its copy of the socket), or when its idle socket is
@@ -102,8 +109,7 @@ class DaemonClient:
             self.close()
             conn = None
         if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                              timeout=self.timeout)
+            conn = _Connection(self.host, self.port, self.timeout)
             self._local.conn, self._local.pid = conn, os.getpid()
         return conn
 
@@ -132,45 +138,49 @@ class DaemonClient:
                    body: Optional[Union[str, bytes]] = None,
                    headers: Optional[Dict[str, str]] = None, *,
                    raw: bool = False):
+        body = body.encode() if isinstance(body, str) else body or b""
+        fields = {"Host": f"{self.host}:{self.port}",
+                  "Content-Type": "application/json"}
+        if body or method != "GET":
+            fields["Content-Length"] = str(len(body))
+        if self.client_id:
+            fields["X-Repro-Client"] = self.client_id
+        fields.update(headers or {})
+        request = wire.frame(f"{method} {path} HTTP/1.1", fields, body)
         conn = self._connection()
         try:
-            all_headers = {"Content-Type": "application/json"}
-            if self.client_id:
-                all_headers["X-Repro-Client"] = self.client_id
-            all_headers.update(headers or {})
-            conn.request(method, path, body=body, headers=all_headers)
-            response = conn.getresponse()
-            data = response.read()
-            if response.status >= 400:
-                try:
-                    payload = json.loads(data) if data else {}
-                except ValueError:
-                    payload = {}
-                info = None
-                if isinstance(payload, dict) and payload.get("kind") == "error":
-                    info = ErrorInfo.from_payload(payload)
-                retry_after = response.headers.get("Retry-After")
-                raise DaemonError(
-                    response.status,
-                    info.message if info else data.decode(errors="replace"),
-                    info=info,
-                    retry_after=(float(retry_after)
-                                 if retry_after is not None else None))
-            if raw:
-                return data
+            status, reply, data = conn.exchange(request)
+        except BaseException:
+            # The exchange may have stopped anywhere in the request or
+            # the reply: the connection is in no state to reuse.
+            self.close()
+            raise
+        if "close" in reply.get("connection", "").lower():
+            self.close()           # every error reply carries it
+        if status >= 400:
             try:
                 payload = json.loads(data) if data else {}
             except ValueError:
                 payload = {}
-            if not isinstance(payload, dict):
-                raise DaemonError(response.status, "non-object response")
-            return payload
-        except BaseException:
-            # An error reply has closed the socket already (it carries
-            # ``Connection: close``); anything else may have left it
-            # mid-exchange.
-            self.close()
-            raise
+            info = None
+            if isinstance(payload, dict) and payload.get("kind") == "error":
+                info = ErrorInfo.from_payload(payload)
+            retry_after = reply.get("retry-after")
+            raise DaemonError(
+                status,
+                info.message if info else data.decode(errors="replace"),
+                info=info,
+                retry_after=(float(retry_after)
+                             if retry_after is not None else None))
+        if raw:
+            return data
+        try:
+            payload = json.loads(data) if data else {}
+        except ValueError:
+            payload = {}
+        if not isinstance(payload, dict):
+            raise DaemonError(status, "non-object response")
+        return payload
 
     # -- API -------------------------------------------------------------------
 
@@ -192,18 +202,22 @@ class DaemonClient:
         return [JobStatus.from_payload(entry)
                 for entry in payload.get("jobs", ())]
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.05) -> JobStatus:
-        """Poll until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> JobStatus:
+        """The job's status once it reaches a terminal state: long polls
+        (``GET /v1/jobs/<id>?wait=<s>``, each held by the daemon until
+        the job finishes, for at most half the socket timeout)."""
         deadline = time.monotonic() + timeout
         while True:
-            status = self.job(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            hold = (min(remaining, self.timeout / 2) if self.timeout
+                    else remaining)
+            status = JobStatus.from_payload(self._call(
+                "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}"))
             if status.finished:
                 return status
             if time.monotonic() >= deadline:
                 raise DaemonError(408, f"job {job_id} still {status.state} "
                                        f"after {timeout:g}s")
-            time.sleep(poll)
 
     def metrics(self) -> MetricsSnapshot:
         response = parse_response(self._call("GET", "/v1/metrics"))
@@ -239,10 +253,39 @@ class DaemonClient:
         return bool(payload.get("stored"))
 
 
+_STATUS_LINE = re.compile(r"HTTP/1\.[01] (\d{3})( |$)")
+
+
+class _Connection:
+    """One socket to the daemon and the one buffered reader over it."""
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def exchange(self, request: bytes) -> Tuple[int, Dict[str, str], bytes]:
+        """Send one framed request; the reply's status, headers and body.
+        A reply that breaks the framing raises :class:`ConnectionError`."""
+        self.sock.sendall(request)
+        try:
+            start, headers = wire.read_head(self.rfile) or ("", {})
+            status = _STATUS_LINE.match(start)
+            if status is None or "content-length" not in headers:
+                raise ConnectionError(f"no reply head with a Content-Length "
+                                      f"(start line {start[:80]!r})")
+            body = wire.read_body(self.rfile, wire.content_length(headers))
+        except wire.WireError as exc:
+            raise ConnectionError(f"malformed reply: {exc}") from None
+        return int(status.group(1)), headers, body
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 def _readable(sock) -> bool:
     """Whether an idle socket has something to read (EOF included)."""
-    if sock is None:       # closed after a ``Connection: close`` reply
-        return False
     poller = select.poll()
     poller.register(sock, select.POLLIN)
     return bool(poller.poll(0))

@@ -206,6 +206,9 @@ class Scheduler:
         self._batch_seq = itertools.count(1)
         self._draining = False
         self._stopped = False
+        #: bumped to end every outstanding :meth:`wait` (at a drain).
+        self._wait_epoch = 0
+        self._waits_released = False
         self._thread: Optional[threading.Thread] = None
         self._started_at = clock()
 
@@ -305,6 +308,30 @@ class Scheduler:
         if job is None:
             raise UnknownJob(f"no job {job_id!r}")
         return job
+
+    def wait(self, job_id: str, timeout: float) -> ServerJob:
+        """The job once it has finished, or after ``timeout`` seconds,
+        or when a drain starts or :meth:`release_waits` is called,
+        whichever is first."""
+        job = self.get(job_id)
+        deadline = time.monotonic() + timeout
+        with self._idle:
+            epoch = self._wait_epoch
+            while (job.state in ("queued", "running")
+                   and epoch == self._wait_epoch
+                   and not self._waits_released):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._idle.wait(remaining)
+        return job
+
+    def release_waits(self) -> None:
+        """End every :meth:`wait`, and make later ones return at once
+        (the daemon calls this as it closes, to join its handlers)."""
+        with self._idle:
+            self._waits_released = True
+            self._idle.notify_all()
 
     def jobs(self) -> List[ServerJob]:
         with self._lock:
@@ -479,6 +506,9 @@ class Scheduler:
         when the queue fully drained."""
         deadline = (self._clock() + timeout) if timeout is not None else None
         with self._idle:
+            if not self._draining:
+                self._wait_epoch += 1      # answer the outstanding waits
+                self._idle.notify_all()
             self._draining = True
             self._wake.notify_all()
             if not wait:
