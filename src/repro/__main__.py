@@ -4,8 +4,8 @@
 <command> --help`` their flags; the argparse declarations in
 :func:`build_parser` are the only synopsis.  Every command that
 simulates builds one of the :mod:`repro.core.requests` objects from its
-flags and hands it to ``execute_request`` — the same objects
-``Session``, the dist workers and the ``repro serve`` daemon execute.
+flags and calls its ``execute()`` — the same objects ``Session``, the
+dist workers and the ``repro serve`` daemon execute.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 # ---- request builders -------------------------------------------------------
 # The CLI never calls the harness directly: each command assembles the
 # same frozen request object Session would build for the same knobs and
-# hands it to execute_request().  Public so tests can assert the
-# CLI-built request equals the Session-built one flag for flag.
+# calls its execute().  Public so tests can assert the CLI-built request
+# equals the Session-built one flag for flag.
 
 def parse_override_specs(specs) -> dict:
     """Repeated ``--override path=value`` flags as a with_overrides
@@ -112,13 +112,13 @@ def sweep_request_from_args(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .common.errors import ConfigError
-    from .core.requests import RequestError, execute_request
+    from .core.requests import RequestError
 
     isas = ["hsail", "gcn3"] if args.isa == "both" else [args.isa]
     rows = []
     for isa in isas:
         try:
-            run = execute_request(run_request_from_args(args, isa))
+            run = run_request_from_args(args, isa).execute()
         except (ConfigError, RequestError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -150,12 +150,11 @@ def _progress_printer(event) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .core.requests import execute_request
     from .obs import TraceConfig, text_report, write_chrome_trace, write_jsonl
 
-    run = execute_request(run_request_from_args(args, trace=TraceConfig.parse(
+    run = run_request_from_args(args, trace=TraceConfig.parse(
         args.categories, sample_every=args.sample,
-        max_events=args.max_events)))
+        max_events=args.max_events)).execute()
     trace = run.trace
     assert trace is not None  # a traced run always carries TraceData
     out = args.out or f"{args.workload}_{args.isa}.trace.json"
@@ -364,17 +363,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"{len(invalid)} invalid point(s)", file=sys.stderr)
         return 1 if invalid else 0
 
-    if args.workers or args.worker_url:
-        from .dist import run_dist_sweep
+    from .dist import DistSweepResults, run_dist_sweep
+    from .harness.parallel import resolve_jobs
 
+    progress = None if args.quiet else _progress_printer
+    if args.worker_url:
+        jobs = resolve_jobs(request.jobs)
         results = run_dist_sweep(
-            request,
-            workers=args.workers,
-            worker_urls=args.worker_url or (),
-            progress=None if args.quiet else _progress_printer,
+            request, workers=jobs if jobs > 1 else 0,
+            worker_urls=args.worker_url, progress=progress,
             log=(None if args.quiet
-                 else (lambda message: print(message, file=sys.stderr))),
-        )
+                 else (lambda message: print(message, file=sys.stderr))))
+    else:
+        results = request.execute(progress=progress)
+    if isinstance(results, DistSweepResults):  # a fleet ran
         dist = results.dist_payload()
         print(f"dist: {len(dist['workers'])} worker(s), "
               f"{dist['shards']} shard(s), {dist['steals']} steal(s), "
@@ -386,9 +388,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             with open(args.dist_output, "w") as f:
                 f.write(results.to_json() + "\n")
             print(f"wrote {args.dist_output}")
-    else:
-        results = request.execute(
-            progress=None if args.quiet else _progress_printer)
     print(f"sweep {results.sweep_id}: {len(results.points)} point(s), "
           f"{results.replayed()} from journal, "
           f"{len(results.failed_points)} failed "
@@ -449,9 +448,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_per_kernel(args: argparse.Namespace) -> int:
-    from .core.requests import execute_request
-
-    runs = {isa: execute_request(run_request_from_args(args, isa))
+    runs = {isa: run_request_from_args(args, isa).execute()
             for isa in ("hsail", "gcn3")}
     hs = runs["hsail"].per_kernel_totals()
     g3 = runs["gcn3"].per_kernel_totals()
@@ -627,19 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
-    sweep_p.add_argument("--workers", type=int, default=0,
-                         help="distribute the sweep: fork N local "
-                              "workers from this process, each talking "
-                              "to the coordinator over its own "
-                              "socketpair (0 = run single-host)")
     sweep_p.add_argument("--worker-url", action="append", default=[],
                          metavar="URL",
                          help="also use the 'repro serve' daemon at URL "
-                              "as a sweep worker (repeatable; composable "
-                              "with --workers)")
+                              "as a sweep worker, beside the --jobs N "
+                              "forked ones when N > 1 (repeatable)")
     sweep_p.add_argument("--dist-output", metavar="FILE",
-                         help="write the DistSweepResults JSON (per-"
-                              "worker cells, steals, expiries, retries)")
+                         help="when a worker fleet ran (--jobs N > 1 or "
+                              "--worker-url), write the DistSweepResults "
+                              "JSON (per-worker cells, steals, expiries, "
+                              "retries)")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache",
                              parents=[_shared("cache_dir", "trace_dir")])

@@ -19,7 +19,6 @@ from .requests import (
     RunRequest,
     SuiteRequest,
     SweepRequest,
-    execute_request,
     parse_request,
     parse_request_json,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Session",
     "SuiteRequest",
     "SweepRequest",
-    "execute_request",
     "parse_request",
     "parse_request_json",
     "run_dispatch_functional",

@@ -16,10 +16,9 @@ Since the request-object redesign, ``Session.run/.suite/.sweep`` are
 thin *builders*: each assembles a frozen, JSON-round-trippable request
 object (:class:`repro.core.requests.RunRequest` /
 :class:`~repro.core.requests.SuiteRequest` /
-:class:`~repro.core.requests.SweepRequest`) and hands it to the single
-execution entry point (:func:`repro.core.requests.execute_request`) —
-the exact same path the CLI, the dist workers, and the ``repro serve``
-daemon take.  ``session.build_run_request(...)`` et al. expose the
+:class:`~repro.core.requests.SweepRequest`) and calls its ``execute()``
+— the exact same path the CLI, the dist workers, and the ``repro
+serve`` daemon take.  ``session.build_run_request(...)`` et al. expose the
 request without executing it (e.g. to POST it to a daemon)::
 
     from repro.core import Session
@@ -168,8 +167,8 @@ class Session:
         matrix) as a one-point :meth:`sweep` with zero axes: the same
         on-disk result cache (each cell written as it finishes) and
         ``jobs``-worker fan-out.  There is no in-process memo: a repeated
-        call is served from the disk cache, and ``use_cache=False``
-        re-simulates unless ``use_disk_cache=True``.  Traced suites
+        call is served from the disk cache, and ``use_disk_cache=False``
+        re-simulates.  Traced suites
         neither read nor write the cache — a cached result has no events
         to replay."""
         return self.build_suite_request(**fields).execute(progress=progress)

@@ -31,8 +31,8 @@ JSON mapping from that declaration, so adding or removing a request
 field is one dataclass line (plus one argparse flag if the CLI should
 set it).
 
-Execution lives behind :func:`execute_request`, which dispatches to the
-harness (:func:`repro.harness.runner.execute_run_request` /
+Each request executes through its own ``execute()``, which hands it to
+the harness (:func:`repro.harness.runner.execute_run_request` /
 :func:`repro.explore.sweep.execute_suite_request` /
 :func:`repro.explore.sweep.execute_sweep_request`); the
 request objects themselves never import the harness at module level, so
@@ -391,7 +391,6 @@ class SuiteRequest(_RequestBase):
     scale: float = wire(float, 1.0)
     seed: int = wire(int, 7)
     config: GpuConfig = _config_field()
-    use_cache: bool = wire(_bool, True)
     use_disk_cache: Optional[bool] = wire(_bool, None, sparse=True)
     cache_dir: Optional[str] = wire(_str, None, sparse=True)
     jobs: int = wire(int, 1)
@@ -568,14 +567,10 @@ class LeaseGrant(Envelope):
 
     state: str = wire(_str)
     lease_id: str = wire(_str, "")
-    ttl: float = wire(float, 0.0)
     retry_after: float = wire(float, 0.0)
     shard: Optional[ShardRequest] = wire(
         ShardRequest.from_payload, None, dump=ShardRequest.to_payload,
         sparse=True)
-    #: always False: no worker needs it (a local one shares the
-    #: coordinator's store, a daemon's reads it); kept for the envelope.
-    trace_available: bool = wire(_bool, False)
     #: the shard was split off another worker's outstanding lease.
     stolen: bool = wire(_bool, False)
 
@@ -625,22 +620,6 @@ def parse_request_json(text: Union[str, bytes],
     return parse_request(_loads(text), expect_kind=expect_kind)
 
 
-def execute_request(request: AnyRequest,
-                    progress: "Optional[ProgressFn]" = None):
-    """THE execution entry point: every surface (Session, CLI, workers,
-    daemon) funnels through here, so engine/execution/trace_dir can
-    never drift between paths."""
-    if isinstance(request, RunRequest):
-        return request.execute()
-    if isinstance(request, SuiteRequest):
-        return request.execute(progress=progress)
-    if isinstance(request, SweepRequest):
-        return request.execute(progress=progress)
-    raise RequestError(
-        f"not a request object: {type(request).__name__}"
-    )
-
-
 def request_fields(kind: str) -> Tuple[str, ...]:
     """The wire fields a request kind accepts (for docs and tooling)."""
     return REQUEST_KINDS[kind].wire_fields()
@@ -662,7 +641,6 @@ __all__ = [
     "SuiteRequest",
     "SweepRequest",
     "check_api_version",
-    "execute_request",
     "parse_request",
     "parse_request_json",
     "request_fields",

@@ -53,8 +53,8 @@ from typing import (Callable, Dict, List, NoReturn, Optional, Sequence, Tuple,
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, ShardCell, SweepRequest
 from ..explore.sweep import SweepLedger, SweepResults
-from ..harness.parallel import (ForkedProcess, Job, ProgressFn, _failed_run,
-                                fork, recv_frame, send_frame)
+from ..harness.parallel import (ForkedProcess, Job, ProgressFn, fork,
+                                recv_frame, send_frame)
 from ..harness.runner import WorkloadRun
 from ..obs.host import span
 from .shard import ShardState, group_shards, shard_id_for
@@ -270,7 +270,9 @@ class Coordinator:
 
     def _fail_shard(self, shard: ShardState, message: str) -> None:
         for key in list(shard.remaining):
-            self._accept(key, _failed_run(self.cells[key], message, 0.0),
+            job = self.cells[key]
+            self._accept(key, WorkloadRun.failure(job.workload, job.isa,
+                                                  message),
                          worker_id="(coordinator)")
 
     def lease(self, worker_id: str) -> LeaseGrant:
@@ -573,7 +575,9 @@ class DistSweep:
     def wait(self, timeout: Optional[float] = None) -> DistSweepResults:
         """Wait until every cell has landed; when no worker is left
         alive, an inline worker in this process finishes the rest (the
-        safety net, and the whole sweep when there are no workers)."""
+        safety net, and the whole sweep when there are no workers).
+        The fleet is stopped and reaped before the drift guard runs;
+        an interrupted wait (Ctrl-C) closes the journal unguarded."""
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         try:
@@ -589,12 +593,12 @@ class DistSweep:
                     self.coordinator.finished.wait(0.1)
                     continue
                 self._run("inline")
-        finally:
-            try:
-                results = self.coordinator.finish()
-            finally:
-                self.stop()
-        return results
+        except BaseException:
+            self.stop()
+            self.coordinator.ledger.close()
+            raise
+        self.stop()
+        return self.coordinator.finish()
 
     def stop(self) -> None:
         """Kill and reap the local workers (so their CPU time counts as

@@ -5,7 +5,8 @@ each cell's own request out of the ledger's cells, and report the
 :class:`~repro.harness.runner.WorkloadRun` itself.  It sends nothing
 between reports: a lease ends when its worker ends or a report is
 refused, so there is no heartbeat.  The simulation is delegated to a
-*backend*:
+*backend*, which hands back a cell that fails as a marked-failed run,
+never as a raise:
 
 * :class:`EmbeddedBackend` runs cells in this process through
   :func:`~repro.harness.parallel.run_cell` — the call the serve
@@ -43,9 +44,12 @@ from urllib.parse import urlsplit
 from ..common.errors import ReproError
 from ..core.requests import LeaseGrant, RunRequest
 from ..harness.cache import resolve_trace_store
-from ..harness.parallel import (Job, _failed_run, recv_frame, run_cell,
-                                send_frame, trace_key)
+from ..harness.parallel import (Job, recv_frame, run_cell, send_frame,
+                                trace_key)
 from ..harness.runner import WorkloadRun
+
+#: Seconds a :class:`DaemonBackend` waits for the daemon to finish a cell.
+DAEMON_WAIT_SECONDS = 600.0
 
 
 def _parse_url(url: str):
@@ -114,16 +118,15 @@ class DaemonBackend:
     trace store (so the request's ``trace_dir`` is cleared).  ``store``
     is the coordinator's: before a cell, its trace is pushed to the
     daemon, at most once per fingerprint; after a capture, the daemon's
-    trace is pulled into it, so other workers replay.  A daemon's
-    refusal of a transfer (a :class:`~repro.serve.DaemonError`) only
-    costs a capture.  A result the daemon sends that does not decode
-    comes back as a marked-failed run naming the fault."""
+    trace is pulled into it, so other workers replay.  A failed
+    transfer (a :class:`~repro.serve.DaemonError` or a dead connection)
+    only costs a capture.  A transport failure, a missing result and a result
+    that does not decode each come back as a marked-failed run naming
+    the fault."""
 
-    def __init__(self, client: "DaemonClient", store=None, *,
-                 wait_timeout: float = 600.0) -> None:
+    def __init__(self, client: "DaemonClient", store=None) -> None:
         self.client = client
         self.store = store
-        self.wait_timeout = wait_timeout
         #: fingerprints the daemon holds: pushed to it or captured there.
         self._synced: Set[str] = set()
 
@@ -135,18 +138,21 @@ class DaemonBackend:
             if blob is not None and self._quietly(self.client.put_trace,
                                                   fp, blob):
                 self._synced.add(fp)
-        job = self.client.submit(replace(request, trace_dir=None))
-        status = self.client.wait(job.job_id, timeout=self.wait_timeout)
-        if status.result is None:
-            return _failed_run(Job(request=request),
-                               status.error or "daemon produced no result",
-                               status.wall_seconds or 0.0)
+        start, run = time.monotonic(), None
         try:
-            run = WorkloadRun.from_payload(status.result)
-        except ValueError as exc:   # names the field at fault
-            return _failed_run(Job(request=request),
-                               f"malformed run payload from the daemon: "
-                               f"{exc}", status.wall_seconds or 0.0)
+            job = self.client.submit(replace(request, trace_dir=None))
+            status = self.client.wait(job.job_id,
+                                      timeout=DAEMON_WAIT_SECONDS)
+            error = status.error or "daemon produced no result"
+            if status.result is not None:
+                run = WorkloadRun.from_payload(status.result)
+        except (ReproError, OSError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        except ValueError as exc:   # from_payload names the field at fault
+            error = f"malformed run payload from the daemon: {exc}"
+        if run is None:
+            return WorkloadRun.failure(request.workload, request.isa, error,
+                                       time.monotonic() - start)
         if fp and run.execution == "capture":
             self._synced.add(fp)
             blob = self._quietly(self.client.get_trace, fp)
@@ -163,7 +169,7 @@ class DaemonBackend:
     def _quietly(call, *args):
         try:
             return call(*args)
-        except ReproError:
+        except (ReproError, OSError):
             return None
 
 
@@ -178,7 +184,8 @@ class Worker:
     cell's own request.  Every report's reply names the cells stolen
     from the lease, which the worker then skips.  The worker never
     retries a failed *cell* (failure isolation is per point, the
-    coordinator journals the failed run) nor a failed transport call:
+    coordinator journals the failed run its backend hands back) nor a
+    failed transport call:
     it leaves when a lease call fails and abandons the shard when a
     report does.
     """
@@ -220,7 +227,7 @@ class Worker:
         for cell in shard.cells:
             if cell.key in stolen:
                 continue
-            run = self._run_cell(self.cells[cell.key].request)
+            run = self.backend.run(self.cells[cell.key].request)
             try:
                 reply = self.transport.report(
                     self.worker_id, grant.lease_id, cell.key, run)
@@ -230,15 +237,6 @@ class Worker:
                 return
             stolen.update(reply.get("stolen", ()))
             self.cells_done += 1
-
-    def _run_cell(self, request: RunRequest) -> WorkloadRun:
-        start = time.monotonic()
-        try:
-            return self.backend.run(request)
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            return _failed_run(Job(request=request),
-                               f"{type(exc).__name__}: {exc}",
-                               time.monotonic() - start)
 
 
 def build_worker(worker_id: str, transport, cells: Dict[str, Job], *,

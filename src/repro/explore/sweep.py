@@ -85,7 +85,6 @@ from ..harness.parallel import (
     ProgressFn,
     resolve_jobs,
     run_cell,
-    run_job_inline,
     trace_groups,
 )
 from ..harness.runner import SuiteResults, WorkloadRun
@@ -504,10 +503,8 @@ class SweepLedger:
         self.journal: Optional[SweepJournal] = None
         if request.kind == "suite":
             # A traced suite neither reads nor writes the result cache (a
-            # cached run has no events); use_cache=False re-simulates
-            # unless use_disk_cache explicitly re-enables the disk layer.
-            if request.trace is not None or (
-                    not request.use_cache and use_disk_cache is None):
+            # cached run has no events).
+            if request.trace is not None:
                 use_disk_cache = False
         else:
             self.journal = SweepJournal(
@@ -743,8 +740,7 @@ class SweepLedger:
             return
         _rank, job, run = self._replay_sample
         self.results.verified_cell = f"{job.point}:{job.workload}/{job.isa}"
-        check = run_job_inline(replace(
-            job, request=replace(job.request, execution="execute")))
+        check = run_cell(replace(job.request, execution="execute"))
         if _replay_differs(run, check):
             self.results.replay_drift = 1
             warnings.warn(
@@ -817,24 +813,23 @@ def _dispatch(ledger: SweepLedger) -> SweepResults:
     worker and live cell in play, that many workers forked from this
     process lease the live cells from an in-process coordinator over
     the ledger (:class:`~repro.dist.DistSweep`, which runs the drift
-    guard).  Otherwise the cells run here phase by phase — each in a
-    forked child when the request has a job timeout — then the guard."""
+    guard), and the fleet's :class:`~repro.dist.DistSweepResults` come
+    back.  Otherwise the cells run here phase by phase through
+    :func:`~repro.harness.parallel.run_cell` — each in a forked child
+    when the request has a job timeout — then the guard."""
     request = ledger.request
-    timeout = request.job_timeout
     try:
         live = ledger.open()
         workers = min(resolve_jobs(request.jobs), len(live))
         if workers > 1:
             from ..dist.coordinator import DistSweep
 
-            DistSweep(ledger, live=live, workers=workers).start().wait()
-        else:
-            for batch in ledger.phases(live):
-                for job in batch:
-                    ledger.accept(job, run_job_inline(job)
-                                  if timeout is None
-                                  else run_cell(job.request, timeout=timeout))
-            ledger.verify()
+            return DistSweep(ledger, live=live, workers=workers).start().wait()
+        for batch in ledger.phases(live):
+            for job in batch:
+                ledger.accept(job, run_cell(job.request,
+                                            timeout=request.job_timeout))
+        ledger.verify()
     finally:
         ledger.close()
     return ledger.results

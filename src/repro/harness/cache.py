@@ -19,9 +19,8 @@ Knobs
     the ``--cache-dir`` CLI flag).
 ``REPRO_NO_CACHE``
     Any non-empty value disables reads *and* writes (same as the
-    ``--no-cache`` CLI flag).  ``Session.suite(use_cache=False)`` does
-    the same for one suite unless ``use_disk_cache=True`` re-enables it;
-    a traced suite never touches it.
+    ``--no-cache`` CLI flag).  ``Session.suite(use_disk_cache=False)``
+    does the same for one suite; a traced suite never touches it.
 """
 
 from __future__ import annotations

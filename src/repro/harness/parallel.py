@@ -1,23 +1,24 @@
 """Where one cell of the (workload x ISA) simulation matrix runs.
 
 A cell (:class:`Job`: a :class:`~repro.core.requests.RunRequest` plus
-its sweep-point tag) runs in this process — :func:`run_job_inline` for
-the sweep ledger's serial loop, :func:`run_cell` for a resident caller
-(the serve scheduler, a dist worker) against its shared trace store —
-or, when it has a wall-clock limit, in a child :func:`fork` makes: the
-child sends the run back as one :func:`send_frame` frame over a
-socketpair, an overrun child is SIGKILLed and reaped, a child that dies
-leaves the cell marked failed with an error saying so, and a child
-whose parent dies (its end of the socketpair closes) exits at once.
+its sweep-point tag) runs through :func:`run_cell`, the one cell runner
+of this host: the sweep ledger's serial loop and drift guard, the serve
+scheduler and a dist worker all call it, against a shared trace store
+where they hold one.  A cell that raises comes back as a marked-failed
+:class:`~repro.harness.runner.WorkloadRun` carrying the exception
+message, never as a raise.  With a wall-clock limit the cell runs in a
+child :func:`fork` makes: the child sends the run back as one
+:func:`send_frame` frame over a socketpair, an overrun child is
+SIGKILLed and reaped, a child that dies leaves the cell marked failed
+with an error saying so, and a child whose parent dies (its end of the
+socketpair closes) exits at once.
 
 ``--jobs N`` is not fanned out here: the sweep ledger's dispatch loop
 (:mod:`repro.explore.sweep`) forks N dist workers
 (:class:`~repro.dist.DistSweep`, through :func:`fork` as well) that
-lease the cells from an in-process coordinator.  Wherever a cell runs,
-one that raises comes back as a marked-failed
-:class:`~repro.harness.runner.WorkloadRun` carrying the exception
-message, never as a raise.  Within the host a run crosses a process
-boundary as itself, pickled into one frame; the JSON-friendly payload
+lease the cells from an in-process coordinator and run each through
+:func:`run_cell`.  Within the host a run crosses a process boundary as
+itself, pickled into one frame; the JSON-friendly payload
 (:meth:`WorkloadRun.to_payload`) is for bytes that leave the process:
 the daemon's HTTP, the result cache and the sweep journal.
 """
@@ -54,7 +55,7 @@ class Job:
     request: RunRequest
     #: sweep-point tag (``base`` for a suite's one point), so cells of
     #: *different* configs for the same (workload, isa) never collide in
-    #: the result mapping.  Empty for a lone cell (:func:`run_cell`).
+    #: the result mapping.  Empty for a lone cell.
     point: str = ""
 
     # -- request field views (the request is the source of truth) -------------
@@ -113,27 +114,6 @@ class JobEvent:
 ProgressFn = Callable[[JobEvent], None]
 
 
-def _failed_run(job: Job, message: str, wall: float) -> "object":
-    from .runner import WorkloadRun
-
-    return WorkloadRun.failure(job.workload, job.isa, message, wall)
-
-
-def run_job_inline(job: Job,
-                   trace_store: "Optional[object]" = None) -> "object":
-    """Run one job in this process with failure capture: an exception
-    becomes a marked-failed run, never a raise."""
-    from .runner import execute_run_request
-
-    start = time.monotonic()
-    try:
-        return execute_run_request(job.request, trace_store=trace_store)
-    except Exception as exc:  # noqa: BLE001 - isolation is the contract
-        return _failed_run(
-            job, f"{type(exc).__name__}: {exc}", time.monotonic() - start
-        )
-
-
 def trace_key(request: RunRequest) -> str:
     """The functional-trace fingerprint of one cell: cells with equal
     keys share a dynamic instruction stream, so one capture serves them
@@ -158,26 +138,31 @@ def trace_groups(items: Sequence[T]) -> "Dict[str, List[T]]":
 
 def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
              timeout: Optional[float] = None) -> "object":
-    """Run one cell against a resident caller's shared ``trace_store``
-    (the serve scheduler, a dist worker, the sweep's serial loop).  With
-    ``timeout`` set the cell runs in a forked child: past the limit the
-    child is SIGKILLed and reaped and the cell comes back marked failed
-    "timed out after ...s"; a child that dies comes back marked failed
-    naming its exit status.  The child dies with this process: a thread
-    of its own blocks on its end of the socketpair and exits the child
-    at EOF, which only this process's end closing can bring."""
-    from .runner import execute_run_request
+    """Run one cell against a resident caller's shared ``trace_store``;
+    a cell that raises comes back marked failed with the exception's
+    type and message.  With ``timeout`` set the cell runs in a forked
+    child: past the limit the child is SIGKILLed and reaped and the cell
+    comes back marked failed "timed out after ...s"; a child that dies
+    comes back marked failed naming its exit status.  The child dies
+    with this process: a thread of its own blocks on its end of the
+    socketpair and exits the child at EOF, which only this process's
+    end closing can bring."""
+    from .runner import WorkloadRun, execute_run_request
 
-    if timeout is None:
-        return execute_run_request(request, trace_store=trace_store)
-    job = Job(request=request)
     start = time.monotonic()
+    if timeout is None:
+        try:
+            return execute_run_request(request, trace_store=trace_store)
+        except Exception as exc:  # noqa: BLE001 - isolation is the contract
+            return WorkloadRun.failure(request.workload, request.isa,
+                                       f"{type(exc).__name__}: {exc}",
+                                       time.monotonic() - start)
     ours, theirs = socket.socketpair()
     with ours:
         def body():
             threading.Thread(target=_exit_at_eof, args=(theirs,),
                              daemon=True).start()
-            send_frame(theirs, run_job_inline(job, trace_store=trace_store))
+            send_frame(theirs, run_cell(request, trace_store))
 
         child = fork(body, close=(ours,))
         theirs.close()
@@ -192,7 +177,8 @@ def run_cell(request: RunRequest, trace_store: "Optional[object]" = None,
                      f"{child.poll(block=True)})")
         finally:
             child.poll(block=True)
-    return _failed_run(job, error, time.monotonic() - start)
+    return WorkloadRun.failure(request.workload, request.isa, error,
+                               time.monotonic() - start)
 
 
 def _exit_at_eof(sock: socket.socket) -> None:

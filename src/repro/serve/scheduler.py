@@ -24,9 +24,11 @@ groups therefore cost exactly K functional executions, which is where
 the warm-daemon latency win comes from.
 
 Run cells execute through :func:`repro.harness.parallel.run_cell`, the
-same call a dist worker makes; with ``job_timeout`` set each runs in a
-forked child that is killed on overrun, so a wedged cell comes back as
-a marked-failed run instead of wedging the daemon.
+same call a dist worker makes, so a cell that raises comes back as a
+marked-failed run (its payload the job's result, counted as an
+execute) with or without ``job_timeout``; with it set each runs in a
+forked child that is killed on overrun, so a wedged cell does not wedge
+the daemon.
 """
 
 from __future__ import annotations
@@ -384,10 +386,8 @@ class Scheduler:
         run = run_cell(job.request, trace_store=self.store,  # type: ignore[arg-type]
                        timeout=self.job_timeout)
         job.result = run.to_payload()
-        job.execution = getattr(run, "execution", "execute")
-        error = getattr(run, "error", None)
-        if error:
-            job.error = str(error)
+        job.execution = run.execution
+        error = job.error = run.error
         with self._lock:
             if job.execution == "capture":
                 self._captures += 1
@@ -395,7 +395,7 @@ class Scheduler:
                 self._replays += 1
             else:
                 self._executes += 1
-            if error and "timed out" in str(error):
+            if error and "timed out" in error:
                 self._timeouts += 1
 
     def _execute_suite(self, job: ServerJob) -> None:

@@ -44,8 +44,7 @@ SAMPLES = {
         RunRequest(workload="lulesh", isa="hsail")),
     SuiteRequest: (
         SuiteRequest(workloads=("arraybw", "bitonic"), scale=0.1, seed=3,
-                     config=small_config(2), use_cache=False,
-                     use_disk_cache=True, cache_dir="/tmp/cache", jobs=4,
+                     config=small_config(2), use_disk_cache=True, cache_dir="/tmp/cache", jobs=4,
                      job_timeout=30.0, trace=TraceConfig(max_events=10),
                      execution="capture", trace_dir="/tmp/traces",
                      engine="scalar"),
@@ -65,9 +64,8 @@ SAMPLES = {
         _SHARD,
         ShardRequest(shard_id="s", sweep_id="w", cells=_CELLS[1:])),
     LeaseGrant: (
-        LeaseGrant(state="granted", lease_id="L00001", ttl=30.0,
-                   retry_after=0.5, shard=_SHARD, trace_available=True,
-                   stolen=True),
+        LeaseGrant(state="granted", lease_id="L00001", retry_after=0.5,
+                   shard=_SHARD, stolen=True),
         LeaseGrant(state="wait")),
     ErrorInfo: (ErrorInfo(status=429, message="slow down"),
                 ErrorInfo(status=500)),

@@ -40,8 +40,8 @@ def _sample_run() -> RunRequest:
 def _sample_suite() -> SuiteRequest:
     return SuiteRequest(
         workloads=("arraybw", "bitonic"), scale=0.1, seed=3,
-        config=small_config(2), use_cache=False, jobs=4,
-        job_timeout=30.0, execution="execute")
+        config=small_config(2), jobs=4, job_timeout=30.0,
+        execution="execute")
 
 
 def _sample_sweep() -> SweepRequest:

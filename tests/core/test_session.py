@@ -88,7 +88,7 @@ class TestSessionRun:
 class TestSessionSuite:
     def test_suite_runs_matrix(self):
         results = Session(small_config(2)).suite(
-            scale=0.1, workloads=["arraybw"], use_cache=False)
+            scale=0.1, workloads=["arraybw"], use_disk_cache=False)
         assert set(results.runs) == {("arraybw", "hsail"), ("arraybw", "gcn3")}
         assert results.all_verified()
 

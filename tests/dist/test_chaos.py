@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from repro.common.config import small_config
 from repro.core.requests import SweepRequest
-from repro.dist import DistSweep, Worker, journal_digest
+from repro.dist import DistSweep, EmbeddedBackend, journal_digest
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
 
@@ -43,13 +43,13 @@ def test_sigkill_worker_mid_sweep(tmp_path, monkeypatch):
     # lands in about 0.15 s, which a 50 ms poll can miss.  The children
     # inherit this patch: a cell takes 0.1 s longer, so a live lease
     # stays in view for about a second.
-    run_cell = Worker._run_cell
+    run = EmbeddedBackend.run
 
-    def slow_run_cell(self, request):
+    def slow_run(self, request):
         time.sleep(0.1)
-        return run_cell(self, request)
+        return run(self, request)
 
-    monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
+    monkeypatch.setattr(EmbeddedBackend, "run", slow_run)
     request = SweepRequest(
         axes=AXES, workloads=WORKLOADS, isas=("gcn3",), scale=SCALE,
         seed=7, config=small_config(2), use_disk_cache=False,

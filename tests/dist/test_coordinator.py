@@ -49,7 +49,6 @@ class TestLeaseReportCycle:
         co = _coordinator(tmp_path)
         grant = co.lease("w1")
         assert grant.state == "granted"
-        assert grant.ttl == 0.0            # no heartbeat: the field stays unset
         keys = _keys(grant)
         assert len(keys) == 2
         assert not co.done
@@ -297,6 +296,21 @@ class TestReportValidation:
                                                          False)
         assert "malformed run payload" in run.error
         assert "'kernel_code_bytes'" in run.error
+
+    def test_a_transport_failure_is_a_failed_run_not_a_raise(self):
+        from repro.core.requests import RunRequest
+        from repro.dist import DaemonBackend
+
+        class Client:
+            def submit(self, request):
+                raise ConnectionRefusedError("daemon gone")
+
+        run = DaemonBackend(Client()).run(RunRequest(
+            workload="spmv", isa="gcn3", scale=0.1,
+            config=small_config(2)))
+        assert (run.workload, run.isa, run.verified) == ("spmv", "gcn3",
+                                                         False)
+        assert run.error == "ConnectionRefusedError: daemon gone"
 
     @pytest.mark.parametrize("label", ["bitonic/gcn3", "spmv/hsail"])
     def test_mislabelled_report_is_rejected(self, tmp_path, label):

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 from repro.common.config import small_config
 from repro.core.requests import RunRequest, SweepRequest
-from repro.dist import (DaemonBackend, EmbeddedBackend, Worker,
-                        journal_digest, run_dist_sweep)
+from repro.dist import (DaemonBackend, EmbeddedBackend, journal_digest,
+                        run_dist_sweep)
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
 from repro.harness.cache import TraceStore
@@ -56,13 +56,13 @@ class TestInlineDistSweep:
         # first has stored its capture, so the thief replays it.  The
         # forked workers inherit the patch: a cell takes 0.3 s longer,
         # so the thief's 0.1 s back-off ends before the victim is done.
-        run_cell = Worker._run_cell
+        run = EmbeddedBackend.run
 
-        def slow_run_cell(self, request):
+        def slow_run(self, request):
             time.sleep(0.3)
-            return run_cell(self, request)
+            return run(self, request)
 
-        monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
+        monkeypatch.setattr(EmbeddedBackend, "run", slow_run)
         spread = dict(axes=(Axis("cu.vrf_banks", (2, 4, 8, 16)),))
         dist = run_dist_sweep(_request(tmp_path, "chunked", **spread),
                               workers=2, timeout=120)
@@ -104,6 +104,37 @@ class TestInlineDistSweep:
         assert resumed.workers == {}
         assert (journal_digest(resumed.journal_path)
                 == journal_digest(first.journal_path))
+
+
+class TestCliFleet:
+    """``repro sweep --jobs N`` is the one fan-out flag: with N > 1 a
+    fleet runs, prints its ``dist:`` line and writes ``--dist-output``;
+    a serial sweep does neither."""
+
+    ARGV = ["sweep", "-a", "cu.vrf_banks=2,4", "-w", "spmv", "-s", "0.1",
+            "--cus", "2", "--no-cache", "--quiet", "--format", "json"]
+
+    def _sweep(self, tmp_path, capsys, monkeypatch, name, *extra):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_SWEEPS_DIR", str(tmp_path / name))
+        out = tmp_path / f"{name}.json"
+        code = main(self.ARGV + ["--trace-dir", str(tmp_path / name / "t"),
+                                 "--dist-output", str(out), *extra])
+        return code, capsys.readouterr().err, out
+
+    def test_jobs_runs_a_fleet(self, tmp_path, capsys, monkeypatch):
+        code, err, out = self._sweep(tmp_path, capsys, monkeypatch, "jobs",
+                                     "--jobs", "2")
+        assert code == 0
+        assert "dist: 2 worker(s), 2 shard(s)" in err
+        ledger = json.loads(out.read_text())["dist"]
+        assert set(ledger["workers"]) == {"local-0", "local-1"}
+        assert sum(w["cells"] for w in ledger["workers"].values()) == 4
+        code, err, out = self._sweep(tmp_path, capsys, monkeypatch,
+                                     "serial")
+        assert code == 0
+        assert "dist:" not in err and not out.exists()
 
 
 class TestEmbeddedBackend:

@@ -30,13 +30,16 @@ from repro.common.config import small_config
 from repro.common.stats import StatSet
 from repro.core.requests import RunRequest, SweepRequest
 from repro.dist import (
+    DaemonBackend,
     DistSweep,
     Worker,
+    coordinator,
     journal_digest,
     run_dist_sweep,
 )
 from repro.explore.space import Axis
 from repro.explore.sweep import execute_sweep_request
+from repro.harness import runner
 from repro.harness.parallel import run_cell
 from repro.harness.runner import WorkloadRun
 
@@ -169,19 +172,32 @@ def test_a_failing_child_exits_and_the_sweep_finishes_inline(
     assert journal_digest(results.journal_path) == serial_digest
 
 
+def _wrap_cells(monkeypatch, wrap):
+    """Run each worker's cells as ``wrap(worker_id, run, request)``,
+    ``run`` being its backend's; a forked worker inherits the patch."""
+    real_run = Worker.run
+
+    def run(self):
+        backend_run = self.backend.run
+        self.backend.run = lambda request: wrap(self.worker_id, backend_run,
+                                                request)
+        return real_run(self)
+
+    monkeypatch.setattr(Worker, "run", run)
+
+
 def test_a_dead_worker_gives_its_lease_back_at_once(tmp_path, monkeypatch):
     """A forked worker that dies inside a cell closes its pipe, and its
     lease ends then: the other worker runs the dead one's cells, and the
     death counts as an expiry."""
     parent = os.getpid()
-    real_run_cell = Worker._run_cell
 
-    def run_cell(self, request):
-        if os.getpid() != parent and self.worker_id == "local-0":
+    def die_in_local_0(worker_id, run, request):
+        if os.getpid() != parent and worker_id == "local-0":
             os._exit(3)
-        return real_run_cell(self, request)
+        return run(request)
 
-    monkeypatch.setattr(Worker, "_run_cell", run_cell)
+    _wrap_cells(monkeypatch, die_in_local_0)
     sweep = DistSweep(_request(tmp_path, "dead", workloads=("spmv", "bitonic")),
                       workers=2)
     results = sweep.start().wait(timeout=120)
@@ -202,14 +218,10 @@ def test_a_raising_worker_thread_gives_its_lease_back(
     ends that lease as it returns, so the inline worker runs the whole
     shard at once instead of waiting the sweep out.  The daemon-backed
     worker raises before it would reach its daemon."""
-    real_run_cell = Worker._run_cell
+    def run(self, request):
+        raise RuntimeError("worker thread failed")
 
-    def run_cell(self, request):
-        if self.worker_id == "daemon-0":
-            raise RuntimeError("worker thread failed")
-        return real_run_cell(self, request)
-
-    monkeypatch.setattr(Worker, "_run_cell", run_cell)
+    monkeypatch.setattr(DaemonBackend, "run", run)
     start = time.monotonic()
     results = DistSweep(_request(tmp_path, "raise"),
                         worker_urls=["http://127.0.0.1:9"]).start().wait(
@@ -246,6 +258,49 @@ def _decodes(call):
     return result, counts
 
 
+def test_an_interrupted_sweep_reaps_its_workers_before_any_guard(
+        tmp_path, monkeypatch):
+    """Ctrl-C in a ``jobs=2`` sweep stops and reaps the forked workers
+    and closes the journal unguarded: after the interrupt this process
+    runs no cell, not even the drift guard's re-execution.  Each cell
+    takes 0.2 s longer in the workers (they inherit the patch), so the
+    interrupt lands with cells still outstanding."""
+    parent = os.getpid()
+    real_execute, real_fork = runner.execute_run_request, coordinator.fork
+    interrupted, executed, children = [], [], []
+
+    def execute(request, trace_store=None):
+        if os.getpid() != parent:
+            time.sleep(0.2)
+        elif interrupted:
+            executed.append(request)
+        return real_execute(request, trace_store=trace_store)
+
+    def fork(body, close=()):
+        children.append(real_fork(body, close))
+        return children[-1]
+
+    def progress(event):
+        if event.index == 3 and not interrupted:
+            interrupted.append(event)
+            os.kill(parent, signal.SIGINT)
+
+    monkeypatch.setattr(runner, "execute_run_request", execute)
+    monkeypatch.setattr(coordinator, "fork", fork)
+    request = _request(tmp_path, "sigint", jobs=2, verify_replay=True,
+                       axes=(Axis("cu.vrf_banks", (2, 4, 8, 16)),
+                             Axis("l1d.hit_latency", (4, 8))))
+    with pytest.raises(KeyboardInterrupt):
+        execute_sweep_request(request, progress=progress)
+
+    assert interrupted and executed == []
+    assert len(children) == 2
+    for child in children:
+        assert child.returncode is not None
+        with pytest.raises(ChildProcessError):   # reaped already
+            os.waitpid(child.pid, os.WNOHANG)
+
+
 def test_stolen_cells_run_once(tmp_path, monkeypatch):
     """A victim learns of a theft from its next report's reply, so no
     stolen cell is simulated twice and the thief's lease is released,
@@ -253,14 +308,12 @@ def test_stolen_cells_run_once(tmp_path, monkeypatch):
     ``local-0``'s cells takes 0.4 s longer (the forked workers inherit
     the patch), so ``local-1`` runs out of shards first and steals from
     it while it still has cells to run."""
-    run_cell = Worker._run_cell
-
-    def slow_run_cell(self, request):
-        if self.worker_id == "local-0":
+    def slow_local_0(worker_id, run, request):
+        if worker_id == "local-0":
             time.sleep(0.4)
-        return run_cell(self, request)
+        return run(request)
 
-    monkeypatch.setattr(Worker, "_run_cell", slow_run_cell)
+    _wrap_cells(monkeypatch, slow_local_0)
     request = _request(
         tmp_path, "steal", workloads=("spmv", "hpgmg"),
         isas=("hsail", "gcn3"),
@@ -409,7 +462,7 @@ results = run_dist_sweep(_request(Path({str(tmp_path)!r}), "diet"),
                          workers=1, timeout=120)
 assert sum(w.cells for w in results.workers.values()) == CELLS
 runs = Session(small_config(2)).suite(scale=0.1, workloads=["arraybw"],
-                                      use_cache=False, jobs=2).runs
+                                      use_disk_cache=False, jobs=2).runs
 assert all(run.verified for run in runs.values())
 print(sorted(name for name in sys.modules
              if name.startswith(("repro.serve", "http."))))

@@ -169,12 +169,12 @@ class TestWireRoundTrips:
 
     def test_lease_grant_round_trip(self, plan_shards):
         shard = plan_shards(_request()).shards[0]
-        grant = LeaseGrant(state="granted", lease_id="L00001", ttl=30.0,
-                           shard=shard, trace_available=True, stolen=True)
+        grant = LeaseGrant(state="granted", lease_id="L00001",
+                           shard=shard, stolen=True)
         again = LeaseGrant.from_payload(grant.to_payload())
         assert again.state == "granted"
         assert again.lease_id == "L00001"
-        assert again.trace_available and again.stolen
+        assert again.stolen
         assert again.shard is not None
         assert again.shard.shard_id == shard.shard_id
 
@@ -202,9 +202,8 @@ def _sample_shard() -> ShardRequest:
 
 
 def _sample_lease() -> LeaseGrant:
-    return LeaseGrant(state="granted", lease_id="L00001", ttl=30.0,
-                      retry_after=0.5, shard=_sample_shard(),
-                      trace_available=True, stolen=True)
+    return LeaseGrant(state="granted", lease_id="L00001", retry_after=0.5,
+                      shard=_sample_shard(), stolen=True)
 
 
 class TestGoldenPayloads:

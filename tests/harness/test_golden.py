@@ -37,8 +37,8 @@ def _capture(jobs: int) -> dict:
         scale=SCALE,
         workloads=list(WORKLOADS),
         seed=SEED,
-        use_cache=False,        # golden must reflect a real simulation,
-        use_disk_cache=False,   # never a cache read
+        use_disk_cache=False,   # golden must reflect a real simulation,
+                                # never a cache read
         jobs=jobs,
     )
     runs = {}

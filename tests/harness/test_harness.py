@@ -119,17 +119,14 @@ class TestFailedPairFigures:
     @pytest.fixture(scope="class")
     def wounded_suite(self):
         """arraybw intact; comd's GCN3 cell marked failed."""
-        from repro.harness.parallel import Job, _failed_run
-        from repro.harness.runner import SuiteResults
+        from repro.harness.runner import SuiteResults, WorkloadRun
 
         good = Session(small_config(2)).suite(scale=0.1,
                                               workloads=["arraybw", "comd"])
         suite = SuiteResults(scale=0.1)
         suite.runs.update(good.runs)
-        job = Job(Session(small_config(2)).build_run_request(
-            "comd", "gcn3", scale=0.1))
-        suite.runs[("comd", "gcn3")] = _failed_run(job, "injected crash",
-                                                   0.0)
+        suite.runs[("comd", "gcn3")] = WorkloadRun.failure(
+            "comd", "gcn3", "injected crash")
         return suite
 
     def test_ratio_nan_on_failed_pair(self):

@@ -12,10 +12,12 @@ import pytest
 
 import repro
 from repro.common.config import small_config
-from repro.core import Session
+from repro.core import RunRequest, Session, SweepRequest
+from repro.dist import run_dist_sweep
+from repro.explore.sweep import execute_sweep_request
 from repro.harness import runner
-from repro.harness.parallel import Job, JobEvent, resolve_jobs, run_job_inline
-from repro.harness.runner import run_workload
+from repro.harness.parallel import Job, JobEvent, resolve_jobs, run_cell
+from repro.harness.runner import WorkloadRun, run_workload
 
 WORKLOADS = ["arraybw", "comd", "bitonic"]
 SCALE = 0.1
@@ -58,7 +60,7 @@ def _suite(monkeypatch, execute, workloads=WORKLOADS, jobs=2, **kw):
     """A ``jobs=2`` suite's runs with every cell executed by ``execute``."""
     monkeypatch.setattr(runner, "execute_run_request", execute)
     return Session(small_config(2)).suite(
-        scale=SCALE, workloads=workloads, seed=SEED, use_cache=False,
+        scale=SCALE, workloads=workloads, seed=SEED, use_disk_cache=False,
         jobs=jobs, **kw).runs
 
 
@@ -69,13 +71,13 @@ class TestDeterminism:
     def serial(self):
         return Session(small_config(2)).suite(
             scale=SCALE, workloads=WORKLOADS, seed=SEED,
-            use_cache=False, jobs=1)
+            use_disk_cache=False, jobs=1)
 
     @pytest.fixture(scope="class")
     def pooled(self):
         return Session(small_config(2)).suite(
             scale=SCALE, workloads=WORKLOADS, seed=SEED,
-            use_cache=False, jobs=4)
+            use_disk_cache=False, jobs=4)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("isa", ["hsail", "gcn3"])
@@ -184,14 +186,14 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_job_timeout_holds_at_every_jobs_value(self, jobs):
         results = Session(small_config(2)).suite(
-            scale=SCALE, workloads=["arraybw"], seed=SEED, use_cache=False,
+            scale=SCALE, workloads=["arraybw"], seed=SEED, use_disk_cache=False,
             jobs=jobs, job_timeout=0.001)
         assert len(results.runs) == 2
         for run in results.runs.values():
             assert run.error == "timed out after 0.001s"
 
     def test_inline_capture_never_raises(self):
-        run = run_job_inline(_jobs(["no-such-workload"], ["gcn3"])[0])
+        run = run_cell(_jobs(["no-such-workload"], ["gcn3"])[0].request)
         assert run.error is not None
         assert not run.verified
         assert run.per_dispatch == []
@@ -199,7 +201,7 @@ class TestFailureIsolation:
     def test_run_suite_survives_bad_workload(self, tmp_path):
         results = Session(small_config(2)).suite(
             scale=SCALE, workloads=["arraybw", "no-such-workload"],
-            use_cache=False, jobs=1)
+            use_disk_cache=False, jobs=1)
         assert results.get("arraybw", "gcn3").verified
         failed = results.get("no-such-workload", "gcn3")
         assert failed.error is not None
@@ -210,9 +212,76 @@ class TestFailureIsolation:
         cache_dir = tmp_path / "cache"
         Session(small_config(2)).suite(
             scale=SCALE, workloads=["no-such-workload"],
-            use_cache=False, use_disk_cache=True,
+            use_disk_cache=True,
             cache_dir=str(cache_dir), jobs=1)
         assert not list(cache_dir.glob("*.json"))
+
+
+class TestOneFailureShape:
+    """A cell that raises comes back from every runner as a failed
+    ``WorkloadRun`` carrying the exception's type and message, and a
+    daemon reports it alike with and without a job timeout."""
+
+    REQUEST = RunRequest(workload="no-such-workload", isa="gcn3",
+                         scale=SCALE, config=small_config(2))
+
+    @pytest.fixture(scope="class")
+    def error(self):
+        run = run_cell(self.REQUEST)
+        assert run.error.startswith("KeyError: ")
+        assert "no-such-workload" in run.error
+        return run.error
+
+    def _sweep(self, tmp_path, name, **fields):
+        return SweepRequest(
+            axes=("cu.vrf_banks=2,4",), workloads=("no-such-workload",),
+            isas=("gcn3",), scale=SCALE, config=small_config(2),
+            use_disk_cache=False, execution="execute",
+            sweeps_dir=str(tmp_path / name), **fields)
+
+    def test_every_runner_hands_back_the_same_failed_run(self, tmp_path,
+                                                         error):
+        runs = [run_cell(self.REQUEST), run_cell(self.REQUEST, timeout=60)]
+        for name, results in (
+                ("serial", execute_sweep_request(
+                    self._sweep(tmp_path, "serial"))),
+                ("jobs", execute_sweep_request(
+                    self._sweep(tmp_path, "jobs", jobs=2))),
+                ("dist", run_dist_sweep(
+                    self._sweep(tmp_path, "dist"), workers=0))):
+            cells = [run for pr in results.points for run in pr.runs.values()]
+            assert len(cells) == 2, name
+            runs += cells
+        for run in runs:
+            assert isinstance(run, WorkloadRun)
+            assert (run.workload, run.isa) == ("no-such-workload", "gcn3")
+            assert run.error == error and not run.verified
+
+    def test_a_daemon_job_reports_it_alike_with_and_without_a_timeout(
+            self, tmp_path, error):
+        from repro.serve import DaemonClient, Scheduler
+        from repro.serve.daemon import Daemon
+
+        seen = []
+        for job_timeout in (None, 60.0):
+            daemon = Daemon(Scheduler(job_timeout=job_timeout), port=0)
+            daemon.start()
+            client = DaemonClient(daemon.host, daemon.port)
+            try:
+                status = client.wait(client.submit(self.REQUEST).job_id,
+                                     timeout=120)
+                executes = client.metrics().executes
+            finally:
+                client.close()
+                daemon.close()
+                daemon.scheduler.stop()
+            result = {key: value for key, value
+                      in (status.result or {}).items()
+                      if key != "wall_seconds"}
+            seen.append((status.state, status.error, result, executes))
+        assert seen[0] == seen[1]
+        assert seen[0][1] == error and seen[0][2]["error"] == error
+        assert seen[0][3] == 1
 
 
 class TestProgressEvents:
@@ -221,7 +290,7 @@ class TestProgressEvents:
         session = Session(small_config(2))
         common = dict(scale=SCALE,
                       workloads=["arraybw", "bitonic"], seed=SEED,
-                      use_cache=False, use_disk_cache=True,
+                      use_disk_cache=True,
                       cache_dir=cache_dir)
         cold_events = []
         session.suite(jobs=2, progress=cold_events.append, **common)
@@ -267,7 +336,7 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
 from repro.common.config import small_config
 from repro.core import Session
 runs = Session(small_config(2)).suite(scale=0.1, workloads=["arraybw"],
-                                      use_cache=False, jobs=2).runs
+                                      use_disk_cache=False, jobs=2).runs
 assert all(run.verified for run in runs.values())
 print(sorted(name for name in sys.modules
              if name.startswith("concurrent")))

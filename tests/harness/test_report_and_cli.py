@@ -117,14 +117,13 @@ class TestCli:
 
     def test_per_kernel_command_goes_through_the_request_path(self, capsys):
         from repro.__main__ import build_parser, run_request_from_args
-        from repro.core.requests import execute_request
 
         argv = ["per-kernel", "-w", "arraybw", "-s", "0.1", "--cus", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "arraybw: per-kernel statistics" in out
         args = build_parser().parse_args(argv)
-        runs = {isa: execute_request(run_request_from_args(args, isa))
+        runs = {isa: run_request_from_args(args, isa).execute()
                 for isa in ("hsail", "gcn3")}
         for name, stats in runs["gcn3"].per_kernel_totals().items():
             row = next(line for line in out.splitlines() if name in line)

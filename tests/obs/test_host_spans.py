@@ -287,7 +287,7 @@ def test_jobs_cells_cross_as_pipe_reports():
     from repro.core import Session
 
     results, records = _recorded(lambda: Session(small_config(2)).suite(
-        scale=0.1, workloads=["arraybw", "spmv"], use_cache=False, jobs=2))
+        scale=0.1, workloads=["arraybw", "spmv"], use_disk_cache=False, jobs=2))
     assert all(run.verified for run in results.runs.values())
     names = Counter(r["name"] for r in records)
     assert names["http.request"] == 0 and names["dist.report"] == 4

@@ -116,7 +116,7 @@ class TestDaemonExecution:
 
     def test_suite_over_http(self, daemon):
         request = Session(small_config(2)).build_suite_request(
-            workloads=["arraybw"], scale=SCALE, use_cache=False)
+            workloads=["arraybw"], scale=SCALE, use_disk_cache=False)
         status = daemon.wait(daemon.submit(request).job_id)
         assert status.state == "done", status.error
         assert status.request_kind == "suite"

@@ -320,7 +320,7 @@ class TestJobLookup:
     def test_suite_request_through_scheduler(self, tmp_path):
         sched = Scheduler(trace_dir=str(tmp_path / "t"))
         request = Session(small_config(2)).build_suite_request(
-            workloads=["arraybw"], scale=SCALE, use_cache=False)
+            workloads=["arraybw"], scale=SCALE, use_disk_cache=False)
         job = sched.submit(request)
         sched.run_until_idle()
         assert job.state == "done", job.error
